@@ -14,6 +14,11 @@ namespace sqpr {
 namespace milp {
 namespace {
 
+/// Row and bound tolerance an incumbent must meet *after* its integer
+/// columns are rounded: Deployment::Validate's default, so a committed
+/// plan never fails the audit by a rounding residue.
+constexpr double kAcceptTol = 1e-6;
+
 /// One branch decision: tighten `var` to [lb, ub].
 struct BoundChange {
   int var;
@@ -62,6 +67,13 @@ class BranchAndBound {
   int PickBranchVariable(const std::vector<double>& x) const;
   double PruneThreshold() const;
   bool IsIntegral(const std::vector<double>& x) const;
+  // Rounds the integer columns of *x to the nearest integer and reports
+  // whether the rounded point still satisfies work_ within kAcceptTol.
+  // A point inside the integrality tolerance can round across a row
+  // (0.9999997 * 35 Mbps fits a budget that 35 Mbps breaks).
+  bool SnapFeasible(std::vector<double>* x) const;
+  // Integer column furthest from its rounded value; -1 if all are exact.
+  int PickSnapVariable(const std::vector<double>& x) const;
   void MaybeUpdateIncumbent(const std::vector<double>& x, double obj);
   // Processes one node; pushes children onto the queue / plunge slot.
   // Returns the node index to plunge into next, or -1.
@@ -93,6 +105,7 @@ class BranchAndBound {
   double root_bound_ = lp::kInf;
   int64_t nodes_ = 0;
   int64_t lp_iterations_ = 0;
+  int64_t rejected_candidates_ = 0;
   int plunge_child_ = -1;
 };
 
@@ -159,15 +172,33 @@ bool BranchAndBound::IsIntegral(const std::vector<double>& x) const {
   return true;
 }
 
+bool BranchAndBound::SnapFeasible(std::vector<double>* x) const {
+  // Snapped values let downstream plan extraction compare against 0/1
+  // without tolerances.
+  for (int v = 0; v < base_.lp.num_variables(); ++v) {
+    if (base_.integer[v]) (*x)[v] = std::round((*x)[v]);
+  }
+  return work_.CheckFeasible(*x, kAcceptTol).ok();
+}
+
+int BranchAndBound::PickSnapVariable(const std::vector<double>& x) const {
+  int best = -1;
+  double best_dist = 0.0;
+  for (int v = 0; v < base_.lp.num_variables(); ++v) {
+    if (!base_.integer[v]) continue;
+    const double dist = std::abs(x[v] - std::round(x[v]));
+    if (dist > best_dist) {
+      best_dist = dist;
+      best = v;
+    }
+  }
+  return best;
+}
+
 void BranchAndBound::MaybeUpdateIncumbent(const std::vector<double>& x,
                                           double obj) {
   if (have_incumbent_ && obj <= incumbent_obj_) return;
   incumbent_ = x;
-  // Snap integer values exactly so downstream plan extraction can compare
-  // against 0/1 without tolerances.
-  for (int v = 0; v < base_.lp.num_variables(); ++v) {
-    if (base_.integer[v]) incumbent_[v] = std::round(incumbent_[v]);
-  }
   incumbent_obj_ = obj;
   have_incumbent_ = true;
 }
@@ -263,16 +294,9 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
       if (options_.lazy != nullptr) {
         cuts_ok = options_.lazy->AddViolatedCuts(x, &work_) == 0;
       }
-      const Status feas = work_.CheckFeasible(x, 1e-5);
-      if (getenv("SQPR_MILP_DEBUG")) {
-        fprintf(stderr, "[dive] integral cuts_ok=%d feas=%s obj=%.3f\n",
-                cuts_ok, feas.ToString().c_str(), rel.objective);
-      }
-      if (cuts_ok && feas.ok()) {
-        MaybeUpdateIncumbent(x, rel.objective);
-        break;
-      }
       if (!cuts_ok) continue;  // cycle cuts added: keep diving against them
+      std::vector<double> snapped = x;
+      if (SnapFeasible(&snapped)) MaybeUpdateIncumbent(snapped, rel.objective);
       break;
     }
   }
@@ -401,18 +425,19 @@ int BranchAndBound::ProcessNode(int node_index) {
         return node_index;
       }
     }
-    // CheckFeasible guards against tolerance drift before accepting.
-    const Status feas = work_.CheckFeasible(x, 1e-5);
-    if (feas.ok()) {
-      MaybeUpdateIncumbent(x, rel.objective);
-    } else if (getenv("SQPR_MILP_DEBUG")) {
-      fprintf(stderr, "[milp] integral candidate rejected: %s\n",
-              feas.ToString().c_str());
+    std::vector<double> snapped = x;
+    if (SnapFeasible(&snapped)) {
+      MaybeUpdateIncumbent(snapped, rel.objective);
+      return -1;
     }
-    return -1;
+    // Rounding pushed a row past kAcceptTol: the point is not a plan.
+    // Branch on the column that moved most, so the children pin it to
+    // an exact integer on either side instead of losing the subtree.
+    ++rejected_candidates_;
   }
 
-  const int branch_var = PickBranchVariable(x);
+  const int branch_var =
+      IsIntegral(x) ? PickSnapVariable(x) : PickBranchVariable(x);
   if (branch_var < 0) return -1;  // only sub-tolerance fractionality left
   if (getenv("SQPR_MILP_DEBUG") && nodes_ < 60) {
     fprintf(stderr, "[milp] node=%lld depth=%d bound=%.4f branch %s=%.4f\n",
@@ -462,12 +487,16 @@ MipResult BranchAndBound::Run() {
 
   if (options_.warm_start != nullptr) {
     const std::vector<double>& ws = *options_.warm_start;
-    if (base_.lp.CheckFeasible(ws, 1e-6).ok() && IsIntegral(ws)) {
+    std::vector<double> snapped = ws;
+    if (base_.lp.CheckFeasible(ws, kAcceptTol).ok() && IsIntegral(ws) &&
+        SnapFeasible(&snapped)) {
       bool cuts_ok = true;
       if (options_.lazy != nullptr) {
-        cuts_ok = options_.lazy->AddViolatedCuts(ws, &work_) == 0;
+        cuts_ok = options_.lazy->AddViolatedCuts(snapped, &work_) == 0;
       }
-      if (cuts_ok) MaybeUpdateIncumbent(ws, base_.lp.ObjectiveValue(ws));
+      if (cuts_ok) {
+        MaybeUpdateIncumbent(snapped, base_.lp.ObjectiveValue(snapped));
+      }
     }
   }
 
@@ -499,6 +528,7 @@ MipResult BranchAndBound::Run() {
 
   result.nodes = nodes_;
   result.lp_iterations = lp_iterations_;
+  result.rejected_candidates = rejected_candidates_;
   result.wall_ms = watch.ElapsedMillis();
   result.root_basis = root_basis_;
 

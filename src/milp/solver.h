@@ -139,6 +139,9 @@ struct MipResult {
   double best_bound = 0.0;
   int64_t nodes = 0;
   int64_t lp_iterations = 0;
+  /// Integral LP points whose rounded form broke a row by more than
+  /// Deployment::Validate's tolerance; each was branched on, not kept.
+  int64_t rejected_candidates = 0;
   double wall_ms = 0.0;
   /// True when the search stopped because the (effective) deadline
   /// expired — as opposed to the node limit or a proven optimum. The

@@ -268,6 +268,43 @@ TEST(MilpTest, DeadlineZeroStillReturnsWarmStart) {
   EXPECT_TRUE(r.has_solution());
 }
 
+// Distilled from a service replay that aborted on the planner's commit
+// audit ("outgoing NIC over budget": 70.000005 used of 70). The LP vertex
+// puts b at 0.99999971, inside the integrality tolerance; rounding it to
+// 1 breaks the NIC row by 1e-5, far past Deployment::Validate's 1e-6.
+// The rounded point must never become the incumbent.
+Model NicRoundingModel() {
+  Model m;
+  const int a = m.AddBinary(1.0, "a");
+  const int b = m.AddBinary(1.0, "b");
+  m.lp.AddRow(-lp::kInf, 69.99999, {{a, 35.0}, {b, 35.0}}, "nic_out_h1");
+  return m;
+}
+
+TEST(MilpSnapTest, RoundedIncumbentKeepsRowsWithinAuditTolerance) {
+  const Model m = NicRoundingModel();
+  for (bool presolve : {false, true}) {
+    SolverOptions opts;
+    opts.presolve = presolve;
+    auto r = Solve(m, opts);
+    ASSERT_EQ(r.status, MipStatus::kOptimal) << "presolve " << presolve;
+    EXPECT_NEAR(r.objective, 1.0, 1e-9) << "presolve " << presolve;
+    EXPECT_TRUE(m.lp.CheckFeasible(r.x, 1e-6).ok()) << "presolve " << presolve;
+  }
+}
+
+TEST(MilpSnapTest, NearIntegralWarmStartRoundingAcrossRowIgnored) {
+  const Model m = NicRoundingModel();
+  // Feasible and integral within tolerance as given; infeasible rounded.
+  std::vector<double> warm = {1.0, 0.9999997};
+  ASSERT_TRUE(m.lp.CheckFeasible(warm, 1e-9).ok());
+  SolverOptions opts;
+  opts.warm_start = &warm;
+  opts.max_nodes = 0;  // only the warm start could supply an incumbent
+  auto r = Solve(m, opts);
+  EXPECT_FALSE(r.has_solution());
+}
+
 // ------------------------------------- Randomised exhaustive cross-check
 
 struct RandomMipCase {
