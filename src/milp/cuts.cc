@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.h"
 
@@ -28,77 +27,11 @@ void CutPool::InjectInto(lp::Model* lp) const {
   }
 }
 
-namespace {
-
-constexpr double kCoefDropTol = 1e-12;
-constexpr double kAlphaTol = 1e-11;
-
-double Frac(double v) { return v - std::floor(v); }
-
-/// Dense row-major matrix inverse by Gauss-Jordan with partial pivoting.
-/// Returns false when singular.
-bool InvertDense(std::vector<double>* a, int m) {
-  std::vector<double>& mat = *a;
-  std::vector<double> inv(static_cast<size_t>(m) * m, 0.0);
-  for (int i = 0; i < m; ++i) inv[static_cast<size_t>(i) * m + i] = 1.0;
-  for (int col = 0; col < m; ++col) {
-    int pivot = -1;
-    double best = 1e-10;
-    for (int r = col; r < m; ++r) {
-      const double v = std::abs(mat[static_cast<size_t>(r) * m + col]);
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (pivot < 0) return false;
-    if (pivot != col) {
-      for (int c = 0; c < m; ++c) {
-        std::swap(mat[static_cast<size_t>(pivot) * m + c],
-                  mat[static_cast<size_t>(col) * m + c]);
-        std::swap(inv[static_cast<size_t>(pivot) * m + c],
-                  inv[static_cast<size_t>(col) * m + c]);
-      }
-    }
-    const double d = mat[static_cast<size_t>(col) * m + col];
-    const double dinv = 1.0 / d;
-    for (int c = 0; c < m; ++c) {
-      mat[static_cast<size_t>(col) * m + c] *= dinv;
-      inv[static_cast<size_t>(col) * m + c] *= dinv;
-    }
-    for (int r = 0; r < m; ++r) {
-      if (r == col) continue;
-      const double f = mat[static_cast<size_t>(r) * m + col];
-      if (f == 0.0) continue;
-      for (int c = 0; c < m; ++c) {
-        mat[static_cast<size_t>(r) * m + c] -=
-            f * mat[static_cast<size_t>(col) * m + c];
-        inv[static_cast<size_t>(r) * m + c] -=
-            f * inv[static_cast<size_t>(col) * m + c];
-      }
-    }
-  }
-  *a = std::move(inv);
-  return true;
-}
-
-}  // namespace
-
 CutGenerator::CutGenerator(std::vector<bool> integer, CutOptions options)
     : integer_(std::move(integer)), options_(options) {}
 
-int CutGenerator::Separate(const lp::SimplexResult& rel, lp::Model* work) {
+int CutGenerator::Separate(const std::vector<double>& x, lp::Model* work) {
   if (!options_.enable) return 0;
-  int added = 0;
-  if (options_.knapsack_cover) added += SeparateCovers(rel.values, work);
-  if (options_.gomory && work->num_rows() <= options_.gomory_max_rows) {
-    added += SeparateGomory(rel, work);
-  }
-  return added;
-}
-
-int CutGenerator::SeparateCovers(const std::vector<double>& x,
-                                 lp::Model* work) {
   const int m = work->num_rows();
   if (static_cast<int>(cover_used_.size()) < m) cover_used_.resize(m, false);
   int added = 0;
@@ -184,185 +117,8 @@ int CutGenerator::SeparateCovers(const std::vector<double>& x,
       work->AddRow(-lp::kInf, rhs, std::move(terms), "cover");
       cover_used_[r] = true;
       ++added;
-      ++total_cover_;
       break;  // one cut per source row
     }
-  }
-  return added;
-}
-
-int CutGenerator::SeparateGomory(const lp::SimplexResult& rel,
-                                 lp::Model* work) {
-  const int n = work->num_variables();
-  const int m = work->num_rows();
-  if (m == 0) return 0;
-  if (static_cast<int>(rel.basis_state.size()) != n + m) return 0;
-
-  // Column bounds and values in the slack-form space (structural 0..n-1,
-  // slack n..n+m-1 with coefficient -1; slack value = row activity).
-  std::vector<double> lb(n + m), ub(n + m), val(n + m);
-  for (int v = 0; v < n; ++v) {
-    lb[v] = work->variable_lb(v);
-    ub[v] = work->variable_ub(v);
-    val[v] = rel.values[v];
-  }
-  for (int r = 0; r < m; ++r) {
-    lb[n + r] = work->row_lb(r);
-    ub[n + r] = work->row_ub(r);
-    double act = 0.0;
-    for (const auto& [v, coef] : work->row_terms(r)) act += coef * val[v];
-    val[n + r] = act;
-  }
-
-  std::vector<int> basic_cols;
-  basic_cols.reserve(m);
-  for (int c = 0; c < n + m; ++c) {
-    if (rel.basis_state[c] == lp::BasisState::kBasic) basic_cols.push_back(c);
-  }
-  if (static_cast<int>(basic_cols.size()) != m) return 0;
-
-  // Dense basis matrix (row-major) and its inverse.
-  std::vector<int> basic_pos(n + m, -1);
-  for (int k = 0; k < m; ++k) basic_pos[basic_cols[k]] = k;
-  std::vector<double> binv(static_cast<size_t>(m) * m, 0.0);
-  for (int k = 0; k < m; ++k) {
-    const int c = basic_cols[k];
-    if (c >= n) binv[static_cast<size_t>(c - n) * m + k] = -1.0;
-  }
-  for (int r = 0; r < m; ++r) {
-    for (const auto& [v, coef] : work->row_terms(r)) {
-      const int k = basic_pos[v];
-      if (k >= 0) binv[static_cast<size_t>(r) * m + k] = coef;
-    }
-  }
-  if (!InvertDense(&binv, m)) return 0;
-
-  // Candidate rows: basic *structural integer* columns at fractional
-  // values, most fractional first.
-  std::vector<std::pair<double, int>> candidates;  // (frac-dist, k)
-  for (int k = 0; k < m; ++k) {
-    const int c = basic_cols[k];
-    if (c >= n || !integer_[c]) continue;
-    const double f = Frac(val[c]);
-    const double dist = std::min(f, 1.0 - f);
-    if (f < 0.01 || f > 0.99) continue;  // numerically safe band
-    candidates.emplace_back(-dist, k);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  int added = 0;
-  std::vector<double> w(m);
-  for (const auto& [neg_dist, k] : candidates) {
-    if (added >= options_.max_cuts_per_round) break;
-    // w = row k of B^-1.
-    for (int i = 0; i < m; ++i) w[i] = binv[static_cast<size_t>(k) * m + i];
-
-    // alpha_j = w . A_j over all columns. Structural: accumulate by
-    // scanning rows once; slack j (row r): -w[r].
-    std::vector<double> alpha(n + m, 0.0);
-    for (int r = 0; r < m; ++r) {
-      if (w[r] == 0.0) continue;
-      for (const auto& [v, coef] : work->row_terms(r)) {
-        alpha[v] += w[r] * coef;
-      }
-      alpha[n + r] = -w[r];
-    }
-
-    const double beta0 = val[basic_cols[k]];
-    const double f0 = Frac(beta0);
-
-    // GMI coefficients on the bound-shifted nonbasics t_j >= 0, where
-    // the tableau row reads  x_B + sum abar_j t_j = beta0.
-    bool ok = true;
-    std::vector<std::pair<int, double>> gamma;  // (column, coef on t_j)
-    std::vector<int> at_upper;                  // columns shifted from ub
-    for (int j = 0; j < n + m && ok; ++j) {
-      if (rel.basis_state[j] == lp::BasisState::kBasic) continue;
-      if (std::abs(alpha[j]) <= kAlphaTol) continue;
-      double abar;
-      bool from_upper;
-      switch (rel.basis_state[j]) {
-        case lp::BasisState::kAtLower:
-          abar = alpha[j];
-          from_upper = false;
-          break;
-        case lp::BasisState::kAtUpper:
-          abar = -alpha[j];
-          from_upper = true;
-          break;
-        default:
-          ok = false;  // free nonbasic: shift undefined
-          continue;
-      }
-      const bool j_integer = j < n && integer_[j] && std::isfinite(lb[j]) &&
-                             std::isfinite(ub[j]);
-      double g;
-      if (j_integer) {
-        const double fj = Frac(abar);
-        g = fj <= f0 + 1e-12 ? fj : f0 * (1.0 - fj) / (1.0 - f0);
-      } else {
-        g = abar > 0.0 ? abar : f0 * (-abar) / (1.0 - f0);
-      }
-      if (g <= kCoefDropTol) continue;
-      gamma.emplace_back(j, g);
-      if (from_upper) at_upper.push_back(j);
-    }
-    if (!ok || gamma.empty()) continue;
-
-    // Translate  sum gamma_j t_j >= f0  back to structural space.
-    std::vector<double> coef(n, 0.0);
-    double rhs = f0;
-    bool numerically_sane = true;
-    for (const auto& [j, g] : gamma) {
-      const bool from_upper =
-          std::find(at_upper.begin(), at_upper.end(), j) != at_upper.end();
-      const double shift_bound = from_upper ? ub[j] : lb[j];
-      if (!std::isfinite(shift_bound)) {
-        numerically_sane = false;
-        break;
-      }
-      const double s = from_upper ? -g : g;
-      if (j < n) {
-        coef[j] += s;
-      } else {
-        for (const auto& [v, a] : work->row_terms(j - n)) {
-          coef[v] += s * a;
-        }
-      }
-      rhs += s * shift_bound;
-    }
-    if (!numerically_sane) continue;
-
-    std::vector<std::pair<int, double>> terms;
-    double max_c = 0.0, min_c = lp::kInf;
-    for (int v = 0; v < n; ++v) {
-      const double c = coef[v];
-      if (std::abs(c) <= kCoefDropTol) {
-        // Dropping a coefficient is only safe when the variable cannot
-        // move the row materially.
-        const double reach =
-            std::max(std::abs(work->variable_lb(v)),
-                     std::abs(work->variable_ub(v)));
-        if (std::isfinite(reach) && std::abs(c) * reach < 1e-9) continue;
-        if (c == 0.0) continue;
-        numerically_sane = false;
-        break;
-      }
-      terms.emplace_back(v, c);
-      max_c = std::max(max_c, std::abs(c));
-      min_c = std::min(min_c, std::abs(c));
-    }
-    if (!numerically_sane || terms.empty()) continue;
-    if (max_c / min_c > options_.max_dynamism) continue;
-
-    // Require genuine violation at the current point.
-    double lhs = 0.0;
-    for (const auto& [v, c] : terms) lhs += c * val[v];
-    if (lhs >= rhs - options_.min_violation) continue;
-
-    work->AddRow(rhs, lp::kInf, std::move(terms), "gmi");
-    ++added;
-    ++total_gomory_;
   }
   return added;
 }

@@ -342,7 +342,7 @@ int BranchAndBound::ProcessNode(int node_index) {
     lp_iterations_ += rel.iterations;
   }
   if (rel.status == lp::SolveStatus::kOptimal) {
-    last_basis_ = std::move(rel.basis_state);
+    last_basis_ = rel.basis_state;
   }
 
   switch (rel.status) {
@@ -374,7 +374,7 @@ int BranchAndBound::ProcessNode(int node_index) {
     CutGenerator cg(base_.integer, options_.cuts);
     for (int round = 0; round < options_.cuts.max_rounds; ++round) {
       if (options_.deadline.Expired()) break;
-      const int separated = cg.Separate(rel, &work_);
+      const int separated = cg.Separate(rel.values, &work_);
       if (separated == 0) break;
       ++cut_rounds;
       cuts_added += static_cast<uint64_t>(separated);
@@ -390,10 +390,6 @@ int BranchAndBound::ProcessNode(int node_index) {
       rel = std::move(tightened);
       arena_[node_index].bound = rel.objective;
       if (IsIntegral(rel.values)) break;
-    }
-    if (getenv("SQPR_MILP_DEBUG")) {
-      fprintf(stderr, "[cuts] gomory=%d cover=%d root bound %.4f\n",
-              cg.total_gomory(), cg.total_cover(), rel.objective);
     }
     last_basis_ = rel.basis_state;
   }

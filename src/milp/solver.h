@@ -92,7 +92,7 @@ struct SolverOptions {
   /// column. Lazy handlers keep seeing original-space candidates; their
   /// cuts are translated into the reduced space transparently.
   bool presolve = true;
-  /// Root-node cutting planes (Gomory mixed-integer + knapsack covers),
+  /// Root-node cutting planes (knapsack covers),
   /// applied cut-and-branch style: rows stay valid for the whole tree.
   CutOptions cuts;
   double integrality_tol = 1e-6;
