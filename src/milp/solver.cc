@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <climits>
-#include <cstdlib>
 #include <queue>
 
 #include "common/logging.h"
@@ -43,19 +42,27 @@ struct QueueEntry {
   }
 };
 
+lp::SimplexOptions EngineOptions(const SolverOptions& options,
+                                 const std::vector<lp::BasisState>* root) {
+  lp::SimplexOptions lp_options = options.lp_options;
+  lp_options.deadline = options.deadline;
+  lp_options.warm_basis = root;
+  return lp_options;
+}
+
 class BranchAndBound {
  public:
-  BranchAndBound(const Model& model, const SolverOptions& options)
-      : base_(model), options_(options), work_(model.lp) {}
-
-  /// Installs a starting basis for the first (root) LP solve. The caller
-  /// is responsible for compatibility (Solver::Solve gates on the
-  /// presolve column signature); the simplex itself repairs or silently
-  /// drops a basis it cannot use, so a bad seed costs iterations, not
-  /// correctness.
-  void SeedBasis(std::vector<lp::BasisState> basis) {
-    last_basis_ = std::move(basis);
-  }
+  /// `root_basis` (may be null) starts the root LP. The caller is
+  /// responsible for compatibility (Solver::Solve gates on the presolve
+  /// column signature); the simplex itself repairs or silently drops a
+  /// basis it cannot use, so a bad seed costs iterations, not
+  /// correctness. The pointee must outlive Run().
+  BranchAndBound(const Model& model, const SolverOptions& options,
+                 const std::vector<lp::BasisState>* root_basis)
+      : base_(model),
+        options_(options),
+        work_(model.lp),
+        engine_(EngineOptions(options, root_basis)) {}
 
   MipResult Run();
 
@@ -90,9 +97,10 @@ class BranchAndBound {
   const Model& base_;
   SolverOptions options_;
   lp::Model work_;  // mutable copy; lazy cuts append rows here
-  // Basis of the most recently solved relaxation; used to warm-start the
-  // next node/dive LP (plunging makes consecutive LPs near-identical).
-  std::vector<lp::BasisState> last_basis_;
+  // One LP engine for every relaxation of this solve: each node, dive,
+  // lazy-cut and root-cut re-solve starts from the basis and inverse the
+  // previous one left (plunging makes consecutive LPs near-identical).
+  lp::SimplexEngine engine_;
   // Basis of the first root LP solve, exported via MipResult::root_basis
   // for cross-solve warm starts.
   std::vector<lp::BasisState> root_basis_;
@@ -104,9 +112,7 @@ class BranchAndBound {
   bool have_incumbent_ = false;
   double root_bound_ = lp::kInf;
   int64_t nodes_ = 0;
-  int64_t lp_iterations_ = 0;
   int64_t rejected_candidates_ = 0;
-  int plunge_child_ = -1;
 };
 
 void BranchAndBound::ApplyBounds(int node) {
@@ -207,8 +213,10 @@ double BranchAndBound::QueueBestBound() const {
   return open_.empty() ? -lp::kInf : open_.top().bound;
 }
 
+
+
 void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
-  SQPR_TRACE_SPAN("milp/dive");
+  SQPR_TRACE_SPAN_ARGS(span, "milp/dive", "rounds", "incumbent");
   const int n = base_.lp.num_variables();
   // Work on a private copy of the current bounds (includes lazy cuts via
   // work_ rows; variable bounds here are the *root* bounds).
@@ -217,12 +225,12 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
     saved[v] = {work_.variable_lb(v), work_.variable_ub(v)};
   }
   std::vector<double> x = start;
-  lp::SimplexOptions lp_opts = options_.lp_options;
-  lp_opts.deadline = options_.deadline;
-  std::vector<lp::BasisState> dive_basis = last_basis_;
+  uint64_t rounds = 0;
+  bool found = false;
 
   const int max_rounds = 2 * n + 10;
   for (int round = 0; round < max_rounds; ++round) {
+    ++rounds;
     if (options_.deadline.Expired()) break;
     // Fix near-integral binaries; round the most important fractional one.
     int frac_var = -1;
@@ -257,19 +265,12 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
       work_.SetVariableBounds(frac_var, rounded_to, rounded_to);
     }
 
-    if (!dive_basis.empty()) lp_opts.warm_basis = &dive_basis;
-    lp::SimplexSolver lp_solver(lp_opts);
-    lp::SimplexResult rel = lp_solver.Solve(work_);
-    lp_iterations_ += rel.iterations;
+    lp::SimplexResult rel = engine_.Solve(work_);
     for (int pass = 0; pass < 3 && rel.status == lp::SolveStatus::kOptimal &&
                        options_.lazy != nullptr;
          ++pass) {
       if (options_.lazy->AddFractionalCuts(rel.values, &work_) == 0) break;
-      std::vector<lp::BasisState> keep = rel.basis_state;
-      lp_opts.warm_basis = &keep;
-      lp::SimplexSolver cut_solver(lp_opts);
-      rel = cut_solver.Solve(work_);
-      lp_iterations_ += rel.iterations;
+      rel = engine_.Solve(work_);
     }
     if (rel.status == lp::SolveStatus::kInfeasible && frac_var >= 0) {
       // The rounding direction broke feasibility: try the other side
@@ -278,16 +279,9 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
           rounded_to > x[frac_var] ? std::floor(x[frac_var])
                                    : std::ceil(x[frac_var]);
       work_.SetVariableBounds(frac_var, flipped, flipped);
-      rel = lp_solver.Solve(work_);
-      lp_iterations_ += rel.iterations;
-    }
-    if (getenv("SQPR_MILP_DEBUG")) {
-      fprintf(stderr, "[dive] round=%d status=%s iters=%lld obj=%.3f\n",
-              round, lp::SolveStatusName(rel.status),
-              (long long)rel.iterations, rel.objective);
+      rel = engine_.Solve(work_);
     }
     if (rel.status != lp::SolveStatus::kOptimal) break;
-    dive_basis = std::move(rel.basis_state);
     x = rel.values;
     if (IsIntegral(x)) {
       bool cuts_ok = true;
@@ -296,10 +290,12 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
       }
       if (!cuts_ok) continue;  // cycle cuts added: keep diving against them
       std::vector<double> snapped = x;
-      if (SnapFeasible(&snapped)) MaybeUpdateIncumbent(snapped, rel.objective);
+      found = SnapFeasible(&snapped);
+      if (found) MaybeUpdateIncumbent(snapped, rel.objective);
       break;
     }
   }
+  span.set_args(rounds, found ? 1 : 0);
 
   for (int v = 0; v < n; ++v) {
     work_.SetVariableBounds(v, saved[v].first, saved[v].second);
@@ -313,12 +309,7 @@ int BranchAndBound::ProcessNode(int node_index) {
   ++nodes_;
   ApplyBounds(node_index);
 
-  lp::SimplexOptions lp_opts = options_.lp_options;
-  lp_opts.deadline = options_.deadline;
-  if (!last_basis_.empty()) lp_opts.warm_basis = &last_basis_;
-  lp::SimplexSolver lp_solver(lp_opts);
-  lp::SimplexResult rel = lp_solver.Solve(work_);
-  lp_iterations_ += rel.iterations;
+  lp::SimplexResult rel = engine_.Solve(work_);
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
     // Harvest the root basis before any cut rows land: the next solve of
     // this structure will carry different cut rows, and the simplex pads
@@ -332,17 +323,7 @@ int BranchAndBound::ProcessNode(int node_index) {
                      options_.lazy != nullptr;
        ++pass) {
     if (options_.lazy->AddFractionalCuts(rel.values, &work_) == 0) break;
-    lp::SimplexOptions cut_opts = options_.lp_options;
-    cut_opts.deadline = options_.deadline;
-    cut_opts.warm_basis = &rel.basis_state;
-    std::vector<lp::BasisState> keep = rel.basis_state;
-    cut_opts.warm_basis = &keep;
-    lp::SimplexSolver cut_solver(cut_opts);
-    rel = cut_solver.Solve(work_);
-    lp_iterations_ += rel.iterations;
-  }
-  if (rel.status == lp::SolveStatus::kOptimal) {
-    last_basis_ = rel.basis_state;
+    rel = engine_.Solve(work_);
   }
 
   switch (rel.status) {
@@ -368,7 +349,8 @@ int BranchAndBound::ProcessNode(int node_index) {
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal &&
       options_.cuts.enable && !IsIntegral(rel.values)) {
     // Root cutting-plane loop (cut-and-branch): separate, re-solve with
-    // the warm basis, repeat while the relaxation keeps moving.
+    // the cut rows bordered onto the engine's inverse, repeat while the
+    // relaxation keeps moving.
     SQPR_TRACE_SPAN_ARGS(cut_span, "milp/root_cuts", "rounds", "cuts_added");
     uint64_t cut_rounds = 0, cuts_added = 0;
     CutGenerator cg(base_.integer, options_.cuts);
@@ -379,19 +361,12 @@ int BranchAndBound::ProcessNode(int node_index) {
       ++cut_rounds;
       cuts_added += static_cast<uint64_t>(separated);
       cut_span.set_args(cut_rounds, cuts_added);
-      lp::SimplexOptions cut_opts = options_.lp_options;
-      cut_opts.deadline = options_.deadline;
-      std::vector<lp::BasisState> keep = rel.basis_state;
-      cut_opts.warm_basis = &keep;
-      lp::SimplexSolver cut_solver(cut_opts);
-      lp::SimplexResult tightened = cut_solver.Solve(work_);
-      lp_iterations_ += tightened.iterations;
+      lp::SimplexResult tightened = engine_.Solve(work_);
       if (tightened.status != lp::SolveStatus::kOptimal) break;
       rel = std::move(tightened);
       arena_[node_index].bound = rel.objective;
       if (IsIntegral(rel.values)) break;
     }
-    last_basis_ = rel.basis_state;
   }
 
   const double node_bound = arena_[node_index].bound;
@@ -435,11 +410,6 @@ int BranchAndBound::ProcessNode(int node_index) {
   const int branch_var =
       IsIntegral(x) ? PickSnapVariable(x) : PickBranchVariable(x);
   if (branch_var < 0) return -1;  // only sub-tolerance fractionality left
-  if (getenv("SQPR_MILP_DEBUG") && nodes_ < 60) {
-    fprintf(stderr, "[milp] node=%lld depth=%d bound=%.4f branch %s=%.4f\n",
-            (long long)nodes_, arena_[node_index].depth, node_bound,
-            work_.variable_name(branch_var).c_str(), x[branch_var]);
-  }
 
   const double value = x[branch_var];
   const double down_ub = std::floor(value);
@@ -523,7 +493,8 @@ MipResult BranchAndBound::Run() {
   }
 
   result.nodes = nodes_;
-  result.lp_iterations = lp_iterations_;
+  result.lp_iterations = engine_.counters().iterations;
+  result.lp_counters = engine_.counters();
   result.rejected_candidates = rejected_candidates_;
   result.wall_ms = watch.ElapsedMillis();
   result.root_basis = root_basis_;
@@ -635,6 +606,35 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
   lp::Model* full_space_;
 };
 
+/// Runs branch-and-bound on `model`, whose columns are the original-space
+/// `columns` (all of them, or those presolve kept).
+///
+/// Cross-solve basis reuse is gated on the caller's root basis having
+/// been harvested over the *same* columns: the reduced space is indexed
+/// by surviving-column order, so a different elimination set would
+/// silently pair basis statuses with the wrong variables (the stale-basis
+/// bug the regression test in milp_test pins). On mismatch, discard and
+/// cold-start.
+MipResult RunSearch(const Model& model, const SolverOptions& options,
+                    std::vector<int> columns) {
+  const std::vector<lp::BasisState>* root_basis = nullptr;
+  bool discarded = false;
+  if (options.root_warm_basis != nullptr &&
+      options.root_warm_basis_columns != nullptr) {
+    if (*options.root_warm_basis_columns == columns) {
+      root_basis = options.root_warm_basis;
+    } else {
+      discarded = true;
+    }
+  }
+  BranchAndBound bb(model, options, root_basis);
+  MipResult result = bb.Run();
+  result.root_basis_columns = std::move(columns);
+  result.used_warm_basis = root_basis != nullptr;
+  result.warm_basis_discarded = discarded;
+  return result;
+}
+
 }  // namespace
 
 MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options) {
@@ -653,24 +653,9 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   span.set_args(static_cast<uint64_t>(model.lp.num_variables()),
                 static_cast<uint64_t>(model.lp.num_rows()));
   if (!options.presolve) {
-    BranchAndBound bb(model, options);
     std::vector<int> all_columns(model.lp.num_variables());
     for (int v = 0; v < model.lp.num_variables(); ++v) all_columns[v] = v;
-    bool used_warm = false, discarded_warm = false;
-    if (options.root_warm_basis != nullptr &&
-        options.root_warm_basis_columns != nullptr) {
-      if (*options.root_warm_basis_columns == all_columns) {
-        bb.SeedBasis(*options.root_warm_basis);
-        used_warm = true;
-      } else {
-        discarded_warm = true;
-      }
-    }
-    MipResult result = bb.Run();
-    result.root_basis_columns = std::move(all_columns);
-    result.used_warm_basis = used_warm;
-    result.warm_basis_discarded = discarded_warm;
-    return result;
+    return RunSearch(model, options, std::move(all_columns));
   }
 
   Presolver pre;
@@ -681,16 +666,6 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
     pstats = pre.Apply(model);
     pre_span.set_args(static_cast<uint64_t>(pstats.fixed_columns),
                       static_cast<uint64_t>(pstats.removed_rows));
-  }
-  if (getenv("SQPR_MILP_DEBUG")) {
-    fprintf(stderr,
-            "[presolve] cols %d->%d rows %d->%d (fixed=%d removed=%d "
-            "tightened=%d rounds=%d infeasible=%d)\n",
-            model.lp.num_variables(), pre.reduced().lp.num_variables(),
-            model.lp.num_rows(), pre.reduced().lp.num_rows(),
-            pstats.fixed_columns, pstats.removed_rows,
-            pstats.tightened_bounds, pstats.rounds,
-            pstats.proven_infeasible);
   }
   if (pstats.proven_infeasible) {
     MipResult result;
@@ -728,32 +703,13 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   PresolvedLazyAdapter adapter(options.lazy, &pre, &full_space);
   if (options.lazy != nullptr) inner.lazy = &adapter;
 
-  BranchAndBound bb(pre.reduced(), inner);
-  // Cross-solve basis reuse is gated on presolve keeping the *same*
-  // original columns as the solve the basis came from: the reduced space
-  // is indexed by surviving-column order, so a different elimination set
-  // would silently pair basis statuses with the wrong variables (the
-  // stale-basis bug the regression test in milp_test pins). On mismatch,
-  // discard and cold-start.
   std::vector<int> surviving_columns;
   surviving_columns.reserve(pre.reduced().lp.num_variables());
   for (int v = 0; v < pre.num_original_columns(); ++v) {
     if (pre.column_map(v) >= 0) surviving_columns.push_back(v);
   }
-  bool used_warm = false, discarded_warm = false;
-  if (options.root_warm_basis != nullptr &&
-      options.root_warm_basis_columns != nullptr) {
-    if (*options.root_warm_basis_columns == surviving_columns) {
-      bb.SeedBasis(*options.root_warm_basis);
-      used_warm = true;
-    } else {
-      discarded_warm = true;
-    }
-  }
-  MipResult result = bb.Run();
-  result.root_basis_columns = std::move(surviving_columns);
-  result.used_warm_basis = used_warm;
-  result.warm_basis_discarded = discarded_warm;
+  MipResult result =
+      RunSearch(pre.reduced(), inner, std::move(surviving_columns));
   if (result.has_solution()) {
     result.x = pre.Postsolve(result.x);
     result.objective += pre.objective_constant();

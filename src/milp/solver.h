@@ -142,6 +142,9 @@ struct MipResult {
   /// Integral LP points whose rounded form broke a row by more than
   /// Deployment::Validate's tolerance; each was branched on, not kept.
   int64_t rejected_candidates = 0;
+  /// LP work of the whole search (root, nodes, dives, cut rounds), all on
+  /// one engine; lp_counters.iterations == lp_iterations.
+  lp::SimplexCounters lp_counters;
   double wall_ms = 0.0;
   /// True when the search stopped because the (effective) deadline
   /// expired — as opposed to the node limit or a proven optimum. The
@@ -171,7 +174,7 @@ struct MipResult {
   double Gap() const;
 };
 
-/// Branch-and-bound MILP solver over SimplexSolver relaxations.
+/// Branch-and-bound MILP solver over the relaxations of one SimplexEngine.
 ///
 /// Node selection is best-bound with depth-first plunging (after a branch
 /// the child on the "nearest integer" side is explored immediately, which

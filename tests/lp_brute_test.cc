@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -195,6 +197,100 @@ TEST_P(SimplexVsBruteForce, OptimaAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SimplexVsBruteForce,
                          ::testing::Range(0, 60));
+
+// One engine re-solving a model that changes under it — bounds tightened,
+// relaxed and fixed, rows appended, row bounds moved, the operations
+// branch-and-bound, lazy cuts and root cuts apply — must agree after
+// every change with a fresh cold solve and with brute-force enumeration.
+class EngineResolveVsCold : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineResolveVsCold, EveryResolveMatchesColdSolve) {
+  const uint64_t seed = 0x5e501e + static_cast<uint64_t>(GetParam());
+  Rng rng(seed);
+  Model m = RandomSmallLp(seed);
+  const int n = m.num_variables();
+  std::vector<std::pair<double, double>> original(n);
+  for (int v = 0; v < n; ++v) {
+    original[v] = {m.variable_lb(v), m.variable_ub(v)};
+  }
+  auto half = [](double v) { return std::round(2.0 * v) / 2.0; };
+
+  SimplexEngine engine;
+  std::vector<double> last;
+  for (int step = 0; step < 14; ++step) {
+    const int op = step == 0 ? -1 : static_cast<int>(rng.NextBounded(5));
+    const int v = static_cast<int>(rng.NextBounded(n));
+    const double lo = original[v].first, hi = original[v].second;
+    const double cut = half(lo + (hi - lo) * rng.NextDouble());
+    switch (op) {
+      case 0:  // tighten one side (a branch)
+        if (rng.NextBool(0.5)) {
+          m.SetVariableBounds(v, m.variable_lb(v),
+                              std::max(m.variable_lb(v), cut));
+        } else {
+          m.SetVariableBounds(v, std::min(m.variable_ub(v), cut),
+                              m.variable_ub(v));
+        }
+        break;
+      case 1:  // relax back to the original box (backtracking)
+        m.SetVariableBounds(v, lo, hi);
+        break;
+      case 2:  // fix (a dive rounding)
+        m.SetVariableBounds(v, std::clamp(cut, lo, hi), std::clamp(cut, lo, hi));
+        break;
+      case 3: {  // append a row, often cutting off the last optimum
+        if (m.num_rows() >= 5) break;
+        std::vector<std::pair<int, double>> terms;
+        double activity = 0.0;
+        for (int u = 0; u < n; ++u) {
+          if (!rng.NextBool(0.6)) continue;
+          const double coef = std::round(6.0 * (rng.NextDouble() - 0.4));
+          terms.emplace_back(u, coef);
+          if (!last.empty()) activity += coef * last[u];
+        }
+        if (terms.empty()) terms.emplace_back(v, 1.0);
+        m.AddRow(-kInf, half(activity - 2.0 * rng.NextDouble()),
+                 std::move(terms), "cut" + std::to_string(step));
+        break;
+      }
+      case 4: {  // move a row's bounds (a patched right-hand side)
+        const int r = static_cast<int>(rng.NextBounded(m.num_rows()));
+        const double b = std::round(8.0 * rng.NextDouble());
+        m.SetRowBounds(r, rng.NextBool(0.5) ? -kInf : -b, b + 1.0);
+        break;
+      }
+      default:
+        break;
+    }
+
+    const SimplexResult warm = engine.Solve(m);
+    const SimplexResult cold = SimplexSolver().Solve(m);
+    double brute = 0.0;
+    const bool feasible = BruteForceOptimum(m, &brute);
+    ASSERT_EQ(warm.status, cold.status) << "seed " << seed << " step " << step;
+    if (warm.status == SolveStatus::kOptimal) {
+      ASSERT_TRUE(feasible) << "seed " << seed << " step " << step;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-6)
+          << "seed " << seed << " step " << step;
+      EXPECT_NEAR(warm.objective, brute, 1e-5)
+          << "seed " << seed << " step " << step;
+      EXPECT_TRUE(m.CheckFeasible(warm.values, 1e-6).ok())
+          << "seed " << seed << " step " << step;
+      last = warm.values;
+    } else {
+      EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
+      EXPECT_FALSE(feasible) << "seed " << seed << " step " << step;
+    }
+  }
+  // One load, then in-place updates: never a factorization per solve.
+  EXPECT_EQ(engine.counters().solves, 14);
+  EXPECT_EQ(engine.counters().slack_starts, 1);
+  EXPECT_LT(engine.counters().factorizations, engine.counters().solves);
+  EXPECT_GT(engine.counters().dual_solves, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSequences, EngineResolveVsCold,
+                         ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace lp

@@ -305,6 +305,40 @@ TEST(MilpSnapTest, NearIntegralWarmStartRoundingAcrossRowIgnored) {
   EXPECT_FALSE(r.has_solution());
 }
 
+// The whole search runs on one LP engine: the root loads the model and
+// starts from the slack basis; every node, dive, lazy-cut and root-cut
+// re-solve continues from the basis the previous solve left.
+TEST(MilpEngineTest, OnlyTheRootLpStartsFromTheSlackBasis) {
+  Rng rng(41);
+  Model m;
+  std::vector<std::pair<int, double>> cap1, cap2;
+  for (int i = 0; i < 14; ++i) {
+    const int v = m.AddBinary(rng.NextDouble(1.0, 6.0));
+    cap1.emplace_back(v, rng.NextDouble(1.0, 5.0));
+    cap2.emplace_back(v, rng.NextDouble(1.0, 5.0));
+  }
+  m.lp.AddRow(-lp::kInf, 13.5, cap1, "cap1");
+  m.lp.AddRow(-lp::kInf, 11.5, cap2, "cap2");
+  const MipResult r = Solve(m);
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_GT(r.nodes, 1);
+  EXPECT_GT(r.lp_counters.solves, r.nodes);  // dive and cut rounds too
+  EXPECT_EQ(r.lp_counters.slack_starts, 1);
+  EXPECT_EQ(r.lp_counters.iterations, r.lp_iterations);
+  // Factorizations: the one at load plus one per refactor_interval pivots.
+  EXPECT_LE(r.lp_counters.factorizations,
+            1 + r.lp_iterations / SolverOptions{}.lp_options.refactor_interval);
+
+  // A seeded root basis means no solve starts from the slack basis.
+  SolverOptions warm;
+  warm.root_warm_basis = &r.root_basis;
+  warm.root_warm_basis_columns = &r.root_basis_columns;
+  const MipResult again = Solve(m, warm);
+  ASSERT_TRUE(again.used_warm_basis);
+  EXPECT_EQ(again.lp_counters.slack_starts, 0);
+  EXPECT_NEAR(again.objective, r.objective, 1e-7);
+}
+
 // ------------------------------------- Randomised exhaustive cross-check
 
 struct RandomMipCase {
