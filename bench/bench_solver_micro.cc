@@ -1,13 +1,16 @@
-// Solver micro-bench: isolates the two incremental-solve savings the
-// planner's model cache buys on the hot path, as machine-readable
-// numbers (the BENCH_solver_micro.json trajectory):
+// Solver micro-bench: isolates the incremental-solve savings on the
+// planner's hot path, as machine-readable numbers (the
+// BENCH_solver_micro.json trajectory):
 //
 //  * build-vs-patch — constructing a grounded SQPR model from scratch
 //    (every variable, row and coefficient) vs Rebind-ing a cached
 //    skeleton against a new base deployment (bounds only, O(rows));
 //  * cold-vs-warm — solving the same model structure across simulated
 //    rounds from a slack basis each time vs chaining each round's root
-//    basis (and pooled lazy cycle cuts) into the next solve.
+//    basis (and pooled lazy cycle cuts) into the next solve;
+//  * node-resolve — the deterministic LP work of one MILP solve on the
+//    hot-started engine: LP calls, pivots, factorizations, and pivots per
+//    warm re-solve.
 //
 // Shape checks gate correctness, not speed: a patched model must match
 // a fresh build bit for bit, and a warm-started solve must reach the
@@ -147,9 +150,8 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
   // run lands on both sides equally — back-to-back blocks used to swing
   // the comparison by more than the effect under measurement.
   //
-  // Warm chain: every round seeds the next with its root basis, skips
-  // the root dive (the warm-start incumbent covers it) and harvests lazy
-  // cycle cuts — the exact flow SqprPlanner::SubmitBatch runs between
+  // Warm chain: every round seeds the next with its root basis and
+  // harvests lazy cycle cuts — the exact flow SqprPlanner::SubmitBatch runs between
   // re-planning rounds of one drift cycle, including its payoff gate on
   // pooled-cut replay (which this small model fails, so the pool is
   // harvest-only here).
@@ -188,7 +190,6 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
       if (!basis.empty()) {
         options.root_warm_basis = &basis;
         options.root_warm_basis_columns = &basis_columns;
-        options.root_dive = false;
       }
       Stopwatch round_watch;
       milp::MipResult r = solver.Solve(mip.mip(), options);
@@ -229,6 +230,70 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
   rec.metrics["warm_starts"] = static_cast<double>(warm_starts);
   rec.metrics["basis_discards"] = static_cast<double>(basis_discards);
   rec.metrics["pooled_cuts"] = static_cast<double>(pool.size());
+  return failed;
+}
+
+/// Deterministic LP work per MILP solve: admits each remaining workload
+/// query against the fixture's base deployment, node-bounded so every
+/// counter is a function of the inputs alone.
+int BenchNodeResolve(Fixture* f, bench::BenchJsonWriter* json) {
+  int failed = 0;
+  int64_t solves = 0;
+  lp::SimplexCounters total;
+  int64_t nodes = 0;
+  const auto& queries = f->scenario.workload.queries;
+  for (size_t i = 8; i < queries.size(); ++i) {
+    const Closure closure = *f->scenario.catalog->JoinClosure(queries[i]);
+    SqprMip mip(f->planner.deployment(), closure.streams, closure.operators,
+                {{queries[i], /*must_serve=*/false}}, {});
+    const std::vector<double> warm = mip.WarmStart();
+    SqprMip::CycleCutHandler handler(&mip);
+    milp::SolverOptions options;
+    options.deadline = Deadline::AfterMillis(60000);
+    options.max_nodes = 200;
+    options.warm_start = &warm;
+    options.lazy = &handler;
+    const milp::MipResult r = milp::Solver().Solve(mip.mip(), options);
+    SQPR_CHECK(r.has_solution());
+    ++solves;
+    nodes += r.nodes;
+    total.solves += r.lp_counters.solves;
+    total.slack_starts += r.lp_counters.slack_starts;
+    total.slack_start_iterations += r.lp_counters.slack_start_iterations;
+    total.iterations += r.lp_counters.iterations;
+    total.factorizations += r.lp_counters.factorizations;
+    total.dual_solves += r.lp_counters.dual_solves;
+  }
+  const double per = 1.0 / static_cast<double>(solves);
+  const int64_t warm_calls = total.solves - total.slack_starts;
+  const double pivots_per_warm =
+      warm_calls > 0 ? static_cast<double>(total.iterations -
+                                           total.slack_start_iterations) /
+                           static_cast<double>(warm_calls)
+                     : 0.0;
+  const int interval = lp::SimplexOptions{}.refactor_interval;
+  if (!bench::ShapeCheck(total.factorizations < total.solves,
+                         "fewer factorizations than LP calls")) {
+    ++failed;
+  }
+  if (!bench::ShapeCheck(total.slack_starts <= solves,
+                         "at most the root LP starts from the slack basis")) {
+    ++failed;
+  }
+  std::printf(
+      "node resolve: %.1f LP calls  %.1f pivots  %.2f factorizations "
+      "(load + 1/%d pivots = %.2f)  %.2f pivots/warm re-solve per solve\n",
+      total.solves * per, total.iterations * per, total.factorizations * per,
+      interval, 1.0 + total.iterations * per / interval, pivots_per_warm);
+  bench::BenchRecord& rec = json->Add("node_resolve");
+  rec.labels["milp_solves"] = std::to_string(solves);
+  rec.labels["max_nodes"] = "200";
+  rec.metrics["nodes_per_solve"] = nodes * per;
+  rec.metrics["lp_calls_per_solve"] = total.solves * per;
+  rec.metrics["pivots_per_solve"] = total.iterations * per;
+  rec.metrics["factorizations_per_solve"] = total.factorizations * per;
+  rec.metrics["dual_solves_per_solve"] = total.dual_solves * per;
+  rec.metrics["pivots_per_warm_resolve"] = pivots_per_warm;
   return failed;
 }
 
@@ -288,7 +353,8 @@ int main(int argc, char** argv) {
 
   sqpr::bench::PrintHeader(
       "solver_micro",
-      "incremental solves: model build vs patch, cold vs warm start",
+      "incremental solves: model build vs patch, cold vs warm start, "
+      "LP work per node re-solve",
       sqpr::kSeed);
   sqpr::bench::BenchJsonWriter json("solver_micro", sqpr::kSeed);
 
@@ -297,6 +363,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<sqpr::Fixture> fixture = sqpr::MakeFixture();
     failed += sqpr::BenchBuildVsPatch(fixture.get(), &json);
     failed += sqpr::BenchColdVsWarm(fixture.get(), &json);
+    failed += sqpr::BenchNodeResolve(fixture.get(), &json);
   }
   failed += sqpr::BenchReplanLoop(&json);
 

@@ -372,12 +372,10 @@ int BranchAndBound::ProcessNode(int node_index) {
   const double node_bound = arena_[node_index].bound;
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
     root_bound_ = rel.objective;
-    // Warm chains (root_dive=false) skip the dive when the warm-start
-    // incumbent already covers its job; without an incumbent the dive is
-    // the only primal heuristic, so it always runs.
-    if (!IsIntegral(rel.values) && (options_.root_dive || !have_incumbent_)) {
-      DivingHeuristic(rel.values);
-    }
+    // The dive runs even when a warm-start incumbent is in hand: on the
+    // hot-started engine it costs a few re-solves, and its incumbent is
+    // usually better than the previous plan, so it prunes more.
+    if (!IsIntegral(rel.values)) DivingHeuristic(rel.values);
   }
   if (node_bound <= PruneThreshold()) {
     return -1;  // cannot improve on the incumbent beyond the gap

@@ -120,14 +120,6 @@ struct SolverOptions {
   /// harvested (MipResult::root_basis_columns). Required alongside
   /// root_warm_basis.
   const std::vector<int>* root_warm_basis_columns = nullptr;
-  /// Run the root rounding dive (primal heuristic). Callers chaining a
-  /// previous solve of the same structure set this false: the warm-start
-  /// incumbent already plays the dive's role, and re-deriving it from the
-  /// root fractional point is pure repeated work on every re-solve. The
-  /// dive always runs when no incumbent is in hand, regardless of this
-  /// flag — skipping is a policy for warm chains, never a correctness
-  /// lever.
-  bool root_dive = true;
 };
 
 struct MipResult {

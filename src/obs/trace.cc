@@ -152,12 +152,13 @@ struct TraceRecorder::Impl {
   // Pending name for a thread that called SetCurrentThreadName before
   // emitting its first span (buffer not created yet).
   thread_local static ThreadBuffer* tl_buffer;
-  thread_local static std::string* tl_pending_name;
+  thread_local static std::unique_ptr<std::string> tl_pending_name;
 };
 
 thread_local TraceRecorder::ThreadBuffer* TraceRecorder::Impl::tl_buffer =
     nullptr;
-thread_local std::string* TraceRecorder::Impl::tl_pending_name = nullptr;
+thread_local std::unique_ptr<std::string>
+    TraceRecorder::Impl::tl_pending_name;
 
 TraceRecorder::TraceRecorder() : impl_(new Impl) {
   base_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
@@ -215,10 +216,10 @@ void TraceRecorder::SetCurrentThreadName(const std::string& name) {
     Impl::tl_buffer->set_name(name);
     return;
   }
-  // Buffer not created yet (lazy): stash for creation time. The string
-  // is leaked with the thread_local pointer — bounded by thread count.
+  // Buffer not created yet (lazy): stash for creation time; the string
+  // is freed when the thread exits.
   if (Impl::tl_pending_name == nullptr) {
-    Impl::tl_pending_name = new std::string();
+    Impl::tl_pending_name = std::make_unique<std::string>();
   }
   *Impl::tl_pending_name = name;
 }

@@ -189,7 +189,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     solver_options.root_warm_basis = &prior->root_basis;
     solver_options.root_warm_basis_columns = &prior->root_basis_columns;
   }
-  if (prior != nullptr) solver_options.root_dive = false;
 
   span.set_args(fresh.size(), sets->streams.size());
   milp::Solver solver;
