@@ -82,9 +82,9 @@ class SimplexEngine::Impl {
   // decided (infeasible, or a limit); false when the basis is primal
   // feasible or the dual stalled, and the primal loop takes over.
   bool DualLoop(SolveStatus* status);
-  // Whether row r of B^-1, applied to A_full v = 0, proves that no v
-  // within the bounds exists (a Farkas certificate).
-  bool ProvenInfeasibleRow(int r);
+  // Whether rho_ (the dual pivot row of B^-1), applied to A_full v = 0,
+  // proves that no v within the bounds exists (a Farkas certificate).
+  bool ProvenInfeasibleRow() const;
   // |d_c| in the direction dual feasibility allows for nonbasic c.
   double DualSlack(int c) const;
   SolveStatus PrimalLoop();
@@ -619,18 +619,13 @@ bool SimplexEngine::Impl::MakeDualFeasible() {
   return true;
 }
 
-bool SimplexEngine::Impl::ProvenInfeasibleRow(int r) {
+bool SimplexEngine::Impl::ProvenInfeasibleRow() const {
   // rho^T A_full v = 0 holds for every solution v and any vector rho, so
   // the bound box must let sum_j (rho . a_j) v_j reach zero. The check
   // holds whatever drift rho carries; it only trusts rho as a
   // multiplier, never as an exact row of B^-1.
-  const int m = m_;
-  rho_.resize(m);
-  for (int c = 0; c < m; ++c) {
-    rho_[c] = binv_[static_cast<size_t>(c) * m + r];
-  }
   double lo = 0.0, hi = 0.0, scale = 1.0;
-  for (int c = 0; c < n_ + m; ++c) {
+  for (int c = 0; c < n_ + m_; ++c) {
     double g = 0.0;
     for (int k = col_start_[c]; k < col_start_[c + 1]; ++k) {
       g += rho_[entry_row_[k]] * entry_val_[k];
@@ -710,7 +705,7 @@ bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
     if (candidates_.empty()) {
       // No column can move x_leave back inside its bounds.
       *status = SolveStatus::kInfeasible;
-      return ProvenInfeasibleRow(r);
+      return ProvenInfeasibleRow();
     }
     int enter = -1;
     double best_pivot = 0.0;
@@ -724,17 +719,7 @@ bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
     }
 
     Ftran(enter, &w_);
-    const double piv = w_[r];
-    if (std::abs(piv - alpha_[enter]) > 1e-7 * (1.0 + std::abs(piv))) {
-      // Row and column disagree on the pivot: the inverse has drifted.
-      if (!Refactorize()) {
-        ResetToSlackBasis();
-        return false;
-      }
-      RecomputeBasicValues();
-      if (!MakeDualFeasible()) return false;
-      continue;
-    }
+    const double piv = w_[r];  // == alpha_[enter]: same inverse, same sum
 
     // Primal step: x_leave reaches its violated bound exactly.
     const double target = to_lower ? lb_[leave] : ub_[leave];

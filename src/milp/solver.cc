@@ -213,8 +213,6 @@ double BranchAndBound::QueueBestBound() const {
   return open_.empty() ? -lp::kInf : open_.top().bound;
 }
 
-
-
 void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
   SQPR_TRACE_SPAN_ARGS(span, "milp/dive", "rounds", "incumbent");
   const int n = base_.lp.num_variables();
@@ -230,8 +228,8 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
 
   const int max_rounds = 2 * n + 10;
   for (int round = 0; round < max_rounds; ++round) {
-    ++rounds;
     if (options_.deadline.Expired()) break;
+    ++rounds;
     // Fix near-integral binaries; round the most important fractional one.
     int frac_var = -1;
     int frac_priority = INT_MIN;
@@ -491,7 +489,6 @@ MipResult BranchAndBound::Run() {
   }
 
   result.nodes = nodes_;
-  result.lp_iterations = engine_.counters().iterations;
   result.lp_counters = engine_.counters();
   result.rejected_candidates = rejected_candidates_;
   result.wall_ms = watch.ElapsedMillis();

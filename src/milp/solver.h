@@ -130,12 +130,11 @@ struct MipResult {
   /// Valid dual (upper, for maximisation) bound on the true optimum.
   double best_bound = 0.0;
   int64_t nodes = 0;
-  int64_t lp_iterations = 0;
   /// Integral LP points whose rounded form broke a row by more than
   /// Deployment::Validate's tolerance; each was branched on, not kept.
   int64_t rejected_candidates = 0;
   /// LP work of the whole search (root, nodes, dives, cut rounds), all on
-  /// one engine; lp_counters.iterations == lp_iterations.
+  /// one engine.
   lp::SimplexCounters lp_counters;
   double wall_ms = 0.0;
   /// True when the search stopped because the (effective) deadline

@@ -158,7 +158,7 @@ Result<PlanningStats> HierarchicalPlanner::SubmitQuery(StreamId query) {
 
   stats.wall_ms = watch.ElapsedMillis();
   stats.solver_nodes = result.nodes;
-  stats.lp_iterations = result.lp_iterations;
+  stats.lp_iterations = result.lp_counters.iterations;
   stats.objective = result.has_solution() ? result.objective : 0.0;
   stats.proved_optimal = result.status == milp::MipStatus::kOptimal;
   return stats;

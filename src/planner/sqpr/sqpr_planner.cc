@@ -254,7 +254,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   for (auto& s : stats) {
     s.wall_ms = elapsed;
     s.solver_nodes = result.nodes;
-    s.lp_iterations = result.lp_iterations;
+    s.lp_iterations = result.lp_counters.iterations;
     s.objective = result.has_solution() ? result.objective : 0.0;
     s.proved_optimal = result.status == milp::MipStatus::kOptimal;
     s.deadline_hit = result.deadline_hit;

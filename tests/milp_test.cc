@@ -324,10 +324,10 @@ TEST(MilpEngineTest, OnlyTheRootLpStartsFromTheSlackBasis) {
   EXPECT_GT(r.nodes, 1);
   EXPECT_GT(r.lp_counters.solves, r.nodes);  // dive and cut rounds too
   EXPECT_EQ(r.lp_counters.slack_starts, 1);
-  EXPECT_EQ(r.lp_counters.iterations, r.lp_iterations);
   // Factorizations: the one at load plus one per refactor_interval pivots.
   EXPECT_LE(r.lp_counters.factorizations,
-            1 + r.lp_iterations / SolverOptions{}.lp_options.refactor_interval);
+            1 + r.lp_counters.iterations /
+                    SolverOptions{}.lp_options.refactor_interval);
 
   // A seeded root basis means no solve starts from the slack basis.
   SolverOptions warm;

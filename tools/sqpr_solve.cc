@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
   std::printf("nodes      %lld\n", static_cast<long long>(result.nodes));
   std::printf("lp iters   %lld\n",
-              static_cast<long long>(result.lp_iterations));
+              static_cast<long long>(result.lp_counters.iterations));
   std::printf("wall       %.1f ms\n", result.wall_ms);
   if (result.has_solution()) {
     std::printf("nonzero solution values:\n");
