@@ -143,15 +143,12 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   SqprMip& mip = *mip_owned;
   const std::vector<double> warm = mip.WarmStart();
 
-  // Prior-round artifacts for this structure, if any. Three warm levers,
+  // Prior-round artifacts for this structure, if any. Two warm levers,
   // each gated deterministically (never on measured wall time — replay
   // and fingerprint determinism depend on identical decisions at every
   // worker count):
   //  * the root basis warm-starts the first LP (discarded inside the
   //    solver if presolve keeps different columns this round);
-  //  * the root rounding dive is skipped — the warm-start incumbent
-  //    already plays its role, and the cut rows the dive's throwaway
-  //    points separate pollute every later node LP;
   //  * pooled cycle cuts become a *separation source* for the lazy
   //    handler, but only when the model is large enough that extra rows
   //    can pay for themselves (bulk up-front injection measured slower
@@ -222,6 +219,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   next_art->root_basis = std::move(result.root_basis);
   next_art->root_basis_columns = std::move(result.root_basis_columns);
   last_artifact_key_ = key;
+  last_prior_artifacts_ = prior;
   last_artifacts_ = next_art;
   artifacts_[key] = std::move(next_art);
   if (artifacts_.size() > 64) artifacts_.clear();
@@ -491,6 +489,7 @@ Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
   proposal.stats = *stats;
   proposal.artifact_key = scratch.last_artifact_key_;
   proposal.artifacts = std::move(scratch.last_artifacts_);
+  proposal.prior_artifacts = std::move(scratch.last_prior_artifacts_);
   if (stats->admitted && !stats->already_served) {
     proposal.delta = DiffDeployments(deployment_, scratch.deployment_);
   }
@@ -599,11 +598,24 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
         std::to_string(proposal.base_version) + ", committed state is at " +
         std::to_string(deployment_.structure_version()));
   }
-  // The version matched: the proposal's base state is bit-identical to
-  // the live state, so these by-products are exactly what an inline
-  // solve here would have harvested. Install on the committing thread,
-  // in commit order, to keep the artifact table identical across worker
-  // counts and pipeline depths.
+  if (proposal.artifacts != nullptr) {
+    // Same gate for the solve's other input: the artifacts that seeded
+    // it. A commit of the same structure since the proposal's snapshot
+    // (an earlier round, at depth > 1) replaced them.
+    const auto live = artifacts_.find(proposal.artifact_key);
+    const SolveArtifacts* live_prior =
+        live == artifacts_.end() ? nullptr : live->second.get();
+    if (live_prior != proposal.prior_artifacts.get()) {
+      return Status::FailedPrecondition(
+          "proposal for stream " + std::to_string(proposal.query) +
+          " was seeded by superseded solve artifacts");
+    }
+  }
+  // Both inputs matched: the proposal's base state and seed are those of
+  // an inline solve here, so its by-products are exactly what that solve
+  // would have harvested. Install on the committing thread, in commit
+  // order, to keep the artifact table identical across worker counts and
+  // pipeline depths.
   if (proposal.artifacts != nullptr) {
     artifacts_[proposal.artifact_key] = proposal.artifacts;
     if (artifacts_.size() > 64) artifacts_.clear();

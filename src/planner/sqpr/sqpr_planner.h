@@ -56,6 +56,13 @@ struct AdmissionProposal {
   /// next solve of the same structure warm-starts.
   SolveKey artifact_key;
   std::shared_ptr<const SolveArtifacts> artifacts;
+  /// The artifact-table entry for artifact_key the solve started from
+  /// (null when there was none). CommitProposal also requires it to be
+  /// the live entry: the root basis and pooled cuts steer which of
+  /// several tied optima the hot-started, node-bounded search returns,
+  /// so a solve seeded by other artifacts than an inline solve here
+  /// would see is as stale as one solved against another deployment.
+  std::shared_ptr<const SolveArtifacts> prior_artifacts;
 };
 
 class SqprPlanner : public Planner {
@@ -301,11 +308,13 @@ class SqprPlanner : public Planner {
   // order.
   std::shared_ptr<SqprSolveCache> cache_;
   std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
-  /// Key + artifacts of the most recent SubmitBatch MILP solve on *this*
-  /// planner; ProposeAdmission harvests them from its scratch planner
-  /// into the proposal. Null when the last submission skipped the MILP.
+  /// Key, harvested artifacts and seeding artifacts of the most recent
+  /// SubmitBatch MILP solve on *this* planner; ProposeAdmission moves
+  /// them from its scratch planner into the proposal. Null when the last
+  /// submission skipped the MILP.
   SolveKey last_artifact_key_;
   std::shared_ptr<const SolveArtifacts> last_artifacts_;
+  std::shared_ptr<const SolveArtifacts> last_prior_artifacts_;
 };
 
 }  // namespace sqpr

@@ -426,7 +426,7 @@ void PlanningService::SyncPlanCache() {
 
 Result<PlanningStats> PlanningService::Admit(StreamId query,
                                              int* reuse_candidates,
-                                             bool overlapped_arrival) {
+                                             bool arrival) {
   if (query < 0 || query >= catalog_->num_streams()) {
     return Status::InvalidArgument("unknown stream " + std::to_string(query));
   }
@@ -434,7 +434,7 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   SQPR_TRACE_SPAN("service/admit");
   Stopwatch watch;
 
-  if (options_.use_plan_cache) {
+  if (options_.use_plan_cache && arrival) {
     PlanCache::Lookup lookup = cache_.OnArrival(query);
     if (reuse_candidates != nullptr) {
       *reuse_candidates = static_cast<int>(lookup.partial.size());
@@ -494,7 +494,7 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   // and commits its delta immediately; in-flight rounds keep solving
   // throughout and reconcile at their own pinned commit points (FIFO,
   // conflicts re-solved).
-  if (!inflight_.empty() && overlapped_arrival) {
+  if (!inflight_.empty() && arrival) {
     ++stats_.overlapped_arrival_solves;
   }
   const Status warmed = WarmCatalogLogged(query);
@@ -1144,7 +1144,7 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
         AuditAppend(std::move(r));
       }
       Result<PlanningStats> stats =
-          Admit(q, nullptr, /*overlapped_arrival=*/false);
+          Admit(q, nullptr, /*arrival=*/false);
       admitted = stats.ok() && stats->admitted;
       solve_failed = !stats.ok();
       if (stats.ok()) solve_wall_ms = stats->wall_ms;

@@ -554,16 +554,19 @@ class PlanningService {
   void SyncPlanCache();
 
   /// Admits one query; shared by arrivals and re-planning re-solves.
-  /// Tries the plan-cache fast path, then a speculative solve on the
-  /// loop thread (WarmCatalog + ProposeAdmission + CommitProposal) that
-  /// overlaps any in-flight rounds instead of retiring them. When
+  /// Arrivals try the plan-cache fast path, then a speculative solve on
+  /// the loop thread (WarmCatalog + ProposeAdmission + CommitProposal)
+  /// that overlaps any in-flight rounds instead of retiring them. When
   /// `reuse_candidates` is non-null it receives the number of
-  /// materialised proper-subquery hits. `overlapped_arrival` feeds the
-  /// overlapped_arrival_solves counter — true for genuine arrivals,
-  /// false for the commit-path conflict re-solves, which run while
-  /// younger rounds are legitimately still in flight.
+  /// materialised proper-subquery hits. `arrival` is false for the
+  /// commit-path conflict re-solves of a round: they skip the fast path
+  /// and the overlapped_arrival_solves counter. A round's proposals are
+  /// solves, never cache hits, so its re-solve must be the same solve
+  /// against the live state; otherwise whether a proposal conflicted —
+  /// which pipeline depth decides — would choose between a solved plan
+  /// and a cached one.
   Result<PlanningStats> Admit(StreamId query, int* reuse_candidates,
-                              bool overlapped_arrival = true);
+                              bool arrival = true);
 
   /// Wraps SqprPlanner::WarmCatalog: records the first-call order of
   /// warmed queries (the catalog intern log a checkpoint replays to

@@ -290,6 +290,7 @@ TEST(MilpSnapTest, RoundedIncumbentKeepsRowsWithinAuditTolerance) {
     ASSERT_EQ(r.status, MipStatus::kOptimal) << "presolve " << presolve;
     EXPECT_NEAR(r.objective, 1.0, 1e-9) << "presolve " << presolve;
     EXPECT_TRUE(m.lp.CheckFeasible(r.x, 1e-6).ok()) << "presolve " << presolve;
+    EXPECT_GE(r.rejected_candidates, 1) << "presolve " << presolve;
   }
 }
 

@@ -689,5 +689,40 @@ TEST(SqprProposalTest, StaleProposalConflictsInsteadOfOvercommitting) {
   EXPECT_TRUE(planner.deployment().Validate().ok());
 }
 
+// A proposal's solve has two inputs: the committed deployment and the
+// artifacts (root basis, pooled cuts) that seeded it. A commit that
+// leaves the structure alone can still replace the artifacts — here a
+// rejected solve of the same structure — and the second proposal must
+// then bounce like a structurally stale one, because an inline solve at
+// its commit point would start from the new artifacts.
+TEST(SqprProposalTest, ProposalSeededBySupersededArtifactsConflicts) {
+  ProposalScenario s;
+  const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
+  const StreamId q23 = *s.catalog.CanonicalJoinStream({s.base[2], s.base[3]});
+  SqprPlanner::Options options;
+  options.timeout_ms = 60000;
+  options.max_nodes = 200;
+  SqprPlanner planner(&s.cluster, &s.catalog, options);
+  ASSERT_TRUE(planner.SubmitQuery(q01)->admitted);  // host 0's CPU is gone
+  ASSERT_TRUE(planner.WarmCatalog(q23).ok());
+
+  Result<AdmissionProposal> p1 = planner.ProposeAdmission(q23);
+  Result<AdmissionProposal> p2 = planner.ProposeAdmission(q23);
+  ASSERT_TRUE(p1.ok() && p2.ok());
+  ASSERT_FALSE(p1->stats.admitted);
+  ASSERT_NE(p1->artifacts, nullptr);
+  const uint64_t version = planner.deployment().structure_version();
+
+  Result<PlanningStats> first = planner.CommitProposal(*p1);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->admitted);
+  ASSERT_EQ(planner.deployment().structure_version(), version);
+
+  Result<PlanningStats> second = planner.CommitProposal(*p2);
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsFailedPrecondition())
+      << second.status().ToString();
+}
+
 }  // namespace
 }  // namespace sqpr
