@@ -1004,22 +1004,6 @@ SimplexResult SimplexEngine::Impl::Solve(const Model& model) {
 
 // -------------------------------------------------------------- Public
 
-const char* SolveStatusName(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::kOptimal:
-      return "Optimal";
-    case SolveStatus::kInfeasible:
-      return "Infeasible";
-    case SolveStatus::kUnbounded:
-      return "Unbounded";
-    case SolveStatus::kIterationLimit:
-      return "IterationLimit";
-    case SolveStatus::kTimeLimit:
-      return "TimeLimit";
-  }
-  return "Unknown";
-}
-
 SimplexEngine::SimplexEngine(SimplexOptions options)
     : impl_(std::make_unique<Impl>(options)) {}
 

@@ -19,8 +19,6 @@ enum class SolveStatus {
   kTimeLimit,
 };
 
-const char* SolveStatusName(SolveStatus status);
-
 /// Column status in a simplex basis; the unit of warm-start exchange
 /// between solves. Order: structural columns 0..n-1, then row slacks.
 enum class BasisState : uint8_t {
@@ -101,7 +99,7 @@ struct SimplexCounters {
 ///    Bland's rule after a run of degenerate primal pivots;
 ///  * the dense inverse is kept column-major via product-form updates
 ///    and rebuilt by Gauss-Jordan every refactor_interval pivots, or
-///    when an optimal exit measures a primal residual (the updates now
+///    when an optimal exit measures a primal residual (the updates
 ///    carry across solves, so every optimal exit checks it).
 class SimplexEngine {
  public:

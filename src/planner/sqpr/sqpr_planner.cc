@@ -610,13 +610,11 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
           "proposal for stream " + std::to_string(proposal.query) +
           " was seeded by superseded solve artifacts");
     }
-  }
-  // Both inputs matched: the proposal's base state and seed are those of
-  // an inline solve here, so its by-products are exactly what that solve
-  // would have harvested. Install on the committing thread, in commit
-  // order, to keep the artifact table identical across worker counts and
-  // pipeline depths.
-  if (proposal.artifacts != nullptr) {
+    // Both inputs matched: the proposal's base state and seed are those
+    // of an inline solve here, so its by-products are exactly what that
+    // solve would have harvested. Install on the committing thread, in
+    // commit order, to keep the artifact table identical across worker
+    // counts and pipeline depths.
     artifacts_[proposal.artifact_key] = proposal.artifacts;
     if (artifacts_.size() > 64) artifacts_.clear();
   }
