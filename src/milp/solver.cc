@@ -79,8 +79,12 @@ class BranchAndBound {
   // A point inside the integrality tolerance can round across a row
   // (0.9999997 * 35 Mbps fits a budget that 35 Mbps breaks).
   bool SnapFeasible(std::vector<double>* x) const;
-  // Integer column furthest from its rounded value; -1 if all are exact.
-  int PickSnapVariable(const std::vector<double>& x) const;
+  // Branching column for an integral point that SnapFeasible rejected:
+  // the integer column furthest from its rounded value among those whose
+  // node bounds still hold two integers; -1 if every one is pinned.
+  // *split receives the down child's upper bound (the rounded value,
+  // clamped into the bounds); the up child starts at *split + 1.
+  int PickSnapVariable(const std::vector<double>& x, double* split) const;
   void MaybeUpdateIncumbent(const std::vector<double>& x, double obj);
   // Processes one node; pushes children onto the queue / plunge slot.
   // Returns the node index to plunge into next, or -1.
@@ -187,15 +191,26 @@ bool BranchAndBound::SnapFeasible(std::vector<double>* x) const {
   return work_.CheckFeasible(*x, kAcceptTol).ok();
 }
 
-int BranchAndBound::PickSnapVariable(const std::vector<double>& x) const {
+int BranchAndBound::PickSnapVariable(const std::vector<double>& x,
+                                     double* split) const {
+  // The LP may leave a basic column up to feasibility_tol outside its
+  // box (1 + 5e-8 for a binary), so floor/ceil of the value can cross
+  // the bounds. Splitting at the rounded value clamped into
+  // [ceil(lb), floor(ub) - 1] gives two non-empty children, each smaller
+  // than the node, that together keep every integer point of the box.
   int best = -1;
-  double best_dist = 0.0;
+  double best_dist = -1.0;
   for (int v = 0; v < base_.lp.num_variables(); ++v) {
     if (!base_.integer[v]) continue;
-    const double dist = std::abs(x[v] - std::round(x[v]));
+    const double lo = std::ceil(work_.variable_lb(v));
+    const double hi = std::floor(work_.variable_ub(v));
+    if (!(hi - lo >= 1.0)) continue;
+    const double rounded = std::round(x[v]);
+    const double dist = std::abs(x[v] - rounded);
     if (dist > best_dist) {
       best_dist = dist;
       best = v;
+      *split = std::clamp(rounded, lo, hi - 1.0);
     }
   }
   return best;
@@ -403,13 +418,15 @@ int BranchAndBound::ProcessNode(int node_index) {
     ++rejected_candidates_;
   }
 
+  const bool snap = IsIntegral(x);
+  double split = 0.0;
   const int branch_var =
-      IsIntegral(x) ? PickSnapVariable(x) : PickBranchVariable(x);
-  if (branch_var < 0) return -1;  // only sub-tolerance fractionality left
+      snap ? PickSnapVariable(x, &split) : PickBranchVariable(x);
+  if (branch_var < 0) return -1;  // every integer column is pinned
 
   const double value = x[branch_var];
-  const double down_ub = std::floor(value);
-  const double up_lb = std::ceil(value);
+  const double down_ub = snap ? split : std::floor(value);
+  const double up_lb = snap ? split + 1.0 : std::ceil(value);
 
   Node down;
   down.parent = node_index;

@@ -131,7 +131,8 @@ struct MipResult {
   double best_bound = 0.0;
   int64_t nodes = 0;
   /// Integral LP points whose rounded form broke a row by more than
-  /// Deployment::Validate's tolerance; each was branched on, not kept.
+  /// Deployment::Validate's tolerance; each was branched on (or dropped
+  /// when every integer column was pinned), not kept.
   int64_t rejected_candidates = 0;
   /// LP work of the whole search (root, nodes, dives, cut rounds), all on
   /// one engine.

@@ -306,6 +306,81 @@ TEST(MilpSnapTest, NearIntegralWarmStartRoundingAcrossRowIgnored) {
   EXPECT_FALSE(r.has_solution());
 }
 
+// The simplex accepts a basic column up to feasibility_tol outside its
+// box, so a point SnapFeasible rejects can hold a binary at 1 + 5e-8.
+// Splitting at floor/ceil of that value gives a down child equal to the
+// node and an up child with lb 2 > ub 1. The split must stay inside the
+// column's box. In the three models below every row is 5e-6 away from
+// the integer point the LP rounds to.
+
+// The warm root basis makes `a` basic, so the row `100 a = 100.000005`
+// puts it at 1 + 5e-8. Its positive cost sends the search into the up
+// child first, which used to have crossed bounds.
+TEST(MilpSnapTest, RejectedPointAboveItsUpperBoundSplitsInsideTheBox) {
+  Model m;
+  const int a = m.AddBinary(1.0, "a");
+  m.lp.AddRow(100.000005, 100.000005, {{a, 100.0}}, "row");
+  const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
+                                             lp::BasisState::kAtLower};
+  const std::vector<int> columns = {a};
+  SolverOptions opts;
+  opts.presolve = false;  // keep the row in front of the LP
+  opts.max_nodes = 1000;
+  opts.root_warm_basis = &basis;
+  opts.root_warm_basis_columns = &columns;
+  const MipResult r = Solve(m, opts);
+  ASSERT_TRUE(r.used_warm_basis);
+  EXPECT_GE(r.rejected_candidates, 1);
+  EXPECT_EQ(r.status, MipStatus::kInfeasible);
+  EXPECT_EQ(r.nodes, 3);  // the root and a = 0, a = 1
+}
+
+// Row `a >= z + 5e-8` (scaled by 100). Depending on the sign of a's
+// cost, the root LP leaves a above its upper bound or z just below 1,
+// and the branches that follow pin columns that sit just outside their
+// new bounds. The search must still reach the optimum z = 0, a = 1
+// instead of re-solving a child equal to its parent until the node
+// limit.
+TEST(MilpSnapTest, RejectedPointsOffTheirBoxesKeepTheOptimum) {
+  for (double a_obj : {0.5, -1.0}) {
+    Model m;
+    const int z = m.AddBinary(2.0, "z");
+    const int a = m.AddBinary(a_obj, "a");
+    m.lp.AddRow(5e-6, lp::kInf, {{a, 100.0}, {z, -100.0}}, "link");
+    SolverOptions opts;
+    opts.presolve = false;
+    opts.max_nodes = 1000;
+    const MipResult r = Solve(m, opts);
+    ASSERT_EQ(r.status, MipStatus::kOptimal) << "a_obj " << a_obj;
+    EXPECT_GE(r.rejected_candidates, 1) << "a_obj " << a_obj;
+    EXPECT_LT(r.nodes, 20) << "a_obj " << a_obj;
+    EXPECT_NEAR(r.objective, a_obj, 1e-9) << "a_obj " << a_obj;
+    EXPECT_TRUE(m.lp.CheckFeasible(r.x, 1e-6).ok()) << "a_obj " << a_obj;
+  }
+}
+
+// A fixed column cannot be branched on at all. The warm root basis makes
+// the fixed `b` basic, so the row `100 b = 99.999995` puts it at
+// 1 - 5e-8. The node is dropped: the problem has no integer point.
+TEST(MilpSnapTest, RejectedPointOnPinnedColumnIsDropped) {
+  Model m;
+  const int b = m.AddVariable(1, 1, 1.0, /*is_integer=*/true, "b");
+  m.lp.AddRow(99.999995, 99.999995, {{b, 100.0}}, "row");
+  const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
+                                             lp::BasisState::kAtLower};
+  const std::vector<int> columns = {b};
+  SolverOptions opts;
+  opts.presolve = false;
+  opts.max_nodes = 1000;
+  opts.root_warm_basis = &basis;
+  opts.root_warm_basis_columns = &columns;
+  const MipResult r = Solve(m, opts);
+  ASSERT_TRUE(r.used_warm_basis);
+  EXPECT_EQ(r.rejected_candidates, 1);
+  EXPECT_EQ(r.status, MipStatus::kInfeasible);
+  EXPECT_EQ(r.nodes, 1);
+}
+
 // The whole search runs on one LP engine: the root loads the model and
 // starts from the slack basis; every node, dive, lazy-cut and root-cut
 // re-solve continues from the basis the previous solve left.
