@@ -1,54 +1,44 @@
 // Service churn bench: sustained load through the continuous
 // PlanningService (no paper figure — this measures the event loop the
-// paper assumes around the planner, §IV), in two scenarios:
+// paper assumes around the planner, §IV), in four scenarios:
 //
 //  * drift-heavy — arrival-heavy mix with steady departures, frequent
 //    monitor drift reports and occasional host failures/rejoins: keeps
-//    the re-planning rounds full, so the worker pool's solve offload
-//    dominates.
-//  * arrival-heavy — few evictions, lots of cache-miss arrivals while
-//    rounds are in flight: measures the tentpole of the speculative
-//    arrival path. Before it, every such arrival retired the whole
-//    in-flight round (a solve-sized stall on the loop thread); now it
-//    solves concurrently over the thread-safe catalog, which the
-//    overlapped-arrival-solves counter makes visible.
+//    the re-planning rounds full.
+//  * arrival-heavy — few evictions, lots of cache-miss arrivals, some
+//    of them consumed while a round is pending.
 //  * closed-loop — zero scripted monitor reports: the trace carries
 //    ground-truth rate *trajectories* (constant/step/walk/periodic) and
 //    the service measures its own committed deployment every few ticks
-//    (§IV-C), detecting drift and dispatching re-planning rounds
-//    entirely by itself (the auto_replan_rounds counter). The scenario
-//    runs in BOTH measurement modes — engine (ClusterSim per measuring
-//    tick) and analytic (ledger-derived) — and checks the analytic
-//    per-measuring-tick cost undercuts the engine's by >= 5x.
+//    (§IV-C), detecting drift and re-planning entirely by itself (the
+//    auto_replan_rounds counter). The scenario runs in BOTH measurement
+//    modes — engine (ClusterSim per measuring tick) and analytic
+//    (ledger-derived) — and checks the analytic per-measuring-tick cost
+//    undercuts the engine's by >= 5x.
 //  * checkpoint-overhead — the durability tax (docs/ARCHITECTURE.md
 //    §9): times ExportCheckpoint / WriteFileAtomic / RestoreCheckpoint
 //    on the drift-heavy trace's final state and byte-checks the
 //    restore round-trip.
 //
-// Each scenario replays one trace with 0, 1 and 4 workers solving the
-// re-planning rounds; the drift-heavy scenario additionally replays at
-// pipeline depths 1 and 4 (the default elsewhere is 2). The solver is
-// node-bounded (large wall deadline + fixed branch-and-bound budget),
-// so every replay is deterministic and all of them must commit
-// bit-for-bit identical deployments — the worker count and pipeline
-// depth may only change how much solve time overlaps event processing.
-// Expected shape: every replay consumes the whole trace, survives the
-// failures, finishes with identical valid committed deployments and
-// identical admission statistics, the plan cache absorbs repeat
-// arrivals (and maintains itself incrementally on additive commits),
-// per-event latency stays bounded, arrival solves overlap in-flight
-// rounds, and (given the cores) workers raise throughput.
+// Each scenario replays its trace twice. The solver is node-bounded
+// (large wall deadline + fixed branch-and-bound budget), so both
+// replays must commit bit-for-bit identical deployments, statistics,
+// solver effort and canonical audit bytes. Expected shape: every replay
+// consumes the whole trace, survives the failures, finishes with a
+// valid committed deployment, the plan cache absorbs repeat arrivals
+// (and maintains itself incrementally on additive commits), per-event
+// latency stays bounded, and every round query is solved exactly once
+// (no commit conflicts, no unwinds).
 //
-// With --json <path>, every (scenario, workers, mode) run is appended
-// to a machine-readable record set (see bench_util.h) — the perf
-// trajectory checked in as BENCH_service.json via tools/run_bench.sh.
+// With --json <path>, every (scenario, mode) run is appended to a
+// machine-readable record set (see bench_util.h) — the perf trajectory
+// checked in as BENCH_service.json via tools/run_bench.sh.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -78,18 +68,16 @@ struct RunResult {
   size_t trace_events = 0;
   bool audit_ok = false;
   // Decision audit journal renderings (src/obs/audit.h): the canonical
-  // stratum must be byte-identical across worker counts and pipeline
-  // depths; the full rendering adds speculative records + wall timings.
+  // stratum must be byte-identical across replays; the full rendering
+  // adds speculative records + wall timings.
   std::string audit_canonical;
   std::string audit_full;
   size_t audit_records = 0;
   size_t audit_canonical_records = 0;
 };
 
-RunResult Replay(const TraceConfig& trace_config, int workers,
-                 bool closed_loop = false,
+RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
                  MeasureMode mode = MeasureMode::kEngine,
-                 int pipeline_depth = 2,
                  const std::string& metrics_series_path = std::string()) {
   // Fresh scenario per replay: the drift reports install measured rates
   // into the catalog, so state must not leak between runs. Same seed =>
@@ -104,12 +92,10 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   SQPR_CHECK(trace.ok()) << trace.status().ToString();
 
   ServiceOptions options;
-  // Determinism across worker counts requires a deterministic solver:
-  // bound by node budget, not by wall clock.
+  // Determinism across replays requires a deterministic solver: bound
+  // by node budget, not by wall clock.
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 200;
-  options.replan.workers = workers;
-  options.replan.pipeline_depth = pipeline_depth;
   options.closed_loop = closed_loop;
   options.telemetry.mode = mode;
   options.telemetry.measure_period = 3;
@@ -118,7 +104,7 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   options.telemetry.noise = 0.03;
   // Every replay journals its decisions: the cross-run byte-identity
   // shape checks below are the bench-side enforcement of the canonical
-  // stratum's worker/depth invariance.
+  // stratum's replay invariance.
   obs::AuditJournal journal;
   options.audit = &journal;
   PlanningService service(scenario.cluster.get(), scenario.catalog.get(),
@@ -179,7 +165,7 @@ RunResult Replay(const TraceConfig& trace_config, int workers,
   result.audit_records = journal.size();
   result.audit_canonical_records = journal.canonical_size();
   if (want_series) {
-    // Final sample after the pipeline drains: the series always ends
+    // Final sample after the pending round commits: the series always ends
     // with the run's complete totals.
     sample_series(service.clock().now_ms());
     std::FILE* f = std::fopen(metrics_series_path.c_str(), "wb");
@@ -197,13 +183,12 @@ void PrintRun(const char* label, const RunResult& r) {
               r.max_event_ms);
   const ServiceStats& s = r.stats;
   std::printf("  arrivals %lld: admitted %lld (dedup %lld, cache %lld), "
-              "rejected %lld; %lld solves overlapped in-flight rounds\n",
+              "rejected %lld\n",
               static_cast<long long>(s.arrivals),
               static_cast<long long>(s.admitted),
               static_cast<long long>(s.dedup_hits),
               static_cast<long long>(s.cache_fast_path),
-              static_cast<long long>(s.rejected),
-              static_cast<long long>(s.overlapped_arrival_solves));
+              static_cast<long long>(s.rejected));
   std::printf("  churn: %lld departures, %lld failures, %lld joins, "
               "%lld drift reports; %lld evictions, %lld/%lld re-admitted\n",
               static_cast<long long>(s.departures),
@@ -214,12 +199,11 @@ void PrintRun(const char* label, const RunResult& r) {
               static_cast<long long>(s.replanned_admitted),
               static_cast<long long>(s.replanned_admitted +
                                      s.replanned_rejected));
-  std::printf("  rounds: %lld committed (%lld dispatched, %lld commit "
-              "conflicts re-solved, %lld unwound at barriers)\n",
+  std::printf("  rounds: %lld committed; solver effort %lld B&B nodes, "
+              "%lld LP pivots\n",
               static_cast<long long>(s.replan_rounds),
-              static_cast<long long>(s.replan_dispatches),
-              static_cast<long long>(s.commit_conflicts),
-              static_cast<long long>(s.round_unwinds));
+              static_cast<long long>(s.solver_nodes),
+              static_cast<long long>(s.lp_iterations));
   if (s.solve_ms.count() > 0) {
     std::printf("  solver wall-time: %zu solves, p50 %.2f ms, p90 %.2f ms, "
                 "p99 %.2f ms, max %.2f ms\n",
@@ -227,20 +211,11 @@ void PrintRun(const char* label, const RunResult& r) {
                 s.solve_ms.Quantile(0.90), s.solve_ms.Quantile(0.99),
                 s.solve_ms.max());
   }
-  std::printf("  loop-thread barrier waits: %zu, avg %.2f ms, max %.2f ms\n",
-              s.barrier_ms.count(), s.barrier_ms.mean(), s.barrier_ms.max());
   std::printf("  reuse index: %lld incremental delta updates, %lld full "
               "rebuilds, %lld no-op skips\n",
               static_cast<long long>(s.cache_delta_updates),
               static_cast<long long>(r.cache_rebuilds),
               static_cast<long long>(r.cache_noop_skips));
-  if (s.replan_dispatches > 0) {
-    std::printf("  snapshots: %lld bytes copied on the loop thread across "
-                "%lld dispatches (%lld rebases)\n",
-                static_cast<long long>(s.snapshot_bytes_copied),
-                static_cast<long long>(s.replan_dispatches),
-                static_cast<long long>(s.snapshot_rebases));
-  }
   if (s.rate_directives + s.measurement_ticks > 0) {
     std::printf("  closed loop: %lld rate directives, %lld measurement "
                 "ticks (%lld analytic), %lld auto re-plan rounds; "
@@ -253,13 +228,11 @@ void PrintRun(const char* label, const RunResult& r) {
   }
 }
 
-void AddRecord(BenchJsonWriter* json, const char* scenario, int workers,
-               const char* mode, const RunResult& r, int pipeline_depth = 2) {
+void AddRecord(BenchJsonWriter* json, const char* scenario, const char* mode,
+               const RunResult& r) {
   if (json == nullptr) return;
   BenchRecord& rec = json->Add(scenario);
-  rec.labels["workers"] = std::to_string(workers);
   rec.labels["measure_mode"] = mode;
-  rec.labels["pipeline_depth"] = std::to_string(pipeline_depth);
   const ServiceStats& s = r.stats;
   auto& m = rec.metrics;
   m["wall_ms"] = r.total_ms;
@@ -269,19 +242,15 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, int workers,
   m["solver_p95_ms"] = s.solve_ms.Quantile(0.95);
   m["solver_p99_ms"] = s.solve_ms.Quantile(0.99);
   m["solver_samples"] = static_cast<double>(s.solve_ms.count());
+  m["solver_nodes"] = static_cast<double>(s.solver_nodes);
+  m["lp_iterations"] = static_cast<double>(s.lp_iterations);
   m["admitted"] = static_cast<double>(s.admitted);
   m["rejected"] = static_cast<double>(s.rejected);
   m["evictions"] = static_cast<double>(s.evictions);
   m["replan_rounds"] = static_cast<double>(s.replan_rounds);
-  m["overlapped_arrival_solves"] =
-      static_cast<double>(s.overlapped_arrival_solves);
-  m["commit_conflicts"] = static_cast<double>(s.commit_conflicts);
-  m["round_unwinds"] = static_cast<double>(s.round_unwinds);
   m["cache_delta_updates"] = static_cast<double>(s.cache_delta_updates);
   m["cache_rebuilds"] = static_cast<double>(r.cache_rebuilds);
   m["cache_noop_skips"] = static_cast<double>(r.cache_noop_skips);
-  m["snapshot_bytes_copied"] = static_cast<double>(s.snapshot_bytes_copied);
-  m["snapshot_rebases"] = static_cast<double>(s.snapshot_rebases);
   m["measurement_ticks"] = static_cast<double>(s.measurement_ticks);
   m["analytic_ticks"] = static_cast<double>(s.analytic_ticks);
   m["auto_replan_rounds"] = static_cast<double>(s.auto_replan_rounds);
@@ -293,47 +262,39 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, int workers,
       static_cast<double>(r.audit_canonical_records);
 }
 
-bool DeterminismChecks(const char* scenario, const RunResult& zero,
-                       const RunResult& one, const RunResult& four) {
+bool DeterminismChecks(const char* scenario, const RunResult& first,
+                       const RunResult& again) {
   bool ok = true;
-  std::printf("\n-- %s: worker-count invariance --\n", scenario);
-  ok &= ShapeCheck(zero.stats.events ==
-                           static_cast<int64_t>(zero.trace_events) &&
-                       one.stats.events ==
-                           static_cast<int64_t>(one.trace_events) &&
-                       four.stats.events ==
-                           static_cast<int64_t>(four.trace_events),
-                   "every trace event consumed in all three replays");
-  ok &= ShapeCheck(zero.audit_ok && one.audit_ok && four.audit_ok,
+  std::printf("\n-- %s: replay invariance and the round path --\n", scenario);
+  ok &= ShapeCheck(first.stats.events ==
+                           static_cast<int64_t>(first.trace_events) &&
+                       again.stats.events ==
+                           static_cast<int64_t>(again.trace_events),
+                   "every trace event consumed in both replays");
+  ok &= ShapeCheck(first.audit_ok && again.audit_ok,
                    "final committed deployments validate");
-  ok &= ShapeCheck(zero.fingerprint == one.fingerprint &&
-                       zero.fingerprint == four.fingerprint,
-                   "worker count does not change committed deployments");
-  ok &= ShapeCheck(zero.audit_canonical_records > 0 &&
-                       zero.audit_canonical == one.audit_canonical &&
-                       zero.audit_canonical == four.audit_canonical,
-                   "canonical audit journal byte-identical across worker "
-                   "counts");
+  ok &= ShapeCheck(first.fingerprint == again.fingerprint,
+                   "replays commit identical deployments");
+  ok &= ShapeCheck(first.audit_canonical_records > 0 &&
+                       first.audit_canonical == again.audit_canonical,
+                   "canonical audit journal byte-identical across replays");
+  const ServiceStats& a = first.stats;
+  const ServiceStats& b = again.stats;
   ok &= ShapeCheck(
-      zero.stats.admitted == one.stats.admitted &&
-          zero.stats.admitted == four.stats.admitted &&
-          zero.stats.rejected == one.stats.rejected &&
-          zero.stats.rejected == four.stats.rejected &&
-          zero.stats.replanned_admitted == one.stats.replanned_admitted &&
-          zero.stats.replanned_admitted == four.stats.replanned_admitted &&
-          zero.stats.overlapped_arrival_solves ==
-              one.stats.overlapped_arrival_solves &&
-          zero.stats.overlapped_arrival_solves ==
-              four.stats.overlapped_arrival_solves &&
-          zero.stats.measurement_ticks == one.stats.measurement_ticks &&
-          zero.stats.measurement_ticks == four.stats.measurement_ticks &&
-          zero.stats.auto_replan_rounds == one.stats.auto_replan_rounds &&
-          zero.stats.auto_replan_rounds == four.stats.auto_replan_rounds,
-      "worker count does not change admission statistics");
+      a.admitted == b.admitted && a.rejected == b.rejected &&
+          a.replanned_admitted == b.replanned_admitted &&
+          a.measurement_ticks == b.measurement_ticks &&
+          a.auto_replan_rounds == b.auto_replan_rounds &&
+          a.solve_ms.count() == b.solve_ms.count() &&
+          a.solver_nodes == b.solver_nodes &&
+          a.lp_iterations == b.lp_iterations,
+      "replays agree on admission statistics and solver effort");
+  ok &= ShapeCheck(a.commit_conflicts == 0 && a.round_unwinds == 0 &&
+                       a.barrier_ms.count() == 0,
+                   "round queries solved once, at their commit point");
   ok &= ShapeCheck(
-      zero.max_event_ms <= std::max(1000.0, zero.total_ms / 4) &&
-          one.max_event_ms <= std::max(1000.0, one.total_ms / 4) &&
-          four.max_event_ms <= std::max(1000.0, four.total_ms / 4),
+      first.max_event_ms <= std::max(1000.0, first.total_ms / 4) &&
+          again.max_event_ms <= std::max(1000.0, again.total_ms / 4),
       "per-event latency bounded (no event monopolised loop)");
   return ok;
 }
@@ -343,7 +304,7 @@ bool DeterminismChecks(const char* scenario, const RunResult& zero,
 // trace leaves behind. Three phases are timed separately because they
 // bound different things: ExportCheckpoint bounds the event-loop stall
 // a periodic checkpoint inserts (the first call additionally pays the
-// pipeline barrier + accounting refresh, so it is reported on its
+// barrier + accounting refresh, so it is reported on its
 // own), WriteFileAtomic bounds the filesystem cost of the
 // write-fsync-rename protocol, and RestoreCheckpoint bounds recovery
 // time after a crash. The round-trip check mirrors the durability
@@ -365,7 +326,6 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   ServiceOptions options;
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 200;
-  options.replan.workers = 0;
   PlanningService service(scenario.cluster.get(), scenario.catalog.get(),
                           options);
   for (const Event& e : *trace) {
@@ -416,7 +376,7 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   const double export_ms_avg = export_total_ms / kReps;
   const double write_ms_avg = write_total_ms / kReps;
   std::printf("  checkpoint: %zu bytes; export first %.2f ms (pays the "
-              "round barrier), steady avg %.2f ms; atomic write avg "
+              "accounting refresh), steady avg %.2f ms; atomic write avg "
               "%.2f ms; restore %.2f ms\n",
               doc->size(), export_first_ms, export_ms_avg, write_ms_avg,
               restore_ms);
@@ -433,9 +393,7 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
 
   if (json != nullptr) {
     BenchRecord& rec = json->Add("checkpoint-overhead");
-    rec.labels["workers"] = "0";
     rec.labels["measure_mode"] = "none";
-    rec.labels["pipeline_depth"] = "2";
     auto& m = rec.metrics;
     m["checkpoint_bytes"] = static_cast<double>(doc->size());
     m["export_first_ms"] = export_first_ms;
@@ -460,8 +418,8 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Service churn",
-              "event-driven admission / drift re-planning / speculative "
-              "arrivals, 0 vs 1 vs 4 workers",
+              "event-driven admission / drift re-planning / closed-loop "
+              "measurement, each trace replayed twice",
               11);
   BenchJsonWriter json("service_churn", 11);
   BenchJsonWriter* jout = json_path.empty() ? nullptr : &json;
@@ -475,16 +433,11 @@ int main(int argc, char** argv) {
   drifty.drift_weight = 0.20;
 
   std::printf("\n==== scenario: drift-heavy ====\n");
-  const RunResult d0 = Replay(drifty, /*workers=*/0);
-  PrintRun("workers=0", d0);
-  const RunResult d1 = Replay(drifty, /*workers=*/1);
-  PrintRun("workers=1", d1);
-  // The workers=4 replay is the flight-recorder capture target: the
-  // worst solver-tail configuration (see BENCH_service.json), so the
-  // committed trace explains exactly the rounds worth profiling.
-  // Tracing reads clocks and writes thread-local rings only — the
-  // determinism checks below still compare this replay's deployment
-  // fingerprint against the untraced workers=0/1 replays.
+  // The first replay is the flight-recorder, audit-journal and
+  // metrics-series capture target, so the three CI artifacts all
+  // explain one replay and join on its timeline. Tracing reads clocks
+  // and writes thread-local rings only — the determinism checks below
+  // still compare this replay against the untraced repeat.
   if (!trace_out.empty()) {
     // 8K spans/thread keeps the committed artifact a few hundred KB
     // gzipped while retaining the most recent rounds end to end (the
@@ -494,64 +447,37 @@ int main(int argc, char** argv) {
     obs::TraceRecorder::Get().Enable(trace_options);
     obs::TraceRecorder::SetCurrentThreadName("loop");
   }
-  // The same workers=4 replay is also the audit-journal and
-  // metrics-series capture target, so the three CI artifacts (trace,
-  // audit, series) all explain one replay and join on its timeline.
-  const RunResult d4 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/2,
-                              metrics_series_out);
+  const RunResult d = Replay(drifty, /*closed_loop=*/false,
+                             MeasureMode::kEngine, metrics_series_out);
   if (!trace_out.empty()) {
     obs::TraceRecorder::Get().Disable();
     const Status written =
         obs::TraceRecorder::Get().WriteChromeTrace(trace_out);
     SQPR_CHECK(written.ok()) << written.ToString();
-    std::printf("\nwrote flight-recorder trace (drift-heavy, workers=4): "
-                "%s\n",
+    std::printf("\nwrote flight-recorder trace (drift-heavy): %s\n",
                 trace_out.c_str());
   }
   if (!audit_out.empty()) {
     std::FILE* f = std::fopen(audit_out.c_str(), "wb");
     SQPR_CHECK(f != nullptr) << "cannot open " << audit_out;
-    std::fwrite(d4.audit_full.data(), 1, d4.audit_full.size(), f);
+    std::fwrite(d.audit_full.data(), 1, d.audit_full.size(), f);
     std::fclose(f);
-    std::printf("\nwrote audit journal (drift-heavy, workers=4): %s "
+    std::printf("\nwrote audit journal (drift-heavy): %s "
                 "(%zu records, %zu canonical)\n",
-                audit_out.c_str(), d4.audit_records,
-                d4.audit_canonical_records);
+                audit_out.c_str(), d.audit_records,
+                d.audit_canonical_records);
   }
   if (!metrics_series_out.empty()) {
-    std::printf("wrote metrics series (drift-heavy, workers=4): %s\n",
+    std::printf("wrote metrics series (drift-heavy): %s\n",
                 metrics_series_out.c_str());
   }
-  PrintRun("workers=4", d4);
-  std::printf("\nspeedup (events/s, 4 vs 0 workers): %.2fx\n",
-              d4.events_per_s / d0.events_per_s);
-  AddRecord(jout, "drift-heavy", 0, "none", d0);
-  AddRecord(jout, "drift-heavy", 1, "none", d1);
-  AddRecord(jout, "drift-heavy", 4, "none", d4);
+  PrintRun("first", d);
+  const RunResult d2 = Replay(drifty);
+  PrintRun("repeat", d2);
+  AddRecord(jout, "drift-heavy", "none", d);
 
-  // ---- Scenario 1b: the same drift-heavy trace across pipeline
-  // depths (d0/d1/d4 above ran the default depth 2). Depth moves round
-  // dispatches earlier without moving any commit point, so the
-  // committed deployments must stay bit-identical while a deeper
-  // pipeline buys solve/event overlap at the price of speculative
-  // waste (commit conflicts, barrier unwinds). ----
-  std::printf("\n==== scenario: drift-heavy, pipeline depths ====\n");
-  const RunResult p1 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/1);
-  PrintRun("workers=4 depth=1", p1);
-  const RunResult p4 = Replay(drifty, /*workers=*/4, /*closed_loop=*/false,
-                              MeasureMode::kEngine, /*pipeline_depth=*/4);
-  PrintRun("workers=4 depth=4", p4);
-  std::printf("\nevents/s by depth (workers=4): depth1 %.1f, depth2 %.1f, "
-              "depth4 %.1f\n",
-              p1.events_per_s, d4.events_per_s, p4.events_per_s);
-  AddRecord(jout, "drift-heavy", 4, "none", p1, /*pipeline_depth=*/1);
-  AddRecord(jout, "drift-heavy", 4, "none", p4, /*pipeline_depth=*/4);
-
-  // ---- Scenario 2: arrival-heavy (the speculative-arrival stall
-  // removal: cache-miss arrivals solving while rounds are in flight,
-  // instead of retiring them first). ----
+  // ---- Scenario 2: arrival-heavy (cache-miss arrivals, rounds kept
+  // live by a few drift reports). ----
   TraceConfig arrivally;
   arrivally.num_events = 300;
   arrivally.seed = 23;
@@ -563,18 +489,11 @@ int main(int argc, char** argv) {
   arrivally.min_drift_reports = 6;
 
   std::printf("\n==== scenario: arrival-heavy ====\n");
-  const RunResult a0 = Replay(arrivally, /*workers=*/0);
-  PrintRun("workers=0", a0);
-  const RunResult a1 = Replay(arrivally, /*workers=*/1);
-  PrintRun("workers=1", a1);
-  const RunResult a4 = Replay(arrivally, /*workers=*/4);
-  PrintRun("workers=4", a4);
-  std::printf("\nspeedup (events/s, 1 vs 0 workers): %.2fx — round solves "
-              "move off the loop thread and overlap arrival admission\n",
-              a1.events_per_s / a0.events_per_s);
-  AddRecord(jout, "arrival-heavy", 0, "none", a0);
-  AddRecord(jout, "arrival-heavy", 1, "none", a1);
-  AddRecord(jout, "arrival-heavy", 4, "none", a4);
+  const RunResult a = Replay(arrivally);
+  PrintRun("first", a);
+  const RunResult a2 = Replay(arrivally);
+  PrintRun("repeat", a2);
+  AddRecord(jout, "arrival-heavy", "none", a);
 
   // ---- Scenario 3: closed-loop (§IV-C self-measurement: the trace
   // scripts ground-truth rate trajectories and *no* monitor reports;
@@ -590,39 +509,29 @@ int main(int argc, char** argv) {
   closed.min_failures = 1;
 
   std::printf("\n==== scenario: closed-loop (engine measurements) ====\n");
-  const RunResult c0 = Replay(closed, /*workers=*/0, /*closed_loop=*/true);
-  PrintRun("workers=0", c0);
-  const RunResult c1 = Replay(closed, /*workers=*/1, /*closed_loop=*/true);
-  PrintRun("workers=1", c1);
-  const RunResult c4 = Replay(closed, /*workers=*/4, /*closed_loop=*/true);
-  PrintRun("workers=4", c4);
-  AddRecord(jout, "closed-loop", 0, "engine", c0);
-  AddRecord(jout, "closed-loop", 1, "engine", c1);
-  AddRecord(jout, "closed-loop", 4, "engine", c4);
+  const RunResult c = Replay(closed, /*closed_loop=*/true);
+  PrintRun("first", c);
+  const RunResult c2 = Replay(closed, /*closed_loop=*/true);
+  PrintRun("repeat", c2);
+  AddRecord(jout, "closed-loop", "engine", c);
 
   // ---- Scenario 3b: the same closed-loop trace under analytic
   // measurements — per-stream rates and per-host CPU derived from the
   // committed ledgers scaled by truth/estimate ratios, no ClusterSim
-  // run. The per-measuring-tick cost comparison below is the tentpole
-  // number. ----
+  // run. ----
   std::printf("\n==== scenario: closed-loop (analytic measurements) ====\n");
-  const RunResult n0 = Replay(closed, /*workers=*/0, /*closed_loop=*/true,
+  const RunResult n = Replay(closed, /*closed_loop=*/true,
+                             MeasureMode::kAnalytic);
+  PrintRun("first", n);
+  const RunResult n2 = Replay(closed, /*closed_loop=*/true,
                               MeasureMode::kAnalytic);
-  PrintRun("workers=0", n0);
-  const RunResult n1 = Replay(closed, /*workers=*/1, /*closed_loop=*/true,
-                              MeasureMode::kAnalytic);
-  PrintRun("workers=1", n1);
-  const RunResult n4 = Replay(closed, /*workers=*/4, /*closed_loop=*/true,
-                              MeasureMode::kAnalytic);
-  PrintRun("workers=4", n4);
-  AddRecord(jout, "closed-loop", 0, "analytic", n0);
-  AddRecord(jout, "closed-loop", 1, "analytic", n1);
-  AddRecord(jout, "closed-loop", 4, "analytic", n4);
+  PrintRun("repeat", n2);
+  AddRecord(jout, "closed-loop", "analytic", n);
   std::printf("\nper-measuring-tick cost: engine avg %.3f ms vs analytic "
               "avg %.4f ms (%.1fx)\n",
-              c0.stats.measure_ms.mean(), n0.stats.measure_ms.mean(),
-              n0.stats.measure_ms.mean() > 0
-                  ? c0.stats.measure_ms.mean() / n0.stats.measure_ms.mean()
+              c.stats.measure_ms.mean(), n.stats.measure_ms.mean(),
+              n.stats.measure_ms.mean() > 0
+                  ? c.stats.measure_ms.mean() / n.stats.measure_ms.mean()
                   : 0.0);
 
   // ---- Scenario 4: checkpoint overhead (docs/ARCHITECTURE.md §9) —
@@ -634,120 +543,55 @@ int main(int argc, char** argv) {
   const bool checkpoint_ok = RunCheckpointOverhead(jout, drifty);
 
   bool ok = checkpoint_ok;
-  ok &= DeterminismChecks("drift-heavy", d0, d1, d4);
-  ok &= DeterminismChecks("arrival-heavy", a0, a1, a4);
-  ok &= DeterminismChecks("closed-loop[engine]", c0, c1, c4);
-  ok &= DeterminismChecks("closed-loop[analytic]", n0, n1, n4);
-
-  std::printf("\n-- drift-heavy: pipeline-depth invariance --\n");
-  ok &= ShapeCheck(p1.audit_ok && p4.audit_ok,
-                   "depth-1 and depth-4 committed deployments validate");
-  ok &= ShapeCheck(p1.fingerprint == d4.fingerprint &&
-                       p4.fingerprint == d4.fingerprint,
-                   "pipeline depth does not change committed deployments");
-  ok &= ShapeCheck(
-      p1.stats.admitted == d4.stats.admitted &&
-          p4.stats.admitted == d4.stats.admitted &&
-          p1.stats.rejected == d4.stats.rejected &&
-          p4.stats.rejected == d4.stats.rejected &&
-          p1.stats.evictions == d4.stats.evictions &&
-          p4.stats.evictions == d4.stats.evictions &&
-          p1.stats.replanned_admitted == d4.stats.replanned_admitted &&
-          p4.stats.replanned_admitted == d4.stats.replanned_admitted,
-      "pipeline depth does not change admission statistics");
-  ok &= ShapeCheck(p1.stats.round_unwinds == 0,
-                   "depth 1 never unwinds (barriers only ever see the "
-                   "oldest round)");
-  ok &= ShapeCheck(p1.audit_canonical == d4.audit_canonical &&
-                       p4.audit_canonical == d4.audit_canonical,
-                   "canonical audit journal byte-identical across pipeline "
-                   "depths (workers=4, depths 1/2/4)");
+  ok &= DeterminismChecks("drift-heavy", d, d2);
+  ok &= DeterminismChecks("arrival-heavy", a, a2);
+  ok &= DeterminismChecks("closed-loop[engine]", c, c2);
+  ok &= DeterminismChecks("closed-loop[analytic]", n, n2);
 
   std::printf("\n-- scenario-specific shape --\n");
-  ok &= ShapeCheck(d0.stats.host_failures >= 2 &&
-                       d0.stats.monitor_reports >= 8,
+  ok &= ShapeCheck(d.stats.host_failures >= 2 &&
+                       d.stats.monitor_reports >= 8,
                    "drift-heavy trace exercised failures and drift");
-  ok &= ShapeCheck(d0.stats.admitted > 0, "service admitted queries");
-  ok &= ShapeCheck(d0.cache_hits > 0 && a0.cache_hits > 0,
+  ok &= ShapeCheck(d.stats.admitted > 0, "service admitted queries");
+  ok &= ShapeCheck(d.stats.replan_rounds > 0 && d.stats.solver_nodes > 0 &&
+                       d.stats.lp_iterations > 0,
+                   "drift-heavy trace ran rounds; solver effort counted");
+  ok &= ShapeCheck(d.cache_hits > 0 && a.cache_hits > 0,
                    "plan cache absorbed repeat/sub-query arrivals");
-  ok &= ShapeCheck(a0.stats.overlapped_arrival_solves > 0,
-                   "cache-miss arrivals solved while rounds were in flight "
-                   "(the removed FinishInFlightRound stall)");
-  ok &= ShapeCheck(c0.stats.monitor_reports == 0 &&
-                       c0.stats.rate_directives >= 8,
+  ok &= ShapeCheck(c.stats.monitor_reports == 0 &&
+                       c.stats.rate_directives >= 8,
                    "closed-loop trace scripts trajectories, zero monitor "
                    "reports");
-  ok &= ShapeCheck(c0.stats.measurement_ticks > 0,
+  ok &= ShapeCheck(c.stats.measurement_ticks > 0,
                    "closed loop performed periodic self-measurements");
-  ok &= ShapeCheck(c0.stats.auto_replan_rounds > 0,
+  ok &= ShapeCheck(c.stats.auto_replan_rounds > 0,
                    "self-measured drift triggered re-planning with no "
                    "scripted measurement anywhere in the trace");
-  ok &= ShapeCheck(n0.stats.analytic_ticks == n0.stats.measurement_ticks &&
-                       n0.stats.measurement_ticks ==
-                           c0.stats.measurement_ticks &&
-                       c0.stats.analytic_ticks == 0,
+  ok &= ShapeCheck(n.stats.analytic_ticks == n.stats.measurement_ticks &&
+                       n.stats.measurement_ticks ==
+                           c.stats.measurement_ticks &&
+                       c.stats.analytic_ticks == 0,
                    "analytic replay measured on the same ticks, engine "
                    "replay never took the analytic path");
-  ok &= ShapeCheck(n0.stats.auto_replan_rounds > 0,
+  ok &= ShapeCheck(n.stats.auto_replan_rounds > 0,
                    "analytic measurements detected drift and triggered "
                    "re-planning too");
   // Per-tick means come from ~20 samples per replay; a scheduler
   // descheduling spike on one tick could inflate a single replay's
-  // mean. Taking the minimum mean across the three replays of each
-  // mode (a spike hits at most one) keeps the >= 5x gate robust on a
-  // loaded host — the true margin is ~20x.
+  // mean. Taking the minimum mean across the two replays of each mode
+  // keeps the >= 5x gate robust on a loaded host — the true margin is
+  // ~20x.
   const double engine_tick_ms =
-      std::min({c0.stats.measure_ms.mean(), c1.stats.measure_ms.mean(),
-                c4.stats.measure_ms.mean()});
+      std::min(c.stats.measure_ms.mean(), c2.stats.measure_ms.mean());
   const double analytic_tick_ms =
-      std::min({n0.stats.measure_ms.mean(), n1.stats.measure_ms.mean(),
-                n4.stats.measure_ms.mean()});
+      std::min(n.stats.measure_ms.mean(), n2.stats.measure_ms.mean());
   ok &= ShapeCheck(
       analytic_tick_ms > 0 && engine_tick_ms >= 5.0 * analytic_tick_ms,
       "analytic mode cuts per-measuring-tick cost >= 5x vs engine mode");
-  ok &= ShapeCheck(d0.stats.cache_delta_updates > 0 &&
-                       a0.stats.cache_delta_updates > 0,
+  ok &= ShapeCheck(d.stats.cache_delta_updates > 0 &&
+                       a.stats.cache_delta_updates > 0,
                    "reuse index maintained by incremental deltas on "
                    "additive commits (not only full rebuilds)");
-  ok &= ShapeCheck(d4.stats.replan_dispatches > 0 &&
-                       d4.stats.snapshot_bytes_copied > 0 &&
-                       d4.stats.snapshot_rebases <= d4.stats.replan_dispatches,
-                   "worker rounds dispatched against copy-on-write "
-                   "snapshots (bytes copied, rebases amortised)");
-  // The parallel win needs parallel hardware: the rounds are CPU-bound
-  // MILP solves, so with fewer cores than solver threads (+ the loop
-  // thread) they partly time-slice and scheduling noise can swamp the
-  // short trace. Gate the throughput checks on core count, and leave a
-  // 10% noise margin so a loaded CI host does not fail a correct build
-  // (the speedup itself is printed above for eyeballing).
-  if (std::thread::hardware_concurrency() >= 4) {
-    ok &= ShapeCheck(d4.events_per_s > 0.9 * d0.events_per_s,
-                     "4 workers at least match inline rounds on a "
-                     "drift-heavy trace");
-    // The pipelined rounds' point: starting the next round's solves
-    // before the previous round committed must never cost throughput
-    // (same 10% noise margin as the worker checks; the win itself is
-    // printed above). Below 4 cores the workers=4 replays time-slice
-    // and the comparison measures scheduler noise, so it is skipped
-    // with the other parallel-win checks.
-    ok &= ShapeCheck(d4.events_per_s > 0.9 * p1.events_per_s &&
-                         p4.events_per_s > 0.9 * p1.events_per_s,
-                     "pipelined rounds (depth >= 2) at least match depth 1 "
-                     "on the drift-heavy trace");
-  } else {
-    std::printf("shape-check [SKIP] 4 workers vs inline rounds "
-                "(host has < 4 cores)\n");
-    std::printf("shape-check [SKIP] pipeline depth >= 2 vs depth 1 "
-                "(host has < 4 cores)\n");
-  }
-  if (std::thread::hardware_concurrency() >= 2) {
-    ok &= ShapeCheck(a1.events_per_s > 0.9 * a0.events_per_s,
-                     "1 worker at least matches inline rounds on an "
-                     "arrival-heavy trace (overlapped arrival solves)");
-  } else {
-    std::printf("shape-check [SKIP] 1 worker vs inline rounds "
-                "(host has < 2 cores)\n");
-  }
 
   if (jout != nullptr && !json.WriteFile(json_path, ok ? 0 : 1)) {
     return 1;

@@ -244,7 +244,8 @@ Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
 
 Status Catalog::UpdateBaseRate(StreamId base, double new_rate_mbps) {
   // Exclusive by contract: no concurrent reader or interner (the
-  // planning service quiesces workers before installing measured rates).
+  // planning service commits its pending round before installing
+  // measured rates).
   // The lock still serialises against a stray interner defensively.
   std::lock_guard<std::mutex> lock(intern_mu_);
   if (base < 0 || base >= num_streams()) {

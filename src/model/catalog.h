@@ -252,13 +252,13 @@ class ProducerList {
 ///    partially constructed entry.
 ///  * UpdateBaseRate mutates *published* entries (rates, costs) and
 ///    therefore requires exclusive access: callers must quiesce every
-///    concurrent reader first (the planning service retires the
-///    in-flight re-planning round before monitor reports install rates).
+///    concurrent reader first (the planning service commits its pending
+///    re-planning round before monitor reports install rates).
 ///
 /// Note that interning safety is distinct from *determinism*: StreamIds
 /// are assigned in interning order, so replayable systems must intern
-/// only at deterministic points (the service interns on the loop thread
-/// — WarmCatalog before dispatch/solve — and never from workers).
+/// only at deterministic points (the service interns through
+/// WarmCatalog at fixed logical points, before a solve).
 ///
 /// Capacity: the stable stores are bounded (kBlockSize * kSpineSize =
 /// 8M streams and 8M operators — roughly a GB of operator metadata,

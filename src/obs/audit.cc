@@ -103,26 +103,9 @@ std::string AuditJournal::ToJsonl(bool canonical) const {
       AppendHex(&out, r.post_fp);
       out += "\"}";
     }
-    if (!canonical &&
-        (r.solve_ms >= 0.0 || r.commit_ms >= 0.0 || r.dispatch_id >= 0)) {
-      out += ",\"wall\":{";
-      bool first = true;
-      if (r.solve_ms >= 0.0) {
-        out += "\"solve_ms\":";
-        AppendDouble(&out, r.solve_ms);
-        first = false;
-      }
-      if (r.commit_ms >= 0.0) {
-        if (!first) out += ",";
-        out += "\"commit_ms\":";
-        AppendDouble(&out, r.commit_ms);
-        first = false;
-      }
-      if (r.dispatch_id >= 0) {
-        if (!first) out += ",";
-        out += "\"dispatch\":";
-        AppendInt(&out, r.dispatch_id);
-      }
+    if (!canonical && r.solve_ms >= 0.0) {
+      out += ",\"wall\":{\"solve_ms\":";
+      AppendDouble(&out, r.solve_ms);
       out += "}";
     }
     out += "}\n";

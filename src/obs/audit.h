@@ -3,30 +3,27 @@
 
 // Decision audit journal (schema sqpr-audit-v1): every operational
 // decision the planning service takes — admit, reject, re-plan, evict,
-// drift, conflict resolution, barrier unwind — appended in commit order
+// drift — appended in commit order
 // as one JSONL record, so "why was query Q rejected at t=412?" is a
 // grep, not a debugger session.
 //
 // Determinism contract. The service commits bit-identical deployments
-// across worker counts and pipeline depths (docs/ARCHITECTURE.md §4);
-// the journal inherits that by splitting every record into two strata:
+// on every replay of a trace (docs/ARCHITECTURE.md §4); the journal
+// inherits that by splitting every record into two strata:
 //
 //  * canonical fields — virtual time, decision kind, query/host, the
 //    commit-order round sequence number, and pre/post deployment
 //    fingerprints. These depend only on the committed decision sequence,
 //    so the canonical rendering (ToJsonl(/*canonical=*/true)) is
-//    byte-identical across workers {0,1,4} x pipeline depth {1,2,4} —
-//    asserted by the replay property suite and bench_service_churn.
-//  * operational fields — wall-clock solve/commit latencies and the
-//    pipeline dispatch id ("wall": {...}), plus whole records marked
-//    speculative (dispatches, unwinds, conflicts, scheduler requeues,
-//    watchdog stalls). Wall time and speculation are exactly what the
-//    worker count and depth DO change, so the full rendering carries
+//    byte-identical across replays — asserted by the replay property
+//    suite and bench_service_churn.
+//  * operational fields — wall-clock solve latencies ("wall":
+//    {...}), plus whole records marked speculative (scheduler discards,
+//    deadline breaches, watchdog stalls). The full rendering carries
 //    them and the canonical rendering strips them.
 //
-// Thread safety: none — Append() is loop-thread-only, like every other
-// commit-ordered structure in the service. Renders happen after the run
-// (or between events on the loop thread).
+// Thread safety: none — Append() is single-threaded, like every other
+// commit-ordered structure in the service.
 
 #include <cstdint>
 #include <string>
@@ -45,8 +42,7 @@ namespace obs {
 ///   measure.tick rate.directive replan.enqueue replan.round
 ///   replan.admit replan.reject replan.fail close.admitted
 ///   close.pending journal.close
-/// and (speculative) round.dispatch round.unwind replan.requeue
-/// replan.discard replan.conflict watchdog.stall.
+/// and (speculative) replan.discard solve.deadline watchdog.stall.
 struct AuditRecord {
   // ---- canonical ----
   int64_t t_ms = 0;          ///< virtual clock at the decision
@@ -70,12 +66,10 @@ struct AuditRecord {
   uint64_t post_structure = 0;
   uint64_t post_fp = 0;
   // ---- operational (stripped by the canonical rendering) ----
-  /// Whole-record marker: this decision only exists on some
-  /// worker/depth configurations (speculation artifacts).
+  /// Whole-record marker: wall-clock-driven or scheduling-detail
+  /// records the canonical rendering drops.
   bool speculative = false;
   double solve_ms = -1.0;    ///< wall-clock solve latency, -1 = none
-  double commit_ms = -1.0;   ///< wall-clock commit latency, -1 = none
-  int64_t dispatch_id = -1;  ///< pipeline dispatch id (depth-variant)
 };
 
 /// Append-only decision journal. Canonical records are numbered by

@@ -40,34 +40,6 @@ struct GroundedMap {
   }
 };
 
-/// One successful Deployment mutation, recorded in the optional journal
-/// (EnableJournal). A journal suffix replayed onto a copy of the state
-/// it started from reproduces the source deployment bit for bit —
-/// including flow-list order and the floating-point ledger history —
-/// which is what lets planner snapshots ship O(changes) overlays instead
-/// of full deployment copies (see SqprPlanner::MakeSnapshot).
-struct DeploymentMutation {
-  enum class Kind : uint8_t {
-    kAddFlow,
-    kRemoveFlow,
-    kPlaceOperator,
-    kRemoveOperator,
-    kSetServing,
-    kClearServing,
-    /// RecomputeAggregates(): ledgers rebuilt from the catalog's rates
-    /// *at replay time*. Safe because every UpdateBaseRate is followed
-    /// by a recompute, so entries after the journal's last kRecompute
-    /// replay under exactly the rates they originally used.
-    kRecompute,
-    kClear,
-  };
-  Kind kind = Kind::kRecompute;
-  HostId a = kInvalidHost;  // from / operator host / serving host
-  HostId b = kInvalidHost;  // flow destination
-  StreamId stream = kInvalidStream;
-  OperatorId op = kInvalidOperator;
-};
-
 /// The global allocation state of the DSPS — the committed values of the
 /// paper's decision variables:
 ///   serving map            d_hs = 1  (host h answers requests for s)
@@ -165,7 +137,7 @@ class Deployment {
   /// determinism contract (docs/ARCHITECTURE.md).
   std::string Fingerprint() const;
 
-  // ---- Change tracking (snapshot overlays & reuse-index deltas). ----
+  // ---- Change tracking (commit gates & reuse-index deltas). ----
 
   /// Monotone change counter: every successful mutator call (including
   /// Clear and RecomputeAggregates) bumps it exactly once.
@@ -180,30 +152,8 @@ class Deployment {
   /// defeat no-op skips nor hide structural fallout behind them.
   uint64_t structure_version() const { return structure_version_; }
 
-  /// Starts (or restarts) journalling: clears any recorded mutations and
-  /// records every subsequent successful mutator call, up to `limit`
-  /// records. Past the limit the journal is dropped and marked
-  /// truncated — the epoch no longer replays, consumers (MakeSnapshot)
-  /// must rebase — which bounds both the journal's memory and the
-  /// per-copy cost it adds to scratch deployments, no matter how long
-  /// the service runs between snapshots. The journal is part of the
-  /// value — copies carry it — so callers that care about the epoch
-  /// boundary re-enable right before copying.
-  void EnableJournal(size_t limit);
-  bool journal_enabled() const { return journal_enabled_; }
-  /// True when the journal overflowed its limit since EnableJournal:
-  /// the recorded suffix was dropped and cannot reproduce this state.
-  bool journal_truncated() const { return journal_truncated_; }
-  const std::vector<DeploymentMutation>& journal() const { return journal_; }
-
-  /// Replays recorded mutations in order. Starting from a copy of the
-  /// state the journal's epoch began at, this reproduces the source
-  /// deployment exactly (see DeploymentMutation).
-  Status ApplyJournal(const std::vector<DeploymentMutation>& records);
-
   /// Rough heap footprint of the committed state (flows, placements,
-  /// serving arcs, ledgers) — the bytes a full deployment copy moves,
-  /// reported against the bytes a snapshot overlay moves instead.
+  /// serving arcs, ledgers) — the bytes a full deployment copy moves.
   size_t ApproxSizeBytes() const;
 
   // ---- Checkpoint support (src/service/checkpoint.h). ----
@@ -232,9 +182,11 @@ class Deployment {
   }
 
  private:
-  /// Bumps version_ and journals one successful mutation.
-  void RecordMutation(DeploymentMutation::Kind kind, HostId a, HostId b,
-                      StreamId stream, OperatorId op);
+  /// Bumps version_, and structure_version_ for a structural mutation.
+  void RecordMutation(bool structural) {
+    ++version_;
+    if (structural) ++structure_version_;
+  }
   const Cluster* cluster_;
   const Catalog* catalog_;
 
@@ -247,18 +199,14 @@ class Deployment {
 
   uint64_t version_ = 0;
   uint64_t structure_version_ = 0;
-  bool journal_enabled_ = false;
-  bool journal_truncated_ = false;
-  size_t journal_limit_ = 0;
-  std::vector<DeploymentMutation> journal_;
 };
 
 /// The difference between two deployments over the same cluster and
 /// catalog, expressed as the mutator calls that turn `base` into `next`.
-/// This is the unit of work a speculative (worker-thread) solve hands
-/// back to the event loop: the solve edits a private copy of the
-/// committed state, and the loop thread later re-applies the diff to the
-/// live state — which may have drifted — via ApplyDeploymentDelta.
+/// This is the unit of work a proposal solve hands back to the planner:
+/// the solve edits a private copy of the committed state, and the commit
+/// re-applies the diff to the live state — which may have drifted — via
+/// ApplyDeploymentDelta.
 struct DeploymentDelta {
   struct ServingChange {
     StreamId stream = kInvalidStream;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <utility>
 
@@ -145,8 +144,8 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
   // Prior-round artifacts for this structure, if any. Two warm levers,
   // each gated deterministically (never on measured wall time — replay
-  // and fingerprint determinism depend on identical decisions at every
-  // worker count):
+  // and fingerprint determinism depend on identical decisions on every
+  // replay):
   //  * the root basis warm-starts the first LP (discarded inside the
   //    solver if presolve keeps different columns this round);
   //  * pooled cycle cuts become a *separation source* for the lazy
@@ -496,73 +495,6 @@ Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
   return proposal;
 }
 
-std::shared_ptr<const SqprPlanner::Snapshot> SqprPlanner::MakeSnapshot(
-    SnapshotStats* stats) {
-  SnapshotStats local;
-  // Rebase when this is the first snapshot ever (journalling starts
-  // here — before that the journal is not anchored to any core), the
-  // overlay has outgrown the threshold, or the journal overflowed its
-  // bound between snapshots (a truncated epoch cannot replay). The
-  // rebase pays one full copy; amortised over the >= threshold
-  // mutations that forced it.
-  const size_t threshold =
-      static_cast<size_t>(std::max(0, options_.snapshot_rebase_threshold));
-  const bool rebase = snapshot_core_ == nullptr ||
-                      !deployment_.journal_enabled() ||
-                      deployment_.journal_truncated() ||
-                      deployment_.journal().size() > threshold;
-  if (rebase) {
-    // The journal bound doubles the threshold so back-to-back
-    // snapshots straddling exactly `threshold` mutations rebase via
-    // the size check, not the truncation path; past 2x with no
-    // snapshot draining it, recording stops and memory stays bounded.
-    deployment_.EnableJournal(2 * threshold + 1);
-    snapshot_core_ = std::make_shared<const Deployment>(deployment_);
-    local.rebased = true;
-    local.bytes_copied += deployment_.ApproxSizeBytes();
-  }
-  std::shared_ptr<Snapshot> snap(new Snapshot());
-  snap->cluster_ = cluster_;
-  snap->catalog_ = catalog_;
-  snap->options_ = options_;
-  snap->core_ = snapshot_core_;
-  snap->overlay_ = deployment_.journal();
-  snap->admitted_ = admitted_;
-  snap->cache_ = cache_;
-  snap->artifacts_ = artifacts_;
-  local.overlay_entries = snap->overlay_.size();
-  local.bytes_copied += snap->overlay_.size() * sizeof(DeploymentMutation) +
-                        snap->admitted_.size() * sizeof(StreamId);
-  if (stats != nullptr) *stats = local;
-  return snap;
-}
-
-const SqprPlanner& SqprPlanner::Snapshot::Materialized() const {
-  std::call_once(once_, [this] {
-    SQPR_TRACE_SPAN_ARGS(span, "service/snapshot.materialize",
-                         "overlay_entries", nullptr);
-    span.set_args(overlay_.size());
-    auto planner =
-        std::make_unique<SqprPlanner>(cluster_, catalog_, options_);
-    planner->deployment_ = *core_;
-    // Replaying the journal suffix reproduces the live deployment at
-    // MakeSnapshot time bit for bit (see DeploymentMutation) — the same
-    // state the retired deep copy used to capture, at O(changes) loop
-    // -thread cost instead of O(deployment).
-    SQPR_CHECK_OK(planner->deployment_.ApplyJournal(overlay_));
-    planner->admitted_ = admitted_;
-    planner->cache_ = cache_;
-    planner->artifacts_ = artifacts_;
-    materialized_ = std::move(planner);
-  });
-  return *materialized_;
-}
-
-Result<AdmissionProposal> SqprPlanner::Snapshot::ProposeAdmission(
-    StreamId query) const {
-  return Materialized().ProposeAdmission(query);
-}
-
 Result<PlanningStats> SqprPlanner::CommitProposal(
     const AdmissionProposal& proposal) {
   if (proposal.query < 0 || proposal.query >= catalog_->num_streams()) {
@@ -576,8 +508,8 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // equivalent query meanwhile: free dedup, nothing to apply. A fresh
     // inline solve at this point would dedup identically — and would
     // not have run a MILP — so taking this path before the version gate
-    // (and installing no artifacts) is exactly what pipeline-depth
-    // invariance requires.
+    // (and installing no artifacts) is exactly what an inline solve
+    // would do.
     stats.admitted = true;
     stats.already_served = true;
     return stats;
@@ -588,10 +520,10 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     // encode decisions (placements, reuse) a fresh solve of the live
     // state would not make. Nothing is adopted — not even the solve
     // artifacts: a stale solve's root basis and pooled cuts steer the
-    // node-bounded search of later solves, so installing them would let
-    // pipeline depth change which incumbents those solves stop on. The
-    // caller re-solves inline; that solve installs its own artifacts at
-    // this same logical point.
+    // node-bounded search of later solves, so installing them would
+    // change which incumbents those solves stop on. The caller re-solves
+    // inline; that solve installs its own artifacts at this same logical
+    // point.
     return Status::FailedPrecondition(
         "proposal for stream " + std::to_string(proposal.query) +
         " solved against structure version " +
@@ -600,8 +532,8 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
   }
   if (proposal.artifacts != nullptr) {
     // Same gate for the solve's other input: the artifacts that seeded
-    // it. A commit of the same structure since the proposal's snapshot
-    // (an earlier round, at depth > 1) replaced them.
+    // it. A commit of the same structure since the proposal was solved
+    // replaced them.
     const auto live = artifacts_.find(proposal.artifact_key);
     const SolveArtifacts* live_prior =
         live == artifacts_.end() ? nullptr : live->second.get();
@@ -612,9 +544,8 @@ Result<PlanningStats> SqprPlanner::CommitProposal(
     }
     // Both inputs matched: the proposal's base state and seed are those
     // of an inline solve here, so its by-products are exactly what that
-    // solve would have harvested. Install on the committing thread, in
-    // commit order, to keep the artifact table identical across worker
-    // counts and pipeline depths.
+    // solve would have harvested. Install in commit order, so the
+    // artifact table is the one inline solves would have built.
     artifacts_[proposal.artifact_key] = proposal.artifacts;
     if (artifacts_.size() > 64) artifacts_.clear();
   }

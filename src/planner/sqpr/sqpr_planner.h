@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,8 @@ namespace sqpr {
 ///    used, or the query rejected if none admits it (§IV-C);
 ///  * batched submission with an n-fold timeout (Fig. 4(b));
 ///  * adaptive re-planning by removing and re-adding queries (§IV-B).
-/// A side-effect-free admission solve, produced by ProposeAdmission —
-/// possibly on a worker-pool thread — and applied later, on the thread
-/// owning the planner, by CommitProposal. `delta` is relative to the
+/// A side-effect-free admission solve, produced by ProposeAdmission and
+/// applied by CommitProposal. `delta` is relative to the
 /// committed deployment the proposal was solved against; it is empty
 /// when the solve did not admit the query.
 struct AdmissionProposal {
@@ -46,8 +44,8 @@ struct AdmissionProposal {
   /// barrier handlers, which retire every in-flight round first), so
   /// version equality attests the proposal's base state is bit-identical
   /// to the live state — the condition under which committing the delta
-  /// equals re-solving inline. Anything weaker would let pipeline depth
-  /// change committed plans.
+  /// equals re-solving inline. Anything weaker could commit a plan an
+  /// inline solve would not make.
   uint64_t base_version = 0;
   /// Solve by-products (root LP basis, pooled cycle cuts) harvested by
   /// the scratch solve, keyed by the solve's structural identity; null
@@ -99,11 +97,6 @@ class SqprPlanner : public Planner {
     /// so reuse/replanning quality is unchanged whenever the solver
     /// finishes in time.
     bool greedy_fallback = true;
-    /// Snapshot overlays (MakeSnapshot) rebase onto a fresh shared core
-    /// — one full deployment copy — once the mutation journal exceeds
-    /// this many entries, keeping the per-snapshot copy O(changes since
-    /// the last rebase) with an amortised-O(1) rebase cost per mutation.
-    int snapshot_rebase_threshold = 256;
     /// Reuse built model skeletons across rounds of the same solve
     /// structure (SqprSolveCache): a cache hit patches bounds against the
     /// current deployment (SqprMip::Rebind) instead of rebuilding every
@@ -169,30 +162,20 @@ class SqprPlanner : public Planner {
   Result<std::vector<PlanningStats>> ReplanQueries(
       const std::vector<StreamId>& queries);
 
-  // ---- Speculative solves (worker pool and loop thread alike). ----
+  // ---- Propose/commit admission (the planning service's arrivals). ----
   //
-  // Concurrency contract: ProposeAdmission never mutates the planner or
-  // the shared catalog/cluster, so any number of calls may run in
-  // parallel on an *immutable* planner — provided (a) WarmCatalog(query)
-  // was called first (it pre-interns every stream and operator a solve
-  // for `query` can touch, making the solve's catalog accesses pure
-  // reads — and, since StreamIds are assigned in interning order,
-  // keeping id assignment at a deterministic point instead of at the
-  // workers' mercy), and (b) nobody mutates the cluster or this planner
-  // while the calls are in flight. Catalog *interning* may proceed
-  // concurrently — it is internally synchronised and publishes entries
-  // atomically (the planning service's speculative arrival solves rely
-  // on exactly this) — but Catalog::UpdateBaseRate may not: it rewrites
-  // published entries and requires all solves quiesced. The planning
-  // service enforces all of this (see docs/ARCHITECTURE.md).
+  // ProposeAdmission never mutates the planner or the shared
+  // catalog/cluster, provided WarmCatalog(query) ran first: it
+  // pre-interns every stream and operator a solve for `query` can touch,
+  // making the solve's catalog accesses pure reads and — since StreamIds
+  // are assigned in interning order — keeping id assignment at a
+  // deterministic point (see docs/ARCHITECTURE.md).
 
   /// Pre-interns the join closure of `query` (every subset stream and
   /// binary split operator) so that a subsequent solve for it — MILP
   /// relevant-set construction and greedy-fallback join-tree enumeration
-  /// alike — performs no catalog writes. Call on the thread that owns
-  /// event ordering (the service's loop thread): interning is
-  /// thread-safe, but *when* it happens decides StreamId assignment,
-  /// which replay determinism pins to logical points.
+  /// alike — performs no catalog writes. *When* it runs decides StreamId
+  /// assignment, which replay determinism pins to logical points.
   Status WarmCatalog(StreamId query);
 
   /// Solves admission for `query` against a private copy of the
@@ -208,63 +191,14 @@ class SqprPlanner : public Planner {
   /// solve rejected the query commits nothing and reports the rejection.
   Result<PlanningStats> CommitProposal(const AdmissionProposal& proposal);
 
-  // ---- Copy-on-write snapshots (the worker pool's round inputs). ----
-
-  /// What one MakeSnapshot call copied on the calling (loop) thread.
-  struct SnapshotStats {
-    /// A fresh shared core was captured (full deployment copy).
-    bool rebased = false;
-    /// Journal entries shipped as the snapshot's overlay.
-    size_t overlay_entries = 0;
-    /// Bytes the call copied: overlay + admitted list, plus the full
-    /// deployment when it rebased.
-    size_t bytes_copied = 0;
-  };
-
-  /// An immutable view of the planner at MakeSnapshot time: a shared
-  /// core deployment (the last rebase point, shared by every snapshot
-  /// since) plus a thin overlay of the mutations recorded after it.
-  /// ProposeAdmission lazily materialises core+overlay into a full
-  /// planner — once per snapshot, on the first worker that needs it,
-  /// off the loop thread — and is safe to call from any number of
-  /// threads concurrently (same contract as on the live planner:
-  /// WarmCatalog must have run first).
-  class Snapshot {
-   public:
-    Result<AdmissionProposal> ProposeAdmission(StreamId query) const;
-
-   private:
-    friend class SqprPlanner;
-    Snapshot() = default;
-    const SqprPlanner& Materialized() const;
-
-    const Cluster* cluster_ = nullptr;
-    Catalog* catalog_ = nullptr;
-    Options options_;
-    std::shared_ptr<const Deployment> core_;
-    std::vector<DeploymentMutation> overlay_;
-    std::vector<StreamId> admitted_;
-    std::shared_ptr<SqprSolveCache> cache_;
-    std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
-    mutable std::once_flag once_;
-    mutable std::unique_ptr<SqprPlanner> materialized_;
-  };
-
-  /// Captures the committed state as a Snapshot in O(changes since the
-  /// last rebase): the core is a shared_ptr copy, the overlay is the
-  /// deployment's mutation journal. Rebases (one full copy) when the
-  /// journal exceeds Options::snapshot_rebase_threshold. Loop-thread
-  /// only, like every other mutator.
-  std::shared_ptr<const Snapshot> MakeSnapshot(SnapshotStats* stats = nullptr);
-
   // ---- Checkpoint support (src/service/checkpoint.h). ----
 
   /// Mutable access to the committed deployment, for restore-time
   /// reconstruction only: the restorer replays the checkpointed
   /// structure through the ordinary mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
-  /// reinstates the version counters. Never call while snapshots or
-  /// proposals are in flight.
+  /// reinstates the version counters. Never call while a proposal is
+  /// outstanding.
   Deployment* mutable_deployment() { return &deployment_; }
 
   /// Reinstates the admitted-query list (submission order) alongside a
@@ -294,18 +228,14 @@ class SqprPlanner : public Planner {
   Options options_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
-  /// Last rebase point of MakeSnapshot; outstanding snapshots keep it
-  /// alive after the planner moves on. Null until the first snapshot.
-  std::shared_ptr<const Deployment> snapshot_core_;
 
   // ---- Incremental-solve state (performance-only; see model_cache.h).
   // The model cache is shared — by pointer — with every scratch planner
-  // and snapshot spawned from this one, so speculative solves on worker
-  // threads benefit from (and refill) the same pool. The artifact table
-  // is value-copied into scratch planners; updates flow back through the
-  // proposal (AdmissionProposal::artifacts → CommitProposal), which
-  // keeps installation on the committing thread in deterministic commit
-  // order.
+  // spawned from this one, so proposal solves benefit from (and refill)
+  // the same pool. The artifact table is value-copied into scratch
+  // planners; updates flow back through the proposal
+  // (AdmissionProposal::artifacts → CommitProposal), which installs them
+  // in deterministic commit order.
   std::shared_ptr<SqprSolveCache> cache_;
   std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
   /// Key, harvested artifacts and seeding artifacts of the most recent

@@ -77,12 +77,10 @@ Result<std::string> ReadFileToString(const std::string& path) {
 namespace {
 
 /// ServiceStats members a checkpoint carries: exactly the counters the
-/// replay property suite ties across worker counts and pipeline depths.
-/// Depth/worker-variant counters (dispatches, conflicts, unwinds,
-/// snapshot and model telemetry) and wall-clock observations (histograms,
-/// watchdog breaches, deadline counters) deliberately restart at zero —
-/// serializing them would make the checkpoint bytes depend on the very
-/// knobs the determinism contract quantifies over.
+/// replay property suite ties across replays. Solver telemetry (model
+/// cache, node and pivot counts, conflicts) and wall-clock observations
+/// (histograms, watchdog breaches, deadline counters) deliberately
+/// restart at zero.
 struct StatField {
   const char* name;
   int64_t ServiceStats::*member;
@@ -285,8 +283,8 @@ Status DecodeTrajectory(const JsonValue& v, RateTrajectory* t,
 // ---------------------------------------------------------------------------
 
 Result<std::string> PlanningService::ExportCheckpoint() {
-  // A checkpoint is a pipeline barrier: retire in-flight rounds exactly
-  // as a monitor report would, bring the reuse index up to date and
+  // A checkpoint is a barrier: commit the pending round exactly as a
+  // monitor report would, bring the reuse index up to date and
   // canonicalize the deployment's ledger floats (RecomputeAggregates
   // rebuilds them from the catalog in one fixed order, erasing any
   // history-dependent summation error). Both sides of the crash-restore
@@ -301,7 +299,6 @@ Result<std::string> PlanningService::ExportCheckpoint() {
   root.Set("schema", JsonValue::Str(kCheckpointSchema));
   root.Set("now_ms", JsonValue::Int(clock_.now_ms()));
   root.Set("ticks_since_measure", JsonValue::Int(ticks_since_measure_));
-  root.Set("next_round_id", JsonValue::Int(next_round_id_));
   root.Set("audit_round_seq", JsonValue::Int(audit_round_seq_));
 
   JsonValue stats = JsonValue::Object();
@@ -434,7 +431,7 @@ Result<std::string> PlanningService::ExportCheckpoint() {
 // ---------------------------------------------------------------------------
 
 Status PlanningService::RestoreCheckpoint(const std::string& json) {
-  if (stats_.events != 0 || clock_.now_ms() != 0 || !inflight_.empty() ||
+  if (stats_.events != 0 || clock_.now_ms() != 0 || !round_.empty() ||
       !queue_.empty()) {
     return Status::FailedPrecondition(
         "RestoreCheckpoint requires a freshly constructed service");
@@ -658,17 +655,14 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
 
   int64_t now_ms = 0;
   int64_t ticks_since_measure = 0;
-  int64_t next_round_id = 0;
   int64_t audit_round_seq = 0;
   SQPR_RETURN_IF_ERROR(GetInt(root, "now_ms", &now_ms));
   SQPR_RETURN_IF_ERROR(
       GetInt(root, "ticks_since_measure", &ticks_since_measure));
-  SQPR_RETURN_IF_ERROR(GetInt(root, "next_round_id", &next_round_id));
   SQPR_RETURN_IF_ERROR(GetInt(root, "audit_round_seq", &audit_round_seq));
   if (now_ms < 0) return BadField("now_ms", "a non-negative integer");
   clock_.AdvanceTo(now_ms);
   ticks_since_measure_ = static_cast<int>(ticks_since_measure);
-  next_round_id_ = next_round_id;
   audit_round_seq_ = audit_round_seq;
 
   // The warm replay above bumped counters (catalog_exhausted); the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "common/deadline.h"
@@ -46,22 +45,11 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
       cache_(catalog),
       scheduler_(options.replan) {
   SQPR_CHECK(cluster != nullptr && catalog != nullptr);
-  if (options_.replan.workers > 0) {
-    int threads = options_.replan.workers;
-    if (options_.replan.clamp_workers_to_cores) {
-      const int cores =
-          static_cast<int>(std::thread::hardware_concurrency());
-      if (cores > 0) threads = std::min(threads, cores);
-    }
-    pool_ = std::make_unique<ThreadPool>(threads, [](int i) {
-      obs::TraceRecorder::SetCurrentThreadName("worker-" + std::to_string(i));
-    });
-  }
   if (options_.closed_loop) {
     telemetry_ =
         std::make_unique<MeasurementEngine>(catalog, options_.telemetry);
   }
-  // The scheduler audits its own enqueue/discard/requeue decisions;
+  // The scheduler audits its own enqueue/discard decisions;
   // it shares the service's journal and virtual clock.
   scheduler_.set_audit(options_.audit, &clock_);
 }
@@ -95,23 +83,16 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
   Bump("service.analytic_ticks", stats.analytic_ticks, &last_.analytic_ticks);
   Bump("service.cache_delta_updates", stats.cache_delta_updates,
        &last_.cache_delta_updates);
-  Bump("service.snapshot_bytes_copied", stats.snapshot_bytes_copied,
-       &last_.snapshot_bytes_copied);
-  Bump("service.snapshot_rebases", stats.snapshot_rebases,
-       &last_.snapshot_rebases);
   Bump("service.evictions", stats.evictions, &last_.evictions);
   Bump("service.replan_rounds", stats.replan_rounds, &last_.replan_rounds);
   Bump("service.replanned_admitted", stats.replanned_admitted,
        &last_.replanned_admitted);
   Bump("service.replanned_rejected", stats.replanned_rejected,
        &last_.replanned_rejected);
-  Bump("service.replan_dispatches", stats.replan_dispatches,
-       &last_.replan_dispatches);
   Bump("service.commit_conflicts", stats.commit_conflicts,
        &last_.commit_conflicts);
-  Bump("service.round_unwinds", stats.round_unwinds, &last_.round_unwinds);
-  Bump("service.overlapped_arrival_solves", stats.overlapped_arrival_solves,
-       &last_.overlapped_arrival_solves);
+  Bump("service.solver_nodes", stats.solver_nodes, &last_.solver_nodes);
+  Bump("service.lp_iterations", stats.lp_iterations, &last_.lp_iterations);
   Bump("service.model_patches", stats.model_patches, &last_.model_patches);
   Bump("service.model_rebuilds", stats.model_rebuilds,
        &last_.model_rebuilds);
@@ -131,14 +112,11 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.solve_budget_breaches);
   Bump("service.commit_budget_breaches", stats.commit_budget_breaches,
        &last_.commit_budget_breaches);
-  Bump("service.barrier_budget_breaches", stats.barrier_budget_breaches,
-       &last_.barrier_budget_breaches);
   Bump("service.measure_budget_breaches", stats.measure_budget_breaches,
        &last_.measure_budget_breaches);
   *registry_->histogram("service.admit_ms") = stats.admit_ms;
   *registry_->histogram("service.solve_ms") = stats.solve_ms;
   *registry_->histogram("service.commit_ms") = stats.commit_ms;
-  *registry_->histogram("service.barrier_ms") = stats.barrier_ms;
   *registry_->histogram("service.measure_ms") = stats.measure_ms;
 }
 
@@ -241,27 +219,20 @@ Result<EventOutcome> PlanningService::Step() {
   outcome.event = event;
   ++stats_.events;
 
-  // Handlers below mutate *published* state the worker solves read
-  // through shared pointers — measured-rate installation rewrites
-  // catalog entries in place, failure/join swaps host specs — so they
-  // must retire the whole in-flight pipeline first: commit the oldest
-  // round (the barrier is its pinned commit point) and unwind the
-  // younger speculative ones back to the scheduler. (Arrivals are
-  // exempt: they only *intern*, which the catalog synchronises
-  // internally.) This barrier is also what keeps replays deterministic:
-  // rounds commit at fixed logical points, never "when the solve
-  // happens to finish" — and never *early* at a barrier, which would
-  // let pipeline depth move their solves ahead of the rate install.
+  // Barrier events install measured rates (catalog entries rewritten in
+  // place) or swap host specs. The pending round was popped against the
+  // state before them, so its commit point is here, before the handler:
+  // its queries are solved under the old rates and specs.
   switch (event.kind) {
     case EventKind::kHostFailure:
     case EventKind::kHostJoin:
     case EventKind::kMonitorReport:
-      RetireAllRounds(&outcome);
+      CommitPendingRound(&outcome);
       break;
     case EventKind::kTick:
       // A measuring tick is a monitor report the service writes itself:
       // it crosses the same barrier before installing measured rates.
-      if (MeasurementDue()) RetireAllRounds(&outcome);
+      if (MeasurementDue()) CommitPendingRound(&outcome);
       break;
     default:
       break;
@@ -370,13 +341,9 @@ Status PlanningService::RunUntilIdle(std::vector<EventOutcome>* outcomes) {
 }
 
 void PlanningService::FinishInFlightRound() {
-  if (inflight_.empty()) return;
+  if (round_.empty()) return;
   EventOutcome scratch;  // results land in the aggregate stats_
-  // Same semantics as a barrier: only the oldest round's pinned commit
-  // point is due, so only it commits; younger speculative rounds return
-  // to the scheduler. A depth-1 service stopped here holds exactly this
-  // state — those rounds still queued, not yet dispatched.
-  RetireAllRounds(&scratch);
+  CommitPendingRound(&scratch);
   SyncPlanCache();
 }
 
@@ -470,9 +437,8 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   }
 
   // Authoritative dedup (Algorithm 1 line 3), cheap and before any
-  // speculation: a served stream's repeat arrival must not pay the
-  // planner-copy of a speculative solve (or count as an overlapped
-  // solve) just to discover it was a duplicate.
+  // solve: a served stream's repeat arrival must not pay the planner
+  // copy of a proposal just to discover it was a duplicate.
   if (deployment().ServingHost(query) != kInvalidHost) {
     PlanningStats dedup;
     dedup.admitted = true;
@@ -484,19 +450,11 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     return dedup;
   }
 
-  // Cache miss: speculative solve on the loop thread, overlapping any
-  // in-flight re-planning rounds. WarmCatalog pre-interns the query's
-  // join closure — the only catalog *writes* a solve needs, performed
-  // here on the loop thread so StreamId assignment stays at a
-  // deterministic point (interning itself is thread-safe; workers
-  // reading the catalog concurrently only ever see published entries).
-  // The solve then runs against a private copy of the committed state
-  // and commits its delta immediately; in-flight rounds keep solving
-  // throughout and reconcile at their own pinned commit points (FIFO,
-  // conflicts re-solved).
-  if (!inflight_.empty() && arrival) {
-    ++stats_.overlapped_arrival_solves;
-  }
+  // Cache miss: solve. WarmCatalog pre-interns the query's join closure
+  // — the only catalog *writes* a solve needs — so StreamId assignment
+  // stays at a deterministic point (a no-op for round queries, interned
+  // when their round was popped). The solve then runs against a private
+  // copy of the committed state and commits its delta immediately.
   const Status warmed = WarmCatalogLogged(query);
   if (!warmed.ok()) {
     SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
@@ -523,12 +481,10 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
               options_.watchdog.commit_budget_ms,
               &stats_.commit_budget_breaches);
   if (!stats.ok() && stats.status().IsFailedPrecondition()) {
-    // The strict version gate bounced the proposal: the conflict
-    // re-solves of a round commit (which call back into Admit while
-    // younger rounds are in flight) and test injection can both land a
-    // commit between this arrival's propose and commit. Re-solve as a
-    // fresh propose/commit pair against the live state — adjacent on
-    // the loop thread, so the retry cannot conflict again — and sample
+    // The strict version gate bounced the proposal: only the test
+    // injection hook can land a commit between this propose and commit.
+    // Re-solve as a fresh propose/commit pair against the live state —
+    // adjacent, so the retry cannot conflict again — and sample
     // each leg where an inline solve would have: the fresh solve's wall
     // time into solve_ms, the fresh commit's into commit_ms, so
     // conflict re-solves are indistinguishable in the histograms from
@@ -578,6 +534,8 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
 }
 
 void PlanningService::CountSolveStats(const PlanningStats& stats) {
+  stats_.solver_nodes += stats.solver_nodes;
+  stats_.lp_iterations += stats.lp_iterations;
   if (stats.model_patched) ++stats_.model_patches;
   if (stats.model_rebuilt) ++stats_.model_rebuilds;
   if (stats.warm_started) ++stats_.warm_starts;
@@ -691,15 +649,8 @@ void PlanningService::HandleDeparture(const Event& event,
     AuditFingerprint(&dr, /*post=*/false);
   }
   scheduler_.Discard(event.query);
-  // A query sits in at most one in-flight round (re-enqueues only
-  // happen at barriers, which drain the pipeline first), but scan them
-  // all: the discard must land in the round that carries it.
-  for (InFlightRound& round : inflight_) {
-    if (std::find(round.queries.begin(), round.queries.end(), event.query) !=
-        round.queries.end()) {
-      round.discards.insert(event.query);
-      break;
-    }
+  if (std::find(round_.begin(), round_.end(), event.query) != round_.end()) {
+    round_departed_.insert(event.query);
   }
   auto it = std::find(rejected_recently_.begin(), rejected_recently_.end(),
                       event.query);
@@ -932,127 +883,37 @@ Status PlanningService::HandleSelfMeasurement(EventOutcome* outcome) {
 }
 
 void PlanningService::DrainReplanRounds(EventOutcome* outcome) {
-  // Commit the oldest round — dispatched at least one event ago; with
-  // workers it had that event's entire processing to solve in the
-  // background — then top the pipeline back up against the state as of
-  // *this* event's mutations. Committing before filling means a round
-  // dispatched here never commits here: its pinned point is the next
-  // event, at every depth. Identical for every worker count: with
-  // workers == 0 the dispatches below solve synchronously, producing
-  // exactly the proposals a pool would have computed from snapshots
-  // taken at the same points.
-  CommitOldestRound(outcome);
-  const int depth = std::max(1, options_.replan.pipeline_depth);
-  while (static_cast<int>(inflight_.size()) < depth &&
-         scheduler_.HasPending()) {
-    DispatchReplanRound();
-  }
-}
-
-void PlanningService::DispatchReplanRound() {
+  // Commit before popping: a round popped here never commits here, its
+  // commit point is the next event.
+  CommitPendingRound(outcome);
   if (!scheduler_.HasPending()) return;
-
-  SQPR_TRACE_SPAN_ARGS(span, "service/round.dispatch", "round", "queries");
-  InFlightRound flight;
-  flight.id = next_round_id_++;
-  flight.queries = scheduler_.NextRound();
-  // Pre-intern, on this thread, everything a solve for these queries
-  // can touch in the shared catalog. This keeps StreamId assignment at
-  // a deterministic point (worker scheduling must never decide intern
-  // order) and makes the round's catalog accesses pure reads.
-  for (StreamId q : flight.queries) {
+  round_ = scheduler_.NextRound();
+  // Intern now, not at the commit: the next event's arrivals intern
+  // too, and interning order decides StreamId assignment.
+  for (StreamId q : round_) {
     const Status warmed = WarmCatalogLogged(q);
     if (!warmed.ok()) {
       SQPR_LOG_WARN << "warming catalog for query " << q
                     << " failed: " << warmed.ToString();
     }
   }
-  flight.proposals = std::make_shared<std::vector<Result<AdmissionProposal>>>(
-      flight.queries.size(),
-      Result<AdmissionProposal>(Status::Internal("not solved yet")));
-  flight.latch = std::make_shared<Latch>(
-      static_cast<int>(flight.queries.size()));
-  if (pool_ == nullptr) {
-    // Inline mode: the speculative solves run right here against the
-    // live planner — the same inputs a snapshot taken at this point
-    // would give a worker, so the proposals (and everything downstream
-    // of the shared commit path) are bit-identical across worker
-    // counts. With pipeline_depth > 1 this round may be speculating
-    // past an uncommitted older round, exactly like a worker would:
-    // the live planner holds only *committed* state, so the solve sees
-    // the same snapshot-equivalent view.
-    for (size_t i = 0; i < flight.queries.size(); ++i) {
-      (*flight.proposals)[i] = planner_.ProposeAdmission(flight.queries[i]);
-      flight.latch->CountDown();
-    }
-  } else {
-    // Copy-on-write snapshot: a shared immutable core plus the mutation
-    // journal since the last rebase — O(changes) on the loop thread.
-    // The first worker to need it materialises the full planner copy
-    // off this thread (the deep copy the dispatch used to pay here).
-    SqprPlanner::SnapshotStats snap_stats;
-    {
-      SQPR_TRACE_SPAN_ARGS(snap_span, "service/snapshot.make", "bytes_copied",
-                           "rebased");
-      flight.snapshot = planner_.MakeSnapshot(&snap_stats);
-      snap_span.set_args(snap_stats.bytes_copied, snap_stats.rebased ? 1 : 0);
-    }
-    stats_.snapshot_bytes_copied +=
-        static_cast<int64_t>(snap_stats.bytes_copied);
-    if (snap_stats.rebased) ++stats_.snapshot_rebases;
-    for (size_t i = 0; i < flight.queries.size(); ++i) {
-      // Tasks capture the shared state by value, never `this`: the
-      // pool's destructor (which drains and joins) is then always safe.
-      pool_->Submit([snapshot = flight.snapshot, proposals = flight.proposals,
-                     latch = flight.latch, i, query = flight.queries[i]] {
-        (*proposals)[i] = snapshot->ProposeAdmission(query);
-        latch->CountDown();
-      });
-    }
-  }
-  span.set_args(flight.id, flight.queries.size());
-  if (AuditOn()) {
-    obs::AuditRecord r = AuditBase("round.dispatch");
-    r.speculative = true;
-    r.detail = static_cast<int64_t>(flight.queries.size());
-    r.dispatch_id = flight.id;
-    r.streams.assign(flight.queries.begin(), flight.queries.end());
-    AuditAppend(std::move(r));
-  }
-  inflight_.push_back(std::move(flight));
-  ++stats_.replan_dispatches;
-  // Crash point: a round has been dispatched but not committed. A
+  // Crash point: a round has been popped but not committed. A
   // checkpoint taken before this event never saw the round, so restore
   // re-derives it from the scheduler groups.
   fault::MaybeCrash("mid-round");
 }
 
-void PlanningService::CommitOldestRound(EventOutcome* outcome) {
-  if (inflight_.empty()) return;
-  InFlightRound flight = std::move(inflight_.front());
-  inflight_.pop_front();
+void PlanningService::CommitPendingRound(EventOutcome* outcome) {
+  if (round_.empty()) return;
+  const std::vector<StreamId> queries = std::exchange(round_, {});
+  const std::set<StreamId> departed = std::exchange(round_departed_, {});
 
-  SQPR_TRACE_SPAN_ARGS(span, "service/round.commit", "round", "queries");
-  span.set_args(flight.id, flight.queries.size());
-  Stopwatch wait;
-  {
-    SQPR_TRACE_SPAN("service/round.barrier");
-    flight.latch->Wait();
-  }
-  const double barrier_wall_ms = wait.ElapsedMillis();
-  SampleStage(&stats_.barrier_ms, barrier_wall_ms,
-              options_.watchdog.barrier_budget_ms,
-              &stats_.barrier_budget_breaches);
-
+  SQPR_TRACE_SPAN_ARGS(span, "service/round.commit", "queries", nullptr);
+  span.set_args(queries.size());
   ++stats_.replan_rounds;
-  // Canonical round sequencing: a round that commits with at least one
-  // un-departed query consumes the next sequence number. Rounds whose
-  // every query departed in flight exist only at depth > 1 (depth 1
-  // discards them in the scheduler before dispatch), so they must not
-  // number — the journal's round column stays depth-invariant.
   std::vector<int64_t> live;
-  for (StreamId q : flight.queries) {
-    if (flight.discards.count(q) == 0) live.push_back(q);
+  for (StreamId q : queries) {
+    if (departed.count(q) == 0) live.push_back(q);
   }
   int64_t round_seq = -1;
   obs::AuditRecord round_r;
@@ -1062,94 +923,26 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
     round_r.round = round_seq;
     round_r.detail = static_cast<int64_t>(live.size());
     round_r.streams = live;
-    round_r.dispatch_id = flight.id;
-    round_r.commit_ms = barrier_wall_ms;
     AuditFingerprint(&round_r, /*post=*/false);
   }
-  for (size_t i = 0; i < flight.queries.size(); ++i) {
-    const StreamId q = flight.queries[i];
-    const Result<AdmissionProposal>& proposal = (*flight.proposals)[i];
-    if (flight.discards.count(q) > 0) {
-      // Departed after dispatch: drop the proposal — the async twin of
-      // the scheduler discard a depth-1 service performed directly (and
-      // audited there), hence speculative here.
+  for (StreamId q : queries) {
+    if (departed.count(q) > 0) {
       if (AuditOn()) {
         obs::AuditRecord r = AuditBase("replan.discard");
         r.speculative = true;
         r.query = q;
-        r.dispatch_id = flight.id;
         AuditAppend(std::move(r));
       }
       continue;
     }
-
-    bool resolved = false;
-    bool admitted = false;
-    bool solve_failed = false;
-    double solve_wall_ms = -1.0;
-    double commit_wall_ms = -1.0;
-    if (proposal.ok()) {
-      solve_wall_ms = proposal->stats.wall_ms;
-      SampleStage(&stats_.solve_ms, solve_wall_ms,
-                  options_.watchdog.solve_budget_ms,
-                  &stats_.solve_budget_breaches);
-      Stopwatch commit_watch;
-      Result<PlanningStats> committed = planner_.CommitProposal(*proposal);
-      commit_wall_ms = commit_watch.ElapsedMillis();
-      SampleStage(&stats_.commit_ms, commit_wall_ms,
-                  options_.watchdog.commit_budget_ms,
-                  &stats_.commit_budget_breaches);
-      if (committed.ok()) {
-        resolved = true;
-        CountSolveStats(*committed);
-        AuditDeadlineBreach(q, *committed);
-        admitted = committed->admitted;
-        if (admitted && !committed->already_served) {
-          MarkCacheDelta(proposal->delta);
-        }
-      } else if (!committed.status().IsFailedPrecondition()) {
-        // Hard error (malformed input) — mirrors an inline solve error.
-        SQPR_LOG_WARN << "committing proposal for query " << q
-                      << " failed: " << committed.status().ToString();
-        resolved = true;
-        solve_failed = true;
-      }
-      // FailedPrecondition: the strict version gate found the committed
-      // state structurally diverged from the proposal's base — an
-      // arrival, a departure with fallout, an earlier commit in this
-      // round, or (depth > 1) a whole older round committed since this
-      // round's snapshot. Fall through to a synchronous re-solve
-      // against the live state — still deterministic, since it depends
-      // only on the commit order, and warm: the model cache and the
-      // artifacts installed by whichever commit caused the conflict
-      // are exactly the structures the retry re-solves against.
-    } else {
-      SQPR_LOG_WARN << "speculative solve for query " << q
-                    << " failed: " << proposal.status().ToString();
-      resolved = true;
-      solve_failed = true;
+    // Each query sees the commits of the ones before it.
+    const Result<PlanningStats> stats = Admit(q, nullptr, /*arrival=*/false);
+    const bool admitted = stats.ok() && stats->admitted;
+    const bool solve_failed = !stats.ok();
+    if (solve_failed) {
+      SQPR_LOG_WARN << "re-planning query " << q
+                    << " failed: " << stats.status().ToString();
     }
-
-    if (!resolved) {
-      ++stats_.commit_conflicts;
-      // Conflict counts are depth-variant (deeper pipelines speculate
-      // across more uncommitted state), so the record is speculative;
-      // the resolution below lands in the canonical per-query record.
-      if (AuditOn()) {
-        obs::AuditRecord r = AuditBase("replan.conflict");
-        r.speculative = true;
-        r.query = q;
-        r.round = round_seq;
-        r.dispatch_id = flight.id;
-        AuditAppend(std::move(r));
-      }
-      Result<PlanningStats> stats =
-          Admit(q, nullptr, /*arrival=*/false);
-      admitted = stats.ok() && stats->admitted;
-      solve_failed = !stats.ok();
-      if (stats.ok()) solve_wall_ms = stats->wall_ms;
-    }
-
     if (admitted) {
       ++outcome->replanned_admitted;
       ++stats_.replanned_admitted;
@@ -1158,75 +951,19 @@ void PlanningService::CommitOldestRound(EventOutcome* outcome) {
       ++stats_.replanned_rejected;
       if (!solve_failed) RememberRejected(q);
     }
-
     if (AuditOn()) {
-      obs::AuditRecord r = AuditBase(admitted ? "replan.admit"
-                                    : solve_failed ? "replan.fail"
-                                                   : "replan.reject");
+      obs::AuditRecord r = AuditBase(admitted       ? "replan.admit"
+                                     : solve_failed ? "replan.fail"
+                                                    : "replan.reject");
       r.query = q;
       r.round = round_seq;
-      r.solve_ms = solve_wall_ms;
-      r.commit_ms = commit_wall_ms;
-      r.dispatch_id = flight.id;
+      if (stats.ok()) r.solve_ms = stats->wall_ms;
       AuditAppend(std::move(r));
     }
   }
   if (AuditOn() && !live.empty()) {
     AuditFingerprint(&round_r, /*post=*/true);
     AuditAppend(std::move(round_r));
-  }
-}
-
-void PlanningService::UnwindYoungestRound() {
-  InFlightRound flight = std::move(inflight_.back());
-  inflight_.pop_back();
-
-  SQPR_TRACE_SPAN_ARGS(span, "service/round.unwind", "round", "queries");
-  Stopwatch wait;
-  {
-    // The proposals are dropped unread, but the solves must still
-    // quiesce: workers read the shared catalog, and the barrier handler
-    // about to run rewrites published entries in place
-    // (Catalog::UpdateBaseRate, host spec swaps).
-    SQPR_TRACE_SPAN("service/round.barrier");
-    flight.latch->Wait();
-  }
-  SampleStage(&stats_.barrier_ms, wait.ElapsedMillis(),
-              options_.watchdog.barrier_budget_ms,
-              &stats_.barrier_budget_breaches);
-
-  std::vector<StreamId> requeue;
-  requeue.reserve(flight.queries.size());
-  for (StreamId q : flight.queries) {
-    if (flight.discards.count(q) == 0) requeue.push_back(q);
-  }
-  span.set_args(flight.id, requeue.size());
-  if (AuditOn()) {
-    obs::AuditRecord r = AuditBase("round.unwind");
-    r.speculative = true;
-    r.detail = static_cast<int64_t>(requeue.size());
-    r.dispatch_id = flight.id;
-    r.streams.assign(requeue.begin(), requeue.end());
-    AuditAppend(std::move(r));
-  }
-  // Front of the scheduler, as one group: the next dispatch pops this
-  // exact round again. Discarded (departed) queries stay out, matching
-  // the scheduler discard a depth-1 service performed directly.
-  scheduler_.Requeue(requeue);
-  ++stats_.round_unwinds;
-}
-
-void PlanningService::RetireAllRounds(EventOutcome* outcome) {
-  // The oldest round's pinned commit point coincides with the barrier,
-  // so it commits; every younger round is ahead of its point and
-  // unwinds instead. Committing them here would move their solves
-  // before the barrier's rate/spec installation — state depth 1 only
-  // lets them see *after* it — breaking cross-depth bit-identity.
-  // Unwinding youngest-first stacks the requeued groups so the oldest
-  // unwound round ends up frontmost, preserving FIFO order.
-  CommitOldestRound(outcome);
-  while (!inflight_.empty()) {
-    UnwindYoungestRound();
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/task_queue.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "model/catalog.h"
@@ -43,7 +42,6 @@ struct WatchdogOptions {
   double admit_budget_ms = 0.0;
   double solve_budget_ms = 0.0;
   double commit_budget_ms = 0.0;
-  double barrier_budget_ms = 0.0;
   double measure_budget_ms = 0.0;
 };
 
@@ -69,20 +67,16 @@ struct ServiceOptions {
   /// kRateDirective events steer the ground truth.
   bool closed_loop = false;
   TelemetryOptions telemetry;
-  /// Test-only injection point: invoked on the loop thread between an
-  /// arrival's speculative ProposeAdmission and its CommitProposal —
-  /// the one propose/commit adjacency the pipelined service still
-  /// guarantees by construction. Mutating the planner here forces the
-  /// strict version gate to bounce the arrival's proposal, driving the
-  /// conflict-fallback path deterministically at any pipeline depth
-  /// (service_test uses it at depth 1). Never invoked for the
+  /// Test-only injection point: invoked between an admission's
+  /// ProposeAdmission and its CommitProposal. Mutating the planner here
+  /// forces the strict version gate to bounce the proposal, driving the
+  /// conflict-fallback path deterministically. Never invoked for the
   /// fallback's own re-solve. Leave null outside tests.
   std::function<void(SqprPlanner&)> inject_between_propose_and_commit;
   /// Decision audit journal (null = auditing off, zero cost). Emission
-  /// happens on the loop thread at commit points only, so the canonical
-  /// record stream inherits the determinism contract: byte-identical
-  /// across workers {0,1,4} x pipeline depth {1,2,4} (see
-  /// obs/audit.h and docs/ARCHITECTURE.md §7). Must outlive the
+  /// happens at commit points only, so the canonical record stream
+  /// inherits the determinism contract: byte-identical across replays
+  /// (see obs/audit.h and docs/ARCHITECTURE.md §7). Must outlive the
   /// service. Auditing reads state and never gates behaviour — replay
   /// fingerprints are bit-identical with it on or off.
   obs::AuditJournal* audit = nullptr;
@@ -145,44 +139,27 @@ struct ServiceStats {
   /// serving-only departures) instead of a full grounded-fixpoint
   /// rebuild. Rebuild/no-op counts live on the PlanCache itself.
   int64_t cache_delta_updates = 0;
-  /// Bytes MakeSnapshot copied on the loop thread to hand re-planning
-  /// rounds their inputs (overlay + admitted list, plus the full
-  /// deployment on the amortised rebases) — O(changes since the last
-  /// *rebase*, bounded by the rebase threshold) instead of the retired
-  /// per-round planner deep copy.
-  int64_t snapshot_bytes_copied = 0;
-  /// Snapshot rebases (full-copy epochs) within the count above.
-  int64_t snapshot_rebases = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
-  /// Rounds entered into the speculative pipeline (every worker count
-  /// runs it; with workers >= 1 the solves go to the pool), and
-  /// proposals that no longer applied at commit time and were re-solved
-  /// synchronously on the loop thread. Neither is pipeline-depth
-  /// invariant: deeper pipelines dispatch the same rounds earlier
-  /// (sometimes re-dispatching after a barrier unwind) and speculate
-  /// across not-yet-committed older rounds, so they conflict more —
-  /// the price of starting solves early. The *committed* outcomes stay
-  /// bit-identical; see docs/ARCHITECTURE.md §4.
-  int64_t replan_dispatches = 0;
+  /// Admission proposals the strict version gate bounced and the
+  /// service re-solved inline. Propose and commit are adjacent, so only
+  /// the test injection hook (inject_between_propose_and_commit) can
+  /// make one; 0 in every ordinary run.
   int64_t commit_conflicts = 0;
-  /// Speculative rounds unwound — proposals discarded, queries returned
-  /// to the front of the scheduler — because a barrier event (monitor
-  /// report, host failure/join, measuring tick) retired the pipeline
-  /// before their pinned commit points. Only rounds *past* the oldest
-  /// unwind (the oldest commits at the barrier, exactly as depth 1
-  /// would); depth 1 therefore never unwinds.
+  /// Always 0: rounds solve in order at their commit point, so nothing
+  /// is unwound and no snapshot is copied. Kept only because the
+  /// benchmark replay still reads them; the next benchmark change drops
+  /// them together with barrier_ms below.
   int64_t round_unwinds = 0;
-  /// Cache-miss arrival solves performed while a re-planning round was
-  /// in flight (dispatched, not yet committed) — the overlap the
-  /// thread-safe catalog buys. Commit points are logical, so the count
-  /// is identical for every worker count; with workers >= 1 each such
-  /// solve genuinely overlaps background solving (the stall the
-  /// pre-speculative service paid as barrier wait), which is the
-  /// latency win bench_service_churn measures.
-  int64_t overlapped_arrival_solves = 0;
+  int64_t snapshot_bytes_copied = 0;
+  /// Solver effort summed over every committed solve (arrivals and
+  /// round queries): branch-and-bound nodes and simplex pivots. Under
+  /// node-bounded solves both are deterministic, so they measure work
+  /// without wall-clock noise.
+  int64_t solver_nodes = 0;
+  int64_t lp_iterations = 0;
   /// Incremental-solve counters (the planner's model cache and warm
   /// starts). MILP solves either patch a cached model skeleton in
   /// O(bounds) — model_patches — or build one from scratch —
@@ -223,15 +200,13 @@ struct ServiceStats {
   // organically — quantiles no longer need sample storage or a re-sort
   // per report.
   /// One admission through the cache-then-solve path (arrivals and
-  /// re-planning re-solves), excluding any in-flight-round retirement
-  /// it triggered — that time is reported under barrier/commit/solve.
+  /// re-planning round queries).
   obs::Histogram admit_ms;
-  /// Individual planner solves: inline arrival/re-planning solves and
-  /// worker-side speculative solves alike.
+  /// Individual planner solves (arrivals and round queries alike).
   obs::Histogram solve_ms;
-  /// Applying one worker proposal to the committed state.
+  /// Applying one proposal to the committed state.
   obs::Histogram commit_ms;
-  /// Loop-thread blocking waits for an in-flight round to finish.
+  /// Always empty (nothing waits on a round any more); see round_unwinds.
   obs::Histogram barrier_ms;
   /// One §IV-C self-measurement (closed loop only): the whole
   /// Measure() call — ClusterSim execution in engine mode, the ledger
@@ -251,7 +226,6 @@ struct ServiceStats {
   int64_t admit_budget_breaches = 0;
   int64_t solve_budget_breaches = 0;
   int64_t commit_budget_breaches = 0;
-  int64_t barrier_budget_breaches = 0;
   int64_t measure_budget_breaches = 0;
 };
 
@@ -299,43 +273,22 @@ class ServiceMetricsPublisher {
 ///                     rates) and feeds it through the same §IV-B path;
 ///   kRateDirective  — install a ground-truth rate trajectory into the
 ///                     closed loop's rate model (ignored open-loop).
-/// Every event ends by committing the oldest in-flight re-admission
-/// round and topping the pipeline back up with the next bounded ones,
-/// so planning latency per event stays bounded no matter how large a
-/// failure or drift report is.
+/// Every event ends by committing the pending re-admission round and
+/// popping the next bounded one, so planning latency per event stays
+/// bounded no matter how large a failure or drift report is.
 ///
-/// Threading: re-planning rounds run through a speculative
-/// propose/commit pipeline at *every* worker count, up to
-/// ReplanPolicyOptions::pipeline_depth rounds deep. Each round pins its
-/// own planner snapshot at dispatch and commits at a fixed logical
-/// point: exactly one round — the oldest — commits per Step(), FIFO in
-/// dispatch order, so a round dispatched at the end of event N commits
-/// at the end of event N+1 regardless of how many younger rounds were
-/// dispatched behind it. Depth only moves dispatches earlier, never
-/// commits: committed deployments are bit-identical across worker
-/// counts AND pipeline depths. Rounds beyond the oldest speculate
-/// against snapshots that older commits may invalidate; the planner's
-/// strict structure-version gate bounces any stale proposal at its
-/// pinned commit point (installing none of its solve artifacts) and the
-/// service re-solves it inline against the live state — deterministic,
-/// since it depends only on the commit order (the commit_conflicts
-/// counter; warm-started, so the retry is cheap). With workers >= 1 the
-/// solves run on a pool against immutable snapshots while the loop
-/// thread keeps consuming events; with workers == 0 they run
-/// synchronously at dispatch against the live planner — the same state
-/// the snapshot would capture. Cache-miss arrivals solve speculatively
-/// on the loop thread (WarmCatalog + ProposeAdmission +
-/// CommitProposal) *without* retiring in-flight rounds: catalog
-/// interning is internally synchronised and workers only ever read
-/// published entries. Events that mutate state workers read in place —
-/// monitor reports (measured-rate installation), host failure/join
-/// (spec swaps), measuring ticks — still retire the whole pipeline
-/// first: the oldest round commits (its pinned point coincides with
-/// the barrier), and every younger round *unwinds* — proposals
-/// dropped, un-departed queries returned to the front of the scheduler
-/// — so the post-barrier schedule is exactly the one depth 1 would
-/// have. See docs/ARCHITECTURE.md for the full model and determinism
-/// contract.
+/// Rounds: the group popped off the scheduler at the end of event N is
+/// the *pending round*. Its catalog closures are interned at the pop,
+/// which pins StreamId assignment. It commits at the end of event N+1,
+/// or at the start of N+1 when N+1 is a barrier event (monitor report,
+/// host failure/join, measuring tick) that installs rates or host specs
+/// the round must not see. At its commit point the round's queries are
+/// solved in order against the committed state, each seeing the ones
+/// before it, through the same solve-and-commit path as an arrival
+/// (minus the plan-cache fast path). Queries that departed since the
+/// pop are skipped. Nothing is solved ahead of its commit point, so no
+/// solve is thrown away. Everything runs on the calling thread. See
+/// docs/ARCHITECTURE.md for the full model and determinism contract.
 class PlanningService {
  public:
   /// The service mutates `cluster` (host failure/rejoin) and `catalog`
@@ -353,18 +306,12 @@ class PlanningService {
   Result<EventOutcome> Step();
 
   /// Drains the queue; outcomes are appended when `outcomes` != nullptr.
-  /// Ends by retiring the in-flight pipeline (commit the oldest round,
-  /// unwind the rest), so the returned-to deployment and the pending
-  /// backlog are bit-identical across pipeline depths.
+  /// Ends by committing the pending round (FinishInFlightRound).
   Status RunUntilIdle(std::vector<EventOutcome>* outcomes = nullptr);
 
-  /// Retires the in-flight pipeline, if any (no-op when empty): waits
-  /// for and commits the *oldest* round — the one whose pinned commit
-  /// point is due — and unwinds younger speculative rounds back to the
-  /// front of the scheduler, exactly as a barrier event would. Queued
-  /// backlog stays pending. Call after stepping the service manually to
-  /// a stopping point; the resulting state matches a depth-1 service
-  /// stopped at the same point.
+  /// Commits the pending round, if any, exactly as a barrier event
+  /// would. Queued backlog stays pending. Call after stepping the
+  /// service manually to a stopping point.
   void FinishInFlightRound();
 
   /// Translates a cluster-simulation report into a monitor-report event
@@ -395,32 +342,21 @@ class PlanningService {
   }
   bool HostActive(HostId h) const;
   /// Re-planning candidates not yet resolved: queued in the scheduler
-  /// plus those in flight, minus in-flight queries that departed after
-  /// dispatch (their proposals will be dropped, matching the scheduler
-  /// discard a depth-1 service would have performed — the subtraction
-  /// keeps this count pipeline-depth invariant).
+  /// plus the pending round's queries that have not departed.
   int pending_replans() const {
-    int pending = static_cast<int>(scheduler_.pending());
-    for (const InFlightRound& round : inflight_) {
-      pending +=
-          static_cast<int>(round.queries.size() - round.discards.size());
-    }
-    return pending;
+    return static_cast<int>(scheduler_.pending() + round_.size() -
+                            round_departed_.size());
   }
-  /// Worker threads solving re-planning rounds (0 = solves run on the
-  /// loop thread at dispatch; the pipeline and results are identical).
-  int workers() const { return pool_ ? pool_->num_threads() : 0; }
 
   // ---- Crash durability (implemented in src/service/checkpoint.cc;
   // see docs/ARCHITECTURE.md "Durability & degraded modes"). ----
 
   /// Serializes the full service state as a sqpr-checkpoint-v1 JSON
-  /// document. A checkpoint is a *pipeline barrier*: the call first
-  /// retires any in-flight rounds (commit the oldest, unwind the rest),
-  /// syncs the plan cache and canonicalizes the deployment ledgers —
-  /// the same quiesce every barrier event performs — so the serialized
-  /// state is worker/depth-invariant and the exported bytes are
-  /// byte-identical across worker counts and pipeline depths. Restoring
+  /// document. A checkpoint is a *barrier*: the call first commits the
+  /// pending round, syncs the plan cache and canonicalizes the
+  /// deployment ledgers — the same quiesce every barrier event performs
+  /// — so the exported bytes are a function of the events consumed.
+  /// Restoring
   /// it into a freshly constructed service (same cluster/catalog/
   /// options provenance) and replaying the remaining events produces
   /// bit-identical committed deployments to an uninterrupted run that
@@ -440,34 +376,6 @@ class PlanningService {
   Status RestoreCheckpoint(const std::string& json);
 
  private:
-  /// One re-planning round in the speculative pipeline. With workers,
-  /// tasks capture the shared_ptr state (never `this`), so destruction
-  /// order is never a hazard: the pool joins before anything else is
-  /// torn down. With workers == 0 the proposals are already solved and
-  /// the latch already open when the round enters flight.
-  struct InFlightRound {
-    /// Monotonic dispatch id, tagged onto the round's
-    /// dispatch/commit/unwind trace spans so a flight recording
-    /// correlates the three ends of one round across the pipeline.
-    int64_t id = 0;
-    std::vector<StreamId> queries;
-    /// Queries that departed after this round dispatched; their
-    /// proposals are dropped at commit/unwind (the async twin of
-    /// ReplanScheduler::Discard). Scoped per round: with several rounds
-    /// in flight, a departure must only suppress the copy of the query
-    /// in the round that actually carries it.
-    std::set<StreamId> discards;
-    /// Copy-on-write view of the planner the solves run against (null
-    /// in inline mode, which solves against the live planner at
-    /// dispatch — the same state the snapshot materialises). Shared
-    /// core + O(changes) overlay; see SqprPlanner::MakeSnapshot.
-    std::shared_ptr<const SqprPlanner::Snapshot> snapshot;
-    /// Slot i is written by the task solving queries[i]; the latch's
-    /// CountDown/Wait pair publishes the writes to the loop thread.
-    std::shared_ptr<std::vector<Result<AdmissionProposal>>> proposals;
-    std::shared_ptr<Latch> latch;
-  };
-
   void HandleArrival(const Event& event, EventOutcome* outcome);
   void HandleDeparture(const Event& event, EventOutcome* outcome);
   Status HandleHostFailure(const Event& event, EventOutcome* outcome);
@@ -477,14 +385,14 @@ class PlanningService {
   /// Shared §IV-B sink of measured data — scripted monitor reports and
   /// closed-loop self-measurements alike: Analyze, then RunDriftCycle
   /// into the bounded re-planning scheduler. Callers cross the monitor
-  /// barrier (retire the in-flight round) first: the cycle installs
+  /// barrier (commit the pending round) first: the cycle installs
   /// measured rates in place (Catalog::UpdateBaseRate).
   Status ApplyMonitorData(const std::map<StreamId, double>& measured_rates,
                           const std::vector<double>& cpu_utilization,
                           EventOutcome* outcome);
 
   /// True on the tick that will fire a closed-loop self-measurement —
-  /// used by Step() to retire the in-flight round first (same barrier a
+  /// used by Step() to commit the pending round first (same barrier a
   /// scripted kMonitorReport crosses).
   bool MeasurementDue() const {
     return telemetry_ != nullptr &&
@@ -495,43 +403,18 @@ class PlanningService {
   /// under the rate model's current truth, then ApplyMonitorData.
   Status HandleSelfMeasurement(EventOutcome* outcome);
 
-  /// End of every Step(): commits the oldest in-flight round (whose
-  /// pinned commit point is this event), then tops the pipeline back up
-  /// to pipeline_depth rounds against the state as of this event's
-  /// mutations (both worker counts).
+  /// End of every Step(): commits the pending round (whose commit point
+  /// is this event), then pops the next one off the scheduler and
+  /// interns its queries' catalog closures — the deterministic interning
+  /// point. The "mid-round" crash point sits between pop and commit.
   void DrainReplanRounds(EventOutcome* outcome);
 
-  /// Pops the next round off the scheduler, pre-warms the catalog for
-  /// its queries (the deterministic interning point) and solves them
-  /// speculatively: on the worker pool (workers >= 1) or synchronously
-  /// right here (workers == 0). One round per call; DrainReplanRounds
-  /// loops it until pipeline_depth rounds are in flight.
-  void DispatchReplanRound();
-
-  /// Blocks until the oldest in-flight round (if any) is solved, then
-  /// commits its proposals in FIFO order on the calling (loop) thread;
-  /// a proposal the strict version gate bounces is re-solved
-  /// synchronously. Exactly one round commits per call — the pinned
-  /// commit point that keeps committed deployments identical across
-  /// pipeline depths.
-  void CommitOldestRound(EventOutcome* outcome);
-
-  /// Pops the *youngest* in-flight round without committing it: waits
-  /// for its solves to quiesce (workers may be reading the catalog),
-  /// drops the proposals and returns the round's un-departed queries to
-  /// the front of the scheduler as one group, so the next dispatch pops
-  /// the same round again.
-  void UnwindYoungestRound();
-
-  /// The pipeline barrier every handler that mutates worker-read state
-  /// in place (measured rates, host specs) must cross first: commits
-  /// the oldest round — the barrier event is its pinned commit point —
-  /// and unwinds every younger round, youngest first, so the oldest
-  /// unwound group ends up frontmost in the scheduler. Committing the
-  /// younger rounds instead would let depth change committed state:
-  /// they would land *before* the barrier's rate/spec installation,
-  /// where depth 1 solves them after it.
-  void RetireAllRounds(EventOutcome* outcome);
+  /// Solves the pending round's queries in order against the committed
+  /// state, one Admit(q, nullptr, /*arrival=*/false) each, skipping the
+  /// ones that departed since the pop. No-op when no round is pending.
+  /// Barrier events and FinishInFlightRound call it before their
+  /// handler; DrainReplanRounds calls it at the end of every Step().
+  void CommitPendingRound(EventOutcome* outcome);
 
   // ---- Reuse-index (PlanCache) maintenance. ----
   //
@@ -553,18 +436,12 @@ class PlanningService {
   /// Applies the queued maintenance (end of Step / round retirement).
   void SyncPlanCache();
 
-  /// Admits one query; shared by arrivals and re-planning re-solves.
-  /// Arrivals try the plan-cache fast path, then a speculative solve on
-  /// the loop thread (WarmCatalog + ProposeAdmission + CommitProposal)
-  /// that overlaps any in-flight rounds instead of retiring them. When
-  /// `reuse_candidates` is non-null it receives the number of
-  /// materialised proper-subquery hits. `arrival` is false for the
-  /// commit-path conflict re-solves of a round: they skip the fast path
-  /// and the overlapped_arrival_solves counter. A round's proposals are
-  /// solves, never cache hits, so its re-solve must be the same solve
-  /// against the live state; otherwise whether a proposal conflicted —
-  /// which pipeline depth decides — would choose between a solved plan
-  /// and a cached one.
+  /// Admits one query; shared by arrivals and re-planning round queries.
+  /// Arrivals try the plan-cache fast path, then a solve (WarmCatalog +
+  /// ProposeAdmission + CommitProposal). When `reuse_candidates` is
+  /// non-null it receives the number of materialised proper-subquery
+  /// hits. `arrival` is false for round queries: they skip the fast
+  /// path, so a re-planned query is always placed by a solve.
   Result<PlanningStats> Admit(StreamId query, int* reuse_candidates,
                               bool arrival = true);
 
@@ -580,18 +457,16 @@ class PlanningService {
   /// 3 = rejected (retried through the next round once, arrivals only).
   void AuditDeadlineBreach(StreamId query, const PlanningStats& stats) const;
 
-  /// Folds one solve's incremental-path telemetry into the aggregate
-  /// counters (loop thread only; worker-side solves are counted when
-  /// their proposals commit).
+  /// Folds one committed solve's telemetry (incremental-path flags,
+  /// solver effort) into the aggregate counters.
   void CountSolveStats(const PlanningStats& stats);
 
   void RememberRejected(StreamId query);
 
   // ---- Decision audit journal (options_.audit; all no-ops when off).
-  // Canonical records are emitted at commit points only, so the stream
-  // is worker/depth-invariant; anything tied to speculative pipeline
-  // state is marked speculative and excluded from canonical rendering
-  // (see obs/audit.h). ----
+  // Canonical records are emitted at commit points only; wall-clock
+  // observations and scheduler discards are marked speculative and
+  // excluded from canonical rendering (see obs/audit.h). ----
 
   bool AuditOn() const { return options_.audit != nullptr; }
   /// Builds a record stamped with the virtual time.
@@ -607,10 +482,7 @@ class PlanningService {
                    int64_t* breaches);
 
   /// Committed-round sequence for replan.round records: counts rounds
-  /// that committed with at least one non-discarded query. Rounds whose
-  /// every query departed in flight exist only at depth > 1 (depth 1
-  /// discards them in the scheduler before dispatch), so they must not
-  /// consume a sequence number.
+  /// that committed with at least one query that had not departed.
   int64_t audit_round_seq_ = 0;
 
   Cluster* cluster_;
@@ -653,14 +525,12 @@ class PlanningService {
   /// instantly-expired test budget does exactly that).
   std::set<StreamId> deadline_retried_;
 
-  /// Speculative re-planning pipeline (every worker count), oldest
-  /// round at the front; at most ReplanPolicyOptions::pipeline_depth
-  /// rounds deep. The pool is declared last so it is destroyed —
-  /// joining its threads — before any other member; tasks only capture
-  /// the shared_ptrs inside InFlightRound, never `this`.
-  std::deque<InFlightRound> inflight_;
-  int64_t next_round_id_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
+  /// The pending round (empty when none): popped at the end of the
+  /// previous event, committed at the end of this one or at an earlier
+  /// barrier. `round_departed_` holds its queries that departed since
+  /// the pop; the commit skips them.
+  std::vector<StreamId> round_;
+  std::set<StreamId> round_departed_;
 };
 
 }  // namespace sqpr

@@ -27,16 +27,16 @@ bool ReplanScheduler::Enqueue(StreamId query) {
   }
   groups_.back().push_back(query);
   // Canonical: enqueues come from barrier handlers (failure/drift
-  // evictions, join retries), which retire the speculative pipeline
-  // first — the pending set at that point is worker/depth-invariant.
+  // evictions, join retries) and deadline-breach retries.
   Audit("replan.enqueue", query, /*speculative=*/false);
   return true;
 }
 
 void ReplanScheduler::Discard(StreamId query) {
   if (pending_.erase(query) == 0) return;
-  // Speculative: whether the departed query still sits here (vs already
-  // dispatched into an in-flight round) depends on the pipeline depth.
+  // Speculative, like the service's discard of a pending-round query:
+  // which of the two records a departure leaves is a detail of when the
+  // round was popped.
   Audit("replan.discard", query, /*speculative=*/true);
   // Remove from its group without re-packing: round boundaries were
   // fixed at enqueue time and must survive discards (see header).
@@ -56,20 +56,6 @@ std::vector<StreamId> ReplanScheduler::NextRound() {
   groups_.pop_front();
   for (StreamId q : round) pending_.erase(q);
   return round;
-}
-
-void ReplanScheduler::Requeue(const std::vector<StreamId>& queries) {
-  std::deque<StreamId> group;
-  for (StreamId q : queries) {
-    // A query can already be pending again (e.g. a drift report fired
-    // between dispatch and unwind); keep the newer position.
-    if (!pending_.insert(q).second) continue;
-    // Speculative by construction: requeues only exist because a round
-    // was dispatched early (depth > 1) and then unwound.
-    Audit("replan.requeue", q, /*speculative=*/true);
-    group.push_back(q);
-  }
-  if (!group.empty()) groups_.push_front(std::move(group));
 }
 
 std::vector<std::vector<StreamId>> ReplanScheduler::ExportGroups() const {

@@ -23,48 +23,14 @@ class VirtualClock;
 /// MILP solve, so an unbounded drift report (or a failed host carrying
 /// many queries) could stall the event loop. The policy batches all
 /// pending candidates into *rounds* of at most `max_queries_per_round`
-/// solves; up to `pipeline_depth` rounds are in flight at once, each
-/// pinned to commit exactly one event after the previous round (or at an
-/// earlier barrier), so the remainder stays queued for later events and
-/// ticks.
+/// solves; one round commits per event, and the remainder stays queued
+/// for later events and ticks.
 struct ReplanPolicyOptions {
   int max_queries_per_round = 8;
-  /// Worker-pool threads solving re-planning rounds off the event-loop
-  /// thread. Every worker count — including 0 — runs the same
-  /// speculative propose/commit pipeline with the same logical dispatch
-  /// and commit points; `workers` only decides *where* the round's
-  /// solves run. With 0 they run synchronously on the loop thread at
-  /// dispatch; with N >= 1 they run on a pool while the loop keeps
-  /// consuming events (arrivals keep admitting — via the plan-cache
-  /// fast path *and* via speculative cache-miss solves over the
-  /// thread-safe catalog). Proposals commit on the loop thread in FIFO
-  /// order either way, so the worker count never changes the committed
-  /// deployments — only how much solve time overlaps event processing
-  /// (see docs/ARCHITECTURE.md).
+  /// Ignored: rounds always solve in order on the calling thread. Kept
+  /// only because the benchmark replay still sets it; the next
+  /// benchmark change removes it together with its --workers flag.
   int workers = 0;
-  /// Maximum re-planning rounds in flight at once. Each round pins its
-  /// own planner snapshot at dispatch and commits at a fixed logical
-  /// point — one round per consumed event, FIFO in dispatch order — so
-  /// the depth decides only how early a round's solves *start*, never
-  /// where they land: committed deployments are bit-identical across
-  /// depths (and worker counts). Rounds beyond the first speculate
-  /// against a snapshot that older rounds' commits may invalidate; the
-  /// strict structure-version gate then bounces the stale proposal and
-  /// the service re-solves it inline, warm-started, at the pinned
-  /// commit point (the commit_conflicts counter). Depth 1 reproduces
-  /// the old dispatch-then-commit-next-event behaviour exactly.
-  int pipeline_depth = 2;
-  /// Cap the pool at the machine's hardware concurrency (minus nothing —
-  /// the loop thread mostly blocks at the barrier while a round solves).
-  /// Requesting more CPU-bound solver threads than cores buys no
-  /// parallelism, only time-slicing: on a 1-core host, workers=4 made
-  /// every in-flight solve ~4x slower wall-clock (the drift-trace p95
-  /// blow-up the workers=4 Perfetto trace pinned on `milp/node` spans
-  /// stretched by preemption, not on any lock). Deterministic to flip:
-  /// the worker count never affects committed deployments, only solve
-  /// overlap. Tests that *want* oversubscription (TSan interleaving
-  /// coverage) set this to false.
-  bool clamp_workers_to_cores = true;
 };
 
 /// Deduplicating FIFO of re-planning candidates. Candidates accumulate
@@ -74,13 +40,12 @@ struct ReplanPolicyOptions {
 /// in one period is re-planned once (the §IV-B round semantics).
 ///
 /// Round composition is pinned at *enqueue* time: candidates are cut
-/// into groups of at most max_queries_per_round as they arrive, and a
-/// later Discard shrinks its group without re-packing the others. This
-/// matters for pipeline-depth invariance — if groups re-packed, a
-/// departure hitting a query that depth 2 already dispatched (but depth
-/// 1 still has queued) would shift every later round's composition
-/// between the two depths. With enqueue-time cutting, both depths see
-/// identical rounds minus identically-discarded members.
+/// into groups of at most max_queries_per_round as they arrive (a
+/// candidate joins the newest group unless it is full), and a
+/// later Discard shrinks its group without re-packing the others. A
+/// departure then removes exactly one query from one round, whether
+/// that round is still queued here or already popped as the service's
+/// pending round, and every later round keeps its composition.
 class ReplanScheduler {
  public:
   explicit ReplanScheduler(ReplanPolicyOptions options)
@@ -95,15 +60,6 @@ class ReplanScheduler {
   /// Pops the oldest group (up to max_queries_per_round candidates, in
   /// enqueue order).
   std::vector<StreamId> NextRound();
-
-  /// Returns an unwound round's queries to the *front* of the queue, as
-  /// one group, preserving their order — used when a barrier retires a
-  /// speculative in-flight round before its pinned commit point. The
-  /// next NextRound pops exactly this group again, so the post-barrier
-  /// schedule is the one a depth-1 service (which never dispatched the
-  /// round) would produce. Queries that re-entered the queue meanwhile
-  /// are skipped rather than duplicated.
-  void Requeue(const std::vector<StreamId>& queries);
 
   bool HasPending() const { return !pending_.empty(); }
   size_t pending() const { return pending_.size(); }
@@ -126,12 +82,10 @@ class ReplanScheduler {
   /// the run that produced the checkpoint.
   void ImportGroups(const std::vector<std::vector<StreamId>>& groups);
 
-  /// Attaches a decision audit journal (null detaches). Genuine
-  /// enqueues happen at barrier-retired points, so replan.enqueue
-  /// records are canonical (worker/depth-invariant); requeues and
-  /// discards depend on what was speculatively in flight, so theirs are
-  /// marked speculative. `clock` supplies the virtual time
-  /// (loop-thread-owned, like the scheduler itself).
+  /// Attaches a decision audit journal (null detaches). replan.enqueue
+  /// records are canonical; replan.discard records are marked
+  /// speculative, as the service's own discards of pending-round
+  /// queries are. `clock` supplies the virtual time.
   void set_audit(obs::AuditJournal* audit, const VirtualClock* clock) {
     audit_ = audit;
     audit_clock_ = clock;

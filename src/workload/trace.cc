@@ -351,9 +351,12 @@ Result<std::vector<Event>> LoadTrace(const std::string& path) {
         if (marker != "cpu") return bad("unexpected trailing token");
         size_t m;
         if (!(ss >> m)) return bad("missing cpu count");
-        cpu.resize(m);
+        // The count is untrusted: read entries until it or the line runs
+        // out, never pre-size from it.
         for (size_t i = 0; i < m; ++i) {
-          if (!(ss >> cpu[i])) return bad("missing cpu entry");
+          double u;
+          if (!(ss >> u)) return bad("missing cpu entry");
+          cpu.push_back(u);
         }
       }
       events.push_back(

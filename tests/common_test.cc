@@ -4,13 +4,11 @@
 #include <set>
 #include <vector>
 
-#include <atomic>
 
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/task_queue.h"
 #include "common/zipf.h"
 
 namespace sqpr {
@@ -217,71 +215,6 @@ TEST(DeadlineTest, FutureDeadlineNotYetExpired) {
   Deadline d = Deadline::AfterMillis(60000);
   EXPECT_FALSE(d.Expired());
   EXPECT_GT(d.RemainingMillis(), 1000);
-}
-
-// ------------------------------------------------------ ThreadPool/Latch
-
-TEST(LatchTest, WaitReturnsAfterAllCountDowns) {
-  Latch latch(2);
-  EXPECT_FALSE(latch.TryWait());
-  latch.CountDown();
-  EXPECT_FALSE(latch.TryWait());
-  latch.CountDown();
-  EXPECT_TRUE(latch.TryWait());
-  latch.Wait();  // already released: returns immediately
-  latch.CountDown();  // past zero: no-op
-  EXPECT_TRUE(latch.TryWait());
-}
-
-TEST(LatchTest, ZeroCountIsImmediatelyReleased) {
-  Latch latch(0);
-  EXPECT_TRUE(latch.TryWait());
-  latch.Wait();
-}
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  constexpr int kTasks = 64;
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> sum{0};
-  Latch latch(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([i, &sum, &latch] {
-      sum.fetch_add(i + 1);
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
-}
-
-TEST(ThreadPoolTest, LatchPublishesResultsWrittenBeforeCountDown) {
-  // The pattern the planning service relies on: workers fill distinct
-  // slots, the waiter reads them after Wait() with no further locking.
-  ThreadPool pool(3);
-  std::vector<int> slots(24, -1);
-  Latch latch(static_cast<int>(slots.size()));
-  for (size_t i = 0; i < slots.size(); ++i) {
-    pool.Submit([i, &slots, &latch] {
-      slots[i] = static_cast<int>(i) * 3;
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i], static_cast<int>(i) * 3);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-  }  // destructor joins only after every queued task ran
-  EXPECT_EQ(ran.load(), 16);
 }
 
 }  // namespace

@@ -421,7 +421,7 @@ TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
 /// Minimal closed-loop replay (a condensed Replay() from
 /// service_replay_property_test.cc): fresh state per call, node-bounded
 /// solver, self-measuring loop.
-std::string ClosedLoopFingerprint(uint64_t seed, int workers) {
+std::string ClosedLoopFingerprint(uint64_t seed) {
   Cluster cluster(3, HostSpec{0.6, 70.0, 70.0, ""}, 140.0);
   Catalog catalog(CostModel{});
   WorkloadConfig wc;
@@ -446,7 +446,6 @@ std::string ClosedLoopFingerprint(uint64_t seed, int workers) {
   ServiceOptions options;
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 80;
-  options.replan.workers = workers;
   options.closed_loop = true;
   options.telemetry.measure_period = 2;
   options.telemetry.seed = seed;
@@ -458,23 +457,18 @@ std::string ClosedLoopFingerprint(uint64_t seed, int workers) {
 }
 
 TEST(TraceTest, TracingNeverGatesBehavior) {
-  // The §4 contract says replays are bit-identical across worker
-  // counts; §7 extends it to "and regardless of whether the flight
-  // recorder is on". Same seed, tracing off vs on, inline and
-  // multi-worker.
+  // The §4 contract says replays are bit-identical; §7 extends it to
+  // "and regardless of whether the flight recorder is on". Same seed,
+  // tracing off vs on.
   const uint64_t seed = 11;
   TraceRecorder::Get().Disable();
-  const std::string off_inline = ClosedLoopFingerprint(seed, 0);
-  const std::string off_workers = ClosedLoopFingerprint(seed, 4);
-  EXPECT_EQ(off_inline, off_workers);
+  const std::string off = ClosedLoopFingerprint(seed);
 
   TraceRecorder::Get().Enable();
-  const std::string on_inline = ClosedLoopFingerprint(seed, 0);
-  const std::string on_workers = ClosedLoopFingerprint(seed, 4);
+  const std::string on = ClosedLoopFingerprint(seed);
   TraceRecorder::Get().Disable();
 
-  EXPECT_EQ(off_inline, on_inline) << "tracing changed the inline replay";
-  EXPECT_EQ(off_inline, on_workers) << "tracing changed the workers=4 replay";
+  EXPECT_EQ(off, on) << "tracing changed the replay";
 
   // And the traced run actually recorded the event path.
   std::vector<SpanRecord> spans = TraceRecorder::Get().Drain();

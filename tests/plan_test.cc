@@ -189,50 +189,6 @@ TEST(DeploymentTest, VersionCountsEverySuccessfulMutation) {
   EXPECT_EQ(dep.structure_version(), s0 + 1);
 }
 
-TEST(DeploymentTest, JournalReplayReproducesStateExactly) {
-  Fixture f;
-  Deployment dep(&f.cluster, &f.catalog);
-  ASSERT_TRUE(dep.PlaceOperator(1, f.join_ab).ok());
-
-  dep.EnableJournal(64);
-  const Deployment epoch_start = dep;  // the journal's replay base
-
-  ASSERT_TRUE(dep.AddFlow(0, 1, f.a).ok());
-  ASSERT_TRUE(dep.AddFlow(1, 2, f.ab).ok());
-  ASSERT_TRUE(dep.SetServing(f.ab, 2).ok());
-  ASSERT_TRUE(dep.RemoveFlow(1, 2, f.ab).ok());
-  ASSERT_TRUE(dep.ClearServing(f.ab).ok());
-  dep.RecomputeAggregates();
-  EXPECT_FALSE(dep.journal_truncated());
-
-  Deployment replayed = epoch_start;
-  ASSERT_TRUE(replayed.ApplyJournal(dep.journal()).ok());
-  EXPECT_EQ(replayed.Fingerprint(), dep.Fingerprint());
-  EXPECT_DOUBLE_EQ(replayed.NicOutUsed(0), dep.NicOutUsed(0));
-  EXPECT_DOUBLE_EQ(replayed.NicOutUsed(1), dep.NicOutUsed(1));
-  EXPECT_DOUBLE_EQ(replayed.CpuUsed(1), dep.CpuUsed(1));
-}
-
-TEST(DeploymentTest, JournalOverflowTruncatesAndStopsRecording) {
-  Fixture f;
-  Deployment dep(&f.cluster, &f.catalog);
-  dep.EnableJournal(3);
-  // Each add/remove pair is two records: the fourth mutation overflows.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(dep.AddFlow(0, 1, f.a).ok());
-    ASSERT_TRUE(dep.RemoveFlow(0, 1, f.a).ok());
-  }
-  // Memory stays bounded: the journal was dropped, not grown, and the
-  // truncation is visible so consumers rebase instead of replaying.
-  EXPECT_TRUE(dep.journal_truncated());
-  EXPECT_TRUE(dep.journal().empty());
-  // Re-enabling starts a fresh, valid epoch.
-  dep.EnableJournal(16);
-  ASSERT_TRUE(dep.AddFlow(0, 1, f.a).ok());
-  EXPECT_FALSE(dep.journal_truncated());
-  EXPECT_EQ(dep.journal().size(), 1u);
-}
-
 TEST(QueryPlanTest, ExtractSimplePlan) {
   Fixture f;
   Deployment dep(&f.cluster, &f.catalog);

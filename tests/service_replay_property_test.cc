@@ -1,23 +1,19 @@
 // Property test for the planning service's determinism contract
 // (docs/ARCHITECTURE.md §4): replaying any trace with a node-bounded
 // solver commits bit-for-bit identical deployments — and identical
-// admission/eviction statistics — for every worker count, including the
-// inline mode (workers == 0). Twenty generated traces with varied seeds
-// and event mixes (arrivals/departures/failures/joins/drift/ticks)
-// stand in for "any trace"; the two hand-written worker-invariance
-// cases in service_test.cc remain as focused regressions.
+// admission/eviction statistics and solver effort — on every replay.
+// Twenty generated traces with varied seeds and event mixes
+// (arrivals/departures/failures/joins/drift/ticks) stand in for "any
+// trace". Per-replay state is rebuilt from scratch (fresh
+// catalog/cluster/workload from the same seed): drift reports install
+// measured rates into the catalog, so nothing may leak between replays.
 //
-// Each trace is replayed with workers in {0, 1, 4} — and, open-loop,
-// across the full pipeline-depth {1, 2, 4} x workers {0, 1, 4} matrix
-// (the depth axis of the same contract). Per-replay state is
-// rebuilt from scratch (fresh catalog/cluster/workload from the same
-// seed): drift reports install measured rates into the catalog, so
-// nothing may leak between replays.
-//
-// The contract extends unchanged to closed-loop mode (§IV-C): a second
-// property replays generated closed-loop traces — ground-truth rate
-// trajectories plus periodic self-measurement, zero scripted monitor
-// events — across the same worker counts.
+// The contract extends unchanged to closed-loop mode (§IV-C):
+// ground-truth rate trajectories plus periodic self-measurement, zero
+// scripted monitor events. The *WorkerCountInvariant* and
+// PipelineDepthWorkerMatrixInvariant properties keep the names they had
+// when they also swept worker counts and pipeline depths; they now
+// replay each trace twice, and check the in-order round path.
 
 #include <gtest/gtest.h>
 
@@ -37,54 +33,49 @@
 namespace sqpr {
 namespace {
 
-/// Everything the contract promises is worker-count-invariant. Wall
-/// clock (latency stats) is deliberately excluded.
+/// Everything the contract promises is replay-invariant. Wall clock
+/// (latency stats) is deliberately excluded.
 struct ReplayResult {
   std::string fingerprint;
+  int64_t arrivals = 0;
   int64_t admitted = 0;
   int64_t rejected = 0;
   int64_t dedup_hits = 0;
   int64_t cache_fast_path = 0;
   int64_t evictions = 0;
+  int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
-  int64_t replan_dispatches = 0;
   int64_t commit_conflicts = 0;
-  int64_t overlapped_arrival_solves = 0;
+  int64_t round_unwinds = 0;
   int64_t monitor_reports = 0;
   int64_t rate_directives = 0;
   int64_t measurement_ticks = 0;
   int64_t auto_replan_rounds = 0;
-  /// Analytic-mode measurements and incremental reuse-index updates are
-  /// logical (commit-order) quantities, so the contract covers them;
-  /// snapshot byte counts are NOT here (workers == 0 never snapshots).
   int64_t analytic_ticks = 0;
   int64_t cache_delta_updates = 0;
   int64_t cache_rebuilds = 0;
+  int64_t catalog_exhausted = 0;
+  /// Solver effort: solves (solve_ms samples), B&B nodes, LP pivots.
+  /// Deterministic under the node-bounded solver.
+  int64_t solves = 0;
+  int64_t solver_nodes = 0;
+  int64_t lp_iterations = 0;
+  /// Observations of the retired round pipeline that must stay empty.
+  int64_t snapshot_bytes = 0;
+  int64_t barrier_waits = 0;
   int pending_replans = 0;
   bool valid = false;
 
   auto Tie() const {
-    return std::tie(fingerprint, admitted, rejected, dedup_hits,
-                    cache_fast_path, evictions, replanned_admitted,
-                    replanned_rejected, replan_dispatches, commit_conflicts,
-                    overlapped_arrival_solves, monitor_reports,
-                    rate_directives, measurement_ticks, auto_replan_rounds,
-                    analytic_ticks, cache_delta_updates, cache_rebuilds,
-                    pending_replans, valid);
-  }
-  /// The subset additionally invariant across *pipeline depths*. The
-  /// speculative-attempt counters are defined per attempt, not per
-  /// logical outcome, so depth >= 2 legitimately moves them: unwound
-  /// rounds re-dispatch (replan_dispatches), manufactured staleness is
-  /// re-solved inline (commit_conflicts — and each conflict repairs the
-  /// reuse index with a rebuild instead of a delta, moving the cache
-  /// counters too).
-  auto DepthInvariantTie() const {
-    return std::tie(fingerprint, admitted, rejected, dedup_hits,
-                    cache_fast_path, evictions, replanned_admitted,
-                    replanned_rejected, monitor_reports, rate_directives,
-                    pending_replans, valid);
+    return std::tie(fingerprint, arrivals, admitted, rejected, dedup_hits,
+                    cache_fast_path, evictions, replan_rounds,
+                    replanned_admitted, replanned_rejected, commit_conflicts,
+                    round_unwinds, monitor_reports, rate_directives,
+                    measurement_ticks, auto_replan_rounds, analytic_ticks,
+                    cache_delta_updates, cache_rebuilds, catalog_exhausted,
+                    solves, solver_nodes, lp_iterations, snapshot_bytes,
+                    barrier_waits, pending_replans, valid);
   }
   bool operator==(const ReplayResult& other) const {
     return Tie() == other.Tie();
@@ -92,14 +83,14 @@ struct ReplayResult {
 };
 
 std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
-  return os << "admitted=" << r.admitted << " rejected=" << r.rejected
-            << " dedup=" << r.dedup_hits << " cache=" << r.cache_fast_path
-            << " evictions=" << r.evictions
+  return os << "arrivals=" << r.arrivals << " admitted=" << r.admitted
+            << " rejected=" << r.rejected << " dedup=" << r.dedup_hits
+            << " cache=" << r.cache_fast_path
+            << " evictions=" << r.evictions << " rounds=" << r.replan_rounds
             << " replanned=" << r.replanned_admitted << "/"
             << (r.replanned_admitted + r.replanned_rejected)
-            << " dispatches=" << r.replan_dispatches
             << " conflicts=" << r.commit_conflicts
-            << " overlapped=" << r.overlapped_arrival_solves
+            << " unwinds=" << r.round_unwinds
             << " monitor=" << r.monitor_reports
             << " directives=" << r.rate_directives
             << " measured=" << r.measurement_ticks
@@ -107,6 +98,11 @@ std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
             << " analytic=" << r.analytic_ticks
             << " cache-deltas=" << r.cache_delta_updates
             << " cache-rebuilds=" << r.cache_rebuilds
+            << " exhausted=" << r.catalog_exhausted
+            << " solves=" << r.solves << " nodes=" << r.solver_nodes
+            << " pivots=" << r.lp_iterations
+            << " snapshot-bytes=" << r.snapshot_bytes
+            << " barrier-waits=" << r.barrier_waits
             << " pending=" << r.pending_replans << " valid=" << r.valid
             << "\nfingerprint:\n"
             << r.fingerprint;
@@ -172,8 +168,7 @@ Scenario MakeScenario(uint64_t seed, bool closed_loop) {
   return s;
 }
 
-ServiceOptions MakeOptions(uint64_t seed, int workers, bool closed_loop,
-                           MeasureMode mode, int pipeline_depth,
+ServiceOptions MakeOptions(uint64_t seed, bool closed_loop, MeasureMode mode,
                            obs::AuditJournal* journal) {
   ServiceOptions options;
   // The contract requires a node-bounded solver: a wall-clock deadline
@@ -181,13 +176,6 @@ ServiceOptions MakeOptions(uint64_t seed, int workers, bool closed_loop,
   // load (docs/ARCHITECTURE.md §4).
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 80;
-  options.replan.workers = workers;
-  options.replan.pipeline_depth = pipeline_depth;
-  // Genuine N-thread coverage: the default clamps the pool to the core
-  // count (a latency guard, see ReplanPolicyOptions), which on a 1-core
-  // CI host would silently turn every workers=4 replay into workers=1
-  // and the worker-invariance property into a tautology.
-  options.replan.clamp_workers_to_cores = false;
   if (closed_loop) {
     options.closed_loop = true;
     options.telemetry.mode = mode;
@@ -208,16 +196,17 @@ ReplayResult Harvest(PlanningService& service) {
   ReplayResult result;
   result.fingerprint = service.deployment().Fingerprint();
   const ServiceStats& stats = service.stats();
+  result.arrivals = stats.arrivals;
   result.admitted = stats.admitted;
   result.rejected = stats.rejected;
   result.dedup_hits = stats.dedup_hits;
   result.cache_fast_path = stats.cache_fast_path;
   result.evictions = stats.evictions;
+  result.replan_rounds = stats.replan_rounds;
   result.replanned_admitted = stats.replanned_admitted;
   result.replanned_rejected = stats.replanned_rejected;
-  result.replan_dispatches = stats.replan_dispatches;
   result.commit_conflicts = stats.commit_conflicts;
-  result.overlapped_arrival_solves = stats.overlapped_arrival_solves;
+  result.round_unwinds = stats.round_unwinds;
   result.monitor_reports = stats.monitor_reports;
   result.rate_directives = stats.rate_directives;
   result.measurement_ticks = stats.measurement_ticks;
@@ -225,19 +214,24 @@ ReplayResult Harvest(PlanningService& service) {
   result.analytic_ticks = stats.analytic_ticks;
   result.cache_delta_updates = stats.cache_delta_updates;
   result.cache_rebuilds = service.plan_cache().rebuilds();
+  result.catalog_exhausted = stats.catalog_exhausted;
+  result.solves = static_cast<int64_t>(stats.solve_ms.count());
+  result.solver_nodes = stats.solver_nodes;
+  result.lp_iterations = stats.lp_iterations;
+  result.snapshot_bytes = stats.snapshot_bytes_copied;
+  result.barrier_waits = static_cast<int64_t>(stats.barrier_ms.count());
   result.pending_replans = service.pending_replans();
   result.valid = service.deployment().Validate().ok();
   return result;
 }
 
-ReplayResult Replay(uint64_t seed, int workers, bool closed_loop = false,
+ReplayResult Replay(uint64_t seed, bool closed_loop = false,
                     MeasureMode mode = MeasureMode::kEngine,
-                    int pipeline_depth = 2,
                     obs::AuditJournal* journal = nullptr) {
   Scenario s = MakeScenario(seed, closed_loop);
   PlanningService service(
       s.cluster.get(), s.catalog.get(),
-      MakeOptions(seed, workers, closed_loop, mode, pipeline_depth, journal));
+      MakeOptions(seed, closed_loop, mode, journal));
   for (const Event& e : s.trace) EXPECT_TRUE(service.Enqueue(e).ok());
   EXPECT_TRUE(service.RunUntilIdle().ok());
   if (journal != nullptr) service.FinalizeAudit();
@@ -248,92 +242,75 @@ class ServiceReplayPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ServiceReplayPropertyTest, WorkerCountInvariantDeployments) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode = Replay(seed, 0);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
+  const ReplayResult first = Replay(seed);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
 
-  const ReplayResult one_worker = Replay(seed, 1);
-  EXPECT_EQ(inline_mode, one_worker) << "workers 0 vs 1 diverged, seed "
-                                     << seed;
-
-  const ReplayResult four_workers = Replay(seed, 4);
-  EXPECT_EQ(inline_mode, four_workers) << "workers 0 vs 4 diverged, seed "
-                                       << seed;
+  const ReplayResult again = Replay(seed);
+  EXPECT_EQ(first, again) << "repeated replay diverged, seed " << seed;
 }
 
 // The same property over the §IV-C closed loop: the trace scripts
 // ground-truth trajectories (zero monitor reports) and every
 // measurement — the ClusterSim run, the seeded noise, the EWMA state,
-// the drift cycle it triggers — happens at the tick barrier on the loop
-// thread, so the full self-measuring service must stay bit-for-bit
-// worker-count-invariant too.
+// the drift cycle it triggers — happens at the tick barrier, so the
+// full self-measuring service must replay bit for bit too.
 TEST_P(ServiceReplayPropertyTest, ClosedLoopWorkerCountInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode = Replay(seed, 0, /*closed_loop=*/true);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
-  EXPECT_EQ(inline_mode.monitor_reports, 0)
+  const ReplayResult first = Replay(seed, /*closed_loop=*/true);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
+  EXPECT_EQ(first.monitor_reports, 0)
       << "closed-loop traces must not script measurements, seed " << seed;
-  EXPECT_GT(inline_mode.measurement_ticks, 0)
+  EXPECT_GT(first.measurement_ticks, 0)
       << "closed loop never self-measured, seed " << seed;
-  EXPECT_GT(inline_mode.rate_directives, 0) << "seed " << seed;
+  EXPECT_GT(first.rate_directives, 0) << "seed " << seed;
 
-  const ReplayResult one_worker = Replay(seed, 1, /*closed_loop=*/true);
-  EXPECT_EQ(inline_mode, one_worker)
-      << "closed loop: workers 0 vs 1 diverged, seed " << seed;
-
-  const ReplayResult four_workers = Replay(seed, 4, /*closed_loop=*/true);
-  EXPECT_EQ(inline_mode, four_workers)
-      << "closed loop: workers 0 vs 4 diverged, seed " << seed;
+  const ReplayResult again = Replay(seed, /*closed_loop=*/true);
+  EXPECT_EQ(first, again) << "closed loop: replay diverged, seed " << seed;
 }
 
 // And over the analytic measurement mode (no ClusterSim in the loop):
 // the ledger-derived measurements are pure functions of the committed
-// state and the seeded noise stream, so the copy-on-write snapshots,
-// the incremental cache maintenance and the analytic drift decisions
-// must all replay identically at every worker count.
+// state and the seeded noise stream, so the incremental cache
+// maintenance and the analytic drift decisions must replay identically.
 TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult inline_mode =
-      Replay(seed, 0, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_TRUE(inline_mode.valid) << "seed " << seed;
-  EXPECT_GT(inline_mode.measurement_ticks, 0) << "seed " << seed;
-  EXPECT_EQ(inline_mode.analytic_ticks, inline_mode.measurement_ticks)
+  const ReplayResult first =
+      Replay(seed, /*closed_loop=*/true, MeasureMode::kAnalytic);
+  EXPECT_TRUE(first.valid) << "seed " << seed;
+  EXPECT_GT(first.measurement_ticks, 0) << "seed " << seed;
+  EXPECT_EQ(first.analytic_ticks, first.measurement_ticks)
       << "every measurement must take the analytic path, seed " << seed;
 
-  const ReplayResult one_worker =
-      Replay(seed, 1, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_EQ(inline_mode, one_worker)
-      << "analytic loop: workers 0 vs 1 diverged, seed " << seed;
-
-  const ReplayResult four_workers =
-      Replay(seed, 4, /*closed_loop=*/true, MeasureMode::kAnalytic);
-  EXPECT_EQ(inline_mode, four_workers)
-      << "analytic loop: workers 0 vs 4 diverged, seed " << seed;
+  const ReplayResult again =
+      Replay(seed, /*closed_loop=*/true, MeasureMode::kAnalytic);
+  EXPECT_EQ(first, again) << "analytic loop: replay diverged, seed " << seed;
 }
 
-// The contract's second axis (docs/ARCHITECTURE.md §4): the pipeline
-// depth moves round dispatches earlier but never moves a commit point,
-// so replaying the same open-loop trace across the full depth {1, 2, 4}
-// × workers {0, 1, 4} matrix must commit bit-identical deployments and
-// identical logical statistics. Compared on the depth-invariant subset
-// (DepthInvariantTie) — the per-attempt counters differ by design.
-// Open-loop only: the worker-invariance properties above already cover
-// the closed loop at the default depth.
+// The round path (docs/ARCHITECTURE.md §4) on every trace, open and
+// closed loop: each round query is solved once, at its commit point, so
+// no proposal conflicts, nothing unwinds, no snapshot is copied and
+// nothing waits on a round. Every solve is either a cache-miss arrival
+// or a live round query.
 TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult baseline =
-      Replay(seed, 0, /*closed_loop=*/false, MeasureMode::kEngine,
-             /*pipeline_depth=*/1);
-  EXPECT_TRUE(baseline.valid) << "seed " << seed;
-  for (const int depth : {1, 2, 4}) {
-    for (const int workers : {0, 1, 4}) {
-      if (depth == 1 && workers == 0) continue;  // the baseline itself
-      const ReplayResult replay =
-          Replay(seed, workers, /*closed_loop=*/false, MeasureMode::kEngine,
-                 depth);
-      EXPECT_TRUE(baseline.DepthInvariantTie() == replay.DepthInvariantTie())
-          << "depth " << depth << " x workers " << workers
-          << " diverged from depth 1 x workers 0, seed " << seed
-          << "\nbaseline: " << baseline << "\nreplay:   " << replay;
+  for (const bool closed_loop : {false, true}) {
+    const ReplayResult r = Replay(seed, closed_loop);
+    EXPECT_TRUE(r.valid) << "seed " << seed;
+    EXPECT_EQ(r.commit_conflicts, 0) << "seed " << seed;
+    EXPECT_EQ(r.round_unwinds, 0) << "seed " << seed;
+    EXPECT_EQ(r.snapshot_bytes, 0) << "seed " << seed;
+    EXPECT_EQ(r.barrier_waits, 0) << "seed " << seed;
+    const int64_t arrival_solves = r.arrivals - r.dedup_hits -
+                                   r.cache_fast_path - r.catalog_exhausted;
+    const int64_t round_queries = r.replanned_admitted + r.replanned_rejected;
+    EXPECT_LE(r.solves, arrival_solves + round_queries)
+        << "a query was solved more than once, seed " << seed << "\n"
+        << r;
+    EXPECT_GE(r.solves, arrival_solves)
+        << "seed " << seed << "\n" << r;
+    if (r.solves > 0) {
+      EXPECT_GT(r.solver_nodes, 0) << "seed " << seed;
+      EXPECT_GT(r.lp_iterations, 0) << "seed " << seed;
     }
   }
 }
@@ -341,49 +318,42 @@ TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
 // The decision audit journal rides the same contract (obs/audit.h):
 // canonical records are emitted at commit points only, so the canonical
 // rendering — header line plus every non-speculative record, "wall"
-// object stripped — must be BYTE-identical across the full worker
-// {0, 1, 4} x pipeline-depth {1, 2, 4} matrix. And auditing must never
-// gate behaviour: the journal-attached replays commit the same
-// deployment fingerprint as an audit-off replay of the same trace.
+// object stripped — must be BYTE-identical across replays. And auditing
+// must never gate behaviour: the journal-attached replays commit the
+// same deployment fingerprint as an audit-off replay of the same trace.
 TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
   const uint64_t seed = GetParam();
-  const ReplayResult audit_off =
-      Replay(seed, 0, /*closed_loop=*/false, MeasureMode::kEngine,
-             /*pipeline_depth=*/1);
+  const ReplayResult audit_off = Replay(seed);
   EXPECT_TRUE(audit_off.valid) << "seed " << seed;
 
   std::string canonical;
-  for (const int depth : {1, 2, 4}) {
-    for (const int workers : {0, 1, 4}) {
-      obs::AuditJournal journal;
-      const ReplayResult replay =
-          Replay(seed, workers, /*closed_loop=*/false, MeasureMode::kEngine,
-                 depth, &journal);
-      EXPECT_EQ(replay.fingerprint, audit_off.fingerprint)
-          << "auditing changed the committed deployment, depth " << depth
-          << " x workers " << workers << ", seed " << seed;
-      const std::string rendered = journal.ToJsonl(/*canonical=*/true);
-      if (canonical.empty()) {
-        canonical = rendered;
-        // Shape sanity on the reference rendering: schema header,
-        // terminator, and no leaked operational stratum.
-        EXPECT_EQ(canonical.find(
-                      "{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
-                  0u)
-            << "seed " << seed;
-        EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
-            << "seed " << seed;
-        EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
-            << "canonical rendering leaked wall-clock fields, seed " << seed;
-        EXPECT_EQ(canonical.find("\"round.dispatch\""), std::string::npos)
-            << "canonical rendering leaked a speculative record, seed "
-            << seed;
-        EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
-      } else {
-        EXPECT_EQ(rendered, canonical)
-            << "canonical audit bytes diverged at depth " << depth
-            << " x workers " << workers << ", seed " << seed;
-      }
+  for (int run = 0; run < 2; ++run) {
+    obs::AuditJournal journal;
+    const ReplayResult replay =
+        Replay(seed, /*closed_loop=*/false, MeasureMode::kEngine, &journal);
+    EXPECT_EQ(replay, audit_off)
+        << "auditing changed the replay, run " << run << ", seed " << seed;
+    const std::string rendered = journal.ToJsonl(/*canonical=*/true);
+    if (canonical.empty()) {
+      canonical = rendered;
+      // Shape sanity on the reference rendering: schema header,
+      // terminator, and no leaked operational stratum.
+      EXPECT_EQ(
+          canonical.find("{\"schema\":\"sqpr-audit-v1\",\"canonical\":true}"),
+          0u)
+          << "seed " << seed;
+      EXPECT_NE(canonical.find("\"journal.close\""), std::string::npos)
+          << "seed " << seed;
+      EXPECT_EQ(canonical.find("\"wall\""), std::string::npos)
+          << "canonical rendering leaked wall-clock fields, seed " << seed;
+      EXPECT_EQ(canonical.find("\"replan.discard\""), std::string::npos)
+          << "canonical rendering leaked a speculative record, seed "
+          << seed;
+      EXPECT_GT(journal.canonical_size(), 0u) << "seed " << seed;
+    } else {
+      EXPECT_EQ(rendered, canonical)
+          << "canonical audit bytes diverged between replays, seed "
+          << seed;
     }
   }
 }
@@ -391,45 +361,45 @@ TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
 // The durability axis of the same contract (docs/ARCHITECTURE.md
 // "Durability & degraded modes"): kill the service after event k,
 // restore the checkpoint into a fresh process, finish the trace — and
-// land exactly where an uninterrupted run lands. Three properties in
-// one sweep over workers {0, 1, 4} x pipeline-depth {1, 2}:
+// land exactly where an uninterrupted run lands:
 //
-//   1. The checkpoint taken at event k is BYTE-identical across the
-//      whole matrix (ExportCheckpoint is a pipeline barrier, so every
-//      configuration serializes the same post-barrier state).
+//   1. The checkpoint taken at event k is BYTE-identical across
+//      replays (ExportCheckpoint is a barrier that commits the pending
+//      round first).
 //   2. A fresh scenario (rebuilt from the same seed, as a restarted
 //      process would) restored from that checkpoint and fed the
 //      not-yet-consumed suffix commits the uninterrupted run's
 //      deployment — same fingerprint, same logical statistics.
 //   3. The restored run's final checkpoint is byte-identical to an
-//      uninterrupted run's AT THE SAME configuration, and final
-//      checkpoints are worker-invariant at fixed depth. (They are NOT
-//      depth-invariant: a deeper pipeline may dispatch-and-unwind
-//      speculative rounds the shallow one never starts, which consumes
-//      round ids, plan-cache misses and catalog interning slots for
-//      speculative closures — operational state the checkpoint must
-//      carry for exact resume, deliberately outside the committed-state
-//      contract that DepthInvariantTie pins.)
+//      uninterrupted run's.
 //
 // The uninterrupted baseline ALSO checkpoints at event k: exporting is
-// a barrier that finishes in-flight rounds and re-canonicalizes the
+// a barrier that commits the pending round and re-canonicalizes the
 // ledgers (bumping the deployment version), so it is part of the
 // replayed history — crashing and non-crashing runs must share it.
+// Solver effort is compared only on the logical tie below: the
+// restored process starts its effort counters at zero.
+auto LogicalTie(const ReplayResult& r) {
+  return std::tie(r.fingerprint, r.admitted, r.rejected, r.dedup_hits,
+                  r.cache_fast_path, r.evictions, r.replanned_admitted,
+                  r.replanned_rejected, r.monitor_reports, r.rate_directives,
+                  r.pending_replans, r.valid);
+}
+
 TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
   const uint64_t seed = GetParam();
   constexpr int kCrashAfter = 12;
 
-  std::string checkpoint;      // taken at event k, matrix-invariant
+  std::string checkpoint;      // taken at event k
   std::string baseline_final;  // final checkpoint, uninterrupted run
   ReplayResult baseline;
-  {
+  for (int run = 0; run < 2; ++run) {
     Scenario s = MakeScenario(seed, /*closed_loop=*/false);
     ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
-    PlanningService service(s.cluster.get(), s.catalog.get(),
-                            MakeOptions(seed, /*workers=*/0,
-                                        /*closed_loop=*/false,
-                                        MeasureMode::kEngine,
-                                        /*pipeline_depth=*/1, nullptr));
+    PlanningService service(
+        s.cluster.get(), s.catalog.get(),
+        MakeOptions(seed, /*closed_loop=*/false, MeasureMode::kEngine,
+                    nullptr));
     for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
     for (int i = 0; i < kCrashAfter; ++i) {
       ASSERT_TRUE(service.HasPendingEvents());
@@ -438,90 +408,45 @@ TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
     }
     Result<std::string> ck = service.ExportCheckpoint();
     ASSERT_TRUE(ck.ok()) << ck.status().ToString();
-    checkpoint = std::move(*ck);
     ASSERT_TRUE(service.RunUntilIdle().ok());
-    baseline = Harvest(service);
-    ASSERT_TRUE(baseline.valid) << "seed " << seed;
     Result<std::string> fin = service.ExportCheckpoint();
     ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-    baseline_final = std::move(*fin);
-  }
-
-  for (const int depth : {1, 2}) {
-    // Final checkpoint of the workers=0 uninterrupted run at this
-    // depth: the reference the other worker counts must hit byte-ly.
-    std::string depth_final;
-    for (const int workers : {0, 1, 4}) {
-      // The "crashing" run: same prefix, different configuration —
-      // then run through so its final export doubles as this cell's
-      // uninterrupted reference.
-      std::string uninterrupted_final;
-      {
-        Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-        PlanningService service(
-            s.cluster.get(), s.catalog.get(),
-            MakeOptions(seed, workers, /*closed_loop=*/false,
-                        MeasureMode::kEngine, depth, nullptr));
-        for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
-        for (int i = 0; i < kCrashAfter; ++i) {
-          const Result<EventOutcome> outcome = service.Step();
-          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        }
-        const Result<std::string> ck = service.ExportCheckpoint();
-        ASSERT_TRUE(ck.ok()) << ck.status().ToString();
-        EXPECT_EQ(*ck, checkpoint)
-            << "checkpoint at event " << kCrashAfter << " diverged at depth "
-            << depth << " x workers " << workers << ", seed " << seed;
-        ASSERT_TRUE(service.RunUntilIdle().ok());
-        const ReplayResult uninterrupted = Harvest(service);
-        EXPECT_TRUE(baseline.DepthInvariantTie() ==
-                    uninterrupted.DepthInvariantTie())
-            << "uninterrupted run diverged at depth " << depth
-            << " x workers " << workers << ", seed " << seed;
-        Result<std::string> fin = service.ExportCheckpoint();
-        ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-        uninterrupted_final = std::move(*fin);
-        if (workers == 0) {
-          depth_final = uninterrupted_final;
-          if (depth == 1) {
-            EXPECT_EQ(uninterrupted_final, baseline_final)
-                << "depth-1 workers-0 rerun is the baseline, seed " << seed;
-          }
-        } else {
-          EXPECT_EQ(uninterrupted_final, depth_final)
-              << "final checkpoint not worker-invariant at depth " << depth
-              << " x workers " << workers << ", seed " << seed;
-        }
-      }
-
-      // The "restarted process": fresh scenario from the same seed,
-      // restore, replay only the suffix.
-      Scenario s = MakeScenario(seed, /*closed_loop=*/false);
-      PlanningService restored(
-          s.cluster.get(), s.catalog.get(),
-          MakeOptions(seed, workers, /*closed_loop=*/false,
-                      MeasureMode::kEngine, depth, nullptr));
-      const Status ok = restored.RestoreCheckpoint(checkpoint);
-      ASSERT_TRUE(ok.ok())
-          << ok.ToString() << " at depth " << depth << " x workers "
-          << workers << ", seed " << seed;
-      ASSERT_EQ(restored.stats().events, kCrashAfter);
-      for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
-        ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
-      }
-      ASSERT_TRUE(restored.RunUntilIdle().ok());
-      const ReplayResult result = Harvest(restored);
-      EXPECT_TRUE(baseline.DepthInvariantTie() == result.DepthInvariantTie())
-          << "restored run diverged at depth " << depth << " x workers "
-          << workers << ", seed " << seed << "\nbaseline: " << baseline
-          << "\nrestored: " << result;
-      const Result<std::string> fin = restored.ExportCheckpoint();
-      ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-      EXPECT_EQ(*fin, uninterrupted_final)
-          << "final checkpoint diverged after restore at depth " << depth
-          << " x workers " << workers << ", seed " << seed;
+    if (checkpoint.empty()) {
+      checkpoint = std::move(*ck);
+      baseline = Harvest(service);
+      ASSERT_TRUE(baseline.valid) << "seed " << seed;
+      baseline_final = std::move(*fin);
+    } else {
+      EXPECT_EQ(*ck, checkpoint)
+          << "checkpoint at event " << kCrashAfter << " diverged, seed "
+          << seed;
+      EXPECT_EQ(*fin, baseline_final)
+          << "final checkpoint diverged, seed " << seed;
     }
   }
+
+  // The "restarted process": fresh scenario from the same seed,
+  // restore, replay only the suffix.
+  Scenario s = MakeScenario(seed, /*closed_loop=*/false);
+  PlanningService restored(
+      s.cluster.get(), s.catalog.get(),
+      MakeOptions(seed, /*closed_loop=*/false, MeasureMode::kEngine,
+                  nullptr));
+  const Status ok = restored.RestoreCheckpoint(checkpoint);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
+  ASSERT_EQ(restored.stats().events, kCrashAfter);
+  for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
+    ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
+  }
+  ASSERT_TRUE(restored.RunUntilIdle().ok());
+  const ReplayResult result = Harvest(restored);
+  EXPECT_TRUE(LogicalTie(baseline) == LogicalTie(result))
+      << "restored run diverged, seed " << seed << "\nbaseline: " << baseline
+      << "\nrestored: " << result;
+  const Result<std::string> fin = restored.ExportCheckpoint();
+  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+  EXPECT_EQ(*fin, baseline_final)
+      << "final checkpoint diverged after restore, seed " << seed;
 }
 
 // The same kill-restore-finish property through the §IV-C closed loop,
@@ -529,8 +454,7 @@ TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {
 // trajectories (walk phases are re-derived lazily from virtual time),
 // the raw measurement-noise RNG state (data-dependent draw count, so it
 // is serialized verbatim), EWMA smoothing state and the last measured
-// rates. A reduced matrix keeps the cost proportionate — the open-loop
-// sweep above already covers the full one.
+// rates.
 TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
   const uint64_t seed = GetParam();
   constexpr int kCrashAfter = 12;
@@ -542,10 +466,8 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     Scenario s = MakeScenario(seed, /*closed_loop=*/true);
     ASSERT_GT(s.trace.size(), static_cast<size_t>(kCrashAfter));
     PlanningService service(s.cluster.get(), s.catalog.get(),
-                            MakeOptions(seed, /*workers=*/0,
-                                        /*closed_loop=*/true,
-                                        MeasureMode::kEngine,
-                                        /*pipeline_depth=*/2, nullptr));
+                            MakeOptions(seed, /*closed_loop=*/true,
+                                        MeasureMode::kEngine, nullptr));
     for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
     for (int i = 0; i < kCrashAfter; ++i) {
       const Result<EventOutcome> outcome = service.Step();
@@ -562,30 +484,26 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopCheckpointRestoreInvariant) {
     baseline_final = std::move(*fin);
   }
 
-  for (const int workers : {0, 4}) {
-    Scenario s = MakeScenario(seed, /*closed_loop=*/true);
-    PlanningService restored(
-        s.cluster.get(), s.catalog.get(),
-        MakeOptions(seed, workers, /*closed_loop=*/true, MeasureMode::kEngine,
-                    /*pipeline_depth=*/2, nullptr));
-    const Status ok = restored.RestoreCheckpoint(checkpoint);
-    ASSERT_TRUE(ok.ok()) << ok.ToString() << " at workers " << workers
-                         << ", seed " << seed;
-    for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
-      ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
-    }
-    ASSERT_TRUE(restored.RunUntilIdle().ok());
-    const ReplayResult result = Harvest(restored);
-    EXPECT_TRUE(baseline.DepthInvariantTie() == result.DepthInvariantTie())
-        << "closed loop: restored run diverged at workers " << workers
-        << ", seed " << seed << "\nbaseline: " << baseline
-        << "\nrestored: " << result;
-    const Result<std::string> fin = restored.ExportCheckpoint();
-    ASSERT_TRUE(fin.ok()) << fin.status().ToString();
-    EXPECT_EQ(*fin, baseline_final)
-        << "closed loop: final checkpoint diverged after restore at workers "
-        << workers << ", seed " << seed;
+  Scenario s = MakeScenario(seed, /*closed_loop=*/true);
+  PlanningService restored(
+      s.cluster.get(), s.catalog.get(),
+      MakeOptions(seed, /*closed_loop=*/true, MeasureMode::kEngine,
+                  nullptr));
+  const Status ok = restored.RestoreCheckpoint(checkpoint);
+  ASSERT_TRUE(ok.ok()) << ok.ToString() << ", seed " << seed;
+  for (size_t i = kCrashAfter; i < s.trace.size(); ++i) {
+    ASSERT_TRUE(restored.Enqueue(s.trace[i]).ok());
   }
+  ASSERT_TRUE(restored.RunUntilIdle().ok());
+  const ReplayResult result = Harvest(restored);
+  EXPECT_TRUE(LogicalTie(baseline) == LogicalTie(result))
+      << "closed loop: restored run diverged, seed " << seed
+      << "\nbaseline: " << baseline << "\nrestored: " << result;
+  const Result<std::string> fin = restored.ExportCheckpoint();
+  ASSERT_TRUE(fin.ok()) << fin.status().ToString();
+  EXPECT_EQ(*fin, baseline_final)
+      << "closed loop: final checkpoint diverged after restore, seed "
+      << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Traces, ServiceReplayPropertyTest,

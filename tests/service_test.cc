@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <exception>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "model/catalog.h"
 #include "model/cluster.h"
+#include "obs/audit.h"
 #include "service/event_loop.h"
 #include "service/plan_cache.h"
 #include "service/replan_policy.h"
@@ -77,10 +82,8 @@ TEST(ReplanSchedulerTest, DeduplicatesAndBoundsRounds) {
 }
 
 // Round composition is pinned at enqueue time: a discard shrinks its
-// round without pulling queries forward from later rounds, and an
-// unwound round requeued at the front pops again as the same group.
-// Both properties keep round boundaries — and so commit points —
-// identical across pipeline depths.
+// round without pulling queries forward from later rounds, so every
+// later round keeps its composition — and its commit point.
 TEST(ReplanSchedulerTest, DiscardAndRequeuePreserveRoundBoundaries) {
   ReplanPolicyOptions options;
   options.max_queries_per_round = 2;
@@ -93,25 +96,18 @@ TEST(ReplanSchedulerTest, DiscardAndRequeuePreserveRoundBoundaries) {
   ASSERT_EQ(first.size(), 1u) << "discard must not re-pack 3 forward";
   EXPECT_EQ(first[0], 1);
 
-  // Unwind simulation: the round goes back to the front and is popped
-  // again verbatim, ahead of the groups behind it.
-  scheduler.Requeue(first);
-  const std::vector<StreamId> again = scheduler.NextRound();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0], 1);
-
   const std::vector<StreamId> second = scheduler.NextRound();
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(second[0], 3);
   EXPECT_EQ(second[1], 4);
-  // A requeue races a fresh enqueue of the same query: the pending copy
-  // wins, no duplicates.
-  EXPECT_TRUE(scheduler.Enqueue(3));
-  scheduler.Requeue(second);
+  // A group emptied by discards disappears instead of merging with its
+  // neighbours.
+  EXPECT_TRUE(scheduler.Enqueue(6));
+  scheduler.Discard(5);
   const std::vector<StreamId> third = scheduler.NextRound();
   ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0], 4);
-  EXPECT_EQ(scheduler.pending(), 2u);  // 5 and the re-enqueued 3
+  EXPECT_EQ(third[0], 6);
+  EXPECT_FALSE(scheduler.HasPending());
 }
 
 // ---- Plan cache. ----
@@ -482,58 +478,69 @@ TEST(PlanningServiceTest, PlanCacheCountersAndEvictHostInvalidation) {
   EXPECT_EQ(fx.service->plan_cache().misses(), misses_before + 1);
 }
 
-// Tentpole: an arrival that misses the plan cache no longer retires the
-// in-flight re-planning round — it solves speculatively on the loop
-// thread while the round keeps solving — and the committed result is
-// still identical for every worker count.
+// A cache-miss arrival consumed while a round is pending goes first:
+// the round popped at the end of the drift event commits at the end of
+// the arrival's event, after the arrival's own solve, and its queries
+// are then solved against a state that includes the arrival.
 TEST(PlanningServiceTest, CacheMissArrivalOverlapsInFlightRound) {
-  auto run = [](int workers) {
-    ServiceOptions options;
-    options.replan.workers = workers;
-    // Deterministic solver: node-bounded, not wall-clock-bounded.
-    options.planner.timeout_ms = 60000;
-    options.planner.max_nodes = 150;
-    ServiceFixture fx(2, 0.3, 6, options);
+  ServiceOptions options;
+  // Deterministic solver: node-bounded, not wall-clock-bounded.
+  options.planner.timeout_ms = 60000;
+  options.planner.max_nodes = 150;
+  obs::AuditJournal journal;
+  options.audit = &journal;
+  ServiceFixture fx(2, 0.3, 6, options);
 
-    int64_t t = 1;
-    for (int i = 0; i + 1 < 6; ++i) {
-      fx.StepOne(Event::Arrival(t++, fx.Join({i, i + 1})));
+  int64_t t = 1;
+  for (int i = 0; i + 1 < 6; ++i) {
+    fx.StepOne(Event::Arrival(t++, fx.Join({i, i + 1})));
+  }
+  // A tripled base rate makes the near-saturated cluster shed load:
+  // evictions queue and a round is popped at the end of the event.
+  EventOutcome drift =
+      fx.StepOne(Event::MonitorReport(t++, {{fx.base[1], 30.0}}));
+  EXPECT_GE(drift.evicted, 1);
+  EXPECT_EQ(drift.replanned_admitted + drift.replanned_rejected, 0)
+      << "a round popped at the end of an event must not commit there";
+  const int pending = fx.service->pending_replans();
+  EXPECT_GT(pending, 0);
+
+  const StreamId arrival = fx.Join({0, 2});
+  const size_t records_before = journal.records().size();
+  EventOutcome next = fx.StepOne(Event::Arrival(t++, arrival));
+  EXPECT_GT(next.replanned_admitted + next.replanned_rejected, 0)
+      << "the pending round commits at the end of the next event";
+
+  // Journal order: the arrival's decision, then the round.
+  int arrival_at = -1;
+  int round_at = -1;
+  for (size_t i = records_before; i < journal.records().size(); ++i) {
+    const obs::AuditRecord& r = journal.records()[i];
+    if (r.query == arrival && arrival_at < 0 &&
+        (r.kind == "admit.solve" || r.kind == "reject.capacity")) {
+      arrival_at = static_cast<int>(i);
     }
-    // A tripled base rate makes the near-saturated cluster shed load:
-    // evictions queue and a round is dispatched at the end of the event.
-    EventOutcome drift =
-        fx.StepOne(Event::MonitorReport(t++, {{fx.base[1], 30.0}}));
-    EXPECT_GE(drift.evicted, 1);
-    EXPECT_GT(fx.service->pending_replans(), 0);
+    if (r.kind == "replan.round" && round_at < 0) {
+      round_at = static_cast<int>(i);
+    }
+  }
+  ASSERT_GE(arrival_at, 0) << "the arrival must miss the cache and solve";
+  ASSERT_GE(round_at, 0);
+  EXPECT_LT(arrival_at, round_at);
 
-    // Cache-miss arrival while that round is in flight: the solve
-    // overlaps it instead of forcing it to retire first.
-    const int64_t overlapped_before =
-        fx.service->stats().overlapped_arrival_solves;
-    fx.StepOne(Event::Arrival(t++, fx.Join({0, 2})));
-    EXPECT_EQ(fx.service->stats().overlapped_arrival_solves,
-              overlapped_before + 1);
-
-    fx.service->FinishInFlightRound();
-    EXPECT_TRUE(fx.service->deployment().Validate().ok());
-    return fx.service->deployment().Fingerprint();
-  };
-
-  const std::string inline_mode = run(0);
-  EXPECT_EQ(inline_mode, run(1));
-  EXPECT_EQ(inline_mode, run(4));
+  fx.service->FinishInFlightRound();
+  EXPECT_TRUE(fx.service->deployment().Validate().ok());
+  EXPECT_EQ(fx.service->stats().commit_conflicts, 0);
 }
 
-// Tentpole: an EvictHost (host failure) arriving while a re-planning
-// round is solving on the worker pool. The service must retire the
-// round (committing or conflict-re-solving its proposals) before the
-// host's budgets are zeroed, honour departures that raced the round,
-// and keep the committed deployment valid throughout — with the same
-// final state for any worker count.
+// An EvictHost (host failure) arriving while a re-planning round is
+// pending. The service must commit the round before the host's budgets
+// are zeroed, skip the round queries that departed since the pop, and
+// keep the committed deployment valid throughout — with the same final
+// state on every replay.
 TEST(PlanningServiceTest, EvictHostWhileRoundInFlightStaysConsistent) {
-  auto run = [](int workers) {
+  auto run = []() {
     ServiceOptions options;
-    options.replan.workers = workers;
     // Deterministic solver: node-bounded, not wall-clock-bounded.
     options.planner.timeout_ms = 60000;
     options.planner.max_nodes = 150;
@@ -549,20 +556,18 @@ TEST(PlanningServiceTest, EvictHostWhileRoundInFlightStaysConsistent) {
     EXPECT_GT(admitted, 0);
 
     // A tripled base rate makes the near-saturated cluster shed load:
-    // evictions queue and (async mode) a round goes in flight.
+    // evictions queue and a round is popped.
     EventOutcome drift = fx.StepOne(
         Event::MonitorReport(t++, {{fx.base[1], 30.0}}));
     EXPECT_GE(drift.evicted, 1);
-    if (workers > 0) {
-      EXPECT_GT(fx.service->pending_replans(), 0);
-    }
+    EXPECT_GT(fx.service->pending_replans(), 0);
 
-    // While the round solves: a departure races it (its proposal must
-    // be dropped, not committed)...
+    // While the round is pending: a departure (skipped at the commit
+    // if the round carries it)...
     const StreamId departed = queries[0];
     fx.StepOne(Event::Departure(t++, departed));
 
-    // ...and then a host fails. The failure must retire the round
+    // ...and then a host fails. The failure must commit the round
     // before zeroing budgets and evicting fallout.
     fx.StepOne(Event::HostFailure(t++, 1));
     EXPECT_FALSE(fx.service->HostActive(1));
@@ -578,20 +583,20 @@ TEST(PlanningServiceTest, EvictHostWhileRoundInFlightStaysConsistent) {
     const auto& admitted_now = fx.service->admitted_queries();
     EXPECT_EQ(std::find(admitted_now.begin(), admitted_now.end(), departed),
               admitted_now.end())
-        << "departed query must not be re-admitted by an in-flight round";
+        << "departed query must not be re-admitted by a pending round";
     return fx.service->deployment().Fingerprint();
   };
 
-  const std::string one = run(1);
-  const std::string four = run(4);
-  EXPECT_EQ(one, four);
+  const std::string first = run();
+  const std::string again = run();
+  EXPECT_EQ(first, again);
 }
 
-// Tentpole acceptance: replaying one churn trace with 1 and with 4
-// workers commits bit-for-bit identical deployments and admission
-// statistics — the worker count only changes wall-clock, never results.
+// Replaying one churn trace twice commits bit-for-bit identical
+// deployments and admission statistics. (The name is from when the
+// second replay used another worker count.)
 TEST(PlanningServiceTest, WorkerCountDoesNotChangeCommittedDeployments) {
-  auto run = [](int workers) {
+  auto run = []() {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
     Catalog catalog(CostModel{});
     WorkloadConfig wc;
@@ -612,7 +617,6 @@ TEST(PlanningServiceTest, WorkerCountDoesNotChangeCommittedDeployments) {
     ServiceOptions options;
     options.planner.timeout_ms = 60000;
     options.planner.max_nodes = 150;
-    options.replan.workers = workers;
     PlanningService service(&cluster, &catalog, options);
     for (const Event& e : *trace) EXPECT_TRUE(service.Enqueue(e).ok());
     EXPECT_TRUE(service.RunUntilIdle().ok());
@@ -623,10 +627,161 @@ TEST(PlanningServiceTest, WorkerCountDoesNotChangeCommittedDeployments) {
                            stats.replanned_admitted, stats.replanned_rejected,
                            stats.commit_conflicts);
   };
-  const auto one = run(1);
-  const auto four = run(4);
-  EXPECT_EQ(one, four);
-  EXPECT_GT(std::get<3>(one), 0) << "trace must exercise re-planning";
+  const auto first = run();
+  const auto again = run();
+  EXPECT_EQ(first, again);
+  EXPECT_GT(std::get<3>(first), 0) << "trace must exercise re-planning";
+}
+
+// The round path on a drift-heavy trace with host failures, rejoins
+// and a departure injected between a round's pop and its commit:
+//  * no proposal conflicts and no round unwinds;
+//  * every solve is a cache-miss arrival or a live round query, each
+//    solved exactly once;
+//  * the departed query is skipped at the commit (a replan.discard, no
+//    replan decision, not re-admitted);
+//  * solver effort is published, and two audited replays write equal
+//    canonical audit bytes and commit what an unaudited replay commits.
+TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
+  struct Run {
+    std::string fingerprint;
+    std::string canonical_audit;
+    ServiceStats stats;
+    StreamId departed = kInvalidStream;
+    /// Audit records of the departure's Step: the departure itself and
+    /// the commit of the round it hit.
+    std::vector<obs::AuditRecord> departure_step;
+    int64_t published_nodes = 0;
+    int64_t published_pivots = 0;
+  };
+  auto run = [](bool audit) {
+    Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
+    Catalog catalog(CostModel{});
+    WorkloadConfig wc;
+    wc.num_base_streams = 24;
+    wc.num_queries = 40;
+    wc.seed = 23;
+    Result<Workload> workload = GenerateWorkload(wc, 3, &catalog);
+    EXPECT_TRUE(workload.ok());
+    TraceConfig tc;
+    tc.num_events = 90;
+    tc.seed = 23;
+    tc.departure_weight = 0.3;
+    tc.failure_weight = 0.08;
+    tc.join_weight = 0.15;
+    tc.drift_weight = 0.2;
+    tc.min_failures = 2;
+    tc.min_drift_reports = 4;
+    Result<std::vector<Event>> trace =
+        GenerateTrace(tc, *workload, 3, catalog);
+    EXPECT_TRUE(trace.ok());
+
+    obs::AuditJournal journal;
+    ServiceOptions options;
+    options.planner.timeout_ms = 60000;
+    options.planner.max_nodes = 150;
+    if (audit) options.audit = &journal;
+    PlanningService service(&cluster, &catalog, options);
+    // Observes evictions even when auditing is off: the queries an
+    // event evicted are the ones it removed from the admitted set.
+    Run r;
+    for (const Event& e : *trace) {
+      const bool idle_before = service.pending_replans() == 0;
+      std::vector<StreamId> before = service.admitted_queries();
+      EXPECT_TRUE(service.Enqueue(e).ok());
+      Result<EventOutcome> outcome = service.Step();
+      EXPECT_TRUE(outcome.ok());
+      if (!outcome.ok() || r.departed != kInvalidStream || !idle_before ||
+          outcome->evicted < 2 || e.kind == EventKind::kQueryDeparture) {
+        continue;
+      }
+      // Nothing was queued before this event, so the round popped at
+      // its end holds exactly its evictions (at most 8 of them).
+      if (outcome->evicted > ReplanPolicyOptions{}.max_queries_per_round) {
+        continue;
+      }
+      const std::vector<StreamId>& after = service.admitted_queries();
+      for (StreamId q : before) {
+        if (std::find(after.begin(), after.end(), q) == after.end() &&
+            q != e.query) {
+          r.departed = q;
+          break;
+        }
+      }
+      if (r.departed == kInvalidStream) continue;
+      const size_t records_before = journal.records().size();
+      EXPECT_TRUE(
+          service.Enqueue(Event::Departure(service.clock().now_ms(),
+                                           r.departed))
+              .ok());
+      Result<EventOutcome> departure = service.Step();
+      EXPECT_TRUE(departure.ok());
+      // The round committed at the end of this step, without it.
+      EXPECT_GT(departure->replanned_admitted + departure->replanned_rejected,
+                0);
+      EXPECT_EQ(service.deployment().ServingHost(r.departed), kInvalidHost);
+      r.departure_step.assign(journal.records().begin() + records_before,
+                              journal.records().end());
+    }
+    service.FinishInFlightRound();
+    service.FinalizeAudit();
+    EXPECT_TRUE(service.deployment().Validate().ok());
+    r.fingerprint = service.deployment().Fingerprint();
+    r.canonical_audit = journal.ToJsonl(/*canonical=*/true);
+    r.stats = service.stats();
+    obs::MetricsRegistry registry;
+    ServiceMetricsPublisher(&registry).Publish(r.stats);
+    r.published_nodes = registry.counter("service.solver_nodes")->value();
+    r.published_pivots = registry.counter("service.lp_iterations")->value();
+    return r;
+  };
+
+  const Run a = run(/*audit=*/true);
+  const ServiceStats& st = a.stats;
+  ASSERT_NE(a.departed, kInvalidStream)
+      << "the trace must evict into an idle scheduler at least once";
+  EXPECT_GE(st.host_failures, 2);
+  EXPECT_GE(st.host_joins, 1);
+  EXPECT_GE(st.monitor_reports, 4);
+  EXPECT_GT(st.replan_rounds, 0);
+  EXPECT_EQ(st.commit_conflicts, 0);
+  EXPECT_EQ(st.round_unwinds, 0);
+  EXPECT_EQ(st.snapshot_bytes_copied, 0);
+  EXPECT_EQ(st.barrier_ms.count(), 0u);
+  EXPECT_EQ(st.catalog_exhausted, 0);
+
+  const int64_t arrival_solves =
+      st.arrivals - st.dedup_hits - st.cache_fast_path;
+  const int64_t round_queries = st.replanned_admitted + st.replanned_rejected;
+  EXPECT_GT(round_queries, 0);
+  EXPECT_EQ(static_cast<int64_t>(st.solve_ms.count()),
+            arrival_solves + round_queries);
+  EXPECT_GT(st.solver_nodes, 0);
+  EXPECT_GT(st.lp_iterations, 0);
+  EXPECT_EQ(a.published_nodes, st.solver_nodes);
+  EXPECT_EQ(a.published_pivots, st.lp_iterations);
+
+  // The departed query: discarded at the commit, never decided.
+  int discards = 0;
+  int rounds = 0;
+  for (const obs::AuditRecord& r : a.departure_step) {
+    if (r.kind == "replan.round") ++rounds;
+    if (r.query != a.departed) continue;
+    if (r.kind == "replan.discard") ++discards;
+    EXPECT_NE(r.kind, "replan.admit");
+    EXPECT_NE(r.kind, "replan.reject");
+    EXPECT_NE(r.kind, "replan.fail");
+  }
+  EXPECT_EQ(discards, 1);
+  EXPECT_EQ(rounds, 1);
+
+  const Run b = run(/*audit=*/true);
+  EXPECT_EQ(a.canonical_audit, b.canonical_audit);
+  const Run off = run(/*audit=*/false);
+  EXPECT_EQ(a.fingerprint, off.fingerprint);
+  EXPECT_EQ(a.departed, off.departed);
+  EXPECT_EQ(a.stats.solver_nodes, off.stats.solver_nodes);
+  EXPECT_EQ(a.stats.lp_iterations, off.stats.lp_iterations);
 }
 
 // The stall/SLO watchdog (WatchdogOptions) observes wall clock, so its
@@ -643,14 +798,12 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
     int64_t events = 0;
     int64_t loop_stalls = 0;
     double worst_stall_ms = 0.0;
-    size_t admit_n = 0, solve_n = 0, commit_n = 0, barrier_n = 0,
-           measure_n = 0;
-    int64_t admit_b = 0, solve_b = 0, commit_b = 0, barrier_b = 0,
-            measure_b = 0;
+    size_t admit_n = 0, solve_n = 0, commit_n = 0, measure_n = 0;
+    int64_t admit_b = 0, solve_b = 0, commit_b = 0, measure_b = 0;
   };
-  // Closed-loop replay so all five stage histograms (including
+  // Closed-loop replay so all four budgeted stage histograms (including
   // measure_ms) take samples; node-bounded solver as always.
-  auto run = [](double budget_ms, int workers) {
+  auto run = [](double budget_ms) {
     Cluster cluster(3, HostSpec{0.6, 70.0, 70.0, ""}, 140.0);
     Catalog catalog(CostModel{});
     WorkloadConfig wc;
@@ -675,8 +828,6 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
     ServiceOptions options;
     options.planner.timeout_ms = 60000;
     options.planner.max_nodes = 80;
-    options.replan.workers = workers;
-    options.replan.clamp_workers_to_cores = false;
     options.closed_loop = true;
     options.telemetry.measure_period = 2;
     options.telemetry.seed = 11;
@@ -686,7 +837,6 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
     options.watchdog.admit_budget_ms = budget_ms;
     options.watchdog.solve_budget_ms = budget_ms;
     options.watchdog.commit_budget_ms = budget_ms;
-    options.watchdog.barrier_budget_ms = budget_ms;
     options.watchdog.measure_budget_ms = budget_ms;
     PlanningService service(&cluster, &catalog, options);
     for (const Event& e : *trace) EXPECT_TRUE(service.Enqueue(e).ok());
@@ -701,28 +851,24 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
     r.admit_n = stats.admit_ms.count();
     r.solve_n = stats.solve_ms.count();
     r.commit_n = stats.commit_ms.count();
-    r.barrier_n = stats.barrier_ms.count();
     r.measure_n = stats.measure_ms.count();
     r.admit_b = stats.admit_budget_breaches;
     r.solve_b = stats.solve_budget_breaches;
     r.commit_b = stats.commit_budget_breaches;
-    r.barrier_b = stats.barrier_budget_breaches;
     r.measure_b = stats.measure_budget_breaches;
     return r;
   };
 
-  const WatchdogRun off = run(/*budget_ms=*/0.0, /*workers=*/0);
+  const WatchdogRun off = run(/*budget_ms=*/0.0);
   EXPECT_GT(off.events, 0);
   EXPECT_GT(off.measure_n, 0u) << "closed loop never measured";
   EXPECT_EQ(off.loop_stalls, 0);
-  EXPECT_EQ(off.admit_b + off.solve_b + off.commit_b + off.barrier_b +
-                off.measure_b,
-            0)
+  EXPECT_EQ(off.admit_b + off.solve_b + off.commit_b + off.measure_b, 0)
       << "budgets of 0 mean the watchdog is off";
 
   // Tiny budget (1 picosecond): every wall-clock sample breaches, so
   // the breach counters collapse onto the deterministic sample counts.
-  const WatchdogRun tiny = run(/*budget_ms=*/1e-9, /*workers=*/0);
+  const WatchdogRun tiny = run(/*budget_ms=*/1e-9);
   EXPECT_EQ(tiny.fingerprint, off.fingerprint)
       << "watchdog budgets changed the committed deployment";
   EXPECT_EQ(tiny.loop_stalls, tiny.events);
@@ -730,35 +876,31 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
   EXPECT_EQ(tiny.admit_b, static_cast<int64_t>(tiny.admit_n));
   EXPECT_EQ(tiny.solve_b, static_cast<int64_t>(tiny.solve_n));
   EXPECT_EQ(tiny.commit_b, static_cast<int64_t>(tiny.commit_n));
-  EXPECT_EQ(tiny.barrier_b, static_cast<int64_t>(tiny.barrier_n));
   EXPECT_EQ(tiny.measure_b, static_cast<int64_t>(tiny.measure_n));
 
-  // Worker-invariant at a fixed depth: multi-worker wall times differ,
-  // but with every sample breaching, the counts are the contract's.
-  const WatchdogRun tiny_w4 = run(/*budget_ms=*/1e-9, /*workers=*/4);
-  EXPECT_EQ(tiny_w4.fingerprint, off.fingerprint);
-  EXPECT_EQ(tiny_w4.events, tiny.events);
-  EXPECT_EQ(tiny_w4.loop_stalls, tiny.loop_stalls);
-  EXPECT_EQ(tiny_w4.admit_b, tiny.admit_b);
-  EXPECT_EQ(tiny_w4.solve_b, tiny.solve_b);
-  EXPECT_EQ(tiny_w4.commit_b, tiny.commit_b);
-  EXPECT_EQ(tiny_w4.barrier_b, tiny.barrier_b);
-  EXPECT_EQ(tiny_w4.measure_b, tiny.measure_b);
+  // Replay-invariant: wall times differ between runs, but with every
+  // sample breaching, the counts are the contract's.
+  const WatchdogRun tiny_again = run(/*budget_ms=*/1e-9);
+  EXPECT_EQ(tiny_again.fingerprint, off.fingerprint);
+  EXPECT_EQ(tiny_again.events, tiny.events);
+  EXPECT_EQ(tiny_again.loop_stalls, tiny.loop_stalls);
+  EXPECT_EQ(tiny_again.admit_b, tiny.admit_b);
+  EXPECT_EQ(tiny_again.solve_b, tiny.solve_b);
+  EXPECT_EQ(tiny_again.commit_b, tiny.commit_b);
+  EXPECT_EQ(tiny_again.measure_b, tiny.measure_b);
 
   // Huge budget: nothing on this machine takes 10^12 ms, so zero
   // breaches and zero stalls — while the histograms still sample.
-  const WatchdogRun huge = run(/*budget_ms=*/1e12, /*workers=*/0);
+  const WatchdogRun huge = run(/*budget_ms=*/1e12);
   EXPECT_EQ(huge.fingerprint, off.fingerprint);
   EXPECT_EQ(huge.loop_stalls, 0);
   EXPECT_DOUBLE_EQ(huge.worst_stall_ms, 0.0);
   EXPECT_EQ(huge.admit_n, tiny.admit_n);
-  EXPECT_EQ(huge.admit_b + huge.solve_b + huge.commit_b + huge.barrier_b +
-                huge.measure_b,
-            0);
+  EXPECT_EQ(huge.admit_b + huge.solve_b + huge.commit_b + huge.measure_b, 0);
 }
 
-// Tentpole: the arrival-path commit-conflict fallback, driven
-// deterministically at pipeline depth 1. The injection hook commits an
+// The arrival-path commit-conflict fallback, driven deterministically.
+// The injection hook commits an
 // intervening admission between the arrival's propose and commit, so
 // the strict structure-version gate must bounce the proposal and the
 // service must re-solve inline — with the conflict counted, both
@@ -767,8 +909,7 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
 // (not an incremental delta, whose chain the conflict broke).
 TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   // One-shot hook: fires between the arrival's ProposeAdmission and
-  // CommitProposal, admitting another query directly on the planner —
-  // the structural bump an older pipelined round's commit would cause.
+  // CommitProposal, admitting another query directly on the planner.
   // (Captured locals are bound before the fixture exists; the target
   // query is filled in right after.)
   StreamId intervening = kInvalidStream;
@@ -776,7 +917,6 @@ TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   ServiceOptions options;
   options.planner.timeout_ms = 60000;
   options.planner.max_nodes = 150;
-  options.replan.pipeline_depth = 1;
   options.inject_between_propose_and_commit = [&](SqprPlanner& planner) {
     if (fired) return;
     fired = true;
@@ -820,62 +960,6 @@ TEST(PlanningServiceTest, AdmitConflictFallbackResolvesAndRepairsCache) {
   EXPECT_NE(fx.service->deployment().ServingHost(arrival), kInvalidHost);
   EXPECT_NE(fx.service->deployment().ServingHost(intervening), kInvalidHost);
   EXPECT_TRUE(fx.service->deployment().Validate().ok());
-}
-
-// Tentpole: a barrier hitting a pipeline with several rounds in flight
-// commits only the oldest (its pinned point) and unwinds the younger
-// speculative rounds — so the committed deployments, admission
-// statistics and remaining backlog are bit-identical to a depth-1
-// service, which never dispatched those rounds in the first place.
-TEST(PlanningServiceTest, BarrierUnwindKeepsDepthsBitIdentical) {
-  auto run = [](int depth, int64_t* unwinds) {
-    ServiceOptions options;
-    options.planner.timeout_ms = 60000;
-    options.planner.max_nodes = 150;
-    options.replan.pipeline_depth = depth;
-    // One query per round: the host-failure fallout splits into several
-    // rounds, so deeper pipelines genuinely overlap them.
-    options.replan.max_queries_per_round = 1;
-    ServiceFixture fx(2, 2.0, 6, options);
-
-    int64_t t = 1;
-    int admitted = 0;
-    for (auto leaves : {std::pair<int, int>{0, 1}, {2, 3}, {4, 5}}) {
-      admitted +=
-          fx.StepOne(Event::Arrival(t++, fx.Join({leaves.first, leaves.second})))
-              .admitted;
-    }
-    EXPECT_EQ(admitted, 3);
-
-    // Every plan touches host 1 (half the bases live there): the
-    // failure evicts all three queries into three one-query rounds.
-    EventOutcome failure = fx.StepOne(Event::HostFailure(t++, 1));
-    EXPECT_GE(failure.evicted, 2);
-    // The join is a barrier: at depth >= 2 it catches speculative
-    // rounds mid-flight and must unwind them.
-    fx.StepOne(Event::HostJoin(t++, 1));
-    for (int i = 0; i < 8; ++i) fx.StepOne(Event::Tick(t++));
-    fx.service->FinishInFlightRound();
-
-    EXPECT_TRUE(fx.service->deployment().Validate().ok());
-    EXPECT_EQ(fx.service->pending_replans(), 0);
-    const ServiceStats& stats = fx.service->stats();
-    *unwinds = stats.round_unwinds;
-    return std::make_tuple(fx.service->deployment().Fingerprint(),
-                           stats.admitted, stats.rejected, stats.evictions,
-                           stats.replanned_admitted,
-                           stats.replanned_rejected, stats.replan_rounds);
-  };
-
-  int64_t unwinds1 = 0, unwinds2 = 0, unwinds4 = 0;
-  const auto depth1 = run(1, &unwinds1);
-  const auto depth2 = run(2, &unwinds2);
-  const auto depth4 = run(4, &unwinds4);
-  EXPECT_EQ(depth1, depth2);
-  EXPECT_EQ(depth1, depth4);
-  EXPECT_EQ(unwinds1, 0) << "depth 1 never speculates past a commit point";
-  EXPECT_GE(unwinds2, 1) << "the join barrier must catch a round in flight";
-  EXPECT_GE(unwinds4, unwinds2);
 }
 
 TEST(PlanningServiceTest, IncrementalCacheEqualsRebuildOnRandomizedTraces) {
@@ -944,110 +1028,6 @@ TEST(PlanningServiceTest, RepeatArrivalDedupDoesNotRescanCache) {
   EXPECT_TRUE(repeat.already_served);
   EXPECT_EQ(fx.service->plan_cache().rebuilds(), rebuilds_after_admit);
   EXPECT_EQ(fx.service->stats().cache_delta_updates, deltas_after_admit);
-}
-
-// ---- Copy-on-write planner snapshots. ----
-
-bool SameDelta(const DeploymentDelta& x, const DeploymentDelta& y) {
-  auto serving_eq = [](const DeploymentDelta::ServingChange& a,
-                       const DeploymentDelta::ServingChange& b) {
-    return a.stream == b.stream && a.before == b.before && a.after == b.after;
-  };
-  return x.ops_added == y.ops_added && x.ops_removed == y.ops_removed &&
-         x.flows_added == y.flows_added &&
-         x.flows_removed == y.flows_removed &&
-         x.serving_changes.size() == y.serving_changes.size() &&
-         std::equal(x.serving_changes.begin(), x.serving_changes.end(),
-                    y.serving_changes.begin(), serving_eq);
-}
-
-TEST(SqprPlannerTest, SnapshotSharesCoreAndMaterializesExactState) {
-  Cluster cluster(2, HostSpec{2.0, 500.0, 500.0, ""}, 1000.0);
-  Catalog catalog(CostModel{});
-  std::vector<StreamId> base;
-  for (int i = 0; i < 6; ++i) base.push_back(catalog.AddBaseStream(i % 2, 10.0));
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 150;
-  SqprPlanner planner(&cluster, &catalog, options);
-
-  const StreamId ab = *catalog.CanonicalJoinStream({base[0], base[1]});
-  const StreamId cd = *catalog.CanonicalJoinStream({base[2], base[3]});
-  const StreamId ef = *catalog.CanonicalJoinStream({base[4], base[5]});
-  for (StreamId q : {ab, cd, ef}) ASSERT_TRUE(planner.WarmCatalog(q).ok());
-  ASSERT_TRUE(planner.SubmitQuery(ab)->admitted);
-
-  // First snapshot: must rebase (no core yet) and pay the full copy.
-  SqprPlanner::SnapshotStats first_stats;
-  auto first = planner.MakeSnapshot(&first_stats);
-  EXPECT_TRUE(first_stats.rebased);
-  EXPECT_EQ(first_stats.overlay_entries, 0u);
-
-  // Mutate past the snapshot: admit cd.
-  ASSERT_TRUE(planner.SubmitQuery(cd)->admitted);
-
-  // Second snapshot: shares the core, ships only the overlay — the
-  // O(changes) bytes the tentpole is about.
-  SqprPlanner::SnapshotStats second_stats;
-  auto second = planner.MakeSnapshot(&second_stats);
-  EXPECT_FALSE(second_stats.rebased);
-  EXPECT_GT(second_stats.overlay_entries, 0u);
-  EXPECT_LT(second_stats.bytes_copied,
-            planner.deployment().ApproxSizeBytes());
-
-  // The first snapshot still sees the pre-cd state: proposing cd from
-  // it admits with a non-empty delta (nothing served it there)...
-  Result<AdmissionProposal> stale = first->ProposeAdmission(cd);
-  ASSERT_TRUE(stale.ok());
-  EXPECT_TRUE(stale->stats.admitted);
-  EXPECT_FALSE(stale->stats.already_served);
-  EXPECT_FALSE(stale->delta.empty());
-
-  // ...while the second snapshot's materialised state matches the live
-  // planner exactly: identical proposals for a fresh query.
-  Result<AdmissionProposal> from_snapshot = second->ProposeAdmission(ef);
-  Result<AdmissionProposal> from_live = planner.ProposeAdmission(ef);
-  ASSERT_TRUE(from_snapshot.ok() && from_live.ok());
-  EXPECT_EQ(from_snapshot->stats.admitted, from_live->stats.admitted);
-  EXPECT_TRUE(SameDelta(from_snapshot->delta, from_live->delta));
-
-  // Snapshots are immutable views: nothing above moved the live state.
-  Result<AdmissionProposal> commit_cd_again = planner.ProposeAdmission(cd);
-  ASSERT_TRUE(commit_cd_again.ok());
-  EXPECT_TRUE(commit_cd_again->stats.already_served);
-}
-
-TEST(SqprPlannerTest, SnapshotRebasesOnceOverlayExceedsThreshold) {
-  Cluster cluster(2, HostSpec{2.0, 500.0, 500.0, ""}, 1000.0);
-  Catalog catalog(CostModel{});
-  std::vector<StreamId> base;
-  for (int i = 0; i < 4; ++i) base.push_back(catalog.AddBaseStream(i % 2, 10.0));
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 150;
-  options.snapshot_rebase_threshold = 2;  // tiny: force frequent rebases
-  SqprPlanner planner(&cluster, &catalog, options);
-
-  const StreamId ab = *catalog.CanonicalJoinStream({base[0], base[1]});
-  const StreamId cd = *catalog.CanonicalJoinStream({base[2], base[3]});
-  for (StreamId q : {ab, cd}) ASSERT_TRUE(planner.WarmCatalog(q).ok());
-
-  SqprPlanner::SnapshotStats stats;
-  planner.MakeSnapshot(&stats);
-  EXPECT_TRUE(stats.rebased);
-  ASSERT_TRUE(planner.SubmitQuery(ab)->admitted);  // >> 2 journal entries
-  planner.MakeSnapshot(&stats);
-  EXPECT_TRUE(stats.rebased) << "overlay beyond threshold must rebase";
-  planner.MakeSnapshot(&stats);
-  EXPECT_FALSE(stats.rebased) << "unchanged planner must reuse the core";
-  EXPECT_EQ(stats.overlay_entries, 0u);
-
-  // A rebased snapshot still materialises the exact live state.
-  ASSERT_TRUE(planner.SubmitQuery(cd)->admitted);
-  auto snap = planner.MakeSnapshot(&stats);
-  Result<AdmissionProposal> p = snap->ProposeAdmission(cd);
-  ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(p->stats.already_served);
 }
 
 TEST(PlanningServiceTest, ReplayIsDeterministic) {
@@ -1407,6 +1387,124 @@ TEST(TraceTest, ParseErrorsReportLineNumberAndSnippet) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("..."), std::string::npos);
   EXPECT_LT(r.status().ToString().size(), 200u);
+}
+
+// Hostile traces: seeded token mutations of a saved trace (dropped,
+// duplicated and swapped tokens; huge, negative, NaN and non-numeric
+// substitutes) must each load OK or fail with InvalidArgument naming
+// the file and the mutated line — never throw or abort.
+TEST(TraceTest, LoadSurvivesSeededTokenMutations) {
+  const std::string path = ::testing::TempDir() + "/sqpr_trace_fuzz.txt";
+  auto load_text = [&](const std::string& content) {
+    std::ofstream out(path);
+    out << content;
+    out.close();
+    return LoadTrace(path);
+  };
+
+  // The allocation bomb: an untrusted cpu count must not pre-size.
+  Result<std::vector<Event>> bomb =
+      load_text("0 monitor 0 cpu 1000000000000000000\n");
+  ASSERT_FALSE(bomb.ok());
+  EXPECT_TRUE(bomb.status().IsInvalidArgument());
+  EXPECT_NE(bomb.status().ToString().find(path + ":1:"), std::string::npos)
+      << bomb.status().ToString();
+
+  // A saved trace with every event kind and trajectory shape.
+  std::vector<Event> events = {
+      Event::Arrival(10, 5),
+      Event::Departure(20, 5),
+      Event::HostFailure(30, 1),
+      Event::HostJoin(40, 1),
+      Event::MonitorReport(50, {{2, 12.5}, {3, 7.25}}, {0.5, 0.75, 0.25}),
+      Event::Tick(60)};
+  RateTrajectory traj;
+  traj.stream = 2;
+  traj.base_rate_mbps = 10.0;
+  traj.kind = RateTrajectory::Kind::kConstant;
+  events.push_back(Event::RateDirective(70, traj));
+  traj.kind = RateTrajectory::Kind::kStep;
+  traj.step_at_ms = 500;
+  traj.step_factor = 2.0;
+  events.push_back(Event::RateDirective(80, traj));
+  traj.kind = RateTrajectory::Kind::kRandomWalk;
+  traj.period_ms = 100;
+  traj.volatility = 0.2;
+  traj.min_factor = 0.5;
+  traj.max_factor = 2.0;
+  events.push_back(Event::RateDirective(90, traj));
+  traj.kind = RateTrajectory::Kind::kPeriodic;
+  traj.amplitude = 0.3;
+  traj.phase = 0.1;
+  events.push_back(Event::RateDirective(100, traj));
+  ASSERT_TRUE(SaveTrace(events, path).ok());
+  std::vector<std::string> lines;
+  std::vector<size_t> event_lines;  // indices of non-comment lines
+  {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!line.empty() && line[0] != '#') event_lines.push_back(lines.size());
+      lines.push_back(line);
+    }
+  }
+  ASSERT_EQ(event_lines.size(), events.size());
+
+  const std::vector<std::string> hostile = {
+      "1000000000000000000", "99999999999999999999999", "-1",
+      "-9223372036854775809", "nan", "NaN", "inf", "-inf", "1e308",
+      "1e999", "abc", "0x10", "cpu", "monitor", "-0", "3.5"};
+  Rng rng(20260518);
+  int failures = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const size_t target = event_lines[rng.NextBounded(event_lines.size())];
+    std::vector<std::string> tokens;
+    {
+      std::istringstream ss(lines[target]);
+      std::string token;
+      while (ss >> token) tokens.push_back(token);
+    }
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations && !tokens.empty(); ++m) {
+      const size_t i = rng.NextBounded(tokens.size());
+      switch (rng.NextBounded(4)) {
+        case 0:
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        case 1:
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(i),
+                        tokens[i]);
+          break;
+        case 2:
+          std::swap(tokens[i], tokens[rng.NextBounded(tokens.size())]);
+          break;
+        default:
+          tokens[i] = hostile[rng.NextBounded(hostile.size())];
+          break;
+      }
+    }
+    std::string mutated;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      mutated += (i ? " " : "") + tokens[i];
+    }
+    std::string content;
+    for (size_t l = 0; l < lines.size(); ++l) {
+      content += (l == target ? mutated : lines[l]) + "\n";
+    }
+    try {
+      const Result<std::vector<Event>> r = load_text(content);
+      if (r.ok()) continue;
+      ++failures;
+      EXPECT_TRUE(r.status().IsInvalidArgument())
+          << "'" << mutated << "': " << r.status().ToString();
+      const std::string where = path + ":" + std::to_string(target + 1) + ":";
+      EXPECT_NE(r.status().ToString().find(where), std::string::npos)
+          << "'" << mutated << "': " << r.status().ToString();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "LoadTrace threw on '" << mutated << "': " << e.what();
+    }
+  }
+  EXPECT_GT(failures, 0) << "the mutations never produced a bad line";
 }
 
 }  // namespace

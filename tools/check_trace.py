@@ -17,24 +17,28 @@ Checks (all fatal):
     integer tid named by some "M" record).
   * Span names are '/'-separated taxonomy paths whose first segment
     matches the event's cat.
-  * Re-planning-round attribution: a round runs from its
-    service/round.dispatch start to the end of the span that retires it
-    — service/round.commit at its pinned commit point, or
-    service/round.unwind when a barrier retires a speculative round
-    early. Pipelined rounds overlap (up to pipeline_depth in flight),
-    so spans are matched by their "round" id arg, falling back to
-    positional dispatch/commit pairing for traces predating the arg.
-    The union of all named spans across all threads, clipped to the
-    round's window, must cover >= --min-round-coverage of it: "explain
-    every millisecond" is gated here, not eyeballed in Perfetto.
+  * Re-planning-round attribution: a round is one service/round.commit
+    span, inside which the round's queries are solved in order. The
+    union of the spans nested in it (same thread, starting and ending
+    inside its window) must cover >= --min-round-coverage of it:
+    "explain every millisecond" is gated here, not eyeballed in
+    Perfetto. Enclosing spans (the service/event.* span a round commits
+    in, bench/* spans) never count: they would cover any round. On a
+    thread whose ring dropped spans, a round that started before the
+    thread's oldest retained span ended may have lost children to the
+    ring; it is skipped. --require-rounds needs one complete round.
 
 Exit 0 on success, 1 with a message on any failure.
 """
 
 import argparse
+import bisect
 import gzip
 import json
 import sys
+
+
+NESTING_SLACK_US = 0.002
 
 
 def fail(msg):
@@ -161,73 +165,61 @@ def main():
             fail(f"span {name}: tid {tid} has no thread_name metadata")
 
     # --- re-planning-round attribution ---------------------------------
-    # Up to pipeline_depth rounds overlap, so dispatches are matched to
-    # the span that retires the round — commit (the pinned commit point)
-    # or unwind (a barrier retired it early) — by the "round" id arg.
-    def spans_named(span_name):
-        return [
-            (a.get("round"), s, e)
-            for n, _, s, e, a in spans
-            if n == span_name
-        ]
-
-    dispatches = spans_named("service/round.dispatch")
-    retires = spans_named("service/round.commit") + spans_named(
-        "service/round.unwind"
+    # Each round is one commit span; its solves are the spans nested in
+    # it. Only nested spans explain the round: the event span it commits
+    # in encloses it whole, whatever the round spent its time on.
+    rounds_spans = sorted(
+        (s, e, tid) for n, tid, s, e, _ in spans if n == "service/round.commit"
     )
-    if args.require_rounds and not dispatches:
-        fail("trace contains no service/round.dispatch spans")
+    if args.require_rounds and not rounds_spans:
+        fail("trace contains no service/round.commit spans")
 
-    pairs = []  # (round key, dispatch start, retire start, retire end)
-    if all(isinstance(r, int) for r, _, _ in dispatches + retires):
-        retire_by_id = {r: (s, e) for r, s, e in retires}
-        if len(retire_by_id) != len(retires):
-            fail("duplicate round ids among commit/unwind spans")
-        unmatched = len(retires) - sum(
-            1 for r, _, _ in dispatches if r in retire_by_id
-        )
-        for r, d_start, _ in dispatches:
-            if r not in retire_by_id:
-                # The ring dropped this round's retire span (rounds in
-                # flight at the end retire via FinishInFlightRound, so
-                # absence means overwrite, not leakage).
-                continue
-            pairs.append((r, d_start) + retire_by_id[r])
-        dropped = len(dispatches) - len(pairs)
-        if dropped or unmatched:
-            print(
-                f"check_trace: note: {dropped} dispatches and "
-                f"{unmatched} commits/unwinds retained without their "
-                f"pair; checking {len(pairs)} complete rounds"
-            )
-    else:
-        # Trace predates the round-id arg: at most one round was in
-        # flight, so commit k follows dispatch k in time.
-        old_dispatches = sorted((s, e) for _, s, e in dispatches)
-        old_commits = sorted(
-            (s, e) for r, s, e in spans_named("service/round.commit")
-        )
-        if len(old_dispatches) != len(old_commits):
-            n = min(len(old_dispatches), len(old_commits))
-            print(
-                f"check_trace: note: {len(old_dispatches)} dispatches vs "
-                f"{len(old_commits)} commits retained; checking {n} pairs"
-            )
-            old_dispatches, old_commits = old_dispatches[-n:], old_commits[-n:]
-        pairs = [
-            (k, d[0], c[0], c[1])
-            for k, (d, c) in enumerate(zip(old_dispatches, old_commits))
-        ]
+    # A thread's ring keeps its newest spans, and a span is recorded when
+    # it ends, so after drops everything that ended after the thread's
+    # oldest retained end is still there.
+    dropped_by_name = {
+        t["name"]: t["dropped"] for t in (per_thread or [])
+    }
+    oldest_end = {}
+    for _, tid, _, e, _ in spans:
+        oldest_end[tid] = min(e, oldest_end.get(tid, e))
+    # Per thread, the non-round spans sorted by start, for the nesting
+    # lookup below.
+    by_tid = {}
+    for n, tid, s, e, _ in spans:
+        if n != "service/round.commit":
+            by_tid.setdefault(tid, []).append((s, e))
+    for intervals in by_tid.values():
+        intervals.sort()
+    starts = {tid: [s for s, _ in iv] for tid, iv in by_tid.items()}
 
-    intervals = [(s, e) for _, _, s, e, _ in spans]
+    def ring_dropped(tid):
+        if per_thread is None:
+            return other["dropped_spans"] > 0
+        return dropped_by_name.get(named_tids[tid], 0) > 0
+
+    truncated = 0
+    checked = 0
     worst = None
-    for k, d_start, r_start, r_end in pairs:
-        if r_end <= d_start or r_start < d_start:
-            fail(f"round {k}: commit/unwind does not follow its dispatch")
-        window = r_end - d_start
+    for k, (r_start, r_end, r_tid) in enumerate(rounds_spans):
+        if ring_dropped(r_tid) and r_start < oldest_end[r_tid]:
+            truncated += 1
+            continue
+        checked += 1
+        window = r_end - r_start
         if window <= 0:
             continue
-        coverage = union_length(intervals, d_start, r_end) / window
+        # ts and dur are each printed to 1 ns, so a child may overhang
+        # its parent's end by a rounding step.
+        intervals = by_tid.get(r_tid, [])
+        lo = bisect.bisect_left(starts.get(r_tid, []), r_start)
+        hi = bisect.bisect_right(starts.get(r_tid, []), r_end)
+        nested = [
+            (s, e)
+            for s, e in intervals[lo:hi]
+            if e <= r_end + NESTING_SLACK_US
+        ]
+        coverage = union_length(nested, r_start, r_end) / window
         if worst is None or coverage < worst[1]:
             worst = (k, coverage)
         if coverage < args.min_round_coverage:
@@ -237,9 +229,16 @@ def main():
                 f"(< {args.min_round_coverage:.0%})"
             )
 
-    rounds = len(pairs)
+    if truncated:
+        print(
+            f"check_trace: note: skipped {truncated} rounds that started "
+            f"before the ring's oldest retained span; checking {checked}"
+        )
+    if args.require_rounds and checked == 0:
+        fail("every retained round was truncated by the ring")
+
     summary = (
-        f"{rounds} rounds, worst coverage {worst[1]:.1%}"
+        f"{checked} rounds, worst coverage {worst[1]:.1%}"
         if worst is not None
         else "no complete rounds retained"
     )

@@ -16,8 +16,8 @@
 # and meaningful only relative to earlier records from comparable
 # hardware.
 #
-# The second output (default TRACE_drift_w4.json.gz) is the
-# flight-recorder capture of the drift-heavy workers=4 replay,
+# The second output (default TRACE_drift.json.gz) is the
+# flight-recorder capture of the drift-heavy replay,
 # validated by tools/check_trace.py (schema + >= 90% of every
 # re-planning round's wall time attributed to named spans,
 # docs/ARCHITECTURE.md §7) and gzipped for commit.
@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_service.json}
-TRACE_OUT=${2:-TRACE_drift_w4.json.gz}
+TRACE_OUT=${2:-TRACE_drift.json.gz}
 MICRO_OUT=${3:-BENCH_solver_micro.json}
 
 cmake -B "$BUILD_DIR" -S . >/dev/null

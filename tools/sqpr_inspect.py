@@ -12,8 +12,8 @@ sqpr-trace-v1) and an optional periodic metrics series
     (canonical renderings);
   * per-round wall-time attribution (--rounds): each committed
     re-planning round's sequence number, member queries and outcomes,
-    joined — via the round's dispatch id — to its trace spans, so the
-    round's window is broken down by span name;
+    joined — via its virtual commit time — to its service/round.commit
+    span, so the round's window is broken down by span name;
   * a lifecycle completeness gate (--require-complete): the journal's
     records are replayed through a query state machine and the final
     states must exactly reproduce the journal's own close.admitted /
@@ -67,8 +67,6 @@ LIFECYCLE_KINDS = (
 )
 SPECULATIVE_QUERY_KINDS = {
     "replan.discard",
-    "replan.requeue",
-    "replan.conflict",
 }
 
 
@@ -240,7 +238,9 @@ class Lifecycles:
 
 
 def load_trace_rounds(path):
-    """Returns ({dispatch id: (window start, window end)}, spans)."""
+    """Returns ({virtual commit time: [(start, end), ...]}, spans): the
+    service/round.commit windows, grouped by the virtual time they
+    committed at, in wall-clock order."""
     with opener(path) as f:
         try:
             data = json.load(f)
@@ -253,20 +253,11 @@ def load_trace_rounds(path):
         ts, dur = float(ev.get("ts", 0)), float(ev.get("dur", 0))
         spans.append((ev.get("name"), ts, ts + dur, ev.get("args", {})))
     windows = {}
-    for name, s, e, a in spans:
-        rid = a.get("round")
-        if not isinstance(rid, int):
-            continue
-        if name == "service/round.dispatch":
-            windows.setdefault(rid, [None, None])[0] = s
-        elif name in ("service/round.commit", "service/round.unwind"):
-            windows.setdefault(rid, [None, None])[1] = e
-    complete = {
-        rid: (s, e)
-        for rid, (s, e) in windows.items()
-        if s is not None and e is not None
-    }
-    return complete, spans
+    for name, s, e, a in sorted(spans, key=lambda sp: sp[1]):
+        vclock = a.get("vclock_ms")
+        if name == "service/round.commit" and isinstance(vclock, int):
+            windows.setdefault(vclock, []).append((s, e))
+    return windows, spans
 
 
 def attribute_window(spans, lo, hi, top=5):
@@ -316,10 +307,6 @@ def fmt_wall(rec):
     parts = []
     if "solve_ms" in wall:
         parts.append(f"solve {wall['solve_ms']:.2f} ms")
-    if "commit_ms" in wall:
-        parts.append(f"commit {wall['commit_ms']:.2f} ms")
-    if "dispatch" in wall:
-        parts.append(f"dispatch #{wall['dispatch']}")
     return f"  [{', '.join(parts)}]" if parts else ""
 
 
@@ -409,7 +396,7 @@ def main():
         trace_windows, trace_spans = load_trace_rounds(args.trace)
         print(
             f"trace: {len(trace_spans)} spans, "
-            f"{len(trace_windows)} complete round windows"
+            f"{sum(len(w) for w in trace_windows.values())} round windows"
         )
 
     if args.query is not None:
@@ -445,6 +432,9 @@ def main():
             ):
                 outcomes.setdefault(r.get("round"), []).append(r)
         print(f"\n{len(rounds)} committed re-planning rounds:")
+        # Rounds committed at one virtual time pair with that time's
+        # commit spans in order.
+        seen_at = {}
         for r in rounds:
             outs = outcomes.get(r.get("round"), [])
             admitted = sum(1 for o in outs if o["kind"] == "replan.admit")
@@ -452,18 +442,16 @@ def main():
                 f"  round {r.get('round'):>3}  t={r['t_ms']:>8} ms  "
                 f"{r.get('detail', 0)} queries, {admitted} re-admitted"
             )
-            wall = r.get("wall", {})
             solve_ms = sum(
                 o.get("wall", {}).get("solve_ms", 0.0) for o in outs
             )
-            if wall or solve_ms:
-                line += (
-                    f"  (barrier {wall.get('commit_ms', 0.0):.2f} ms, "
-                    f"solves {solve_ms:.2f} ms)"
-                )
-            dispatch = wall.get("dispatch")
-            if dispatch in trace_windows:
-                lo, hi = trace_windows[dispatch]
+            if solve_ms:
+                line += f"  (solves {solve_ms:.2f} ms)"
+            k = seen_at.get(r["t_ms"], 0)
+            seen_at[r["t_ms"]] = k + 1
+            at = trace_windows.get(r["t_ms"], [])
+            if k < len(at):
+                lo, hi = at[k]
                 line += f"  window {(hi - lo) / 1000.0:.2f} ms:"
                 print(line)
                 for name, us in attribute_window(trace_spans, lo, hi):

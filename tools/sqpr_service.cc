@@ -4,14 +4,13 @@
 // failures/rejoins, monitor drift reports, ticks — and replays it
 // through the PlanningService, reporting per-event and per-stage
 // latency, admission statistics, plan-cache effectiveness and the final
-// committed deployment audit. With --workers N, re-planning rounds
-// solve on a worker pool off the event-loop thread (see
-// docs/ARCHITECTURE.md for the threading model).
+// committed deployment audit (see docs/ARCHITECTURE.md for the
+// round model and determinism contract).
 //
 // Examples:
 //   sqpr_service --hosts 6 --events 200 --seed 7
 //   sqpr_service --events 500 --save-trace /tmp/churn.trace --verbose
-//   sqpr_service --trace /tmp/churn.trace --workers 4
+//   sqpr_service --trace /tmp/churn.trace
 
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +47,6 @@ struct Args {
   int64_t timeout_ms = 150;
   int64_t max_nodes = 0;  // 0 = keep the planner default
   int replan_round = 8;
-  int workers = 0;
-  int pipeline_depth = 2;
   bool closed_loop = false;
   sqpr::MeasureMode measure_mode = sqpr::MeasureMode::kEngine;
   int measure_period = 4;
@@ -69,7 +66,6 @@ struct Args {
   double budget_admit_ms = 0.0;  // watchdog: per-stage budgets
   double budget_solve_ms = 0.0;
   double budget_commit_ms = 0.0;
-  double budget_barrier_ms = 0.0;
   double budget_measure_ms = 0.0;
   std::string checkpoint_out_path;  // crash-durable service checkpoint
   int64_t checkpoint_every = 0;     // events between checkpoints (0 = final only)
@@ -140,30 +136,9 @@ void Usage(std::FILE* out) {
       "  --max-nodes N    branch-and-bound node budget per solve; combine\n"
       "                   with a large --timeout-ms for bit-for-bit\n"
       "                   reproducible replays independent of machine\n"
-      "                   load and worker count (0 = planner default)\n"
+      "                   load (0 = planner default)\n"
       "  --replan-round N max queries re-planned per bounded round\n"
       "                   (default 8)\n"
-      "  --workers N      worker threads solving re-planning rounds off\n"
-      "                   the event-loop thread (default 0 = the same\n"
-      "                   speculative rounds solved on the loop thread).\n"
-      "                   The pool is clamped to the machine's core\n"
-      "                   count (oversubscription only inflates solver\n"
-      "                   tail latency). The same trace+seed commits\n"
-      "                   identical deployments for any N >= 0 when the\n"
-      "                   solver is node-bounded (see\n"
-      "                   docs/ARCHITECTURE.md)\n"
-      "  --pipeline-depth N\n"
-      "                   re-planning rounds in flight at once (default\n"
-      "                   2, min 1). Each round pins its own planner\n"
-      "                   snapshot at dispatch and commits at a fixed\n"
-      "                   logical point — one round per consumed event,\n"
-      "                   FIFO — so depth changes only how early solves\n"
-      "                   start: committed deployments are bit-identical\n"
-      "                   across depths (and worker counts). Proposals\n"
-      "                   gone stale under an older round's commit are\n"
-      "                   re-solved inline at their pinned commit point\n"
-      "                   (the commit-conflicts counter). 1 restores the\n"
-      "                   single-round dispatch-then-commit behaviour\n"
       "\n"
       "Closed-loop flags (SIV-C self-measurement):\n"
       "  --closed-loop    the service measures its own committed\n"
@@ -225,22 +200,22 @@ void Usage(std::FILE* out) {
       "                   stage histograms and the watchdog tallies\n"
       "  --audit-out FILE enable the decision audit journal and write it\n"
       "                   as sqpr-audit-v1 JSONL: every admit / reject /\n"
-      "                   re-plan / evict / drift / conflict / unwind\n"
+      "                   re-plan / evict / drift / conflict\n"
       "                   decision in commit order, with reason codes,\n"
       "                   virtual timestamps, wall latencies and pre/post\n"
       "                   deployment fingerprints\n"
       "  --audit-canonical\n"
       "                   write only the canonical stratum — speculative\n"
       "                   records and wall-clock fields dropped. This\n"
-      "                   rendering is byte-identical across --workers\n"
-      "                   and --pipeline-depth for the same trace+seed\n"
+      "                   rendering is byte-identical across replays of\n"
+      "                   the same trace+seed\n"
       "  --stall-ms F     watchdog: count Step() calls whose wall time\n"
       "                   exceeds F ms as event-loop stalls (the virtual\n"
       "                   clock stood still while the wall clock ran)\n"
       "  --budget-ms STAGE=F\n"
       "                   watchdog: per-stage wall-latency budget in ms;\n"
-      "                   STAGE one of admit,solve,commit,barrier,\n"
-      "                   measure. Repeatable. Samples over budget bump\n"
+      "                   STAGE one of admit,solve,commit,measure.\n"
+      "                   Repeatable. Samples over budget bump\n"
       "                   the matching *_budget_breaches counter\n"
       "\n"
       "Durability flags (docs/ARCHITECTURE.md \"Durability & degraded\n"
@@ -256,8 +231,8 @@ void Usage(std::FILE* out) {
       "  --checkpoint-every N\n"
       "                   also checkpoint after every N consumed events\n"
       "                   (requires --checkpoint-out). Each checkpoint is\n"
-      "                   a pipeline barrier — in-flight speculative\n"
-      "                   rounds finish first — so a restored run and an\n"
+      "                   a barrier — the pending re-planning round\n"
+      "                   commits first — so a restored run and an\n"
       "                   uninterrupted run with the same cadence commit\n"
       "                   bit-identical deployments\n"
       "  --restore FILE   resume from a checkpoint instead of starting\n"
@@ -358,10 +333,6 @@ int main(int argc, char** argv) {
       args.max_nodes = std::atoll(v);
     } else if (flag == "--replan-round" && (v = next())) {
       args.replan_round = std::atoi(v);
-    } else if (flag == "--workers" && (v = next())) {
-      args.workers = std::atoi(v);
-    } else if (flag == "--pipeline-depth" && (v = next())) {
-      args.pipeline_depth = std::atoi(v);
     } else if (flag == "--closed-loop") {
       args.closed_loop = true;
     } else if (flag == "--measure-mode" && (v = next())) {
@@ -423,8 +394,6 @@ int main(int argc, char** argv) {
         args.budget_solve_ms = ms;
       } else if (stage == "commit") {
         args.budget_commit_ms = ms;
-      } else if (stage == "barrier") {
-        args.budget_barrier_ms = ms;
       } else if (stage == "measure") {
         args.budget_measure_ms = ms;
       } else {
@@ -451,7 +420,7 @@ int main(int argc, char** argv) {
     }
   }
   if (args.hosts < 2 || args.streams < 1 || args.queries < 1 ||
-      args.events < 1 || args.workers < 0 || args.pipeline_depth < 1 ||
+      args.events < 1 ||
       args.measure_period < 1 || args.metrics_interval_ms < 0 ||
       args.checkpoint_every < 0) {
     std::fprintf(stderr, "invalid scenario parameters\n\n");
@@ -525,8 +494,6 @@ int main(int argc, char** argv) {
   options.planner.solve_deadline_ms = args.solve_deadline_ms;
   if (args.max_nodes > 0) options.planner.max_nodes = args.max_nodes;
   options.replan.max_queries_per_round = args.replan_round;
-  options.replan.workers = args.workers;
-  options.replan.pipeline_depth = args.pipeline_depth;
   options.closed_loop = args.closed_loop;
   options.telemetry.mode = args.measure_mode;
   options.telemetry.measure_period = args.measure_period;
@@ -537,7 +504,6 @@ int main(int argc, char** argv) {
   options.watchdog.admit_budget_ms = args.budget_admit_ms;
   options.watchdog.solve_budget_ms = args.budget_solve_ms;
   options.watchdog.commit_budget_ms = args.budget_commit_ms;
-  options.watchdog.barrier_budget_ms = args.budget_barrier_ms;
   options.watchdog.measure_budget_ms = args.budget_measure_ms;
   if (!args.trace_out_path.empty()) {
     obs::TraceRecorder::Options trace_options;
@@ -605,10 +571,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "scenario: %d hosts (cpu %.2f, nic %.0f, link %.0f), %d base streams "
-      "@ %.0f Mbps, zipf %.1f, seed %llu, workers %d\n",
+      "@ %.0f Mbps, zipf %.1f, seed %llu\n",
       args.hosts, args.cpu, args.nic_mbps, args.link_mbps, args.streams,
-      args.rate_mbps, args.zipf, static_cast<unsigned long long>(args.seed),
-      args.workers);
+      args.rate_mbps, args.zipf, static_cast<unsigned long long>(args.seed));
   if (args.closed_loop) {
     std::printf(
         "closed loop: %s self-measurement every %d ticks, rate seed %llu\n",
@@ -694,7 +659,7 @@ int main(int argc, char** argv) {
   }
   service.FinishInFlightRound();
   if (!args.checkpoint_out_path.empty()) {
-    // Final checkpoint after the pipeline drains. Written before
+    // Final checkpoint after the pending round commits. Written before
     // FinalizeAudit so the checkpoint barrier's own audit records are
     // part of the journal like any other round's.
     if (!write_checkpoint()) return 1;
@@ -703,7 +668,7 @@ int main(int argc, char** argv) {
   }
   service.FinalizeAudit();
   if (metrics_series) {
-    // Final sample after the pipeline drains, so the series always ends
+    // Final sample after the pending round commits, so the series always ends
     // with the run's complete totals.
     sample_metrics(service.clock().now_ms());
   }
@@ -730,7 +695,7 @@ int main(int argc, char** argv) {
                 kind_ms[k] / kind_count[k], kind_max_ms[k]);
   }
 
-  std::printf("\nper-stage latency (loop-thread perspective):\n");
+  std::printf("\nper-stage latency:\n");
   const auto print_stage = [](const char* name, const obs::Histogram& s) {
     if (s.count() == 0) return;
     std::printf("  %-14s %6zu samples  avg %7.2f ms  max %7.2f ms\n", name,
@@ -739,7 +704,6 @@ int main(int argc, char** argv) {
   print_stage("admit", stats.admit_ms);
   print_stage("solve", stats.solve_ms);
   print_stage("commit", stats.commit_ms);
-  print_stage("barrier-wait", stats.barrier_ms);
   if (stats.solve_ms.count() > 0) {
     std::printf(
         "  solver wall-time percentiles: p50 %.2f ms  p90 %.2f ms  "
@@ -790,34 +754,22 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.replanned_admitted),
               static_cast<long long>(stats.replanned_rejected),
               service.pending_replans());
-  std::printf("speculative pipeline: %d workers, depth %d, %lld rounds "
-              "dispatched, %lld commit conflicts re-solved inline, %lld "
-              "rounds unwound at barriers, %lld arrival solves overlapped "
-              "in-flight rounds\n",
-              service.workers(), args.pipeline_depth,
-              static_cast<long long>(stats.replan_dispatches),
-              static_cast<long long>(stats.commit_conflicts),
-              static_cast<long long>(stats.round_unwinds),
-              static_cast<long long>(stats.overlapped_arrival_solves));
-  if (stats.replan_dispatches > 0 && service.workers() > 0) {
-    std::printf("snapshots: %lld bytes copied on the loop thread "
-                "(%lld rebases across %lld dispatches)\n",
-                static_cast<long long>(stats.snapshot_bytes_copied),
-                static_cast<long long>(stats.snapshot_rebases),
-                static_cast<long long>(stats.replan_dispatches));
-  }
+  std::printf("solver effort: %lld B&B nodes, %lld LP pivots over %zu "
+              "solves\n",
+              static_cast<long long>(stats.solver_nodes),
+              static_cast<long long>(stats.lp_iterations),
+              stats.solve_ms.count());
   if (args.stall_ms > 0 || args.budget_admit_ms > 0 ||
       args.budget_solve_ms > 0 || args.budget_commit_ms > 0 ||
-      args.budget_barrier_ms > 0 || args.budget_measure_ms > 0) {
+      args.budget_measure_ms > 0) {
     std::printf("watchdog: %lld event-loop stalls (worst %.2f ms); budget "
-                "breaches: admit %lld, solve %lld, commit %lld, barrier "
-                "%lld, measure %lld\n",
+                "breaches: admit %lld, solve %lld, commit %lld, measure "
+                "%lld\n",
                 static_cast<long long>(stats.loop_stalls),
                 stats.worst_stall_ms,
                 static_cast<long long>(stats.admit_budget_breaches),
                 static_cast<long long>(stats.solve_budget_breaches),
                 static_cast<long long>(stats.commit_budget_breaches),
-                static_cast<long long>(stats.barrier_budget_breaches),
                 static_cast<long long>(stats.measure_budget_breaches));
   }
 
@@ -905,11 +857,9 @@ int main(int argc, char** argv) {
     stats_publisher.Publish(stats);
     char head[256];
     std::snprintf(head, sizeof(head),
-                  "{\"schema\":\"sqpr-service-stats-v1\",\"workers\":%d,"
-                  "\"pipeline_depth\":%d,\"final_t_ms\":%lld,"
+                  "{\"schema\":\"sqpr-service-stats-v1\",\"final_t_ms\":%lld,"
                   "\"total_wall_ms\":%.6g,\"max_event_ms\":%.6g,"
                   "\"worst_stall_ms\":%.6g,\"stats\":",
-                  service.workers(), args.pipeline_depth,
                   static_cast<long long>(service.clock().now_ms()),
                   stats.total_wall_ms, stats.max_event_ms,
                   stats.worst_stall_ms);
