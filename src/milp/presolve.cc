@@ -11,13 +11,12 @@ namespace {
 
 constexpr double kIntTol = 1e-6;
 
-/// Rounds an integer variable's bounds inward to the integral lattice.
+}  // namespace
+
 void RoundIntegerBounds(double* lb, double* ub) {
   if (std::isfinite(*lb)) *lb = std::ceil(*lb - kIntTol);
   if (std::isfinite(*ub)) *ub = std::floor(*ub + kIntTol);
 }
-
-}  // namespace
 
 PresolveStats Presolver::Apply(const Model& model) {
   PresolveStats stats;

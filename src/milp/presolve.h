@@ -19,6 +19,11 @@ struct PresolveStats {
   bool proven_infeasible = false;
 };
 
+/// Rounds an integer variable's bounds inward to the integral lattice
+/// (a bound within 1e-6 of an integer snaps to it). The result crosses
+/// (lb > ub) when the box holds no integer.
+void RoundIntegerBounds(double* lb, double* ub);
+
 /// MILP presolve: shrinks a model before branch-and-bound.
 ///
 /// SQPR's problem reduction (§IV-A) works by *fixing* every decision

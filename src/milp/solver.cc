@@ -62,14 +62,32 @@ class BranchAndBound {
       : base_(model),
         options_(options),
         work_(model.lp),
-        engine_(EngineOptions(options, root_basis)) {}
+        engine_(EngineOptions(options, root_basis)),
+        int_lb_(model.lp.num_variables()),
+        int_ub_(model.lp.num_variables()) {
+    // Branching and diving assume integral bounds on integer columns;
+    // without presolve a fractional bound would let them step past it.
+    for (int v = 0; v < model.lp.num_variables(); ++v) {
+      if (!model.integer[v]) continue;
+      int_lb_[v] = model.lp.variable_lb(v);
+      int_ub_[v] = model.lp.variable_ub(v);
+      RoundIntegerBounds(&int_lb_[v], &int_ub_[v]);
+      if (int_lb_[v] > int_ub_[v]) {
+        empty_box_ = true;  // no integer in the box: the root is empty
+      } else {
+        work_.SetVariableBounds(v, int_lb_[v], int_ub_[v]);
+      }
+    }
+  }
 
   MipResult Run();
 
  private:
   // Applies the bound-change chain of `node` onto work_ (after resetting
-  // integer-variable bounds to the base model's).
-  void ApplyBounds(int node);
+  // integer-variable bounds to the base model's, rounded inward).
+  // Returns false, leaving work_ partly updated, when the node's box is
+  // empty: a chain whose changes cross, or a base box without an integer.
+  bool ApplyBounds(int node);
   // Picks the most fractional integer variable; -1 if integral.
   int PickBranchVariable(const std::vector<double>& x) const;
   double PruneThreshold() const;
@@ -108,6 +126,11 @@ class BranchAndBound {
   // Basis of the first root LP solve, exported via MipResult::root_basis
   // for cross-solve warm starts.
   std::vector<lp::BasisState> root_basis_;
+  // Integer columns' bounds rounded inward (RoundIntegerBounds); entries
+  // of continuous columns are unused. empty_box_: some integer column's
+  // rounded bounds cross.
+  std::vector<double> int_lb_, int_ub_;
+  bool empty_box_ = false;
 
   std::vector<Node> arena_;
   std::priority_queue<QueueEntry> open_;
@@ -119,25 +142,20 @@ class BranchAndBound {
   int64_t rejected_candidates_ = 0;
 };
 
-void BranchAndBound::ApplyBounds(int node) {
+bool BranchAndBound::ApplyBounds(int node) {
+  if (empty_box_) return false;
   for (int v = 0; v < base_.lp.num_variables(); ++v) {
-    if (base_.integer[v]) {
-      work_.SetVariableBounds(v, base_.lp.variable_lb(v),
-                              base_.lp.variable_ub(v));
-    }
+    if (base_.integer[v]) work_.SetVariableBounds(v, int_lb_[v], int_ub_[v]);
   }
   for (int cur = node; cur >= 0; cur = arena_[cur].parent) {
     if (arena_[cur].parent < 0) break;  // root carries no change
     const BoundChange& bc = arena_[cur].change;
     const double lb = std::max(work_.variable_lb(bc.var), bc.lb);
     const double ub = std::min(work_.variable_ub(bc.var), bc.ub);
-    if (lb > ub) {
-      // Conflicting ancestors cannot happen: each branch only tightens
-      // one side and descendants never relax it.
-      SQPR_LOG_FATAL << "crossed bounds applying branch chain";
-    }
+    if (lb > ub) return false;
     work_.SetVariableBounds(bc.var, lb, ub);
   }
+  return true;
 }
 
 int BranchAndBound::PickBranchVariable(const std::vector<double>& x) const {
@@ -320,7 +338,7 @@ int BranchAndBound::ProcessNode(int node_index) {
   span.set_args(static_cast<uint64_t>(nodes_),
                 static_cast<uint64_t>(node_index));
   ++nodes_;
-  ApplyBounds(node_index);
+  if (!ApplyBounds(node_index)) return -1;  // empty box: prune
 
   lp::SimplexResult rel = engine_.Solve(work_);
   if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {

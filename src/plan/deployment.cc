@@ -397,45 +397,24 @@ std::string Deployment::Fingerprint() const {
   return out;
 }
 
-DeploymentDelta DiffDeployments(const Deployment& base,
-                                const Deployment& next) {
-  DeploymentDelta delta;
-  const Cluster& cluster = base.cluster();
-  const int num_streams = base.catalog().num_streams();
-
-  for (HostId h = 0; h < cluster.num_hosts(); ++h) {
-    for (OperatorId o : next.OperatorsOn(h)) {
-      if (!base.RunsOperator(h, o)) delta.ops_added.emplace_back(h, o);
-    }
-    for (OperatorId o : base.OperatorsOn(h)) {
-      if (!next.RunsOperator(h, o)) delta.ops_removed.emplace_back(h, o);
-    }
-  }
-
-  for (StreamId s = 0; s < num_streams; ++s) {
-    for (const auto& [from, to] : next.FlowsOf(s)) {
-      if (!base.HasFlow(from, to, s)) {
-        delta.flows_added.emplace_back(from, to, s);
-      }
-    }
-    for (const auto& [from, to] : base.FlowsOf(s)) {
-      if (!next.HasFlow(from, to, s)) {
-        delta.flows_removed.emplace_back(from, to, s);
-      }
-    }
-    const HostId before = base.ServingHost(s);
-    const HostId after = next.ServingHost(s);
-    if (before != after) {
-      delta.serving_changes.push_back({s, before, after});
-    }
-  }
-  return delta;
+void DeploymentDelta::Append(const DeploymentDelta& later) {
+  ops_added.insert(ops_added.end(), later.ops_added.begin(),
+                   later.ops_added.end());
+  ops_removed.insert(ops_removed.end(), later.ops_removed.begin(),
+                     later.ops_removed.end());
+  flows_added.insert(flows_added.end(), later.flows_added.begin(),
+                     later.flows_added.end());
+  flows_removed.insert(flows_removed.end(), later.flows_removed.begin(),
+                       later.flows_removed.end());
+  serving_changes.insert(serving_changes.end(),
+                         later.serving_changes.begin(),
+                         later.serving_changes.end());
 }
 
 Status ApplyDeploymentDelta(const DeploymentDelta& delta,
                             Deployment* deployment) {
   // Removals first, so freed capacity and slots are available to the
-  // additions below (the delta's source deployment interleaved them).
+  // additions below.
   for (const auto& [from, to, s] : delta.flows_removed) {
     if (!deployment->HasFlow(from, to, s)) continue;  // already gone
     SQPR_RETURN_IF_ERROR(deployment->RemoveFlow(from, to, s));
@@ -446,14 +425,11 @@ Status ApplyDeploymentDelta(const DeploymentDelta& delta,
   }
   for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
     const HostId current = deployment->ServingHost(change.stream);
-    // Idempotent: an earlier commit (solved from the same base state)
-    // already made this exact move — e.g. two proposals migrating the
-    // same shared-support query identically.
-    if (current == change.after) continue;
+    if (current == change.after) continue;  // already made
     if (current != change.before) {
       return Status::FailedPrecondition(
           "serving of stream " + std::to_string(change.stream) +
-          " changed since the delta was computed");
+          " does not match the delta");
     }
     if (change.before != kInvalidHost) {
       SQPR_RETURN_IF_ERROR(deployment->ClearServing(change.stream));
@@ -463,11 +439,11 @@ Status ApplyDeploymentDelta(const DeploymentDelta& delta,
     }
   }
   for (const auto& [h, o] : delta.ops_added) {
-    if (deployment->RunsOperator(h, o)) continue;  // shared with another plan
+    if (deployment->RunsOperator(h, o)) continue;  // already placed
     SQPR_RETURN_IF_ERROR(deployment->PlaceOperator(h, o));
   }
   for (const auto& [from, to, s] : delta.flows_added) {
-    if (deployment->HasFlow(from, to, s)) continue;  // shared
+    if (deployment->HasFlow(from, to, s)) continue;  // already there
     SQPR_RETURN_IF_ERROR(deployment->AddFlow(from, to, s));
   }
   return Status::OK();

@@ -48,9 +48,9 @@ struct GroundedMap {
 /// Availability (y_hs) is derived, not stored: a stream is available at a
 /// host iff it is *grounded* there (see GroundedAvailability below).
 ///
-/// Deployment is a value type: planners copy it, edit the copy while
-/// solving, and commit by assignment — which is exactly how SQPR's
-/// replanning "removes and re-adds" queries (§IV-B).
+/// Deployment is a value type; the SQPR planner edits its committed
+/// deployment in place, one minimal DeploymentDelta per admission, and
+/// copies it only where a heuristic needs to try candidates.
 class Deployment {
  public:
   Deployment(const Cluster* cluster, const Catalog* catalog);
@@ -137,7 +137,7 @@ class Deployment {
   /// determinism contract (docs/ARCHITECTURE.md).
   std::string Fingerprint() const;
 
-  // ---- Change tracking (commit gates & reuse-index deltas). ----
+  // ---- Change tracking (audit records and checkpoints). ----
 
   /// Monotone change counter: every successful mutator call (including
   /// Clear and RecomputeAggregates) bumps it exactly once.
@@ -146,10 +146,7 @@ class Deployment {
   /// Like version(), but counting only *structural* mutations — flows,
   /// placements, serving arcs, Clear — not ledger recomputes
   /// (RecomputeAggregates rewrites resource numbers under unchanged
-  /// structure). Consumers that index structure-derived state off the
-  /// deployment (the service's PlanCache: groundedness and serving)
-  /// key their staleness checks on this, so rate installs neither
-  /// defeat no-op skips nor hide structural fallout behind them.
+  /// structure). The audit journal stamps records with it.
   uint64_t structure_version() const { return structure_version_; }
 
   /// Rough heap footprint of the committed state (flows, placements,
@@ -173,9 +170,8 @@ class Deployment {
 
   /// Overwrites the change counters with checkpointed values, after a
   /// restore rebuilt the structure through the ordinary mutators (which
-  /// counted from zero). Only relative consistency matters for the
-  /// planner's commit gate; restoring the absolute values keeps audit
-  /// records and version-keyed caches continuous across a crash.
+  /// counted from zero), so audit records stay continuous across a
+  /// crash.
   void RestoreVersions(uint64_t version, uint64_t structure_version) {
     version_ = version;
     structure_version_ = structure_version;
@@ -201,12 +197,12 @@ class Deployment {
   uint64_t structure_version_ = 0;
 };
 
-/// The difference between two deployments over the same cluster and
-/// catalog, expressed as the mutator calls that turn `base` into `next`.
-/// This is the unit of work a proposal solve hands back to the planner:
-/// the solve edits a private copy of the committed state, and the commit
-/// re-applies the diff to the live state — which may have drifted — via
-/// ApplyDeploymentDelta.
+/// A structural change to a deployment, as the mutator calls that make
+/// it. The planner applies each admission as one (SqprMip::Commit: the
+/// minimal diff between the committed state and the solution), and the
+/// planning service's reuse index (PlanCache) learns every change —
+/// admissions, departures with their garbage collection, host-failure
+/// purges and drift-cycle evictions — as a stream of these.
 struct DeploymentDelta {
   struct ServingChange {
     StreamId stream = kInvalidStream;
@@ -225,26 +221,24 @@ struct DeploymentDelta {
     return ops_added.empty() && ops_removed.empty() && flows_added.empty() &&
            flows_removed.empty() && serving_changes.empty();
   }
+
+  /// Concatenates `later`'s entries onto this delta's. The result lists
+  /// every fact either delta touched, so a fact removed by one and added
+  /// by the other appears in both lists: a consumer reads membership
+  /// from the final deployment, as PlanCache::ApplyDelta does.
+  void Append(const DeploymentDelta& later);
 };
 
-/// Computes the delta turning `base` into `next`. Both must be built
-/// over the same cluster and catalog. Enumeration order is canonical
-/// (hosts, then streams ascending), so equal inputs yield equal deltas.
-DeploymentDelta DiffDeployments(const Deployment& base,
-                                const Deployment& next);
-
-/// Re-applies a delta to a deployment that may have drifted since the
-/// delta was computed. Additions already present and removals already
-/// gone are skipped (another commit got there first — shared reuse);
-/// a serving change whose `before` no longer matches, or an addition the
-/// mutators reject, returns FailedPrecondition: the delta conflicts with
-/// the drift and the caller should fall back to a fresh solve. On any
-/// error the deployment is left partially modified — apply to a scratch
-/// copy and swap on success (Deployment is a value type).
+/// Applies a delta: removals first (flows, then operators), so freed
+/// capacity is available to the additions, then serving changes, then
+/// additions (operators, then flows), each list in its stored order.
+/// Additions already present and removals already gone are skipped; a
+/// serving change whose `before` does not match, or an addition the
+/// mutators reject, returns FailedPrecondition. On any error the
+/// deployment is left partially modified.
 ///
-/// Note: this re-checks *structural* applicability only; callers must
-/// run Deployment::Validate() afterwards to audit groundedness and
-/// resource budgets before adopting the result.
+/// Note: this checks *structural* applicability only; callers audit
+/// groundedness and resource budgets with Deployment::Validate().
 Status ApplyDeploymentDelta(const DeploymentDelta& delta,
                             Deployment* deployment);
 

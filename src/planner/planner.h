@@ -19,6 +19,9 @@ struct PlanningStats {
   bool already_served = false;
   /// Wall-clock planning latency.
   double wall_ms = 0.0;
+  /// The part of wall_ms spent applying the chosen plan to the
+  /// deployment and auditing it (0 when nothing committed).
+  double commit_ms = 0.0;
   /// Branch-and-bound nodes explored (0 for non-MILP planners).
   int64_t solver_nodes = 0;
   int64_t lp_iterations = 0;

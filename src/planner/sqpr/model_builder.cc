@@ -725,59 +725,90 @@ bool SqprMip::Serves(const std::vector<double>& x, StreamId s) const {
   return false;
 }
 
+template <typename RunsOp, typename FlowsOf, typename ServedAt>
+DeploymentDelta SqprMip::RelevantDelta(const Deployment& current,
+                                       RunsOp runs_after,
+                                       FlowsOf flows_after,
+                                       ServedAt served_after) const {
+  // Enumerated in ApplyDeploymentDelta's canonical order (hosts, then
+  // operators ascending; streams ascending, each stream's removals in
+  // `current`'s flow order and additions in the target's), so applying
+  // the result replays exactly the mutator sequence a whole-deployment
+  // diff of the same change would.
+  DeploymentDelta delta;
+  for (HostId h = 0; h < num_hosts_; ++h) {
+    for (OperatorId o : ops_) {
+      const bool before = current.RunsOperator(h, o);
+      const bool after = runs_after(h, o);
+      if (before && !after) delta.ops_removed.emplace_back(h, o);
+      if (after && !before) delta.ops_added.emplace_back(h, o);
+    }
+  }
+  for (StreamId s : streams_) {
+    const std::vector<std::pair<HostId, HostId>> next = flows_after(s);
+    for (const auto& [from, to] : current.FlowsOf(s)) {
+      if (std::find(next.begin(), next.end(), std::make_pair(from, to)) ==
+          next.end()) {
+        delta.flows_removed.emplace_back(from, to, s);
+      }
+    }
+    for (const auto& [from, to] : next) {
+      if (!current.HasFlow(from, to, s)) {
+        delta.flows_added.emplace_back(from, to, s);
+      }
+    }
+    const HostId before = current.ServingHost(s);
+    const HostId after = served_after(s);
+    if (before != after) delta.serving_changes.push_back({s, before, after});
+  }
+  return delta;
+}
+
+DeploymentDelta SqprMip::SolutionDelta(const std::vector<double>& x,
+                                       const Deployment& current) const {
+  return RelevantDelta(
+      current,
+      [&](HostId h, OperatorId o) {
+        const int z = VarZ(h, o);
+        return z >= 0 && x[z] > 0.5;
+      },
+      [&](StreamId s) {
+        std::vector<std::pair<HostId, HostId>> flows;
+        for (HostId from = 0; from < num_hosts_; ++from) {
+          for (HostId to = 0; to < num_hosts_; ++to) {
+            const int var = from == to ? -1 : VarX(from, to, s);
+            if (var >= 0 && x[var] > 0.5) flows.emplace_back(from, to);
+          }
+        }
+        return flows;
+      },
+      [&](StreamId s) {
+        // Relevant streams outside the demand list end up unserved.
+        for (const DemandSpec& demand : demands_) {
+          if (demand.stream != s) continue;
+          for (HostId h = 0; h < num_hosts_; ++h) {
+            const int d = VarD(h, s);
+            if (d >= 0 && x[d] > 0.5) return h;
+          }
+          break;
+        }
+        return kInvalidHost;
+      });
+}
+
+DeploymentDelta SqprMip::DeltaTo(const Deployment& current,
+                                 const Deployment& next) const {
+  return RelevantDelta(
+      current,
+      [&](HostId h, OperatorId o) { return next.RunsOperator(h, o); },
+      [&](StreamId s) { return next.FlowsOf(s); },
+      [&](StreamId s) { return next.ServingHost(s); });
+}
+
 Status SqprMip::Commit(const std::vector<double>& x,
                        Deployment* target) const {
   SQPR_TRACE_SPAN("planner/model_commit");
-  // Clear all relevant state (it was re-decided).
-  for (StreamId s : streams_) {
-    auto flows = target->FlowsOf(s);  // copy: we mutate while iterating
-    for (const auto& [from, to] : flows) {
-      SQPR_RETURN_IF_ERROR(target->RemoveFlow(from, to, s));
-    }
-    if (target->ServingHost(s) != kInvalidHost) {
-      SQPR_RETURN_IF_ERROR(target->ClearServing(s));
-    }
-  }
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    std::vector<OperatorId> to_remove;
-    for (OperatorId o : target->OperatorsOn(h)) {
-      if (op_index_.count(o)) to_remove.push_back(o);
-    }
-    for (OperatorId o : to_remove) {
-      SQPR_RETURN_IF_ERROR(target->RemoveOperator(h, o));
-    }
-  }
-
-  // Install the solution.
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    for (OperatorId o : ops_) {
-      const int z = VarZ(h, o);
-      if (z >= 0 && x[z] > 0.5) {
-        SQPR_RETURN_IF_ERROR(target->PlaceOperator(h, o));
-      }
-    }
-  }
-  for (HostId from = 0; from < num_hosts_; ++from) {
-    for (HostId to = 0; to < num_hosts_; ++to) {
-      if (from == to) continue;
-      for (StreamId s : streams_) {
-        const int var = VarX(from, to, s);
-        if (var >= 0 && x[var] > 0.5) {
-          SQPR_RETURN_IF_ERROR(target->AddFlow(from, to, s));
-        }
-      }
-    }
-  }
-  for (const DemandSpec& demand : demands_) {
-    for (HostId h = 0; h < num_hosts_; ++h) {
-      const int d = VarD(h, demand.stream);
-      if (d >= 0 && x[d] > 0.5) {
-        SQPR_RETURN_IF_ERROR(target->SetServing(demand.stream, h));
-        break;
-      }
-    }
-  }
-  return Status::OK();
+  return ApplyDeploymentDelta(SolutionDelta(x, *target), target);
 }
 
 int SqprMip::CycleCutHandler::Separate(const std::vector<double>& point,

@@ -128,9 +128,22 @@ class SqprMip {
   /// True when the candidate admits the demanded stream (Σ_h d_hs ≥ 1).
   bool Serves(const std::vector<double>& x, StreamId s) const;
 
+  /// The minimal change turning `current` (the deployment the model was
+  /// built from) into the integral solution `x`: relevant placements,
+  /// flows and servings the solution drops or adds, nothing else. A
+  /// relevant stream no demand covers ends up unserved.
+  DeploymentDelta SolutionDelta(const std::vector<double>& x,
+                                const Deployment& current) const;
+
+  /// The minimal change turning `current` into `next` over the relevant
+  /// sets only — for edits (the greedy fallback) that stay inside them.
+  DeploymentDelta DeltaTo(const Deployment& current,
+                          const Deployment& next) const;
+
   /// Applies an integral solution to `target` (must equal the base
-  /// deployment the model was built from): clears all relevant flows,
-  /// placements and servings, then installs the solution's choices.
+  /// deployment the model was built from) as its SolutionDelta, through
+  /// ApplyDeploymentDelta: removals, then serving changes, then
+  /// additions.
   Status Commit(const std::vector<double>& x, Deployment* target) const;
 
   /// Lazy handler enforcing per-stream flow acyclicity via cycle cuts.
@@ -188,6 +201,14 @@ class SqprMip {
     std::vector<int> fixed_producer;  // [h * S' + si]
     std::vector<bool> pin_y;          // [h * S' + si]
   };
+
+  /// Shared body of SolutionDelta/DeltaTo: the target state is given by
+  /// `runs_after(h, o)`, `flows_after(s)` (flow list in target order)
+  /// and `served_after(s)`.
+  template <typename RunsOp, typename FlowsOf, typename ServedAt>
+  DeploymentDelta RelevantDelta(const Deployment& current, RunsOp runs_after,
+                                FlowsOf flows_after,
+                                ServedAt served_after) const;
 
   int StreamIndex(StreamId s) const;
   int OpIndex(OperatorId o) const;

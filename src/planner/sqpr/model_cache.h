@@ -50,8 +50,8 @@ struct SolveKey {
 ///    columns, else the basis is discarded);
 ///  * pooled lazy cycle cuts (valid for every integral point of the
 ///    skeleton, so they can seed the next relaxation up front).
-/// Immutable after construction; shared by pointer between the live
-/// planner and its proposal scratch planners.
+/// Immutable after construction; held by pointer in the planner's
+/// artifact table.
 struct SolveArtifacts {
   std::vector<lp::BasisState> root_basis;
   std::vector<int> root_basis_columns;
@@ -67,9 +67,9 @@ struct SolveArtifacts {
 /// build, which also makes the whole cache performance-only: hit/miss
 /// timing can never change a solve's result.
 ///
-/// A checked-in model's base-deployment pointer may dangle (scratch
-/// deployments die with their proposal); callers must Rebind() before
-/// any other use, which is what re-targets the pointer.
+/// A checked-in model's base-deployment pointer may dangle (the
+/// deployment it was built against may be gone); callers must Rebind()
+/// before any other use, which is what re-targets the pointer.
 class SqprSolveCache {
  public:
   explicit SqprSolveCache(size_t capacity = 16) : capacity_(capacity) {}

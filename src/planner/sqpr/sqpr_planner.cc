@@ -190,24 +190,63 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   milp::Solver solver;
   milp::MipResult result = solver.Solve(mip.mip(), solver_options);
 
+  // Commit in place, as the minimal diff between the committed state and
+  // the solution — but only when the solution admits a fresh query: a
+  // solve that admits nothing leaves the deployment as it found it.
+  double commit_ms = 0.0;
+  DeploymentDelta solution;
   if (result.has_solution()) {
-    SQPR_CHECK_OK(mip.Commit(result.x, &deployment_));
-    if (options_.validate_commits) {
-      const Status valid = deployment_.Validate();
-      SQPR_CHECK(valid.ok()) << "commit broke deployment invariants: "
-                             << valid.ToString();
-    }
+    solution = mip.SolutionDelta(result.x, deployment_);
+    bool any_admitted = false;
     for (size_t i = 0; i < queries.size(); ++i) {
-      if (stats[i].already_served) continue;
-      if (mip.Serves(result.x, queries[i]) ||
-          deployment_.ServingHost(queries[i]) != kInvalidHost) {
-        stats[i].admitted = true;
-        // A batch may contain duplicates; admit each stream once.
-        if (std::find(admitted_.begin(), admitted_.end(), queries[i]) ==
-            admitted_.end()) {
-          admitted_.push_back(queries[i]);
-        }
+      if (stats[i].already_served || !mip.Serves(result.x, queries[i])) {
+        continue;
       }
+      stats[i].admitted = true;
+      any_admitted = true;
+      // A batch may contain duplicates; admit each stream once.
+      if (std::find(admitted_.begin(), admitted_.end(), queries[i]) ==
+          admitted_.end()) {
+        admitted_.push_back(queries[i]);
+      }
+    }
+    if (any_admitted) {
+      Stopwatch commit_watch;
+      CommitDelta(solution);
+      commit_ms += commit_watch.ElapsedMillis();
+      solution = DeploymentDelta();
+    }
+  }
+
+  // §VII greedy fallback: queries the deadline-bound solver could not
+  // place may still have a straightforward single-host plan. It runs on
+  // a copy carrying the solution (committed or not), and what it admits
+  // commits as one diff of the relevant sets, which contain every
+  // stream and operator of the queries' join trees.
+  if (options_.greedy_fallback &&
+      result.status != milp::MipStatus::kOptimal) {
+    SQPR_TRACE_SPAN("planner/greedy");
+    std::unique_ptr<Deployment> trial;
+    bool any_admitted = false;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (stats[i].admitted) continue;
+      if (trial == nullptr) {
+        trial = std::make_unique<Deployment>(deployment_);
+        SQPR_CHECK_OK(ApplyDeploymentDelta(solution, trial.get()));
+      }
+      if (trial->ServingHost(queries[i]) != kInvalidHost) continue;
+      if (GreedyAdmit(*cluster_, catalog_, queries[i],
+                      options_.model.weights, trial.get())) {
+        stats[i].admitted = true;
+        stats[i].admitted_via_heuristic = true;
+        admitted_.push_back(queries[i]);
+        any_admitted = true;
+      }
+    }
+    if (any_admitted) {
+      Stopwatch commit_watch;
+      CommitDelta(mip.DeltaTo(deployment_, *trial));
+      commit_ms += commit_watch.ElapsedMillis();
     }
   }
 
@@ -217,34 +256,10 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   // them unreachable rather than stale.
   next_art->root_basis = std::move(result.root_basis);
   next_art->root_basis_columns = std::move(result.root_basis_columns);
-  last_artifact_key_ = key;
-  last_prior_artifacts_ = prior;
-  last_artifacts_ = next_art;
   artifacts_[key] = std::move(next_art);
   if (artifacts_.size() > 64) artifacts_.clear();
   if (options_.enable_model_cache && cache_ != nullptr) {
     cache_->Return(key, std::move(mip_owned));
-  }
-
-  // §VII greedy fallback: queries the deadline-bound solver could not
-  // place may still have a straightforward single-host plan.
-  if (options_.greedy_fallback &&
-      result.status != milp::MipStatus::kOptimal) {
-    SQPR_TRACE_SPAN("planner/greedy");
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (stats[i].admitted) continue;
-      if (deployment_.ServingHost(queries[i]) != kInvalidHost) continue;
-      if (GreedyAdmit(*cluster_, catalog_, queries[i],
-                      options_.model.weights, &deployment_)) {
-        stats[i].admitted = true;
-        stats[i].admitted_via_heuristic = true;
-        admitted_.push_back(queries[i]);
-        if (options_.validate_commits) {
-          const Status valid = deployment_.Validate();
-          SQPR_CHECK(valid.ok()) << valid.ToString();
-        }
-      }
-    }
   }
 
   const double elapsed = watch.ElapsedMillis();
@@ -259,8 +274,20 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     s.model_rebuilt = !patched;
     s.warm_started = result.used_warm_basis;
     s.basis_discarded = result.warm_basis_discarded;
+    s.commit_ms = commit_ms;
   }
   return stats;
+}
+
+void SqprPlanner::CommitDelta(const DeploymentDelta& delta) {
+  SQPR_TRACE_SPAN("planner/commit");
+  SQPR_CHECK_OK(ApplyDeploymentDelta(delta, &deployment_));
+  if (options_.validate_commits) {
+    const Status valid = deployment_.Validate();
+    SQPR_CHECK(valid.ok()) << "commit broke deployment invariants: "
+                           << valid.ToString();
+  }
+  Record(delta);
 }
 
 Status SqprPlanner::RemoveQuery(StreamId query) {
@@ -269,8 +296,12 @@ Status SqprPlanner::RemoveQuery(StreamId query) {
     return Status::NotFound("query not admitted");
   }
   admitted_.erase(it);
+  const HostId server = deployment_.ServingHost(query);
   SQPR_RETURN_IF_ERROR(deployment_.ClearServing(query));
-  GarbageCollect();
+  DeploymentDelta removed;
+  removed.serving_changes.push_back({query, server, kInvalidHost});
+  GarbageCollect(&removed);
+  Record(removed);
   if (options_.validate_commits) {
     SQPR_RETURN_IF_ERROR(deployment_.Validate());
   }
@@ -311,6 +342,9 @@ Result<PlanningStats> SqprPlanner::AdmitMaterialized(
         return valid;
       }
     }
+    DeploymentDelta served;
+    served.serving_changes.push_back({query, kInvalidHost, host});
+    Record(served);
     stats.admitted = true;
     stats.via_cache = true;
     stats.wall_ms = watch.ElapsedMillis();
@@ -344,20 +378,24 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
 
   // Pass 2: purge residual allocations — redundant supports of surviving
   // queries that the conservative per-query GC keeps alive.
+  DeploymentDelta purged;
   const std::vector<OperatorId> residual_ops(
       deployment_.OperatorsOn(host).begin(),
       deployment_.OperatorsOn(host).end());
   for (OperatorId o : residual_ops) {
     SQPR_RETURN_IF_ERROR(deployment_.RemoveOperator(host, o));
+    purged.ops_removed.emplace_back(host, o);
   }
-  for (StreamId s = 0; s < catalog_->num_streams(); ++s) {
+  for (StreamId s : deployment_.FlowStreams()) {
     const auto flows = deployment_.FlowsOf(s);  // copy: mutation below
     for (const auto& [from, to] : flows) {
       if (from == host || to == host) {
         SQPR_RETURN_IF_ERROR(deployment_.RemoveFlow(from, to, s));
+        purged.flows_removed.emplace_back(from, to, s);
       }
     }
   }
+  Record(purged);
 
   // Pass 3: the purge may have been the sole support of a surviving
   // query that extraction happened to route around — evict those too,
@@ -374,7 +412,9 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
       affected.push_back(q);
     }
   }
-  GarbageCollect();
+  DeploymentDelta collected;
+  GarbageCollect(&collected);
+  Record(collected);
   if (options_.validate_commits) {
     const Status valid = deployment_.Validate();
     if (!valid.ok() && !valid.IsResourceExhausted()) return valid;
@@ -382,7 +422,7 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
   return affected;
 }
 
-void SqprPlanner::GarbageCollect() {
+void SqprPlanner::GarbageCollect(DeploymentDelta* removed) {
   const Catalog& catalog = *catalog_;
   const GroundedMap grounded = deployment_.GroundedAvailability();
 
@@ -401,9 +441,9 @@ void SqprPlanner::GarbageCollect() {
     const auto [h, s] = worklist.back();
     worklist.pop_back();
     // Local producers with grounded inputs.
-    for (OperatorId o : deployment_.OperatorsOn(h)) {
+    for (OperatorId o : catalog.ProducersOf(s)) {
+      if (!deployment_.RunsOperator(h, o)) continue;
       const OperatorInfo& op = catalog.op(o);
-      if (op.output != s) continue;
       bool ok = true;
       for (StreamId in : op.inputs) {
         if (!grounded.at(h, in)) {
@@ -435,10 +475,11 @@ void SqprPlanner::GarbageCollect() {
     }
     for (OperatorId o : dead) {
       SQPR_CHECK_OK(deployment_.RemoveOperator(h, o));
+      removed->ops_removed.emplace_back(h, o);
     }
   }
   std::vector<std::tuple<HostId, HostId, StreamId>> dead_flows;
-  for (StreamId s = 0; s < grounded.num_streams; ++s) {
+  for (StreamId s : deployment_.FlowStreams()) {
     for (const auto& [from, to] : deployment_.FlowsOf(s)) {
       if (live_flows.count({from, to, s}) == 0) {
         dead_flows.emplace_back(from, to, s);
@@ -448,6 +489,8 @@ void SqprPlanner::GarbageCollect() {
   for (const auto& [from, to, s] : dead_flows) {
     SQPR_CHECK_OK(deployment_.RemoveFlow(from, to, s));
   }
+  removed->flows_removed.insert(removed->flows_removed.end(),
+                                dead_flows.begin(), dead_flows.end());
 }
 
 Status SqprPlanner::WarmCatalog(StreamId query) {
@@ -461,124 +504,6 @@ Status SqprPlanner::WarmCatalog(StreamId query) {
   // enumeration) can reference. Afterwards, solves for this query only
   // ever *find* catalog entries.
   return catalog_->JoinClosure(query).status();
-}
-
-Result<AdmissionProposal> SqprPlanner::ProposeAdmission(
-    StreamId query) const {
-  if (query < 0 || query >= catalog_->num_streams()) {
-    return Status::InvalidArgument("unknown stream " + std::to_string(query));
-  }
-  SQPR_TRACE_SPAN("planner/propose");
-  // Solve on a private scratch planner seeded with the committed state;
-  // *this stays untouched, so concurrent proposals may share it.
-  SqprPlanner scratch(cluster_, catalog_, options_);
-  scratch.deployment_ = deployment_;
-  scratch.admitted_ = admitted_;
-  // Share the model pool (internally synchronised; Checkout is
-  // exclusive) and copy the artifact table so the scratch solve can
-  // warm-start; its own harvest travels back inside the proposal.
-  scratch.cache_ = cache_;
-  scratch.artifacts_ = artifacts_;
-
-  AdmissionProposal proposal;
-  proposal.query = query;
-  proposal.base_version = deployment_.structure_version();
-  Result<PlanningStats> stats = scratch.SubmitQuery(query);
-  if (!stats.ok()) return stats.status();
-  proposal.stats = *stats;
-  proposal.artifact_key = scratch.last_artifact_key_;
-  proposal.artifacts = std::move(scratch.last_artifacts_);
-  proposal.prior_artifacts = std::move(scratch.last_prior_artifacts_);
-  if (stats->admitted && !stats->already_served) {
-    proposal.delta = DiffDeployments(deployment_, scratch.deployment_);
-  }
-  return proposal;
-}
-
-Result<PlanningStats> SqprPlanner::CommitProposal(
-    const AdmissionProposal& proposal) {
-  if (proposal.query < 0 || proposal.query >= catalog_->num_streams()) {
-    return Status::InvalidArgument("unknown stream " +
-                                   std::to_string(proposal.query));
-  }
-  SQPR_TRACE_SPAN("planner/commit");
-  PlanningStats stats = proposal.stats;
-  if (deployment_.ServingHost(proposal.query) != kInvalidHost) {
-    // Someone (an earlier commit, a cache fast path) admitted an
-    // equivalent query meanwhile: free dedup, nothing to apply. A fresh
-    // inline solve at this point would dedup identically — and would
-    // not have run a MILP — so taking this path before the version gate
-    // (and installing no artifacts) is exactly what an inline solve
-    // would do.
-    stats.admitted = true;
-    stats.already_served = true;
-    return stats;
-  }
-  if (proposal.base_version != deployment_.structure_version()) {
-    // Strict staleness gate: the committed state structurally diverged
-    // from the state the proposal was solved against, so the delta may
-    // encode decisions (placements, reuse) a fresh solve of the live
-    // state would not make. Nothing is adopted — not even the solve
-    // artifacts: a stale solve's root basis and pooled cuts steer the
-    // node-bounded search of later solves, so installing them would
-    // change which incumbents those solves stop on. The caller re-solves
-    // inline; that solve installs its own artifacts at this same logical
-    // point.
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " solved against structure version " +
-        std::to_string(proposal.base_version) + ", committed state is at " +
-        std::to_string(deployment_.structure_version()));
-  }
-  if (proposal.artifacts != nullptr) {
-    // Same gate for the solve's other input: the artifacts that seeded
-    // it. A commit of the same structure since the proposal was solved
-    // replaced them.
-    const auto live = artifacts_.find(proposal.artifact_key);
-    const SolveArtifacts* live_prior =
-        live == artifacts_.end() ? nullptr : live->second.get();
-    if (live_prior != proposal.prior_artifacts.get()) {
-      return Status::FailedPrecondition(
-          "proposal for stream " + std::to_string(proposal.query) +
-          " was seeded by superseded solve artifacts");
-    }
-    // Both inputs matched: the proposal's base state and seed are those
-    // of an inline solve here, so its by-products are exactly what that
-    // solve would have harvested. Install in commit order, so the
-    // artifact table is the one inline solves would have built.
-    artifacts_[proposal.artifact_key] = proposal.artifacts;
-    if (artifacts_.size() > 64) artifacts_.clear();
-  }
-  if (!stats.admitted || stats.already_served) {
-    // The solve rejected the query — or saw it as already served against
-    // a state where it no longer is. Either way nothing commits; report
-    // a rejection so the caller can re-plan it.
-    stats.admitted = false;
-    stats.already_served = false;
-    return stats;
-  }
-
-  // Merge into a scratch copy and audit before adopting, so a conflict
-  // leaves the committed state untouched.
-  Deployment merged = deployment_;
-  const Status applied = ApplyDeploymentDelta(proposal.delta, &merged);
-  if (!applied.ok()) {
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " no longer applies: " + applied.ToString());
-  }
-  const Status valid = merged.Validate();
-  if (!valid.ok()) {
-    return Status::FailedPrecondition(
-        "proposal for stream " + std::to_string(proposal.query) +
-        " invalid against drifted state: " + valid.ToString());
-  }
-  deployment_ = std::move(merged);
-  if (std::find(admitted_.begin(), admitted_.end(), proposal.query) ==
-      admitted_.end()) {
-    admitted_.push_back(proposal.query);
-  }
-  return stats;
 }
 
 Result<std::vector<PlanningStats>> SqprPlanner::ReplanQueries(

@@ -29,40 +29,11 @@ namespace sqpr {
 ///    used, or the query rejected if none admits it (§IV-C);
 ///  * batched submission with an n-fold timeout (Fig. 4(b));
 ///  * adaptive re-planning by removing and re-adding queries (§IV-B).
-/// A side-effect-free admission solve, produced by ProposeAdmission and
-/// applied by CommitProposal. `delta` is relative to the
-/// committed deployment the proposal was solved against; it is empty
-/// when the solve did not admit the query.
-struct AdmissionProposal {
-  StreamId query = kInvalidStream;
-  PlanningStats stats;
-  DeploymentDelta delta;
-  /// Deployment::structure_version() of the committed state the solve ran
-  /// against. CommitProposal fails FailedPrecondition on *any* mismatch:
-  /// between service barriers, structural mutations are the only way the
-  /// solve-relevant state changes (rate installs happen solely inside
-  /// barrier handlers, which retire every in-flight round first), so
-  /// version equality attests the proposal's base state is bit-identical
-  /// to the live state — the condition under which committing the delta
-  /// equals re-solving inline. Anything weaker could commit a plan an
-  /// inline solve would not make.
-  uint64_t base_version = 0;
-  /// Solve by-products (root LP basis, pooled cycle cuts) harvested by
-  /// the scratch solve, keyed by the solve's structural identity; null
-  /// when no MILP ran (dedup or fast-path admissions). CommitProposal
-  /// installs them into the committing planner's artifact table so the
-  /// next solve of the same structure warm-starts.
-  SolveKey artifact_key;
-  std::shared_ptr<const SolveArtifacts> artifacts;
-  /// The artifact-table entry for artifact_key the solve started from
-  /// (null when there was none). CommitProposal also requires it to be
-  /// the live entry: the root basis and pooled cuts steer which of
-  /// several tied optima the hot-started, node-bounded search returns,
-  /// so a solve seeded by other artifacts than an inline solve here
-  /// would see is as stale as one solved against another deployment.
-  std::shared_ptr<const SolveArtifacts> prior_artifacts;
-};
-
+///
+/// Every solve runs against the committed deployment and commits in
+/// place: SqprMip::Commit applies the solution as the minimal
+/// DeploymentDelta. A submission that admits none of its queries commits
+/// nothing.
 class SqprPlanner : public Planner {
  public:
   struct Options {
@@ -162,34 +133,19 @@ class SqprPlanner : public Planner {
   Result<std::vector<PlanningStats>> ReplanQueries(
       const std::vector<StreamId>& queries);
 
-  // ---- Propose/commit admission (the planning service's arrivals). ----
-  //
-  // ProposeAdmission never mutates the planner or the shared
-  // catalog/cluster, provided WarmCatalog(query) ran first: it
-  // pre-interns every stream and operator a solve for `query` can touch,
-  // making the solve's catalog accesses pure reads and — since StreamIds
-  // are assigned in interning order — keeping id assignment at a
-  // deterministic point (see docs/ARCHITECTURE.md).
-
   /// Pre-interns the join closure of `query` (every subset stream and
   /// binary split operator) so that a subsequent solve for it — MILP
   /// relevant-set construction and greedy-fallback join-tree enumeration
   /// alike — performs no catalog writes. *When* it runs decides StreamId
-  /// assignment, which replay determinism pins to logical points.
+  /// assignment, which replay determinism pins to logical points (see
+  /// docs/ARCHITECTURE.md).
   Status WarmCatalog(StreamId query);
 
-  /// Solves admission for `query` against a private copy of the
-  /// committed state and returns the stats plus the deployment delta the
-  /// solve would commit, without mutating the planner.
-  Result<AdmissionProposal> ProposeAdmission(StreamId query) const;
-
-  /// Applies a proposal's delta to the committed state. Returns
-  /// FailedPrecondition when the deployment drifted since the proposal
-  /// was solved such that the delta no longer applies cleanly (structural
-  /// conflict, or the merged state fails the §III audit); the caller
-  /// should then fall back to a fresh synchronous solve. A proposal whose
-  /// solve rejected the query commits nothing and reports the rejection.
-  Result<PlanningStats> CommitProposal(const AdmissionProposal& proposal);
+  /// Appends every structural change the planner makes to its deployment
+  /// from now on — admissions, removals with their garbage collection,
+  /// host purges — to `log`, in commit order (null stops recording).
+  /// The planning service drains it into its reuse index once per event.
+  void set_change_log(DeploymentDelta* log) { change_log_ = log; }
 
   // ---- Checkpoint support (src/service/checkpoint.h). ----
 
@@ -197,8 +153,8 @@ class SqprPlanner : public Planner {
   /// reconstruction only: the restorer replays the checkpointed
   /// structure through the ordinary mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
-  /// reinstates the version counters. Never call while a proposal is
-  /// outstanding.
+  /// reinstates the version counters. Changes made through it are not
+  /// recorded in the change log.
   Deployment* mutable_deployment() { return &deployment_; }
 
   /// Reinstates the admitted-query list (submission order) alongside a
@@ -220,31 +176,26 @@ class SqprPlanner : public Planner {
       const std::vector<StreamId>& new_queries);
 
   /// Removes operators/flows not (transitively) supporting any served
-  /// stream.
-  void GarbageCollect();
+  /// stream, appending the removals to `removed`.
+  void GarbageCollect(DeploymentDelta* removed);
+
+  /// Applies `delta` to the committed deployment, audits the result
+  /// (validate_commits) and records it in the change log.
+  void CommitDelta(const DeploymentDelta& delta);
+  void Record(const DeploymentDelta& delta) {
+    if (change_log_ != nullptr) change_log_->Append(delta);
+  }
 
   const Cluster* cluster_;
   Catalog* catalog_;
   Options options_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
+  DeploymentDelta* change_log_ = nullptr;
 
   // ---- Incremental-solve state (performance-only; see model_cache.h).
-  // The model cache is shared — by pointer — with every scratch planner
-  // spawned from this one, so proposal solves benefit from (and refill)
-  // the same pool. The artifact table is value-copied into scratch
-  // planners; updates flow back through the proposal
-  // (AdmissionProposal::artifacts → CommitProposal), which installs them
-  // in deterministic commit order.
   std::shared_ptr<SqprSolveCache> cache_;
   std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
-  /// Key, harvested artifacts and seeding artifacts of the most recent
-  /// SubmitBatch MILP solve on *this* planner; ProposeAdmission moves
-  /// them from its scratch planner into the proposal. Null when the last
-  /// submission skipped the MILP.
-  SolveKey last_artifact_key_;
-  std::shared_ptr<const SolveArtifacts> last_artifacts_;
-  std::shared_ptr<const SolveArtifacts> last_prior_artifacts_;
 };
 
 }  // namespace sqpr

@@ -687,8 +687,7 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
   SQPR_RETURN_IF_ERROR(GetInt(**pc, "misses", &misses));
   cache_.Rebuild(deployment());
   cache_.RestoreCounters(exact_hits, partial_hits, misses);
-  cache_rebuild_ = false;
-  cache_deltas_.clear();
+  cache_changes_ = DeploymentDelta();
 
   // 8. Closed-loop telemetry: presence must match the service mode.
   const JsonValue* tv = root.Find("telemetry");

@@ -5,19 +5,6 @@
 namespace sqpr {
 
 void PlanCache::Rebuild(const Deployment& deployment) {
-  if (indexed_ && &deployment == indexed_deployment_ &&
-      deployment.structure_version() == indexed_version_) {
-    // No flow/placement/serving moved since the cache last indexed
-    // this deployment (ledger recomputes don't affect groundedness) —
-    // repeat-arrival dedup, empty failure fallout and friends request
-    // rebuilds without having changed anything. Skip the scan.
-    ++noop_skips_;
-    return;
-  }
-  RebuildScan(deployment);
-}
-
-void PlanCache::RebuildScan(const Deployment& deployment) {
   by_stream_.clear();
   by_signature_.clear();
   served_.clear();
@@ -40,8 +27,7 @@ void PlanCache::RebuildScan(const Deployment& deployment) {
       }
     }
     if (hosts.empty()) continue;
-    auto [it, inserted] = by_signature_.emplace(info.leaves, s);
-    if (!inserted) it->second = std::min(it->second, s);
+    by_signature_[info.leaves].insert(s);
     by_stream_.emplace(s, std::move(hosts));
   }
 
@@ -50,8 +36,6 @@ void PlanCache::RebuildScan(const Deployment& deployment) {
   }
 
   indexed_ = true;
-  indexed_version_ = deployment.structure_version();
-  indexed_deployment_ = &deployment;
   ++rebuilds_;
 }
 
@@ -81,14 +65,32 @@ void PlanCache::GrowStride() {
   num_streams_ = streams_now;
 }
 
+bool PlanCache::IsSource(HostId h, StreamId s) const {
+  const StreamInfo& info = catalog_->stream(s);
+  return info.is_base && info.source_host == h;
+}
+
 void PlanCache::IndexMaterialized(HostId h, StreamId s) {
   const StreamInfo& info = catalog_->stream(s);
   if (info.is_base) return;
   std::vector<HostId>& hosts = by_stream_[s];
   auto pos = std::lower_bound(hosts.begin(), hosts.end(), h);
   if (pos == hosts.end() || *pos != h) hosts.insert(pos, h);
-  auto [it, inserted] = by_signature_.emplace(info.leaves, s);
-  if (!inserted) it->second = std::min(it->second, s);
+  by_signature_[info.leaves].insert(s);
+}
+
+void PlanCache::UnindexMaterialized(HostId h, StreamId s) {
+  const StreamInfo& info = catalog_->stream(s);
+  if (info.is_base) return;
+  auto it = by_stream_.find(s);
+  if (it == by_stream_.end()) return;
+  std::vector<HostId>& hosts = it->second;
+  hosts.erase(std::remove(hosts.begin(), hosts.end(), h), hosts.end());
+  if (!hosts.empty()) return;
+  by_stream_.erase(it);
+  auto sig = by_signature_.find(info.leaves);
+  sig->second.erase(s);
+  if (sig->second.empty()) by_signature_.erase(sig);
 }
 
 void PlanCache::Ground(HostId h, StreamId s,
@@ -96,6 +98,14 @@ void PlanCache::Ground(HostId h, StreamId s,
   grounded_[static_cast<size_t>(h) * num_streams_ + s] = true;
   IndexMaterialized(h, s);
   worklist->emplace_back(h, s);
+}
+
+void PlanCache::Unground(HostId h, StreamId s,
+                         std::vector<std::pair<HostId, StreamId>>* suspects) {
+  if (!Grounded(h, s) || IsSource(h, s)) return;
+  grounded_[static_cast<size_t>(h) * num_streams_ + s] = false;
+  UnindexMaterialized(h, s);
+  suspects->emplace_back(h, s);
 }
 
 void PlanCache::TryGroundOperator(
@@ -109,14 +119,26 @@ void PlanCache::TryGroundOperator(
   Ground(h, op.output, worklist);
 }
 
+bool PlanCache::Supported(const Deployment& deployment, HostId h,
+                          StreamId s) const {
+  for (OperatorId o : catalog_->ProducersOf(s)) {
+    if (!deployment.RunsOperator(h, o)) continue;
+    const OperatorInfo& op = catalog_->op(o);
+    if (std::all_of(op.inputs.begin(), op.inputs.end(),
+                    [&](StreamId in) { return Grounded(h, in); })) {
+      return true;
+    }
+  }
+  for (const auto& [from, to] : deployment.FlowsOf(s)) {
+    if (to == h && Grounded(from, s)) return true;
+  }
+  return false;
+}
+
 bool PlanCache::ApplyDelta(const Deployment& deployment,
                            const DeploymentDelta& delta) {
-  if (!indexed_ || !delta.ops_removed.empty() ||
-      !delta.flows_removed.empty()) {
-    // Un-grounding is not monotone — removals fall back to the full
-    // fixpoint. (The service routes removals here only via the rebuild
-    // flag, so this is a safety net, not the usual path.)
-    RebuildScan(deployment);
+  if (!indexed_) {
+    Rebuild(deployment);
     return false;
   }
 
@@ -130,18 +152,54 @@ bool PlanCache::ApplyDelta(const Deployment& deployment,
     }
   }
 
-  // Monotone closure over the additions: each newly grounded (host,
-  // stream) re-examines the operators and flows that consume it. The
-  // worklist is seeded with the delta's placements and flows; the
-  // result is the same least fixpoint RebuildScan computes from
-  // scratch, reached in O(delta × local fan-out) instead of
-  // O(hosts × catalog streams).
+  // 1. Over-delete: un-ground the head of every removed operator and
+  // flow, then everything the deployment derives from an un-grounded
+  // fact. Consumers are read from the final deployment; removed
+  // consumers were seeded directly, and consumers added since only
+  // widen the suspect set, which step 2 re-checks.
+  std::vector<std::pair<HostId, StreamId>> suspects;
+  for (const auto& [h, o] : delta.ops_removed) {
+    Unground(h, catalog_->op(o).output, &suspects);
+  }
+  for (const auto& [from, to, s] : delta.flows_removed) {
+    Unground(to, s, &suspects);
+  }
+  for (size_t i = 0; i < suspects.size(); ++i) {
+    const auto [h, s] = suspects[i];
+    for (OperatorId o : deployment.OperatorsOn(h)) {
+      const OperatorInfo& op = catalog_->op(o);
+      if (std::find(op.inputs.begin(), op.inputs.end(), s) !=
+          op.inputs.end()) {
+        Unground(h, op.output, &suspects);
+      }
+    }
+    for (const auto& [from, to] : deployment.FlowsOf(s)) {
+      if (from == h) Unground(to, s, &suspects);
+    }
+  }
+
+  // 2. Re-derive: a suspect with a support among the facts still
+  // grounded is grounded again. Supports through other suspects are
+  // found by the closure below once those re-ground — never through
+  // each other's stale bits, which is what un-grounds a cycle that lost
+  // its root.
   std::vector<std::pair<HostId, StreamId>> worklist;
+  for (const auto& [h, s] : suspects) {
+    if (!Grounded(h, s) && Supported(deployment, h, s)) {
+      Ground(h, s, &worklist);
+    }
+  }
+
+  // 3. Monotone closure over the re-grounded facts and the additions:
+  // each newly grounded (host, stream) re-examines the operators and
+  // flows that consume it. Additions a later commit in the same delta
+  // removed again are skipped.
   for (const auto& [h, o] : delta.ops_added) {
-    TryGroundOperator(h, o, &worklist);
+    if (deployment.RunsOperator(h, o)) TryGroundOperator(h, o, &worklist);
   }
   for (const auto& [from, to, s] : delta.flows_added) {
-    if (Grounded(from, s) && !Grounded(to, s)) {
+    if (Grounded(from, s) && !Grounded(to, s) &&
+        deployment.HasFlow(from, to, s)) {
       Ground(to, s, &worklist);
     }
   }
@@ -162,8 +220,6 @@ bool PlanCache::ApplyDelta(const Deployment& deployment,
     }
   }
 
-  indexed_version_ = deployment.structure_version();
-  indexed_deployment_ = &deployment;
   ++delta_updates_;
   return true;
 }
@@ -175,10 +231,12 @@ std::string PlanCache::DebugDump() const {
     for (HostId h : hosts) out += " " + std::to_string(h);
     out += "\n";
   }
-  for (const auto& [sig, s] : by_signature_) {
+  for (const auto& [sig, streams] : by_signature_) {
     out += "sig";
     for (StreamId leaf : sig) out += " " + std::to_string(leaf);
-    out += " -> " + std::to_string(s) + "\n";
+    out += " ->";
+    for (StreamId s : streams) out += " " + std::to_string(s);
+    out += "\n";
   }
   for (const auto& [s, h] : served_) {
     out += "served " + std::to_string(s) + "@" + std::to_string(h) + "\n";
@@ -256,7 +314,7 @@ PlanCache::Lookup PlanCache::OnArrival(StreamId query) {
       auto it = by_signature_.find(sig);
       if (it == by_signature_.end()) return;
       Hit hit;
-      if (FindMaterialized(it->second, &hit)) {
+      if (FindMaterialized(*it->second.begin(), &hit)) {
         result.partial.push_back(std::move(hit));
       }
     });

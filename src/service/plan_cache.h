@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/catalog.h"
@@ -27,22 +29,24 @@ namespace sqpr {
 ///   * partial hit — some proper subquery is materialised, i.e. the
 ///     MILP has a warm reuse opportunity (surfaced as candidates).
 ///
-/// Maintenance has two tiers:
-///   * Rebuild — the from-scratch grounded fixpoint plus a full
-///     signature-table scan: O(hosts × catalog streams × chain length).
-///     The catalog holds the join closure of every query ever seen, so
-///     this scan grows with workload history, not with the deployment.
-///     Rebuild() skips the scan entirely when the deployment's
-///     *structure* version counter is unchanged since the cache last
-///     indexed it (no-op mutating events, repeat-arrival dedup) —
-///     deliberately ignoring ledger-only recomputes from rate
-///     installs, which cannot change groundedness or serving.
-///   * ApplyDelta — incremental maintenance for *additive*
-///     DeploymentDelta updates (admission commits, serving changes):
-///     groundedness is monotone under additions, so the cache keeps the
-///     grounded bitmap and closes over the new operators/flows with a
-///     worklist, O(delta × local fan-out). Deltas carrying op/flow
-///     removals fall back to Rebuild (un-grounding is not monotone).
+/// Maintenance has one path: every structural change to the deployment
+/// reaches the cache as a DeploymentDelta (ApplyDelta), additions and
+/// removals alike. The cache keeps the grounded bitmap — the least
+/// fixpoint of base injection, operator execution and flows — and
+/// updates it by delete-and-rederive (Gupta, Mumick & Subrahmanian,
+/// "Maintaining views incrementally", 1993):
+///   1. un-ground every (host, stream) derived, transitively, from a
+///      removed operator or flow;
+///   2. re-ground those that still have a support in the deployment;
+///   3. close monotonically over the re-grounded facts and the delta's
+///      additions.
+/// Step 1 over-deletes on purpose: counting supports instead would keep
+/// a flow cycle between two hosts grounded by its own arcs after it
+/// lost its root. The cost is O(delta × local fan-out), independent of
+/// the catalog, which holds the join closure of every query ever seen.
+/// Rebuild — the from-scratch fixpoint plus a signature-table scan,
+/// O(hosts × catalog streams) — runs only for the first build and after
+/// a checkpoint restore.
 class PlanCache {
  public:
   explicit PlanCache(const Catalog* catalog) : catalog_(catalog) {}
@@ -66,19 +70,17 @@ class PlanCache {
   };
 
   /// Reindexes materialised streams from the committed deployment.
-  /// Skips the scan (counting a no-op skip) when
-  /// `deployment.structure_version()` is unchanged since the last
-  /// Rebuild/ApplyDelta — rate installs bump only the full version()
-  /// and neither re-arm nor require a scan.
   void Rebuild(const Deployment& deployment);
 
-  /// Applies one additive delta against the (already committed)
-  /// `deployment`. Returns true when the update was incremental; falls
-  /// back to a full rebuild — returning false — when the delta carries
-  /// op/flow removals or the cache has never been built. After either
-  /// path the cache equals a from-scratch Rebuild of `deployment`,
-  /// provided every deployment change since the last sync is covered by
-  /// the deltas applied (the planning service guarantees this).
+  /// Brings the cache up to date with `deployment` after the changes in
+  /// `delta` (already committed). The delta may concatenate several
+  /// commits (DeploymentDelta::Append), and a fact may appear as both
+  /// removed and added: membership is read from `deployment`, and
+  /// serving changes apply in order. Returns true when the update was
+  /// incremental, false when the cache had never been built and ran a
+  /// full Rebuild instead. Either way the cache then equals a fresh
+  /// Rebuild of `deployment`, provided `delta` covers every structural
+  /// change since the last sync.
   bool ApplyDelta(const Deployment& deployment, const DeploymentDelta& delta);
 
   /// Arrival-time lookup; updates the hit/miss counters. A hit is an
@@ -96,19 +98,17 @@ class PlanCache {
   int64_t hits() const { return exact_hits_ + partial_hits_; }
   int num_indexed() const { return static_cast<int>(by_stream_.size()); }
 
-  /// Maintenance counters: full fixpoint scans, incremental delta
-  /// applications, and rebuild requests skipped because the deployment
-  /// version had not moved (the repeat-arrival / empty-fallout no-ops).
+  /// Maintenance counters: full fixpoint scans and incremental delta
+  /// applications.
   int64_t rebuilds() const { return rebuilds_; }
   int64_t delta_updates() const { return delta_updates_; }
-  int64_t noop_skips() const { return noop_skips_; }
 
   /// Checkpoint support (src/service/checkpoint.h): reinstates the
   /// arrival-facing counters after a restore rebuilt the index from the
   /// restored deployment. Only the hit/miss counters round-trip — they
-  /// describe the workload. The maintenance counters (rebuilds,
-  /// delta_updates, noop_skips) describe *this process's* work and
-  /// restart from the rebuild the restore itself performed.
+  /// describe the workload. The maintenance counters describe *this
+  /// process's* work and restart from the rebuild the restore itself
+  /// performed.
   void RestoreCounters(int64_t exact_hits, int64_t partial_hits,
                        int64_t misses) {
     exact_hits_ = exact_hits;
@@ -122,7 +122,6 @@ class PlanCache {
   std::string DebugDump() const;
 
  private:
-  void RebuildScan(const Deployment& deployment);
   /// Grows the grounded bitmap to the catalog's current stream count,
   /// seeding newly interned base streams at their source hosts (the
   /// same seeding the fixpoint applies).
@@ -131,19 +130,31 @@ class PlanCache {
     return s < num_streams_ &&
            grounded_[static_cast<size_t>(h) * num_streams_ + s];
   }
+  /// True when base stream s is injected at h — grounded unconditionally.
+  bool IsSource(HostId h, StreamId s) const;
   /// Marks (h, s) grounded, indexes it, and pushes it on the worklist.
   void Ground(HostId h, StreamId s,
               std::vector<std::pair<HostId, StreamId>>* worklist);
   /// Grounds the operator's output at h when all inputs are grounded.
   void TryGroundOperator(HostId h, OperatorId o,
                          std::vector<std::pair<HostId, StreamId>>* worklist);
+  /// Step 1 of ApplyDelta for one fact: un-grounds (h, s) unless it is
+  /// a source or already ungrounded, and queues it as a suspect.
+  void Unground(HostId h, StreamId s,
+                std::vector<std::pair<HostId, StreamId>>* suspects);
+  /// True when (h, s) has a support in `deployment` whose premises are
+  /// grounded: a local producer with grounded inputs, or an incoming
+  /// flow from a host where s is grounded.
+  bool Supported(const Deployment& deployment, HostId h, StreamId s) const;
   /// Adds a materialised composite stream to the signature tables.
   void IndexMaterialized(HostId h, StreamId s);
+  /// Removes host h from a composite stream's materialisation.
+  void UnindexMaterialized(HostId h, StreamId s);
 
   const Catalog* catalog_;
 
   /// Grounded-availability bitmap mirrored from the last sync (row-major
-  /// by host, stride num_streams_) — the state ApplyDelta extends.
+  /// by host, stride num_streams_) — the state ApplyDelta maintains.
   int num_hosts_ = 0;
   int num_streams_ = 0;
   std::vector<bool> grounded_;
@@ -151,31 +162,22 @@ class PlanCache {
   /// Materialised composite streams with their grounded host lists
   /// (hosts ascending).
   std::map<StreamId, std::vector<HostId>> by_stream_;
-  /// Canonical leaf signature -> materialised stream. Signatures are the
-  /// sorted base-leaf sets the catalog hash-conses on, so two join
-  /// orders of the same leaves share one entry; when two streams carry
-  /// the same signature the smallest id wins (deterministic under both
-  /// maintenance tiers).
-  std::map<std::vector<StreamId>, StreamId> by_signature_;
+  /// Canonical leaf signature -> the materialised streams carrying it.
+  /// Signatures are the sorted base-leaf sets the catalog hash-conses
+  /// on, so two join orders of the same leaves share one entry; a
+  /// unary composite can share its input's leaves, and then the
+  /// smallest id answers lookups.
+  std::map<std::vector<StreamId>, std::set<StreamId>> by_signature_;
   /// Streams currently served (exact dedup hits).
   std::map<StreamId, HostId> served_;
 
   bool indexed_ = false;
-  /// Deployment::structure_version() as of the last sync — ledger
-  /// recomputes don't move it, so rate installs can't defeat the no-op
-  /// skip.
-  uint64_t indexed_version_ = 0;
-  /// Identity of the deployment the version above refers to: version
-  /// counters are per-object, so a skip is only sound against the same
-  /// Deployment the cache last indexed.
-  const Deployment* indexed_deployment_ = nullptr;
 
   int64_t exact_hits_ = 0;
   int64_t partial_hits_ = 0;
   int64_t misses_ = 0;
   int64_t rebuilds_ = 0;
   int64_t delta_updates_ = 0;
-  int64_t noop_skips_ = 0;
 };
 
 }  // namespace sqpr

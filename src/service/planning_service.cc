@@ -52,6 +52,8 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
   // The scheduler audits its own enqueue/discard decisions;
   // it shares the service's journal and virtual clock.
   scheduler_.set_audit(options_.audit, &clock_);
+  // Every structural change the planner commits feeds the reuse index.
+  if (options_.use_plan_cache) planner_.set_change_log(&cache_changes_);
 }
 
 void ServiceMetricsPublisher::Bump(const char* name, int64_t value,
@@ -347,48 +349,13 @@ void PlanningService::FinishInFlightRound() {
   SyncPlanCache();
 }
 
-void PlanningService::MarkCacheDelta(const DeploymentDelta& delta) {
-  if (!options_.use_plan_cache) return;
-  if (!delta.ops_removed.empty() || !delta.flows_removed.empty()) {
-    // Removals un-ground; the cache can only close monotonically.
-    cache_rebuild_ = true;
-    return;
-  }
-  if (!cache_rebuild_) cache_deltas_.push_back(delta);
-}
-
-void PlanningService::MarkCacheServing(StreamId stream, HostId before,
-                                       HostId after) {
-  if (!options_.use_plan_cache || cache_rebuild_) return;
-  DeploymentDelta delta;
-  delta.serving_changes.push_back({stream, before, after});
-  cache_deltas_.push_back(std::move(delta));
-}
-
 void PlanningService::SyncPlanCache() {
-  if (!options_.use_plan_cache) return;
-  if (cache_rebuild_) {
-    SQPR_TRACE_SPAN("service/cache.rebuild");
-    // Rebuild itself no-ops (version check) when nothing actually moved
-    // — e.g. a failure event whose host carried no allocations.
-    cache_.Rebuild(deployment());
-  } else if (!cache_deltas_.empty()) {
-    SQPR_TRACE_SPAN_ARGS(span, "service/cache.delta", "deltas", nullptr);
-    span.set_args(cache_deltas_.size());
-    for (const DeploymentDelta& delta : cache_deltas_) {
-      const bool incremental = cache_.ApplyDelta(deployment(), delta);
-      if (incremental) {
-        ++stats_.cache_delta_updates;
-      } else {
-        // The cache fell back to a full scan (first build); that scan
-        // already reflects the final deployment, so the remaining
-        // deltas are subsumed.
-        break;
-      }
-    }
+  if (cache_changes_.empty()) return;
+  SQPR_TRACE_SPAN("service/cache.delta");
+  if (cache_.ApplyDelta(deployment(), cache_changes_)) {
+    ++stats_.cache_delta_updates;
   }
-  cache_rebuild_ = false;
-  cache_deltas_.clear();
+  cache_changes_ = DeploymentDelta();
 }
 
 Result<PlanningStats> PlanningService::Admit(StreamId query,
@@ -415,13 +382,6 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
       Result<PlanningStats> fast =
           planner_.AdmitMaterialized(query, lookup.exact_hit.hosts);
       if (fast.ok()) {
-        // A dedup outcome (already served) changed nothing — flagging it
-        // used to schedule a full no-op rebuild scan. Only a genuinely
-        // new serving arc needs indexing, and it is a pure serving
-        // delta.
-        if (fast->admitted && !fast->already_served) {
-          MarkCacheServing(query, kInvalidHost, deployment().ServingHost(query));
-        }
         SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
                 options_.watchdog.admit_budget_ms,
                 &stats_.admit_budget_breaches);
@@ -436,9 +396,7 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     }
   }
 
-  // Authoritative dedup (Algorithm 1 line 3), cheap and before any
-  // solve: a served stream's repeat arrival must not pay the planner
-  // copy of a proposal just to discover it was a duplicate.
+  // Authoritative dedup (Algorithm 1 line 3), before any catalog work.
   if (deployment().ServingHost(query) != kInvalidHost) {
     PlanningStats dedup;
     dedup.admitted = true;
@@ -453,78 +411,24 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   // Cache miss: solve. WarmCatalog pre-interns the query's join closure
   // — the only catalog *writes* a solve needs — so StreamId assignment
   // stays at a deterministic point (a no-op for round queries, interned
-  // when their round was popped). The solve then runs against a private
-  // copy of the committed state and commits its delta immediately.
+  // when their round was popped). The solve runs against the committed
+  // deployment and commits in place.
   const Status warmed = WarmCatalogLogged(query);
-  if (!warmed.ok()) {
-    SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
-                options_.watchdog.admit_budget_ms,
-                &stats_.admit_budget_breaches);
-    return warmed;
-  }
-  Result<AdmissionProposal> proposal = planner_.ProposeAdmission(query);
-  if (!proposal.ok()) {
-    SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
-                options_.watchdog.admit_budget_ms,
-                &stats_.admit_budget_breaches);
-    return proposal.status();
-  }
-
-  if (options_.inject_between_propose_and_commit) {
-    options_.inject_between_propose_and_commit(planner_);
-  }
-  Stopwatch commit_watch;
-  double solve_wall_ms = proposal->stats.wall_ms;
-  bool committed_via_delta = true;
-  Result<PlanningStats> stats = planner_.CommitProposal(*proposal);
-  SampleStage(&stats_.commit_ms, commit_watch.ElapsedMillis(),
-              options_.watchdog.commit_budget_ms,
-              &stats_.commit_budget_breaches);
-  if (!stats.ok() && stats.status().IsFailedPrecondition()) {
-    // The strict version gate bounced the proposal: only the test
-    // injection hook can land a commit between this propose and commit.
-    // Re-solve as a fresh propose/commit pair against the live state —
-    // adjacent, so the retry cannot conflict again — and sample
-    // each leg where an inline solve would have: the fresh solve's wall
-    // time into solve_ms, the fresh commit's into commit_ms, so
-    // conflict re-solves are indistinguishable in the histograms from
-    // solves that never conflicted. (The bounced proposal's solve time
-    // was thrown away with the proposal; its failed commit was already
-    // sampled above, like any other commit attempt.)
-    ++stats_.commit_conflicts;
-    committed_via_delta = false;
-    Result<AdmissionProposal> fresh = planner_.ProposeAdmission(query);
-    if (fresh.ok()) {
-      solve_wall_ms = fresh->stats.wall_ms;
-      Stopwatch retry_watch;
-      stats = planner_.CommitProposal(*fresh);
-      SampleStage(&stats_.commit_ms, retry_watch.ElapsedMillis(),
-                  options_.watchdog.commit_budget_ms,
-                  &stats_.commit_budget_breaches);
-    } else {
-      stats = fresh.status();
-    }
-  }
+  Result<PlanningStats> stats =
+      warmed.ok() ? planner_.SubmitQuery(query) : Result<PlanningStats>(warmed);
   if (stats.ok()) {
     CountSolveStats(*stats);
     AuditDeadlineBreach(query, *stats);
-    if (!stats->already_served && !stats->via_cache) {
-      SampleStage(&stats_.solve_ms, solve_wall_ms,
+    if (!stats->already_served) {
+      SampleStage(&stats_.solve_ms, stats->wall_ms,
                   options_.watchdog.solve_budget_ms,
                   &stats_.solve_budget_breaches);
     }
     if (stats->admitted && !stats->already_served) {
-      // The committed delta is exactly what the reuse index must learn.
-      // After a conflict, deliberately schedule a full rebuild instead
-      // of feeding the retry's delta: the bounced proposal is evidence
-      // this admission raced other committed changes, and the rebuild's
-      // grounded fixpoint re-derives the index from the merged truth
-      // rather than trusting a delta chain across the conflict.
-      if (committed_via_delta) {
-        MarkCacheDelta(proposal->delta);
-      } else {
-        MarkCacheRebuild();
-      }
+      // A rejection commits nothing, so it has no commit stage.
+      SampleStage(&stats_.commit_ms, stats->commit_ms,
+                  options_.watchdog.commit_budget_ms,
+                  &stats_.commit_budget_breaches);
     }
   }
   SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
@@ -656,7 +560,6 @@ void PlanningService::HandleDeparture(const Event& event,
                       event.query);
   if (it != rejected_recently_.end()) rejected_recently_.erase(it);
 
-  const uint64_t structure_before = deployment().structure_version();
   const HostId served_at = deployment().ServingHost(event.query);
   const Status st = planner_.RemoveQuery(event.query);
   // NotFound: never admitted (or already departed). Other hard errors
@@ -665,17 +568,6 @@ void PlanningService::HandleDeparture(const Event& event,
   if (!removed && !st.IsNotFound()) {
     SQPR_LOG_WARN << "departure of query " << event.query
                   << " failed: " << st.ToString();
-  }
-  if (removed) {
-    if (deployment().structure_version() == structure_before + 1) {
-      // Exactly one mutation: the serving arc cleared and the GC found
-      // nothing unshared to reclaim (the support is shared with
-      // surviving queries). Groundedness is untouched — a pure serving
-      // delta.
-      MarkCacheServing(event.query, served_at, kInvalidHost);
-    } else {
-      MarkCacheRebuild();
-    }
   }
   if (AuditOn()) {
     dr.kind = removed ? "depart.served" : "depart.unknown";
@@ -725,9 +617,6 @@ Status PlanningService::HandleHostFailure(const Event& event,
     ++outcome->evicted;
     ++stats_.evictions;
   }
-  // Structural removals: full rebuild (a no-op skip when the failed
-  // host carried nothing and the purge removed nothing).
-  MarkCacheRebuild();
   if (AuditOn()) {
     hr.detail = static_cast<int64_t>(evicted->size());
     AuditFingerprint(&hr, /*post=*/true);
@@ -795,7 +684,6 @@ Status PlanningService::HandleMonitorReport(const Event& event,
 Status PlanningService::ApplyMonitorData(
     const std::map<StreamId, double>& measured_rates,
     const std::vector<double>& cpu_utilization, EventOutcome* outcome) {
-  const uint64_t structure_before = deployment().structure_version();
   const DriftReport report =
       monitor_.Analyze(measured_rates, cpu_utilization,
                        planner_.admitted_queries(), &deployment());
@@ -821,16 +709,6 @@ Status PlanningService::ApplyMonitorData(
         ++stats_.evictions;
       }));
 
-  // Rate updates alone do not change groundedness, so rebuild only on
-  // structural fallout. The structure-version check (not the eviction
-  // count) is the gate: the drift cycle's shortage step can purge
-  // *residual* support via an EvictHost pass that removes operators
-  // and flows without evicting a single query — fallout an eviction
-  // count misses, which would leave the incremental cache stale
-  // indefinitely.
-  if (deployment().structure_version() != structure_before) {
-    MarkCacheRebuild();
-  }
   return Status::OK();
 }
 

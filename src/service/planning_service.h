@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -67,12 +66,6 @@ struct ServiceOptions {
   /// kRateDirective events steer the ground truth.
   bool closed_loop = false;
   TelemetryOptions telemetry;
-  /// Test-only injection point: invoked between an admission's
-  /// ProposeAdmission and its CommitProposal. Mutating the planner here
-  /// forces the strict version gate to bounce the proposal, driving the
-  /// conflict-fallback path deterministically. Never invoked for the
-  /// fallback's own re-solve. Leave null outside tests.
-  std::function<void(SqprPlanner&)> inject_between_propose_and_commit;
   /// Decision audit journal (null = auditing off, zero cost). Emission
   /// happens at commit points only, so the canonical record stream
   /// inherits the determinism contract: byte-identical across replays
@@ -135,23 +128,18 @@ struct ServiceStats {
   /// mode.
   int64_t analytic_ticks = 0;
   /// Reuse-index maintenance: events whose deployment changes were
-  /// applied to the PlanCache as incremental deltas (additive commits,
-  /// serving-only departures) instead of a full grounded-fixpoint
-  /// rebuild. Rebuild/no-op counts live on the PlanCache itself.
+  /// applied to the PlanCache as one incremental delta. Full rebuilds
+  /// (the first build) are counted on the PlanCache itself.
   int64_t cache_delta_updates = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
   int64_t replanned_rejected = 0;
-  /// Admission proposals the strict version gate bounced and the
-  /// service re-solved inline. Propose and commit are adjacent, so only
-  /// the test injection hook (inject_between_propose_and_commit) can
-  /// make one; 0 in every ordinary run.
+  /// Always 0: every solve commits in place, at its commit point, so
+  /// nothing conflicts, nothing is unwound and no snapshot is copied.
+  /// Kept only because the benchmark replay still reads them; the next
+  /// benchmark change drops them together with barrier_ms below.
   int64_t commit_conflicts = 0;
-  /// Always 0: rounds solve in order at their commit point, so nothing
-  /// is unwound and no snapshot is copied. Kept only because the
-  /// benchmark replay still reads them; the next benchmark change drops
-  /// them together with barrier_ms below.
   int64_t round_unwinds = 0;
   int64_t snapshot_bytes_copied = 0;
   /// Solver effort summed over every committed solve (arrivals and
@@ -204,7 +192,9 @@ struct ServiceStats {
   obs::Histogram admit_ms;
   /// Individual planner solves (arrivals and round queries alike).
   obs::Histogram solve_ms;
-  /// Applying one proposal to the committed state.
+  /// The commit part of each admitting solve: applying the plan's delta
+  /// to the committed deployment and auditing it
+  /// (PlanningStats::commit_ms).
   obs::Histogram commit_ms;
   /// Always empty (nothing waits on a round any more); see round_unwinds.
   obs::Histogram barrier_ms;
@@ -294,6 +284,9 @@ class PlanningService {
   /// The service mutates `cluster` (host failure/rejoin) and `catalog`
   /// (measured-rate installation); both must outlive it.
   PlanningService(Cluster* cluster, Catalog* catalog, ServiceOptions options);
+  // The planner records its changes into a member of this object.
+  PlanningService(const PlanningService&) = delete;
+  PlanningService& operator=(const PlanningService&) = delete;
 
   /// Schedules an event. Events may be enqueued in any order; they are
   /// consumed in (timestamp, enqueue order). Rejects events timestamped
@@ -416,29 +409,14 @@ class PlanningService {
   /// handler; DrainReplanRounds calls it at the end of every Step().
   void CommitPendingRound(EventOutcome* outcome);
 
-  // ---- Reuse-index (PlanCache) maintenance. ----
-  //
-  // Handlers report how their event changed the deployment; the cache
-  // is brought up to date once, at the end of Step(). Additive commits
-  // and serving-only changes apply as incremental deltas
-  // (PlanCache::ApplyDelta, O(delta) instead of the grounded-fixpoint
-  // scan); anything that removed operators or flows (departures with GC
-  // fallout, evictions, drift cycles) falls back to a full Rebuild —
-  // which itself no-ops when the deployment version is unchanged.
-
-  /// Queues a delta for the end-of-event cache update. A delta carrying
-  /// op/flow removals escalates to a full rebuild.
-  void MarkCacheDelta(const DeploymentDelta& delta);
-  /// Queues a pure serving change (cache fast-path admissions,
-  /// GC-less departures).
-  void MarkCacheServing(StreamId stream, HostId before, HostId after);
-  void MarkCacheRebuild() { cache_rebuild_ = true; }
-  /// Applies the queued maintenance (end of Step / round retirement).
+  /// Applies the structural changes the planner recorded since the last
+  /// sync (cache_changes_) to the reuse index as one delta. Called at
+  /// the end of Step() and of round retirement.
   void SyncPlanCache();
 
   /// Admits one query; shared by arrivals and re-planning round queries.
   /// Arrivals try the plan-cache fast path, then a solve (WarmCatalog +
-  /// ProposeAdmission + CommitProposal). When `reuse_candidates` is
+  /// SqprPlanner::SubmitQuery, which commits in place). When `reuse_candidates` is
   /// non-null it receives the number of materialised proper-subquery
   /// hits. `arrival` is false for round queries: they skip the fast
   /// path, so a re-planned query is always placed by a solve.
@@ -496,12 +474,12 @@ class PlanningService {
   EventQueue queue_;
   ServiceStats stats_;
 
-  /// Pending reuse-index maintenance, applied once at the end of Step()
-  /// rather than after every mutation (intra-event lookups may see a
-  /// snapshot from the event's start — safe, because AdmitMaterialized
-  /// re-checks groundedness and SubmitQuery's dedup is authoritative).
-  bool cache_rebuild_ = false;
-  std::vector<DeploymentDelta> cache_deltas_;
+  /// Structural changes the planner committed since the last
+  /// SyncPlanCache (its change log), applied once at the end of Step()
+  /// rather than after every mutation. Intra-event lookups see the
+  /// index as of the event's start — safe, because AdmitMaterialized
+  /// re-checks groundedness and SubmitQuery's dedup is authoritative.
+  DeploymentDelta cache_changes_;
   /// Closed-loop telemetry (null in open-loop mode). Loop-thread-owned,
   /// like every other committed-state structure.
   std::unique_ptr<MeasurementEngine> telemetry_;

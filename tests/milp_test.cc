@@ -381,6 +381,53 @@ TEST(MilpSnapTest, RejectedPointOnPinnedColumnIsDropped) {
   EXPECT_EQ(r.nodes, 1);
 }
 
+// Without presolve, branch-and-bound loads an integer column's bounds as
+// given. A fractional bound used to survive into the search: `a` in
+// [0, 1.5] was branched to a >= 2 past its upper bound, and the dive
+// rounded it there too. Here the chain a >= 2 under a <= 1.5 crossed
+// and aborted; bounds are now rounded inward at load (a in [0, 1]) and
+// a crossed chain is an empty node.
+TEST(MilpSnapTest, FractionalIntegerBoundDoesNotAbortTheSearch) {
+  Model m;
+  const int a = m.AddVariable(0.0, 1.5, 0.0, /*is_integer=*/true, "a");
+  const int b = m.AddVariable(0.0, 10.0, 1.0, /*is_integer=*/false, "b");
+  m.lp.AddRow(-lp::kInf, 0.0, {{b, 1.0}, {a, -1.0}}, "b_le_a");
+  m.lp.AddRow(-lp::kInf, 1.7, {{a, 1.0}}, "a_cap");
+  SolverOptions opts;
+  opts.presolve = false;
+  const MipResult r = Solve(m, opts);
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 1.0, 1e-9);
+  EXPECT_NEAR(r.x[a], 1.0, 1e-9);
+  EXPECT_TRUE(m.lp.CheckFeasible(r.x, 1e-9).ok());
+}
+
+// The same column maximised alone: the LP optimum a = 1.5 used to round
+// to the incumbent a = 2, outside the box, reported kOptimal.
+TEST(MilpSnapTest, IncumbentStaysInsideAFractionalIntegerBox) {
+  Model m;
+  const int a = m.AddVariable(0.0, 1.5, 1.0, /*is_integer=*/true, "a");
+  for (bool presolve : {false, true}) {
+    SolverOptions opts;
+    opts.presolve = presolve;
+    const MipResult r = Solve(m, opts);
+    ASSERT_EQ(r.status, MipStatus::kOptimal) << "presolve " << presolve;
+    EXPECT_NEAR(r.x[a], 1.0, 1e-9) << "presolve " << presolve;
+    EXPECT_NEAR(r.objective, 1.0, 1e-9) << "presolve " << presolve;
+  }
+}
+
+// A box without an integer is infeasible, not a crash.
+TEST(MilpSnapTest, IntegerBoxWithoutAnIntegerIsInfeasible) {
+  Model m;
+  m.AddVariable(0.2, 0.8, 1.0, /*is_integer=*/true, "a");
+  SolverOptions opts;
+  opts.presolve = false;
+  const MipResult r = Solve(m, opts);
+  EXPECT_EQ(r.status, MipStatus::kInfeasible);
+  EXPECT_FALSE(r.has_solution());
+}
+
 // The whole search runs on one LP engine: the root loads the model and
 // starts from the slack basis; every node, dive, lazy-cut and root-cut
 // re-solve continues from the basis the previous solve left.

@@ -288,27 +288,35 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   Deployment base(&f.cluster, &f.catalog);
   ASSERT_TRUE(base.AddFlow(1, 0, f.b).ok());
 
-  Deployment next = base;  // value type: speculative copy
-  ASSERT_TRUE(next.PlaceOperator(0, f.join_ab).ok());
-  ASSERT_TRUE(next.AddFlow(0, 2, f.ab).ok());
-  ASSERT_TRUE(next.SetServing(f.ab, 2).ok());
+  Deployment next = base;
   ASSERT_TRUE(next.RemoveFlow(1, 0, f.b).ok());
-  ASSERT_TRUE(next.AddFlow(1, 0, f.b).ok());  // re-added: no net change
+  ASSERT_TRUE(next.AddFlow(0, 1, f.a).ok());
+  ASSERT_TRUE(next.PlaceOperator(1, f.join_ab).ok());
+  ASSERT_TRUE(next.SetServing(f.ab, 1).ok());
 
-  const DeploymentDelta delta = DiffDeployments(base, next);
-  EXPECT_EQ(delta.ops_added.size(), 1u);
-  EXPECT_TRUE(delta.ops_removed.empty());
-  EXPECT_EQ(delta.flows_added.size(), 1u);
-  EXPECT_TRUE(delta.flows_removed.empty());
-  ASSERT_EQ(delta.serving_changes.size(), 1u);
-  EXPECT_EQ(delta.serving_changes[0].stream, f.ab);
-  EXPECT_EQ(delta.serving_changes[0].before, kInvalidHost);
-  EXPECT_EQ(delta.serving_changes[0].after, 2);
+  // The diff from base to next, in ApplyDeploymentDelta's order.
+  DeploymentDelta delta;
+  delta.flows_removed.emplace_back(1, 0, f.b);
+  delta.serving_changes.push_back({f.ab, kInvalidHost, 1});
+  delta.ops_added.emplace_back(1, f.join_ab);
+  delta.flows_added.emplace_back(0, 1, f.a);
+  EXPECT_FALSE(delta.empty());
+  EXPECT_TRUE(DeploymentDelta().empty());
 
   Deployment replay = base;
   ASSERT_TRUE(ApplyDeploymentDelta(delta, &replay).ok());
   EXPECT_EQ(replay.Fingerprint(), next.Fingerprint());
-  EXPECT_TRUE(DiffDeployments(base, base).empty());
+  EXPECT_TRUE(replay.Validate().ok());
+
+  // Append concatenates entries: removing and re-adding the same flow
+  // lists it on both sides.
+  DeploymentDelta combined = delta;
+  DeploymentDelta readd;
+  readd.flows_added.emplace_back(1, 0, f.b);
+  combined.Append(readd);
+  EXPECT_EQ(combined.flows_removed.size(), 1u);
+  EXPECT_EQ(combined.flows_added.size(), 2u);
+  EXPECT_EQ(combined.serving_changes.size(), 1u);
 }
 
 TEST(DeploymentDeltaTest, ApplySkipsWorkAnotherCommitAlreadyDid) {
@@ -316,10 +324,11 @@ TEST(DeploymentDeltaTest, ApplySkipsWorkAnotherCommitAlreadyDid) {
   Deployment base(&f.cluster, &f.catalog);
   Deployment next = base;
   ASSERT_TRUE(next.PlaceOperator(0, f.join_ab).ok());
-  const DeploymentDelta delta = DiffDeployments(base, next);
+  DeploymentDelta delta;
+  delta.ops_added.emplace_back(0, f.join_ab);
 
-  // A competing commit placed the same operator first: applying the
-  // delta shares it instead of failing.
+  // The operator is already placed: applying the delta keeps it once
+  // instead of failing.
   Deployment live = base;
   ASSERT_TRUE(live.PlaceOperator(0, f.join_ab).ok());
   ASSERT_TRUE(ApplyDeploymentDelta(delta, &live).ok());
@@ -330,12 +339,11 @@ TEST(DeploymentDeltaTest, ApplyConflictsWhenServingDrifted) {
   Fixture f;
   Deployment base(&f.cluster, &f.catalog);
   ASSERT_TRUE(base.PlaceOperator(0, f.join_ab).ok());
-  Deployment next = base;
-  ASSERT_TRUE(next.SetServing(f.ab, 0).ok());
-  const DeploymentDelta delta = DiffDeployments(base, next);
+  DeploymentDelta delta;
+  delta.serving_changes.push_back({f.ab, kInvalidHost, 0});
 
-  // Meanwhile the live deployment started serving ab elsewhere: the
-  // delta's `before` no longer matches and the apply must refuse.
+  // The deployment serves ab elsewhere: the delta's `before` does not
+  // match and the apply must refuse.
   Deployment live = base;
   ASSERT_TRUE(live.AddFlow(0, 1, f.ab).ok());
   ASSERT_TRUE(live.SetServing(f.ab, 1).ok());

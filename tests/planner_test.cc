@@ -594,14 +594,14 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{4, 12, 0.3, 3}, SweepCase{3, 9, 1.0, 4},
                       SweepCase{2, 6, 0.2, 5}, SweepCase{4, 16, 0.6, 6}));
 
-// ------------------------------------------- Speculative proposals
+// ---------------------------------------------- In-place commits
 
 // Two hosts, all bases injected at host 0, host 1 unusable (zero CPU
 // and NICs), host 0's CPU sized for exactly one 2-way join operator
-// (cost 20 Mbps / 300 = 0.0667): two proposals solved against the same
-// empty snapshot each fit alone but not together.
-struct ProposalScenario {
-  ProposalScenario()
+// (cost 20 Mbps / 300 = 0.0667): two such queries each fit alone but
+// not together.
+struct OneJoinScenario {
+  OneJoinScenario()
       : catalog(CostModel{}),
         cluster(2, HostSpec{0.07, 500.0, 500.0, ""}, 1000.0) {
     HostSpec dead;
@@ -618,85 +618,10 @@ struct ProposalScenario {
   std::vector<StreamId> base;
 };
 
-TEST(SqprProposalTest, ProposeDoesNotMutateAndCommitMatchesInlineSolve) {
-  ProposalScenario s;
-  const StreamId q = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 200;
-
-  SqprPlanner speculative(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(speculative.WarmCatalog(q).ok());
-  Result<AdmissionProposal> proposal = speculative.ProposeAdmission(q);
-  ASSERT_TRUE(proposal.ok()) << proposal.status().ToString();
-  EXPECT_TRUE(proposal->stats.admitted);
-  // The solve was side-effect-free.
-  EXPECT_TRUE(speculative.admitted_queries().empty());
-  EXPECT_EQ(speculative.deployment().num_placed_operators(), 0);
-
-  Result<PlanningStats> committed = speculative.CommitProposal(*proposal);
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_TRUE(committed->admitted);
-  EXPECT_TRUE(speculative.deployment().Validate().ok());
-
-  // Same state + same (node-bounded, deterministic) solve inline.
-  SqprPlanner inline_planner(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(inline_planner.SubmitQuery(q)->admitted);
-  EXPECT_EQ(speculative.deployment().Fingerprint(),
-            inline_planner.deployment().Fingerprint());
-
-  // Re-committing an equivalent proposal is a free dedup, not a double
-  // allocation.
-  Result<PlanningStats> again = speculative.CommitProposal(*proposal);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again->already_served);
-  EXPECT_TRUE(speculative.deployment().Validate().ok());
-}
-
-TEST(SqprProposalTest, StaleProposalConflictsInsteadOfOvercommitting) {
-  ProposalScenario s;
-  const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
-  const StreamId q23 = *s.catalog.CanonicalJoinStream({s.base[2], s.base[3]});
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 200;
-  SqprPlanner planner(&s.cluster, &s.catalog, options);
-  ASSERT_TRUE(planner.WarmCatalog(q01).ok());
-  ASSERT_TRUE(planner.WarmCatalog(q23).ok());
-
-  // Both solved against the same empty snapshot; each fits alone.
-  Result<AdmissionProposal> p1 = planner.ProposeAdmission(q01);
-  Result<AdmissionProposal> p2 = planner.ProposeAdmission(q23);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  ASSERT_TRUE(p1->stats.admitted && p2->stats.admitted);
-
-  // FIFO commit: the first lands, the second must detect that the CPU
-  // it assumed is gone rather than over-commit host 0.
-  ASSERT_TRUE(planner.CommitProposal(*p1).ok());
-  Result<PlanningStats> second = planner.CommitProposal(*p2);
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsFailedPrecondition())
-      << second.status().ToString();
-  EXPECT_TRUE(planner.deployment().Validate().ok());
-  ASSERT_EQ(planner.admitted_queries().size(), 1u);
-  EXPECT_EQ(planner.admitted_queries()[0], q01);
-
-  // The caller-side fallback — a fresh synchronous solve — correctly
-  // rejects against the live state.
-  Result<PlanningStats> resolve = planner.SubmitQuery(q23);
-  ASSERT_TRUE(resolve.ok());
-  EXPECT_FALSE(resolve->admitted);
-  EXPECT_TRUE(planner.deployment().Validate().ok());
-}
-
-// A proposal's solve has two inputs: the committed deployment and the
-// artifacts (root basis, pooled cuts) that seeded it. A commit that
-// leaves the structure alone can still replace the artifacts — here a
-// rejected solve of the same structure — and the second proposal must
-// then bounce like a structurally stale one, because an inline solve at
-// its commit point would start from the new artifacts.
-TEST(SqprProposalTest, ProposalSeededBySupersededArtifactsConflicts) {
-  ProposalScenario s;
+// A solve that rejects its query commits nothing: not the rejection's
+// re-placement of other queries, not a ledger recompute.
+TEST(SqprInPlaceTest, RejectedSolveLeavesDeploymentUntouched) {
+  OneJoinScenario s;
   const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
   const StreamId q23 = *s.catalog.CanonicalJoinStream({s.base[2], s.base[3]});
   SqprPlanner::Options options;
@@ -704,24 +629,50 @@ TEST(SqprProposalTest, ProposalSeededBySupersededArtifactsConflicts) {
   options.max_nodes = 200;
   SqprPlanner planner(&s.cluster, &s.catalog, options);
   ASSERT_TRUE(planner.SubmitQuery(q01)->admitted);  // host 0's CPU is gone
-  ASSERT_TRUE(planner.WarmCatalog(q23).ok());
 
-  Result<AdmissionProposal> p1 = planner.ProposeAdmission(q23);
-  Result<AdmissionProposal> p2 = planner.ProposeAdmission(q23);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  ASSERT_FALSE(p1->stats.admitted);
-  ASSERT_NE(p1->artifacts, nullptr);
-  const uint64_t version = planner.deployment().structure_version();
+  const std::string fingerprint = planner.deployment().Fingerprint();
+  const uint64_t version = planner.deployment().version();
+  DeploymentDelta log;
+  planner.set_change_log(&log);
+  Result<PlanningStats> rejected = planner.SubmitQuery(q23);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_FALSE(rejected->admitted);
+  EXPECT_EQ(rejected->commit_ms, 0.0);
+  EXPECT_EQ(planner.deployment().Fingerprint(), fingerprint);
+  EXPECT_EQ(planner.deployment().version(), version);
+  EXPECT_TRUE(log.empty());
+  ASSERT_EQ(planner.admitted_queries().size(), 1u);
+  EXPECT_EQ(planner.admitted_queries()[0], q01);
+}
 
-  Result<PlanningStats> first = planner.CommitProposal(*p1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first->admitted);
-  ASSERT_EQ(planner.deployment().structure_version(), version);
+// The change log carries exactly what was committed: replaying an
+// admission's entries onto the state before it reproduces the state
+// after it, and so does a departure's, garbage collection included.
+TEST(SqprInPlaceTest, ChangeLogReplaysAdmissionsAndDepartures) {
+  OneJoinScenario s;
+  const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
+  SqprPlanner::Options options;
+  options.timeout_ms = 60000;
+  options.max_nodes = 200;
+  SqprPlanner planner(&s.cluster, &s.catalog, options);
+  DeploymentDelta log;
+  planner.set_change_log(&log);
 
-  Result<PlanningStats> second = planner.CommitProposal(*p2);
-  ASSERT_FALSE(second.ok());
-  EXPECT_TRUE(second.status().IsFailedPrecondition())
-      << second.status().ToString();
+  const Deployment empty = planner.deployment();
+  ASSERT_TRUE(planner.SubmitQuery(q01)->admitted);
+  EXPECT_EQ(log.serving_changes.size(), 1u);
+  EXPECT_EQ(log.ops_added.size(), 1u);
+  EXPECT_TRUE(log.ops_removed.empty() && log.flows_removed.empty());
+  Deployment replay = empty;
+  ASSERT_TRUE(ApplyDeploymentDelta(log, &replay).ok());
+  EXPECT_EQ(replay.Fingerprint(), planner.deployment().Fingerprint());
+
+  log = DeploymentDelta();
+  ASSERT_TRUE(planner.RemoveQuery(q01).ok());
+  EXPECT_EQ(log.ops_removed.size(), 1u);
+  ASSERT_TRUE(ApplyDeploymentDelta(log, &replay).ok());
+  EXPECT_EQ(replay.Fingerprint(), planner.deployment().Fingerprint());
+  EXPECT_EQ(replay.Fingerprint(), empty.Fingerprint());
 }
 
 }  // namespace

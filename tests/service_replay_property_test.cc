@@ -288,7 +288,7 @@ TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
 
 // The round path (docs/ARCHITECTURE.md §4) on every trace, open and
 // closed loop: each round query is solved once, at its commit point, so
-// no proposal conflicts, nothing unwinds, no snapshot is copied and
+// no commit conflicts, nothing unwinds, no snapshot is copied and
 // nothing waits on a round. Every solve is either a cache-miss arrival
 // or a live round query.
 TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {

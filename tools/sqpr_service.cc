@@ -780,10 +780,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(cache.partial_hits()),
               static_cast<long long>(cache.misses()), cache.num_indexed());
   std::printf("plan cache maintenance: %lld incremental delta updates, "
-              "%lld full rebuilds, %lld no-op skips\n",
+              "%lld full rebuilds\n",
               static_cast<long long>(stats.cache_delta_updates),
-              static_cast<long long>(cache.rebuilds()),
-              static_cast<long long>(cache.noop_skips()));
+              static_cast<long long>(cache.rebuilds()));
   std::printf("incremental solves: %lld model patches, %lld rebuilds, "
               "%lld warm starts, %lld stale bases discarded\n",
               static_cast<long long>(stats.model_patches),
