@@ -19,47 +19,27 @@ const char* OpKindName(OpKind kind) {
   return "unknown";
 }
 
-// ---- ProducerList -----------------------------------------------------
-
-ProducerList::~ProducerList() {
-  Node* node = head_.next.load(std::memory_order_relaxed);
-  while (node != nullptr) {
-    Node* next = node->next.load(std::memory_order_relaxed);
-    delete node;
-    node = next;
-  }
-}
-
-OperatorId ProducerList::operator[](size_t i) const {
-  SQPR_CHECK(i < size()) << "producer index out of range";
-  const Node* node = &head_;
-  while (i >= kChunk) {
-    node = node->next.load(std::memory_order_acquire);
-    i -= kChunk;
-  }
-  return node->ops[i];
-}
-
-void ProducerList::Append(OperatorId op) {
-  const size_t i = size_.load(std::memory_order_relaxed);
-  if (i > 0 && i % kChunk == 0) {
-    Node* node = new Node;
-    tail_->next.store(node, std::memory_order_release);
-    tail_ = node;
-  }
-  tail_->ops[i % kChunk] = op;
-  // Publication point: readers that acquire a size covering slot i also
-  // see the slot's contents (and the chunk link stored above).
-  size_.store(i + 1, std::memory_order_release);
-}
-
 // ---- Catalog ----------------------------------------------------------
+
+StreamId Catalog::AppendStream(StreamInfo info) {
+  const StreamId id = info.id;
+  streams_.push_back(std::move(info));
+  producers_.emplace_back();
+  return id;
+}
+
+OperatorId Catalog::AppendOperator(OperatorInfo op) {
+  const OperatorId id = op.id;
+  const StreamId output = op.output;
+  operators_.push_back(std::move(op));
+  producers_[output].push_back(id);
+  return id;
+}
 
 StreamId Catalog::AddBaseStream(HostId source_host, double rate_mbps,
                                 std::string name) {
   SQPR_CHECK(rate_mbps > 0) << "base stream needs a positive rate";
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  if (streams_.Full()) return kInvalidStream;
+  if (StreamsFull()) return kInvalidStream;
   StreamInfo info;
   info.id = static_cast<StreamId>(streams_.size());
   info.is_base = true;
@@ -67,10 +47,7 @@ StreamId Catalog::AddBaseStream(HostId source_host, double rate_mbps,
   info.rate_mbps = rate_mbps;
   info.leaves = {info.id};
   info.name = name.empty() ? "base" + std::to_string(info.id) : std::move(name);
-  const StreamId id = info.id;
-  streams_.Append(std::move(info));
-  producers_.AppendDefault();
-  return id;
+  return AppendStream(std::move(info));
 }
 
 double Catalog::SumLeafRates(const std::vector<StreamId>& leaves) const {
@@ -82,13 +59,13 @@ double Catalog::SumLeafRates(const std::vector<StreamId>& leaves) const {
   return total;
 }
 
-StreamId Catalog::InternJoinStreamLocked(std::vector<StreamId> sorted_leaves) {
+StreamId Catalog::InternJoinStream(std::vector<StreamId> sorted_leaves) {
   auto it = join_stream_by_leaves_.find(sorted_leaves);
   if (it != join_stream_by_leaves_.end()) return it->second;
 
   // Graceful exhaustion: finding an existing stream (above) always
   // works; only *new* interning is refused.
-  if (streams_.Full()) return kInvalidStream;
+  if (StreamsFull()) return kInvalidStream;
 
   StreamInfo info;
   info.id = static_cast<StreamId>(streams_.size());
@@ -102,9 +79,7 @@ StreamId Catalog::InternJoinStreamLocked(std::vector<StreamId> sorted_leaves) {
   }
   info.name += "}";
   info.leaves = sorted_leaves;
-  const StreamId id = info.id;
-  streams_.Append(std::move(info));
-  producers_.AppendDefault();
+  const StreamId id = AppendStream(std::move(info));
   join_stream_by_leaves_.emplace(std::move(sorted_leaves), id);
   return id;
 }
@@ -119,21 +94,20 @@ Result<StreamId> Catalog::CanonicalJoinStream(
       base_leaves.end()) {
     return Status::InvalidArgument("join leaves must be distinct");
   }
-  std::lock_guard<std::mutex> lock(intern_mu_);
   for (StreamId leaf : base_leaves) {
     if (leaf < 0 || leaf >= num_streams() || !streams_[leaf].is_base) {
       return Status::InvalidArgument("leaf " + std::to_string(leaf) +
                                      " is not a base stream");
     }
   }
-  const StreamId id = InternJoinStreamLocked(std::move(base_leaves));
+  const StreamId id = InternJoinStream(std::move(base_leaves));
   if (id == kInvalidStream) {
     return Status::ResourceExhausted("catalog stream store is full");
   }
   return id;
 }
 
-Result<OperatorId> Catalog::JoinOperatorLocked(StreamId left, StreamId right) {
+Result<OperatorId> Catalog::JoinOperator(StreamId left, StreamId right) {
   if (left < 0 || left >= num_streams() || right < 0 ||
       right >= num_streams()) {
     return Status::InvalidArgument("unknown join input stream");
@@ -155,10 +129,10 @@ Result<OperatorId> Catalog::JoinOperatorLocked(StreamId left, StreamId right) {
   auto it = join_op_by_inputs_.find(inputs);
   if (it != join_op_by_inputs_.end()) return it->second;
 
-  if (operators_.Full()) {
+  if (OperatorsFull()) {
     return Status::ResourceExhausted("catalog operator store is full");
   }
-  const StreamId output = InternJoinStreamLocked(leaves);
+  const StreamId output = InternJoinStream(leaves);
   if (output == kInvalidStream) {
     return Status::ResourceExhausted("catalog stream store is full");
   }
@@ -172,19 +146,9 @@ Result<OperatorId> Catalog::JoinOperatorLocked(StreamId left, StreamId right) {
                                             streams_[right].rate_mbps);
   op.mem_mb = cost_model_.OperatorMemMb(streams_[left].rate_mbps +
                                         streams_[right].rate_mbps);
-  const OperatorId id = op.id;
-  // Publication order matters for lock-free readers: the operator entry
-  // first (so a producer list never names an unpublished operator), then
-  // the producer-list append.
-  operators_.Append(std::move(op));
-  producers_.Mutable(output).Append(id);
+  const OperatorId id = AppendOperator(std::move(op));
   join_op_by_inputs_.emplace(std::move(inputs), id);
   return id;
-}
-
-Result<OperatorId> Catalog::JoinOperator(StreamId left, StreamId right) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  return JoinOperatorLocked(left, right);
 }
 
 Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
@@ -196,7 +160,6 @@ Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
   if (output_rate_fraction <= 0.0 || output_rate_fraction > 1.0) {
     return Status::InvalidArgument("output fraction must be in (0, 1]");
   }
-  std::lock_guard<std::mutex> lock(intern_mu_);
   if (input < 0 || input >= num_streams()) {
     return Status::InvalidArgument("unknown input stream");
   }
@@ -205,12 +168,12 @@ Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
   auto it = unary_stream_by_sig_.find(sig);
   if (it != unary_stream_by_sig_.end()) {
     // The stream (and its unique producer) already exist.
-    const ProducerList& prods = producers_[it->second];
+    const std::vector<OperatorId>& prods = producers_[it->second];
     SQPR_CHECK(!prods.empty());
     return prods.front();
   }
 
-  if (streams_.Full() || operators_.Full()) {
+  if (StreamsFull() || OperatorsFull()) {
     return Status::ResourceExhausted("catalog store is full");
   }
 
@@ -222,10 +185,8 @@ Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
   out.leaves = in.leaves;
   out.name = std::string(OpKindName(kind)) + std::to_string(tag) + "(" +
              in.name + ")";
-  const StreamId output = out.id;
   const double in_rate = in.rate_mbps;
-  streams_.Append(std::move(out));
-  producers_.AppendDefault();
+  const StreamId output = AppendStream(std::move(out));
   unary_stream_by_sig_.emplace(sig, output);
 
   OperatorInfo op;
@@ -236,18 +197,10 @@ Result<OperatorId> Catalog::UnaryOperator(OpKind kind, StreamId input,
   op.cpu_cost = cost_model_.OperatorCpuCost(in_rate);
   op.mem_mb = cost_model_.OperatorMemMb(in_rate);
   op.output_rate_fraction = output_rate_fraction;
-  const OperatorId id = op.id;
-  operators_.Append(std::move(op));
-  producers_.Mutable(output).Append(id);
-  return id;
+  return AppendOperator(std::move(op));
 }
 
 Status Catalog::UpdateBaseRate(StreamId base, double new_rate_mbps) {
-  // Exclusive by contract: no concurrent reader or interner (the
-  // planning service commits its pending round before installing
-  // measured rates).
-  // The lock still serialises against a stray interner defensively.
-  std::lock_guard<std::mutex> lock(intern_mu_);
   if (base < 0 || base >= num_streams()) {
     return Status::InvalidArgument("unknown stream");
   }
@@ -257,14 +210,14 @@ Status Catalog::UpdateBaseRate(StreamId base, double new_rate_mbps) {
   if (new_rate_mbps <= 0) {
     return Status::InvalidArgument("rate must be positive");
   }
-  streams_.Mutable(base).rate_mbps = new_rate_mbps;
+  streams_[base].rate_mbps = new_rate_mbps;
 
   // Streams are created after their inputs, so one pass in id order
   // refreshes every composite. A composite with a unary producer takes
   // fraction x input rate; otherwise it is a canonical join stream whose
   // rate is a function of its base leaves.
   for (StreamId s = 0; s < num_streams(); ++s) {
-    StreamInfo& info = streams_.Mutable(s);
+    StreamInfo& info = streams_[s];
     if (info.is_base) continue;
     const OperatorInfo* unary = nullptr;
     for (OperatorId o : producers_[s]) {
@@ -282,22 +235,17 @@ Status Catalog::UpdateBaseRate(StreamId base, double new_rate_mbps) {
     }
   }
   for (OperatorId o = 0; o < num_operators(); ++o) {
-    OperatorInfo& op = operators_.Mutable(o);
+    OperatorInfo& op = operators_[o];
     double in_rate = 0.0;
     for (StreamId in : op.inputs) in_rate += streams_[in].rate_mbps;
     op.cpu_cost = cost_model_.OperatorCpuCost(in_rate);
     op.mem_mb = cost_model_.OperatorMemMb(in_rate);
   }
-  rate_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  ++rate_epoch_;
   return Status::OK();
 }
 
 Result<Closure> Catalog::JoinClosure(StreamId stream) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  return JoinClosureLocked(stream);
-}
-
-Result<Closure> Catalog::JoinClosureLocked(StreamId stream) {
   if (stream < 0 || stream >= num_streams()) {
     return Status::InvalidArgument("unknown stream");
   }
@@ -318,7 +266,7 @@ Result<Closure> Catalog::JoinClosureLocked(StreamId stream) {
       operators_[producers_[stream].front()].kind != OpKind::kJoin) {
     const OperatorId producer_id = producers_[stream].front();
     const StreamId producer_input = operators_[producer_id].inputs.front();
-    Result<Closure> sub = JoinClosureLocked(producer_input);
+    Result<Closure> sub = JoinClosure(producer_input);
     if (!sub.ok()) return sub.status();
     closure = *sub;
     closure.streams.push_back(stream);
@@ -347,10 +295,10 @@ Result<Closure> Catalog::JoinClosureLocked(StreamId stream) {
     for (int i = 0; i < k; ++i) {
       if (mask & (1u << i)) subset.push_back(leaves[i]);
     }
-    by_mask[mask] = InternJoinStreamLocked(subset);  // already sorted
+    by_mask[mask] = InternJoinStream(subset);  // already sorted
     if (by_mask[mask] == kInvalidStream) {
       // Graceful exhaustion mid-expansion: whatever interned so far
-      // stays published and reusable, but this closure is incomplete —
+      // stays interned and reusable, but this closure is incomplete —
       // report it rather than caching a partial expansion. (The caller
       // turns this into an admission rejection.)
       return Status::ResourceExhausted(
@@ -366,7 +314,7 @@ Result<Closure> Catalog::JoinClosureLocked(StreamId stream) {
     for (uint32_t sub = (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask) {
       const uint32_t other = mask ^ sub;
       if (sub < other) continue;  // count each unordered split once
-      Result<OperatorId> op = JoinOperatorLocked(by_mask[sub], by_mask[other]);
+      Result<OperatorId> op = JoinOperator(by_mask[sub], by_mask[other]);
       if (!op.ok()) {
         if (op.status().IsResourceExhausted()) return op.status();
         SQPR_CHECK(op.ok()) << op.status().ToString();

@@ -18,13 +18,13 @@
 namespace sqpr {
 
 /// A host × stream availability snapshot (the derived y_hs of §III),
-/// carrying its own stream-count stride. The stride matters for thread
-/// safety: worker-thread solves read a shared Catalog that the event
-/// loop may be growing concurrently (speculative arrival interning), so
-/// a consumer must index the bitmap with the catalog size *at build
-/// time*, never with a fresh Catalog::num_streams() read. Streams
-/// interned after the snapshot are trivially not grounded anywhere,
-/// which at() encodes by returning false for out-of-stride ids.
+/// carrying its own stream-count stride. A snapshot can outlive the
+/// catalog size it was built at: a planner that builds one and then
+/// interns a new query's closure asks it about streams that did not
+/// exist yet. So the bitmap is indexed with the catalog size *at build
+/// time*, never with a fresh Catalog::num_streams() read, and at()
+/// answers false for those later ids: a stream interned after the
+/// snapshot is not grounded anywhere.
 struct GroundedMap {
   int num_hosts = 0;
   /// Catalog stream count when the map was built (the row stride).
