@@ -5,17 +5,14 @@
 //  * build-vs-patch — constructing a grounded SQPR model from scratch
 //    (every variable, row and coefficient) vs Rebind-ing a cached
 //    skeleton against a new base deployment (bounds only, O(rows));
-//  * cold-vs-warm — solving the same model structure across simulated
-//    rounds from a slack basis each time vs chaining each round's root
-//    basis (and pooled lazy cycle cuts) into the next solve;
 //  * node-resolve — the deterministic LP work of one MILP solve on the
 //    hot-started engine: LP calls, pivots, factorizations, and pivots per
 //    warm re-solve.
 //
 // Shape checks gate correctness, not speed: a patched model must match
-// a fresh build bit for bit, and a warm-started solve must reach the
-// cold objective. Absolute timings land in the JSON for the checked-in
-// baseline diff; CI only gates the schema (timings are host-dependent).
+// a fresh build bit for bit. Absolute timings land in the JSON for the
+// checked-in baseline diff; CI only gates the schema (timings are
+// host-dependent).
 
 #include <algorithm>
 #include <cstdio>
@@ -58,10 +55,8 @@ struct Fixture {
 /// committed operators/flows a mid-experiment solve patches against,
 /// then grounds the relevant sets of the next unserved query.
 std::unique_ptr<Fixture> MakeFixture() {
-  // Small enough (4 hosts, 2-way joins) that the tight-gap cold/warm
-  // solves below prove optimality in milliseconds — deadline-truncated
-  // solves would make the cold-vs-warm timing (and objective equality)
-  // meaningless.
+  // Small enough (4 hosts, 2-way joins) that every solve below takes
+  // milliseconds.
   bench::ScenarioConfig config;
   config.hosts = 4;
   config.base_streams = 16;
@@ -125,128 +120,6 @@ int BenchBuildVsPatch(Fixture* f, bench::BenchJsonWriter* json) {
   rec.metrics["patch_ms_avg"] = patch_ms;
   rec.metrics["model_vars"] = reference.mip().lp.num_variables();
   rec.metrics["model_rows"] = reference.mip().lp.num_rows();
-  return failed;
-}
-
-int BenchColdVsWarm(Fixture* f, bench::BenchJsonWriter* json) {
-  constexpr int kRounds = 12;
-  int failed = 0;
-
-  SqprMip mip(f->planner.deployment(), f->streams, f->operators, f->demands,
-              {});
-  const std::vector<double> warm_point = mip.WarmStart();
-  milp::Solver solver;
-
-  auto base_options = [&] {
-    milp::SolverOptions options;
-    options.deadline = Deadline::AfterMillis(2000);
-    options.gap_abs = 1e-9;
-    options.gap_rel = 1e-6;
-    options.warm_start = &warm_point;
-    return options;
-  };
-
-  // Cold and warm rounds interleave so clock-frequency drift during the
-  // run lands on both sides equally — back-to-back blocks used to swing
-  // the comparison by more than the effect under measurement.
-  //
-  // Warm chain: every round seeds the next with its root basis and
-  // harvests lazy cycle cuts — the exact flow SqprPlanner::SubmitBatch runs between
-  // re-planning rounds of one drift cycle, including its payoff gate on
-  // pooled-cut replay (which this small model fails, so the pool is
-  // harvest-only here).
-  constexpr int kMinRowsPerPooledCut = 8;  // mirrors SqprPlanner's gate
-  milp::CutPool pool;
-  std::vector<lp::BasisState> basis;
-  std::vector<int> basis_columns;
-  int64_t warm_starts = 0, basis_discards = 0;
-  int64_t cold_nodes = 0, warm_nodes = 0;
-  int64_t cold_pivots = 0, warm_pivots = 0;
-  double cold_objective = 0.0, warm_objective = 0.0;
-  double cold_total_ms = 0.0, warm_total_ms = 0.0;
-  for (int i = 0; i < kRounds; ++i) {
-    {
-      SqprMip::CycleCutHandler handler(&mip);
-      milp::SolverOptions options = base_options();
-      options.lazy = &handler;
-      Stopwatch round_watch;
-      const milp::MipResult r = solver.Solve(mip.mip(), options);
-      cold_total_ms += round_watch.ElapsedMillis();
-      SQPR_CHECK(r.has_solution());
-      cold_objective = r.objective;
-      cold_nodes += r.nodes;
-      cold_pivots += r.lp_counters.iterations;
-    }
-    {
-      // Frozen copy of the prior rounds' pool as the separation source;
-      // the live pool keeps harvesting — same split SubmitBatch uses
-      // between prior->cuts and next_art->cuts.
-      const milp::CutPool prior = pool;
-      SqprMip::CycleCutHandler handler(&mip);
-      handler.set_harvest(&pool);
-      if (!prior.empty() &&
-          mip.mip().lp.num_rows() >=
-              kMinRowsPerPooledCut * static_cast<int>(prior.size())) {
-        handler.set_pool(&prior);
-      }
-      milp::SolverOptions options = base_options();
-      options.lazy = &handler;
-      if (!basis.empty()) {
-        options.root_warm_basis = &basis;
-        options.root_warm_basis_columns = &basis_columns;
-      }
-      Stopwatch round_watch;
-      milp::MipResult r = solver.Solve(mip.mip(), options);
-      warm_total_ms += round_watch.ElapsedMillis();
-      SQPR_CHECK(r.has_solution());
-      warm_objective = r.objective;
-      warm_nodes += r.nodes;
-      warm_pivots += r.lp_counters.iterations;
-      if (r.used_warm_basis) ++warm_starts;
-      if (r.warm_basis_discarded) ++basis_discards;
-      basis = std::move(r.root_basis);
-      basis_columns = std::move(r.root_basis_columns);
-    }
-  }
-  const double cold_ms = cold_total_ms / kRounds;
-  const double warm_ms = warm_total_ms / kRounds;
-
-  if (!bench::ShapeCheck(std::abs(warm_objective - cold_objective) < 1e-6,
-                         "warm-started solve reaches cold objective")) {
-    ++failed;
-  }
-  if (!bench::ShapeCheck(warm_starts > 0,
-                         "warm chain actually installs the root basis")) {
-    ++failed;
-  }
-  // Judged on deterministic work, not wall time: the two sides differ
-  // by about 1% of their time, well inside the host's timing noise.
-  if (!bench::ShapeCheck(warm_nodes <= cold_nodes,
-                         "warm chain searches no more nodes than cold")) {
-    ++failed;
-  }
-
-  std::printf(
-      "solve cold %8.3f ms   warm %8.3f ms   "
-      "nodes cold %lld warm %lld   pivots cold %lld warm %lld   "
-      "(warm_starts=%lld discards=%lld pooled_cuts=%zu)\n",
-      cold_ms, warm_ms, static_cast<long long>(cold_nodes),
-      static_cast<long long>(warm_nodes),
-      static_cast<long long>(cold_pivots),
-      static_cast<long long>(warm_pivots),
-      static_cast<long long>(warm_starts),
-      static_cast<long long>(basis_discards), pool.size());
-  bench::BenchRecord& rec = json->Add("cold_vs_warm");
-  rec.labels["rounds"] = std::to_string(kRounds);
-  rec.metrics["cold_solve_ms_avg"] = cold_ms;
-  rec.metrics["warm_solve_ms_avg"] = warm_ms;
-  rec.metrics["cold_nodes"] = static_cast<double>(cold_nodes);
-  rec.metrics["warm_nodes"] = static_cast<double>(warm_nodes);
-  rec.metrics["cold_pivots"] = static_cast<double>(cold_pivots);
-  rec.metrics["warm_pivots"] = static_cast<double>(warm_pivots);
-  rec.metrics["warm_starts"] = static_cast<double>(warm_starts);
-  rec.metrics["basis_discards"] = static_cast<double>(basis_discards);
-  rec.metrics["pooled_cuts"] = static_cast<double>(pool.size());
   return failed;
 }
 
@@ -370,8 +243,8 @@ int main(int argc, char** argv) {
 
   sqpr::bench::PrintHeader(
       "solver_micro",
-      "incremental solves: model build vs patch, cold vs warm start, "
-      "LP work per node re-solve",
+      "incremental solves: model build vs patch, LP work per node "
+      "re-solve",
       sqpr::kSeed);
   sqpr::bench::BenchJsonWriter json("solver_micro", sqpr::kSeed);
 
@@ -379,7 +252,6 @@ int main(int argc, char** argv) {
   {
     std::unique_ptr<sqpr::Fixture> fixture = sqpr::MakeFixture();
     failed += sqpr::BenchBuildVsPatch(fixture.get(), &json);
-    failed += sqpr::BenchColdVsWarm(fixture.get(), &json);
     failed += sqpr::BenchNodeResolve(fixture.get(), &json);
   }
   failed += sqpr::BenchReplanLoop(&json);

@@ -8,25 +8,6 @@
 namespace sqpr {
 namespace milp {
 
-void CutPool::Add(PooledCut cut) {
-  std::sort(cut.terms.begin(), cut.terms.end());
-  for (const PooledCut& have : cuts_) {
-    if (have.lb == cut.lb && have.ub == cut.ub && have.terms == cut.terms) {
-      return;
-    }
-  }
-  if (cuts_.size() >= max_cuts_ && !cuts_.empty()) {
-    cuts_.erase(cuts_.begin());
-  }
-  cuts_.push_back(std::move(cut));
-}
-
-void CutPool::InjectInto(lp::Model* lp) const {
-  for (const PooledCut& cut : cuts_) {
-    lp->AddRow(cut.lb, cut.ub, cut.terms, cut.name);
-  }
-}
-
 CutGenerator::CutGenerator(std::vector<bool> integer, CutOptions options)
     : integer_(std::move(integer)), options_(options) {}
 

@@ -86,7 +86,6 @@ class Presolver {
 
   /// reduced column index of original column v, or -1 when pinned.
   int column_map(int v) const { return col_map_[v]; }
-  int num_original_columns() const { return static_cast<int>(col_map_.size()); }
 
  private:
   Options options_{};

@@ -42,27 +42,19 @@ struct QueueEntry {
   }
 };
 
-lp::SimplexOptions EngineOptions(const SolverOptions& options,
-                                 const std::vector<lp::BasisState>* root) {
+lp::SimplexOptions EngineOptions(const SolverOptions& options) {
   lp::SimplexOptions lp_options = options.lp_options;
   lp_options.deadline = options.deadline;
-  lp_options.warm_basis = root;
   return lp_options;
 }
 
 class BranchAndBound {
  public:
-  /// `root_basis` (may be null) starts the root LP. The caller is
-  /// responsible for compatibility (Solver::Solve gates on the presolve
-  /// column signature); the simplex itself repairs or silently drops a
-  /// basis it cannot use, so a bad seed costs iterations, not
-  /// correctness. The pointee must outlive Run().
-  BranchAndBound(const Model& model, const SolverOptions& options,
-                 const std::vector<lp::BasisState>* root_basis)
+  BranchAndBound(const Model& model, const SolverOptions& options)
       : base_(model),
         options_(options),
         work_(model.lp),
-        engine_(EngineOptions(options, root_basis)),
+        engine_(EngineOptions(options)),
         int_lb_(model.lp.num_variables()),
         int_ub_(model.lp.num_variables()) {
     // Branching and diving assume integral bounds on integer columns;
@@ -123,9 +115,6 @@ class BranchAndBound {
   // lazy-cut and root-cut re-solve starts from the basis and inverse the
   // previous one left (plunging makes consecutive LPs near-identical).
   lp::SimplexEngine engine_;
-  // Basis of the first root LP solve, exported via MipResult::root_basis
-  // for cross-solve warm starts.
-  std::vector<lp::BasisState> root_basis_;
   // Integer columns' bounds rounded inward (RoundIntegerBounds); entries
   // of continuous columns are unused. empty_box_: some integer column's
   // rounded bounds cross.
@@ -341,13 +330,6 @@ int BranchAndBound::ProcessNode(int node_index) {
   if (!ApplyBounds(node_index)) return -1;  // empty box: prune
 
   lp::SimplexResult rel = engine_.Solve(work_);
-  if (node_index == 0 && rel.status == lp::SolveStatus::kOptimal) {
-    // Harvest the root basis before any cut rows land: the next solve of
-    // this structure will carry different cut rows, and the simplex pads
-    // missing trailing rows with basic slacks, so the fewest-row basis
-    // is the most reusable one.
-    root_basis_ = rel.basis_state;
-  }
   // Fractional cut separation loop: tighten the relaxation in place
   // while the handler keeps finding violated rows.
   for (int pass = 0; pass < 5 && rel.status == lp::SolveStatus::kOptimal &&
@@ -527,7 +509,6 @@ MipResult BranchAndBound::Run() {
   result.lp_counters = engine_.counters();
   result.rejected_candidates = rejected_candidates_;
   result.wall_ms = watch.ElapsedMillis();
-  result.root_basis = root_basis_;
 
   double residual_bound = QueueBestBound();
   if (current >= 0) {
@@ -636,35 +617,6 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
   lp::Model* full_space_;
 };
 
-/// Runs branch-and-bound on `model`, whose columns are the original-space
-/// `columns` (all of them, or those presolve kept).
-///
-/// Cross-solve basis reuse is gated on the caller's root basis having
-/// been harvested over the *same* columns: the reduced space is indexed
-/// by surviving-column order, so a different elimination set would
-/// silently pair basis statuses with the wrong variables (the stale-basis
-/// bug the regression test in milp_test pins). On mismatch, discard and
-/// cold-start.
-MipResult RunSearch(const Model& model, const SolverOptions& options,
-                    std::vector<int> columns) {
-  const std::vector<lp::BasisState>* root_basis = nullptr;
-  bool discarded = false;
-  if (options.root_warm_basis != nullptr &&
-      options.root_warm_basis_columns != nullptr) {
-    if (*options.root_warm_basis_columns == columns) {
-      root_basis = options.root_warm_basis;
-    } else {
-      discarded = true;
-    }
-  }
-  BranchAndBound bb(model, options, root_basis);
-  MipResult result = bb.Run();
-  result.root_basis_columns = std::move(columns);
-  result.used_warm_basis = root_basis != nullptr;
-  result.warm_basis_discarded = discarded;
-  return result;
-}
-
 }  // namespace
 
 MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options) {
@@ -682,11 +634,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   SQPR_TRACE_SPAN_ARGS(span, "milp/solve", "variables", "rows");
   span.set_args(static_cast<uint64_t>(model.lp.num_variables()),
                 static_cast<uint64_t>(model.lp.num_rows()));
-  if (!options.presolve) {
-    std::vector<int> all_columns(model.lp.num_variables());
-    for (int v = 0; v < model.lp.num_variables(); ++v) all_columns[v] = v;
-    return RunSearch(model, options, std::move(all_columns));
-  }
+  if (!options.presolve) return BranchAndBound(model, options).Run();
 
   Presolver pre;
   PresolveStats pstats;
@@ -733,13 +681,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   PresolvedLazyAdapter adapter(options.lazy, &pre, &full_space);
   if (options.lazy != nullptr) inner.lazy = &adapter;
 
-  std::vector<int> surviving_columns;
-  surviving_columns.reserve(pre.reduced().lp.num_variables());
-  for (int v = 0; v < pre.num_original_columns(); ++v) {
-    if (pre.column_map(v) >= 0) surviving_columns.push_back(v);
-  }
-  MipResult result =
-      RunSearch(pre.reduced(), inner, std::move(surviving_columns));
+  MipResult result = BranchAndBound(pre.reduced(), inner).Run();
   if (result.has_solution()) {
     result.x = pre.Postsolve(result.x);
     result.objective += pre.objective_constant();

@@ -100,26 +100,17 @@ struct SolverOptions {
   /// (maximisation). CPLEX-style relative gap default.
   double gap_abs = 1e-9;
   double gap_rel = 1e-6;
+  /// Options of the search's LP engine; `deadline` is replaced by the
+  /// solve's. A `warm_basis` starts the root LP and must index the
+  /// columns the search runs on, so it is only meaningful with presolve
+  /// off (presolve re-indexes the columns it keeps). Every later LP of
+  /// the search starts from the basis the previous one left.
   lp::SimplexOptions lp_options;
   LazyConstraintHandler* lazy = nullptr;
   /// Optional known feasible integral point (e.g. the previous plan in
   /// SQPR's incremental planning); installed as the initial incumbent
   /// after a feasibility check.
   const std::vector<double>* warm_start = nullptr;
-  /// Optional root LP basis from a previous solve of the same model
-  /// structure (MipResult::root_basis of that solve), used to warm-start
-  /// the root relaxation. Only honoured when `root_warm_basis_columns`
-  /// matches the set of columns presolve keeps this time — presolve
-  /// eliminating a different column set re-indexes the reduced space, so
-  /// a stale basis would pair statuses with the wrong variables; on
-  /// mismatch the basis is discarded (MipResult::warm_basis_discarded)
-  /// and the solve cold-starts. The simplex phase-1 repairs any accepted
-  /// basis, so reuse affects iteration counts, never correctness.
-  const std::vector<lp::BasisState>* root_warm_basis = nullptr;
-  /// Original-space column ids that survived presolve when the basis was
-  /// harvested (MipResult::root_basis_columns). Required alongside
-  /// root_warm_basis.
-  const std::vector<int>* root_warm_basis_columns = nullptr;
 };
 
 struct MipResult {
@@ -143,21 +134,6 @@ struct MipResult {
   /// caller decides whether the incumbent (kFeasible) is good enough or
   /// a heuristic fallback should take over (kNoSolution).
   bool deadline_hit = false;
-  /// Basis of the first root LP solve (before root cuts — the fewest-row
-  /// form maximises reuse: later solves may carry different cut rows and
-  /// the simplex pads missing trailing rows with basic slacks). Feed back
-  /// via SolverOptions::root_warm_basis. Empty when the root was never
-  /// solved.
-  std::vector<lp::BasisState> root_basis;
-  /// Original-space columns surviving presolve in this solve (all
-  /// columns when presolve was off); the compatibility signature for
-  /// root_basis reuse.
-  std::vector<int> root_basis_columns;
-  /// Whether a supplied root_warm_basis was actually installed.
-  bool used_warm_basis = false;
-  /// Whether a supplied root_warm_basis was rejected because presolve
-  /// eliminated a different column set than when it was harvested.
-  bool warm_basis_discarded = false;
 
   bool has_solution() const {
     return status == MipStatus::kOptimal || status == MipStatus::kFeasible;

@@ -136,9 +136,6 @@ class Catalog {
   /// the closure is the stream itself.
   Result<Closure> JoinClosure(StreamId stream);
 
-  /// Upper bound on either store's size (see the class comment).
-  static constexpr size_t kMaxEntries = size_t{1} << 23;
-
   const StreamInfo& stream(StreamId id) const {
     SQPR_CHECK(id >= 0 && static_cast<size_t>(id) < streams_.size())
         << "stream id out of range";
@@ -191,6 +188,9 @@ class Catalog {
   }
 
  private:
+  /// Upper bound on either store's size (see the class comment).
+  static constexpr size_t kMaxEntries = size_t{1} << 23;
+
   /// True when the store cannot accept another entry. Interning tests
   /// this *before* appending; finding an existing entry always works.
   bool StreamsFull() const { return streams_.size() >= max_streams_; }

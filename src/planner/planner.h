@@ -36,15 +36,9 @@ struct PlanningStats {
   bool via_cache = false;
   /// Incremental-solve telemetry (SQPR planner only). A submission that
   /// ran the MILP either patched a cached model skeleton (bounds-only
-  /// rebind against the current deployment) or built one from scratch;
-  /// a patched solve may additionally install the previous round's root
-  /// LP basis, unless presolve eliminated a different column set this
-  /// time, in which case the basis is discarded and the solve
-  /// cold-starts.
+  /// rebind against the current deployment) or built one from scratch.
   bool model_patched = false;
   bool model_rebuilt = false;
-  bool warm_started = false;
-  bool basis_discarded = false;
   /// Degraded-mode solving (docs/ARCHITECTURE.md "Durability & degraded
   /// modes"). deadline_hit: the MILP ran out of its per-solve wall
   /// budget (SqprPlanner::Options::solve_deadline_ms) before proving

@@ -875,56 +875,24 @@ int SqprMip::CycleCutHandler::Separate(const std::vector<double>& point,
     }
     const double rhs = static_cast<double>(cycle.size()) - 1.0;
     if (activity <= rhs + 1e-7) continue;  // heuristic cycle not violated
-    std::string name = "cycle_cut_s" + std::to_string(s);
-    if (harvest_ != nullptr) {
-      // Cycle cuts are valid for every integral acyclic point of this
-      // skeleton, independent of the base deployment — poolable.
-      harvest_->Add({-lp::kInf, rhs, terms, name});
-    }
-    relaxation->AddRow(-lp::kInf, rhs, std::move(terms), std::move(name));
+    relaxation->AddRow(-lp::kInf, rhs, std::move(terms),
+                       "cycle_cut_s" + std::to_string(s));
     ++cuts;
   }
   span.set_args(static_cast<uint64_t>(cuts));
   return cuts;
 }
 
-int SqprMip::CycleCutHandler::SeparateFromPool(
-    const std::vector<double>& point, lp::Model* relaxation) {
-  if (pool_ == nullptr || pool_->empty()) return 0;
-  const std::vector<milp::PooledCut>& cuts = pool_->cuts();
-  if (pool_added_.size() < cuts.size()) pool_added_.resize(cuts.size(), false);
-  int added = 0;
-  for (size_t i = 0; i < cuts.size(); ++i) {
-    if (pool_added_[i]) continue;
-    const milp::PooledCut& cut = cuts[i];
-    double activity = 0.0;
-    for (const auto& term : cut.terms) {
-      activity += point[term.first] * term.second;
-    }
-    if (activity <= cut.ub + 1e-7) continue;
-    pool_added_[i] = true;
-    relaxation->AddRow(cut.lb, cut.ub, cut.terms, cut.name);
-    ++added;
-  }
-  return added;
-}
-
 int SqprMip::CycleCutHandler::AddViolatedCuts(
     const std::vector<double>& candidate, lp::Model* relaxation) {
-  // Violated pooled cuts first: they can kill several cycles in one
-  // callback, where the DFS detector emits one per stream.
-  int cuts = SeparateFromPool(candidate, relaxation);
-  cuts += Separate(candidate, /*arc_threshold=*/0.5, relaxation);
-  return cuts;
+  return Separate(candidate, /*arc_threshold=*/0.5, relaxation);
 }
 
 int SqprMip::CycleCutHandler::AddFractionalCuts(
     const std::vector<double>& point, lp::Model* relaxation) {
-  int cuts = SeparateFromPool(point, relaxation);
   // Arcs above 0.35 can participate in violated 2- and 3-cycles; the
   // violation test filters false positives from longer cycles.
-  cuts += Separate(point, /*arc_threshold=*/0.35, relaxation);
-  return cuts;
+  return Separate(point, /*arc_threshold=*/0.35, relaxation);
 }
 
 }  // namespace sqpr

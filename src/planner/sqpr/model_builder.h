@@ -159,37 +159,13 @@ class SqprMip {
     int AddFractionalCuts(const std::vector<double>& point,
                           lp::Model* relaxation) override;
 
-    /// Optional pool that every emitted cycle cut is also recorded into
-    /// (terms are in this model's original variable space). Cycle cuts
-    /// are valid for *every* integral acyclic point of the same skeleton
-    /// — they do not depend on the base deployment — so a planner can
-    /// replay pooled cuts into later solves of the same grounded
-    /// structure instead of rediscovering them node by node.
-    void set_harvest(milp::CutPool* pool) { harvest_ = pool; }
-
-    /// Optional read-only pool consulted as a *separation source*: at
-    /// each lazy callback, pooled cuts violated by the current point are
-    /// appended (each at most once per solve) before the DFS detector
-    /// runs. This replaces bulk up-front injection — injecting the whole
-    /// pool bloats every node LP with rows the search never violates,
-    /// which is measurably slower than solving cold on small models,
-    /// while violation-gated replay only pays for rows that bind.
-    void set_pool(const milp::CutPool* pool) { pool_ = pool; }
-
    private:
     // Shared separation: consider arcs with value > arc_threshold and
     // emit the cut only when actually violated by `point`.
     int Separate(const std::vector<double>& point, double arc_threshold,
                  lp::Model* relaxation);
-    // Appends pooled cuts violated by `point` that this handler has not
-    // already added. Returns the number of rows appended.
-    int SeparateFromPool(const std::vector<double>& point,
-                         lp::Model* relaxation);
 
     const SqprMip* owner_;
-    milp::CutPool* harvest_ = nullptr;
-    const milp::CutPool* pool_ = nullptr;
-    std::vector<bool> pool_added_;
   };
 
  private:

@@ -3,7 +3,6 @@
 namespace sqpr {
 
 std::unique_ptr<SqprMip> SqprSolveCache::Checkout(const SolveKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   std::unique_ptr<SqprMip> model = std::move(it->second.model);
@@ -14,9 +13,8 @@ std::unique_ptr<SqprMip> SqprSolveCache::Checkout(const SolveKey& key) {
 void SqprSolveCache::Return(const SolveKey& key,
                             std::unique_ptr<SqprMip> model) {
   if (model == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[key];
-  entry.model = std::move(model);  // last writer wins on a same-key race
+  entry.model = std::move(model);
   entry.last_used = ++tick_;
   while (entries_.size() > capacity_) {
     auto victim = entries_.begin();
@@ -25,11 +23,6 @@ void SqprSolveCache::Return(const SolveKey& key,
     }
     entries_.erase(victim);
   }
-}
-
-size_t SqprSolveCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
 }
 
 }  // namespace sqpr

@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include "lp/simplex.h"
-#include "milp/cuts.h"
 #include "planner/sqpr/model_builder.h"
 
 namespace sqpr {
@@ -43,29 +40,12 @@ struct SolveKey {
   }
 };
 
-/// Cross-round solve by-products for one SolveKey, reusable to warm-start
-/// the next solve of the same structure:
-///  * the root LP basis (and the presolve column signature it was
-///    harvested under — reuse requires presolve to eliminate the same
-///    columns, else the basis is discarded);
-///  * pooled lazy cycle cuts (valid for every integral point of the
-///    skeleton, so they can seed the next relaxation up front).
-/// Immutable after construction; held by pointer in the planner's
-/// artifact table.
-struct SolveArtifacts {
-  std::vector<lp::BasisState> root_basis;
-  std::vector<int> root_basis_columns;
-  milp::CutPool cuts;
-};
-
-/// A bounded, thread-safe pool of built SqprMip models keyed by solve
-/// structure. Checkout() hands out *exclusive* ownership (the entry is
-/// removed from the pool), so a checked-out model can be Rebind()-ed and
-/// solved without synchronisation; Return() puts it back for the next
-/// round. Concurrent same-key checkouts simply miss and build fresh —
-/// correct because a rebound cached model is bit-identical to a fresh
-/// build, which also makes the whole cache performance-only: hit/miss
-/// timing can never change a solve's result.
+/// A bounded pool of built SqprMip models keyed by solve structure.
+/// Checkout() hands out ownership (the entry is removed from the pool),
+/// so a checked-out model can be Rebind()-ed and solved; Return() puts it
+/// back for the next solve. A rebound cached model is bit-identical to a
+/// fresh build, which makes the whole cache performance-only: a hit or a
+/// miss can never change a solve's result.
 ///
 /// A checked-in model's base-deployment pointer may dangle (the
 /// deployment it was built against may be gone); callers must Rebind()
@@ -84,7 +64,7 @@ class SqprSolveCache {
   /// entry past capacity.
   void Return(const SolveKey& key, std::unique_ptr<SqprMip> model);
 
-  size_t size() const;
+  size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
@@ -92,7 +72,6 @@ class SqprSolveCache {
     uint64_t last_used = 0;
   };
 
-  mutable std::mutex mu_;
   const size_t capacity_;
   uint64_t tick_ = 0;
   std::map<SolveKey, Entry> entries_;

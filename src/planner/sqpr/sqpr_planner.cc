@@ -12,23 +12,13 @@
 #include "planner/heuristic/heuristic_planner.h"
 
 namespace sqpr {
-namespace {
-
-/// Payoff gate for pooled-cut replay: every replayed cut is a candidate
-/// extra row in every node LP, so replay only engages when the model has
-/// at least this many rows per pooled cut. Below the gate the lazy DFS
-/// rediscovers cycles cheaply and replay is a measured net loss.
-constexpr int kMinRowsPerPooledCut = 8;
-
-}  // namespace
 
 SqprPlanner::SqprPlanner(const Cluster* cluster, Catalog* catalog,
                          Options options)
     : cluster_(cluster),
       catalog_(catalog),
       options_(options),
-      deployment_(cluster, catalog),
-      cache_(std::make_shared<SqprSolveCache>()) {}
+      deployment_(cluster, catalog) {}
 
 Result<SqprPlanner::RelevantSets> SqprPlanner::ComputeRelevantSets(
     const std::vector<StreamId>& new_queries) {
@@ -104,8 +94,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   if (!sets.ok()) return sets.status();
 
   // Structural identity of this solve: equal keys build bit-identical
-  // skeletons, so a cached model can be rebound instead of rebuilt and
-  // the previous round's basis/cuts can seed the search.
+  // skeletons, so a cached model can be rebound instead of rebuilt.
   SolveKey key;
   key.streams = sets->streams;
   key.operators = sets->operators;
@@ -118,9 +107,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
   std::unique_ptr<SqprMip> mip_owned;
   bool patched = false;
-  if (options_.enable_model_cache && cache_ != nullptr) {
-    mip_owned = cache_->Checkout(key);
-  }
+  if (options_.enable_model_cache) mip_owned = cache_.Checkout(key);
   if (mip_owned != nullptr) {
     mip_owned->Rebind(deployment_);
     patched = true;
@@ -142,30 +129,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   SqprMip& mip = *mip_owned;
   const std::vector<double> warm = mip.WarmStart();
 
-  // Prior-round artifacts for this structure, if any. Two warm levers,
-  // each gated deterministically (never on measured wall time — replay
-  // and fingerprint determinism depend on identical decisions on every
-  // replay):
-  //  * the root basis warm-starts the first LP (discarded inside the
-  //    solver if presolve keeps different columns this round);
-  //  * pooled cycle cuts become a *separation source* for the lazy
-  //    handler, but only when the model is large enough that extra rows
-  //    can pay for themselves (bulk up-front injection measured slower
-  //    than cold on small models: +33% rows in every node LP for ~5%
-  //    fewer nodes).
-  std::shared_ptr<const SolveArtifacts> prior;
-  auto art_it = artifacts_.find(key);
-  if (art_it != artifacts_.end()) prior = art_it->second;
-
-  auto next_art = std::make_shared<SolveArtifacts>();
-  if (prior != nullptr) next_art->cuts = prior->cuts;
   SqprMip::CycleCutHandler cycle_handler(&mip);
-  cycle_handler.set_harvest(&next_art->cuts);
-  if (prior != nullptr && !prior->cuts.empty() &&
-      mip.mip().lp.num_rows() >=
-          kMinRowsPerPooledCut * static_cast<int>(prior->cuts.size())) {
-    cycle_handler.set_pool(&prior->cuts);
-  }
 
   milp::SolverOptions solver_options;
   solver_options.deadline = Deadline::AfterMillis(
@@ -180,10 +144,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   solver_options.warm_start = &warm;
   if (options_.model.acyclicity == AcyclicityMode::kLazyCycleCuts) {
     solver_options.lazy = &cycle_handler;
-  }
-  if (prior != nullptr && !prior->root_basis.empty()) {
-    solver_options.root_warm_basis = &prior->root_basis;
-    solver_options.root_warm_basis_columns = &prior->root_basis_columns;
   }
 
   span.set_args(fresh.size(), sets->streams.size());
@@ -250,16 +210,10 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     }
   }
 
-  // Harvest this round's by-products for the next solve of the same
-  // structure, and return the skeleton to the pool. Both are keyed by
-  // `key`, so a rate/spec epoch bump or a different relevant set makes
-  // them unreachable rather than stale.
-  next_art->root_basis = std::move(result.root_basis);
-  next_art->root_basis_columns = std::move(result.root_basis_columns);
-  artifacts_[key] = std::move(next_art);
-  if (artifacts_.size() > 64) artifacts_.clear();
-  if (options_.enable_model_cache && cache_ != nullptr) {
-    cache_->Return(key, std::move(mip_owned));
+  // Return the skeleton to the pool under `key`, so a rate/spec epoch
+  // bump or a different relevant set makes it unreachable, not stale.
+  if (options_.enable_model_cache) {
+    cache_.Return(key, std::move(mip_owned));
   }
 
   const double elapsed = watch.ElapsedMillis();
@@ -272,8 +226,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     s.deadline_hit = result.deadline_hit;
     s.model_patched = patched;
     s.model_rebuilt = !patched;
-    s.warm_started = result.used_warm_basis;
-    s.basis_discarded = result.warm_basis_discarded;
     s.commit_ms = commit_ms;
   }
   return stats;

@@ -2,8 +2,6 @@
 #define SQPR_PLANNER_SQPR_SQPR_PLANNER_H_
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,12 +66,11 @@ class SqprPlanner : public Planner {
     /// so reuse/replanning quality is unchanged whenever the solver
     /// finishes in time.
     bool greedy_fallback = true;
-    /// Reuse built model skeletons across rounds of the same solve
+    /// Reuse built model skeletons across solves of the same solve
     /// structure (SqprSolveCache): a cache hit patches bounds against the
     /// current deployment (SqprMip::Rebind) instead of rebuilding every
-    /// row, and carries the previous round's root basis and pooled cycle
-    /// cuts into the solve. Performance-only — a patched model is
-    /// bit-identical to a fresh build.
+    /// row. Performance-only — a patched model is bit-identical to a
+    /// fresh build.
     bool enable_model_cache = true;
     /// Debug/differential-test mode: after every cache hit, also build
     /// the model from scratch and SQPR_CHECK the patched copy is
@@ -193,9 +190,9 @@ class SqprPlanner : public Planner {
   std::vector<StreamId> admitted_;
   DeploymentDelta* change_log_ = nullptr;
 
-  // ---- Incremental-solve state (performance-only; see model_cache.h).
-  std::shared_ptr<SqprSolveCache> cache_;
-  std::map<SolveKey, std::shared_ptr<const SolveArtifacts>> artifacts_;
+  // Built model skeletons by solve structure (performance-only; see
+  // model_cache.h).
+  SqprSolveCache cache_;
 };
 
 }  // namespace sqpr

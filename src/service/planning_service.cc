@@ -98,9 +98,6 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
   Bump("service.model_patches", stats.model_patches, &last_.model_patches);
   Bump("service.model_rebuilds", stats.model_rebuilds,
        &last_.model_rebuilds);
-  Bump("service.warm_starts", stats.warm_starts, &last_.warm_starts);
-  Bump("service.basis_discards", stats.basis_discards,
-       &last_.basis_discards);
   Bump("service.catalog_exhausted", stats.catalog_exhausted,
        &last_.catalog_exhausted);
   Bump("service.solver_deadline_breaches", stats.solver_deadline_breaches,
@@ -442,8 +439,6 @@ void PlanningService::CountSolveStats(const PlanningStats& stats) {
   stats_.lp_iterations += stats.lp_iterations;
   if (stats.model_patched) ++stats_.model_patches;
   if (stats.model_rebuilt) ++stats_.model_rebuilds;
-  if (stats.warm_started) ++stats_.warm_starts;
-  if (stats.basis_discarded) ++stats_.basis_discards;
   if (stats.deadline_hit) ++stats_.solver_deadline_breaches;
   if (stats.admitted && stats.admitted_via_heuristic) {
     ++stats_.heuristic_fallbacks;

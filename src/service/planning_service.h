@@ -148,17 +148,17 @@ struct ServiceStats {
   /// without wall-clock noise.
   int64_t solver_nodes = 0;
   int64_t lp_iterations = 0;
-  /// Incremental-solve counters (the planner's model cache and warm
-  /// starts). MILP solves either patch a cached model skeleton in
-  /// O(bounds) — model_patches — or build one from scratch —
-  /// model_rebuilds (always on a structure's first solve, and after a
-  /// rate/spec epoch bump invalidates the cache). warm_starts counts
-  /// solves that installed the previous round's root LP basis;
-  /// basis_discards counts bases rejected because presolve eliminated a
-  /// different column set than when the basis was harvested (the solve
-  /// then cold-starts — slower, never wrong).
+  /// Incremental-solve counters (the planner's model cache). MILP
+  /// solves either patch a cached model skeleton in O(bounds) —
+  /// model_patches — or build one from scratch — model_rebuilds (always
+  /// on a structure's first solve, and after a rate/spec epoch bump
+  /// invalidates the cache).
   int64_t model_patches = 0;
   int64_t model_rebuilds = 0;
+  /// Always 0: every solve starts from the committed deployment alone,
+  /// with no root basis carried over from an earlier solve. Kept only
+  /// because the benchmark replay still reads them; the next benchmark
+  /// change drops them.
   int64_t warm_starts = 0;
   int64_t basis_discards = 0;
   /// Arrivals rejected because the catalog's bounded stores could not

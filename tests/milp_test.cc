@@ -205,57 +205,6 @@ TEST(MilpTest, LazyCutExcludesCandidate) {
   EXPECT_NEAR(r.objective, 1.0, 1e-7);
 }
 
-TEST(MilpTest, StaleBasisDiscardedWhenPresolveColumnsDiffer) {
-  // Regression: round 1 solves the model with every binary free; round
-  // 2 solves the same skeleton with one variable pinned by its bounds
-  // (exactly what SQPR's Rebind does to y/x/z between rounds), so
-  // presolve eliminates a column it previously kept. Reusing round 1's
-  // root basis verbatim would pair basis statuses with the wrong
-  // reduced-space columns; the solver must detect the signature
-  // mismatch, discard the basis, and still reach the new optimum.
-  auto build = [](bool pin_first) {
-    Model m;
-    const double values[] = {5, 4, 3, 6, 2};
-    const double weights[] = {2, 3, 1, 4, 2};
-    std::vector<std::pair<int, double>> terms;
-    for (int i = 0; i < 5; ++i) {
-      const int v = m.AddBinary(values[i]);
-      terms.emplace_back(v, weights[i]);
-    }
-    if (pin_first) m.lp.SetVariableBounds(0, 1.0, 1.0);
-    m.lp.AddRow(-lp::kInf, 6.0, terms, "cap");
-    return m;
-  };
-
-  Solver solver;
-  const Model free_model = build(false);
-  const MipResult round1 = solver.Solve(free_model, {});
-  ASSERT_EQ(round1.status, MipStatus::kOptimal);
-  ASSERT_FALSE(round1.root_basis.empty());
-
-  const Model pinned_model = build(true);
-  SolverOptions opts;
-  opts.root_warm_basis = &round1.root_basis;
-  opts.root_warm_basis_columns = &round1.root_basis_columns;
-  const MipResult round2 = solver.Solve(pinned_model, opts);
-  ASSERT_EQ(round2.status, MipStatus::kOptimal);
-  EXPECT_TRUE(round2.warm_basis_discarded);
-  EXPECT_FALSE(round2.used_warm_basis);
-  // Cross-check the discarded-basis solve against a cold solve.
-  const MipResult cold = solver.Solve(pinned_model, {});
-  ASSERT_EQ(cold.status, MipStatus::kOptimal);
-  EXPECT_NEAR(round2.objective, cold.objective, 1e-9);
-  // And the signature machinery accepts the basis when columns *do*
-  // match: re-solving the pinned model with its own harvest warm-starts.
-  SolverOptions again;
-  again.root_warm_basis = &round2.root_basis;
-  again.root_warm_basis_columns = &round2.root_basis_columns;
-  const MipResult round3 = solver.Solve(pinned_model, again);
-  ASSERT_EQ(round3.status, MipStatus::kOptimal);
-  EXPECT_TRUE(round3.used_warm_basis);
-  EXPECT_NEAR(round3.objective, cold.objective, 1e-9);
-}
-
 TEST(MilpTest, DeadlineZeroStillReturnsWarmStart) {
   Model m;
   const int a = m.AddBinary(1, "a");
@@ -322,14 +271,12 @@ TEST(MilpSnapTest, RejectedPointAboveItsUpperBoundSplitsInsideTheBox) {
   m.lp.AddRow(100.000005, 100.000005, {{a, 100.0}}, "row");
   const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
                                              lp::BasisState::kAtLower};
-  const std::vector<int> columns = {a};
   SolverOptions opts;
   opts.presolve = false;  // keep the row in front of the LP
   opts.max_nodes = 1000;
-  opts.root_warm_basis = &basis;
-  opts.root_warm_basis_columns = &columns;
+  opts.lp_options.warm_basis = &basis;
   const MipResult r = Solve(m, opts);
-  ASSERT_TRUE(r.used_warm_basis);
+  ASSERT_EQ(r.lp_counters.slack_starts, 0);  // the root took the basis
   EXPECT_GE(r.rejected_candidates, 1);
   EXPECT_EQ(r.status, MipStatus::kInfeasible);
   EXPECT_EQ(r.nodes, 3);  // the root and a = 0, a = 1
@@ -368,14 +315,12 @@ TEST(MilpSnapTest, RejectedPointOnPinnedColumnIsDropped) {
   m.lp.AddRow(99.999995, 99.999995, {{b, 100.0}}, "row");
   const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
                                              lp::BasisState::kAtLower};
-  const std::vector<int> columns = {b};
   SolverOptions opts;
   opts.presolve = false;
   opts.max_nodes = 1000;
-  opts.root_warm_basis = &basis;
-  opts.root_warm_basis_columns = &columns;
+  opts.lp_options.warm_basis = &basis;
   const MipResult r = Solve(m, opts);
-  ASSERT_TRUE(r.used_warm_basis);
+  ASSERT_EQ(r.lp_counters.slack_starts, 0);  // the root took the basis
   EXPECT_EQ(r.rejected_candidates, 1);
   EXPECT_EQ(r.status, MipStatus::kInfeasible);
   EXPECT_EQ(r.nodes, 1);
@@ -452,12 +397,15 @@ TEST(MilpEngineTest, OnlyTheRootLpStartsFromTheSlackBasis) {
             1 + r.lp_counters.iterations /
                     SolverOptions{}.lp_options.refactor_interval);
 
-  // A seeded root basis means no solve starts from the slack basis.
+  // A root basis passed through lp_options (the relaxation's optimal
+  // one) means no solve starts from the slack basis.
+  const lp::SimplexResult root = lp::SimplexSolver().Solve(m.lp);
+  ASSERT_EQ(root.status, lp::SolveStatus::kOptimal);
   SolverOptions warm;
-  warm.root_warm_basis = &r.root_basis;
-  warm.root_warm_basis_columns = &r.root_basis_columns;
+  warm.presolve = false;
+  warm.lp_options.warm_basis = &root.basis_state;
   const MipResult again = Solve(m, warm);
-  ASSERT_TRUE(again.used_warm_basis);
+  ASSERT_EQ(again.status, MipStatus::kOptimal);
   EXPECT_EQ(again.lp_counters.slack_starts, 0);
   EXPECT_NEAR(again.objective, r.objective, 1e-7);
 }

@@ -1,20 +1,15 @@
 // Differential solver-equivalence harness for the incremental solve
-// path. The planner's model cache + warm starts are performance-only by
-// design: a patched (Rebind-ed) skeleton is bit-identical to a fresh
-// build, pooled cycle cuts are valid for every integral point of the
-// skeleton, and a warm root basis is repaired by the simplex phase 1.
-// These tests pin that claim differentially:
+// path. The planner's model cache is performance-only by design: a
+// patched (Rebind-ed) skeleton is bit-identical to a fresh build. These
+// tests pin that claim differentially:
 //
 //  * two planners consume identical randomised churn (admissions,
 //    departures, replans, rate drift) — one with the model cache on,
-//    one always rebuilding and cold-starting — and must agree after
-//    every event on the admitted set, deployment feasibility and (when
-//    both prove optimality under tight gaps) the solve objective;
+//    one always rebuilding — and must agree after every event on the
+//    admitted set, deployment feasibility and (when both prove
+//    optimality under tight gaps) the solve objective;
 //  * a warm-started simplex solve must reach the cold-start objective
-//    on the same model;
-//  * a warm-started MILP re-solve must reach the cold objective, and
-//    discard the basis (not the answer) when presolve keeps a
-//    different column set than when the basis was harvested.
+//    on the same model.
 
 #include <gtest/gtest.h>
 
@@ -193,36 +188,6 @@ TEST_P(WarmSimplexTest, WarmBasisReachesColdObjective) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmSimplexTest, ::testing::Range(0, 8));
-
-/// Warm-started MILP root == cold-started MILP on the same model: the
-/// harvested root basis is installed (same presolve column signature)
-/// and the objective is unchanged.
-TEST(WarmMilpTest, RootBasisReuseKeepsObjective) {
-  const uint64_t seed = 0x417;
-  Rng rng(seed);
-  milp::Model m;
-  std::vector<std::pair<int, double>> weight_terms;
-  for (int i = 0; i < 12; ++i) {
-    const int v = m.AddBinary(1.0 + rng.NextDouble() * 9.0);
-    weight_terms.emplace_back(v, 1.0 + rng.NextDouble() * 4.0);
-  }
-  m.lp.AddRow(-lp::kInf, 12.0, weight_terms, "cap");
-
-  milp::Solver solver;
-  milp::SolverOptions options;
-  const milp::MipResult cold = solver.Solve(m, options);
-  ASSERT_EQ(cold.status, milp::MipStatus::kOptimal);
-  ASSERT_FALSE(cold.root_basis.empty());
-  EXPECT_FALSE(cold.used_warm_basis);
-
-  options.root_warm_basis = &cold.root_basis;
-  options.root_warm_basis_columns = &cold.root_basis_columns;
-  const milp::MipResult warm = solver.Solve(m, options);
-  ASSERT_EQ(warm.status, milp::MipStatus::kOptimal);
-  EXPECT_TRUE(warm.used_warm_basis);
-  EXPECT_FALSE(warm.warm_basis_discarded);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-}
 
 }  // namespace
 }  // namespace sqpr

@@ -783,12 +783,9 @@ int main(int argc, char** argv) {
               "%lld full rebuilds\n",
               static_cast<long long>(stats.cache_delta_updates),
               static_cast<long long>(cache.rebuilds()));
-  std::printf("incremental solves: %lld model patches, %lld rebuilds, "
-              "%lld warm starts, %lld stale bases discarded\n",
+  std::printf("incremental solves: %lld model patches, %lld rebuilds\n",
               static_cast<long long>(stats.model_patches),
-              static_cast<long long>(stats.model_rebuilds),
-              static_cast<long long>(stats.warm_starts),
-              static_cast<long long>(stats.basis_discards));
+              static_cast<long long>(stats.model_rebuilds));
 
   const Deployment& dep = service.deployment();
   std::printf("\nfinal deployment: %zu queries served, %d operators, "
