@@ -16,6 +16,7 @@ void Deployment::Clear() {
   flows_by_stream_.clear();
   ops_by_host_.assign(cluster_->num_hosts(), {});
   serving_.clear();
+  grounded_.assign(cluster_->num_hosts(), {});
   cpu_used_.assign(cluster_->num_hosts(), 0.0);
   mem_used_.assign(cluster_->num_hosts(), 0.0);
   nic_out_used_.assign(cluster_->num_hosts(), 0.0);
@@ -32,6 +33,11 @@ Status Deployment::AddFlow(HostId from, HostId to, StreamId s) {
   nic_out_used_[from] += rate;
   nic_in_used_[to] += rate;
   link_used_[{from, to}] += rate;
+  if (Grounded(from, s) && !Grounded(to, s)) {
+    std::vector<HostStream> worklist;
+    Ground(to, s, &worklist);
+    CloseOver(&worklist);
+  }
   RecordMutation(/*structural=*/true);
   return Status::OK();
 }
@@ -48,6 +54,7 @@ Status Deployment::RemoveFlow(HostId from, HostId to, StreamId s) {
   nic_out_used_[from] -= rate;
   nic_in_used_[to] -= rate;
   link_used_[{from, to}] -= rate;
+  Retract(to, s);
   RecordMutation(/*structural=*/true);
   return Status::OK();
 }
@@ -58,6 +65,9 @@ Status Deployment::PlaceOperator(HostId h, OperatorId o) {
   }
   cpu_used_[h] += catalog_->op(o).cpu_cost;
   mem_used_[h] += catalog_->op(o).mem_mb;
+  std::vector<HostStream> worklist;
+  TryGroundOperator(h, o, &worklist);
+  CloseOver(&worklist);
   RecordMutation(/*structural=*/true);
   return Status::OK();
 }
@@ -68,6 +78,7 @@ Status Deployment::RemoveOperator(HostId h, OperatorId o) {
   }
   cpu_used_[h] -= catalog_->op(o).cpu_cost;
   mem_used_[h] -= catalog_->op(o).mem_mb;
+  Retract(h, catalog_->op(o).output);
   RecordMutation(/*structural=*/true);
   return Status::OK();
 }
@@ -107,6 +118,9 @@ size_t Deployment::ApproxSizeBytes() const {
   }
   bytes += serving_.size() *
            (sizeof(StreamId) + sizeof(HostId) + 3 * sizeof(void*));
+  for (const auto& streams : grounded_) {
+    bytes += streams.size() * sizeof(StreamId);
+  }
   bytes += (cpu_used_.size() + mem_used_.size() + nic_out_used_.size() +
             nic_in_used_.size()) *
            sizeof(double);
@@ -226,56 +240,99 @@ int Deployment::num_placed_operators() const {
   return count;
 }
 
-GroundedMap Deployment::GroundedAvailability() const {
-  GroundedMap grounded;
-  grounded.num_hosts = cluster_->num_hosts();
-  // The single catalog-size read that defines this map's stride.
-  grounded.num_streams = catalog_->num_streams();
-  grounded.bits.assign(
-      static_cast<size_t>(grounded.num_hosts) * grounded.num_streams, false);
+bool Deployment::Grounded(HostId h, StreamId s) const {
+  const std::vector<StreamId>& streams = grounded_[h];
+  if (std::binary_search(streams.begin(), streams.end(), s)) return true;
+  const StreamInfo& info = catalog_->stream(s);
+  return info.is_base && info.source_host == h;  // injected at h
+}
 
-  // Base streams are grounded at their source hosts.
-  for (StreamId s = 0; s < grounded.num_streams; ++s) {
-    const StreamInfo& info = catalog_->stream(s);
-    if (info.is_base && info.source_host != kInvalidHost &&
-        info.source_host < grounded.num_hosts) {
-      grounded.set(info.source_host, s);
+bool Deployment::InputsGrounded(HostId h, OperatorId o) const {
+  for (StreamId in : catalog_->op(o).inputs) {
+    if (!Grounded(h, in)) return false;
+  }
+  return true;
+}
+
+void Deployment::Ground(HostId h, StreamId s,
+                        std::vector<HostStream>* worklist) {
+  std::vector<StreamId>& streams = grounded_[h];
+  streams.insert(std::lower_bound(streams.begin(), streams.end(), s), s);
+  worklist->emplace_back(h, s);
+}
+
+void Deployment::TryGroundOperator(HostId h, OperatorId o,
+                                   std::vector<HostStream>* worklist) {
+  const StreamId out = catalog_->op(o).output;
+  if (!Grounded(h, out) && InputsGrounded(h, o)) Ground(h, out, worklist);
+}
+
+void Deployment::CloseOver(std::vector<HostStream>* worklist) {
+  while (!worklist->empty()) {
+    const auto [h, s] = worklist->back();
+    worklist->pop_back();
+    for (OperatorId o : ops_by_host_[h]) {
+      const std::vector<StreamId>& inputs = catalog_->op(o).inputs;
+      if (std::find(inputs.begin(), inputs.end(), s) != inputs.end()) {
+        TryGroundOperator(h, o, worklist);
+      }
+    }
+    for (const auto& [from, to] : FlowsOf(s)) {
+      if (from == h && !Grounded(to, s)) Ground(to, s, worklist);
+    }
+  }
+}
+
+void Deployment::Unground(HostId h, StreamId s,
+                          std::vector<HostStream>* suspects) {
+  std::vector<StreamId>& streams = grounded_[h];
+  auto it = std::lower_bound(streams.begin(), streams.end(), s);
+  if (it == streams.end() || *it != s) return;  // ungrounded or a source
+  streams.erase(it);
+  suspects->emplace_back(h, s);
+}
+
+bool Deployment::Supported(HostId h, StreamId s) const {
+  for (OperatorId o : catalog_->ProducersOf(s)) {
+    if (RunsOperator(h, o) && InputsGrounded(h, o)) return true;
+  }
+  for (const auto& [from, to] : FlowsOf(s)) {
+    if (to == h && Grounded(from, s)) return true;
+  }
+  return false;
+}
+
+void Deployment::Retract(HostId h, StreamId s) {
+  // 1. Over-delete: un-ground the head, then everything the deployment
+  // derives from an un-grounded fact.
+  std::vector<HostStream> suspects;
+  Unground(h, s, &suspects);
+  for (size_t i = 0; i < suspects.size(); ++i) {
+    const auto [sh, ss] = suspects[i];
+    for (OperatorId o : ops_by_host_[sh]) {
+      const OperatorInfo& op = catalog_->op(o);
+      if (std::find(op.inputs.begin(), op.inputs.end(), ss) !=
+          op.inputs.end()) {
+        Unground(sh, op.output, &suspects);
+      }
+    }
+    for (const auto& [from, to] : FlowsOf(ss)) {
+      if (from == sh) Unground(to, ss, &suspects);
     }
   }
 
-  // Least fixpoint over operator execution and flows. The iteration count
-  // is bounded by the longest support chain; each pass is cheap at the
-  // committed-state sizes involved.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (HostId h = 0; h < grounded.num_hosts; ++h) {
-      for (OperatorId o : ops_by_host_[h]) {
-        const OperatorInfo& op = catalog_->op(o);
-        if (grounded.at(h, op.output)) continue;
-        bool all_inputs = true;
-        for (StreamId in : op.inputs) {
-          if (!grounded.at(h, in)) {
-            all_inputs = false;
-            break;
-          }
-        }
-        if (all_inputs) {
-          grounded.set(h, op.output);
-          changed = true;
-        }
-      }
-    }
-    for (const auto& [s, flows] : flows_by_stream_) {
-      for (const auto& [from, to] : flows) {
-        if (grounded.at(from, s) && !grounded.at(to, s)) {
-          grounded.set(to, s);
-          changed = true;
-        }
-      }
-    }
+  // 2. Re-derive: a suspect with a support among the facts still
+  // grounded is grounded again. Supports through other suspects are
+  // found by the closure once those re-ground — never through each
+  // other's stale state, which is what un-grounds a cycle that lost its
+  // root.
+  std::vector<HostStream> worklist;
+  for (const auto& [sh, ss] : suspects) {
+    if (!Grounded(sh, ss) && Supported(sh, ss)) Ground(sh, ss, &worklist);
   }
-  return grounded;
+
+  // 3. Monotone closure over the re-grounded facts.
+  CloseOver(&worklist);
 }
 
 void Deployment::RecomputeAggregates() {
@@ -307,14 +364,13 @@ void Deployment::RecomputeAggregates() {
 
 Status Deployment::Validate(double tol) const {
   const int num_hosts = cluster_->num_hosts();
-  const GroundedMap grounded = GroundedAvailability();
 
   // Causality of flows (subsumes acyclicity): a flow must leave a host
   // where the stream is grounded *without counting the flow's own cycle*.
   for (const auto& [s, flows] : flows_by_stream_) {
     for (const auto& [from, to] : flows) {
       (void)to;
-      if (!grounded.at(from, s)) {
+      if (!Grounded(from, s)) {
         return Status::Infeasible("flow of stream " +
                                   catalog_->stream(s).name + " leaves host " +
                                   std::to_string(from) +
@@ -327,7 +383,7 @@ Status Deployment::Validate(double tol) const {
   for (HostId h = 0; h < num_hosts; ++h) {
     for (OperatorId o : ops_by_host_[h]) {
       for (StreamId in : catalog_->op(o).inputs) {
-        if (!grounded.at(h, in)) {
+        if (!Grounded(h, in)) {
           return Status::Infeasible(
               "operator " + std::to_string(o) + " on host " +
               std::to_string(h) + " is missing input " +
@@ -339,7 +395,7 @@ Status Deployment::Validate(double tol) const {
 
   // Served streams must be grounded at their server (III.4a with y).
   for (const auto& [s, h] : serving_) {
-    if (!grounded.at(h, s)) {
+    if (!Grounded(h, s)) {
       return Status::Infeasible("served stream " + catalog_->stream(s).name +
                                 " not grounded at host " + std::to_string(h));
     }

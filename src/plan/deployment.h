@@ -17,36 +17,14 @@
 
 namespace sqpr {
 
-/// A host × stream availability snapshot (the derived y_hs of §III),
-/// carrying its own stream-count stride. A snapshot can outlive the
-/// catalog size it was built at: a planner that builds one and then
-/// interns a new query's closure asks it about streams that did not
-/// exist yet. So the bitmap is indexed with the catalog size *at build
-/// time*, never with a fresh Catalog::num_streams() read, and at()
-/// answers false for those later ids: a stream interned after the
-/// snapshot is not grounded anywhere.
-struct GroundedMap {
-  int num_hosts = 0;
-  /// Catalog stream count when the map was built (the row stride).
-  int num_streams = 0;
-  std::vector<bool> bits;  // num_hosts x num_streams, row-major by host
-
-  bool at(HostId h, StreamId s) const {
-    return s < num_streams &&
-           bits[static_cast<size_t>(h) * num_streams + s];
-  }
-  void set(HostId h, StreamId s) {
-    bits[static_cast<size_t>(h) * num_streams + s] = true;
-  }
-};
-
 /// The global allocation state of the DSPS — the committed values of the
 /// paper's decision variables:
 ///   serving map            d_hs = 1  (host h answers requests for s)
 ///   flows                  x_hms = 1 (h sends stream s to m)
 ///   operator placements    z_ho = 1  (h executes operator o)
-/// Availability (y_hs) is derived, not stored: a stream is available at a
-/// host iff it is *grounded* there (see GroundedAvailability below).
+/// Availability (y_hs) is part of the committed state too: a stream is
+/// available at a host iff it is *grounded* there (see Grounded below),
+/// and the mutators keep that relation exact after every call.
 ///
 /// Deployment is a value type; the SQPR planner edits its committed
 /// deployment in place, one minimal DeploymentDelta per admission, and
@@ -101,14 +79,30 @@ class Deployment {
   double TotalCpuUsed() const;      // objective O3
   double MaxHostCpuUsed() const;    // objective O4
 
-  /// Least-fixpoint availability: at(h, s) is true iff stream s can
-  /// causally reach host h through base injection, local operator
-  /// execution (all inputs grounded) or an incoming flow from a host
-  /// where s is grounded. Acausal flow cycles are *not* grounded — this
-  /// is the semantic content of the paper's acyclicity constraints
-  /// (III.7). The catalog size is read once; consumers must index
-  /// through GroundedMap::at (see its comment for why).
-  GroundedMap GroundedAvailability() const;
+  // ---- Availability (y_hs). ----
+  /// True iff stream s is grounded at host h: s reaches h causally
+  /// through base injection, local execution of an operator whose inputs
+  /// are all grounded at h, or an incoming flow from a host where s is
+  /// grounded. This is the least fixpoint of those rules, so a flow
+  /// cycle that lost its root is *not* grounded, which is what the
+  /// paper's acyclicity constraints (III.7) mean. The mutators maintain
+  /// it by delete-and-rederive (Gupta, Mumick & Subrahmanian,
+  /// "Maintaining views incrementally", 1993): an addition closes
+  /// monotonically over what it newly grounds; a removal un-grounds
+  /// everything derived from the removed fact's head, re-grounds what
+  /// still has a grounded support, and closes over that. Over-deleting
+  /// is deliberate: counting supports would keep a flow cycle grounded
+  /// by its own arcs. Each call costs O(affected facts × local fan-out),
+  /// independent of the catalog size.
+  bool Grounded(HostId h, StreamId s) const;
+  /// True when every input of operator o is grounded at host h.
+  bool InputsGrounded(HostId h, OperatorId o) const;
+  /// The streams grounded at h other than by base injection, ascending.
+  /// A base stream is grounded at its source host implicitly, so it is
+  /// not listed there.
+  const std::vector<StreamId>& GroundedOn(HostId h) const {
+    return grounded_[h];
+  }
 
   /// Rebuilds every resource ledger (CPU, memory, NIC, links) from the
   /// committed placements, flows and servings using the catalog's
@@ -116,7 +110,9 @@ class Deployment {
   /// (§IV-B), which changes costs under committed state.
   void RecomputeAggregates();
 
-  /// Full §III feasibility audit of the committed state:
+  /// Full §III feasibility audit of the whole committed state, reading
+  /// y from the maintained availability as it reads the maintained
+  /// ledgers:
   ///  * every flow leaves a host where the stream is grounded,
   ///  * every operator has all inputs grounded at its host,
   ///  * every served stream is grounded at its serving host,
@@ -150,7 +146,8 @@ class Deployment {
   uint64_t structure_version() const { return structure_version_; }
 
   /// Rough heap footprint of the committed state (flows, placements,
-  /// serving arcs, ledgers) — the bytes a full deployment copy moves.
+  /// serving arcs, availability, ledgers) — the bytes a full deployment
+  /// copy moves.
   size_t ApproxSizeBytes() const;
 
   // ---- Checkpoint support (src/service/checkpoint.h). ----
@@ -183,12 +180,36 @@ class Deployment {
     ++version_;
     if (structural) ++structure_version_;
   }
+
+  using HostStream = std::pair<HostId, StreamId>;
+  /// Records (h, s) as grounded (it was not) and queues it.
+  void Ground(HostId h, StreamId s, std::vector<HostStream>* worklist);
+  /// Grounds operator o's output at h when all its inputs are grounded.
+  void TryGroundOperator(HostId h, OperatorId o,
+                         std::vector<HostStream>* worklist);
+  /// Monotone closure: each queued (host, stream) re-examines the
+  /// operators and flows that consume it.
+  void CloseOver(std::vector<HostStream>* worklist);
+  /// Un-grounds (h, s) unless it is a source or already ungrounded, and
+  /// queues it as a suspect.
+  void Unground(HostId h, StreamId s, std::vector<HostStream>* suspects);
+  /// True when (h, s) has a support whose premises are grounded: a local
+  /// producer with grounded inputs, or an incoming flow from a host
+  /// where s is grounded.
+  bool Supported(HostId h, StreamId s) const;
+  /// Restores exact availability after the removal of a fact (operator
+  /// or flow) whose head is (h, s): over-delete, re-derive, close.
+  void Retract(HostId h, StreamId s);
+
   const Cluster* cluster_;
   const Catalog* catalog_;
 
   std::map<StreamId, std::vector<std::pair<HostId, HostId>>> flows_by_stream_;
   std::vector<std::set<OperatorId>> ops_by_host_;
   std::map<StreamId, HostId> serving_;
+  /// grounded_[h]: the streams grounded at h other than by injection,
+  /// ascending — the maintained y_hs, sized by the deployment.
+  std::vector<std::vector<StreamId>> grounded_;
 
   std::vector<double> cpu_used_, mem_used_, nic_out_used_, nic_in_used_;
   std::map<std::pair<HostId, HostId>, double> link_used_;
@@ -238,7 +259,7 @@ struct DeploymentDelta {
 /// deployment is left partially modified.
 ///
 /// Note: this checks *structural* applicability only; callers audit
-/// groundedness and resource budgets with Deployment::Validate().
+/// causality and resource budgets with Deployment::Validate().
 Status ApplyDeploymentDelta(const DeploymentDelta& delta,
                             Deployment* deployment);
 

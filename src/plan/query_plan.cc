@@ -126,10 +126,10 @@ namespace {
 /// validated deployment cannot contain, but extraction is also used on
 /// unvalidated states in tests).
 Result<std::unique_ptr<PlanNode>> BuildNode(
-    const Deployment& dep, const GroundedMap& grounded, HostId host,
-    StreamId stream, std::set<std::pair<HostId, StreamId>>* visiting) {
+    const Deployment& dep, HostId host, StreamId stream,
+    std::set<std::pair<HostId, StreamId>>* visiting) {
   const Catalog& catalog = dep.catalog();
-  if (!grounded.at(host, stream)) {
+  if (!dep.Grounded(host, stream)) {
     return Status::Infeasible("stream " + catalog.stream(stream).name +
                               " not grounded at host " + std::to_string(host));
   }
@@ -157,15 +157,7 @@ Result<std::unique_ptr<PlanNode>> BuildNode(
   // Preference 2: a local producer operator whose inputs are grounded.
   for (OperatorId o : dep.OperatorsOn(host)) {
     const OperatorInfo& op = catalog.op(o);
-    if (op.output != stream) continue;
-    bool inputs_ok = true;
-    for (StreamId in : op.inputs) {
-      if (!grounded.at(host, in)) {
-        inputs_ok = false;
-        break;
-      }
-    }
-    if (!inputs_ok) continue;
+    if (op.output != stream || !dep.InputsGrounded(host, o)) continue;
     auto node = std::make_unique<PlanNode>();
     node->kind = PlanNodeKind::kOperator;
     node->host = host;
@@ -173,7 +165,7 @@ Result<std::unique_ptr<PlanNode>> BuildNode(
     node->stream = stream;
     bool built_all = true;
     for (StreamId in : op.inputs) {
-      auto child = BuildNode(dep, grounded, host, in, visiting);
+      auto child = BuildNode(dep, host, in, visiting);
       if (!child.ok()) {
         built_all = false;
         break;
@@ -187,8 +179,8 @@ Result<std::unique_ptr<PlanNode>> BuildNode(
   // grounded — a relay arc in the tree.
   for (const auto& [from, to] : dep.FlowsOf(stream)) {
     if (to != host) continue;
-    if (!grounded.at(from, stream)) continue;
-    auto upstream = BuildNode(dep, grounded, from, stream, visiting);
+    if (!dep.Grounded(from, stream)) continue;
+    auto upstream = BuildNode(dep, from, stream, visiting);
     if (!upstream.ok()) continue;
     auto node = std::make_unique<PlanNode>();
     node->kind = PlanNodeKind::kRelay;
@@ -210,9 +202,8 @@ Result<QueryPlan> ExtractPlan(const Deployment& deployment, StreamId query) {
   if (server == kInvalidHost) {
     return Status::NotFound("query not served by the deployment");
   }
-  const GroundedMap grounded = deployment.GroundedAvailability();
   std::set<std::pair<HostId, StreamId>> visiting;
-  auto root = BuildNode(deployment, grounded, server, query, &visiting);
+  auto root = BuildNode(deployment, server, query, &visiting);
   if (!root.ok()) return root.status();
   QueryPlan plan;
   plan.query = query;

@@ -36,24 +36,25 @@ double Score(const ObjectiveWeights& weights, const Deployment& dep) {
 }
 
 /// Attempts to realise `tree` entirely on host `host`, editing `scratch`.
-/// `local` accumulates streams made available at `host` during this
-/// placement. Returns false when resources run out.
+/// Reuse is judged against `committed`, the unmodified deployment the
+/// candidates start from; `local` accumulates streams made available at
+/// `host` during this placement. Returns false when resources run out.
 bool PlaceTreeAt(const Cluster& cluster, const Catalog& catalog,
                  const JoinTree& tree, HostId host,
-                 const GroundedMap& grounded,
+                 const Deployment& committed,
                  std::set<StreamId>* local, Deployment* scratch) {
   const StreamId s = tree.stream;
 
   // Already locally available: from the committed state or made so
   // earlier during this candidate placement.
-  if (grounded.at(host, s) || local->count(s) > 0) return true;
+  if (committed.Grounded(host, s) || local->count(s) > 0) return true;
 
   // Aggressive reuse: fetch the complete sub-query stream from any host
   // that has it, preferring the sender with the most NIC headroom.
   HostId best_sender = kInvalidHost;
   double best_headroom = -1.0;
   for (HostId m = 0; m < cluster.num_hosts(); ++m) {
-    if (m == host || !grounded.at(m, s)) continue;
+    if (m == host || !committed.Grounded(m, s)) continue;
     if (!scratch->CanAddFlow(m, host, s)) continue;
     const double headroom =
         cluster.host(m).nic_out_mbps - scratch->NicOutUsed(m);
@@ -71,11 +72,11 @@ bool PlaceTreeAt(const Cluster& cluster, const Catalog& catalog,
   // No reuse possible: compute locally. Leaves that reach this point are
   // base streams not present anywhere reachable — unplaceable.
   if (tree.is_leaf()) return false;
-  if (!PlaceTreeAt(cluster, catalog, *tree.left, host, grounded, local,
+  if (!PlaceTreeAt(cluster, catalog, *tree.left, host, committed, local,
                    scratch)) {
     return false;
   }
-  if (!PlaceTreeAt(cluster, catalog, *tree.right, host, grounded, local,
+  if (!PlaceTreeAt(cluster, catalog, *tree.right, host, committed, local,
                    scratch)) {
     return false;
   }
@@ -103,10 +104,9 @@ bool GreedyAdmit(const Cluster& cluster, Catalog* catalog, StreamId query,
       EnumerateJoinTrees(query, catalog);
   if (!trees.ok()) return false;
 
-  // Availability snapshot of the committed state; reuse decisions are
-  // made against it (streams materialised by previous queries).
-  const GroundedMap grounded = deployment->GroundedAvailability();
-
+  // Reuse decisions are made against the committed availability
+  // (streams materialised by previous queries): `*deployment` stays
+  // unmodified until the best candidate replaces it.
   double best_score = -lp::kInf;
   Deployment best = *deployment;
   bool found = false;
@@ -115,7 +115,7 @@ bool GreedyAdmit(const Cluster& cluster, Catalog* catalog, StreamId query,
     for (HostId host = 0; host < cluster.num_hosts(); ++host) {
       Deployment scratch = *deployment;
       std::set<StreamId> local;
-      if (!PlaceTreeAt(cluster, *catalog, *tree, host, grounded, &local,
+      if (!PlaceTreeAt(cluster, *catalog, *tree, host, *deployment, &local,
                        &scratch)) {
         continue;
       }

@@ -1,6 +1,8 @@
 #include "planner/soda/soda_planner.h"
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "common/deadline.h"
 #include "common/logging.h"
@@ -9,18 +11,21 @@
 namespace sqpr {
 namespace {
 
-/// Working state of one placement attempt: a scratch deployment plus a
-/// host × stream availability matrix seeded from the committed grounded
-/// state and extended by this attempt's flows and operators.
+/// Working state of one placement attempt: a scratch deployment, and
+/// availability as the committed grounded state extended by exactly the
+/// (host, stream) pairs this attempt's flows and operators provide.
 struct PlacementContext {
+  const Deployment* base;
   Deployment scratch;
-  GroundedMap avail;
+  std::set<std::pair<HostId, StreamId>> provided;
 
-  PlacementContext(const Deployment& base, const GroundedMap& grounded)
-      : scratch(base), avail(grounded) {}
+  explicit PlacementContext(const Deployment& committed)
+      : base(&committed), scratch(committed) {}
 
-  bool Available(HostId h, StreamId s) const { return avail.at(h, s); }
-  void MarkAvailable(HostId h, StreamId s) { avail.set(h, s); }
+  bool Available(HostId h, StreamId s) const {
+    return base->Grounded(h, s) || provided.count({h, s}) > 0;
+  }
+  void MarkAvailable(HostId h, StreamId s) { provided.emplace(h, s); }
 };
 
 }  // namespace
@@ -75,10 +80,9 @@ struct ReplayResult {
 
 Result<ReplayResult> Replay(
     const Cluster& cluster, const Catalog& catalog, const Deployment& base,
-    const GroundedMap& grounded,
     const std::vector<std::pair<OperatorId, HostId>>& assignment,
     StreamId query) {
-  ReplayResult out{PlacementContext(base, grounded), kInvalidHost};
+  ReplayResult out{PlacementContext(base), kInvalidHost};
   PlacementContext& ctx = out.ctx;
   for (const auto& [op_id, host] : assignment) {
     const OperatorInfo& op = catalog.op(op_id);
@@ -143,10 +147,9 @@ Result<PlanningStats> SodaPlanner::SubmitQuery(StreamId query) {
   if (!tree.ok()) return tree.status();
   const std::vector<OperatorId> template_ops = BottomUpOperators(**tree);
 
-  const GroundedMap grounded = deployment_.GroundedAvailability();
   auto grounded_anywhere = [&](StreamId s) {
     for (HostId h = 0; h < cluster_->num_hosts(); ++h) {
-      if (grounded.at(h, s)) return true;
+      if (deployment_.Grounded(h, s)) return true;
     }
     return false;
   };
@@ -182,7 +185,7 @@ Result<PlanningStats> SodaPlanner::SubmitQuery(StreamId query) {
       auto prefix = assignment;
       prefix.emplace_back(o, h);
       Result<ReplayResult> replay =
-          Replay(*cluster_, *catalog_, deployment_, grounded, prefix,
+          Replay(*cluster_, *catalog_, deployment_, prefix,
                  catalog_->op(o).output);
       if (!replay.ok()) continue;
       const auto score = PlacementScore(*cluster_, replay->ctx.scratch);
@@ -202,16 +205,16 @@ Result<PlanningStats> SodaPlanner::SubmitQuery(StreamId query) {
   for (int pass = 0; pass < options_.miniw_passes; ++pass) {
     bool improved = false;
     for (size_t i = 0; i < assignment.size(); ++i) {
-      Result<ReplayResult> current = Replay(*cluster_, *catalog_, deployment_,
-                                            grounded, assignment, query);
+      Result<ReplayResult> current =
+          Replay(*cluster_, *catalog_, deployment_, assignment, query);
       if (!current.ok()) break;
       auto current_score = PlacementScore(*cluster_, current->ctx.scratch);
       HostId kept = assignment[i].second;
       for (HostId h = 0; h < cluster_->num_hosts(); ++h) {
         if (h == kept) continue;
         assignment[i].second = h;
-        Result<ReplayResult> moved = Replay(*cluster_, *catalog_, deployment_,
-                                            grounded, assignment, query);
+        Result<ReplayResult> moved =
+            Replay(*cluster_, *catalog_, deployment_, assignment, query);
         if (moved.ok()) {
           const auto score = PlacementScore(*cluster_, moved->ctx.scratch);
           if (score < current_score) {
@@ -229,7 +232,7 @@ Result<PlanningStats> SodaPlanner::SubmitQuery(StreamId query) {
 
   // ---- Final replay and commit. ----
   Result<ReplayResult> final_replay =
-      Replay(*cluster_, *catalog_, deployment_, grounded, assignment, query);
+      Replay(*cluster_, *catalog_, deployment_, assignment, query);
   if (!final_replay.ok()) {
     stats.wall_ms = watch.ElapsedMillis();
     return stats;

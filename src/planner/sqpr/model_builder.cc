@@ -684,12 +684,11 @@ std::vector<double> SqprMip::WarmStart() const {
     }
   }
 
-  // Availability from grounded state; pinned y bounds are honoured by
+  // Availability from the committed y; pinned y bounds are honoured by
   // construction because pins only arise from supported consumers.
-  const GroundedMap grounded = base_->GroundedAvailability();
   for (HostId h = 0; h < num_hosts_; ++h) {
     for (StreamId s : streams_) {
-      if (grounded.at(h, s)) {
+      if (base_->Grounded(h, s)) {
         const int var = VarY(h, s);
         if (var >= 0) x[var] = 1.0;
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -278,10 +279,9 @@ Result<PlanningStats> SqprPlanner::AdmitMaterialized(
     stats.wall_ms = watch.ElapsedMillis();
     return stats;
   }
-  const GroundedMap grounded = deployment_.GroundedAvailability();
   bool any_grounded = false;
   for (HostId host : hosts) {
-    if (!grounded.at(host, query)) continue;
+    if (!deployment_.Grounded(host, query)) continue;
     any_grounded = true;
     if (!deployment_.CanServe(query, host)) continue;
     SQPR_RETURN_IF_ERROR(deployment_.SetServing(query, host));
@@ -351,18 +351,20 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
 
   // Pass 3: the purge may have been the sole support of a surviving
   // query that extraction happened to route around — evict those too,
-  // then GC the now-unsupported residue.
-  const GroundedMap grounded = deployment_.GroundedAvailability();
-  const std::vector<StreamId> admitted_snapshot = admitted_;
-  for (StreamId q : admitted_snapshot) {
+  // then GC the now-unsupported residue. Which queries lost their
+  // serving is read from the purged deployment before the first
+  // removal changes it.
+  std::vector<StreamId> unsupported;
+  for (StreamId q : admitted_) {
     const HostId server = deployment_.ServingHost(q);
-    if (server == kInvalidHost || !grounded.at(server, q)) {
-      const Status st = RemoveQuery(q);
-      if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) {
-        return st;
-      }
-      affected.push_back(q);
+    if (server == kInvalidHost || !deployment_.Grounded(server, q)) {
+      unsupported.push_back(q);
     }
+  }
+  for (StreamId q : unsupported) {
+    const Status st = RemoveQuery(q);
+    if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) return st;
+    affected.push_back(q);
   }
   DeploymentDelta collected;
   GarbageCollect(&collected);
@@ -376,71 +378,72 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
 
 void SqprPlanner::GarbageCollect(DeploymentDelta* removed) {
   const Catalog& catalog = *catalog_;
-  const GroundedMap grounded = deployment_.GroundedAvailability();
 
   // Mark phase: (host, stream) needs seeded by the served streams; every
   // grounded support of a needed pair is kept (conservative: redundant
-  // supports of live streams survive).
-  std::set<std::pair<HostId, StreamId>> needed;
+  // supports of live streams survive). The marks are flat per host:
+  // needed[h] lists the streams needed at h, ascending.
+  std::vector<std::vector<StreamId>> needed(cluster_->num_hosts());
+  auto is_needed = [&](HostId h, StreamId s) {
+    return std::binary_search(needed[h].begin(), needed[h].end(), s);
+  };
   std::vector<std::pair<HostId, StreamId>> worklist;
+  auto need = [&](HostId h, StreamId s) {
+    auto pos = std::lower_bound(needed[h].begin(), needed[h].end(), s);
+    if (pos != needed[h].end() && *pos == s) return;
+    needed[h].insert(pos, s);
+    worklist.emplace_back(h, s);
+  };
   for (StreamId s : deployment_.ServedStreams()) {
-    const HostId h = deployment_.ServingHost(s);
-    if (needed.insert({h, s}).second) worklist.push_back({h, s});
+    need(deployment_.ServingHost(s), s);
   }
-  std::set<std::pair<HostId, OperatorId>> live_ops;
-  std::set<std::tuple<HostId, HostId, StreamId>> live_flows;
   while (!worklist.empty()) {
     const auto [h, s] = worklist.back();
     worklist.pop_back();
     // Local producers with grounded inputs.
     for (OperatorId o : catalog.ProducersOf(s)) {
-      if (!deployment_.RunsOperator(h, o)) continue;
-      const OperatorInfo& op = catalog.op(o);
-      bool ok = true;
-      for (StreamId in : op.inputs) {
-        if (!grounded.at(h, in)) {
-          ok = false;
-          break;
-        }
+      if (!deployment_.RunsOperator(h, o) ||
+          !deployment_.InputsGrounded(h, o)) {
+        continue;
       }
-      if (!ok) continue;
-      if (live_ops.insert({h, o}).second) {
-        for (StreamId in : op.inputs) {
-          if (needed.insert({h, in}).second) worklist.push_back({h, in});
-        }
-      }
+      for (StreamId in : catalog.op(o).inputs) need(h, in);
     }
     // Incoming flows from grounded senders.
     for (const auto& [from, to] : deployment_.FlowsOf(s)) {
-      if (to != h || !grounded.at(from, s)) continue;
-      if (live_flows.insert({from, to, s}).second) {
-        if (needed.insert({from, s}).second) worklist.push_back({from, s});
-      }
+      if (to == h && deployment_.Grounded(from, s)) need(from, s);
     }
   }
 
-  // Sweep phase.
+  // Sweep phase: an operator is live iff its output is needed at its
+  // host and its inputs are grounded there, a flow iff its stream is
+  // needed at the receiver and grounded at the sender — exactly the
+  // supports the mark kept. Every verdict is taken before the first
+  // removal changes groundedness.
+  std::vector<std::pair<HostId, OperatorId>> dead_ops;
   for (HostId h = 0; h < cluster_->num_hosts(); ++h) {
-    std::vector<OperatorId> dead;
     for (OperatorId o : deployment_.OperatorsOn(h)) {
-      if (live_ops.count({h, o}) == 0) dead.push_back(o);
-    }
-    for (OperatorId o : dead) {
-      SQPR_CHECK_OK(deployment_.RemoveOperator(h, o));
-      removed->ops_removed.emplace_back(h, o);
+      if (!is_needed(h, catalog.op(o).output) ||
+          !deployment_.InputsGrounded(h, o)) {
+        dead_ops.emplace_back(h, o);
+      }
     }
   }
   std::vector<std::tuple<HostId, HostId, StreamId>> dead_flows;
   for (StreamId s : deployment_.FlowStreams()) {
     for (const auto& [from, to] : deployment_.FlowsOf(s)) {
-      if (live_flows.count({from, to, s}) == 0) {
+      if (!is_needed(to, s) || !deployment_.Grounded(from, s)) {
         dead_flows.emplace_back(from, to, s);
       }
     }
   }
+  for (const auto& [h, o] : dead_ops) {
+    SQPR_CHECK_OK(deployment_.RemoveOperator(h, o));
+  }
   for (const auto& [from, to, s] : dead_flows) {
     SQPR_CHECK_OK(deployment_.RemoveFlow(from, to, s));
   }
+  removed->ops_removed.insert(removed->ops_removed.end(), dead_ops.begin(),
+                              dead_ops.end());
   removed->flows_removed.insert(removed->flows_removed.end(),
                                 dead_flows.begin(), dead_flows.end());
 }

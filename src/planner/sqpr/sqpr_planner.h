@@ -102,8 +102,8 @@ class SqprPlanner : public Planner {
   /// admits `query` by adding only the client-serving arc at the first
   /// candidate host where the stream is already grounded through
   /// committed operators/flows and the serving NIC has headroom. No
-  /// MILP solve; the availability fixpoint is computed once for the
-  /// whole candidate list. Fails FailedPrecondition when the stream is
+  /// MILP solve; each candidate costs one lookup of the deployment's
+  /// maintained availability. Fails FailedPrecondition when the stream is
   /// not materialised at any candidate and ResourceExhausted when it is
   /// materialised but no candidate has serving headroom; neither
   /// failure mutates the deployment.

@@ -676,8 +676,8 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
   }
   stats_ = restored;
 
-  // 7. Reuse index: one grounded-fixpoint rebuild against the restored
-  // deployment, then the serialized hit counters (maintenance counters
+  // 7. Reuse index: one rebuild from the restored deployment's grounded
+  // pairs, then the serialized hit counters (maintenance counters
   // restart — they describe this process, not the workload).
   Result<const JsonValue*> pc = GetObject(root, "plan_cache");
   if (!pc.ok()) return pc.status();

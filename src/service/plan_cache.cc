@@ -9,26 +9,11 @@ void PlanCache::Rebuild(const Deployment& deployment) {
   by_signature_.clear();
   served_.clear();
 
-  const GroundedMap grounded = deployment.GroundedAvailability();
-  num_hosts_ = grounded.num_hosts;
-  num_streams_ = grounded.num_streams;
-  grounded_ = grounded.bits;
-
-  // Only streams actually produced or carried by committed state can be
-  // grounded somewhere, so the signature table stays proportional to the
+  // Only streams produced or carried by committed state can be grounded
+  // away from an injection host, so the scan is proportional to the
   // deployment, not the catalog.
-  for (StreamId s = 0; s < grounded.num_streams; ++s) {
-    const StreamInfo& info = catalog_->stream(s);
-    if (info.is_base) continue;  // base reuse is just the injection host
-    std::vector<HostId> hosts;
-    for (HostId h = 0; h < grounded.num_hosts; ++h) {
-      if (grounded.at(h, s)) {
-        hosts.push_back(h);
-      }
-    }
-    if (hosts.empty()) continue;
-    by_signature_[info.leaves].insert(s);
-    by_stream_.emplace(s, std::move(hosts));
+  for (HostId h = 0; h < deployment.cluster().num_hosts(); ++h) {
+    for (StreamId s : deployment.GroundedOn(h)) IndexMaterialized(h, s);
   }
 
   for (StreamId s : deployment.ServedStreams()) {
@@ -39,40 +24,15 @@ void PlanCache::Rebuild(const Deployment& deployment) {
   ++rebuilds_;
 }
 
-void PlanCache::GrowStride() {
-  const int streams_now = catalog_->num_streams();
-  if (streams_now <= num_streams_) return;
-  std::vector<bool> grown(static_cast<size_t>(num_hosts_) * streams_now,
-                          false);
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      if (grounded_[static_cast<size_t>(h) * num_streams_ + s]) {
-        grown[static_cast<size_t>(h) * streams_now + s] = true;
-      }
-    }
-  }
-  // Newly interned base streams are grounded at their source hosts —
-  // the same seeding the from-scratch fixpoint applies. (New composite
-  // streams start ungrounded until an operator or flow grounds them.)
-  for (StreamId s = num_streams_; s < streams_now; ++s) {
-    const StreamInfo& info = catalog_->stream(s);
-    if (info.is_base && info.source_host != kInvalidHost &&
-        info.source_host < num_hosts_) {
-      grown[static_cast<size_t>(info.source_host) * streams_now + s] = true;
-    }
-  }
-  grounded_ = std::move(grown);
-  num_streams_ = streams_now;
-}
-
-bool PlanCache::IsSource(HostId h, StreamId s) const {
-  const StreamInfo& info = catalog_->stream(s);
-  return info.is_base && info.source_host == h;
+bool PlanCache::Indexed(HostId h, StreamId s) const {
+  auto it = by_stream_.find(s);
+  return it != by_stream_.end() &&
+         std::binary_search(it->second.begin(), it->second.end(), h);
 }
 
 void PlanCache::IndexMaterialized(HostId h, StreamId s) {
   const StreamInfo& info = catalog_->stream(s);
-  if (info.is_base) return;
+  if (info.is_base) return;  // base reuse is just the injection host
   std::vector<HostId>& hosts = by_stream_[s];
   auto pos = std::lower_bound(hosts.begin(), hosts.end(), h);
   if (pos == hosts.end() || *pos != h) hosts.insert(pos, h);
@@ -93,56 +53,12 @@ void PlanCache::UnindexMaterialized(HostId h, StreamId s) {
   if (sig->second.empty()) by_signature_.erase(sig);
 }
 
-void PlanCache::Ground(HostId h, StreamId s,
-                       std::vector<std::pair<HostId, StreamId>>* worklist) {
-  grounded_[static_cast<size_t>(h) * num_streams_ + s] = true;
-  IndexMaterialized(h, s);
-  worklist->emplace_back(h, s);
-}
-
-void PlanCache::Unground(HostId h, StreamId s,
-                         std::vector<std::pair<HostId, StreamId>>* suspects) {
-  if (!Grounded(h, s) || IsSource(h, s)) return;
-  grounded_[static_cast<size_t>(h) * num_streams_ + s] = false;
-  UnindexMaterialized(h, s);
-  suspects->emplace_back(h, s);
-}
-
-void PlanCache::TryGroundOperator(
-    HostId h, OperatorId o,
-    std::vector<std::pair<HostId, StreamId>>* worklist) {
-  const OperatorInfo& op = catalog_->op(o);
-  if (Grounded(h, op.output)) return;
-  for (StreamId in : op.inputs) {
-    if (!Grounded(h, in)) return;
-  }
-  Ground(h, op.output, worklist);
-}
-
-bool PlanCache::Supported(const Deployment& deployment, HostId h,
-                          StreamId s) const {
-  for (OperatorId o : catalog_->ProducersOf(s)) {
-    if (!deployment.RunsOperator(h, o)) continue;
-    const OperatorInfo& op = catalog_->op(o);
-    if (std::all_of(op.inputs.begin(), op.inputs.end(),
-                    [&](StreamId in) { return Grounded(h, in); })) {
-      return true;
-    }
-  }
-  for (const auto& [from, to] : deployment.FlowsOf(s)) {
-    if (to == h && Grounded(from, s)) return true;
-  }
-  return false;
-}
-
 bool PlanCache::ApplyDelta(const Deployment& deployment,
                            const DeploymentDelta& delta) {
   if (!indexed_) {
     Rebuild(deployment);
     return false;
   }
-
-  GrowStride();
 
   for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
     if (change.after == kInvalidHost) {
@@ -152,71 +68,53 @@ bool PlanCache::ApplyDelta(const Deployment& deployment,
     }
   }
 
-  // 1. Over-delete: un-ground the head of every removed operator and
-  // flow, then everything the deployment derives from an un-grounded
-  // fact. Consumers are read from the final deployment; removed
-  // consumers were seeded directly, and consumers added since only
-  // widen the suspect set, which step 2 re-checks.
-  std::vector<std::pair<HostId, StreamId>> suspects;
+  // Groundedness can only have changed at the head of an added or
+  // removed fact, or downstream of a (host, stream) whose groundedness
+  // changed. So re-read the heads, and walk on — through the consumers
+  // in the final deployment — only past pairs whose indexed state
+  // changed. Base streams are not indexed, so the walk cannot tell
+  // whether a relayed base stream changed and always goes past it
+  // (never past an injection host, where a base stream is grounded for
+  // good).
+  std::vector<std::pair<HostId, StreamId>> pending;
   for (const auto& [h, o] : delta.ops_removed) {
-    Unground(h, catalog_->op(o).output, &suspects);
+    pending.emplace_back(h, catalog_->op(o).output);
+  }
+  for (const auto& [h, o] : delta.ops_added) {
+    pending.emplace_back(h, catalog_->op(o).output);
   }
   for (const auto& [from, to, s] : delta.flows_removed) {
-    Unground(to, s, &suspects);
-  }
-  for (size_t i = 0; i < suspects.size(); ++i) {
-    const auto [h, s] = suspects[i];
-    for (OperatorId o : deployment.OperatorsOn(h)) {
-      const OperatorInfo& op = catalog_->op(o);
-      if (std::find(op.inputs.begin(), op.inputs.end(), s) !=
-          op.inputs.end()) {
-        Unground(h, op.output, &suspects);
-      }
-    }
-    for (const auto& [from, to] : deployment.FlowsOf(s)) {
-      if (from == h) Unground(to, s, &suspects);
-    }
-  }
-
-  // 2. Re-derive: a suspect with a support among the facts still
-  // grounded is grounded again. Supports through other suspects are
-  // found by the closure below once those re-ground — never through
-  // each other's stale bits, which is what un-grounds a cycle that lost
-  // its root.
-  std::vector<std::pair<HostId, StreamId>> worklist;
-  for (const auto& [h, s] : suspects) {
-    if (!Grounded(h, s) && Supported(deployment, h, s)) {
-      Ground(h, s, &worklist);
-    }
-  }
-
-  // 3. Monotone closure over the re-grounded facts and the additions:
-  // each newly grounded (host, stream) re-examines the operators and
-  // flows that consume it. Additions a later commit in the same delta
-  // removed again are skipped.
-  for (const auto& [h, o] : delta.ops_added) {
-    if (deployment.RunsOperator(h, o)) TryGroundOperator(h, o, &worklist);
+    pending.emplace_back(to, s);
   }
   for (const auto& [from, to, s] : delta.flows_added) {
-    if (Grounded(from, s) && !Grounded(to, s) &&
-        deployment.HasFlow(from, to, s)) {
-      Ground(to, s, &worklist);
-    }
+    pending.emplace_back(to, s);
   }
-  while (!worklist.empty()) {
-    const auto [h, s] = worklist.back();
-    worklist.pop_back();
+  std::set<std::pair<HostId, StreamId>> visited;
+  while (!pending.empty()) {
+    const auto [h, s] = pending.back();
+    pending.pop_back();
+    if (!visited.insert({h, s}).second) continue;
+    const StreamInfo& info = catalog_->stream(s);
+    if (info.is_base) {
+      if (info.source_host == h) continue;
+    } else {
+      const bool grounded = deployment.Grounded(h, s);
+      if (Indexed(h, s) == grounded) continue;
+      if (grounded) {
+        IndexMaterialized(h, s);
+      } else {
+        UnindexMaterialized(h, s);
+      }
+    }
     for (OperatorId o : deployment.OperatorsOn(h)) {
       const OperatorInfo& op = catalog_->op(o);
       if (std::find(op.inputs.begin(), op.inputs.end(), s) !=
           op.inputs.end()) {
-        TryGroundOperator(h, o, &worklist);
+        pending.emplace_back(h, op.output);
       }
     }
     for (const auto& [from, to] : deployment.FlowsOf(s)) {
-      if (from == h && !Grounded(to, s)) {
-        Ground(to, s, &worklist);
-      }
+      if (from == h) pending.emplace_back(to, s);
     }
   }
 
@@ -240,13 +138,6 @@ std::string PlanCache::DebugDump() const {
   }
   for (const auto& [s, h] : served_) {
     out += "served " + std::to_string(s) + "@" + std::to_string(h) + "\n";
-  }
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    for (StreamId s = 0; s < num_streams_; ++s) {
-      if (grounded_[static_cast<size_t>(h) * num_streams_ + s]) {
-        out += "g " + std::to_string(h) + ":" + std::to_string(s) + "\n";
-      }
-    }
   }
   return out;
 }

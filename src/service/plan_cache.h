@@ -21,7 +21,7 @@ namespace sqpr {
 /// currently materialised — grounded at some host through committed
 /// operators and flows — keyed by its canonical leaf signature. On query
 /// arrival the service can then answer, without scanning the catalog or
-/// re-deriving availability:
+/// the deployment:
 ///   * exact hit  — the requested canonical stream is already served
 ///     (dedup, Algorithm 1 line 3) or materialised but unserved, in
 ///     which case admission degenerates to adding one client-serving
@@ -29,24 +29,17 @@ namespace sqpr {
 ///   * partial hit — some proper subquery is materialised, i.e. the
 ///     MILP has a warm reuse opportunity (surfaced as candidates).
 ///
-/// Maintenance has one path: every structural change to the deployment
-/// reaches the cache as a DeploymentDelta (ApplyDelta), additions and
-/// removals alike. The cache keeps the grounded bitmap — the least
-/// fixpoint of base injection, operator execution and flows — and
-/// updates it by delete-and-rederive (Gupta, Mumick & Subrahmanian,
-/// "Maintaining views incrementally", 1993):
-///   1. un-ground every (host, stream) derived, transitively, from a
-///      removed operator or flow;
-///   2. re-ground those that still have a support in the deployment;
-///   3. close monotonically over the re-grounded facts and the delta's
-///      additions.
-/// Step 1 over-deletes on purpose: counting supports instead would keep
-/// a flow cycle between two hosts grounded by its own arcs after it
-/// lost its root. The cost is O(delta × local fan-out), independent of
-/// the catalog, which holds the join closure of every query ever seen.
-/// Rebuild — the from-scratch fixpoint plus a signature-table scan,
-/// O(hosts × catalog streams) — runs only for the first build and after
-/// a checkpoint restore.
+/// Groundedness itself is the Deployment's committed state
+/// (Deployment::Grounded); the cache owns only the signature index over
+/// it. Maintenance has one path: every structural change to the
+/// deployment reaches the cache as a DeploymentDelta (ApplyDelta),
+/// additions and removals alike. ApplyDelta re-reads groundedness at the
+/// heads of the delta's operators and flows and walks downstream only
+/// from the pairs whose materialisation changed, so its cost is
+/// O(changed facts × local fan-out), independent of the catalog, which
+/// holds the join closure of every query ever seen. Rebuild — a scan of
+/// the deployment's grounded pairs — runs only for the first build and
+/// after a checkpoint restore.
 class PlanCache {
  public:
   explicit PlanCache(const Catalog* catalog) : catalog_(catalog) {}
@@ -98,7 +91,7 @@ class PlanCache {
   int64_t hits() const { return exact_hits_ + partial_hits_; }
   int num_indexed() const { return static_cast<int>(by_stream_.size()); }
 
-  /// Maintenance counters: full fixpoint scans and incremental delta
+  /// Maintenance counters: full rebuilds and incremental delta
   /// applications.
   int64_t rebuilds() const { return rebuilds_; }
   int64_t delta_updates() const { return delta_updates_; }
@@ -116,48 +109,20 @@ class PlanCache {
     misses_ = misses;
   }
 
-  /// Canonical dump of the index *and* the grounded bitmap — equality
-  /// of dumps is the contract between ApplyDelta and Rebuild that the
-  /// incremental-maintenance tests check.
+  /// Canonical dump of the index — equality of dumps is the contract
+  /// between ApplyDelta and Rebuild that the incremental-maintenance
+  /// tests check.
   std::string DebugDump() const;
 
  private:
-  /// Grows the grounded bitmap to the catalog's current stream count,
-  /// seeding newly interned base streams at their source hosts (the
-  /// same seeding the fixpoint applies).
-  void GrowStride();
-  bool Grounded(HostId h, StreamId s) const {
-    return s < num_streams_ &&
-           grounded_[static_cast<size_t>(h) * num_streams_ + s];
-  }
-  /// True when base stream s is injected at h — grounded unconditionally.
-  bool IsSource(HostId h, StreamId s) const;
-  /// Marks (h, s) grounded, indexes it, and pushes it on the worklist.
-  void Ground(HostId h, StreamId s,
-              std::vector<std::pair<HostId, StreamId>>* worklist);
-  /// Grounds the operator's output at h when all inputs are grounded.
-  void TryGroundOperator(HostId h, OperatorId o,
-                         std::vector<std::pair<HostId, StreamId>>* worklist);
-  /// Step 1 of ApplyDelta for one fact: un-grounds (h, s) unless it is
-  /// a source or already ungrounded, and queues it as a suspect.
-  void Unground(HostId h, StreamId s,
-                std::vector<std::pair<HostId, StreamId>>* suspects);
-  /// True when (h, s) has a support in `deployment` whose premises are
-  /// grounded: a local producer with grounded inputs, or an incoming
-  /// flow from a host where s is grounded.
-  bool Supported(const Deployment& deployment, HostId h, StreamId s) const;
+  /// True when composite stream s is indexed as materialised at h.
+  bool Indexed(HostId h, StreamId s) const;
   /// Adds a materialised composite stream to the signature tables.
   void IndexMaterialized(HostId h, StreamId s);
   /// Removes host h from a composite stream's materialisation.
   void UnindexMaterialized(HostId h, StreamId s);
 
   const Catalog* catalog_;
-
-  /// Grounded-availability bitmap mirrored from the last sync (row-major
-  /// by host, stride num_streams_) — the state ApplyDelta maintains.
-  int num_hosts_ = 0;
-  int num_streams_ = 0;
-  std::vector<bool> grounded_;
 
   /// Materialised composite streams with their grounded host lists
   /// (hosts ascending).

@@ -372,10 +372,10 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     }
     if (lookup.exact && !lookup.served) {
       // Materialised but unserved: admission is one serving arc. The
-      // planner tries the grounded hosts in order over one availability
-      // fixpoint; capacity misses fall through to the solver, which may
-      // still admit by re-routing. This path only touches the
-      // loop-owned deployment.
+      // planner tries the grounded hosts in order, reading the
+      // deployment's maintained availability; capacity misses fall
+      // through to the solver, which may still admit by re-routing.
+      // This path only touches the loop-owned deployment.
       Result<PlanningStats> fast =
           planner_.AdmitMaterialized(query, lookup.exact_hit.hosts);
       if (fast.ok()) {

@@ -76,10 +76,9 @@ TEST(DeploymentTest, ServingConsumesNicOut) {
 TEST(DeploymentTest, GroundedBaseStreamAtSource) {
   Fixture f;
   Deployment dep(&f.cluster, &f.catalog);
-  const auto grounded = dep.GroundedAvailability();
-  EXPECT_TRUE(grounded.at(0, f.a));
-  EXPECT_FALSE(grounded.at(1, f.a));
-  EXPECT_TRUE(grounded.at(1, f.b));
+  EXPECT_TRUE(dep.Grounded(0, f.a));
+  EXPECT_FALSE(dep.Grounded(1, f.a));
+  EXPECT_TRUE(dep.Grounded(1, f.b));
 }
 
 TEST(DeploymentTest, GroundedThroughFlowAndOperator) {
@@ -89,11 +88,10 @@ TEST(DeploymentTest, GroundedThroughFlowAndOperator) {
   ASSERT_TRUE(dep.AddFlow(1, 0, f.b).ok());
   ASSERT_TRUE(dep.PlaceOperator(0, f.join_ab).ok());
   ASSERT_TRUE(dep.AddFlow(0, 2, f.ab).ok());
-  const auto grounded = dep.GroundedAvailability();
-  EXPECT_TRUE(grounded.at(0, f.b));
-  EXPECT_TRUE(grounded.at(0, f.ab));
-  EXPECT_TRUE(grounded.at(2, f.ab));
-  EXPECT_FALSE(grounded.at(1, f.ab));
+  EXPECT_TRUE(dep.Grounded(0, f.b));
+  EXPECT_TRUE(dep.Grounded(0, f.ab));
+  EXPECT_TRUE(dep.Grounded(2, f.ab));
+  EXPECT_FALSE(dep.Grounded(1, f.ab));
   EXPECT_TRUE(dep.Validate().ok());
 }
 
@@ -104,9 +102,8 @@ TEST(DeploymentTest, AcausalFlowCycleNotGrounded) {
   // (source is host 1... use stream a whose source is host 0).
   ASSERT_TRUE(dep.AddFlow(1, 2, f.a).ok());
   ASSERT_TRUE(dep.AddFlow(2, 1, f.a).ok());
-  const auto grounded = dep.GroundedAvailability();
-  EXPECT_FALSE(grounded.at(1, f.a));
-  EXPECT_FALSE(grounded.at(2, f.a));
+  EXPECT_FALSE(dep.Grounded(1, f.a));
+  EXPECT_FALSE(dep.Grounded(2, f.a));
   EXPECT_FALSE(dep.Validate().ok());  // acausal flows rejected
 }
 

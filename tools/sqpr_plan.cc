@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "model/catalog.h"
 #include "model/cluster.h"
 #include "planner/heuristic/heuristic_planner.h"
@@ -26,6 +27,9 @@
 #include "workload/generator.h"
 
 namespace {
+
+// Per-query solver deadline bound, about eleven days (see cli_flags.h).
+constexpr long long kMaxTimeoutMs = 1'000'000'000;
 
 struct Args {
   std::string planner = "sqpr";
@@ -53,21 +57,9 @@ void Usage() {
       "  [--hosts N] [--cpu F] [--nic MBPS] [--link MBPS] [--mem MB]\n"
       "  [--streams N] [--rate MBPS] [--queries N] [--arities 2,3,...]\n"
       "  [--zipf S] [--seed N] [--sites N] [--timeout-ms N]\n"
-      "  [--simulate] [--verbose]\n");
-}
-
-bool ParseArities(const std::string& text, std::vector<int>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t next = text.find(',', pos);
-    if (next == std::string::npos) next = text.size();
-    const int k = std::atoi(text.substr(pos, next - pos).c_str());
-    if (k < 2 || k > 12) return false;
-    out->push_back(k);
-    pos = next + 1;
-  }
-  return !out->empty();
+      "  [--simulate] [--verbose]\n"
+      "Numeric values are parsed strictly: a malformed, non-finite or\n"
+      "out-of-range value is reported as \"FLAG: VALUE\" and exits 2.\n");
 }
 
 }  // namespace
@@ -85,34 +77,44 @@ int main(int argc, char** argv) {
     if (flag == "--planner" && (v = next())) {
       args.planner = v;
     } else if (flag == "--hosts" && (v = next())) {
-      args.hosts = std::atoi(v);
-    } else if (flag == "--cpu" && (v = next())) {
-      args.cpu = std::atof(v);
-    } else if (flag == "--nic" && (v = next())) {
-      args.nic_mbps = std::atof(v);
-    } else if (flag == "--link" && (v = next())) {
-      args.link_mbps = std::atof(v);
-    } else if (flag == "--mem" && (v = next())) {
-      args.mem_mb = std::atof(v);
-    } else if (flag == "--streams" && (v = next())) {
-      args.streams = std::atoi(v);
-    } else if (flag == "--rate" && (v = next())) {
-      args.rate_mbps = std::atof(v);
-    } else if (flag == "--queries" && (v = next())) {
-      args.queries = std::atoi(v);
-    } else if (flag == "--arities" && (v = next())) {
-      if (!ParseArities(v, &args.arities)) {
-        Usage();
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxHosts, &args.hosts)) {
         return 2;
       }
+    } else if (flag == "--cpu" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.cpu)) return 2;
+    } else if (flag == "--nic" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.nic_mbps)) return 2;
+    } else if (flag == "--link" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.link_mbps)) return 2;
+    } else if (flag == "--mem" && (v = next())) {
+      if (!cli::ParseReal(v, &args.mem_mb)) {
+        cli::ReportBadValue(flag.c_str(), v, "a finite number");
+        return 2;
+      }
+    } else if (flag == "--streams" && (v = next())) {
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount, &args.streams)) {
+        return 2;
+      }
+    } else if (flag == "--rate" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.rate_mbps, true)) return 2;
+    } else if (flag == "--queries" && (v = next())) {
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount, &args.queries)) {
+        return 2;
+      }
+    } else if (flag == "--arities" && (v = next())) {
+      if (!cli::AritiesFlag(flag.c_str(), v, &args.arities)) return 2;
     } else if (flag == "--zipf" && (v = next())) {
-      args.zipf = std::atof(v);
+      if (!cli::RealFlag(flag.c_str(), v, &args.zipf)) return 2;
     } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!cli::SeedFlag(flag.c_str(), v, &args.seed)) return 2;
     } else if (flag == "--sites" && (v = next())) {
-      args.sites = std::atoi(v);
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxHosts, &args.sites)) {
+        return 2;
+      }
     } else if (flag == "--timeout-ms" && (v = next())) {
-      args.timeout_ms = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, 0, kMaxTimeoutMs, &args.timeout_ms)) {
+        return 2;
+      }
     } else if (flag == "--simulate") {
       args.simulate = true;
     } else if (flag == "--verbose") {
@@ -121,10 +123,6 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-  }
-  if (args.hosts < 1 || args.streams < 1 || args.queries < 1) {
-    Usage();
-    return 2;
   }
 
   HostSpec host{args.cpu, args.nic_mbps, args.nic_mbps, ""};

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/fault.h"
 #include "common/stats.h"
 #include "model/catalog.h"
@@ -31,6 +32,12 @@
 #include "workload/trace.h"
 
 namespace {
+
+// Flag value bounds (see cli_flags.h): a millisecond budget of about
+// eleven days, a node budget and a trace ring the process can hold.
+constexpr long long kMaxMs = 1'000'000'000;
+constexpr long long kMaxNodes = 1'000'000'000;
+constexpr long long kMaxTraceCapacity = 1 << 22;
 
 struct Args {
   int hosts = 6;
@@ -82,11 +89,13 @@ void Usage(std::FILE* out) {
       "Replays a service event trace (generated or loaded) through the\n"
       "continuous SQPR planning service and reports latency, admission,\n"
       "re-planning, plan-cache and incremental-solve statistics (model\n"
-      "patches vs rebuilds of the cached MILP skeleton, root-basis warm\n"
-      "starts vs stale-basis discards).\n"
+      "patches vs rebuilds of the cached MILP skeleton).\n"
+      "\n"
+      "Numeric flag values are parsed strictly: a malformed, non-finite\n"
+      "or out-of-range value is reported as \"FLAG: VALUE\" and exits 2.\n"
       "\n"
       "Scenario flags (synthetic cluster + workload):\n"
-      "  --hosts N        cluster size (default 6, min 2)\n"
+      "  --hosts N        cluster size (default 6, 2 to 1024)\n"
       "  --cpu F          per-host CPU budget in CPU units (default 0.8)\n"
       "  --nic MBPS       per-host NIC in/out budget (default 70)\n"
       "  --link MBPS      per-link budget (default 140)\n"
@@ -272,20 +281,6 @@ void Usage(std::FILE* out) {
       "  --help           show this message and exit\n");
 }
 
-bool ParseArities(const std::string& text, std::vector<int>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t next = text.find(',', pos);
-    if (next == std::string::npos) next = text.size();
-    const int k = std::atoi(text.substr(pos, next - pos).c_str());
-    if (k < 2 || k > 12) return false;
-    out->push_back(k);
-    pos = next + 1;
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,37 +297,46 @@ int main(int argc, char** argv) {
       Usage(stdout);
       return 0;
     } else if (flag == "--hosts" && (v = next())) {
-      args.hosts = std::atoi(v);
-    } else if (flag == "--cpu" && (v = next())) {
-      args.cpu = std::atof(v);
-    } else if (flag == "--nic" && (v = next())) {
-      args.nic_mbps = std::atof(v);
-    } else if (flag == "--link" && (v = next())) {
-      args.link_mbps = std::atof(v);
-    } else if (flag == "--streams" && (v = next())) {
-      args.streams = std::atoi(v);
-    } else if (flag == "--rate" && (v = next())) {
-      args.rate_mbps = std::atof(v);
-    } else if (flag == "--queries" && (v = next())) {
-      args.queries = std::atoi(v);
-    } else if (flag == "--arities" && (v = next())) {
-      if (!ParseArities(v, &args.arities)) {
-        std::fprintf(stderr, "invalid --arities value: %s\n\n", v);
-        Usage(stderr);
+      if (!cli::IntFlag(flag.c_str(), v, 2, cli::kMaxHosts, &args.hosts)) {
         return 2;
       }
+    } else if (flag == "--cpu" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.cpu)) return 2;
+    } else if (flag == "--nic" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.nic_mbps)) return 2;
+    } else if (flag == "--link" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.link_mbps)) return 2;
+    } else if (flag == "--streams" && (v = next())) {
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount, &args.streams)) {
+        return 2;
+      }
+    } else if (flag == "--rate" && (v = next())) {
+      if (!cli::RealFlag(flag.c_str(), v, &args.rate_mbps, true)) return 2;
+    } else if (flag == "--queries" && (v = next())) {
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount, &args.queries)) {
+        return 2;
+      }
+    } else if (flag == "--arities" && (v = next())) {
+      if (!cli::AritiesFlag(flag.c_str(), v, &args.arities)) return 2;
     } else if (flag == "--zipf" && (v = next())) {
-      args.zipf = std::atof(v);
+      if (!cli::RealFlag(flag.c_str(), v, &args.zipf)) return 2;
     } else if (flag == "--seed" && (v = next())) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!cli::SeedFlag(flag.c_str(), v, &args.seed)) return 2;
     } else if (flag == "--events" && (v = next())) {
-      args.events = std::atoi(v);
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount, &args.events)) {
+        return 2;
+      }
     } else if (flag == "--timeout-ms" && (v = next())) {
-      args.timeout_ms = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, 0, kMaxMs, &args.timeout_ms)) return 2;
     } else if (flag == "--max-nodes" && (v = next())) {
-      args.max_nodes = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, 0, kMaxNodes, &args.max_nodes)) {
+        return 2;
+      }
     } else if (flag == "--replan-round" && (v = next())) {
-      args.replan_round = std::atoi(v);
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount,
+                        &args.replan_round)) {
+        return 2;
+      }
     } else if (flag == "--closed-loop") {
       args.closed_loop = true;
     } else if (flag == "--measure-mode" && (v = next())) {
@@ -346,9 +350,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (flag == "--measure-period" && (v = next())) {
-      args.measure_period = std::atoi(v);
+      if (!cli::IntFlag(flag.c_str(), v, 1, cli::kMaxCount,
+                        &args.measure_period)) {
+        return 2;
+      }
     } else if (flag == "--rate-seed" && (v = next())) {
-      args.rate_seed = std::strtoull(v, nullptr, 10);
+      if (!cli::SeedFlag(flag.c_str(), v, &args.rate_seed)) return 2;
       args.rate_seed_set = true;
     } else if (flag == "--trace" && (v = next())) {
       args.trace_path = v;
@@ -357,11 +364,17 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace-out" && (v = next())) {
       args.trace_out_path = v;
     } else if (flag == "--trace-capacity" && (v = next())) {
-      args.trace_capacity = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!cli::IntFlag(flag.c_str(), v, 1, kMaxTraceCapacity,
+                        &args.trace_capacity)) {
+        return 2;
+      }
     } else if (flag == "--metrics-out" && (v = next())) {
       args.metrics_out_path = v;
     } else if (flag == "--metrics-interval" && (v = next())) {
-      args.metrics_interval_ms = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, 0, kMaxMs,
+                        &args.metrics_interval_ms)) {
+        return 2;
+      }
     } else if (flag == "--metrics-format" && (v = next())) {
       args.metrics_format = v;
       if (args.metrics_format != "json" &&
@@ -377,17 +390,15 @@ int main(int argc, char** argv) {
     } else if (flag == "--audit-canonical") {
       args.audit_canonical = true;
     } else if (flag == "--stall-ms" && (v = next())) {
-      args.stall_ms = std::atof(v);
+      if (!cli::RealFlag(flag.c_str(), v, &args.stall_ms)) return 2;
     } else if (flag == "--budget-ms" && (v = next())) {
       const char* eq = std::strchr(v, '=');
-      const double ms = eq != nullptr ? std::atof(eq + 1) : -1.0;
-      const std::string stage(v, eq != nullptr ? eq - v : std::strlen(v));
-      if (eq == nullptr || ms <= 0.0) {
-        std::fprintf(stderr, "invalid --budget-ms value: %s "
-                     "(want STAGE=MS with MS > 0)\n\n", v);
-        Usage(stderr);
+      double ms = 0.0;
+      if (eq == nullptr || !cli::ParseReal(eq + 1, &ms) || ms <= 0) {
+        cli::ReportBadValue(flag.c_str(), v, "STAGE=MS with finite MS > 0");
         return 2;
       }
+      const std::string stage(v, eq - v);
       if (stage == "admit") {
         args.budget_admit_ms = ms;
       } else if (stage == "solve") {
@@ -405,11 +416,17 @@ int main(int argc, char** argv) {
     } else if (flag == "--checkpoint-out" && (v = next())) {
       args.checkpoint_out_path = v;
     } else if (flag == "--checkpoint-every" && (v = next())) {
-      args.checkpoint_every = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, 0, cli::kMaxCount,
+                        &args.checkpoint_every)) {
+        return 2;
+      }
     } else if (flag == "--restore" && (v = next())) {
       args.restore_path = v;
     } else if (flag == "--solve-deadline-ms" && (v = next())) {
-      args.solve_deadline_ms = std::atoll(v);
+      if (!cli::IntFlag(flag.c_str(), v, -kMaxMs, kMaxMs,
+                        &args.solve_deadline_ms)) {
+        return 2;
+      }
     } else if (flag == "--verbose") {
       args.verbose = true;
     } else {
@@ -418,14 +435,6 @@ int main(int argc, char** argv) {
       Usage(stderr);
       return 2;
     }
-  }
-  if (args.hosts < 2 || args.streams < 1 || args.queries < 1 ||
-      args.events < 1 ||
-      args.measure_period < 1 || args.metrics_interval_ms < 0 ||
-      args.checkpoint_every < 0) {
-    std::fprintf(stderr, "invalid scenario parameters\n\n");
-    Usage(stderr);
-    return 2;
   }
   if (args.checkpoint_every > 0 && args.checkpoint_out_path.empty()) {
     std::fprintf(stderr, "--checkpoint-every requires --checkpoint-out\n\n");
