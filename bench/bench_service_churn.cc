@@ -241,6 +241,11 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, const char* mode,
   m["solver_samples"] = static_cast<double>(s.solve_ms.count());
   m["solver_nodes"] = static_cast<double>(s.solver_nodes);
   m["lp_iterations"] = static_cast<double>(s.lp_iterations);
+  m["lp_factorizations"] = static_cast<double>(s.lp_factorizations);
+  m["lp_dual_solves"] = static_cast<double>(s.lp_dual_solves);
+  m["lp_slack_start_iterations"] =
+      static_cast<double>(s.lp_slack_start_iterations);
+  m["rejected_candidates"] = static_cast<double>(s.rejected_candidates);
   m["admitted"] = static_cast<double>(s.admitted);
   m["rejected"] = static_cast<double>(s.rejected);
   m["evictions"] = static_cast<double>(s.evictions);
@@ -283,7 +288,11 @@ bool DeterminismChecks(const char* scenario, const RunResult& first,
           a.auto_replan_rounds == b.auto_replan_rounds &&
           a.solve_ms.count() == b.solve_ms.count() &&
           a.solver_nodes == b.solver_nodes &&
-          a.lp_iterations == b.lp_iterations,
+          a.lp_iterations == b.lp_iterations &&
+          a.lp_factorizations == b.lp_factorizations &&
+          a.lp_dual_solves == b.lp_dual_solves &&
+          a.lp_slack_start_iterations == b.lp_slack_start_iterations &&
+          a.rejected_candidates == b.rejected_candidates,
       "replays agree on admission statistics and solver effort");
   ok &= ShapeCheck(a.commit_conflicts == 0 && a.round_unwinds == 0 &&
                        a.barrier_ms.count() == 0,

@@ -7,7 +7,9 @@
 //    skeleton against a new base deployment (bounds only, O(rows));
 //  * node-resolve — the deterministic LP work of one MILP solve on the
 //    hot-started engine: LP calls, pivots, factorizations, and pivots per
-//    warm re-solve.
+//    warm re-solve; plus the LP's own wall time per call and per pivot
+//    (the lp/simplex trace spans), so a simplex-kernel change shows
+//    apart from the rest of the solve.
 //
 // Shape checks gate correctness, not speed: a patched model must match
 // a fresh build bit for bit. Absolute timings land in the JSON for the
@@ -23,6 +25,7 @@
 #include "bench/bench_util.h"
 #include "common/deadline.h"
 #include "milp/solver.h"
+#include "obs/trace.h"
 #include "plan/deployment.h"
 #include "planner/sqpr/model_builder.h"
 #include "planner/sqpr/model_cache.h"
@@ -123,36 +126,73 @@ int BenchBuildVsPatch(Fixture* f, bench::BenchJsonWriter* json) {
   return failed;
 }
 
+/// Summed duration of the drained lp/simplex spans, in microseconds.
+double SimplexSpanUs(const std::vector<obs::SpanRecord>& spans) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  uint64_t ns = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (recorder.span_meta(span.name_id).name == "lp/simplex") {
+      ns += span.dur_ns;
+    }
+  }
+  return static_cast<double>(ns) / 1000.0;
+}
+
 /// Deterministic LP work per MILP solve: admits each remaining workload
 /// query against the fixture's base deployment, node-bounded so every
-/// counter is a function of the inputs alone.
+/// counter is a function of the inputs alone. The set is solved kReps
+/// times with the trace recorder on; the LP wall time is the fastest
+/// rep's (the counters are equal across reps).
 int BenchNodeResolve(Fixture* f, bench::BenchJsonWriter* json) {
+  constexpr int kReps = 7;
   int failed = 0;
   int64_t solves = 0;
   lp::SimplexCounters total;
   int64_t nodes = 0;
+  double lp_us = 0.0;
+  bool repeats = true;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
   const auto& queries = f->scenario.workload.queries;
-  for (size_t i = 8; i < queries.size(); ++i) {
-    const Closure closure = *f->scenario.catalog->JoinClosure(queries[i]);
-    SqprMip mip(f->planner.deployment(), closure.streams, closure.operators,
-                {{queries[i], /*must_serve=*/false}}, {});
-    const std::vector<double> warm = mip.WarmStart();
-    SqprMip::CycleCutHandler handler(&mip);
-    milp::SolverOptions options;
-    options.deadline = Deadline::AfterMillis(60000);
-    options.max_nodes = 200;
-    options.warm_start = &warm;
-    options.lazy = &handler;
-    const milp::MipResult r = milp::Solver().Solve(mip.mip(), options);
-    SQPR_CHECK(r.has_solution());
-    ++solves;
-    nodes += r.nodes;
-    total.solves += r.lp_counters.solves;
-    total.slack_starts += r.lp_counters.slack_starts;
-    total.slack_start_iterations += r.lp_counters.slack_start_iterations;
-    total.iterations += r.lp_counters.iterations;
-    total.factorizations += r.lp_counters.factorizations;
-    total.dual_solves += r.lp_counters.dual_solves;
+  for (int rep = 0; rep < kReps; ++rep) {
+    recorder.Enable();
+    lp::SimplexCounters rep_total;
+    for (size_t i = 8; i < queries.size(); ++i) {
+      const Closure closure = *f->scenario.catalog->JoinClosure(queries[i]);
+      SqprMip mip(f->planner.deployment(), closure.streams, closure.operators,
+                  {{queries[i], /*must_serve=*/false}}, {});
+      const std::vector<double> warm = mip.WarmStart();
+      SqprMip::CycleCutHandler handler(&mip);
+      milp::SolverOptions options;
+      options.deadline = Deadline::AfterMillis(60000);
+      options.max_nodes = 200;
+      options.warm_start = &warm;
+      options.lazy = &handler;
+      const milp::MipResult r = milp::Solver().Solve(mip.mip(), options);
+      SQPR_CHECK(r.has_solution());
+      if (rep == 0) {
+        ++solves;
+        nodes += r.nodes;
+      }
+      rep_total.solves += r.lp_counters.solves;
+      rep_total.slack_starts += r.lp_counters.slack_starts;
+      rep_total.slack_start_iterations += r.lp_counters.slack_start_iterations;
+      rep_total.iterations += r.lp_counters.iterations;
+      rep_total.factorizations += r.lp_counters.factorizations;
+      rep_total.dual_solves += r.lp_counters.dual_solves;
+    }
+    const double rep_us = SimplexSpanUs(recorder.Drain());
+    recorder.Disable();
+    if (rep == 0) {
+      total = rep_total;
+      lp_us = rep_us;
+    } else {
+      lp_us = std::min(lp_us, rep_us);
+      repeats &= rep_total.iterations == total.iterations &&
+                 rep_total.solves == total.solves;
+    }
+  }
+  if (!bench::ShapeCheck(repeats, "repeated solves repeat the LP work")) {
+    ++failed;
   }
   const double per = 1.0 / static_cast<double>(solves);
   const int64_t warm_calls = total.solves - total.slack_starts;
@@ -170,11 +210,16 @@ int BenchNodeResolve(Fixture* f, bench::BenchJsonWriter* json) {
                          "at most the root LP starts from the slack basis")) {
     ++failed;
   }
+  const double us_per_call = lp_us / static_cast<double>(total.solves);
+  const double us_per_pivot =
+      lp_us / static_cast<double>(std::max<int64_t>(total.iterations, 1));
   std::printf(
       "node resolve: %.1f LP calls  %.1f pivots  %.2f factorizations "
-      "(load + 1/%d pivots = %.2f)  %.2f pivots/warm re-solve per solve\n",
+      "(load + 1/%d pivots = %.2f)  %.2f pivots/warm re-solve per solve\n"
+      "              LP wall %.2f us/call  %.3f us/pivot (best of %d)\n",
       total.solves * per, total.iterations * per, total.factorizations * per,
-      interval, 1.0 + total.iterations * per / interval, pivots_per_warm);
+      interval, 1.0 + total.iterations * per / interval, pivots_per_warm,
+      us_per_call, us_per_pivot, kReps);
   bench::BenchRecord& rec = json->Add("node_resolve");
   rec.labels["milp_solves"] = std::to_string(solves);
   rec.labels["max_nodes"] = "200";
@@ -184,6 +229,8 @@ int BenchNodeResolve(Fixture* f, bench::BenchJsonWriter* json) {
   rec.metrics["factorizations_per_solve"] = total.factorizations * per;
   rec.metrics["dual_solves_per_solve"] = total.dual_solves * per;
   rec.metrics["pivots_per_warm_resolve"] = pivots_per_warm;
+  rec.metrics["lp_us_per_call"] = us_per_call;
+  rec.metrics["lp_us_per_pivot"] = us_per_pivot;
   return failed;
 }
 

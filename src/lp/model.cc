@@ -8,13 +8,37 @@
 namespace sqpr {
 namespace lp {
 
+namespace {
+
+const std::string kNoName;
+
+/// A name for messages: the given one, else "#<index>".
+std::string Label(const std::string& name, int i) {
+  return name.empty() ? "#" + std::to_string(i) : name;
+}
+
+}  // namespace
+
+const std::string& Model::NameAt(const std::vector<std::string>& names,
+                                 int i) {
+  return static_cast<size_t>(i) < names.size() ? names[i] : kNoName;
+}
+
+void Model::SetName(std::vector<std::string>* names, int i,
+                    std::string name) {
+  if (name.empty()) return;
+  names->resize(static_cast<size_t>(i) + 1);
+  (*names)[i] = std::move(name);
+}
+
 int Model::AddVariable(double lb, double ub, double obj, std::string name) {
   SQPR_CHECK(lb <= ub) << "variable bounds crossed: [" << lb << ", " << ub
-                       << "] for " << name;
+                       << "] for variable " << num_variables() << " "
+                       << name;
   var_lb_.push_back(lb);
   var_ub_.push_back(ub);
   obj_.push_back(obj);
-  var_names_.push_back(std::move(name));
+  SetName(&var_names_, num_variables() - 1, std::move(name));
   return num_variables() - 1;
 }
 
@@ -22,28 +46,31 @@ int Model::AddRow(double lb, double ub,
                   std::vector<std::pair<int, double>> terms,
                   std::string name) {
   SQPR_CHECK(lb <= ub) << "row bounds crossed: [" << lb << ", " << ub
-                       << "] for " << name;
+                       << "] for row " << num_rows() << " " << name;
   // Merge duplicate variable references and drop zero coefficients so the
-  // solver sees each column at most once per row.
+  // solver sees each column at most once per row. `out` trails the read
+  // position, so the merge runs in place.
   std::sort(terms.begin(), terms.end());
-  std::vector<std::pair<int, double>> merged;
-  merged.reserve(terms.size());
-  for (const auto& [var, coef] : terms) {
+  size_t out = 0;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const auto [var, coef] = terms[i];
     SQPR_CHECK(var >= 0 && var < num_variables())
-        << "row " << name << " references unknown variable " << var;
-    if (!merged.empty() && merged.back().first == var) {
-      merged.back().second += coef;
+        << "row " << num_rows() << " " << name
+        << " references unknown variable " << var;
+    if (out > 0 && terms[out - 1].first == var) {
+      terms[out - 1].second += coef;
     } else {
-      merged.emplace_back(var, coef);
+      terms[out++] = {var, coef};
     }
   }
-  merged.erase(std::remove_if(merged.begin(), merged.end(),
-                              [](const auto& t) { return t.second == 0.0; }),
-               merged.end());
+  terms.resize(out);
+  terms.erase(std::remove_if(terms.begin(), terms.end(),
+                             [](const auto& t) { return t.second == 0.0; }),
+              terms.end());
   row_lb_.push_back(lb);
   row_ub_.push_back(ub);
-  rows_.push_back(std::move(merged));
-  row_names_.push_back(std::move(name));
+  rows_.push_back(std::move(terms));
+  SetName(&row_names_, num_rows() - 1, std::move(name));
   return num_rows() - 1;
 }
 
@@ -57,7 +84,7 @@ void Model::SetVariableBounds(int var, double lb, double ub) {
 void Model::SetRowBounds(int row, double lb, double ub) {
   SQPR_CHECK(row >= 0 && row < num_rows()) << "row index " << row;
   SQPR_CHECK(lb <= ub) << "row bounds crossed on update: [" << lb << ", " << ub
-                       << "] for " << row_names_[row];
+                       << "] for row " << row << " " << row_name(row);
   row_lb_[row] = lb;
   row_ub_[row] = ub;
 }
@@ -75,7 +102,8 @@ Status Model::CheckFeasible(const std::vector<double>& v, double tol) const {
   }
   for (int i = 0; i < num_variables(); ++i) {
     if (v[i] < var_lb_[i] - tol || v[i] > var_ub_[i] + tol) {
-      return Status::Infeasible("variable " + var_names_[i] + " = " +
+      return Status::Infeasible("variable " + Label(variable_name(i), i) +
+                                " = " +
                                 std::to_string(v[i]) + " outside [" +
                                 std::to_string(var_lb_[i]) + ", " +
                                 std::to_string(var_ub_[i]) + "]");
@@ -85,7 +113,8 @@ Status Model::CheckFeasible(const std::vector<double>& v, double tol) const {
     double activity = 0.0;
     for (const auto& [var, coef] : rows_[r]) activity += coef * v[var];
     if (activity < row_lb_[r] - tol || activity > row_ub_[r] + tol) {
-      return Status::Infeasible("row " + row_names_[r] + " activity " +
+      return Status::Infeasible("row " + Label(row_name(r), r) +
+                                " activity " +
                                 std::to_string(activity) + " outside [" +
                                 std::to_string(row_lb_[r]) + ", " +
                                 std::to_string(row_ub_[r]) + "]");

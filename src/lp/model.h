@@ -24,6 +24,12 @@ enum class Sense { kMaximize, kMinimize };
 ///
 /// The model is a plain builder: variables and rows are appended, then the
 /// whole object is handed to SimplexSolver. Rows are stored sparsely.
+///
+/// Names are optional and cost nothing when absent: a model stores only
+/// the names it is given (the MPS reader names everything, the SQPR
+/// model builder nothing), and an unnamed variable or row reads back as
+/// "". Nothing in the solvers reads a name; they label MPS/LP output
+/// and CheckFeasible messages (which fall back to the index).
 class Model {
  public:
   explicit Model(Sense sense = Sense::kMaximize) : sense_(sense) {}
@@ -33,14 +39,15 @@ class Model {
 
   /// Adds a variable with bounds [lb, ub] and objective coefficient obj.
   /// Returns its dense index. Fixed variables (lb == ub) are legal.
-  int AddVariable(double lb, double ub, double obj, std::string name = "");
+  int AddVariable(double lb, double ub, double obj, std::string name = {});
 
   /// Adds a constraint row `lb <= sum coef_i * var_i <= ub`. Terms must
   /// reference existing variables; duplicate variable entries within one
-  /// row are summed. Returns the row index.
+  /// row are summed (in place, in the given vector) and zero sums
+  /// dropped. Returns the row index.
   int AddRow(double lb, double ub,
              std::vector<std::pair<int, double>> terms,
-             std::string name = "");
+             std::string name = {});
 
   /// Overwrites a variable's bounds (used by branch-and-bound).
   void SetVariableBounds(int var, double lb, double ub);
@@ -65,8 +72,11 @@ class Model {
   const std::vector<std::pair<int, double>>& row_terms(int r) const {
     return rows_[r];
   }
-  const std::string& variable_name(int v) const { return var_names_[v]; }
-  const std::string& row_name(int r) const { return row_names_[r]; }
+  /// The name given to variable v / row r, or "" when it has none.
+  const std::string& variable_name(int v) const {
+    return NameAt(var_names_, v);
+  }
+  const std::string& row_name(int r) const { return NameAt(row_names_, r); }
 
   /// Computes c^T v for a full assignment.
   double ObjectiveValue(const std::vector<double>& v) const;
@@ -77,11 +87,17 @@ class Model {
   Status CheckFeasible(const std::vector<double>& v, double tol) const;
 
  private:
+  // Names are stored up to the last named entry only.
+  static const std::string& NameAt(const std::vector<std::string>& names,
+                                   int i);
+  static void SetName(std::vector<std::string>* names, int i,
+                      std::string name);
+
   Sense sense_;
   std::vector<double> var_lb_, var_ub_, obj_;
   std::vector<double> row_lb_, row_ub_;
   std::vector<std::vector<std::pair<int, double>>> rows_;
-  std::vector<std::string> var_names_, row_names_;
+  std::vector<std::string> var_names_, row_names_;  // see NameAt
 };
 
 }  // namespace lp

@@ -60,14 +60,20 @@ class SimplexEngine::Impl {
   // Total primal infeasibility of basic variables.
   double Infeasibility() const;
   // max_i |(A_full v)_i|, relative to 1 + max|v|.
-  double Residual() const;
+  double Residual();
   void Ftran(int col, std::vector<double>* w) const;
-  // Reduced costs of all nonbasic columns into d_ under the basic cost
+  // Reduced costs of the priceable columns into d_ under the basic cost
   // vector cb_ and per-column costs `column_cost` (nullptr = all-zero,
-  // used by phase 1).
+  // used by phase 1). Other entries of d_ are stale and never read.
   void PriceAll(const double* column_cost);
-  // Replaces basis_[leave_pos] by `enter` and updates the inverse from
-  // the entering column's FTRAN `w`. Returns false on a tiny pivot.
+  // Rebuilds priceable_ from the column states and bounds; Insert/Erase
+  // keep it sorted as single columns come and go.
+  void ListPriceable();
+  void InsertPriceable(int c);
+  void ErasePriceable(int c);
+  // Replaces basis_[leave_pos] by `enter`, updates the inverse from the
+  // entering column's FTRAN `w` and moves the two columns between
+  // priceable_ and the basis. Returns false on a tiny pivot.
   bool PivotBasis(int leave_pos, int enter, const std::vector<double>& w);
   // Counts a pivot; refactorizes every refactor_interval of them.
   bool CountPivot();
@@ -114,14 +120,27 @@ class SimplexEngine::Impl {
   std::vector<double> binv_;        // m*m column-major: binv_[c*m + i]
   std::vector<double> shift_;       // A * (pending nonbasic value changes)
   bool shifted_ = false;
+  // The columns that can enter the basis (nonbasic, lb != ub), ascending,
+  // so every pricing loop visits them in index order and breaks ties as
+  // a scan over all columns would. Built at load and after a reset;
+  // PivotBasis keeps it across pivots and SetBounds across solves.
+  std::vector<int> priceable_;
+  // y_ = y_cb_^T B^-1 holds while y_fresh_: nothing has touched binv_
+  // since y_ was computed, so a pricing with an equal cb_ reuses it.
+  bool y_fresh_ = false;
+  std::vector<double> y_cb_;
 
-  // Per-iteration scratch, kept to avoid reallocation.
+  // Per-iteration scratch, kept to avoid reallocation. d_ and alpha_
+  // are indexed by column and valid on priceable_ only.
   std::vector<double> d_;       // reduced costs
   std::vector<double> alpha_;   // dual pivot row
   std::vector<int> candidates_;
   std::vector<double> cb_, y_, w_, rho_;
   std::vector<double> mat_;
   std::vector<int> perm_;
+  std::vector<int> col_fill_;        // BuildColumns
+  std::vector<double> grown_;        // AppendRows
+  std::vector<double> residual_row_; // Residual
 
   int64_t iterations_ = 0;
   int64_t max_iterations_ = 0;
@@ -134,19 +153,20 @@ class SimplexEngine::Impl {
 void SimplexEngine::Impl::BuildColumns(const Model& model) {
   const int n = n_;
   const int m = m_;
-  std::vector<int> counts(n, 0);
+  std::vector<int>& fill = col_fill_;
+  fill.assign(n, 0);
   for (int r = 0; r < m; ++r) {
-    for (const auto& term : model.row_terms(r)) ++counts[term.first];
+    for (const auto& term : model.row_terms(r)) ++fill[term.first];
   }
   col_start_.assign(n + m + 1, 0);
-  for (int c = 0; c < n; ++c) col_start_[c + 1] = col_start_[c] + counts[c];
+  for (int c = 0; c < n; ++c) col_start_[c + 1] = col_start_[c] + fill[c];
   for (int c = n; c < n + m; ++c) {
     col_start_[c + 1] = col_start_[c] + 1;  // slack: one entry
   }
   const int nnz = col_start_[n + m];
   entry_row_.resize(nnz);
   entry_val_.resize(nnz);
-  std::vector<int> fill(n, 0);
+  std::fill(fill.begin(), fill.end(), 0);
   for (int r = 0; r < m; ++r) {
     for (const auto& [var, coef] : model.row_terms(r)) {
       const int pos = col_start_[var] + fill[var]++;
@@ -196,6 +216,7 @@ void SimplexEngine::Impl::Load(const Model& model) {
     SQPR_CHECK(ok) << "slack basis cannot be singular";
   }
   RecomputeBasicValues();
+  ListPriceable();
   loaded_ = true;
 }
 
@@ -221,9 +242,12 @@ void SimplexEngine::Impl::Sync(const Model& model) {
 }
 
 void SimplexEngine::Impl::SetBounds(int c, double lb, double ub) {
+  const bool was_fixed = lb_[c] == ub_[c];
   lb_[c] = lb;
   ub_[c] = ub;
   if (state_[c] == BasisState::kBasic) return;
+  if (was_fixed && lb != ub) InsertPriceable(c);
+  if (!was_fixed && lb == ub) ErasePriceable(c);
   // Keep the column on a finite bound where it has one.
   const bool has_lb = std::isfinite(lb);
   const bool has_ub = std::isfinite(ub);
@@ -295,7 +319,8 @@ void SimplexEngine::Impl::AppendRows(const Model& model) {
 
   // Border the inverse: with R the new rows restricted to the old basic
   // columns, B' = [B 0; R -I] and B'^-1 = [B^-1 0; R B^-1 -I].
-  std::vector<double> grown(static_cast<size_t>(new_m) * new_m, 0.0);
+  std::vector<double>& grown = grown_;
+  grown.assign(static_cast<size_t>(new_m) * new_m, 0.0);
   for (int r = 0; r < old_m; ++r) {
     std::copy_n(binv_.data() + static_cast<size_t>(r) * old_m, old_m,
                 grown.data() + static_cast<size_t>(r) * new_m);
@@ -312,6 +337,7 @@ void SimplexEngine::Impl::AppendRows(const Model& model) {
     grown[static_cast<size_t>(i) * new_m + i] = -1.0;
   }
   binv_.swap(grown);
+  y_fresh_ = false;
 }
 
 // ------------------------------------------------ Basis and factorization
@@ -400,11 +426,13 @@ void SimplexEngine::Impl::ResetToSlackBasis() {
   const bool ok = Refactorize();
   SQPR_CHECK(ok) << "slack basis cannot be singular";
   RecomputeBasicValues();
+  ListPriceable();
   degenerate_run_ = 0;
 }
 
 bool SimplexEngine::Impl::Refactorize() {
   ++counters_.factorizations;
+  y_fresh_ = false;
   const int m = m_;
   const size_t mm = static_cast<size_t>(m) * m;
   mat_.assign(mm, 0.0);
@@ -490,8 +518,9 @@ double SimplexEngine::Impl::Infeasibility() const {
   return total;
 }
 
-double SimplexEngine::Impl::Residual() const {
-  std::vector<double> row(m_, 0.0);
+double SimplexEngine::Impl::Residual() {
+  std::vector<double>& row = residual_row_;
+  row.assign(m_, 0.0);
   double scale = 1.0;
   for (int c = 0; c < n_ + m_; ++c) {
     const double v = value_[c];
@@ -519,24 +548,47 @@ void SimplexEngine::Impl::Ftran(int col, std::vector<double>* w) const {
 
 void SimplexEngine::Impl::PriceAll(const double* column_cost) {
   const int m = m_;
-  y_.resize(m);
-  for (int c = 0; c < m; ++c) {
-    const double* bcol = binv_.data() + static_cast<size_t>(c) * m;
-    double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += cb_[i] * bcol[i];
-    y_[c] = acc;
+  // Each y_c starts from +0.0 and adds cb_i * b_ic, so a zero entry of
+  // cb_ adds a zero to a sum that can never be -0.0: cost vectors that
+  // are equal under ==, signed zeros included, give bit-identical y.
+  if (!y_fresh_ || y_cb_ != cb_) {
+    y_.resize(m);
+    for (int c = 0; c < m; ++c) {
+      const double* bcol = binv_.data() + static_cast<size_t>(c) * m;
+      double acc = 0.0;
+      for (int i = 0; i < m; ++i) acc += cb_[i] * bcol[i];
+      y_[c] = acc;
+    }
+    y_cb_ = cb_;
+    y_fresh_ = true;
   }
-  const int total = n_ + m;
-  d_.assign(total, 0.0);
-  for (int c = 0; c < total; ++c) {
-    if (state_[c] == BasisState::kBasic) continue;
-    if (lb_[c] == ub_[c]) continue;  // fixed: never enters, skip price
+  d_.resize(n_ + m);
+  for (int c : priceable_) {
     double dot = 0.0;
     for (int k = col_start_[c]; k < col_start_[c + 1]; ++k) {
       dot += y_[entry_row_[k]] * entry_val_[k];
     }
     d_[c] = (column_cost != nullptr ? column_cost[c] : 0.0) - dot;
   }
+}
+
+void SimplexEngine::Impl::ListPriceable() {
+  priceable_.clear();
+  for (int c = 0; c < n_ + m_; ++c) {
+    // Fixed columns never enter, so they are never priced.
+    if (state_[c] != BasisState::kBasic && lb_[c] != ub_[c]) {
+      priceable_.push_back(c);
+    }
+  }
+}
+
+void SimplexEngine::Impl::InsertPriceable(int c) {
+  priceable_.insert(
+      std::lower_bound(priceable_.begin(), priceable_.end(), c), c);
+}
+
+void SimplexEngine::Impl::ErasePriceable(int c) {
+  priceable_.erase(std::lower_bound(priceable_.begin(), priceable_.end(), c));
 }
 
 bool SimplexEngine::Impl::PivotBasis(int leave_pos, int enter,
@@ -547,17 +599,22 @@ bool SimplexEngine::Impl::PivotBasis(int leave_pos, int enter,
   basis_[leave_pos] = enter;
   state_[enter] = BasisState::kBasic;
   basic_pos_[enter] = leave_pos;
+  // enter was priceable; leave_col becomes so unless it is fixed.
+  ErasePriceable(enter);
+  if (lb_[leave_col] != ub_[leave_col]) InsertPriceable(leave_col);
+  y_fresh_ = false;
 
   const double piv = w[leave_pos];
   if (std::abs(piv) < kPivotTol / 10) return false;
+  const double* __restrict wv = w.data();
   for (int c = 0; c < m; ++c) {
-    double* bcol = binv_.data() + static_cast<size_t>(c) * m;
+    double* __restrict bcol = binv_.data() + static_cast<size_t>(c) * m;
     const double pr = bcol[leave_pos] / piv;
+    // A zero multiplier would subtract zeros: skip the column.
     if (pr == 0.0) continue;
-    for (int i = 0; i < m; ++i) {
-      if (i == leave_pos) continue;
-      bcol[i] -= w[i] * pr;
-    }
+    // The pivot-row entry is overwritten after the loop, so updating it
+    // too keeps the loop branch-free.
+    for (int i = 0; i < m; ++i) bcol[i] -= wv[i] * pr;
     bcol[leave_pos] = pr;
   }
   return true;
@@ -591,9 +648,8 @@ bool SimplexEngine::Impl::MakeDualFeasible() {
   PriceAll(cost_.data());
   const double tol = options_.optimality_tol;
   candidates_.clear();  // columns to flip
-  for (int c = 0; c < n_ + m; ++c) {
+  for (int c : priceable_) {
     const BasisState st = state_[c];
-    if (st == BasisState::kBasic || lb_[c] == ub_[c]) continue;
     const double d = d_[c];
     bool wrong;
     bool can_flip;
@@ -652,10 +708,10 @@ double SimplexEngine::Impl::DualSlack(int c) const {
 
 bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
   const int m = m_;
-  const int total = n_ + m;
   const double feas_tol = options_.feasibility_tol;
   const double opt_tol = options_.optimality_tol;
   int degenerate_run = 0;
+  alpha_.resize(n_ + m);
   while (true) {
     if (LimitReached(status)) return true;
 
@@ -683,12 +739,10 @@ bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
     for (int c = 0; c < m; ++c) {
       rho_[c] = binv_[static_cast<size_t>(c) * m + r];
     }
-    alpha_.assign(total, 0.0);
     candidates_.clear();
     double harris = kInf;
-    for (int c = 0; c < total; ++c) {
+    for (int c : priceable_) {
       const BasisState st = state_[c];
-      if (st == BasisState::kBasic || lb_[c] == ub_[c]) continue;
       double a = 0.0;
       for (int k = col_start_[c]; k < col_start_[c + 1]; ++k) {
         a += rho_[entry_row_[k]] * entry_val_[k];
@@ -730,11 +784,13 @@ bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
     const double enter_value = value_[enter] + t;
 
     // Dual step. A wrong-signed theta only comes from a reduced cost
-    // inside the tolerance; treat it as zero.
+    // inside the tolerance; treat it as zero. Only priceable reduced
+    // costs move: off the list alpha is zero, and those entries of d_
+    // are rewritten (by PriceAll, or d_[leave] below) before any read.
     double theta = d_[enter] / alpha_[enter];
     if (s * theta > 0.0) theta = 0.0;
     if (theta != 0.0) {
-      for (int c = 0; c < total; ++c) d_[c] -= theta * alpha_[c];
+      for (int c : priceable_) d_[c] -= theta * alpha_[c];
     }
     d_[leave] = -theta;
     d_[enter] = 0.0;
@@ -784,10 +840,8 @@ SimplexEngine::Impl::Step SimplexEngine::Impl::PrimalIterate(bool phase1,
   int enter = -1;
   int enter_dir = 0;
   double best_score = opt_tol;
-  for (int c = 0; c < n_ + m; ++c) {
+  for (int c : priceable_) {
     const BasisState st = state_[c];
-    if (st == BasisState::kBasic) continue;
-    if (lb_[c] == ub_[c]) continue;
     const double d = d_[c];
     int dir = 0;
     if (st == BasisState::kAtLower && d < -opt_tol) {

@@ -36,11 +36,21 @@ Status ParseError(int line_no, const std::string& what) {
                                  ": " + what);
 }
 
+/// Parses a number; NaN is never a valid MPS value.
 Result<double> ParseNumber(const std::string& tok, int line_no) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
+  if (end == tok.c_str() || *end != '\0' || std::isnan(v)) {
     return ParseError(line_no, "bad number '" + tok + "'");
+  }
+  return v;
+}
+
+/// A matrix or objective coefficient: a finite number.
+Result<double> ParseCoefficient(const std::string& tok, int line_no) {
+  Result<double> v = ParseNumber(tok, line_no);
+  if (v.ok() && !std::isfinite(*v)) {
+    return ParseError(line_no, "non-finite coefficient '" + tok + "'");
   }
   return v;
 }
@@ -55,6 +65,57 @@ struct RowDef {
   double range = 0.0;
   std::vector<std::pair<int, double>> terms;
 };
+
+/// The interval a row's type, RHS and range give it.
+void RowBounds(const RowDef& def, double* lb, double* ub) {
+  switch (def.type) {
+    case 'L':
+      *lb = -lp::kInf;
+      *ub = def.rhs;
+      if (def.has_range) *lb = def.rhs - std::abs(def.range);
+      break;
+    case 'G':
+      *lb = def.rhs;
+      *ub = lp::kInf;
+      if (def.has_range) *ub = def.rhs + std::abs(def.range);
+      break;
+    default:  // 'E'
+      *lb = *ub = def.rhs;
+      if (def.has_range) {
+        if (def.range >= 0) {
+          *ub = def.rhs + def.range;
+        } else {
+          *lb = def.rhs + def.range;
+        }
+      }
+      break;
+  }
+}
+
+/// OK when [lb, ub] is usable, else the error for the RHS/RANGES/BOUNDS
+/// line that left `what` with it, quoting the line.
+Status CheckBounds(double lb, double ub, int line_no, const std::string& line,
+                   const std::string& what) {
+  if (lb <= ub && lb != lp::kInf && ub != -lp::kInf) return Status::OK();
+  constexpr size_t kMaxQuote = 80;
+  const size_t first = line.find_first_not_of(" \t");
+  const size_t last = line.find_last_not_of(" \t\r");
+  std::string quoted = line.substr(first, last - first + 1);
+  if (quoted.size() > kMaxQuote) quoted = quoted.substr(0, kMaxQuote) + "...";
+  std::ostringstream bounds;
+  bounds << "[" << lb << ", " << ub << "]";
+  return ParseError(line_no, "'" + quoted + "' leaves " + what +
+                                 " with empty or undefined bounds " +
+                                 bounds.str());
+}
+
+/// CheckBounds for the interval `def` has after an RHS/RANGES line.
+Status CheckRowBounds(const RowDef& def, int line_no,
+                      const std::string& line) {
+  double lb, ub;
+  RowBounds(def, &lb, &ub);
+  return CheckBounds(lb, ub, line_no, line, "row '" + def.name + "'");
+}
 
 /// Formats a double the way MPS consumers expect (full precision,
 /// no locale surprises).
@@ -164,7 +225,7 @@ Result<Model> ReadMpsFromString(const std::string& text) {
           col = it->second;
         }
         for (size_t i = 1; i + 1 < tok.size(); i += 2) {
-          Result<double> v = ParseNumber(tok[i + 1], line_no);
+          Result<double> v = ParseCoefficient(tok[i + 1], line_no);
           if (!v.ok()) return v.status();
           if (tok[i] == objective_row) {
             model.lp.SetObjective(col, model.lp.objective(col) + *v);
@@ -190,7 +251,10 @@ Result<Model> ReadMpsFromString(const std::string& text) {
           if (row_it == row_index.end()) {
             return ParseError(line_no, "unknown row '" + tok[i] + "'");
           }
-          rows[row_it->second].rhs = *v;
+          RowDef& def = rows[row_it->second];
+          def.rhs = *v;
+          const Status usable = CheckRowBounds(def, line_no, line);
+          if (!usable.ok()) return usable;
         }
         break;
       }
@@ -205,8 +269,11 @@ Result<Model> ReadMpsFromString(const std::string& text) {
           if (row_it == row_index.end()) {
             return ParseError(line_no, "unknown row '" + tok[i] + "'");
           }
-          rows[row_it->second].has_range = true;
-          rows[row_it->second].range = *v;
+          RowDef& def = rows[row_it->second];
+          def.has_range = true;
+          def.range = *v;
+          const Status usable = CheckRowBounds(def, line_no, line);
+          if (!usable.ok()) return usable;
         }
         break;
       }
@@ -225,28 +292,36 @@ Result<Model> ReadMpsFromString(const std::string& text) {
           if (!v.ok()) return v.status();
           value = *v;
         }
-        const double lb = model.lp.variable_lb(col);
-        const double ub = model.lp.variable_ub(col);
+        double lb = model.lp.variable_lb(col);
+        double ub = model.lp.variable_ub(col);
+        bool integer = model.integer[col];
         if (type == "UP" || type == "UI") {
-          model.lp.SetVariableBounds(col, lb, value);
-          if (type == "UI") model.integer[col] = true;
+          ub = value;
+          integer |= type == "UI";
         } else if (type == "LO" || type == "LI") {
-          model.lp.SetVariableBounds(col, value, ub);
-          if (type == "LI") model.integer[col] = true;
+          lb = value;
+          integer |= type == "LI";
         } else if (type == "FX") {
-          model.lp.SetVariableBounds(col, value, value);
+          lb = ub = value;
         } else if (type == "FR") {
-          model.lp.SetVariableBounds(col, -lp::kInf, lp::kInf);
+          lb = -lp::kInf;
+          ub = lp::kInf;
         } else if (type == "MI") {
-          model.lp.SetVariableBounds(col, -lp::kInf, ub);
+          lb = -lp::kInf;
         } else if (type == "PL") {
-          model.lp.SetVariableBounds(col, lb, lp::kInf);
+          ub = lp::kInf;
         } else if (type == "BV") {
-          model.lp.SetVariableBounds(col, 0.0, 1.0);
-          model.integer[col] = true;
+          lb = 0.0;
+          ub = 1.0;
+          integer = true;
         } else {
           return ParseError(line_no, "unknown bound type '" + type + "'");
         }
+        const Status usable =
+            CheckBounds(lb, ub, line_no, line, "column '" + tok[2] + "'");
+        if (!usable.ok()) return usable;
+        model.lp.SetVariableBounds(col, lb, ub);
+        model.integer[col] = integer;
         break;
       }
       case Section::kNone:
@@ -255,31 +330,12 @@ Result<Model> ReadMpsFromString(const std::string& text) {
     }
   }
 
-  // Convert accumulated rows.
+  // Convert accumulated rows. Every RHS/RANGES line checked the bounds
+  // it left, and a row without either has usable bounds [0, 0] or a
+  // half-line at 0.
   for (RowDef& def : rows) {
     double lb, ub;
-    switch (def.type) {
-      case 'L':
-        lb = -lp::kInf;
-        ub = def.rhs;
-        if (def.has_range) lb = def.rhs - std::abs(def.range);
-        break;
-      case 'G':
-        lb = def.rhs;
-        ub = lp::kInf;
-        if (def.has_range) ub = def.rhs + std::abs(def.range);
-        break;
-      default:  // 'E'
-        lb = ub = def.rhs;
-        if (def.has_range) {
-          if (def.range >= 0) {
-            ub = def.rhs + def.range;
-          } else {
-            lb = def.rhs + def.range;
-          }
-        }
-        break;
-    }
+    RowBounds(def, &lb, &ub);
     model.lp.AddRow(lb, ub, std::move(def.terms), def.name);
   }
   return model;

@@ -213,13 +213,12 @@ PresolveStats Presolver::Apply(const Model& model) {
   return stats;
 }
 
-std::vector<double> Presolver::Postsolve(
-    const std::vector<double>& reduced_x) const {
-  std::vector<double> full(col_map_.size(), 0.0);
+void Presolver::Postsolve(const std::vector<double>& reduced_x,
+                          std::vector<double>* full) const {
+  full->resize(col_map_.size());
   for (size_t v = 0; v < col_map_.size(); ++v) {
-    full[v] = col_map_[v] >= 0 ? reduced_x[col_map_[v]] : fixed_value_[v];
+    (*full)[v] = col_map_[v] >= 0 ? reduced_x[col_map_[v]] : fixed_value_[v];
   }
-  return full;
 }
 
 bool Presolver::ProjectToReduced(const std::vector<double>& full_x,
@@ -240,6 +239,7 @@ void Presolver::TranslateRow(
     std::vector<std::pair<int, double>>* reduced_terms, double* reduced_lb,
     double* reduced_ub) const {
   reduced_terms->clear();
+  reduced_terms->reserve(terms.size());
   double shift = 0.0;
   for (const auto& [v, a] : terms) {
     if (col_map_[v] >= 0) {

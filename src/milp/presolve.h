@@ -66,8 +66,10 @@ class Presolver {
   double objective_constant() const { return objective_constant_; }
 
   /// Maps a reduced-space assignment back to the original variable space
-  /// (fixed columns take their pinned values).
-  std::vector<double> Postsolve(const std::vector<double>& reduced_x) const;
+  /// (fixed columns take their pinned values) into *full, reusing its
+  /// storage. `full` must not alias `reduced_x`.
+  void Postsolve(const std::vector<double>& reduced_x,
+                 std::vector<double>* full) const;
 
   /// Projects a full-space assignment onto the reduced space. Returns
   /// false when the assignment disagrees with a pinned column by more
@@ -78,7 +80,8 @@ class Presolver {
   /// Translates an original-space row (terms over original column
   /// indices) into the reduced space: pinned columns fold into the
   /// bounds, surviving columns are re-indexed. Used to forward lazy cuts
-  /// generated in full space into the reduced relaxation.
+  /// generated in full space into the reduced relaxation. *reduced_terms
+  /// is overwritten and keeps its storage.
   void TranslateRow(const std::vector<std::pair<int, double>>& terms,
                     double lb, double ub,
                     std::vector<std::pair<int, double>>* reduced_terms,

@@ -590,19 +590,18 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
  private:
   int Forward(const std::vector<double>& reduced_point, lp::Model* relaxation,
               bool fractional) {
-    const std::vector<double> full = pre_->Postsolve(reduced_point);
+    pre_->Postsolve(reduced_point, &full_);
     const int before = full_space_->num_rows();
     const int reported =
-        fractional ? inner_->AddFractionalCuts(full, full_space_)
-                   : inner_->AddViolatedCuts(full, full_space_);
+        fractional ? inner_->AddFractionalCuts(full_, full_space_)
+                   : inner_->AddViolatedCuts(full_, full_space_);
     int appended = 0;
     for (int r = before; r < full_space_->num_rows(); ++r) {
-      std::vector<std::pair<int, double>> terms;
       double lb, ub;
       pre_->TranslateRow(full_space_->row_terms(r), full_space_->row_lb(r),
-                         full_space_->row_ub(r), &terms, &lb, &ub);
-      if (terms.empty()) continue;  // cut only involves pinned columns
-      relaxation->AddRow(lb, ub, std::move(terms), full_space_->row_name(r));
+                         full_space_->row_ub(r), &terms_, &lb, &ub);
+      if (terms_.empty()) continue;  // cut only involves pinned columns
+      relaxation->AddRow(lb, ub, terms_, full_space_->row_name(r));
       ++appended;
     }
     // Report the handler's own count when it appended nothing that
@@ -615,6 +614,9 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
   LazyConstraintHandler* inner_;
   const Presolver* pre_;
   lp::Model* full_space_;
+  // Scratch reused across calls: the postsolved point, a translated row.
+  std::vector<double> full_;
+  std::vector<std::pair<int, double>> terms_;
 };
 
 }  // namespace
@@ -655,7 +657,7 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
   if (pre.reduced().lp.num_variables() == 0) {
     // Everything is pinned: the unique candidate is the pinned point.
     MipResult result;
-    result.x = pre.Postsolve({});
+    pre.Postsolve({}, &result.x);
     lp::Model scratch = model.lp;
     if (options.lazy != nullptr &&
         options.lazy->AddViolatedCuts(result.x, &scratch) > 0) {
@@ -683,7 +685,9 @@ MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options)
 
   MipResult result = BranchAndBound(pre.reduced(), inner).Run();
   if (result.has_solution()) {
-    result.x = pre.Postsolve(result.x);
+    std::vector<double> full;
+    pre.Postsolve(result.x, &full);
+    result.x = std::move(full);
     result.objective += pre.objective_constant();
   }
   if (std::isfinite(result.best_bound)) {

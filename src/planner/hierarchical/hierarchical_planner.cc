@@ -159,6 +159,10 @@ Result<PlanningStats> HierarchicalPlanner::SubmitQuery(StreamId query) {
   stats.wall_ms = watch.ElapsedMillis();
   stats.solver_nodes = result.nodes;
   stats.lp_iterations = result.lp_counters.iterations;
+  stats.lp_factorizations = result.lp_counters.factorizations;
+  stats.lp_dual_solves = result.lp_counters.dual_solves;
+  stats.lp_slack_start_iterations = result.lp_counters.slack_start_iterations;
+  stats.rejected_candidates = result.rejected_candidates;
   stats.objective = result.has_solution() ? result.objective : 0.0;
   stats.proved_optimal = result.status == milp::MipStatus::kOptimal;
   return stats;

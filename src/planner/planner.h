@@ -25,6 +25,14 @@ struct PlanningStats {
   /// Branch-and-bound nodes explored (0 for non-MILP planners).
   int64_t solver_nodes = 0;
   int64_t lp_iterations = 0;
+  /// The rest of the MILP's deterministic effort (lp::SimplexCounters
+  /// and MipResult): basis factorizations, LP calls that ran the dual
+  /// simplex, pivots of LP calls that started from the slack basis, and
+  /// integral candidates rejected after rounding.
+  int64_t lp_factorizations = 0;
+  int64_t lp_dual_solves = 0;
+  int64_t lp_slack_start_iterations = 0;
+  int64_t rejected_candidates = 0;
   /// Objective value of the committed plan (planner-specific scale).
   double objective = 0.0;
   /// True when the solver proved optimality of the reduced problem

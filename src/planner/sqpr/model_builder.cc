@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <set>
 
 #include "common/logging.h"
@@ -58,12 +59,6 @@ SqprMip::SqprMip(const Deployment& base, std::vector<StreamId> streams,
                  streams_.end());
   std::sort(ops_.begin(), ops_.end());
   ops_.erase(std::unique(ops_.begin(), ops_.end()), ops_.end());
-  for (size_t i = 0; i < streams_.size(); ++i) {
-    stream_index_[streams_[i]] = static_cast<int>(i);
-  }
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    op_index_[ops_[i]] = static_cast<int>(i);
-  }
   BuildSkeleton();
   ApplyBaseState();
 }
@@ -76,20 +71,29 @@ void SqprMip::Rebind(const Deployment& base) {
   ApplyBaseState();
 }
 
-int SqprMip::StreamIndex(StreamId s) const {
-  auto it = stream_index_.find(s);
-  return it == stream_index_.end() ? -1 : it->second;
+namespace {
+
+/// Position of `id` in the sorted, deduplicated `ids`, or -1.
+template <typename Id>
+int SortedIndex(const std::vector<Id>& ids, Id id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  return it != ids.end() && *it == id ? static_cast<int>(it - ids.begin())
+                                      : -1;
 }
 
-int SqprMip::OpIndex(OperatorId o) const {
-  auto it = op_index_.find(o);
-  return it == op_index_.end() ? -1 : it->second;
-}
+}  // namespace
+
+int SqprMip::StreamIndex(StreamId s) const { return SortedIndex(streams_, s); }
+
+int SqprMip::OpIndex(OperatorId o) const { return SortedIndex(ops_, o); }
 
 int SqprMip::VarD(HostId h, StreamId s) const {
-  auto it = var_d_.find({h, s});
-  return it == var_d_.end() ? -1 : it->second;
+  const int si = StreamIndex(s);
+  if (si < 0) return -1;
+  return var_d_[static_cast<size_t>(h) * streams_.size() + si];
 }
+
+int SqprMip::MemRow(HostId h) const { return mem_rows_[h]; }
 
 int SqprMip::VarX(HostId from, HostId to, StreamId s) const {
   const int si = StreamIndex(s);
@@ -116,7 +120,6 @@ SqprMip::BaseState SqprMip::ComputeBaseState() const {
   const Catalog& catalog = base_->catalog();
   const int H = num_hosts_;
   const int S = static_cast<int>(streams_.size());
-  const std::set<OperatorId> rel_ops(ops_.begin(), ops_.end());
   BaseState st;
 
   // ---- Residual capacities: subtract the *irrelevant* committed load
@@ -131,18 +134,19 @@ SqprMip::BaseState SqprMip::ComputeBaseState() const {
     st.nic_out_resid[h] = cluster.host(h).nic_out_mbps - base_->NicOutUsed(h);
     st.nic_in_resid[h] = cluster.host(h).nic_in_mbps - base_->NicInUsed(h);
     for (OperatorId o : base_->OperatorsOn(h)) {
-      if (rel_ops.count(o)) {
+      if (OpIndex(o) >= 0) {
         st.cpu_resid[h] += catalog.op(o).cpu_cost;
         st.mem_resid[h] += catalog.op(o).mem_mb;
       }
     }
   }
+  st.link_extra.assign(static_cast<size_t>(H) * H, 0.0);
   for (StreamId s : streams_) {
     const double rate = catalog.stream(s).rate_mbps;
     for (const auto& [from, to] : base_->FlowsOf(s)) {
       st.nic_out_resid[from] += rate;
       st.nic_in_resid[to] += rate;
-      st.link_extra[{from, to}] += rate;
+      st.link_extra[static_cast<size_t>(from) * H + to] += rate;
     }
     const HostId server = base_->ServingHost(s);
     if (server != kInvalidHost) st.nic_out_resid[server] += rate;
@@ -154,7 +158,7 @@ SqprMip::BaseState SqprMip::ComputeBaseState() const {
   st.pin_y.assign(static_cast<size_t>(H) * S, false);
   for (HostId h = 0; h < H; ++h) {
     for (OperatorId o : base_->OperatorsOn(h)) {
-      if (rel_ops.count(o)) continue;
+      if (OpIndex(o) >= 0) continue;
       const OperatorInfo& op = catalog.op(o);
       const int out_si = StreamIndex(op.output);
       if (out_si >= 0) {
@@ -201,6 +205,7 @@ void SqprMip::BuildSkeleton() {
   var_x_.assign(static_cast<size_t>(H) * H * S, -1);
   var_y_.assign(static_cast<size_t>(H) * S, -1);
   var_z_.assign(static_cast<size_t>(H) * O, -1);
+  var_d_.assign(static_cast<size_t>(H) * S, -1);
 
   // Row tables patched by ApplyBaseState.
   avail_rows_.assign(static_cast<size_t>(H) * S, -1);
@@ -221,13 +226,11 @@ void SqprMip::BuildSkeleton() {
 
   for (HostId h = 0; h < H; ++h) {
     for (int si = 0; si < S; ++si) {
-      const StreamId s = streams_[si];
       const size_t hs = static_cast<size_t>(h) * S + si;
       // Bounds are provisional: ApplyBaseState() pins availability from
       // the committed deployment (and the §VII subset restriction).
       var_y_[hs] = mip_.AddVariable(
-          0.0, 1.0, -kEps, /*is_integer=*/true,
-          "y_h" + std::to_string(h) + "_s" + std::to_string(s),
+          0.0, 1.0, -kEps, /*is_integer=*/true, /*name=*/{},
           /*priority=*/1);
     }
   }
@@ -242,10 +245,7 @@ void SqprMip::BuildSkeleton() {
         const size_t slot =
             (static_cast<size_t>(from) * H + to) * S + si;
         var_x_[slot] = mip_.AddVariable(
-            0.0, 1.0, -w.lambda2 * rate - kEps, /*is_integer=*/true,
-            "x_h" + std::to_string(from) + "_h" + std::to_string(to) + "_s" +
-                std::to_string(s),
-            /*priority=*/0);
+            0.0, 1.0, -w.lambda2 * rate - kEps, /*is_integer=*/true);
       }
     }
   }
@@ -254,31 +254,28 @@ void SqprMip::BuildSkeleton() {
       const OperatorInfo& op = catalog.op(ops_[oi]);
       var_z_[static_cast<size_t>(h) * O + oi] = mip_.AddVariable(
           0.0, 1.0, -w.lambda3 * op.cpu_cost - kEps, /*is_integer=*/true,
-          "z_h" + std::to_string(h) + "_o" + std::to_string(op.id),
-          /*priority=*/2);
+          /*name=*/{}, /*priority=*/2);
     }
   }
   for (const DemandSpec& demand : demands_) {
     SQPR_CHECK(StreamIndex(demand.stream) >= 0)
         << "demanded stream not in the relevant set";
     for (HostId h = 0; h < H; ++h) {
-      var_d_[{h, demand.stream}] = mip_.AddVariable(
-          0.0, 1.0, w.lambda1, /*is_integer=*/true,
-          "d_h" + std::to_string(h) + "_s" + std::to_string(demand.stream),
-          /*priority=*/3);
+      var_d_[static_cast<size_t>(h) * S + StreamIndex(demand.stream)] =
+          mip_.AddVariable(0.0, 1.0, w.lambda1, /*is_integer=*/true,
+                           /*name=*/{}, /*priority=*/3);
     }
   }
   // Load-balance auxiliary t >= per-host CPU (linearised O4).
   var_t_ = mip_.AddVariable(0.0, lp::kInf, -w.lambda4,
-                            /*is_integer=*/false, "t_loadbal");
+                            /*is_integer=*/false);
   // Potentials (III.7) when requested.
   if (options.acyclicity == AcyclicityMode::kPotentials) {
     var_p_.assign(static_cast<size_t>(H) * S, -1);
     for (HostId h = 0; h < H; ++h) {
       for (int si = 0; si < S; ++si) {
         var_p_[static_cast<size_t>(h) * S + si] = mip_.AddVariable(
-            0.0, H + 1.0, 0.0, /*is_integer=*/false,
-            "p_h" + std::to_string(h) + "_s" + std::to_string(streams_[si]));
+            0.0, H + 1.0, 0.0, /*is_integer=*/false);
       }
     }
   }
@@ -322,17 +319,14 @@ void SqprMip::BuildSkeleton() {
       const int d = VarD(h, demand.stream);
       const int y = VarY(h, demand.stream);
       // (III.4a): d_hs <= y_hs  (δ_s = 1 for every demanded stream).
-      mip_.lp.AddRow(-lp::kInf, 0.0, {{d, 1.0}, {y, -1.0}},
-                     "demand_avail_h" + std::to_string(h));
+      mip_.lp.AddRow(-lp::kInf, 0.0, {{d, 1.0}, {y, -1.0}});
       sum_terms.emplace_back(d, 1.0);
     }
     // (III.4b) or (IV.9).
     if (demand.must_serve) {
-      mip_.lp.AddRow(1.0, 1.0, sum_terms,
-                     "keep_s" + std::to_string(demand.stream));
+      mip_.lp.AddRow(1.0, 1.0, std::move(sum_terms));
     } else {
-      mip_.lp.AddRow(-lp::kInf, 1.0, sum_terms,
-                     "admit_s" + std::to_string(demand.stream));
+      mip_.lp.AddRow(-lp::kInf, 1.0, std::move(sum_terms));
     }
   }
 
@@ -354,9 +348,8 @@ void SqprMip::BuildSkeleton() {
         const int z = VarZ(m, o);
         if (z >= 0) terms.emplace_back(z, -1.0);
       }
-      avail_rows_[static_cast<size_t>(m) * S + si] = mip_.lp.AddRow(
-          -lp::kInf, 0.0, std::move(terms),
-          "avail_h" + std::to_string(m) + "_s" + std::to_string(s));
+      avail_rows_[static_cast<size_t>(m) * S + si] =
+          mip_.lp.AddRow(-lp::kInf, 0.0, std::move(terms));
     }
   }
   // (III.5b): z_ho <= y_hs for every input s of o, aggregated per
@@ -375,9 +368,7 @@ void SqprMip::BuildSkeleton() {
         SQPR_CHECK(y >= 0) << "operator input outside the relevant set";
         terms.emplace_back(y, -1.0);
       }
-      mip_.lp.AddRow(-lp::kInf, 0.0, std::move(terms),
-                     "opin_h" + std::to_string(h) + "_o" +
-                         std::to_string(op.id));
+      mip_.lp.AddRow(-lp::kInf, 0.0, std::move(terms));
     }
   }
   // (III.5c) aggregated per (h, s): Σ_m x_hms <= (H-1) · y_hs. With
@@ -414,9 +405,7 @@ void SqprMip::BuildSkeleton() {
       }
       const size_t hs = static_cast<size_t>(h) * S + si;
       send_fanout_[hs] = fanout;
-      send_rows_[hs] = mip_.lp.AddRow(
-          -lp::kInf, 0.0, std::move(terms),
-          "send_h" + std::to_string(h) + "_s" + std::to_string(s));
+      send_rows_[hs] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(terms));
     }
   }
 
@@ -433,9 +422,8 @@ void SqprMip::BuildSkeleton() {
       }
       if (terms.empty()) continue;
       // Residual link capacity comes from ApplyBaseState.
-      link_rows_[static_cast<size_t>(from) * H + to] = mip_.lp.AddRow(
-          -lp::kInf, 0.0, std::move(terms),
-          "link_" + std::to_string(from) + "_" + std::to_string(to));
+      link_rows_[static_cast<size_t>(from) * H + to] =
+          mip_.lp.AddRow(-lp::kInf, 0.0, std::move(terms));
     }
   }
   for (HostId m = 0; m < H; ++m) {
@@ -451,8 +439,7 @@ void SqprMip::BuildSkeleton() {
       }
     }
     if (!in_terms.empty()) {
-      nic_in_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(in_terms),
-                                       "nic_in_h" + std::to_string(m));
+      nic_in_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(in_terms));
     }
     // (III.6c) outgoing NIC including client delivery.
     std::vector<std::pair<int, double>> out_terms;
@@ -472,8 +459,7 @@ void SqprMip::BuildSkeleton() {
       }
     }
     if (!out_terms.empty()) {
-      nic_out_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(out_terms),
-                                        "nic_out_h" + std::to_string(m));
+      nic_out_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(out_terms));
     }
     // (III.6d) CPU plus the O4 linearisation row
     //   Σ γ_o z_mo <= t - fixed_cpu(m)  ⇔  Σ γ z - t <= -fixed_cpu(m).
@@ -483,8 +469,7 @@ void SqprMip::BuildSkeleton() {
       cpu_terms.emplace_back(z, catalog.op(ops_[oi]).cpu_cost);
     }
     if (!cpu_terms.empty()) {
-      cpu_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, cpu_terms,
-                                    "cpu_h" + std::to_string(m));
+      cpu_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, cpu_terms);
     }
     // Memory budget (the paper's §VII "more resources" extension): a row
     // per host with a finite budget, shaped exactly like (III.6d).
@@ -496,13 +481,11 @@ void SqprMip::BuildSkeleton() {
         mem_terms.emplace_back(var_z_[static_cast<size_t>(m) * O + oi], mem);
       }
       if (!mem_terms.empty()) {
-        mem_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(mem_terms),
-                                      "mem_h" + std::to_string(m));
+        mem_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(mem_terms));
       }
     }
     cpu_terms.emplace_back(var_t_, -1.0);
-    loadbal_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(cpu_terms),
-                                      "loadbal_h" + std::to_string(m));
+    loadbal_rows_[m] = mip_.lp.AddRow(-lp::kInf, 0.0, std::move(cpu_terms));
   }
 
   // ---- Acyclicity (III.7), potential formulation. ----
@@ -519,8 +502,7 @@ void SqprMip::BuildSkeleton() {
           // p_hs >= p_ms + 1 - M(1 - x_hms)
           //   ⇔  -p_hs + p_ms + M·x_hms <= M - 1.
           mip_.lp.AddRow(-lp::kInf, big_m - 1.0,
-                         {{ph, -1.0}, {pm, 1.0}, {x, big_m}},
-                         "acyc");
+                         {{ph, -1.0}, {pm, 1.0}, {x, big_m}});
         }
       }
     }
@@ -597,9 +579,9 @@ void SqprMip::ApplyBaseState() {
       const int row = link_rows_[static_cast<size_t>(from) * H + to];
       if (row < 0) continue;
       double cap = cluster.link_mbps(from, to);
-      auto it = st.link_extra.find({from, to});
-      const double used = base_->LinkUsed(from, to) -
-                          (it == st.link_extra.end() ? 0.0 : it->second);
+      const double used =
+          base_->LinkUsed(from, to) -
+          st.link_extra[static_cast<size_t>(from) * H + to];
       cap -= used;
       mip_.lp.SetRowBounds(row, -lp::kInf, cap);
     }
@@ -625,6 +607,22 @@ void SqprMip::ApplyBaseState() {
 }
 
 Status SqprMip::CheckModelEquals(const SqprMip& other) const {
+  // The layout tables say which (host, stream, operator) each variable
+  // and patched row stands for.
+  if (streams_ != other.streams_ || ops_ != other.ops_ ||
+      num_hosts_ != other.num_hosts_ || var_x_ != other.var_x_ ||
+      var_y_ != other.var_y_ || var_z_ != other.var_z_ ||
+      var_p_ != other.var_p_ || var_d_ != other.var_d_ ||
+      var_t_ != other.var_t_) {
+    return Status::Internal("variable layout differs");
+  }
+  if (avail_rows_ != other.avail_rows_ || send_rows_ != other.send_rows_ ||
+      send_fanout_ != other.send_fanout_ || link_rows_ != other.link_rows_ ||
+      nic_in_rows_ != other.nic_in_rows_ ||
+      nic_out_rows_ != other.nic_out_rows_ || cpu_rows_ != other.cpu_rows_ ||
+      mem_rows_ != other.mem_rows_ || loadbal_rows_ != other.loadbal_rows_) {
+    return Status::Internal("row layout differs");
+  }
   const lp::Model& a = mip_.lp;
   const lp::Model& b = other.mip_.lp;
   if (a.num_variables() != b.num_variables()) {
@@ -640,18 +638,15 @@ Status SqprMip::CheckModelEquals(const SqprMip& other) const {
     if (a.variable_lb(v) != b.variable_lb(v) ||
         a.variable_ub(v) != b.variable_ub(v) ||
         a.objective(v) != b.objective(v) ||
-        a.variable_name(v) != b.variable_name(v) ||
         mip_.integer[v] != other.mip_.integer[v] ||
         mip_.branch_priority[v] != other.mip_.branch_priority[v]) {
-      return Status::Internal("variable " + std::to_string(v) + " (" +
-                              a.variable_name(v) + ") differs");
+      return Status::Internal("variable " + std::to_string(v) + " differs");
     }
   }
   for (int r = 0; r < a.num_rows(); ++r) {
     if (a.row_lb(r) != b.row_lb(r) || a.row_ub(r) != b.row_ub(r) ||
-        a.row_terms(r) != b.row_terms(r) || a.row_name(r) != b.row_name(r)) {
-      return Status::Internal("row " + std::to_string(r) + " (" +
-                              a.row_name(r) + ") differs: ub " +
+        a.row_terms(r) != b.row_terms(r)) {
+      return Status::Internal("row " + std::to_string(r) + " differs: ub " +
                               std::to_string(a.row_ub(r)) + " vs " +
                               std::to_string(b.row_ub(r)));
     }
@@ -874,8 +869,7 @@ int SqprMip::CycleCutHandler::Separate(const std::vector<double>& point,
     }
     const double rhs = static_cast<double>(cycle.size()) - 1.0;
     if (activity <= rhs + 1e-7) continue;  // heuristic cycle not violated
-    relaxation->AddRow(-lp::kInf, rhs, std::move(terms),
-                       "cycle_cut_s" + std::to_string(s));
+    relaxation->AddRow(-lp::kInf, rhs, std::move(terms));
     ++cuts;
   }
   span.set_args(static_cast<uint64_t>(cuts));

@@ -1,7 +1,6 @@
 #ifndef SQPR_PLANNER_SQPR_MODEL_BUILDER_H_
 #define SQPR_PLANNER_SQPR_MODEL_BUILDER_H_
 
-#include <map>
 #include <vector>
 
 #include "milp/solver.h"
@@ -67,8 +66,8 @@ struct SqprModelOptions {
 /// as variables.
 ///
 /// Construction is split into a *skeleton* and a *base-state* pass. The
-/// skeleton — which variables and rows exist, their terms, objective
-/// coefficients and names — depends only on the relevant sets, the
+/// skeleton — which variables and rows exist, their terms and objective
+/// coefficients — depends only on the relevant sets, the
 /// catalog's stream rates/operator costs and the cluster specs, never on
 /// the committed deployment. The committed deployment only moves row
 /// right-hand sides (residual capacities), availability pins (y bounds)
@@ -76,6 +75,10 @@ struct SqprModelOptions {
 /// is how a model cached for a grounded structure is patched between
 /// rounds instead of rebuilt; both paths execute the same code, so a
 /// rebound model is bit-identical to a fresh build by construction.
+///
+/// Variables and rows are unnamed; the index tables below say what each
+/// one stands for. Lookups are flat: stream and operator positions by
+/// binary search in the sorted relevant sets, variables by dense tables.
 class SqprMip {
  public:
   /// Builds the reduced model.
@@ -96,6 +99,9 @@ class SqprMip {
   int VarX(HostId from, HostId to, StreamId s) const;
   int VarY(HostId h, StreamId s) const;
   int VarZ(HostId h, OperatorId o) const;
+  /// Row of host h's memory budget (III.6d-shaped); -1 when the host's
+  /// budget is unlimited or no relevant operator uses memory.
+  int MemRow(HostId h) const;
 
   const std::vector<StreamId>& relevant_streams() const { return streams_; }
   const std::vector<OperatorId>& relevant_operators() const { return ops_; }
@@ -113,16 +119,16 @@ class SqprMip {
   /// cluster specs — callers key their cache on exactly that) by
   /// re-running the base-state pass: row right-hand sides, availability
   /// pins and nothing else. O(rows) instead of O(rows · terms) — no
-  /// allocation, no term rebuilding, no name formatting. After Rebind,
-  /// WarmStart()/Commit() operate against the new deployment, which must
-  /// outlive the model.
+  /// term rebuilding. After Rebind, WarmStart()/Commit() operate against
+  /// the new deployment, which must outlive the model.
   void Rebind(const Deployment& base);
 
   /// Deep structural + numeric equality against another built model:
-  /// variable count/bounds/objective/integrality/priority/names and row
-  /// count/bounds/terms/names. Used by the differential solver-equivalence
-  /// harness to pin "incrementally patched == freshly built"; returns a
-  /// description of the first mismatch.
+  /// the variable and row layout tables (which host/stream/operator each
+  /// index stands for), variable count/bounds/objective/integrality/
+  /// priority and row count/bounds/terms. Used by the differential
+  /// solver-equivalence harness to pin "incrementally patched == freshly
+  /// built"; returns a description of the first mismatch.
   Status CheckModelEquals(const SqprMip& other) const;
 
   /// True when the candidate admits the demanded stream (Σ_h d_hs ≥ 1).
@@ -173,7 +179,7 @@ class SqprMip {
   /// *base_ each time the model is (re)bound.
   struct BaseState {
     std::vector<double> cpu_resid, mem_resid, nic_out_resid, nic_in_resid;
-    std::map<std::pair<HostId, HostId>, double> link_extra;
+    std::vector<double> link_extra;  // [from * H + to]
     std::vector<int> fixed_producer;  // [h * S' + si]
     std::vector<bool> pin_y;          // [h * S' + si]
   };
@@ -211,7 +217,7 @@ class SqprMip {
   std::vector<int> var_y_;  // h * S' + si
   std::vector<int> var_z_;  // h * O' + oi
   std::vector<int> var_p_;  // h * S' + si (potentials mode only)
-  std::map<std::pair<HostId, StreamId>, int> var_d_;
+  std::vector<int> var_d_;  // h * S' + si (demanded streams only)
   int var_t_ = -1;
 
   // Row indices patched by ApplyBaseState (-1 = row absent).
@@ -224,9 +230,6 @@ class SqprMip {
   std::vector<int> cpu_rows_;      // per host
   std::vector<int> mem_rows_;      // per host
   std::vector<int> loadbal_rows_;  // per host
-
-  std::map<StreamId, int> stream_index_;
-  std::map<OperatorId, int> op_index_;
 };
 
 }  // namespace sqpr

@@ -222,6 +222,10 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     s.wall_ms = elapsed;
     s.solver_nodes = result.nodes;
     s.lp_iterations = result.lp_counters.iterations;
+    s.lp_factorizations = result.lp_counters.factorizations;
+    s.lp_dual_solves = result.lp_counters.dual_solves;
+    s.lp_slack_start_iterations = result.lp_counters.slack_start_iterations;
+    s.rejected_candidates = result.rejected_candidates;
     s.objective = result.has_solution() ? result.objective : 0.0;
     s.proved_optimal = result.status == milp::MipStatus::kOptimal;
     s.deadline_hit = result.deadline_hit;

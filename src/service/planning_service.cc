@@ -95,6 +95,13 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.commit_conflicts);
   Bump("service.solver_nodes", stats.solver_nodes, &last_.solver_nodes);
   Bump("service.lp_iterations", stats.lp_iterations, &last_.lp_iterations);
+  Bump("service.lp_factorizations", stats.lp_factorizations,
+       &last_.lp_factorizations);
+  Bump("service.lp_dual_solves", stats.lp_dual_solves, &last_.lp_dual_solves);
+  Bump("service.lp_slack_start_iterations", stats.lp_slack_start_iterations,
+       &last_.lp_slack_start_iterations);
+  Bump("service.rejected_candidates", stats.rejected_candidates,
+       &last_.rejected_candidates);
   Bump("service.model_patches", stats.model_patches, &last_.model_patches);
   Bump("service.model_rebuilds", stats.model_rebuilds,
        &last_.model_rebuilds);
@@ -437,6 +444,10 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
 void PlanningService::CountSolveStats(const PlanningStats& stats) {
   stats_.solver_nodes += stats.solver_nodes;
   stats_.lp_iterations += stats.lp_iterations;
+  stats_.lp_factorizations += stats.lp_factorizations;
+  stats_.lp_dual_solves += stats.lp_dual_solves;
+  stats_.lp_slack_start_iterations += stats.lp_slack_start_iterations;
+  stats_.rejected_candidates += stats.rejected_candidates;
   if (stats.model_patched) ++stats_.model_patches;
   if (stats.model_rebuilt) ++stats_.model_rebuilds;
   if (stats.deadline_hit) ++stats_.solver_deadline_breaches;

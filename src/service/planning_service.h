@@ -143,11 +143,18 @@ struct ServiceStats {
   int64_t round_unwinds = 0;
   int64_t snapshot_bytes_copied = 0;
   /// Solver effort summed over every committed solve (arrivals and
-  /// round queries): branch-and-bound nodes and simplex pivots. Under
-  /// node-bounded solves both are deterministic, so they measure work
-  /// without wall-clock noise.
+  /// round queries): branch-and-bound nodes, simplex pivots, basis
+  /// factorizations, dual-simplex LP calls, pivots from slack-basis
+  /// starts and rejected integral candidates (see PlanningStats). Under
+  /// node-bounded solves all are deterministic, so they measure work
+  /// without wall-clock noise, and a solver change that keeps every
+  /// pivot leaves all of them equal.
   int64_t solver_nodes = 0;
   int64_t lp_iterations = 0;
+  int64_t lp_factorizations = 0;
+  int64_t lp_dual_solves = 0;
+  int64_t lp_slack_start_iterations = 0;
+  int64_t rejected_candidates = 0;
   /// Incremental-solve counters (the planner's model cache). MILP
   /// solves either patch a cached model skeleton in O(bounds) —
   /// model_patches — or build one from scratch — model_rebuilds (always

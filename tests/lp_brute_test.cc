@@ -292,6 +292,197 @@ TEST_P(EngineResolveVsCold, EveryResolveMatchesColdSolve) {
 INSTANTIATE_TEST_SUITE_P(RandomSequences, EngineResolveVsCold,
                          ::testing::Range(0, 40));
 
+// The state an engine keeps across solves — its pivoted inverse, the
+// list of priceable columns, the cached duals y = c_B B^-1 — under the
+// moves that stress it: refactorization every 2-3 pivots, so product-
+// form updates, refactorizations and re-solves interleave; nonbasic
+// structural and slack columns fixed where they rest and unfixed again;
+// rows appended between solves, some through the current vertex or
+// duplicating an existing row (degenerate vertices); objective
+// coefficients tied to each other or changed with the basis kept.
+// Every re-solve must agree with a cold solve and with brute force.
+class EngineResolveVsColdLong : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineResolveVsColdLong, EveryResolveMatchesColdSolve) {
+  const uint64_t seed = 0x10e6 + static_cast<uint64_t>(GetParam());
+  Rng rng(seed);
+  // Four boxed columns and two rows to start: enough vertices that the
+  // moves below make the engine pivot, few enough for brute force.
+  Model m(Sense::kMaximize);
+  const int n = 4;
+  for (int v = 0; v < n; ++v) {
+    const double lo = rng.NextBool(0.3) ? -2.0 : 0.0;
+    m.AddVariable(lo, lo + 1.0 + std::round(4.0 * rng.NextDouble()),
+                  std::round(10.0 * (rng.NextDouble() - 0.3)) / 2.0);
+  }
+  for (int r = 0; r < 2; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int v = 0; v < n; ++v) {
+      terms.emplace_back(v, 1.0 + std::round(3.0 * rng.NextDouble()));
+    }
+    m.AddRow(-kInf, 2.0 + std::round(6.0 * rng.NextDouble()),
+             std::move(terms));
+  }
+  std::vector<std::pair<double, double>> original(n);
+  for (int v = 0; v < n; ++v) {
+    original[v] = {m.variable_lb(v), m.variable_ub(v)};
+  }
+  auto half = [](double v) { return std::round(2.0 * v) / 2.0; };
+
+  SimplexOptions options;
+  options.refactor_interval = 2 + GetParam() % 2;
+  SimplexEngine engine(options);
+  constexpr int kSteps = 48;
+  constexpr int kMaxRows = 5;
+  std::vector<double> last;
+  std::vector<BasisState> basis;
+  std::vector<int> fixed;  // structural columns fixed by this sequence
+  int optimal_steps = 0;
+  bool infeasible = false;
+  for (int step = 0; step < kSteps; ++step) {
+    // After an infeasible solve, mostly relax (op 9) to get back.
+    int op = step == 0 ? -1 : static_cast<int>(rng.NextBounded(9));
+    if (infeasible && rng.NextBool(0.7)) op = 9;
+    // A column that rested on a bound at the last optimum.
+    std::vector<int> nonbasic;
+    for (size_t c = 0; c < basis.size(); ++c) {
+      if (basis[c] != BasisState::kBasic) {
+        nonbasic.push_back(static_cast<int>(c));
+      }
+    }
+    switch (op) {
+      case 0: {  // fix a nonbasic column where it rests
+        if (nonbasic.empty() || last.empty()) break;
+        const int c = nonbasic[rng.NextBounded(nonbasic.size())];
+        if (c < n) {
+          m.SetVariableBounds(c, last[c], last[c]);
+          fixed.push_back(c);
+        } else {
+          const int r = c - n;
+          double activity = 0.0;
+          for (const auto& [u, coef] : m.row_terms(r)) {
+            activity += coef * last[u];
+          }
+          m.SetRowBounds(r, activity, activity);
+        }
+        break;
+      }
+      case 1: {  // unfix a fixed column back to its box
+        if (fixed.empty()) break;
+        const size_t i = rng.NextBounded(fixed.size());
+        const int v = fixed[i];
+        m.SetVariableBounds(v, original[v].first, original[v].second);
+        fixed.erase(fixed.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+      case 2: {  // append a row through the current vertex (degenerate)
+        if (m.num_rows() >= kMaxRows || last.empty()) break;
+        std::vector<std::pair<int, double>> terms;
+        double activity = 0.0;
+        for (int u = 0; u < n; ++u) {
+          if (!rng.NextBool(0.6)) continue;
+          const double coef = std::round(6.0 * (rng.NextDouble() - 0.4));
+          terms.emplace_back(u, coef);
+          activity += coef * last[u];
+        }
+        if (terms.empty()) break;
+        m.AddRow(-kInf, activity, std::move(terms));
+        break;
+      }
+      case 3: {  // append a copy of an existing row (a parallel face)
+        if (m.num_rows() >= kMaxRows) break;
+        const int r = static_cast<int>(rng.NextBounded(m.num_rows()));
+        m.AddRow(m.row_lb(r), m.row_ub(r), m.row_terms(r));
+        break;
+      }
+      case 4: {  // append a row cutting off the last optimum
+        if (m.num_rows() >= kMaxRows) break;
+        std::vector<std::pair<int, double>> terms;
+        double activity = 0.0;
+        for (int u = 0; u < n; ++u) {
+          if (!rng.NextBool(0.6)) continue;
+          const double coef = std::round(6.0 * (rng.NextDouble() - 0.4));
+          terms.emplace_back(u, coef);
+          if (!last.empty()) activity += coef * last[u];
+        }
+        if (terms.empty()) terms.emplace_back(0, 1.0);
+        m.AddRow(-kInf, half(activity - 2.0 * rng.NextDouble()),
+                 std::move(terms));
+        break;
+      }
+      case 5: {  // tie one objective coefficient to another
+        const int a = static_cast<int>(rng.NextBounded(n));
+        const int b = static_cast<int>(rng.NextBounded(n));
+        m.SetObjective(a, m.objective(b));
+        break;
+      }
+      case 6: {  // move an objective coefficient, keeping the basis
+        const int v = static_cast<int>(rng.NextBounded(n));
+        m.SetObjective(v, std::round(10.0 * (rng.NextDouble() - 0.4)) / 2.0);
+        break;
+      }
+      case 7: {  // move a row's bound through or past the last optimum
+        const int r = static_cast<int>(rng.NextBounded(m.num_rows()));
+        if (last.empty()) break;
+        double activity = 0.0;
+        for (const auto& [u, coef] : m.row_terms(r)) activity += coef * last[u];
+        // A zero step leaves the vertex on the moved face: a tie.
+        const double ub = activity - 0.5 * rng.NextBounded(4);
+        m.SetRowBounds(r, std::min(m.row_lb(r), ub), ub);
+        break;
+      }
+      case 8:  // flip the sense: every reduced cost changes sign
+        m.set_sense(m.sense() == Sense::kMaximize ? Sense::kMinimize
+                                                  : Sense::kMaximize);
+        break;
+      case 9: {  // relax: unfix every column and open one row
+        for (int v : fixed) {
+          m.SetVariableBounds(v, original[v].first, original[v].second);
+        }
+        fixed.clear();
+        const int r = static_cast<int>(rng.NextBounded(m.num_rows()));
+        m.SetRowBounds(r, -kInf, 10.0);
+        break;
+      }
+      default:
+        break;
+    }
+
+    const SimplexResult warm = engine.Solve(m);
+    const SimplexResult cold = SimplexSolver().Solve(m);
+    double brute = 0.0;
+    const bool feasible = BruteForceOptimum(m, &brute);
+    ASSERT_EQ(warm.status, cold.status) << "seed " << seed << " step " << step;
+    if (warm.status == SolveStatus::kOptimal) {
+      ASSERT_TRUE(feasible) << "seed " << seed << " step " << step;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-6)
+          << "seed " << seed << " step " << step;
+      EXPECT_NEAR(warm.objective, brute, 1e-5)
+          << "seed " << seed << " step " << step;
+      EXPECT_TRUE(m.CheckFeasible(warm.values, 1e-6).ok())
+          << "seed " << seed << " step " << step;
+      last = warm.values;
+      basis = warm.basis_state;
+      ++optimal_steps;
+      infeasible = false;
+    } else {
+      infeasible = true;
+      EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
+      EXPECT_FALSE(feasible) << "seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_EQ(engine.counters().solves, kSteps);
+  EXPECT_EQ(engine.counters().slack_starts, 1);
+  // The short interval refactorizes after the load as well.
+  EXPECT_GT(engine.counters().factorizations, 1);
+  // The recovery moves keep the sequence mostly feasible, so the
+  // comparisons above mostly compare optima.
+  EXPECT_GE(optimal_steps, kSteps / 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSequences, EngineResolveVsColdLong,
+                         ::testing::Range(0, 30));
+
 }  // namespace
 }  // namespace lp
 }  // namespace sqpr

@@ -100,10 +100,13 @@ TEST(MemoryModelTest, RowEmittedOnlyForFiniteBudgets) {
   SqprMip mip(dep, closure.streams, closure.operators, {{ab, false}},
               SqprModelOptions{});
   int mem_rows = 0;
-  for (int r = 0; r < mip.mip().lp.num_rows(); ++r) {
-    if (mip.mip().lp.row_name(r).rfind("mem_h", 0) == 0) ++mem_rows;
-  }
+  for (HostId h = 0; h < 2; ++h) mem_rows += mip.MemRow(h) >= 0;
   EXPECT_EQ(mem_rows, 1);
+  // The one budget row is host 0's, a <= row over its operators' state.
+  const int row = mip.MemRow(0);
+  ASSERT_GE(row, 0);
+  EXPECT_EQ(mip.mip().lp.row_ub(row), 4.0);
+  EXPECT_FALSE(mip.mip().lp.row_terms(row).empty());
 }
 
 TEST(MemoryPlannerTest, TightMemoryRejectsWhatCpuWouldAdmit) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,47 @@ TEST(MpsReadTest, ReportsErrorsWithLineNumbers) {
   EXPECT_NE(bad_num.message().find("bad number"), std::string::npos);
 }
 
+// Hostile bounds: a crossed or NaN bound must come back as an error
+// that names and quotes the MPS line, never reach lp::Model's checks.
+TEST(MpsReadTest, RejectsCrossedAndNanBounds) {
+  const std::string head =
+      "NAME t\nROWS\n N obj\n E c1\nCOLUMNS\n x obj 1 c1 1\n";
+  // Line 10: an upper bound below the default lower bound 0.
+  const Status crossed =
+      ReadMpsFromString(head + "RHS\n rhs c1 1\nBOUNDS\n UP bnd x -1\n" +
+                        "ENDATA\n")
+          .status();
+  EXPECT_TRUE(crossed.IsInvalidArgument()) << crossed.ToString();
+  EXPECT_NE(crossed.message().find("line 10"), std::string::npos)
+      << crossed.ToString();
+  EXPECT_NE(crossed.message().find("'UP bnd x -1'"), std::string::npos)
+      << crossed.ToString();
+
+  const Status nan_rhs =
+      ReadMpsFromString(head + "RHS\n rhs c1 nan\nENDATA\n").status();
+  EXPECT_TRUE(nan_rhs.IsInvalidArgument()) << nan_rhs.ToString();
+  EXPECT_NE(nan_rhs.message().find("line 8"), std::string::npos)
+      << nan_rhs.ToString();
+  EXPECT_NE(nan_rhs.message().find("'nan'"), std::string::npos)
+      << nan_rhs.ToString();
+
+  // Infinities that empty an interval are rejected the same way.
+  EXPECT_FALSE(
+      ReadMpsFromString(head + "RHS\n rhs c1 inf\nENDATA\n").ok());
+  EXPECT_FALSE(
+      ReadMpsFromString(head + "BOUNDS\n LO bnd x inf\nENDATA\n").ok());
+  EXPECT_FALSE(
+      ReadMpsFromString(head + "BOUNDS\n FX bnd x -inf\nENDATA\n").ok());
+  // An infinite coefficient is not a coefficient.
+  EXPECT_FALSE(ReadMpsFromString(
+                   "ROWS\n N obj\n L c\nCOLUMNS\n x c inf\nENDATA\n")
+                   .ok());
+  // A negative upper bound on a free column is fine.
+  EXPECT_TRUE(ReadMpsFromString(head +
+                                "BOUNDS\n MI bnd x\n UP bnd x -1\nENDATA\n")
+                  .ok());
+}
+
 TEST(MpsWriteTest, LpFormatContainsAllParts) {
   Model m;
   const int a = m.AddBinary(3.0, "a");
@@ -218,6 +260,87 @@ TEST_P(MpsRoundTrip, PreservesStructureAndOptimum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomModels, MpsRoundTrip, ::testing::Range(0, 30));
+
+// Hostile files: seeded token mutations of written models (dropped,
+// duplicated and swapped tokens; huge, negative, NaN, infinite and
+// non-numeric substitutes) must each read OK or fail with
+// InvalidArgument naming an MPS line — never abort. A mutated file that
+// reads OK must also solve without aborting.
+TEST(MpsReadTest, ReadSurvivesSeededTokenMutations) {
+  const std::vector<std::string> hostile = {
+      "-1", "nan", "NaN", "-nan", "inf", "-inf", "1e308", "-1e308",
+      "1e999", "abc", "0x10", "UP", "LO", "FX", "MI", "BV", "obj", "-0"};
+  Rng rng(20261018);
+  int failures = 0;
+  int solved = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    Model original = RandomModel(0x3b5 + iter % 40);
+    // Bounds lines of every type, so BOUNDS mutations have targets.
+    original.lp.SetVariableBounds(0, -2.0, 3.0);
+    original.lp.SetVariableBounds(1, -lp::kInf, 4.0);
+    std::vector<std::string> lines;
+    {
+      std::istringstream in(WriteMpsToString(original));
+      std::string line;
+      while (std::getline(in, line)) lines.push_back(line);
+    }
+    std::vector<size_t> data_lines;  // section bodies start with a space
+    for (size_t l = 0; l < lines.size(); ++l) {
+      if (!lines[l].empty() && lines[l][0] == ' ') data_lines.push_back(l);
+    }
+    ASSERT_FALSE(data_lines.empty());
+    const size_t target = data_lines[rng.NextBounded(data_lines.size())];
+    std::vector<std::string> tokens;
+    {
+      std::istringstream ss(lines[target]);
+      std::string token;
+      while (ss >> token) tokens.push_back(token);
+    }
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations && !tokens.empty(); ++m) {
+      const size_t i = rng.NextBounded(tokens.size());
+      switch (rng.NextBounded(4)) {
+        case 0:
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        case 1:
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(i),
+                        tokens[i]);
+          break;
+        case 2:
+          std::swap(tokens[i], tokens[rng.NextBounded(tokens.size())]);
+          break;
+        default:
+          tokens[i] = hostile[rng.NextBounded(hostile.size())];
+          break;
+      }
+    }
+    std::string mutated = " ";
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      mutated += (i ? " " : "") + tokens[i];
+    }
+    std::string text;
+    for (size_t l = 0; l < lines.size(); ++l) {
+      text += (l == target ? mutated : lines[l]) + "\n";
+    }
+    const Result<Model> r = ReadMpsFromString(text);
+    if (!r.ok()) {
+      ++failures;
+      EXPECT_TRUE(r.status().IsInvalidArgument())
+          << "'" << mutated << "': " << r.status().ToString();
+      EXPECT_EQ(r.status().message().rfind("MPS line ", 0), 0u)
+          << "'" << mutated << "': " << r.status().ToString();
+      continue;
+    }
+    SolverOptions opts;
+    opts.max_nodes = 50;
+    opts.deadline = Deadline::AfterMillis(500);
+    Solver().Solve(*r, opts);
+    ++solved;
+  }
+  EXPECT_GT(failures, 0) << "the mutations never produced a bad line";
+  EXPECT_GT(solved, 0) << "no mutated file was readable";
+}
 
 }  // namespace
 }  // namespace milp

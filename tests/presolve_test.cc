@@ -30,7 +30,8 @@ TEST(PresolveTest, FixedColumnsAreRemovedAndFolded) {
   EXPECT_EQ(pre.reduced().lp.num_rows(), 0);
   EXPECT_DOUBLE_EQ(pre.reduced().lp.variable_ub(0), 5.0);
 
-  const std::vector<double> full = pre.Postsolve({4.0});
+  std::vector<double> full;
+  pre.Postsolve({4.0}, &full);
   EXPECT_DOUBLE_EQ(full[x], 2.0);
   EXPECT_DOUBLE_EQ(full[y], 4.0);
 }
@@ -98,7 +99,8 @@ TEST(PresolveTest, ActivityPropagationTightensAndCascades) {
   EXPECT_EQ(stats.fixed_columns, 2);  // a (input) and b (propagated)
   ASSERT_EQ(pre.reduced().lp.num_variables(), 1);
   EXPECT_EQ(pre.reduced().lp.num_rows(), 0);
-  const std::vector<double> full = pre.Postsolve({1.0});
+  std::vector<double> full;
+  pre.Postsolve({1.0}, &full);
   EXPECT_DOUBLE_EQ(full[a], 1.0);
   EXPECT_DOUBLE_EQ(full[b], 0.0);
   EXPECT_DOUBLE_EQ(full[c], 1.0);

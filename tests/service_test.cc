@@ -733,6 +733,10 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
     std::vector<obs::AuditRecord> departure_step;
     int64_t published_nodes = 0;
     int64_t published_pivots = 0;
+    int64_t published_factorizations = 0;
+    int64_t published_dual_solves = 0;
+    int64_t published_slack_start_pivots = 0;
+    int64_t published_rejected = 0;
   };
   auto run = [](bool audit) {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
@@ -813,6 +817,14 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
     ServiceMetricsPublisher(&registry).Publish(r.stats);
     r.published_nodes = registry.counter("service.solver_nodes")->value();
     r.published_pivots = registry.counter("service.lp_iterations")->value();
+    r.published_factorizations =
+        registry.counter("service.lp_factorizations")->value();
+    r.published_dual_solves =
+        registry.counter("service.lp_dual_solves")->value();
+    r.published_slack_start_pivots =
+        registry.counter("service.lp_slack_start_iterations")->value();
+    r.published_rejected =
+        registry.counter("service.rejected_candidates")->value();
     return r;
   };
 
@@ -840,6 +852,15 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
   EXPECT_GT(st.lp_iterations, 0);
   EXPECT_EQ(a.published_nodes, st.solver_nodes);
   EXPECT_EQ(a.published_pivots, st.lp_iterations);
+  // Every MILP solve loads its LP engine with one factorization, and
+  // the slack-start pivots are a part of all pivots.
+  EXPECT_GE(st.lp_factorizations, arrival_solves + round_queries);
+  EXPECT_GT(st.lp_dual_solves, 0);
+  EXPECT_LE(st.lp_slack_start_iterations, st.lp_iterations);
+  EXPECT_EQ(a.published_factorizations, st.lp_factorizations);
+  EXPECT_EQ(a.published_dual_solves, st.lp_dual_solves);
+  EXPECT_EQ(a.published_slack_start_pivots, st.lp_slack_start_iterations);
+  EXPECT_EQ(a.published_rejected, st.rejected_candidates);
 
   // The departed query: discarded at the commit, never decided.
   int discards = 0;
@@ -862,6 +883,11 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
   EXPECT_EQ(a.departed, off.departed);
   EXPECT_EQ(a.stats.solver_nodes, off.stats.solver_nodes);
   EXPECT_EQ(a.stats.lp_iterations, off.stats.lp_iterations);
+  EXPECT_EQ(a.stats.lp_factorizations, off.stats.lp_factorizations);
+  EXPECT_EQ(a.stats.lp_dual_solves, off.stats.lp_dual_solves);
+  EXPECT_EQ(a.stats.lp_slack_start_iterations,
+            off.stats.lp_slack_start_iterations);
+  EXPECT_EQ(a.stats.rejected_candidates, off.stats.rejected_candidates);
 }
 
 // The stall/SLO watchdog (WatchdogOptions) observes wall clock, so its

@@ -5,9 +5,12 @@ Matches records across the two files by (scenario, labels), then
 reports per-metric deltas. Counter-like metrics that changed (admitted,
 evictions, solver_nodes, ...) come first: on a deterministic bench they
 never move between builds of the same behaviour, so a count delta
-flags a behaviour change, not noise. The wall-time metrics (wall_ms,
-*_p50_ms, *_p95_ms, *_p99_ms, max_event_ms, events_per_s) follow,
-absolute and relative; a relative delta inside the +-15% band that
+flags a behaviour change, not noise. The wall-time metrics follow,
+absolute and relative. A metric is wall time by its unit: a name with
+a time-unit word (ms, us, ns: wall_ms, solver_p50_ms, build_ms_avg,
+lp_us_per_pivot) or ending in _s is a latency, one ending in _per_s
+(events_per_s) a throughput, and every other name a counter. A
+relative delta inside the +-15% band that
 back-to-back runs of one build span on a shared host (ROADMAP.md) is
 labelled "within noise", and only a larger one "regressed" or
 "improved".
@@ -26,23 +29,21 @@ import argparse
 import json
 import sys
 
-# Metrics where smaller is better and run-to-run noise is expected.
-LATENCY_KEYS = (
-    "wall_ms",
-    "max_event_ms",
-    "solver_p50_ms",
-    "solver_p95_ms",
-    "solver_p99_ms",
-    "measure_ms_avg",
-    "measure_ms_max",
-    "measure_ms_p99",
-    "export_first_ms",
-    "export_ms_avg",
-    "write_ms_avg",
-    "restore_ms",
-)
-# Metrics where larger is better.
-THROUGHPUT_KEYS = ("events_per_s",)
+# Unit words that make a metric a wall time (smaller is better,
+# run-to-run noise expected).
+TIME_UNITS = ("ms", "us", "ns")
+
+
+def metric_kind(metric):
+    """'throughput' (larger is better), 'latency' or 'counter'."""
+    if metric.endswith("_per_s"):
+        return "throughput"
+    words = metric.split("_")
+    if any(w in TIME_UNITS for w in words[1:]) or words[-1] == "s":
+        return "latency"
+    return "counter"
+
+
 # Relative wall-time change (percent) that back-to-back runs of the same
 # binaries reach on a shared host; smaller deltas are labelled noise.
 NOISE_PCT = 15.0
@@ -143,9 +144,10 @@ def main():
     for key in sorted(set(base_by_key) & set(cand_by_key), key=key_str):
         b, c = base_by_key[key], cand_by_key[key]
         shared = sorted(set(b) & set(c))
+        timed = [m for m in shared if metric_kind(m) != "counter"]
         lines = []
         for metric in shared:
-            if metric in LATENCY_KEYS or metric in THROUGHPUT_KEYS:
+            if metric in timed:
                 continue
             vb, vc = b[metric], c[metric]
             if vb != vc:
@@ -154,14 +156,12 @@ def main():
                     f"    {metric:<22} {vb:>12g} -> {vc:>12g}  "
                     f"<-- count changed (deterministic metric)"
                 )
-        for metric in LATENCY_KEYS + THROUGHPUT_KEYS:
-            if metric not in b or metric not in c:
-                continue
+        for metric in timed:
             vb, vc = float(b[metric]), float(c[metric])
             delta = vc - vb
             pct = 100.0 * delta / vb if vb != 0 else 0.0
             # Regression = slower latency or lower throughput.
-            reg_pct = -pct if metric in THROUGHPUT_KEYS else pct
+            reg_pct = -pct if metric_kind(metric) == "throughput" else pct
             marker = f"  <-- {noise_label(reg_pct)}" if vb != 0 else ""
             lines.append(
                 f"    {metric:<22} {vb:>12.4g} -> {vc:>12.4g}  "

@@ -3,7 +3,10 @@
 deterministic counter deltas are listed before the wall-time deltas of
 their record, a wall-time delta inside the +-15% noise band is labelled
 "within noise", larger ones "regressed" or "improved", and --gate-pct
-still fails on any latency regression above it, noise or not.
+still fails on any latency regression above it, noise or not. Metrics
+are classed by unit: the solver micro-bench's timings (build_ms_avg,
+cached_wall_ms, lp_us_per_pivot, ...) are wall times, its per-solve
+work figures counters.
 
 Usage: tools/bench_diff_test.py   (exit 0 when every case holds)
 """
@@ -18,9 +21,9 @@ BENCH_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "bench_diff.py")
 
 
-def bench(metrics):
-    return {"bench": "service_churn", "seed": 11, "schema_version": 2,
-            "records": [{"scenario": "drift-heavy",
+def bench(metrics, name="service_churn", scenario="drift-heavy"):
+    return {"bench": name, "seed": 11, "schema_version": 2,
+            "records": [{"scenario": scenario,
                          "labels": {"measure_mode": "none"},
                          "metrics": metrics}]}
 
@@ -97,6 +100,48 @@ def main():
         code, out = run(base, quiet, tmpdir, "--gate-pct", "5")
         expect(code == 1, "gate 5% passed an 8% (noise-band) regression",
                out)
+
+        # A solver-micro-shaped file: timings by unit suffix are wall
+        # times (labelled, gated), the per-solve work figures counters.
+        micro_base = bench({"build_ms_avg": 0.10, "patch_ms_avg": 0.01,
+                            "cached_wall_ms": 400.0,
+                            "uncached_wall_ms": 500.0,
+                            "lp_us_per_pivot": 1.0,
+                            "lp_us_per_call": 4.0,
+                            "pivots_per_solve": 60.0,
+                            "model_vars": 34},
+                           name="solver_micro", scenario="node_resolve")
+        micro_cand = bench({"build_ms_avg": 0.11,      # +10%: noise
+                            "patch_ms_avg": 0.02,      # +100%: regressed
+                            "cached_wall_ms": 300.0,   # -25%: improved
+                            "uncached_wall_ms": 505.0,
+                            "lp_us_per_pivot": 0.8,    # -20%: improved
+                            "lp_us_per_call": 4.1,
+                            "pivots_per_solve": 60.0,
+                            "model_vars": 34},
+                           name="solver_micro", scenario="node_resolve")
+        code, out = run(micro_base, micro_cand, tmpdir)
+        expect(code == 0, f"solver-micro report exited {code}", out)
+        for metric in ("build_ms_avg", "uncached_wall_ms", "lp_us_per_call"):
+            expect("within noise" in line_of(out, metric),
+                   f"{metric} not labelled within noise", out)
+        expect("regressed" in line_of(out, "patch_ms_avg"),
+               "+100% patch_ms_avg not labelled regressed", out)
+        for metric in ("cached_wall_ms", "lp_us_per_pivot"):
+            expect("improved" in line_of(out, metric),
+                   f"{metric} not labelled improved", out)
+        expect("count changed" not in out,
+               "a solver-micro timing reported as a counter", out)
+        expect("deterministic counters changed" not in out,
+               "timings counted as deterministic counter changes", out)
+        code, out = run(micro_base, micro_cand, tmpdir, "--gate-pct", "50")
+        expect(code == 1, "gate 50% passed a +100% patch_ms_avg", out)
+        moved = dict(micro_base["records"][0]["metrics"],
+                     pivots_per_solve=61.0)
+        code, out = run(micro_base, bench(moved, name="solver_micro",
+                                          scenario="node_resolve"), tmpdir)
+        expect("count changed" in line_of(out, "pivots_per_solve"),
+               "pivots_per_solve change not reported as a counter", out)
 
     for p in problems:
         print("FAIL:", p)

@@ -3,13 +3,17 @@
 out-of-range flag values: each must exit 2 with the quoted
 "FLAG: VALUE" error before doing any work. Out-of-range counts are
 rejected while parsing, so no case allocates a large cluster or catalog.
-A well-formed run of each tool must still exit 0.
+A well-formed run of each tool must still exit 0. sqpr_solve must exit
+2 on a hostile MPS file (crossed or NaN bounds), with an error that
+names the MPS line and quotes it, and solve the well-formed file.
 
-Usage: tools/cli_flags_test.py SQPR_SERVICE SQPR_PLAN
+Usage: tools/cli_flags_test.py SQPR_SERVICE SQPR_PLAN SQPR_SOLVE
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 # Values either tool must reject, for a flag both accept.
 COMMON_BAD = [
@@ -46,6 +50,26 @@ PLAN_BAD = [
     ("--sites", "2x"),
 ]
 
+# A two-row MPS model, then (name, line to append to a section, the
+# quoted text the error must carry) for hostile variants of it.
+MPS_GOOD = """NAME good
+ROWS
+ N obj
+ L c0
+ E c1
+COLUMNS
+ x obj 1 c0 1
+ x c1 1
+RHS
+ rhs c0 4
+ rhs c1 2
+{bounds}ENDATA
+"""
+MPS_BAD = [
+    ("crossed_upper", "BOUNDS\n UP bnd x -1\n", "MPS line 13: 'UP bnd x -1'"),
+    ("nan_rhs", "", "MPS line 11: bad number 'nan'"),
+]
+
 
 def check(binary, flag, value, problems):
     # A rejected value exits while parsing; running the scenario instead
@@ -63,12 +87,36 @@ def check(binary, flag, value, problems):
                         f"stderr {proc.stderr.strip()[:200]!r}")
 
 
+def check_mps(solve, problems):
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = [("good", MPS_GOOD.format(bounds=""), None)]
+        for name, bounds, quoted in MPS_BAD:
+            text = MPS_GOOD.format(bounds=bounds)
+            if name == "nan_rhs":
+                text = text.replace("rhs c1 2", "rhs c1 nan")
+            cases.append((name, text, quoted))
+        for name, text, quoted in cases:
+            path = os.path.join(tmp, name + ".mps")
+            with open(path, "w") as f:
+                f.write(text)
+            proc = subprocess.run([solve, path], capture_output=True,
+                                  text=True, timeout=30)
+            want = 0 if quoted is None else 2
+            if proc.returncode != want or (quoted and
+                                           quoted not in proc.stderr):
+                problems.append(f"{solve} {name}.mps: exit "
+                                f"{proc.returncode}, stderr "
+                                f"{proc.stderr.strip()[:200]!r}")
+    return len(MPS_BAD)
+
+
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         print(__doc__)
         return 2
-    service, plan = sys.argv[1], sys.argv[2]
+    service, plan, solve = sys.argv[1], sys.argv[2], sys.argv[3]
     problems = []
+    mps_cases = check_mps(solve, problems)
     for flag, value in COMMON_BAD + SERVICE_BAD:
         check(service, flag, value, problems)
     for flag, value in COMMON_BAD + PLAN_BAD:
@@ -90,8 +138,8 @@ def main():
     for p in problems:
         print("FAIL:", p)
     cases = len(COMMON_BAD) * 2 + len(SERVICE_BAD) + len(PLAN_BAD)
-    print(f"{cases} bad values, {len(good)} good runs, "
-          f"{len(problems)} problems")
+    print(f"{cases} bad values, {mps_cases} bad MPS files, {len(good) + 1} "
+          f"good runs, {len(problems)} problems")
     return 1 if problems else 0
 
 

@@ -6,6 +6,10 @@
 // Usage:
 //   sqpr_solve model.mps [--time-limit-ms N] [--max-nodes N]
 //              [--no-presolve] [--no-cuts] [--write-lp out.lp]
+//
+// Exit codes: 0 solved (or proven infeasible), 1 unreadable file or
+// write failure, 2 bad usage or a malformed model file, 3 limit hit
+// without a solution.
 
 #include <cstdio>
 #include <cstdlib>
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
   sqpr::Result<sqpr::milp::Model> model = sqpr::milp::ReadMpsFile(path);
   if (!model.ok()) {
     std::fprintf(stderr, "error: %s\n", model.status().ToString().c_str());
-    return 1;
+    return model.status().IsInvalidArgument() ? 2 : 1;
   }
   std::printf("read %s: %d variables (%d integer), %d rows\n", path.c_str(),
               model->lp.num_variables(),
