@@ -1,6 +1,5 @@
 #include "common/fault.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,7 +47,7 @@ const FaultSpec& Spec() {
 
 // One counter per distinct armed point suffices: a process runs under a
 // single SQPR_FAULT spec, so hits of other points are never counted.
-std::atomic<long long> hits{0};
+long long hits = 0;
 
 }  // namespace
 
@@ -60,7 +59,7 @@ bool Armed(const char* point) {
 void MaybeCrash(const char* point) {
   const FaultSpec& spec = Spec();
   if (!spec.armed || spec.point != point) return;
-  const long long hit = hits.fetch_add(1, std::memory_order_relaxed) + 1;
+  const long long hit = ++hits;
   if (hit != spec.count) return;
   std::fprintf(stderr, "SQPR_FAULT: injected crash at %s hit %lld\n", point,
                hit);

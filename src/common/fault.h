@@ -23,9 +23,9 @@ namespace fault {
 /// Crash points wired in:
 ///   event            after each consumed service event
 ///                    (tools/sqpr_service.cc event loop)
-///   mid-round        after a re-planning round is dispatched into the
-///                    speculative pipeline, before its commit point
-///                    (PlanningService::DispatchReplanRound)
+///   mid-round        after a re-planning round is popped off the
+///                    scheduler, before its commit point at the next
+///                    event (PlanningService::DrainReplanRounds)
 ///   checkpoint-write mid-write of a checkpoint temp file, before the
 ///                    atomic rename (WriteFileAtomic) — the torn-write
 ///                    case the rename protocol must survive

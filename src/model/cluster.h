@@ -68,9 +68,9 @@ class Cluster {
   /// SetHostSpec, ScaleCpu, ScaleBandwidth). Host/link capacities shape
   /// the SQPR model's rows, bounds and default objective weights, so
   /// model caches key on this epoch; failure/rejoin (spec swaps) and
-  /// resource sweeps invalidate cached models automatically. Cluster
-  /// mutations happen only on quiesced barriers, so a plain counter
-  /// suffices.
+  /// resource sweeps invalidate cached models automatically. The
+  /// service mutates the cluster only on its own thread, between
+  /// solves, so a plain counter suffices.
   uint64_t spec_epoch() const { return spec_epoch_; }
 
  private:

@@ -3,53 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace sqpr {
 namespace obs {
-
-namespace {
-
-uint64_t Bits(double v) {
-  uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-double FromBits(uint64_t b) {
-  double v;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
-}
-
-}  // namespace
-
-double Histogram::LoadD(const std::atomic<uint64_t>& bits) {
-  return FromBits(bits.load(std::memory_order_relaxed));
-}
-
-void Histogram::StoreMin(std::atomic<uint64_t>* bits, double v) {
-  uint64_t cur = bits->load(std::memory_order_relaxed);
-  while (v < FromBits(cur) &&
-         !bits->compare_exchange_weak(cur, Bits(v),
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::StoreMax(std::atomic<uint64_t>* bits, double v) {
-  uint64_t cur = bits->load(std::memory_order_relaxed);
-  while (v > FromBits(cur) &&
-         !bits->compare_exchange_weak(cur, Bits(v),
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::AddD(std::atomic<uint64_t>* bits, double delta) {
-  uint64_t cur = bits->load(std::memory_order_relaxed);
-  while (!bits->compare_exchange_weak(cur, Bits(FromBits(cur) + delta),
-                                      std::memory_order_relaxed)) {
-  }
-}
 
 int Histogram::BucketIndex(double v) {
   if (!(v > 0.0)) return 0;  // <= 0 and NaN clamp to the lowest bucket
@@ -73,23 +29,22 @@ double Histogram::BucketLowerBound(int i) {
 
 void Histogram::Add(double v) {
   if (!(v >= 0.0)) v = 0.0;
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AddD(&sum_bits_, v);
-  StoreMin(&min_bits_, v);
-  StoreMax(&max_bits_, v);
+  ++buckets_[BucketIndex(v)];
+  if (count_ == 0 || v < min_) min_ = v;
+  if (count_ == 0 || v > max_) max_ = v;
+  ++count_;
+  sum_ += v;
 }
 
-double Histogram::QuantileFromBuckets(const uint64_t* buckets, uint64_t n,
-                                      double q, double min_v, double max_v) {
-  if (n == 0) return 0.0;
+double Histogram::Quantile(double q) const {
+  if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   // Nearest-rank (1-based), matching the exact Percentile() helper.
   const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(n))));
+      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_))));
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t c = buckets[i];
+    const uint64_t c = buckets_[i];
     if (c == 0) continue;
     if (seen + c >= rank) {
       // Interpolate the rank's position across the bucket's value
@@ -98,59 +53,24 @@ double Histogram::QuantileFromBuckets(const uint64_t* buckets, uint64_t n,
       const double lo = BucketLowerBound(i);
       const double hi = i + 1 < kNumBuckets ? BucketLowerBound(i + 1) : lo;
       const double within =
-          c == 0 ? 0.0
-                 : (static_cast<double>(rank - seen) - 0.5) /
-                       static_cast<double>(c);
-      double v = lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
-      v = std::clamp(v, min_v, max_v);
-      return v;
+          (static_cast<double>(rank - seen) - 0.5) / static_cast<double>(c);
+      const double v = lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
+      return std::clamp(v, min_, max_);
     }
     seen += c;
   }
-  return max_v;
+  return max_;
 }
 
-double Histogram::Quantile(double q) const {
-  const uint64_t n = count_.load(std::memory_order_relaxed);
-  if (n == 0) return 0.0;
-  uint64_t buckets[kNumBuckets];
+Histogram Histogram::DeltaSince(const Histogram& earlier) const {
+  Histogram delta;
+  delta.count_ = count_ >= earlier.count_ ? count_ - earlier.count_ : 0;
+  delta.sum_ = std::max(0.0, sum_ - earlier.sum_);
+  delta.min_ = min_;
+  delta.max_ = max_;
   for (int i = 0; i < kNumBuckets; ++i) {
-    buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return QuantileFromBuckets(buckets, n, q, min(), max());
-}
-
-void Histogram::CopyFrom(const Histogram& other) {
-  count_.store(other.count_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  sum_bits_.store(other.sum_bits_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  min_bits_.store(other.min_bits_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  max_bits_.store(other.max_bits_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[i].store(other.buckets_[i].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  }
-}
-
-double HistogramSnapshot::Quantile(double q) const {
-  if (count == 0 || buckets.empty()) return 0.0;
-  return Histogram::QuantileFromBuckets(buckets.data(), count, q, min, max);
-}
-
-HistogramSnapshot HistogramSnapshot::DeltaSince(
-    const HistogramSnapshot& earlier) const {
-  HistogramSnapshot delta;
-  delta.count = count >= earlier.count ? count - earlier.count : 0;
-  delta.sum = std::max(0.0, sum - earlier.sum);
-  delta.min = min;
-  delta.max = max;
-  delta.buckets.resize(buckets.size(), 0);
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const uint64_t before = i < earlier.buckets.size() ? earlier.buckets[i] : 0;
-    delta.buckets[i] = buckets[i] >= before ? buckets[i] - before : 0;
+    const uint64_t before = earlier.buckets_[i];
+    delta.buckets_[i] = buckets_[i] >= before ? buckets_[i] - before : 0;
   }
   return delta;
 }
@@ -163,7 +83,7 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
     const int64_t before = it == earlier.counters.end() ? 0 : it->second;
     delta.counters[name] = value >= before ? value - before : 0;
   }
-  static const HistogramSnapshot kEmpty;
+  static const Histogram kEmpty;
   for (const auto& [name, h] : histograms) {
     const auto it = earlier.histograms.find(name);
     delta.histograms[name] =
@@ -189,8 +109,8 @@ std::string MetricsSnapshot::ToJson() const {
                   "%s\"%s\":{\"count\":%llu,\"sum\":%.6g,\"mean\":%.6g,"
                   "\"min\":%.6g,\"max\":%.6g,",
                   first ? "" : ",", name.c_str(),
-                  static_cast<unsigned long long>(h.count), h.sum, h.mean(),
-                  h.min, h.max);
+                  static_cast<unsigned long long>(h.count()), h.sum(), h.mean(),
+                  h.min(), h.max());
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "\"p50\":%.6g,\"p90\":%.6g,\"p95\":%.6g,\"p99\":%.6g}",
@@ -284,8 +204,8 @@ std::string MetricsSnapshot::ToOpenMetrics(
       out += buf;
     }
     std::snprintf(buf, sizeof(buf), "%s_sum%s %.6g\n%s_count%s %llu\n",
-                  metric.c_str(), label_str.c_str(), h.sum, metric.c_str(),
-                  label_str.c_str(), static_cast<unsigned long long>(h.count));
+                  metric.c_str(), label_str.c_str(), h.sum(), metric.c_str(),
+                  label_str.c_str(), static_cast<unsigned long long>(h.count()));
     out += buf;
   }
   out += "# EOF\n";
@@ -293,28 +213,21 @@ std::string MetricsSnapshot::ToOpenMetrics(
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  return &counters_[name];
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
+  return &histograms_[name];
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n  \"schema\": \"sqpr-metrics-v1\",\n  \"counters\": {";
   char buf[192];
   bool first = true;
   for (const auto& [name, counter] : counters_) {
     std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %lld",
                   first ? "" : ",", name.c_str(),
-                  static_cast<long long>(counter->value()));
+                  static_cast<long long>(counter.value()));
     out += buf;
     first = false;
   }
@@ -326,14 +239,14 @@ std::string MetricsRegistry::ToJson() const {
         buf, sizeof(buf),
         "%s\n    \"%s\": {\"count\": %zu, \"sum\": %.6g, \"mean\": %.6g, "
         "\"min\": %.6g, \"max\": %.6g, ",
-        first ? "" : ",", name.c_str(), h->count(), h->sum(), h->mean(),
-        h->min(), h->max());
+        first ? "" : ",", name.c_str(), h.count(), h.sum(), h.mean(),
+        h.min(), h.max());
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "\"p50\": %.6g, \"p90\": %.6g, \"p95\": %.6g, "
                   "\"p99\": %.6g}",
-                  h->Quantile(0.50), h->Quantile(0.90), h->Quantile(0.95),
-                  h->Quantile(0.99));
+                  h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.95),
+                  h.Quantile(0.99));
     out += buf;
     first = false;
   }
@@ -342,23 +255,11 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 MetricsSnapshot MetricsRegistry::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {
-    snap.counters[name] = counter->value();
+    snap.counters[name] = counter.value();
   }
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.min = h->min();
-    hs.max = h->max();
-    hs.buckets.resize(Histogram::kNumBuckets);
-    for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-      hs.buckets[i] = h->bucket_count(i);
-    }
-    snap.histograms[name] = std::move(hs);
-  }
+  snap.histograms = histograms_;
   return snap;
 }
 

@@ -1,8 +1,8 @@
 #ifndef SQPR_OBS_METRICS_H_
 #define SQPR_OBS_METRICS_H_
 
-// Metrics registry: named counters and log-bucketed histograms with
-// lock-free updates, snapshot-able to JSON with a stable schema.
+// Metrics registry: named counters and log-bucketed histograms,
+// snapshot-able to JSON with a stable schema.
 //
 // The Histogram replaces the hand-rolled latency machinery the service
 // grew organically (RunningStats + a bounded sample window re-sorted
@@ -12,19 +12,12 @@
 // (~6% with the default 8 sub-buckets per octave; tests pin the bound
 // against the exact nearest-rank Percentile()).
 //
-// Thread safety: Add()/Increment() are lock-free atomics, safe from any
-// thread. Reads are racy-but-coherent snapshots — each field is
-// atomically read, the set may straddle concurrent updates; callers
-// wanting a consistent view quiesce writers first (every current caller
-// reads after the run).
+// Single-threaded, like the service that updates them: counters and
+// histograms are plain values, and a histogram copy is a snapshot.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace sqpr {
 namespace obs {
@@ -32,20 +25,21 @@ namespace obs {
 /// Monotonic named counter (the registry owns the name).
 class Counter {
  public:
-  void Increment(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(int64_t delta = 1) { value_ += delta; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
 /// Log-bucketed histogram of non-negative scalars (latencies in ms,
 /// sizes in bytes). Buckets are octaves (powers of two) split into
 /// kSubBuckets linear sub-buckets — HDR-histogram style — spanning
 /// [2^kMinExp, 2^kMaxExp); values outside clamp into the edge buckets.
-/// Copyable (snapshot semantics) so it can live in result structs.
+/// A copyable value: a copy is a point-in-time snapshot, and keeping
+/// the full bucket array makes window quantiles honest — a DeltaSince's
+/// p95 is resolved from the *window's* samples, not approximated from
+/// two cumulative quantiles.
 class Histogram {
  public:
   static constexpr int kSubBuckets = 8;   // <= 12.5% bucket width
@@ -53,28 +47,20 @@ class Histogram {
   static constexpr int kMaxExp = 40;      // ~1e12
   static constexpr int kNumBuckets = (kMaxExp - kMinExp) * kSubBuckets;
 
-  Histogram() = default;
-  Histogram(const Histogram& other) { CopyFrom(other); }
-  Histogram& operator=(const Histogram& other) {
-    if (this != &other) CopyFrom(other);
-    return *this;
-  }
-
   /// Records one sample. Negative and NaN samples clamp to 0 (counted,
   /// lowest bucket) — latency sources never legitimately produce them.
   void Add(double v);
 
-  size_t count() const {
-    return static_cast<size_t>(count_.load(std::memory_order_relaxed));
-  }
-  double sum() const { return LoadD(sum_bits_); }
+  size_t count() const { return static_cast<size_t>(count_); }
+  double sum() const { return sum_; }
   double mean() const {
-    const size_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  /// Exact observed extrema (not bucket bounds); 0 when empty.
-  double min() const { return count() == 0 ? 0.0 : LoadD(min_bits_); }
-  double max() const { return count() == 0 ? 0.0 : LoadD(max_bits_); }
+  /// Exact observed extrema (not bucket bounds); 0 when nothing was
+  /// ever recorded. A DeltaSince inherits the later histogram's
+  /// cumulative extrema, so they stay set on an empty window.
+  double min() const { return min_; }
+  double max() const { return max_; }
 
   /// Quantile q in [0, 1] resolved from the buckets: the nearest-rank
   /// sample's bucket, linearly interpolated across the bucket's value
@@ -82,64 +68,34 @@ class Histogram {
   /// the observed min/max). 0 when empty.
   double Quantile(double q) const;
 
+  /// Window between `earlier` and this state of the SAME histogram:
+  /// bucket-wise subtraction of the monotone counters. Every delta
+  /// bucket (and the count and sum) is clamped at 0 rather than
+  /// wrapping when `earlier` is in fact the later state. The delta
+  /// keeps this histogram's extrema (per-window extrema are not
+  /// recoverable from monotone state) — quantiles stay clamped
+  /// correctly, since the window's samples lie within the cumulative
+  /// range.
+  Histogram DeltaSince(const Histogram& earlier) const;
+
   /// Lower value bound of bucket index i (test access).
   static double BucketLowerBound(int i);
   /// Bucket index a value lands in (test access).
   static int BucketIndex(double v);
-  uint64_t bucket_count(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
-  /// Shared quantile resolution over a bucket array (the Histogram and
-  /// its snapshots use the same math): nearest-rank bucket, linearly
-  /// interpolated, clamped to the observed [min, max].
-  static double QuantileFromBuckets(const uint64_t* buckets, uint64_t n,
-                                    double q, double min_v, double max_v);
+  uint64_t bucket_count(int i) const { return buckets_[i]; }
 
  private:
-  static double LoadD(const std::atomic<uint64_t>& bits);
-  static void StoreMin(std::atomic<uint64_t>* bits, double v);
-  static void StoreMax(std::atomic<uint64_t>* bits, double v);
-  static void AddD(std::atomic<uint64_t>* bits, double delta);
-  void CopyFrom(const Histogram& other);
-
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_bits_{0};       // double bits, CAS-accumulated
-  std::atomic<uint64_t> min_bits_{0x7FF0000000000000ull};   // +inf
-  std::atomic<uint64_t> max_bits_{0xFFF0000000000000ull};   // -inf
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-};
-
-/// Point-in-time copy of one histogram's state, delta-capable: keeping
-/// the full bucket array makes window quantiles honest — a delta's
-/// p95 is resolved from the *window's* samples, not approximated from
-/// two cumulative quantiles.
-struct HistogramSnapshot {
-  uint64_t count = 0;
-  double sum = 0.0;
-  /// Cumulative observed extrema at snapshot time. A delta inherits the
-  /// later snapshot's extrema (per-window extrema are not recoverable
-  /// from monotone state) — quantiles stay clamped correctly, since the
-  /// window's samples lie within the cumulative range.
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<uint64_t> buckets;  ///< Histogram::kNumBuckets entries
-
-  double mean() const {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-  double Quantile(double q) const;
-  /// Window between `earlier` and this snapshot of the SAME histogram:
-  /// bucket-wise subtraction of the monotone counters. Every delta
-  /// bucket (and the count and sum) is >= 0 by monotonicity; a racing
-  /// reader that observed torn state clamps at 0 instead of wrapping.
-  HistogramSnapshot DeltaSince(const HistogramSnapshot& earlier) const;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+  uint64_t buckets_[kNumBuckets] = {};
 };
 
 /// Point-in-time copy of a whole registry.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
-  std::map<std::string, HistogramSnapshot> histograms;
+  std::map<std::string, Histogram> histograms;
 
   /// Counter/histogram deltas vs an earlier snapshot (metrics absent
   /// from `earlier` delta against zero).
@@ -160,9 +116,9 @@ struct MetricsSnapshot {
       const std::map<std::string, std::string>& labels) const;
 };
 
-/// Named metric registry. Registration (name lookup) takes a mutex and
-/// returns a stable pointer; updates through the pointer are lock-free.
-/// Use one registry per subsystem or the process-wide Global().
+/// Named metric registry. Registration (name lookup) returns a stable
+/// pointer; updates go through it. Use one registry per subsystem or the
+/// process-wide Global().
 class MetricsRegistry {
  public:
   /// Finds or creates; the returned pointer lives as long as the
@@ -179,17 +135,17 @@ class MetricsRegistry {
   /// Keys are sorted (std::map), so snapshots diff cleanly.
   std::string ToJson() const;
 
-  /// Copies every registered metric (racy-but-coherent per field, like
-  /// all registry reads) — the periodic-exposition primitive: take one
-  /// per interval, DeltaSince the previous, serialise both.
+  /// Copies every registered metric — the periodic-exposition
+  /// primitive: take one per interval, DeltaSince the previous,
+  /// serialise both.
   MetricsSnapshot TakeSnapshot() const;
 
   static MetricsRegistry& Global();
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // Map nodes never move, so the pointers handed out stay valid.
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace obs

@@ -1,31 +1,25 @@
 #ifndef SQPR_OBS_TRACE_H_
 #define SQPR_OBS_TRACE_H_
 
-// Flight-recorder tracing: bounded, lock-free per-thread span buffers
-// drained on demand into Chrome trace_event JSON (loadable in Perfetto
-// / chrome://tracing).
+// Flight-recorder tracing: one bounded span ring, drained on demand
+// into Chrome trace_event JSON (loadable in Perfetto /
+// chrome://tracing).
 //
-// Design constraints, in priority order:
-//  * Zero mutexes on the emitting thread. A span emit is two
-//    steady_clock reads plus a handful of relaxed atomic stores into a
-//    thread-local ring slot; publication is one release store.
-//    Emitting threads never contend on anything.
-//  * Near-zero cost when tracing is off. The disabled fast path is a
-//    single relaxed atomic load — the closed-loop bench gates the
-//    events/s regression at < 3% (ARCHITECTURE.md §7 has the budget).
-//  * Bounded memory. Each thread owns one fixed-capacity ring
-//    (allocated lazily on its first traced span, never before); when
-//    it wraps, the oldest spans are overwritten and counted as drops —
-//    flight-recorder semantics: a drain always returns the most recent
-//    window, plus per-thread drop counters.
-//  * Torn reads are detected, not locked away. Every slot carries a
-//    sequence stamp written (release) after the payload; a drain
-//    running concurrently with emits skips slots whose stamp does not
-//    match the record index it expects. All slot fields are relaxed
-//    atomics, so a concurrent drain is race-free under TSan.
+// Single-threaded, like the service it observes: spans are emitted and
+// drained on the thread that runs the service.
+//
+//  * Near-zero cost when tracing is off. The disabled fast path is one
+//    load of a bool — the closed-loop bench gates the events/s
+//    regression at < 3% (ARCHITECTURE.md §7 has the budget).
+//  * Bounded memory, paid up front. Enable() allocates and fills the
+//    ring at the requested capacity, so no traced span pays for a page
+//    fault; a process that never enables tracing allocates nothing.
+//    When the ring wraps, the oldest spans are overwritten and counted
+//    as drops — flight-recorder semantics: a drain always returns the
+//    most recent window, plus the drop counter.
 //
 // Tracing never gates behavior: spans read the clocks (steady + the
-// service's virtual clock tag) and write to private buffers. The
+// service's virtual clock tag) and write only to the ring. The
 // determinism contract is pinned by a replay-property run with tracing
 // enabled (tests/obs_test.cc).
 //
@@ -43,9 +37,7 @@
 // "milp/cuts.separate"); the category Perfetto groups by is the first
 // segment. docs/ARCHITECTURE.md §7 lists the full taxonomy.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,10 +46,10 @@
 namespace sqpr {
 namespace obs {
 
-/// One drained span, in logical (reader-side) form.
+/// One recorded span.
 struct SpanRecord {
   uint32_t name_id = 0;
-  uint32_t tid = 0;
+  uint32_t tid = 0;  // always TraceRecorder::kTid
   uint64_t start_ns = 0;  // relative to the recorder's enable time
   uint64_t dur_ns = 0;
   int64_t virt_ms = -1;   // service virtual clock at span start (-1: none)
@@ -73,36 +65,36 @@ struct SpanMeta {
   std::string arg_names[2];
 };
 
-/// Per-thread drain statistics (drop accounting is cumulative).
+/// Drain statistics of the ring (drop accounting is cumulative since
+/// Enable). The trace JSON's `per_thread` list carries one entry.
 struct ThreadTraceStats {
   std::string thread_name;
   uint64_t emitted = 0;
   uint64_t dropped = 0;  // overwritten before any drain saw them
 };
 
-/// Process-wide flight recorder. All methods are safe to call from any
-/// thread; Enable/Disable/Drain are expected from a coordinating thread
-/// (tool main, test body) and may run concurrently with emitters.
+/// Process-wide flight recorder.
 class TraceRecorder {
  public:
+  /// The tid every span and the one trace thread carry.
+  static constexpr uint32_t kTid = 1;
+
   struct Options {
-    /// Spans retained per thread; rounded up to a power of two. At 64
-    /// bytes per slot the default keeps ~2 MiB per traced thread.
+    /// The ring's capacity in spans; rounded up to a power of two (at
+    /// least 16). At 48 bytes per span the default keeps 1.5 MiB.
     size_t per_thread_capacity = 1 << 15;
   };
 
   static TraceRecorder& Get();
 
-  /// Starts recording. Existing buffers are reset (head, drop counters
-  /// and slot stamps cleared); buffers created later use `options`.
-  /// Emits between Enable and Disable are recorded; everything else is
-  /// the one-relaxed-load fast path.
+  /// Starts recording into a fresh ring of `options`' capacity,
+  /// allocated and filled here; the emitted and drop counters restart
+  /// at zero. Emits between Enable and Disable are recorded; everything
+  /// else is the one-load fast path.
   void Enable(const Options& options);
   void Enable() { Enable(Options()); }
   void Disable();
-  static bool enabled() {
-    return Get().enabled_.load(std::memory_order_relaxed);
-  }
+  static bool enabled() { return Get().enabled_; }
 
   /// Interns span metadata; returns a dense id. Never call per emit —
   /// the SQPR_TRACE_SPAN macros cache the id in a function-local
@@ -110,44 +102,39 @@ class TraceRecorder {
   static uint32_t RegisterSpan(const char* name, const char* arg1 = nullptr,
                                const char* arg2 = nullptr);
 
-  /// Names the calling thread in drained traces ("loop", "worker-2").
-  /// Unnamed threads appear as "thread-<tid>".
+  /// Names the trace's one thread in drained traces ("loop"); callable
+  /// before Enable. Defaults to "thread-1".
   static void SetCurrentThreadName(const std::string& name);
 
   /// Tags subsequently emitted spans with the service's virtual clock.
   /// A process-wide debugging tag (last writer wins when several
   /// services coexist, e.g. in tests) — never read back by any control
   /// path.
-  static void SetVirtualTimeMs(int64_t t_ms) {
-    Get().virt_ms_.store(t_ms, std::memory_order_relaxed);
-  }
+  static void SetVirtualTimeMs(int64_t t_ms) { Get().virt_ms_ = t_ms; }
 
-  /// Emits one finished span for the calling thread. Called by
-  /// SpanScope; public for tests that exercise wrap/drop behavior
+  /// Records one finished span; a no-op before the first Enable. Called
+  /// by SpanScope; public for tests that exercise wrap/drop behavior
   /// directly.
   void Emit(uint32_t name_id, uint64_t start_ns, uint64_t dur_ns,
             int64_t virt_ms, uint64_t arg1, uint64_t arg2);
 
   /// Nanoseconds since the recorder's enable point (steady clock).
   uint64_t NowNs() const;
-  int64_t virtual_time_ms() const {
-    return virt_ms_.load(std::memory_order_relaxed);
-  }
+  int64_t virtual_time_ms() const { return virt_ms_; }
 
-  /// Collects the retained window of every thread buffer (most recent
-  /// spans first come out oldest-first per thread). Safe concurrently
-  /// with emitters: in-flight slots are skipped via their stamps.
-  /// Cumulative per-thread drop counters are updated as a side effect.
+  /// Returns the spans recorded since the previous drain that the ring
+  /// still holds, oldest first, and counts the ones it overwrote as
+  /// drops. `stats` gets exactly one entry.
   std::vector<SpanRecord> Drain(std::vector<ThreadTraceStats>* stats = nullptr);
 
   /// Drains and renders Chrome trace_event JSON:
   ///   {"traceEvents": [{"ph":"X","name":...,"cat":...,"ts":...,
-  ///     "dur":...,"pid":1,"tid":N,"args":{...}}, ...],
+  ///     "dur":...,"pid":1,"tid":1,"args":{...}}, ...],
   ///    "displayTimeUnit":"ms",
   ///    "otherData":{"dropped_spans": ...}}
-  /// plus one "M" thread_name metadata event per thread. ts/dur are
-  /// microseconds (fractional); args carry vclock_ms and the span's
-  /// registered arg keys.
+  /// plus one "M" thread_name metadata event. ts/dur are microseconds
+  /// (fractional); args carry vclock_ms and the span's registered arg
+  /// keys.
   std::string ChromeTraceJson();
 
   /// ChromeTraceJson() to a file.
@@ -156,23 +143,21 @@ class TraceRecorder {
   const SpanMeta& span_meta(uint32_t id) const;  // test/render access
 
  private:
-  friend class SpanScope;
-  class ThreadBuffer;
-
   TraceRecorder();
-  ThreadBuffer* BufferForThisThread();
 
-  std::atomic<bool> enabled_{false};
-  std::atomic<int64_t> virt_ms_{-1};
-  std::atomic<uint64_t> base_ns_{0};
-
-  struct Impl;
-  Impl* impl_;  // intentionally leaked: emitters may outlive main's exit
+  bool enabled_ = false;
+  int64_t virt_ms_ = -1;
+  uint64_t base_ns_ = 0;
+  std::vector<SpanMeta> metas_;
+  std::string thread_name_ = "thread-1";
+  std::vector<SpanRecord> ring_;  // empty until the first Enable
+  uint64_t emitted_ = 0;          // since Enable; slot = emitted_ & mask
+  uint64_t drained_to_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 /// RAII span scope. Construct via the macros below; on destruction the
-/// span is emitted to the calling thread's ring (if tracing is on and
-/// was on at construction).
+/// span is emitted to the ring (if tracing was on at construction).
 class SpanScope {
  public:
   explicit SpanScope(uint32_t name_id) {

@@ -184,14 +184,15 @@ void PlanningService::FinalizeAudit() {
   AuditAppend(std::move(c));
 }
 
-Status PlanningService::Enqueue(Event event) {
+Status PlanningService::Enqueue(const Event& event) {
+  SQPR_TRACE_SPAN("service/enqueue");
   if (event.time_ms < clock_.now_ms()) {
     return Status::InvalidArgument(
         "event at t=" + std::to_string(event.time_ms) +
         " is before the virtual clock (t=" + std::to_string(clock_.now_ms()) +
         ")");
   }
-  queue_.Push(std::move(event));
+  queue_.Push(event);
   return Status::OK();
 }
 

@@ -295,10 +295,12 @@ class PlanningService {
   PlanningService(const PlanningService&) = delete;
   PlanningService& operator=(const PlanningService&) = delete;
 
-  /// Schedules an event. Events may be enqueued in any order; they are
-  /// consumed in (timestamp, enqueue order). Rejects events timestamped
-  /// before the virtual clock (already-consumed past).
-  Status Enqueue(Event event);
+  /// Schedules a copy of an event. Events may be enqueued in any order;
+  /// they are consumed in (timestamp, enqueue order). Rejects events
+  /// timestamped before the virtual clock (already-consumed past). The
+  /// copy is made here, inside the `service/enqueue` span, so a trace
+  /// attributes it to the service rather than to the caller.
+  Status Enqueue(const Event& event);
 
   bool HasPendingEvents() const { return !queue_.empty(); }
 

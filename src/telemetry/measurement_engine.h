@@ -120,12 +120,12 @@ struct TelemetryCheckpoint {
 /// kMonitorReport event takes.
 ///
 /// Loop-thread-owned: Measure() reads the committed deployment and the
-/// catalog (lock-free reads), and is only called at the monitor barrier
-/// — after the in-flight re-planning round has been retired — so it
-/// never races worker solves. Determinism: measurements happen at
-/// deterministic logical points, the sim is seeded per measurement
-/// index, and noise draws advance once per sample in a fixed order, so
-/// the whole closed loop is worker-count-invariant.
+/// catalog, and is only called at the monitor barrier — after the
+/// pending re-planning round has been committed. Determinism:
+/// measurements happen at deterministic logical points, the sim is
+/// seeded per measurement index, and noise draws advance once per
+/// sample in a fixed order, so the whole closed loop replays
+/// identically.
 class MeasurementEngine {
  public:
   MeasurementEngine(const Catalog* catalog, TelemetryOptions options);

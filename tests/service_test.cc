@@ -329,7 +329,7 @@ struct ServiceFixture {
     // configure the solver itself: the determinism tests pass a huge
     // deadline with a node bound, and clobbering it here would make
     // them wall-clock-bounded (flaky across machine load, e.g. under
-    // TSan).
+    // the sanitizers).
     if (options.planner.timeout_ms == SqprPlanner::Options{}.timeout_ms) {
       options.planner.timeout_ms = 200;
     }

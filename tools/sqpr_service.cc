@@ -182,9 +182,9 @@ void Usage(std::FILE* out) {
       "                   phases; tracing never changes behavior or the\n"
       "                   committed deployments\n"
       "  --trace-capacity N\n"
-      "                   spans retained per thread before the oldest are\n"
-      "                   overwritten (default 32768; drops are counted\n"
-      "                   in the trace's otherData)\n"
+      "                   spans the trace ring retains before the oldest\n"
+      "                   are overwritten (default 32768; drops are\n"
+      "                   counted in the trace's otherData)\n"
       "  --metrics-out FILE\n"
       "                   write a metrics exposition after the run: the\n"
       "                   sqpr-metrics-v1 JSON snapshot (default), or —\n"
