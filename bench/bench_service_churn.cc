@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -198,10 +199,14 @@ void PrintRun(const char* label, const RunResult& r) {
               static_cast<long long>(s.replanned_admitted +
                                      s.replanned_rejected));
   std::printf("  rounds: %lld committed; solver effort %lld B&B nodes, "
-              "%lld LP pivots\n",
+              "%lld LP pivots (rejections: %lld screened, %lld nodes, "
+              "%lld pivots)\n",
               static_cast<long long>(s.replan_rounds),
               static_cast<long long>(s.solver_nodes),
-              static_cast<long long>(s.lp_iterations));
+              static_cast<long long>(s.lp_iterations),
+              static_cast<long long>(s.screened_rejections),
+              static_cast<long long>(s.rejected_solver_nodes),
+              static_cast<long long>(s.rejected_lp_iterations));
   if (s.solve_ms.count() > 0) {
     std::printf("  solver wall-time: %zu solves, p50 %.2f ms, p90 %.2f ms, "
                 "p99 %.2f ms, max %.2f ms\n",
@@ -246,6 +251,10 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, const char* mode,
   m["lp_slack_start_iterations"] =
       static_cast<double>(s.lp_slack_start_iterations);
   m["rejected_candidates"] = static_cast<double>(s.rejected_candidates);
+  m["screened_rejections"] = static_cast<double>(s.screened_rejections);
+  m["rejected_solver_nodes"] = static_cast<double>(s.rejected_solver_nodes);
+  m["rejected_lp_iterations"] =
+      static_cast<double>(s.rejected_lp_iterations);
   m["admitted"] = static_cast<double>(s.admitted);
   m["rejected"] = static_cast<double>(s.rejected);
   m["evictions"] = static_cast<double>(s.evictions);
@@ -292,7 +301,10 @@ bool DeterminismChecks(const char* scenario, const RunResult& first,
           a.lp_factorizations == b.lp_factorizations &&
           a.lp_dual_solves == b.lp_dual_solves &&
           a.lp_slack_start_iterations == b.lp_slack_start_iterations &&
-          a.rejected_candidates == b.rejected_candidates,
+          a.rejected_candidates == b.rejected_candidates &&
+          a.screened_rejections == b.screened_rejections &&
+          a.rejected_solver_nodes == b.rejected_solver_nodes &&
+          a.rejected_lp_iterations == b.rejected_lp_iterations,
       "replays agree on admission statistics and solver effort");
   ok &= ShapeCheck(a.commit_conflicts == 0 && a.round_unwinds == 0 &&
                        a.barrier_ms.count() == 0,
@@ -338,26 +350,31 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   }
   SQPR_CHECK_OK(service.RunUntilIdle());
 
-  constexpr int kReps = 8;
+  // Each phase runs kReps times and reports its median: single
+  // sub-millisecond timings swing far beyond the host's noise band.
+  constexpr int kReps = 7;
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
   Stopwatch sw;
   Result<std::string> doc = service.ExportCheckpoint();
   SQPR_CHECK(doc.ok()) << doc.status().ToString();
   const double export_first_ms = sw.ElapsedMillis();
-  double export_total_ms = 0.0;
+  std::vector<double> export_ms, write_ms, restore_ms;
   for (int i = 0; i < kReps; ++i) {
     sw.Reset();
     doc = service.ExportCheckpoint();
-    export_total_ms += sw.ElapsedMillis();
+    export_ms.push_back(sw.ElapsedMillis());
     SQPR_CHECK(doc.ok()) << doc.status().ToString();
   }
 
   const std::string path =
       "/tmp/sqpr_bench_ckpt_" + std::to_string(::getpid()) + ".json";
-  double write_total_ms = 0.0;
   for (int i = 0; i < kReps; ++i) {
     sw.Reset();
     const Status written = WriteFileAtomic(path, *doc);
-    write_total_ms += sw.ElapsedMillis();
+    write_ms.push_back(sw.ElapsedMillis());
     SQPR_CHECK(written.ok()) << written.ToString();
   }
   Result<std::string> read_back = ReadFileToString(path);
@@ -369,22 +386,30 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   Result<std::string> reference = service.ExportCheckpoint();
   SQPR_CHECK(reference.ok()) << reference.status().ToString();
 
-  Scenario fresh = MakeScenario(config);
-  PlanningService restored(fresh.cluster.get(), fresh.catalog.get(), options);
-  sw.Reset();
-  const Status restore = restored.RestoreCheckpoint(*doc);
-  const double restore_ms = sw.ElapsedMillis();
-  SQPR_CHECK(restore.ok()) << restore.ToString();
-  Result<std::string> round_trip = restored.ExportCheckpoint();
+  // Every restore needs a fresh service; the last one is round-tripped.
+  std::unique_ptr<Scenario> fresh;
+  std::unique_ptr<PlanningService> restored;
+  for (int i = 0; i < kReps; ++i) {
+    restored.reset();  // before the scenario it points into
+    fresh = std::make_unique<Scenario>(MakeScenario(config));
+    restored = std::make_unique<PlanningService>(
+        fresh->cluster.get(), fresh->catalog.get(), options);
+    sw.Reset();
+    const Status restore = restored->RestoreCheckpoint(*doc);
+    restore_ms.push_back(sw.ElapsedMillis());
+    SQPR_CHECK(restore.ok()) << restore.ToString();
+  }
+  Result<std::string> round_trip = restored->ExportCheckpoint();
   SQPR_CHECK(round_trip.ok()) << round_trip.status().ToString();
 
-  const double export_ms_avg = export_total_ms / kReps;
-  const double write_ms_avg = write_total_ms / kReps;
+  const double export_ms_median = median(export_ms);
+  const double write_ms_median = median(write_ms);
+  const double restore_ms_median = median(restore_ms);
   std::printf("  checkpoint: %zu bytes; export first %.2f ms (pays the "
-              "accounting refresh), steady avg %.2f ms; atomic write avg "
-              "%.2f ms; restore %.2f ms\n",
-              doc->size(), export_first_ms, export_ms_avg, write_ms_avg,
-              restore_ms);
+              "accounting refresh), steady median %.2f ms; atomic write "
+              "median %.2f ms; restore median %.2f ms (%d reps each)\n",
+              doc->size(), export_first_ms, export_ms_median,
+              write_ms_median, restore_ms_median, kReps);
 
   bool ok = true;
   ok &= ShapeCheck(doc->size() > 0 && *read_back == *doc,
@@ -392,8 +417,8 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   ok &= ShapeCheck(*round_trip == *reference,
                    "restored service exports byte-for-byte what the "
                    "original would export next");
-  ok &= ShapeCheck(restored.stats().events == service.stats().events &&
-                       restored.stats().admitted == service.stats().admitted,
+  ok &= ShapeCheck(restored->stats().events == service.stats().events &&
+                       restored->stats().admitted == service.stats().admitted,
                    "restore reinstates the serialized counters");
 
   if (json != nullptr) {
@@ -402,9 +427,9 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
     auto& m = rec.metrics;
     m["checkpoint_bytes"] = static_cast<double>(doc->size());
     m["export_first_ms"] = export_first_ms;
-    m["export_ms_avg"] = export_ms_avg;
-    m["write_ms_avg"] = write_ms_avg;
-    m["restore_ms"] = restore_ms;
+    m["export_ms_median"] = export_ms_median;
+    m["write_ms_median"] = write_ms_median;
+    m["restore_ms_median"] = restore_ms_median;
     m["events"] = static_cast<double>(service.stats().events);
   }
   return ok;

@@ -575,7 +575,18 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
  public:
   PresolvedLazyAdapter(LazyConstraintHandler* inner, const Presolver* pre,
                        lp::Model* full_space)
-      : inner_(inner), pre_(pre), full_space_(full_space) {}
+      : inner_(inner), pre_(pre), full_space_(full_space) {
+    if (inner_ == nullptr) return;
+    // Pinned columns hold their values for the whole solve: write them
+    // into the full-space point once; each call scatters only the
+    // reduced columns over it.
+    const int reduced_n = pre_->reduced().lp.num_variables();
+    pre_->Postsolve(std::vector<double>(reduced_n, 0.0), &full_);
+    kept_.resize(reduced_n);
+    for (int v = 0; v < static_cast<int>(full_.size()); ++v) {
+      if (pre_->column_map(v) >= 0) kept_[pre_->column_map(v)] = v;
+    }
+  }
 
   int AddViolatedCuts(const std::vector<double>& candidate,
                       lp::Model* relaxation) override {
@@ -590,7 +601,9 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
  private:
   int Forward(const std::vector<double>& reduced_point, lp::Model* relaxation,
               bool fractional) {
-    pre_->Postsolve(reduced_point, &full_);
+    for (size_t r = 0; r < kept_.size(); ++r) {
+      full_[kept_[r]] = reduced_point[r];
+    }
     const int before = full_space_->num_rows();
     const int reported =
         fractional ? inner_->AddFractionalCuts(full_, full_space_)
@@ -614,8 +627,10 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
   LazyConstraintHandler* inner_;
   const Presolver* pre_;
   lp::Model* full_space_;
-  // Scratch reused across calls: the postsolved point, a translated row.
+  // The full-space point (pinned columns written once), the original
+  // column of each reduced column, and a translated-row scratch.
   std::vector<double> full_;
+  std::vector<int> kept_;
   std::vector<std::pair<int, double>> terms_;
 };
 

@@ -47,6 +47,12 @@ struct PlanningStats {
   /// rebind against the current deployment) or built one from scratch.
   bool model_patched = false;
   bool model_rebuilt = false;
+  /// True when the SQPR planner rejected the submission by its exact
+  /// admission screen (AdmissionHopeless in planner/sqpr/model_builder.h)
+  /// without building or solving a model: no plan the model accepts
+  /// serves any fresh query, so the rejection is proved with zero solver
+  /// effort.
+  bool screened = false;
   /// Degraded-mode solving (docs/ARCHITECTURE.md "Durability & degraded
   /// modes"). deadline_hit: the MILP ran out of its per-solve wall
   /// budget (SqprPlanner::Options::solve_deadline_ms) before proving

@@ -115,42 +115,100 @@ int SqprMip::VarZ(HostId h, OperatorId o) const {
   return var_z_[static_cast<size_t>(h) * ops_.size() + oi];
 }
 
+ResidualCapacity ComputeResidualCapacity(
+    const Deployment& base, const std::vector<StreamId>& streams,
+    const std::vector<OperatorId>& operators) {
+  const Cluster& cluster = base.cluster();
+  const Catalog& catalog = base.catalog();
+  const int H = cluster.num_hosts();
+  ResidualCapacity r;
+
+  // Subtract the *irrelevant* committed load (fixed variables of
+  // §IV-A); relevant load is re-decided.
+  r.cpu.resize(H);
+  r.mem.resize(H);
+  r.nic_out.resize(H);
+  r.nic_in.resize(H);
+  for (HostId h = 0; h < H; ++h) {
+    r.cpu[h] = cluster.host(h).cpu - base.CpuUsed(h);
+    r.mem[h] = cluster.host(h).mem_mb - base.MemUsed(h);
+    r.nic_out[h] = cluster.host(h).nic_out_mbps - base.NicOutUsed(h);
+    r.nic_in[h] = cluster.host(h).nic_in_mbps - base.NicInUsed(h);
+    for (OperatorId o : base.OperatorsOn(h)) {
+      if (std::binary_search(operators.begin(), operators.end(), o)) {
+        r.cpu[h] += catalog.op(o).cpu_cost;
+        r.mem[h] += catalog.op(o).mem_mb;
+      }
+    }
+  }
+  r.link_extra.assign(static_cast<size_t>(H) * H, 0.0);
+  for (StreamId s : streams) {
+    const double rate = catalog.stream(s).rate_mbps;
+    for (const auto& [from, to] : base.FlowsOf(s)) {
+      r.nic_out[from] += rate;
+      r.nic_in[to] += rate;
+      r.link_extra[static_cast<size_t>(from) * H + to] += rate;
+    }
+    const HostId server = base.ServingHost(s);
+    if (server != kInvalidHost) r.nic_out[server] += rate;
+  }
+  return r;
+}
+
+bool AdmissionHopeless(const Deployment& base,
+                       const std::vector<StreamId>& streams,
+                       const std::vector<OperatorId>& operators,
+                       const std::vector<StreamId>& queries) {
+  const Catalog& catalog = base.catalog();
+  // Only composite queries whose every producer the model re-decides:
+  // anything else may be available without a relevant placement.
+  for (StreamId q : queries) {
+    if (catalog.stream(q).is_base) return false;
+    for (OperatorId o : catalog.ProducersOf(q)) {
+      if (!std::binary_search(operators.begin(), operators.end(), o)) {
+        return false;
+      }
+    }
+  }
+  // The margin the model's incumbents and Deployment::Validate allow.
+  constexpr double kTol = 1e-6;
+  const ResidualCapacity r = ComputeResidualCapacity(base, streams, operators);
+  const Cluster& cluster = base.cluster();
+  for (StreamId q : queries) {
+    const double q_rate = catalog.stream(q).rate_mbps;
+    for (OperatorId o : catalog.ProducersOf(q)) {
+      const OperatorInfo& op = catalog.op(o);
+      for (HostId h = 0; h < cluster.num_hosts(); ++h) {
+        if (r.cpu[h] < op.cpu_cost - kTol) continue;
+        if (op.mem_mb > 0.0 && std::isfinite(cluster.host(h).mem_mb) &&
+            r.mem[h] < op.mem_mb - kTol) {
+          continue;
+        }
+        if (r.nic_out[h] < q_rate - kTol) continue;
+        double inflow = 0.0;
+        for (size_t i = 0; i < op.inputs.size(); ++i) {
+          const StreamId s = op.inputs[i];
+          if (i > 0 && op.inputs[i - 1] == s) continue;  // counted once
+          const StreamInfo& in = catalog.stream(s);
+          if (in.is_base && in.source_host != h &&
+              catalog.ProducersOf(s).empty()) {
+            inflow += in.rate_mbps;
+          }
+        }
+        if (r.nic_in[h] < inflow - kTol) continue;
+        return false;  // o might run at h: q is not hopeless
+      }
+    }
+  }
+  return true;
+}
+
 SqprMip::BaseState SqprMip::ComputeBaseState() const {
-  const Cluster& cluster = base_->cluster();
   const Catalog& catalog = base_->catalog();
   const int H = num_hosts_;
   const int S = static_cast<int>(streams_.size());
   BaseState st;
-
-  // ---- Residual capacities: subtract the *irrelevant* committed load
-  // (fixed variables of §IV-A); relevant load is re-decided. ----
-  st.cpu_resid.resize(H);
-  st.mem_resid.resize(H);
-  st.nic_out_resid.resize(H);
-  st.nic_in_resid.resize(H);
-  for (HostId h = 0; h < H; ++h) {
-    st.cpu_resid[h] = cluster.host(h).cpu - base_->CpuUsed(h);
-    st.mem_resid[h] = cluster.host(h).mem_mb - base_->MemUsed(h);
-    st.nic_out_resid[h] = cluster.host(h).nic_out_mbps - base_->NicOutUsed(h);
-    st.nic_in_resid[h] = cluster.host(h).nic_in_mbps - base_->NicInUsed(h);
-    for (OperatorId o : base_->OperatorsOn(h)) {
-      if (OpIndex(o) >= 0) {
-        st.cpu_resid[h] += catalog.op(o).cpu_cost;
-        st.mem_resid[h] += catalog.op(o).mem_mb;
-      }
-    }
-  }
-  st.link_extra.assign(static_cast<size_t>(H) * H, 0.0);
-  for (StreamId s : streams_) {
-    const double rate = catalog.stream(s).rate_mbps;
-    for (const auto& [from, to] : base_->FlowsOf(s)) {
-      st.nic_out_resid[from] += rate;
-      st.nic_in_resid[to] += rate;
-      st.link_extra[static_cast<size_t>(from) * H + to] += rate;
-    }
-    const HostId server = base_->ServingHost(s);
-    if (server != kInvalidHost) st.nic_out_resid[server] += rate;
-  }
+  st.resid = ComputeResidualCapacity(*base_, streams_, ops_);
 
   // Availability pins and fixed producers from irrelevant operators that
   // touch relevant streams.
@@ -581,7 +639,7 @@ void SqprMip::ApplyBaseState() {
       double cap = cluster.link_mbps(from, to);
       const double used =
           base_->LinkUsed(from, to) -
-          st.link_extra[static_cast<size_t>(from) * H + to];
+          st.resid.link_extra[static_cast<size_t>(from) * H + to];
       cap -= used;
       mip_.lp.SetRowBounds(row, -lp::kInf, cap);
     }
@@ -590,18 +648,18 @@ void SqprMip::ApplyBaseState() {
   // ---- (III.6b-d) + memory + O4 linearisation residuals. ----
   for (HostId m = 0; m < H; ++m) {
     if (nic_in_rows_[m] >= 0) {
-      mip_.lp.SetRowBounds(nic_in_rows_[m], -lp::kInf, st.nic_in_resid[m]);
+      mip_.lp.SetRowBounds(nic_in_rows_[m], -lp::kInf, st.resid.nic_in[m]);
     }
     if (nic_out_rows_[m] >= 0) {
-      mip_.lp.SetRowBounds(nic_out_rows_[m], -lp::kInf, st.nic_out_resid[m]);
+      mip_.lp.SetRowBounds(nic_out_rows_[m], -lp::kInf, st.resid.nic_out[m]);
     }
     if (cpu_rows_[m] >= 0) {
-      mip_.lp.SetRowBounds(cpu_rows_[m], -lp::kInf, st.cpu_resid[m]);
+      mip_.lp.SetRowBounds(cpu_rows_[m], -lp::kInf, st.resid.cpu[m]);
     }
     if (mem_rows_[m] >= 0) {
-      mip_.lp.SetRowBounds(mem_rows_[m], -lp::kInf, st.mem_resid[m]);
+      mip_.lp.SetRowBounds(mem_rows_[m], -lp::kInf, st.resid.mem[m]);
     }
-    const double fixed_cpu = cluster.host(m).cpu - st.cpu_resid[m];
+    const double fixed_cpu = cluster.host(m).cpu - st.resid.cpu[m];
     mip_.lp.SetRowBounds(loadbal_rows_[m], -lp::kInf, -fixed_cpu);
   }
 }

@@ -56,6 +56,67 @@ struct SqprModelOptions {
   std::vector<HostId> host_subset;
 };
 
+/// Capacities the reduced model leaves to its decisions (§IV-A): each
+/// host's budgets minus the committed load of everything *outside* the
+/// relevant sets (the fixed variables), i.e. the committed load of the
+/// relevant operators, flows and servings is added back, because the
+/// model re-decides it. These are the right-hand sides of the CPU,
+/// memory and NIC rows (III.6b-d); `link_extra` is the relevant flow
+/// rate committed on each link, added back into (III.6a).
+struct ResidualCapacity {
+  std::vector<double> cpu, mem, nic_out, nic_in;  // per host
+  std::vector<double> link_extra;                 // [from * H + to]
+};
+
+/// The residuals SqprMip builds its rows from. `streams` and `operators`
+/// are the relevant sets, sorted and deduplicated.
+ResidualCapacity ComputeResidualCapacity(
+    const Deployment& base, const std::vector<StreamId>& streams,
+    const std::vector<OperatorId>& operators);
+
+/// Exact admission screen: true when no fresh query in `queries` can be
+/// served by any plan the reduced model for (`streams`, `operators`)
+/// would accept, so building and solving it can only reject them all.
+/// Costs O(queries × producers × hosts) after one residual pass.
+///
+/// A composite query q whose producers are all relevant is *hopeless*
+/// when, for every producer o of q and every host h, one of these holds
+/// (r = ComputeResidualCapacity, tol = 1e-6):
+///  * cpu:     r.cpu[h] < γ_o − tol, or the finite memory budget of h
+///             has r.mem[h] < mem_o − tol for mem_o > 0;
+///  * nic out: r.nic_out[h] < rate(q) − tol;
+///  * nic in:  r.nic_in[h] < Σ rate(s) − tol over o's base inputs s not
+///             injected at h.
+///
+/// Why this is implied by the model: serving q needs d_hq = 1, hence
+/// y_hq = 1 (III.4a). q has no base injection and, all producers being
+/// relevant, no fixed producer, so (III.5a) supports y_hq only by a
+/// local z_ho or an inflow, and an inflow needs q at the sender (III.5c;
+/// with the no-relay ablation, generation there). Flows are acyclic
+/// (cycle cuts on every incumbent, or the (III.7) potentials), so the
+/// chain of inflows ends at a host h* with z_h*o = 1. There:
+///  * the CPU row (III.6d) has γ_o·z_h*o ≤ r.cpu[h*], the memory row
+///    mem_o·z_h*o ≤ r.mem[h*] (all other terms are non-negative);
+///  * q leaves h* as the delivery d_h*q or a flow x_h*mq, each with
+///    coefficient rate(q) in h*'s NIC-out row (III.6c);
+///  * (III.5b) needs every input of o at h*; a base input not injected
+///    at h* has no producer, so it needs an inflow, each distinct one
+///    with coefficient rate(s) in h*'s NIC-in row (III.6b).
+/// Incumbents must meet every row within 1e-6 after rounding (the
+/// solver's acceptance tolerance and Deployment::Validate's), so a
+/// violation by more than tol excludes every incumbent; the greedy
+/// fallback (CanPlaceOperator/CanServe at 1e-9, then Validate) cannot
+/// place q either. The no-relay ablation, the potentials formulation
+/// and a §VII host_subset only remove points from the model, and
+/// reduce_problem = false only widens the relevant sets the residuals
+/// are computed from, so the screen stays sound under each of them.
+/// Base-stream queries and queries with a producer outside `operators`
+/// are never screened (the function returns false).
+bool AdmissionHopeless(const Deployment& base,
+                       const std::vector<StreamId>& streams,
+                       const std::vector<OperatorId>& operators,
+                       const std::vector<StreamId>& queries);
+
 /// The reduced SQPR MILP for one planning round, together with the
 /// variable layout needed to interpret solutions and to translate them
 /// back into Deployment edits.
@@ -178,8 +239,7 @@ class SqprMip {
   /// Base-dependent inputs of one ApplyBaseState() pass, recomputed from
   /// *base_ each time the model is (re)bound.
   struct BaseState {
-    std::vector<double> cpu_resid, mem_resid, nic_out_resid, nic_in_resid;
-    std::vector<double> link_extra;  // [from * H + to]
+    ResidualCapacity resid;
     std::vector<int> fixed_producer;  // [h * S' + si]
     std::vector<bool> pin_y;          // [h * S' + si]
   };

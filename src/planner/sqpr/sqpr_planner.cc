@@ -93,6 +93,21 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
   Result<RelevantSets> sets = ComputeRelevantSets(fresh);
   if (!sets.ok()) return sets.status();
+  span.set_args(fresh.size(), sets->streams.size());
+
+  // Exact early rejection: no plan the model would accept serves any
+  // fresh query, so the solve could only prove that. Nothing commits
+  // and the greedy fallback could not place them either.
+  if (AdmissionHopeless(deployment_, sets->streams, sets->operators, fresh)) {
+    const double elapsed = watch.ElapsedMillis();
+    for (auto& s : stats) {
+      s.wall_ms = elapsed;
+      if (s.already_served) continue;
+      s.screened = true;
+      s.proved_optimal = true;
+    }
+    return stats;
+  }
 
   // Structural identity of this solve: equal keys build bit-identical
   // skeletons, so a cached model can be rebound instead of rebuilt.
@@ -147,7 +162,6 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
     solver_options.lazy = &cycle_handler;
   }
 
-  span.set_args(fresh.size(), sets->streams.size());
   milp::Solver solver;
   milp::MipResult result = solver.Solve(mip.mip(), solver_options);
 

@@ -91,6 +91,17 @@ class SqprPlanner : public Planner {
 
   /// Plans `queries` as one joint model with an |queries|-fold timeout
   /// (Fig. 4(b) batching). Per-query admission is reported positionally.
+  ///
+  /// Flow: (1) already-served queries are dropped (Algorithm 1 line 3);
+  /// (2) the relevant sets S(q)/O(q) are computed; (3) the exact
+  /// admission screen (AdmissionHopeless) rejects the batch outright,
+  /// with nothing committed and zero solver effort, when no fresh query
+  /// can be served by any plan the model accepts; (4) otherwise the
+  /// model is checked out of the skeleton cache and rebound, or built,
+  /// warm-started from the committed deployment and solved; (5) a
+  /// solution admitting a fresh query commits as the minimal delta;
+  /// (6) when the solve did not prove optimality, the greedy fallback
+  /// tries the queries still rejected.
   Result<std::vector<PlanningStats>> SubmitBatch(
       const std::vector<StreamId>& queries);
 

@@ -102,6 +102,12 @@ void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
        &last_.lp_slack_start_iterations);
   Bump("service.rejected_candidates", stats.rejected_candidates,
        &last_.rejected_candidates);
+  Bump("service.screened_rejections", stats.screened_rejections,
+       &last_.screened_rejections);
+  Bump("service.rejected_solver_nodes", stats.rejected_solver_nodes,
+       &last_.rejected_solver_nodes);
+  Bump("service.rejected_lp_iterations", stats.rejected_lp_iterations,
+       &last_.rejected_lp_iterations);
   Bump("service.model_patches", stats.model_patches, &last_.model_patches);
   Bump("service.model_rebuilds", stats.model_rebuilds,
        &last_.model_rebuilds);
@@ -449,6 +455,11 @@ void PlanningService::CountSolveStats(const PlanningStats& stats) {
   stats_.lp_dual_solves += stats.lp_dual_solves;
   stats_.lp_slack_start_iterations += stats.lp_slack_start_iterations;
   stats_.rejected_candidates += stats.rejected_candidates;
+  if (stats.screened) ++stats_.screened_rejections;
+  if (!stats.admitted) {
+    stats_.rejected_solver_nodes += stats.solver_nodes;
+    stats_.rejected_lp_iterations += stats.lp_iterations;
+  }
   if (stats.model_patched) ++stats_.model_patches;
   if (stats.model_rebuilt) ++stats_.model_rebuilds;
   if (stats.deadline_hit) ++stats_.solver_deadline_breaches;

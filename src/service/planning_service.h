@@ -155,6 +155,14 @@ struct ServiceStats {
   int64_t lp_dual_solves = 0;
   int64_t lp_slack_start_iterations = 0;
   int64_t rejected_candidates = 0;
+  /// Rejection cost. screened_rejections: solves the planner's exact
+  /// admission screen rejected without building a model (zero effort).
+  /// rejected_solver_nodes / rejected_lp_iterations: the part of
+  /// solver_nodes / lp_iterations spent by solves that admitted
+  /// nothing. Deterministic under node-bounded solves, like the above.
+  int64_t screened_rejections = 0;
+  int64_t rejected_solver_nodes = 0;
+  int64_t rejected_lp_iterations = 0;
   /// Incremental-solve counters (the planner's model cache). MILP
   /// solves either patch a cached model skeleton in O(bounds) —
   /// model_patches — or build one from scratch — model_rebuilds (always

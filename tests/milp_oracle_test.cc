@@ -4,11 +4,13 @@
 // only by row activity bounds and by the trivial objective bound, with
 // the few continuous columns solved at each leaf by vertex enumeration.
 //
-// Two families:
+// Three families:
 //  * random small binary and mixed programs (n <= 12, cover cuts on);
 //  * tiny SQPR admission models (2-3 hosts, 2-4 two-way join queries)
 //    solved the way the planner solves them — presolve, root cuts, lazy
-//    cycle cuts — against the best enumerated admission and placement.
+//    cycle cuts — against the best enumerated admission and placement;
+//  * the planner's exact admission screen: every query it calls hopeless
+//    on a pre-loaded 2-3 host deployment has no enumerated serving plan.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "model/cluster.h"
 #include "plan/deployment.h"
 #include "planner/sqpr/model_builder.h"
+#include "planner/sqpr/sqpr_planner.h"
 
 namespace sqpr {
 namespace {
@@ -312,6 +315,34 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomProgramOracleTest,
 
 // --------------------------------------------------- Tiny SQPR instances
 
+/// Acyclicity (§III-B), checked directly: for every relevant stream, the
+/// arcs set to 1 must not close a cycle. Monotone, as the oracle
+/// requires.
+std::function<bool(const std::vector<double>&)> AcyclicFlows(
+    const SqprMip& mip, int hosts) {
+  return [&mip, hosts](const std::vector<double>& x) {
+    for (StreamId s : mip.relevant_streams()) {
+      std::vector<int> colour(hosts, 0);  // 0 new, 1 on path, 2 done
+      std::function<bool(HostId)> cycle_from = [&](HostId u) {
+        colour[u] = 1;
+        for (HostId v = 0; v < hosts; ++v) {
+          const int var = mip.VarX(u, v, s);
+          if (var < 0 || x[var] < 0.5) continue;
+          if (colour[v] == 1 || (colour[v] == 0 && cycle_from(v))) {
+            return true;
+          }
+        }
+        colour[u] = 2;
+        return false;
+      };
+      for (HostId h = 0; h < hosts; ++h) {
+        if (colour[h] == 0 && cycle_from(h)) return false;
+      }
+    }
+    return true;
+  };
+}
+
 struct SqprCase {
   int hosts;
   int queries;
@@ -355,29 +386,7 @@ TEST_P(SqprOracleTest, PlannerModelMatchesBestEnumeratedPlan) {
   Deployment empty(&cluster, &catalog);
   SqprMip mip(empty, streams, operators, demands, SqprModelOptions{});
 
-  // Acyclicity (§III-B), checked directly: for every stream, the arcs
-  // set to 1 must not close a cycle. Monotone, as the oracle requires.
-  auto acyclic = [&](const std::vector<double>& x) {
-    for (StreamId s : streams) {
-      std::vector<int> colour(tc.hosts, 0);  // 0 new, 1 on path, 2 done
-      std::function<bool(HostId)> cycle_from = [&](HostId u) {
-        colour[u] = 1;
-        for (HostId v = 0; v < tc.hosts; ++v) {
-          const int var = mip.VarX(u, v, s);
-          if (var < 0 || x[var] < 0.5) continue;
-          if (colour[v] == 1 || (colour[v] == 0 && cycle_from(v))) {
-            return true;
-          }
-        }
-        colour[u] = 2;
-        return false;
-      };
-      for (HostId h = 0; h < tc.hosts; ++h) {
-        if (colour[h] == 0 && cycle_from(h)) return false;
-      }
-    }
-    return true;
-  };
+  const auto acyclic = AcyclicFlows(mip, tc.hosts);
   EnumerationOracle oracle(mip.mip(), acyclic);
   double best = 0.0;
   const bool feasible = oracle.Solve(&best);
@@ -406,6 +415,102 @@ INSTANTIATE_TEST_SUITE_P(
                       SqprCase{2, 3, 4}, SqprCase{2, 4, 5}, SqprCase{3, 2, 6},
                       SqprCase{3, 2, 7}, SqprCase{3, 2, 8}, SqprCase{3, 2, 9},
                       SqprCase{2, 4, 10}, SqprCase{2, 4, 11}));
+
+// The exact admission screen (AdmissionHopeless) against the oracle:
+// tiny clusters with a pre-loaded deployment and one fresh query.
+// Whenever the screen calls the query hopeless, enumeration must find
+// no plan of the model that serves it (the model plus Σ_h d_hq ≥ 1 is
+// infeasible). Host budgets are drawn so that CPU and NIC-in often fit
+// an operator exactly, where a screen with its tolerance the wrong way
+// round would reject a placeable query.
+TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
+  int screened = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const int hosts = 2 + static_cast<int>(seed % 2);
+    Catalog catalog{CostModel{}};
+    const double join_cpu = catalog.cost_model().OperatorCpuCost(20.0);
+    const double join_mem = catalog.cost_model().OperatorMemMb(20.0);
+    Cluster cluster(hosts, HostSpec{1.0, 30.0, 30.0, ""}, 40.0);
+    for (HostId h = 0; h < hosts; ++h) {
+      HostSpec spec;
+      spec.cpu = join_cpu * static_cast<double>(rng.NextBounded(3));
+      spec.nic_out_mbps = 10.0 * static_cast<double>(1 + rng.NextBounded(3));
+      spec.nic_in_mbps = 10.0 * static_cast<double>(rng.NextBounded(3));
+      if (rng.NextBounded(4) == 0) spec.mem_mb = join_mem;
+      cluster.SetHostSpec(h, spec);
+    }
+    std::vector<StreamId> base;
+    for (int b = 0; b < 4; ++b) {
+      base.push_back(catalog.AddBaseStream(
+          static_cast<HostId>(rng.NextBounded(hosts)), 10.0));
+    }
+    auto random_join = [&]() {
+      const size_t a = rng.NextBounded(base.size());
+      const size_t b = (a + 1 + rng.NextBounded(base.size() - 1)) %
+                       base.size();
+      return *catalog.CanonicalJoinStream({base[a], base[b]});
+    };
+
+    // Pre-load: a few joins and base-stream queries, planned by SQPR.
+    SqprPlanner::Options options;
+    options.timeout_ms = 60000;
+    options.max_nodes = 2000;
+    SqprPlanner planner(&cluster, &catalog, options);
+    const int preload = static_cast<int>(rng.NextBounded(5));
+    for (int i = 0; i < preload; ++i) {
+      const StreamId q = rng.NextBounded(3) == 0
+                             ? base[rng.NextBounded(base.size())]
+                             : random_join();
+      ASSERT_TRUE(planner.SubmitQuery(q).ok());
+    }
+    const StreamId fresh = random_join();
+    if (planner.deployment().ServingHost(fresh) != kInvalidHost) continue;
+
+    // The relevant sets and demands the planner's solve would use.
+    const Closure closure = *catalog.JoinClosure(fresh);
+    std::vector<StreamId> streams = closure.streams;
+    std::vector<OperatorId> operators = closure.operators;
+    std::sort(streams.begin(), streams.end());
+    std::sort(operators.begin(), operators.end());
+    std::vector<DemandSpec> demands = {{fresh, /*must_serve=*/false}};
+    for (StreamId q : planner.admitted_queries()) {
+      if (std::binary_search(streams.begin(), streams.end(), q)) {
+        demands.push_back({q, /*must_serve=*/true});
+      }
+    }
+    const Deployment& committed = planner.deployment();
+    SqprMip mip(committed, streams, operators, demands, SqprModelOptions{});
+    // The committed state is a plan of the model: its residuals add the
+    // relevant committed load back.
+    ASSERT_TRUE(mip.mip().lp.CheckFeasible(mip.WarmStart(), 1e-6).ok())
+        << "seed " << seed;
+
+    const bool hopeless =
+        AdmissionHopeless(committed, streams, operators, {fresh});
+    if (hopeless) {
+      ++screened;
+      milp::Model forced = mip.mip();
+      std::vector<std::pair<int, double>> serve;
+      for (HostId h = 0; h < hosts; ++h) {
+        serve.emplace_back(mip.VarD(h, fresh), 1.0);
+      }
+      forced.lp.AddRow(1.0, lp::kInf, serve);
+      EnumerationOracle oracle(forced, AcyclicFlows(mip, hosts));
+      double best = 0.0;
+      EXPECT_FALSE(oracle.Solve(&best))
+          << "seed " << seed << ": screened query has a serving plan";
+    }
+    const Result<PlanningStats> stats = planner.SubmitQuery(fresh);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->screened, hopeless) << "seed " << seed;
+    if (hopeless) {
+      EXPECT_FALSE(stats->admitted) << "seed " << seed;
+    }
+  }
+  // Not vacuous: the sweep reaches the screen's verdict often.
+  EXPECT_GE(screened, 20);
+}
 
 }  // namespace
 }  // namespace sqpr

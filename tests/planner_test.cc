@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "milp/solver.h"
 
 #include "model/catalog.h"
 #include "model/cluster.h"
@@ -9,6 +15,7 @@
 #include "planner/heuristic/join_trees.h"
 #include "planner/optimistic/optimistic_bound.h"
 #include "planner/soda/soda_planner.h"
+#include "planner/sqpr/model_builder.h"
 #include "planner/sqpr/sqpr_planner.h"
 #include "workload/generator.h"
 
@@ -673,6 +680,87 @@ TEST(SqprInPlaceTest, ChangeLogReplaysAdmissionsAndDepartures) {
   ASSERT_TRUE(ApplyDeploymentDelta(log, &replay).ok());
   EXPECT_EQ(replay.Fingerprint(), planner.deployment().Fingerprint());
   EXPECT_EQ(replay.Fingerprint(), empty.Fingerprint());
+}
+
+// The exact admission screen against the model it stands in for. On
+// randomized arrival/departure traces over tight clusters, every arrival
+// the screen rejects is re-solved as the full reduced MILP on the same
+// committed deployment, which must prove that it admits nothing; the
+// planner must report the screen's verdict and commit nothing. The relay,
+// no-relay and potentials formulations take turns.
+TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
+  int screened = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Scenario s(3, 8, /*cpu=*/0.2, /*nic=*/40.0, /*link=*/60.0);
+    Rng rng(seed);
+    SqprPlanner::Options options;
+    options.timeout_ms = 60000;
+    options.max_nodes = 5000;
+    options.model.enable_relay = seed % 3 != 1;
+    if (seed % 3 == 2) options.model.acyclicity = AcyclicityMode::kPotentials;
+    SqprPlanner planner = s.MakeSqpr(options);
+    for (int step = 0; step < 40; ++step) {
+      const std::vector<StreamId>& admitted = planner.admitted_queries();
+      if (!admitted.empty() && rng.NextBounded(4) == 0) {
+        const StreamId victim = admitted[rng.NextBounded(admitted.size())];
+        ASSERT_TRUE(planner.RemoveQuery(victim).ok());
+        continue;
+      }
+      std::vector<StreamId> leaves = s.base;
+      for (size_t i = 0; i < 3; ++i) {  // a random 2- or 3-way join
+        std::swap(leaves[i], leaves[i + rng.NextBounded(leaves.size() - i)]);
+      }
+      leaves.resize(2 + rng.NextBounded(2));
+      const StreamId q = s.Join(leaves);
+      ASSERT_TRUE(planner.WarmCatalog(q).ok());
+      const Deployment& committed = planner.deployment();
+
+      // The relevant sets and demands of the planner's solve.
+      const Closure closure = *s.catalog.JoinClosure(q);
+      std::vector<StreamId> streams = closure.streams;
+      std::vector<OperatorId> operators = closure.operators;
+      std::sort(streams.begin(), streams.end());
+      std::sort(operators.begin(), operators.end());
+      std::vector<DemandSpec> demands = {{q, /*must_serve=*/false}};
+      for (StreamId a : admitted) {
+        if (a != q && std::binary_search(streams.begin(), streams.end(), a)) {
+          demands.push_back({a, /*must_serve=*/true});
+        }
+      }
+      const bool served = committed.ServingHost(q) != kInvalidHost;
+      const bool hopeless =
+          !served && AdmissionHopeless(committed, streams, operators, {q});
+      if (hopeless) {
+        ++screened;
+        SqprMip mip(committed, streams, operators, demands, options.model);
+        SqprMip::CycleCutHandler handler(&mip);
+        const std::vector<double> warm = mip.WarmStart();
+        milp::SolverOptions solver_options;
+        solver_options.warm_start = &warm;
+        if (options.model.acyclicity == AcyclicityMode::kLazyCycleCuts) {
+          solver_options.lazy = &handler;
+        }
+        const milp::MipResult r = milp::Solver().Solve(mip.mip(),
+                                                       solver_options);
+        ASSERT_EQ(r.status, milp::MipStatus::kOptimal)
+            << "seed " << seed << " step " << step;
+        EXPECT_FALSE(mip.Serves(r.x, q))
+            << "seed " << seed << " step " << step << ": screened query "
+            << q << " admitted by the full model";
+      }
+      const std::string before = committed.Fingerprint();
+      const Result<PlanningStats> stats = planner.SubmitQuery(q);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->screened, hopeless) << "seed " << seed;
+      if (hopeless) {
+        EXPECT_FALSE(stats->admitted);
+        EXPECT_EQ(stats->solver_nodes, 0);
+        EXPECT_EQ(planner.deployment().Fingerprint(), before);
+      }
+    }
+  }
+  // Not vacuous: the traces saturate the cluster.
+  EXPECT_GE(screened, 10);
 }
 
 }  // namespace

@@ -737,6 +737,9 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
     int64_t published_dual_solves = 0;
     int64_t published_slack_start_pivots = 0;
     int64_t published_rejected = 0;
+    int64_t published_screened = 0;
+    int64_t published_rejected_nodes = 0;
+    int64_t published_rejected_pivots = 0;
   };
   auto run = [](bool audit) {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
@@ -825,6 +828,12 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
         registry.counter("service.lp_slack_start_iterations")->value();
     r.published_rejected =
         registry.counter("service.rejected_candidates")->value();
+    r.published_screened =
+        registry.counter("service.screened_rejections")->value();
+    r.published_rejected_nodes =
+        registry.counter("service.rejected_solver_nodes")->value();
+    r.published_rejected_pivots =
+        registry.counter("service.rejected_lp_iterations")->value();
     return r;
   };
 
@@ -861,6 +870,14 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
   EXPECT_EQ(a.published_dual_solves, st.lp_dual_solves);
   EXPECT_EQ(a.published_slack_start_pivots, st.lp_slack_start_iterations);
   EXPECT_EQ(a.published_rejected, st.rejected_candidates);
+  // Rejection cost: screened solves are rejections, and rejecting
+  // solves carry a part of the effort.
+  EXPECT_LE(st.screened_rejections, st.rejected + st.replanned_rejected);
+  EXPECT_LE(st.rejected_solver_nodes, st.solver_nodes);
+  EXPECT_LE(st.rejected_lp_iterations, st.lp_iterations);
+  EXPECT_EQ(a.published_screened, st.screened_rejections);
+  EXPECT_EQ(a.published_rejected_nodes, st.rejected_solver_nodes);
+  EXPECT_EQ(a.published_rejected_pivots, st.rejected_lp_iterations);
 
   // The departed query: discarded at the commit, never decided.
   int discards = 0;
@@ -888,6 +905,10 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
   EXPECT_EQ(a.stats.lp_slack_start_iterations,
             off.stats.lp_slack_start_iterations);
   EXPECT_EQ(a.stats.rejected_candidates, off.stats.rejected_candidates);
+  EXPECT_EQ(a.stats.screened_rejections, off.stats.screened_rejections);
+  EXPECT_EQ(a.stats.rejected_solver_nodes, off.stats.rejected_solver_nodes);
+  EXPECT_EQ(a.stats.rejected_lp_iterations,
+            off.stats.rejected_lp_iterations);
 }
 
 // The stall/SLO watchdog (WatchdogOptions) observes wall clock, so its

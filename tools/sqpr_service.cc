@@ -765,14 +765,18 @@ int main(int argc, char** argv) {
               service.pending_replans());
   std::printf("solver effort: %lld B&B nodes, %lld LP pivots over %zu "
               "solves (%lld factorizations, %lld dual LP calls, %lld "
-              "slack-start pivots, %lld rejected candidates)\n",
+              "slack-start pivots, %lld rejected candidates); "
+              "rejections: %lld screened, %lld B&B nodes, %lld LP pivots\n",
               static_cast<long long>(stats.solver_nodes),
               static_cast<long long>(stats.lp_iterations),
               stats.solve_ms.count(),
               static_cast<long long>(stats.lp_factorizations),
               static_cast<long long>(stats.lp_dual_solves),
               static_cast<long long>(stats.lp_slack_start_iterations),
-              static_cast<long long>(stats.rejected_candidates));
+              static_cast<long long>(stats.rejected_candidates),
+              static_cast<long long>(stats.screened_rejections),
+              static_cast<long long>(stats.rejected_solver_nodes),
+              static_cast<long long>(stats.rejected_lp_iterations));
   if (args.stall_ms > 0 || args.budget_admit_ms > 0 ||
       args.budget_solve_ms > 0 || args.budget_commit_ms > 0 ||
       args.budget_measure_ms > 0) {
