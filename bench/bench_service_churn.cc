@@ -20,19 +20,22 @@
 //    on the drift-heavy trace's final state and byte-checks the
 //    restore round-trip.
 //
-// Each scenario replays its trace twice. The solver is node-bounded
-// (large wall deadline + fixed branch-and-bound budget), so both
-// replays must commit bit-for-bit identical deployments, statistics,
-// solver effort and canonical audit bytes. Expected shape: every replay
-// consumes the whole trace, survives the failures, finishes with a
-// valid committed deployment, the plan cache absorbs repeat arrivals
-// (and maintains itself incrementally on additive commits), per-event
-// latency stays bounded, and every round query is solved exactly once
-// (no commit conflicts, no unwinds).
+// Each scenario replays its trace twice, the closed-loop ones three
+// times. The solver is node-bounded (large wall deadline + fixed
+// branch-and-bound budget), so the replays must commit bit-for-bit
+// identical deployments, statistics, solver effort and canonical audit
+// bytes. Expected shape: every replay consumes the whole trace,
+// survives the failures, finishes with a valid committed deployment,
+// the plan cache absorbs repeat arrivals, per-event latency stays
+// bounded, and every round query is solved exactly once (no commit
+// conflicts, no unwinds).
 //
 // With --json <path>, every (scenario, mode) run is appended to a
 // machine-readable record set (see bench_util.h) — the perf trajectory
-// checked in as BENCH_service.json via tools/run_bench.sh.
+// checked in as BENCH_service.json via tools/run_bench.sh. A
+// closed-loop record reports the median of each wall-time metric over
+// its three replays: one 3-4 s replay swings far outside the noise
+// band.
 
 #include <unistd.h>
 
@@ -64,7 +67,6 @@ struct RunResult {
   ServiceStats stats;
   std::string fingerprint;
   int64_t cache_hits = 0;
-  int64_t cache_rebuilds = 0;
   size_t trace_events = 0;
   bool audit_ok = false;
   // Decision audit journal renderings (src/obs/audit.h): the canonical
@@ -157,7 +159,6 @@ RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
   result.stats = service.stats();
   result.fingerprint = service.deployment().Fingerprint();
   result.cache_hits = service.plan_cache().hits();
-  result.cache_rebuilds = service.plan_cache().rebuilds();
   result.audit_ok = service.deployment().Validate().ok();
   result.audit_canonical = journal.ToJsonl(/*canonical=*/true);
   result.audit_full = journal.ToJsonl(/*canonical=*/false);
@@ -214,10 +215,6 @@ void PrintRun(const char* label, const RunResult& r) {
                 s.solve_ms.Quantile(0.90), s.solve_ms.Quantile(0.99),
                 s.solve_ms.max());
   }
-  std::printf("  reuse index: %lld incremental delta updates, %lld full "
-              "rebuilds\n",
-              static_cast<long long>(s.cache_delta_updates),
-              static_cast<long long>(r.cache_rebuilds));
   if (s.rate_directives + s.measurement_ticks > 0) {
     std::printf("  closed loop: %lld rate directives, %lld measurement "
                 "ticks (%lld analytic), %lld auto re-plan rounds; "
@@ -230,19 +227,38 @@ void PrintRun(const char* label, const RunResult& r) {
   }
 }
 
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// One record for the replays of a (scenario, mode): deterministic
+/// metrics from the first replay (the repeats agree on them), each
+/// wall-time metric as the median over the replays.
 void AddRecord(BenchJsonWriter* json, const char* scenario, const char* mode,
-               const RunResult& r) {
+               const std::vector<RunResult>& runs) {
   if (json == nullptr) return;
   BenchRecord& rec = json->Add(scenario);
   rec.labels["measure_mode"] = mode;
+  const RunResult& r = runs.front();
   const ServiceStats& s = r.stats;
   auto& m = rec.metrics;
-  m["wall_ms"] = r.total_ms;
-  m["events_per_s"] = r.events_per_s;
-  m["max_event_ms"] = r.max_event_ms;
-  m["solver_p50_ms"] = s.solve_ms.Quantile(0.50);
-  m["solver_p95_ms"] = s.solve_ms.Quantile(0.95);
-  m["solver_p99_ms"] = s.solve_ms.Quantile(0.99);
+  const auto median = [&runs](double (*metric)(const RunResult&)) {
+    std::vector<double> values;
+    for (const RunResult& run : runs) values.push_back(metric(run));
+    return Median(std::move(values));
+  };
+  m["wall_ms"] = median([](const RunResult& x) { return x.total_ms; });
+  m["events_per_s"] =
+      median([](const RunResult& x) { return x.events_per_s; });
+  m["max_event_ms"] =
+      median([](const RunResult& x) { return x.max_event_ms; });
+  m["solver_p50_ms"] = median(
+      [](const RunResult& x) { return x.stats.solve_ms.Quantile(0.50); });
+  m["solver_p95_ms"] = median(
+      [](const RunResult& x) { return x.stats.solve_ms.Quantile(0.95); });
+  m["solver_p99_ms"] = median(
+      [](const RunResult& x) { return x.stats.solve_ms.Quantile(0.99); });
   m["solver_samples"] = static_cast<double>(s.solve_ms.count());
   m["solver_nodes"] = static_cast<double>(s.solver_nodes);
   m["lp_iterations"] = static_cast<double>(s.lp_iterations);
@@ -259,61 +275,84 @@ void AddRecord(BenchJsonWriter* json, const char* scenario, const char* mode,
   m["rejected"] = static_cast<double>(s.rejected);
   m["evictions"] = static_cast<double>(s.evictions);
   m["replan_rounds"] = static_cast<double>(s.replan_rounds);
-  m["cache_delta_updates"] = static_cast<double>(s.cache_delta_updates);
-  m["cache_rebuilds"] = static_cast<double>(r.cache_rebuilds);
   m["measurement_ticks"] = static_cast<double>(s.measurement_ticks);
   m["analytic_ticks"] = static_cast<double>(s.analytic_ticks);
   m["auto_replan_rounds"] = static_cast<double>(s.auto_replan_rounds);
-  m["measure_ms_avg"] = s.measure_ms.mean();
-  m["measure_ms_max"] = s.measure_ms.max();
-  m["measure_ms_p99"] = s.measure_ms.Quantile(0.99);
+  m["measure_ms_avg"] =
+      median([](const RunResult& x) { return x.stats.measure_ms.mean(); });
+  m["measure_ms_max"] =
+      median([](const RunResult& x) { return x.stats.measure_ms.max(); });
+  m["measure_ms_p99"] = median(
+      [](const RunResult& x) { return x.stats.measure_ms.Quantile(0.99); });
   m["audit_records"] = static_cast<double>(r.audit_records);
   m["audit_canonical_records"] =
       static_cast<double>(r.audit_canonical_records);
 }
 
-bool DeterminismChecks(const char* scenario, const RunResult& first,
-                       const RunResult& again) {
-  bool ok = true;
-  std::printf("\n-- %s: replay invariance and the round path --\n", scenario);
-  ok &= ShapeCheck(first.stats.events ==
-                           static_cast<int64_t>(first.trace_events) &&
-                       again.stats.events ==
-                           static_cast<int64_t>(again.trace_events),
-                   "every trace event consumed in both replays");
-  ok &= ShapeCheck(first.audit_ok && again.audit_ok,
-                   "final committed deployments validate");
-  ok &= ShapeCheck(first.fingerprint == again.fingerprint,
-                   "replays commit identical deployments");
-  ok &= ShapeCheck(first.audit_canonical_records > 0 &&
-                       first.audit_canonical == again.audit_canonical,
-                   "canonical audit journal byte-identical across replays");
+/// Replay invariance over every replay of one trace, each compared with
+/// the first. The closed-loop records report medians over their
+/// replays, which measure one workload only because the replays did
+/// the same work.
+bool DeterminismChecks(const char* scenario,
+                       const std::vector<RunResult>& runs) {
+  const RunResult& first = runs.front();
   const ServiceStats& a = first.stats;
-  const ServiceStats& b = again.stats;
-  ok &= ShapeCheck(
-      a.admitted == b.admitted && a.rejected == b.rejected &&
-          a.replanned_admitted == b.replanned_admitted &&
-          a.measurement_ticks == b.measurement_ticks &&
-          a.auto_replan_rounds == b.auto_replan_rounds &&
-          a.solve_ms.count() == b.solve_ms.count() &&
-          a.solver_nodes == b.solver_nodes &&
-          a.lp_iterations == b.lp_iterations &&
-          a.lp_factorizations == b.lp_factorizations &&
-          a.lp_dual_solves == b.lp_dual_solves &&
-          a.lp_slack_start_iterations == b.lp_slack_start_iterations &&
-          a.rejected_candidates == b.rejected_candidates &&
-          a.screened_rejections == b.screened_rejections &&
-          a.rejected_solver_nodes == b.rejected_solver_nodes &&
-          a.rejected_lp_iterations == b.rejected_lp_iterations,
-      "replays agree on admission statistics and solver effort");
+  bool consumed = true, valid = true, same_deployment = true,
+       same_audit = first.audit_canonical_records > 0, same_effort = true,
+       bounded = true;
+  for (const RunResult& again : runs) {
+    const ServiceStats& b = again.stats;
+    consumed &= b.events == static_cast<int64_t>(again.trace_events);
+    valid &= again.audit_ok;
+    same_deployment &= again.fingerprint == first.fingerprint;
+    same_audit &= again.audit_canonical == first.audit_canonical;
+    same_effort &=
+        a.admitted == b.admitted && a.rejected == b.rejected &&
+        a.replanned_admitted == b.replanned_admitted &&
+        a.measurement_ticks == b.measurement_ticks &&
+        a.auto_replan_rounds == b.auto_replan_rounds &&
+        a.solve_ms.count() == b.solve_ms.count() &&
+        a.solver_nodes == b.solver_nodes &&
+        a.lp_iterations == b.lp_iterations &&
+        a.lp_factorizations == b.lp_factorizations &&
+        a.lp_dual_solves == b.lp_dual_solves &&
+        a.lp_slack_start_iterations == b.lp_slack_start_iterations &&
+        a.rejected_candidates == b.rejected_candidates &&
+        a.screened_rejections == b.screened_rejections &&
+        a.rejected_solver_nodes == b.rejected_solver_nodes &&
+        a.rejected_lp_iterations == b.rejected_lp_iterations;
+    bounded &= again.max_event_ms <= std::max(1000.0, again.total_ms / 4);
+  }
+  bool ok = true;
+  std::printf("\n-- %s: replay invariance over %zu replays and the round "
+              "path --\n",
+              scenario, runs.size());
+  ok &= ShapeCheck(consumed, "every trace event consumed in every replay");
+  ok &= ShapeCheck(valid, "final committed deployments validate");
+  ok &= ShapeCheck(same_deployment, "replays commit identical deployments");
+  ok &= ShapeCheck(same_audit,
+                   "canonical audit journal byte-identical across replays");
+  ok &= ShapeCheck(same_effort,
+                   "replays agree on admission statistics and solver effort");
   ok &= ShapeCheck(a.commit_conflicts == 0 && a.round_unwinds == 0 &&
                        a.barrier_ms.count() == 0,
                    "round queries solved once, at their commit point");
-  ok &= ShapeCheck(
-      first.max_event_ms <= std::max(1000.0, first.total_ms / 4) &&
-          again.max_event_ms <= std::max(1000.0, again.total_ms / 4),
-      "per-event latency bounded (no event monopolised loop)");
+  ok &= ShapeCheck(bounded,
+                   "per-event latency bounded (no event monopolised loop)");
   return ok;
+}
+
+/// The closed-loop scenario's replays of `trace_config` in one
+/// measurement mode, each printed; its record reports their medians.
+std::vector<RunResult> ReplayClosedLoop(const TraceConfig& trace_config,
+                                        MeasureMode mode) {
+  constexpr int kReplays = 3;
+  std::vector<RunResult> runs;
+  for (int i = 0; i < kReplays; ++i) {
+    runs.push_back(Replay(trace_config, /*closed_loop=*/true, mode));
+    PrintRun(i == 0 ? "first" : "repeat", runs.back());
+  }
+  return runs;
 }
 
 // Checkpoint overhead (docs/ARCHITECTURE.md §9): the cost of making
@@ -353,10 +392,6 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   // Each phase runs kReps times and reports its median: single
   // sub-millisecond timings swing far beyond the host's noise band.
   constexpr int kReps = 7;
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
   Stopwatch sw;
   Result<std::string> doc = service.ExportCheckpoint();
   SQPR_CHECK(doc.ok()) << doc.status().ToString();
@@ -402,9 +437,9 @@ bool RunCheckpointOverhead(BenchJsonWriter* json,
   Result<std::string> round_trip = restored->ExportCheckpoint();
   SQPR_CHECK(round_trip.ok()) << round_trip.status().ToString();
 
-  const double export_ms_median = median(export_ms);
-  const double write_ms_median = median(write_ms);
-  const double restore_ms_median = median(restore_ms);
+  const double export_ms_median = Median(export_ms);
+  const double write_ms_median = Median(write_ms);
+  const double restore_ms_median = Median(restore_ms);
   std::printf("  checkpoint: %zu bytes; export first %.2f ms (pays the "
               "accounting refresh), steady median %.2f ms; atomic write "
               "median %.2f ms; restore median %.2f ms (%d reps each)\n",
@@ -449,7 +484,8 @@ int main(int argc, char** argv) {
 
   PrintHeader("Service churn",
               "event-driven admission / drift re-planning / closed-loop "
-              "measurement, each trace replayed twice",
+              "measurement, each trace replayed twice (closed loop: "
+              "three times)",
               11);
   BenchJsonWriter json("service_churn", 11);
   BenchJsonWriter* jout = json_path.empty() ? nullptr : &json;
@@ -504,7 +540,7 @@ int main(int argc, char** argv) {
   PrintRun("first", d);
   const RunResult d2 = Replay(drifty);
   PrintRun("repeat", d2);
-  AddRecord(jout, "drift-heavy", "none", d);
+  AddRecord(jout, "drift-heavy", "none", {d});
 
   // ---- Scenario 2: arrival-heavy (cache-miss arrivals, rounds kept
   // live by a few drift reports). ----
@@ -523,7 +559,7 @@ int main(int argc, char** argv) {
   PrintRun("first", a);
   const RunResult a2 = Replay(arrivally);
   PrintRun("repeat", a2);
-  AddRecord(jout, "arrival-heavy", "none", a);
+  AddRecord(jout, "arrival-heavy", "none", {a});
 
   // ---- Scenario 3: closed-loop (§IV-C self-measurement: the trace
   // scripts ground-truth rate trajectories and *no* monitor reports;
@@ -539,24 +575,20 @@ int main(int argc, char** argv) {
   closed.min_failures = 1;
 
   std::printf("\n==== scenario: closed-loop (engine measurements) ====\n");
-  const RunResult c = Replay(closed, /*closed_loop=*/true);
-  PrintRun("first", c);
-  const RunResult c2 = Replay(closed, /*closed_loop=*/true);
-  PrintRun("repeat", c2);
-  AddRecord(jout, "closed-loop", "engine", c);
+  const std::vector<RunResult> cs =
+      ReplayClosedLoop(closed, MeasureMode::kEngine);
+  const RunResult& c = cs.front();
+  AddRecord(jout, "closed-loop", "engine", cs);
 
   // ---- Scenario 3b: the same closed-loop trace under analytic
   // measurements — per-stream rates and per-host CPU derived from the
   // committed ledgers scaled by truth/estimate ratios, no ClusterSim
   // run. ----
   std::printf("\n==== scenario: closed-loop (analytic measurements) ====\n");
-  const RunResult n = Replay(closed, /*closed_loop=*/true,
-                             MeasureMode::kAnalytic);
-  PrintRun("first", n);
-  const RunResult n2 = Replay(closed, /*closed_loop=*/true,
-                              MeasureMode::kAnalytic);
-  PrintRun("repeat", n2);
-  AddRecord(jout, "closed-loop", "analytic", n);
+  const std::vector<RunResult> ns =
+      ReplayClosedLoop(closed, MeasureMode::kAnalytic);
+  const RunResult& n = ns.front();
+  AddRecord(jout, "closed-loop", "analytic", ns);
   std::printf("\nper-measuring-tick cost: engine avg %.3f ms vs analytic "
               "avg %.4f ms (%.1fx)\n",
               c.stats.measure_ms.mean(), n.stats.measure_ms.mean(),
@@ -573,10 +605,10 @@ int main(int argc, char** argv) {
   const bool checkpoint_ok = RunCheckpointOverhead(jout, drifty);
 
   bool ok = checkpoint_ok;
-  ok &= DeterminismChecks("drift-heavy", d, d2);
-  ok &= DeterminismChecks("arrival-heavy", a, a2);
-  ok &= DeterminismChecks("closed-loop[engine]", c, c2);
-  ok &= DeterminismChecks("closed-loop[analytic]", n, n2);
+  ok &= DeterminismChecks("drift-heavy", {d, d2});
+  ok &= DeterminismChecks("arrival-heavy", {a, a2});
+  ok &= DeterminismChecks("closed-loop[engine]", cs);
+  ok &= DeterminismChecks("closed-loop[analytic]", ns);
 
   std::printf("\n-- scenario-specific shape --\n");
   ok &= ShapeCheck(d.stats.host_failures >= 2 &&
@@ -608,19 +640,21 @@ int main(int argc, char** argv) {
                    "re-planning too");
   // Per-tick means come from ~20 samples per replay; a scheduler
   // descheduling spike on one tick could inflate a single replay's
-  // mean. Taking the minimum mean across the two replays of each mode
+  // mean. Taking the minimum mean across the replays of each mode
   // keeps the >= 5x gate robust on a loaded host — the true margin is
   // ~20x.
-  const double engine_tick_ms =
-      std::min(c.stats.measure_ms.mean(), c2.stats.measure_ms.mean());
-  const double analytic_tick_ms =
-      std::min(n.stats.measure_ms.mean(), n2.stats.measure_ms.mean());
+  const auto min_tick_ms = [](const std::vector<RunResult>& runs) {
+    double best = runs.front().stats.measure_ms.mean();
+    for (const RunResult& r : runs) {
+      best = std::min(best, r.stats.measure_ms.mean());
+    }
+    return best;
+  };
+  const double engine_tick_ms = min_tick_ms(cs);
+  const double analytic_tick_ms = min_tick_ms(ns);
   ok &= ShapeCheck(
       analytic_tick_ms > 0 && engine_tick_ms >= 5.0 * analytic_tick_ms,
       "analytic mode cuts per-measuring-tick cost >= 5x vs engine mode");
-  ok &= ShapeCheck(d.cache_rebuilds <= 1 && a.cache_rebuilds <= 1 &&
-                       c.cache_rebuilds <= 1 && n.cache_rebuilds <= 1,
-                   "0 full cache rebuilds after the first build");
 
   if (jout != nullptr && !json.WriteFile(json_path, ok ? 0 : 1)) {
     return 1;

@@ -123,6 +123,13 @@ class Catalog {
   /// distinct base streams). Does not create any operator.
   Result<StreamId> CanonicalJoinStream(std::vector<StreamId> base_leaves);
 
+  /// The join stream already interned over `sorted_leaves` (ascending,
+  /// distinct), or kInvalidStream. Read-only: it never interns.
+  StreamId FindJoinStream(const std::vector<StreamId>& sorted_leaves) const {
+    auto it = join_stream_by_leaves_.find(sorted_leaves);
+    return it == join_stream_by_leaves_.end() ? kInvalidStream : it->second;
+  }
+
   /// Registers (or finds) a filter/project over `input` with a semantic
   /// discriminator `tag` (two filters with the same tag on the same input
   /// are the same deterministic operator, hence shareable; §II-C limits

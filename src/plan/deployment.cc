@@ -453,20 +453,6 @@ std::string Deployment::Fingerprint() const {
   return out;
 }
 
-void DeploymentDelta::Append(const DeploymentDelta& later) {
-  ops_added.insert(ops_added.end(), later.ops_added.begin(),
-                   later.ops_added.end());
-  ops_removed.insert(ops_removed.end(), later.ops_removed.begin(),
-                     later.ops_removed.end());
-  flows_added.insert(flows_added.end(), later.flows_added.begin(),
-                     later.flows_added.end());
-  flows_removed.insert(flows_removed.end(), later.flows_removed.begin(),
-                       later.flows_removed.end());
-  serving_changes.insert(serving_changes.end(),
-                         later.serving_changes.begin(),
-                         later.serving_changes.end());
-}
-
 Status ApplyDeploymentDelta(const DeploymentDelta& delta,
                             Deployment* deployment) {
   // Removals first, so freed capacity and slots are available to the

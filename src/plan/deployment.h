@@ -220,10 +220,9 @@ class Deployment {
 
 /// A structural change to a deployment, as the mutator calls that make
 /// it. The planner applies each admission as one (SqprMip::Commit: the
-/// minimal diff between the committed state and the solution), and the
-/// planning service's reuse index (PlanCache) learns every change —
-/// admissions, departures with their garbage collection, host-failure
-/// purges and drift-cycle evictions — as a stream of these.
+/// minimal diff between the committed state and the solution; the
+/// greedy fallback's diff of its trial copy). Removals, garbage
+/// collection and host purges call the mutators directly.
 struct DeploymentDelta {
   struct ServingChange {
     StreamId stream = kInvalidStream;
@@ -242,12 +241,6 @@ struct DeploymentDelta {
     return ops_added.empty() && ops_removed.empty() && flows_added.empty() &&
            flows_removed.empty() && serving_changes.empty();
   }
-
-  /// Concatenates `later`'s entries onto this delta's. The result lists
-  /// every fact either delta touched, so a fact removed by one and added
-  /// by the other appears in both lists: a consumer reads membership
-  /// from the final deployment, as PlanCache::ApplyDelta does.
-  void Append(const DeploymentDelta& later);
 };
 
 /// Applies a delta: removals first (flows, then operators), so freed

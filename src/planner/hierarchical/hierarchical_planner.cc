@@ -145,11 +145,9 @@ Result<PlanningStats> HierarchicalPlanner::SubmitQuery(StreamId query) {
 
   if (result.has_solution()) {
     SQPR_CHECK_OK(mip.Commit(result.x, &deployment_));
-    if (options_.validate_commits) {
-      const Status valid = deployment_.Validate();
-      SQPR_CHECK(valid.ok()) << "hierarchical commit broke invariants: "
-                             << valid.ToString();
-    }
+    const Status valid = deployment_.Validate();
+    SQPR_CHECK(valid.ok()) << "hierarchical commit broke invariants: "
+                           << valid.ToString();
     if (mip.Serves(result.x, query)) {
       stats.admitted = true;
       admitted_.push_back(query);

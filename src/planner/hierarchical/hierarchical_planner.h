@@ -44,7 +44,6 @@ class HierarchicalPlanner : public Planner {
     int64_t max_nodes = 1000000;
     double mip_gap_abs = 0.1;
     double mip_gap_rel = 1e-4;
-    bool validate_commits = true;
     SqprModelOptions model;
   };
 

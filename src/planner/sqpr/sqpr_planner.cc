@@ -253,12 +253,9 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 void SqprPlanner::CommitDelta(const DeploymentDelta& delta) {
   SQPR_TRACE_SPAN("planner/commit");
   SQPR_CHECK_OK(ApplyDeploymentDelta(delta, &deployment_));
-  if (options_.validate_commits) {
-    const Status valid = deployment_.Validate();
-    SQPR_CHECK(valid.ok()) << "commit broke deployment invariants: "
-                           << valid.ToString();
-  }
-  Record(delta);
+  const Status valid = deployment_.Validate();
+  SQPR_CHECK(valid.ok()) << "commit broke deployment invariants: "
+                         << valid.ToString();
 }
 
 Status SqprPlanner::RemoveQuery(StreamId query) {
@@ -267,16 +264,9 @@ Status SqprPlanner::RemoveQuery(StreamId query) {
     return Status::NotFound("query not admitted");
   }
   admitted_.erase(it);
-  const HostId server = deployment_.ServingHost(query);
   SQPR_RETURN_IF_ERROR(deployment_.ClearServing(query));
-  DeploymentDelta removed;
-  removed.serving_changes.push_back({query, server, kInvalidHost});
-  GarbageCollect(&removed);
-  Record(removed);
-  if (options_.validate_commits) {
-    SQPR_RETURN_IF_ERROR(deployment_.Validate());
-  }
-  return Status::OK();
+  GarbageCollect();
+  return deployment_.Validate();
 }
 
 Result<PlanningStats> SqprPlanner::AdmitMaterialized(
@@ -304,17 +294,12 @@ Result<PlanningStats> SqprPlanner::AdmitMaterialized(
     if (!deployment_.CanServe(query, host)) continue;
     SQPR_RETURN_IF_ERROR(deployment_.SetServing(query, host));
     admitted_.push_back(query);
-    if (options_.validate_commits) {
-      const Status valid = deployment_.Validate();
-      if (!valid.ok()) {
-        admitted_.pop_back();
-        SQPR_CHECK_OK(deployment_.ClearServing(query));
-        return valid;
-      }
+    const Status valid = deployment_.Validate();
+    if (!valid.ok()) {
+      admitted_.pop_back();
+      SQPR_CHECK_OK(deployment_.ClearServing(query));
+      return valid;
     }
-    DeploymentDelta served;
-    served.serving_changes.push_back({query, kInvalidHost, host});
-    Record(served);
     stats.admitted = true;
     stats.via_cache = true;
     stats.wall_ms = watch.ElapsedMillis();
@@ -348,24 +333,20 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
 
   // Pass 2: purge residual allocations — redundant supports of surviving
   // queries that the conservative per-query GC keeps alive.
-  DeploymentDelta purged;
   const std::vector<OperatorId> residual_ops(
       deployment_.OperatorsOn(host).begin(),
       deployment_.OperatorsOn(host).end());
   for (OperatorId o : residual_ops) {
     SQPR_RETURN_IF_ERROR(deployment_.RemoveOperator(host, o));
-    purged.ops_removed.emplace_back(host, o);
   }
   for (StreamId s : deployment_.FlowStreams()) {
     const auto flows = deployment_.FlowsOf(s);  // copy: mutation below
     for (const auto& [from, to] : flows) {
       if (from == host || to == host) {
         SQPR_RETURN_IF_ERROR(deployment_.RemoveFlow(from, to, s));
-        purged.flows_removed.emplace_back(from, to, s);
       }
     }
   }
-  Record(purged);
 
   // Pass 3: the purge may have been the sole support of a surviving
   // query that extraction happened to route around — evict those too,
@@ -384,17 +365,13 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
     if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) return st;
     affected.push_back(q);
   }
-  DeploymentDelta collected;
-  GarbageCollect(&collected);
-  Record(collected);
-  if (options_.validate_commits) {
-    const Status valid = deployment_.Validate();
-    if (!valid.ok() && !valid.IsResourceExhausted()) return valid;
-  }
+  GarbageCollect();
+  const Status valid = deployment_.Validate();
+  if (!valid.ok() && !valid.IsResourceExhausted()) return valid;
   return affected;
 }
 
-void SqprPlanner::GarbageCollect(DeploymentDelta* removed) {
+void SqprPlanner::GarbageCollect() {
   const Catalog& catalog = *catalog_;
 
   // Mark phase: (host, stream) needs seeded by the served streams; every
@@ -460,10 +437,6 @@ void SqprPlanner::GarbageCollect(DeploymentDelta* removed) {
   for (const auto& [from, to, s] : dead_flows) {
     SQPR_CHECK_OK(deployment_.RemoveFlow(from, to, s));
   }
-  removed->ops_removed.insert(removed->ops_removed.end(), dead_ops.begin(),
-                              dead_ops.end());
-  removed->flows_removed.insert(removed->flows_removed.end(),
-                                dead_flows.begin(), dead_flows.end());
 }
 
 Status SqprPlanner::WarmCatalog(StreamId query) {

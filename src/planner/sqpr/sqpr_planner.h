@@ -56,9 +56,6 @@ class SqprPlanner : public Planner {
     /// §IV-A problem reduction; false re-plans every admitted query on
     /// each submission (the ablation configuration).
     bool reduce_problem = true;
-    /// Re-audit the committed deployment after every commit. Cheap at
-    /// experiment scale and catches planner bugs immediately.
-    bool validate_commits = true;
     /// When the MILP hits its deadline without an admitting incumbent,
     /// fall back to the §V-A greedy placement before rejecting — the
     /// "combine heuristics with SQPR to increase satisfied queries"
@@ -109,13 +106,14 @@ class SqprPlanner : public Planner {
   /// that no longer support any served stream.
   Status RemoveQuery(StreamId query);
 
-  /// Plan-reuse fast path (§II-C made O(1) by the service's PlanCache):
-  /// admits `query` by adding only the client-serving arc at the first
-  /// candidate host where the stream is already grounded through
-  /// committed operators/flows and the serving NIC has headroom. No
-  /// MILP solve; each candidate costs one lookup of the deployment's
-  /// maintained availability. Fails FailedPrecondition when the stream is
-  /// not materialised at any candidate and ResourceExhausted when it is
+  /// Plan-reuse fast path (§II-C; the service's PlanCache reads the
+  /// candidate hosts off the deployment's availability): admits `query`
+  /// by adding only the client-serving arc at the first candidate host
+  /// where the stream is already grounded through committed
+  /// operators/flows and the serving NIC has headroom. No MILP solve;
+  /// each candidate costs one lookup of the deployment's maintained
+  /// availability. Fails FailedPrecondition when the stream is not
+  /// materialised at any candidate and ResourceExhausted when it is
   /// materialised but no candidate has serving headroom; neither
   /// failure mutates the deployment.
   Result<PlanningStats> AdmitMaterialized(StreamId query,
@@ -149,20 +147,13 @@ class SqprPlanner : public Planner {
   /// docs/ARCHITECTURE.md).
   Status WarmCatalog(StreamId query);
 
-  /// Appends every structural change the planner makes to its deployment
-  /// from now on — admissions, removals with their garbage collection,
-  /// host purges — to `log`, in commit order (null stops recording).
-  /// The planning service drains it into its reuse index once per event.
-  void set_change_log(DeploymentDelta* log) { change_log_ = log; }
-
   // ---- Checkpoint support (src/service/checkpoint.h). ----
 
   /// Mutable access to the committed deployment, for restore-time
   /// reconstruction only: the restorer replays the checkpointed
   /// structure through the ordinary mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
-  /// reinstates the version counters. Changes made through it are not
-  /// recorded in the change log.
+  /// reinstates the version counters.
   Deployment* mutable_deployment() { return &deployment_; }
 
   /// Reinstates the admitted-query list (submission order) alongside a
@@ -184,22 +175,17 @@ class SqprPlanner : public Planner {
       const std::vector<StreamId>& new_queries);
 
   /// Removes operators/flows not (transitively) supporting any served
-  /// stream, appending the removals to `removed`.
-  void GarbageCollect(DeploymentDelta* removed);
+  /// stream.
+  void GarbageCollect();
 
-  /// Applies `delta` to the committed deployment, audits the result
-  /// (validate_commits) and records it in the change log.
+  /// Applies `delta` to the committed deployment and audits the result.
   void CommitDelta(const DeploymentDelta& delta);
-  void Record(const DeploymentDelta& delta) {
-    if (change_log_ != nullptr) change_log_->Append(delta);
-  }
 
   const Cluster* cluster_;
   Catalog* catalog_;
   Options options_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
-  DeploymentDelta* change_log_ = nullptr;
 
   // Built model skeletons by solve structure (performance-only; see
   // model_cache.h).

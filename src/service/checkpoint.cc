@@ -284,15 +284,14 @@ Status DecodeTrajectory(const JsonValue& v, RateTrajectory* t,
 
 Result<std::string> PlanningService::ExportCheckpoint() {
   // A checkpoint is a barrier: commit the pending round exactly as a
-  // monitor report would, bring the reuse index up to date and
-  // canonicalize the deployment's ledger floats (RecomputeAggregates
-  // rebuilds them from the catalog in one fixed order, erasing any
-  // history-dependent summation error). Both sides of the crash-restore
-  // property checkpoint at the same event boundaries, so the quiesce
-  // steps — and therefore the serialized bytes and everything downstream
-  // — are identical for the crashing and the uninterrupted run.
+  // monitor report would, and canonicalize the deployment's ledger
+  // floats (RecomputeAggregates rebuilds them from the catalog in one
+  // fixed order, erasing any history-dependent summation error). Both
+  // sides of the crash-restore property checkpoint at the same event
+  // boundaries, so the quiesce steps — and therefore the serialized
+  // bytes and everything downstream — are identical for the crashing
+  // and the uninterrupted run.
   FinishInFlightRound();
-  SyncPlanCache();
   planner_.RefreshAccounting();
 
   JsonValue root = JsonValue::Object();
@@ -676,18 +675,15 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
   }
   stats_ = restored;
 
-  // 7. Reuse index: one rebuild from the restored deployment's grounded
-  // pairs, then the serialized hit counters (maintenance counters
-  // restart — they describe this process, not the workload).
+  // 7. Plan cache: only its hit counters are state; lookups read the
+  // restored deployment.
   Result<const JsonValue*> pc = GetObject(root, "plan_cache");
   if (!pc.ok()) return pc.status();
   int64_t exact_hits = 0, partial_hits = 0, misses = 0;
   SQPR_RETURN_IF_ERROR(GetInt(**pc, "exact_hits", &exact_hits));
   SQPR_RETURN_IF_ERROR(GetInt(**pc, "partial_hits", &partial_hits));
   SQPR_RETURN_IF_ERROR(GetInt(**pc, "misses", &misses));
-  cache_.Rebuild(deployment());
   cache_.RestoreCounters(exact_hits, partial_hits, misses);
-  cache_changes_ = DeploymentDelta();
 
   // 8. Closed-loop telemetry: presence must match the service mode.
   const JsonValue* tv = root.Find("telemetry");

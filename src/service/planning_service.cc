@@ -42,7 +42,7 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
       options_(options),
       planner_(cluster, catalog, options.planner),
       monitor_(catalog, options.drift),
-      cache_(catalog),
+      cache_(&planner_.deployment()),
       scheduler_(options.replan) {
   SQPR_CHECK(cluster != nullptr && catalog != nullptr);
   if (options_.closed_loop) {
@@ -52,8 +52,6 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
   // The scheduler audits its own enqueue/discard decisions;
   // it shares the service's journal and virtual clock.
   scheduler_.set_audit(options_.audit, &clock_);
-  // Every structural change the planner commits feeds the reuse index.
-  if (options_.use_plan_cache) planner_.set_change_log(&cache_changes_);
 }
 
 void ServiceMetricsPublisher::Bump(const char* name, int64_t value,
@@ -317,11 +315,6 @@ Result<EventOutcome> PlanningService::Step() {
   // one event monopolise the loop.
   DrainReplanRounds(&outcome);
 
-  // One reuse-index update per mutating event, not per mutation:
-  // incremental deltas when everything was additive, one rebuild
-  // otherwise.
-  SyncPlanCache();
-
   outcome.wall_ms = watch.ElapsedMillis();
   stats_.total_wall_ms += outcome.wall_ms;
   stats_.max_event_ms = std::max(stats_.max_event_ms, outcome.wall_ms);
@@ -357,16 +350,6 @@ void PlanningService::FinishInFlightRound() {
   if (round_.empty()) return;
   EventOutcome scratch;  // results land in the aggregate stats_
   CommitPendingRound(&scratch);
-  SyncPlanCache();
-}
-
-void PlanningService::SyncPlanCache() {
-  if (cache_changes_.empty()) return;
-  SQPR_TRACE_SPAN("service/cache.delta");
-  if (cache_.ApplyDelta(deployment(), cache_changes_)) {
-    ++stats_.cache_delta_updates;
-  }
-  cache_changes_ = DeploymentDelta();
 }
 
 Result<PlanningStats> PlanningService::Admit(StreamId query,
@@ -379,7 +362,7 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   SQPR_TRACE_SPAN("service/admit");
   Stopwatch watch;
 
-  if (options_.use_plan_cache && arrival) {
+  if (arrival) {
     PlanCache::Lookup lookup = cache_.OnArrival(query);
     if (reuse_candidates != nullptr) {
       *reuse_candidates = static_cast<int>(lookup.partial.size());
@@ -493,14 +476,12 @@ void PlanningService::AuditDeadlineBreach(StreamId query,
 }
 
 void PlanningService::RememberRejected(StreamId query) {
-  if (!options_.retry_rejected_on_join) return;
   if (std::find(rejected_recently_.begin(), rejected_recently_.end(),
                 query) != rejected_recently_.end()) {
     return;
   }
   rejected_recently_.push_back(query);
-  while (static_cast<int>(rejected_recently_.size()) >
-         std::max(0, options_.max_rejected_remembered)) {
+  if (rejected_recently_.size() > kMaxRejectedRemembered) {
     rejected_recently_.pop_front();
   }
 }
@@ -665,12 +646,10 @@ Status PlanningService::HandleHostJoin(const Event& event,
   // Fresh capacity: give recently rejected queries another chance
   // through the bounded rounds.
   int retried = 0;
-  if (options_.retry_rejected_on_join) {
-    for (StreamId q : rejected_recently_) {
-      if (scheduler_.Enqueue(q)) ++retried;
-    }
-    rejected_recently_.clear();
+  for (StreamId q : rejected_recently_) {
+    if (scheduler_.Enqueue(q)) ++retried;
   }
+  rejected_recently_.clear();
   if (AuditOn()) {
     jr.detail = retried;
     AuditFingerprint(&jr, /*post=*/true);

@@ -49,15 +49,6 @@ struct ServiceOptions {
   SqprPlanner::Options planner;
   DriftOptions drift;
   ReplanPolicyOptions replan;
-  /// Consult the plan-reuse cache on arrivals: exact hits admit without
-  /// a solve (dedup or one serving arc); misses fall through to the
-  /// reduced MILP.
-  bool use_plan_cache = true;
-  /// After a host (re)joins, retry recently rejected queries through the
-  /// bounded re-planning rounds.
-  bool retry_rejected_on_join = true;
-  /// Cap on the rejected queries remembered for such retries.
-  int max_rejected_remembered = 64;
   /// §IV-C closed loop: every `telemetry.measure_period` ticks the
   /// service measures its *own* committed deployment (ClusterSim under
   /// the telemetry rate model's ground-truth rates) and feeds the result
@@ -127,9 +118,9 @@ struct ServiceStats {
   /// measurement_ticks when telemetry.mode == kAnalytic, 0 in engine
   /// mode.
   int64_t analytic_ticks = 0;
-  /// Reuse-index maintenance: events whose deployment changes were
-  /// applied to the PlanCache as one incremental delta. Full rebuilds
-  /// (the first build) are counted on the PlanCache itself.
+  /// Always 0: the plan cache reads the committed deployment and keeps
+  /// no index to update. Kept only because the benchmark replay still
+  /// reads it; the next benchmark change drops it.
   int64_t cache_delta_updates = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
@@ -258,7 +249,7 @@ class ServiceMetricsPublisher {
 /// the SQPR planner (§IV): queries arrive and depart over time, hosts
 /// join and fail, and the resource monitor's reports trigger adaptive
 /// re-planning. The service owns the planner, the resource monitor, a
-/// plan-reuse cache and a deterministic event queue driven by an
+/// plan-reuse lookup and a deterministic event queue driven by an
 /// injectable virtual clock; it updates the committed Deployment
 /// incrementally, event by event.
 ///
@@ -267,8 +258,8 @@ class ServiceMetricsPublisher {
 ///   kQueryDeparture — remove + garbage-collect unshared support;
 ///   kHostFailure    — zero the host's budgets, evict its fallout and
 ///                     queue the evicted queries for re-admission;
-///   kHostJoin       — restore the host's budgets; optionally retry
-///                     recently rejected queries;
+///   kHostJoin       — restore the host's budgets and retry recently
+///                     rejected queries;
 ///   kMonitorReport  — §IV-B drift analysis: install measured rates,
 ///                     evict while over budget, queue affected queries;
 ///   kTick           — drain pending re-planning rounds; in closed-loop
@@ -299,7 +290,7 @@ class PlanningService {
   /// The service mutates `cluster` (host failure/rejoin) and `catalog`
   /// (measured-rate installation); both must outlive it.
   PlanningService(Cluster* cluster, Catalog* catalog, ServiceOptions options);
-  // The planner records its changes into a member of this object.
+  // The plan cache reads the planner's deployment through a pointer.
   PlanningService(const PlanningService&) = delete;
   PlanningService& operator=(const PlanningService&) = delete;
 
@@ -363,10 +354,9 @@ class PlanningService {
 
   /// Serializes the full service state as a sqpr-checkpoint-v1 JSON
   /// document. A checkpoint is a *barrier*: the call first commits the
-  /// pending round, syncs the plan cache and canonicalizes the
-  /// deployment ledgers — the same quiesce every barrier event performs
-  /// — so the exported bytes are a function of the events consumed.
-  /// Restoring
+  /// pending round and canonicalizes the deployment ledgers — the same
+  /// quiesce every barrier event performs — so the exported bytes are a
+  /// function of the events consumed. Restoring
   /// it into a freshly constructed service (same cluster/catalog/
   /// options provenance) and replaying the remaining events produces
   /// bit-identical committed deployments to an uninterrupted run that
@@ -425,11 +415,6 @@ class PlanningService {
   /// Barrier events and FinishInFlightRound call it before their
   /// handler; DrainReplanRounds calls it at the end of every Step().
   void CommitPendingRound(EventOutcome* outcome);
-
-  /// Applies the structural changes the planner recorded since the last
-  /// sync (cache_changes_) to the reuse index as one delta. Called at
-  /// the end of Step() and of round retirement.
-  void SyncPlanCache();
 
   /// Admits one query; shared by arrivals and re-planning round queries.
   /// Arrivals try the plan-cache fast path, then a solve (WarmCatalog +
@@ -491,12 +476,6 @@ class PlanningService {
   EventQueue queue_;
   ServiceStats stats_;
 
-  /// Structural changes the planner committed since the last
-  /// SyncPlanCache (its change log), applied once at the end of Step()
-  /// rather than after every mutation. Intra-event lookups see the
-  /// index as of the event's start — safe, because AdmitMaterialized
-  /// re-checks groundedness and SubmitQuery's dedup is authoritative.
-  DeploymentDelta cache_changes_;
   /// Closed-loop telemetry (null in open-loop mode). Loop-thread-owned,
   /// like every other committed-state structure.
   std::unique_ptr<MeasurementEngine> telemetry_;
@@ -505,7 +484,9 @@ class PlanningService {
 
   /// Saved specs of failed hosts, restored on rejoin.
   std::map<HostId, HostSpec> failed_hosts_;
-  /// Recently rejected queries (FIFO, bounded), retried after joins.
+  /// Recently rejected queries (FIFO, at most kMaxRejectedRemembered),
+  /// retried after joins.
+  static constexpr size_t kMaxRejectedRemembered = 64;
   std::deque<StreamId> rejected_recently_;
   /// First-call order of every query whose catalog closure this service
   /// warmed (WarmCatalogLogged). Interning order decides StreamId

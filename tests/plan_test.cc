@@ -304,16 +304,6 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   ASSERT_TRUE(ApplyDeploymentDelta(delta, &replay).ok());
   EXPECT_EQ(replay.Fingerprint(), next.Fingerprint());
   EXPECT_TRUE(replay.Validate().ok());
-
-  // Append concatenates entries: removing and re-adding the same flow
-  // lists it on both sides.
-  DeploymentDelta combined = delta;
-  DeploymentDelta readd;
-  readd.flows_added.emplace_back(1, 0, f.b);
-  combined.Append(readd);
-  EXPECT_EQ(combined.flows_removed.size(), 1u);
-  EXPECT_EQ(combined.flows_added.size(), 2u);
-  EXPECT_EQ(combined.serving_changes.size(), 1u);
 }
 
 TEST(DeploymentDeltaTest, ApplySkipsWorkAnotherCommitAlreadyDid) {

@@ -639,47 +639,14 @@ TEST(SqprInPlaceTest, RejectedSolveLeavesDeploymentUntouched) {
 
   const std::string fingerprint = planner.deployment().Fingerprint();
   const uint64_t version = planner.deployment().version();
-  DeploymentDelta log;
-  planner.set_change_log(&log);
   Result<PlanningStats> rejected = planner.SubmitQuery(q23);
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   EXPECT_FALSE(rejected->admitted);
   EXPECT_EQ(rejected->commit_ms, 0.0);
   EXPECT_EQ(planner.deployment().Fingerprint(), fingerprint);
   EXPECT_EQ(planner.deployment().version(), version);
-  EXPECT_TRUE(log.empty());
   ASSERT_EQ(planner.admitted_queries().size(), 1u);
   EXPECT_EQ(planner.admitted_queries()[0], q01);
-}
-
-// The change log carries exactly what was committed: replaying an
-// admission's entries onto the state before it reproduces the state
-// after it, and so does a departure's, garbage collection included.
-TEST(SqprInPlaceTest, ChangeLogReplaysAdmissionsAndDepartures) {
-  OneJoinScenario s;
-  const StreamId q01 = *s.catalog.CanonicalJoinStream({s.base[0], s.base[1]});
-  SqprPlanner::Options options;
-  options.timeout_ms = 60000;
-  options.max_nodes = 200;
-  SqprPlanner planner(&s.cluster, &s.catalog, options);
-  DeploymentDelta log;
-  planner.set_change_log(&log);
-
-  const Deployment empty = planner.deployment();
-  ASSERT_TRUE(planner.SubmitQuery(q01)->admitted);
-  EXPECT_EQ(log.serving_changes.size(), 1u);
-  EXPECT_EQ(log.ops_added.size(), 1u);
-  EXPECT_TRUE(log.ops_removed.empty() && log.flows_removed.empty());
-  Deployment replay = empty;
-  ASSERT_TRUE(ApplyDeploymentDelta(log, &replay).ok());
-  EXPECT_EQ(replay.Fingerprint(), planner.deployment().Fingerprint());
-
-  log = DeploymentDelta();
-  ASSERT_TRUE(planner.RemoveQuery(q01).ok());
-  EXPECT_EQ(log.ops_removed.size(), 1u);
-  ASSERT_TRUE(ApplyDeploymentDelta(log, &replay).ok());
-  EXPECT_EQ(replay.Fingerprint(), planner.deployment().Fingerprint());
-  EXPECT_EQ(replay.Fingerprint(), empty.Fingerprint());
 }
 
 // The exact admission screen against the model it stands in for. On

@@ -53,8 +53,6 @@ struct ReplayResult {
   int64_t measurement_ticks = 0;
   int64_t auto_replan_rounds = 0;
   int64_t analytic_ticks = 0;
-  int64_t cache_delta_updates = 0;
-  int64_t cache_rebuilds = 0;
   int64_t catalog_exhausted = 0;
   /// Solver effort: solves (solve_ms samples), B&B nodes, LP pivots.
   /// Deterministic under the node-bounded solver.
@@ -73,9 +71,8 @@ struct ReplayResult {
                     replanned_admitted, replanned_rejected, commit_conflicts,
                     round_unwinds, monitor_reports, rate_directives,
                     measurement_ticks, auto_replan_rounds, analytic_ticks,
-                    cache_delta_updates, cache_rebuilds, catalog_exhausted,
-                    solves, solver_nodes, lp_iterations, snapshot_bytes,
-                    barrier_waits, pending_replans, valid);
+                    catalog_exhausted, solves, solver_nodes, lp_iterations,
+                    snapshot_bytes, barrier_waits, pending_replans, valid);
   }
   bool operator==(const ReplayResult& other) const {
     return Tie() == other.Tie();
@@ -96,8 +93,6 @@ std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
             << " measured=" << r.measurement_ticks
             << " auto=" << r.auto_replan_rounds
             << " analytic=" << r.analytic_ticks
-            << " cache-deltas=" << r.cache_delta_updates
-            << " cache-rebuilds=" << r.cache_rebuilds
             << " exhausted=" << r.catalog_exhausted
             << " solves=" << r.solves << " nodes=" << r.solver_nodes
             << " pivots=" << r.lp_iterations
@@ -212,8 +207,6 @@ ReplayResult Harvest(PlanningService& service) {
   result.measurement_ticks = stats.measurement_ticks;
   result.auto_replan_rounds = stats.auto_replan_rounds;
   result.analytic_ticks = stats.analytic_ticks;
-  result.cache_delta_updates = stats.cache_delta_updates;
-  result.cache_rebuilds = service.plan_cache().rebuilds();
   result.catalog_exhausted = stats.catalog_exhausted;
   result.solves = static_cast<int64_t>(stats.solve_ms.count());
   result.solver_nodes = stats.solver_nodes;
@@ -270,8 +263,8 @@ TEST_P(ServiceReplayPropertyTest, ClosedLoopWorkerCountInvariant) {
 
 // And over the analytic measurement mode (no ClusterSim in the loop):
 // the ledger-derived measurements are pure functions of the committed
-// state and the seeded noise stream, so the incremental cache
-// maintenance and the analytic drift decisions must replay identically.
+// state and the seeded noise stream, so the analytic drift decisions
+// must replay identically.
 TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
   const uint64_t seed = GetParam();
   const ReplayResult first =

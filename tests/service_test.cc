@@ -11,6 +11,7 @@
 #include <exception>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -112,6 +113,117 @@ TEST(ReplanSchedulerTest, DiscardAndRequeuePreserveRoundBoundaries) {
 
 // ---- Plan cache. ----
 
+/// Brute-force reference for the reuse lookup: an index of every
+/// materialised composite stream, built from a scan of the deployment's
+/// grounded pairs and grouped by leaf signature, plus the served
+/// streams. Within a signature the smallest materialised id answers.
+struct ReuseReference {
+  explicit ReuseReference(const Deployment& dep) : catalog(&dep.catalog()) {
+    for (HostId h = 0; h < dep.cluster().num_hosts(); ++h) {
+      for (StreamId s : dep.GroundedOn(h)) {
+        const StreamInfo& info = catalog->stream(s);
+        if (info.is_base) continue;
+        by_stream[s].push_back(h);  // ascending: h ascends
+        by_signature[info.leaves].insert(s);
+      }
+    }
+    for (StreamId s : dep.ServedStreams()) served[s] = dep.ServingHost(s);
+  }
+
+  /// What PlanCache::OnArrival must report for `query`: partial hits in
+  /// order of decreasing subset size, then ascending subset mask.
+  PlanCache::Lookup Expected(StreamId query) const {
+    PlanCache::Lookup out;
+    auto served_it = served.find(query);
+    auto mat_it = by_stream.find(query);
+    if (served_it != served.end()) {
+      out.exact = out.served = true;
+      out.exact_hit = {query, {served_it->second}};
+    } else if (mat_it != by_stream.end()) {
+      out.exact = true;
+      out.exact_hit = {query, mat_it->second};
+    }
+    const StreamInfo& info = catalog->stream(query);
+    if (info.is_base) return out;
+    const int k = static_cast<int>(info.leaves.size());
+    for (int size = k - 1; size >= 2; --size) {
+      for (uint32_t mask = 1; mask + 1 < (1u << k); ++mask) {
+        if (__builtin_popcount(mask) != size) continue;
+        std::vector<StreamId> sig;
+        for (int i = 0; i < k; ++i) {
+          if (mask & (1u << i)) sig.push_back(info.leaves[i]);
+        }
+        auto it = by_signature.find(sig);
+        if (it == by_signature.end()) continue;
+        const StreamId smallest = *it->second.begin();
+        out.partial.push_back({smallest, by_stream.at(smallest)});
+      }
+    }
+    return out;
+  }
+
+  const Catalog* catalog;
+  std::map<StreamId, std::vector<HostId>> by_stream;
+  std::map<std::vector<StreamId>, std::set<StreamId>> by_signature;
+  std::map<StreamId, HostId> served;
+};
+
+std::string Render(const PlanCache::Hit& hit) {
+  std::string out = std::to_string(hit.stream) + "@";
+  for (HostId h : hit.hosts) out += " " + std::to_string(h);
+  return out;
+}
+
+std::string Render(const PlanCache::Lookup& lookup) {
+  std::string out = lookup.served  ? "served "
+                    : lookup.exact ? "exact "
+                                   : "- ";
+  if (lookup.exact) out += Render(lookup.exact_hit);
+  for (const PlanCache::Hit& hit : lookup.partial) out += " | " + Render(hit);
+  return out;
+}
+
+/// For every catalog stream: `cache.FindMaterialized` and the OnArrival
+/// of a fresh probe over `dep` (hit/miss counters included) equal the
+/// brute-force reference.
+::testing::AssertionResult LookupsMatchReference(const Deployment& dep,
+                                                 const PlanCache& cache) {
+  const ReuseReference ref(dep);
+  PlanCache probe(&dep);
+  int64_t exact = 0, partial = 0, misses = 0;
+  for (StreamId s = 0; s < dep.catalog().num_streams(); ++s) {
+    PlanCache::Hit hit;
+    const std::string found =
+        cache.FindMaterialized(s, &hit) ? Render(hit) : "none";
+    auto it = ref.by_stream.find(s);
+    const std::string want_found =
+        it == ref.by_stream.end() ? "none" : Render({s, it->second});
+    if (found != want_found) {
+      return ::testing::AssertionFailure()
+             << "FindMaterialized(" << s << ") = " << found << ", want "
+             << want_found;
+    }
+    const PlanCache::Lookup want = ref.Expected(s);
+    const std::string got = Render(probe.OnArrival(s));
+    if (got != Render(want)) {
+      return ::testing::AssertionFailure() << "OnArrival(" << s << ") = "
+                                           << got << ", want " << Render(want);
+    }
+    if (want.exact) {
+      ++exact;
+    } else if (!want.partial.empty()) {
+      ++partial;
+    } else {
+      ++misses;
+    }
+  }
+  if (probe.exact_hits() != exact || probe.partial_hits() != partial ||
+      probe.misses() != misses) {
+    return ::testing::AssertionFailure() << "hit/miss counters diverged";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(PlanCacheTest, IndexesMaterializedStreamsBySignature) {
   Catalog catalog(CostModel{});
   Cluster cluster(2, HostSpec{10.0, 1000.0, 1000.0, ""}, 1000.0);
@@ -125,13 +237,14 @@ TEST(PlanCacheTest, IndexesMaterializedStreamsBySignature) {
   Deployment dep(&cluster, &catalog);
   ASSERT_TRUE(dep.PlaceOperator(0, join_ab).ok());
 
-  PlanCache cache(&catalog);
-  cache.Rebuild(dep);
+  PlanCache cache(&dep);
 
   PlanCache::Hit hit;
   ASSERT_TRUE(cache.FindMaterialized(ab, &hit));
   ASSERT_EQ(hit.hosts.size(), 1u);
   EXPECT_EQ(hit.hosts[0], 0);
+  // Base streams are never exact hits.
+  EXPECT_FALSE(cache.FindMaterialized(a, nullptr));
 
   // Exact hit for ab itself.
   PlanCache::Lookup exact = cache.OnArrival(ab);
@@ -147,71 +260,17 @@ TEST(PlanCacheTest, IndexesMaterializedStreamsBySignature) {
   EXPECT_EQ(cache.exact_hits(), 1);
   EXPECT_EQ(cache.partial_hits(), 1);
 
-  // A flow materialises the stream at the receiving host too.
+  // A flow materialises the stream at the receiving host too, and the
+  // lookup sees it at once: there is no index to refresh.
   ASSERT_TRUE(dep.AddFlow(0, 1, ab).ok());
-  cache.Rebuild(dep);
   ASSERT_TRUE(cache.FindMaterialized(ab, &hit));
   EXPECT_EQ(hit.hosts.size(), 2u);
-}
-
-TEST(PlanCacheTest, ApplyDeltaGroundsAdditionsTransitively) {
-  Catalog catalog(CostModel{});
-  Cluster cluster(3, HostSpec{10.0, 1000.0, 1000.0, ""}, 1000.0);
-  const StreamId a = catalog.AddBaseStream(0, 10.0, "a");
-  const StreamId b = catalog.AddBaseStream(0, 10.0, "b");
-  const StreamId c = catalog.AddBaseStream(1, 10.0, "c");
-  const OperatorId join_ab = *catalog.JoinOperator(a, b);
-  const StreamId ab = catalog.op(join_ab).output;
-  const OperatorId join_ab_c = *catalog.JoinOperator(ab, c);
-  const StreamId abc = catalog.op(join_ab_c).output;
-
-  Deployment dep(&cluster, &catalog);
-  PlanCache cache(&catalog);
-  cache.Rebuild(dep);  // empty baseline the deltas extend
-  const int64_t rebuilds_before = cache.rebuilds();
-
-  // One additive delta: ab produced on host 0, shipped to host 1 where
-  // it joins c — the flow and the downstream operator must ground
-  // transitively off the worklist, not via a rescan.
-  ASSERT_TRUE(dep.PlaceOperator(0, join_ab).ok());
-  ASSERT_TRUE(dep.AddFlow(0, 1, ab).ok());
-  ASSERT_TRUE(dep.PlaceOperator(1, join_ab_c).ok());
-  ASSERT_TRUE(dep.SetServing(abc, 1).ok());
-  DeploymentDelta delta;
-  delta.ops_added = {{0, join_ab}, {1, join_ab_c}};
-  delta.flows_added = {{0, 1, ab}};
-  delta.serving_changes.push_back({abc, kInvalidHost, 1});
-  EXPECT_TRUE(cache.ApplyDelta(dep, delta));
-  EXPECT_EQ(cache.rebuilds(), rebuilds_before);
-  EXPECT_EQ(cache.delta_updates(), 1);
-
-  PlanCache fresh(&catalog);
-  fresh.Rebuild(dep);
-  EXPECT_EQ(cache.DebugDump(), fresh.DebugDump());
-
-  PlanCache::Lookup lookup = cache.OnArrival(abc);
-  EXPECT_TRUE(lookup.exact);
-  EXPECT_TRUE(lookup.served);
-
-  // Removals are incremental too: the delta un-grounds abc and the
-  // cache still matches from-scratch state without a rebuild.
-  ASSERT_TRUE(dep.ClearServing(abc).ok());
-  ASSERT_TRUE(dep.RemoveOperator(1, join_ab_c).ok());
-  DeploymentDelta removal;
-  removal.ops_removed = {{1, join_ab_c}};
-  removal.serving_changes.push_back({abc, 1, kInvalidHost});
-  EXPECT_TRUE(cache.ApplyDelta(dep, removal));
-  EXPECT_EQ(cache.rebuilds(), rebuilds_before);
-  EXPECT_EQ(cache.delta_updates(), 2);
-  PlanCache fresh2(&catalog);
-  fresh2.Rebuild(dep);
-  EXPECT_EQ(cache.DebugDump(), fresh2.DebugDump());
-  EXPECT_FALSE(cache.FindMaterialized(abc, nullptr));
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
 }
 
 // Removal fixtures: a and b injected at host 0, c at host 1, over three
-// hosts. Each test builds a deployment, indexes it, removes something,
-// and requires the incremental update to equal a fresh Rebuild.
+// hosts. Each test builds a deployment, removes something, and requires
+// the lookup to follow the deployment's groundedness.
 struct CacheRemovalFixture {
   CacheRemovalFixture()
       : catalog(CostModel{}),
@@ -223,18 +282,6 @@ struct CacheRemovalFixture {
     ab = catalog.op(join_ab).output;
     join_ab_c = *catalog.JoinOperator(ab, c);
     abc = catalog.op(join_ab_c).output;
-  }
-
-  /// Applies `removal` (already committed to `dep`) and checks the
-  /// cache against a from-scratch rebuild.
-  void ExpectIncrementalEqualsRebuild(PlanCache* cache, const Deployment& dep,
-                                      const DeploymentDelta& removal) {
-    const int64_t rebuilds_before = cache->rebuilds();
-    EXPECT_TRUE(cache->ApplyDelta(dep, removal));
-    EXPECT_EQ(cache->rebuilds(), rebuilds_before);
-    PlanCache fresh(&catalog);
-    fresh.Rebuild(dep);
-    EXPECT_EQ(cache->DebugDump(), fresh.DebugDump());
   }
 
   Catalog catalog;
@@ -250,16 +297,14 @@ TEST(PlanCacheTest, RemovalUngroundsAChainAcrossAFlow) {
   ASSERT_TRUE(dep.AddFlow(0, 1, f.ab).ok());
   ASSERT_TRUE(dep.PlaceOperator(1, f.join_ab_c).ok());
   ASSERT_TRUE(dep.AddFlow(1, 2, f.abc).ok());
-  PlanCache cache(&f.catalog);
-  cache.Rebuild(dep);
+  PlanCache cache(&dep);
   ASSERT_TRUE(cache.FindMaterialized(f.abc, nullptr));
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
 
   // Removing the producer at the root un-grounds ab at hosts 0 and 1
   // and, through the downstream join and flow, abc at hosts 1 and 2.
   ASSERT_TRUE(dep.RemoveOperator(0, f.join_ab).ok());
-  DeploymentDelta removal;
-  removal.ops_removed = {{0, f.join_ab}};
-  f.ExpectIncrementalEqualsRebuild(&cache, dep, removal);
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
   EXPECT_FALSE(cache.FindMaterialized(f.ab, nullptr));
   EXPECT_FALSE(cache.FindMaterialized(f.abc, nullptr));
   EXPECT_TRUE(cache.OnArrival(f.abc).partial.empty());
@@ -275,17 +320,14 @@ TEST(PlanCacheTest, RemovalKeepsStreamsWithAnotherSupport) {
   ASSERT_TRUE(dep.PlaceOperator(1, f.join_ab).ok());
   ASSERT_TRUE(dep.AddFlow(0, 2, f.ab).ok());
   ASSERT_TRUE(dep.AddFlow(1, 2, f.ab).ok());
-  PlanCache cache(&f.catalog);
-  cache.Rebuild(dep);
+  PlanCache cache(&dep);
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
 
   // Host 0 loses its producer and its flow: ab un-grounds there only;
   // host 2 keeps it through the flow from host 1.
   ASSERT_TRUE(dep.RemoveFlow(0, 2, f.ab).ok());
   ASSERT_TRUE(dep.RemoveOperator(0, f.join_ab).ok());
-  DeploymentDelta removal;
-  removal.flows_removed = {{0, 2, f.ab}};
-  removal.ops_removed = {{0, f.join_ab}};
-  f.ExpectIncrementalEqualsRebuild(&cache, dep, removal);
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
   PlanCache::Hit hit;
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
   EXPECT_EQ(hit.hosts, (std::vector<HostId>{1, 2}));
@@ -301,16 +343,13 @@ TEST(PlanCacheTest, RemovalUngroundsAFlowCycleThatLostItsRoot) {
   ASSERT_TRUE(dep.AddFlow(0, 1, f.ab).ok());
   ASSERT_TRUE(dep.AddFlow(1, 2, f.ab).ok());
   ASSERT_TRUE(dep.AddFlow(2, 1, f.ab).ok());
-  PlanCache cache(&f.catalog);
-  cache.Rebuild(dep);
+  PlanCache cache(&dep);
   PlanCache::Hit hit;
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
   ASSERT_EQ(hit.hosts, (std::vector<HostId>{0, 1, 2}));
 
   ASSERT_TRUE(dep.RemoveFlow(0, 1, f.ab).ok());
-  DeploymentDelta removal;
-  removal.flows_removed = {{0, 1, f.ab}};
-  f.ExpectIncrementalEqualsRebuild(&cache, dep, removal);
+  EXPECT_TRUE(LookupsMatchReference(dep, cache));
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
   EXPECT_EQ(hit.hosts, (std::vector<HostId>{0}));
 }
@@ -440,7 +479,7 @@ TEST(PlanningServiceTest, MonitorReportDriftTriggersReplanAndRevalidates) {
             admitted.end());
   EXPECT_NE(std::find(admitted.begin(), admitted.end(), q23),
             admitted.end());
-  // The re-admission went through the planner's validate_commits path;
+  // The re-admission went through the planner's commit audit (Validate);
   // the final committed state must audit clean under the new rates.
   EXPECT_TRUE(fx.service->deployment().Validate().ok());
 }
@@ -502,7 +541,7 @@ TEST(PlanningServiceTest, HostFailureEvictsAndRejoinRestores) {
 // on first sight, exact hit for a materialised subquery (fast-path
 // admission), partial hit for a superquery reusing it, dedup exact hit
 // for a served stream — plus invalidation: once failures purge the
-// hosts, the rebuilt index must forget everything it knew.
+// hosts, nothing is found materialised.
 TEST(PlanningServiceTest, PlanCacheCountersAndEvictHostInvalidation) {
   ServiceFixture fx(2, 4.0, 4);
   const StreamId abc = fx.Join({0, 1, 2});
@@ -544,13 +583,14 @@ TEST(PlanningServiceTest, PlanCacheCountersAndEvictHostInvalidation) {
   EXPECT_EQ(fx.service->plan_cache().exact_hits(), 2);
 
   // Failures purge both hosts (EvictHost under each handler): the
-  // rebuilt index must drop every entry — nothing is materialised any
-  // more — and a fresh arrival of the former hit is a plain miss.
+  // lookup must find nothing materialised any more, and a fresh arrival
+  // of the former hit is a plain miss.
   fx.StepOne(Event::HostFailure(t++, 0));
   fx.StepOne(Event::HostFailure(t++, 1));
   fx.service->FinishInFlightRound();
-  EXPECT_EQ(fx.service->plan_cache().num_indexed(), 0);
-  EXPECT_FALSE(fx.service->plan_cache().FindMaterialized(mat, nullptr));
+  for (StreamId s = 0; s < fx.catalog.num_streams(); ++s) {
+    EXPECT_FALSE(fx.service->plan_cache().FindMaterialized(s, nullptr)) << s;
+  }
   const int64_t misses_before = fx.service->plan_cache().misses();
   EventOutcome after = fx.StepOne(Event::Arrival(t++, mat));
   EXPECT_FALSE(after.admitted);
@@ -1026,21 +1066,24 @@ TEST(PlanningServiceTest, WatchdogBreachCountsAreExactAtExtremeBudgets) {
   EXPECT_EQ(huge.admit_b + huge.solve_b + huge.commit_b + huge.measure_b, 0);
 }
 
-TEST(PlanningServiceTest, IncrementalCacheEqualsRebuildOnRandomizedTraces) {
-  // The incremental-maintenance contract: after every event — commits,
-  // serving-only departures, GC departures, evictions, drift cycles —
-  // the service's incrementally maintained cache must equal a cache
-  // rebuilt from scratch against the committed deployment.
-  // A solve budget of -1 expires every solve at once, so each admission
-  // comes from the greedy fallback's diff instead.
+TEST(PlanningServiceTest, PlanCacheLookupMatchesGroundedScanOnRandomizedTraces) {
+  // After every event — commits, fast-path serving arcs, GC departures,
+  // evictions, drift cycles — every catalog stream's lookup must equal
+  // the brute-force reference built from the committed deployment.
+  // Queries of arity 2-4 over few base streams overlap often enough to
+  // take the fast path and to find partial hits. A solve budget of -1
+  // expires every solve at once, so each admission comes from the
+  // greedy fallback's diff instead.
   const std::vector<std::pair<uint64_t, int64_t>> runs = {
       {3, 0}, {11, 0}, {29, 0}, {3, -1}, {11, -1}, {29, -1}};
+  int64_t fast_path = 0, partial_hits = 0;
   for (const auto& [seed, solve_deadline_ms] : runs) {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
     Catalog catalog(CostModel{});
     WorkloadConfig wc;
-    wc.num_base_streams = 24;
+    wc.num_base_streams = 8;
     wc.num_queries = 40;
+    wc.arities = {2, 3, 4};
     wc.seed = seed;
     Result<Workload> workload = GenerateWorkload(wc, 3, &catalog);
     ASSERT_TRUE(workload.ok());
@@ -1062,46 +1105,27 @@ TEST(PlanningServiceTest, IncrementalCacheEqualsRebuildOnRandomizedTraces) {
     int step = 0;
     while (service.HasPendingEvents()) {
       ASSERT_TRUE(service.Step().ok());
-      PlanCache fresh(&catalog);
-      fresh.Rebuild(service.deployment());
-      ASSERT_EQ(service.plan_cache().DebugDump(), fresh.DebugDump())
+      ASSERT_TRUE(LookupsMatchReference(service.deployment(),
+                                        service.plan_cache()))
           << "seed " << seed << " diverged after event " << step;
-      // Only the first build is a full scan; every later change,
-      // removals included, arrives as a delta.
-      ASSERT_LE(service.plan_cache().rebuilds(), 1)
-          << "seed " << seed << " rebuilt at event " << step;
       ++step;
     }
     service.FinishInFlightRound();
-    PlanCache fresh(&catalog);
-    fresh.Rebuild(service.deployment());
-    EXPECT_EQ(service.plan_cache().DebugDump(), fresh.DebugDump());
+    EXPECT_TRUE(
+        LookupsMatchReference(service.deployment(), service.plan_cache()));
 
-    // The incremental path must actually be exercised, not silently
-    // bypassed.
-    EXPECT_GT(service.stats().cache_delta_updates, 0) << "seed " << seed;
-    EXPECT_EQ(service.plan_cache().rebuilds(), 1) << "seed " << seed;
     EXPECT_GT(service.stats().departures + service.stats().evictions, 0)
         << "seed " << seed;
     if (solve_deadline_ms < 0) {
       EXPECT_GT(service.stats().heuristic_fallbacks, 0) << "seed " << seed;
     }
+    fast_path += service.stats().cache_fast_path;
+    partial_hits += service.plan_cache().partial_hits();
   }
-}
-
-TEST(PlanningServiceTest, RepeatArrivalDedupDoesNotRescanCache) {
-  ServiceFixture fx(2, 2.0, 4);
-  const StreamId q = fx.Join({0, 1});
-  EXPECT_TRUE(fx.StepOne(Event::Arrival(0, q)).admitted);
-  const int64_t rebuilds_after_admit = fx.service->plan_cache().rebuilds();
-  const int64_t deltas_after_admit = fx.service->stats().cache_delta_updates;
-
-  // The repeat arrival is a dedup hit: the deployment does not move, so
-  // the reuse index must neither rebuild nor apply a delta for it.
-  EventOutcome repeat = fx.StepOne(Event::Arrival(10, q));
-  EXPECT_TRUE(repeat.already_served);
-  EXPECT_EQ(fx.service->plan_cache().rebuilds(), rebuilds_after_admit);
-  EXPECT_EQ(fx.service->stats().cache_delta_updates, deltas_after_admit);
+  // The traces must reach both kinds of hit, or the comparison above
+  // could pass on lookups that never find anything.
+  EXPECT_GT(fast_path, 0);
+  EXPECT_GT(partial_hits, 0);
 }
 
 TEST(PlanningServiceTest, ReplayIsDeterministic) {

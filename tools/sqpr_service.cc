@@ -793,14 +793,10 @@ int main(int argc, char** argv) {
 
   const PlanCache& cache = service.plan_cache();
   std::printf("plan cache: %lld exact hits, %lld partial hits, "
-              "%lld misses (%d streams indexed)\n",
+              "%lld misses\n",
               static_cast<long long>(cache.exact_hits()),
               static_cast<long long>(cache.partial_hits()),
-              static_cast<long long>(cache.misses()), cache.num_indexed());
-  std::printf("plan cache maintenance: %lld incremental delta updates, "
-              "%lld full rebuilds\n",
-              static_cast<long long>(stats.cache_delta_updates),
-              static_cast<long long>(cache.rebuilds()));
+              static_cast<long long>(cache.misses()));
   std::printf("incremental solves: %lld model patches, %lld rebuilds\n",
               static_cast<long long>(stats.model_patches),
               static_cast<long long>(stats.model_rebuilds));
