@@ -54,7 +54,8 @@ int main() {
     Scenario sh = MakeScenario(config);
     HierarchicalPlanner::Options hier_options;
     hier_options.num_sites = std::max(1, hosts / 4);
-    hier_options.timeout_ms = 250;
+    hier_options.planner.timeout_ms = 250;
+    hier_options.planner.greedy_fallback = false;
     HierarchicalPlanner hier(sh.cluster.get(), sh.catalog.get(),
                              hier_options);
     int admitted_hier = 0;

@@ -31,7 +31,7 @@ int main() {
 
   HierarchicalPlanner::Options options;
   options.num_sites = 3;
-  options.timeout_ms = 300;
+  options.planner.timeout_ms = 300;
   HierarchicalPlanner planner(&cluster, &catalog, options);
 
   std::printf("federation: %d hosts in %d sites\n", cluster.num_hosts(),

@@ -20,6 +20,15 @@ constexpr double kResidualTol = 1e-9;
 
 }  // namespace
 
+/// Column status in the engine's basis. Order: structural columns
+/// 0..n-1, then row slacks.
+enum class BasisState : uint8_t {
+  kBasic,
+  kAtLower,
+  kAtUpper,
+  kFree,
+};
+
 /// Internal standard-form workspace:
 ///   columns 0..n-1    structural variables
 ///   columns n..n+m-1  row slacks (coefficient -1 in their row)
@@ -48,7 +57,6 @@ class SimplexEngine::Impl {
   void MoveNonbasic(int c, BasisState state);
 
   // Basis and factorization.
-  bool InstallWarmBasis(const std::vector<BasisState>& warm);
   void InstallSlackBasis();
   void ResetToSlackBasis();
   // Rebuilds the dense basis inverse. Returns false when singular.
@@ -101,7 +109,6 @@ class SimplexEngine::Impl {
   SimplexOptions options_;
   SimplexCounters counters_;
   bool loaded_ = false;
-  bool slack_start_ = false;  // next solve starts from the slack basis
   int m_ = 0;                 // rows
   int n_ = 0;                 // structural columns
   double sense_ = 1.0;        // -1 maximise, +1 minimise
@@ -204,19 +211,7 @@ void SimplexEngine::Impl::Load(const Model& model) {
   basic_pos_.assign(total, -1);
   shift_.assign(m_, 0.0);
   shifted_ = false;
-
-  slack_start_ = options_.warm_basis == nullptr ||
-                 !InstallWarmBasis(*options_.warm_basis);
-  if (slack_start_) InstallSlackBasis();
-  if (!Refactorize()) {
-    // Singular warm basis: fall back to the always-regular slack basis.
-    slack_start_ = true;
-    InstallSlackBasis();
-    const bool ok = Refactorize();
-    SQPR_CHECK(ok) << "slack basis cannot be singular";
-  }
-  RecomputeBasicValues();
-  ListPriceable();
+  ResetToSlackBasis();
   loaded_ = true;
 }
 
@@ -381,44 +376,6 @@ void SimplexEngine::Impl::InstallSlackBasis() {
     state_[slack] = BasisState::kBasic;
     basic_pos_[slack] = i;
   }
-}
-
-bool SimplexEngine::Impl::InstallWarmBasis(
-    const std::vector<BasisState>& warm) {
-  const int n = n_;
-  const int m = m_;
-  // A warm basis may come from the same model with fewer rows (lazy
-  // cuts appended since): pad by making the new slacks basic. Any other
-  // size mismatch is rejected.
-  if (warm.size() < static_cast<size_t>(n) ||
-      warm.size() > static_cast<size_t>(n + m)) {
-    return false;
-  }
-  std::vector<BasisState> padded(warm);
-  padded.resize(static_cast<size_t>(n + m), BasisState::kBasic);
-  int basic_count = 0;
-  for (BasisState s : padded) basic_count += s == BasisState::kBasic;
-  if (basic_count != m) return false;
-  basis_.clear();
-  for (int c = 0; c < n + m; ++c) {
-    state_[c] = padded[c];
-    if (state_[c] == BasisState::kBasic) {
-      basic_pos_[c] = static_cast<int>(basis_.size());
-      basis_.push_back(c);
-      continue;
-    }
-    // Nonbasic columns must rest on a finite bound; repair states that
-    // no longer match the (possibly branched) bounds.
-    if (state_[c] == BasisState::kAtLower && !std::isfinite(lb_[c])) {
-      state_[c] = std::isfinite(ub_[c]) ? BasisState::kAtUpper
-                                        : BasisState::kFree;
-    } else if (state_[c] == BasisState::kAtUpper && !std::isfinite(ub_[c])) {
-      state_[c] = std::isfinite(lb_[c]) ? BasisState::kAtLower
-                                        : BasisState::kFree;
-    }
-    basic_pos_[c] = -1;
-  }
-  return true;
 }
 
 void SimplexEngine::Impl::ResetToSlackBasis() {
@@ -1034,18 +991,16 @@ SimplexResult SimplexEngine::Impl::Finish(const Model& model,
   result.iterations = iterations_;
   result.values.assign(value_.begin(), value_.begin() + n_);
   result.objective = model.ObjectiveValue(result.values);
-  result.basis_state = state_;
   return result;
 }
 
 SimplexResult SimplexEngine::Impl::Solve(const Model& model) {
+  const bool slack_start = !loaded_;  // Load() installs the slack basis
   if (loaded_) {
     Sync(model);
   } else {
     Load(model);
   }
-  const bool slack_start = slack_start_;
-  slack_start_ = false;
   const SolveStatus status = Run();
   ++counters_.solves;
   counters_.iterations += iterations_;

@@ -19,15 +19,6 @@ enum class SolveStatus {
   kTimeLimit,
 };
 
-/// Column status in a simplex basis; the unit of warm-start exchange
-/// between solves. Order: structural columns 0..n-1, then row slacks.
-enum class BasisState : uint8_t {
-  kBasic,
-  kAtLower,
-  kAtUpper,
-  kFree,
-};
-
 struct SimplexOptions {
   /// Hard cap on simplex iterations per solve. Zero means "choose
   /// automatically from the problem size".
@@ -39,12 +30,6 @@ struct SimplexOptions {
   double optimality_tol = 1e-7;
   /// Rebuild the basis inverse from scratch every this many pivots.
   int refactor_interval = 100;
-  /// Optional starting basis for the first solve (from a previous solve
-  /// of a closely related model). Must describe the same columns; extra
-  /// trailing rows (lazy cuts added since) are padded with basic slacks.
-  /// A singular or mismatched warm basis falls back to the slack basis
-  /// silently. The pointee must outlive the first Solve().
-  const std::vector<BasisState>* warm_basis = nullptr;
 };
 
 struct SimplexResult {
@@ -56,16 +41,13 @@ struct SimplexResult {
   /// Objective in the model's own sense.
   double objective = 0.0;
   int64_t iterations = 0;
-  /// Final basis, reusable as SimplexOptions::warm_basis for subsequent
-  /// related solves.
-  std::vector<BasisState> basis_state;
 };
 
 /// Deterministic work counters of one engine, summed over its solves.
 struct SimplexCounters {
   int64_t solves = 0;
-  /// Solves whose start basis was the all-slack basis (no warm basis, or
-  /// a warm basis that was mismatched or singular).
+  /// Solves whose start basis was the all-slack basis: the first solve,
+  /// which loads the model.
   int64_t slack_starts = 0;
   int64_t slack_start_iterations = 0;
   int64_t iterations = 0;
@@ -89,7 +71,8 @@ struct SimplexCounters {
 ///
 /// Design points:
 ///  * rows are turned into equalities with bounded slack columns, so any
-///    basis — a warm one, or the last node's — is a legal start;
+///    basis — the slack basis at load, or the last solve's — is a legal
+///    start;
 ///  * the method follows the start basis: when bound flips make it dual
 ///    feasible (the usual case after a branch tightens a bound) a bounded
 ///    dual simplex runs; otherwise a composite (infeasibility-minimising)

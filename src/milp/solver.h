@@ -101,9 +101,7 @@ struct SolverOptions {
   double gap_abs = 1e-9;
   double gap_rel = 1e-6;
   /// Options of the search's LP engine; `deadline` is replaced by the
-  /// solve's. A `warm_basis` starts the root LP and must index the
-  /// columns the search runs on, so it is only meaningful with presolve
-  /// off (presolve re-indexes the columns it keeps). Every later LP of
+  /// solve's. The root LP starts from the slack basis; every later LP of
   /// the search starts from the basis the previous one left.
   lp::SimplexOptions lp_options;
   LazyConstraintHandler* lazy = nullptr;

@@ -13,17 +13,7 @@ HeuristicPlanner::HeuristicPlanner(const Cluster* cluster, Catalog* catalog,
     : cluster_(cluster),
       catalog_(catalog),
       options_(options),
-      deployment_(cluster, catalog) {
-  resolved_weights_ = options_.weights;
-  if (resolved_weights_.lambda2 <= 0) {
-    resolved_weights_.lambda2 = 1.0 / std::max(1.0, cluster->TotalNicOut());
-  }
-  if (resolved_weights_.lambda3 <= 0) {
-    resolved_weights_.lambda3 =
-        1.0 / std::max(1.0, cluster->TotalLinkCapacity());
-  }
-  if (resolved_weights_.lambda4 < 0) resolved_weights_.lambda4 = 1.0;
-}
+      deployment_(cluster, catalog) {}
 
 namespace {
 
@@ -92,13 +82,7 @@ bool PlaceTreeAt(const Cluster& cluster, const Catalog& catalog,
 
 bool GreedyAdmit(const Cluster& cluster, Catalog* catalog, StreamId query,
                  const ObjectiveWeights& weights, Deployment* deployment) {
-  // Resolve defaulted weights the same way the SQPR model builder does.
-  ObjectiveWeights w = weights;
-  if (w.lambda2 <= 0) w.lambda2 = 1.0 / std::max(1.0, cluster.TotalNicOut());
-  if (w.lambda3 <= 0) {
-    w.lambda3 = 1.0 / std::max(1.0, cluster.TotalLinkCapacity());
-  }
-  if (w.lambda4 < 0) w.lambda4 = 1.0;
+  const ObjectiveWeights w = ResolveWeights(weights, cluster);
 
   Result<std::vector<std::unique_ptr<JoinTree>>> trees =
       EnumerateJoinTrees(query, catalog);
@@ -146,7 +130,7 @@ Result<PlanningStats> HeuristicPlanner::SubmitQuery(StreamId query) {
     return stats;
   }
 
-  if (GreedyAdmit(*cluster_, catalog_, query, resolved_weights_,
+  if (GreedyAdmit(*cluster_, catalog_, query, options_.weights,
                   &deployment_)) {
     admitted_.push_back(query);
     stats.admitted = true;

@@ -10,7 +10,7 @@
 #include "plan/deployment.h"
 #include "planner/heuristic/join_trees.h"
 #include "planner/planner.h"
-#include "planner/sqpr/model_builder.h"  // ObjectiveWeights
+#include "planner/sqpr/model_builder.h"  // ObjectiveWeights, ResolveWeights
 
 namespace sqpr {
 
@@ -56,7 +56,6 @@ class HeuristicPlanner : public Planner {
   const Cluster* cluster_;
   Catalog* catalog_;
   Options options_;
-  ObjectiveWeights resolved_weights_;
   Deployment deployment_;
   std::vector<StreamId> admitted_;
 };

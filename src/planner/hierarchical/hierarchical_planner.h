@@ -8,7 +8,7 @@
 #include "model/cluster.h"
 #include "plan/deployment.h"
 #include "planner/planner.h"
-#include "planner/sqpr/model_builder.h"
+#include "planner/sqpr/sqpr_planner.h"
 
 namespace sqpr {
 
@@ -18,17 +18,25 @@ namespace sqpr {
 ///
 /// Hosts are partitioned into contiguous *sites*. Each submission is
 /// assigned to one site (the one sourcing the most of the query's base
-/// leaves, ties broken by spare CPU) and planned with the regular SQPR
-/// reduced MILP — but restricted via SqprModelOptions::host_subset to
+/// leaves, ties broken by spare CPU) and planned by one owned
+/// SqprPlanner, restricted via SubmitBatch's host subset to
 ///
 ///   site hosts ∪ source hosts of the query's leaves
 ///             ∪ hosts carrying relevant committed state,
 ///
 /// so the MILP sees a bounded number of hosts regardless of cluster
 /// size. The last group keeps the (IV.9) no-drop constraints satisfiable
-/// when related queries were planned by other sites. All sites share one
-/// Deployment, so resource accounting (including the NIC bandwidth of
-/// "border" source hosts outside the site) stays globally consistent.
+/// when related queries were planned by other sites. All sites share the
+/// planner's one Deployment, so resource accounting (including the NIC
+/// bandwidth of "border" source hosts outside the site) stays globally
+/// consistent.
+///
+/// Everything else — dedup, the admission screen, the model cache, the
+/// solve, the greedy fallback and commit-only-when-admitting — is
+/// SqprPlanner's. With one site the subset is the whole cluster, so
+/// hierarchical planning is flat SQPR with the same planner options,
+/// decision for decision. The subset covers the relevant state of the
+/// submitted query only, so `planner.reduce_problem` must stay true.
 ///
 /// The trade-off versus flat SQPR — near-flat planning latency in the
 /// number of hosts against some admission loss from the restricted
@@ -36,15 +44,9 @@ namespace sqpr {
 class HierarchicalPlanner : public Planner {
  public:
   struct Options {
-    /// Number of contiguous host groups. 1 degenerates to flat SQPR
-    /// (without the greedy fallback).
+    /// Number of contiguous host groups.
     int num_sites = 2;
-    /// Per-query solver budget (matches SqprPlanner::Options::timeout_ms).
-    int64_t timeout_ms = 1000;
-    int64_t max_nodes = 1000000;
-    double mip_gap_abs = 0.1;
-    double mip_gap_rel = 1e-4;
-    SqprModelOptions model;
+    SqprPlanner::Options planner;
   };
 
   HierarchicalPlanner(const Cluster* cluster, Catalog* catalog,
@@ -52,14 +54,16 @@ class HierarchicalPlanner : public Planner {
 
   std::string name() const override { return "sqpr-hierarchical"; }
   Result<PlanningStats> SubmitQuery(StreamId query) override;
-  const Deployment& deployment() const override { return deployment_; }
+  const Deployment& deployment() const override {
+    return planner_.deployment();
+  }
   const std::vector<StreamId>& admitted_queries() const override {
-    return admitted_;
+    return planner_.admitted_queries();
   }
 
   /// Hosts of site `site` (for tests and benches).
   std::vector<HostId> SiteHosts(int site) const;
-  int num_sites() const { return options_.num_sites; }
+  int num_sites() const { return num_sites_; }
 
   /// Site that would be chosen for `query` (exposed for tests).
   Result<int> AssignSite(StreamId query);
@@ -70,9 +74,8 @@ class HierarchicalPlanner : public Planner {
 
   const Cluster* cluster_;
   Catalog* catalog_;
-  Options options_;
-  Deployment deployment_;
-  std::vector<StreamId> admitted_;
+  int num_sites_;
+  SqprPlanner planner_;
 };
 
 }  // namespace sqpr

@@ -44,16 +44,42 @@ std::map<HostId, double> FlowPotentials(
 
 }  // namespace
 
+ObjectiveWeights ResolveWeights(ObjectiveWeights w, const Cluster& cluster) {
+  if (w.lambda2 <= 0) {
+    w.lambda2 = 1.0 / std::max(1.0, cluster.TotalNicOut());
+  }
+  if (w.lambda3 <= 0) {
+    w.lambda3 = 1.0 / std::max(1.0, cluster.TotalLinkCapacity());
+  }
+  if (w.lambda4 < 0) w.lambda4 = 1.0;
+  if (w.lambda1 <= 0) {
+    // λ2·O2 ≤ 1 and λ3·O3 ≪ 1 by construction; λ4·O4 ≤ λ4·max ζ_h.
+    double max_cpu = 0.0;
+    for (HostId h = 0; h < cluster.num_hosts(); ++h) {
+      max_cpu = std::max(max_cpu, cluster.host(h).cpu);
+    }
+    w.lambda1 = 100.0 * (2.0 + w.lambda4 * max_cpu);
+  }
+  return w;
+}
+
 SqprMip::SqprMip(const Deployment& base, std::vector<StreamId> streams,
                  std::vector<OperatorId> operators,
                  std::vector<DemandSpec> demands,
-                 const SqprModelOptions& options)
+                 const SqprModelOptions& options,
+                 const std::vector<HostId>& host_subset)
     : base_(&base),
       streams_(std::move(streams)),
       ops_(std::move(operators)),
       demands_(std::move(demands)),
       options_(options),
       num_hosts_(base.cluster().num_hosts()) {
+  if (!host_subset.empty()) {
+    in_subset_.assign(num_hosts_, false);
+    for (HostId h : host_subset) {
+      if (h >= 0 && h < num_hosts_) in_subset_[h] = true;
+    }
+  }
   std::sort(streams_.begin(), streams_.end());
   streams_.erase(std::unique(streams_.begin(), streams_.end()),
                  streams_.end());
@@ -241,23 +267,7 @@ void SqprMip::BuildSkeleton() {
   const int S = static_cast<int>(streams_.size());
   const int O = static_cast<int>(ops_.size());
 
-  // ---- Objective weights (§IV-A defaults). ----
-  ObjectiveWeights w = options.weights;
-  if (w.lambda2 <= 0) {
-    w.lambda2 = 1.0 / std::max(1.0, cluster.TotalNicOut());
-  }
-  if (w.lambda3 <= 0) {
-    w.lambda3 = 1.0 / std::max(1.0, cluster.TotalLinkCapacity());
-  }
-  if (w.lambda4 < 0) w.lambda4 = 1.0;
-  if (w.lambda1 <= 0) {
-    // "Sufficiently large": admission of one query must outweigh every
-    // resource term combined. λ2·O2 ≤ 1 and λ3·O3 ≪ 1 by construction;
-    // λ4·O4 ≤ λ4·max ζ_h.
-    double max_cpu = 0.0;
-    for (HostId h = 0; h < H; ++h) max_cpu = std::max(max_cpu, cluster.host(h).cpu);
-    w.lambda1 = 100.0 * (2.0 + w.lambda4 * max_cpu);
-  }
+  const ObjectiveWeights w = ResolveWeights(options.weights, cluster);
 
   // ---- Variables. ----
   var_x_.assign(static_cast<size_t>(H) * H * S, -1);
@@ -343,13 +353,9 @@ void SqprMip::BuildSkeleton() {
   // y bounds (which interact with availability pins from the committed
   // state) are written by ApplyBaseState. Presolve removes every pinned
   // column before branch-and-bound. ----
-  if (!options.host_subset.empty()) {
-    std::vector<bool> in_subset(H, false);
-    for (HostId h : options.host_subset) {
-      if (h >= 0 && h < H) in_subset[h] = true;
-    }
+  if (!in_subset_.empty()) {
     for (HostId h = 0; h < H; ++h) {
-      if (in_subset[h]) continue;
+      if (in_subset_[h]) continue;
       for (int oi = 0; oi < O; ++oi) {
         const int z = var_z_[static_cast<size_t>(h) * O + oi];
         if (z >= 0) mip_.lp.SetVariableBounds(z, 0.0, 0.0);
@@ -361,7 +367,7 @@ void SqprMip::BuildSkeleton() {
     }
     for (HostId from = 0; from < H; ++from) {
       for (HostId to = 0; to < H; ++to) {
-        if (from == to || (in_subset[from] && in_subset[to])) continue;
+        if (from == to || (in_subset_[from] && in_subset_[to])) continue;
         for (int si = 0; si < S; ++si) {
           const int x = var_x_[(static_cast<size_t>(from) * H + to) * S + si];
           if (x >= 0) mip_.lp.SetVariableBounds(x, 0.0, 0.0);
@@ -577,15 +583,8 @@ void SqprMip::ApplyBaseState() {
   // ---- y bounds: availability pins from irrelevant committed consumers,
   // overlaid with the §VII host-subset restriction (committed pins win —
   // warm starts must stay feasible on restricted hosts too). ----
-  std::vector<bool> in_subset;
-  if (!options_.host_subset.empty()) {
-    in_subset.assign(H, false);
-    for (HostId h : options_.host_subset) {
-      if (h >= 0 && h < H) in_subset[h] = true;
-    }
-  }
   for (HostId h = 0; h < H; ++h) {
-    const bool restricted = !in_subset.empty() && !in_subset[h];
+    const bool restricted = !in_subset_.empty() && !in_subset_[h];
     for (int si = 0; si < S; ++si) {
       const size_t hs = static_cast<size_t>(h) * S + si;
       const int y = var_y_[hs];

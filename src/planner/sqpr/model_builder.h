@@ -39,21 +39,17 @@ struct ObjectiveWeights {
   double lambda4 = 1.0;
 };
 
+/// `w` with every defaulted entry replaced by its §IV-A value on
+/// `cluster`. λ1 is the "sufficiently large" M = 100·(2 + λ4·max_h ζ_h):
+/// admitting one query outweighs every resource term combined.
+ObjectiveWeights ResolveWeights(ObjectiveWeights w, const Cluster& cluster);
+
 struct SqprModelOptions {
   AcyclicityMode acyclicity = AcyclicityMode::kLazyCycleCuts;
   ObjectiveWeights weights;
   /// When false, hosts may only send streams they *generate* (base
   /// injection or a local producer operator) — the §II-C relay ablation.
   bool enable_relay = true;
-  /// §VII hierarchical decomposition: when non-empty, only the listed
-  /// hosts may take new placements, flows or servings — every fresh
-  /// decision variable on other hosts is pinned to zero (committed
-  /// availability pins are kept, so warm starts stay feasible). Presolve
-  /// then eliminates the pinned columns, shrinking the model from H to
-  /// |subset| hosts. Callers must include every host that currently
-  /// carries relevant committed state, or the no-drop constraints can
-  /// become unsatisfiable.
-  std::vector<HostId> host_subset;
 };
 
 /// Capacities the reduced model leaves to its decisions (§IV-A): each
@@ -107,7 +103,7 @@ ResidualCapacity ComputeResidualCapacity(
 /// violation by more than tol excludes every incumbent; the greedy
 /// fallback (CanPlaceOperator/CanServe at 1e-9, then Validate) cannot
 /// place q either. The no-relay ablation, the potentials formulation
-/// and a §VII host_subset only remove points from the model, and
+/// and a §VII host subset only remove points from the model, and
 /// reduce_problem = false only widens the relevant sets the residuals
 /// are computed from, so the screen stays sound under each of them.
 /// Base-stream queries and queries with a producer outside `operators`
@@ -147,10 +143,21 @@ class SqprMip {
   ///  * `streams`   — relevant streams (closure union, sorted, deduped);
   ///  * `operators` — relevant operators;
   ///  * `demands`   — demanded streams with their (IV.9) flags; each
-  ///                  demanded stream must be in `streams`.
+  ///                  demanded stream must be in `streams`;
+  ///  * `host_subset` — §VII hierarchical decomposition: when non-empty,
+  ///                  only the listed hosts may take new placements,
+  ///                  flows or servings. Every fresh decision variable on
+  ///                  other hosts is pinned to zero (committed
+  ///                  availability pins are kept, so warm starts stay
+  ///                  feasible), and presolve then eliminates the pinned
+  ///                  columns, shrinking the model from H to |subset|
+  ///                  hosts. Callers must include every host that
+  ///                  carries relevant committed state, or the no-drop
+  ///                  constraints can become unsatisfiable.
   SqprMip(const Deployment& base, std::vector<StreamId> streams,
           std::vector<OperatorId> operators, std::vector<DemandSpec> demands,
-          const SqprModelOptions& options);
+          const SqprModelOptions& options,
+          const std::vector<HostId>& host_subset = {});
 
   milp::Model& mip() { return mip_; }
   const milp::Model& mip() const { return mip_; }
@@ -268,6 +275,8 @@ class SqprMip {
   std::vector<OperatorId> ops_;
   std::vector<DemandSpec> demands_;
   SqprModelOptions options_;
+  // in_subset_[h]: h may take fresh decisions. Empty = every host may.
+  std::vector<bool> in_subset_;
 
   milp::Model mip_;
   int num_hosts_ = 0;

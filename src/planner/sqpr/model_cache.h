@@ -15,7 +15,8 @@ namespace sqpr {
 /// Identity of one grounded SQPR solve *structure*. Two solves with equal
 /// keys build bit-identical model skeletons (same variables, rows, terms,
 /// objective coefficients and names): the skeleton depends only on the
-/// relevant sets, the demand flags, the catalog's rates/costs and the
+/// relevant sets, the demand flags, the §VII host subset (which pins
+/// x/z/d columns in the skeleton), the catalog's rates/costs and the
 /// cluster specs — never on the committed deployment, which only moves
 /// bounds (see SqprMip::Rebind). The epochs fold every mutable input into
 /// the key, so a measured-rate install or a host failure/rejoin makes old
@@ -25,18 +26,16 @@ struct SolveKey {
   std::vector<OperatorId> operators;
   /// (stream, must_serve) per demand, in demand order.
   std::vector<std::pair<StreamId, uint8_t>> demands;
+  /// The SqprMip host subset as passed (empty = unrestricted).
+  std::vector<HostId> host_subset;
   uint64_t rate_epoch = 0;  // Catalog::rate_epoch()
   uint64_t spec_epoch = 0;  // Cluster::spec_epoch()
 
   friend bool operator<(const SolveKey& a, const SolveKey& b) {
     return std::tie(a.rate_epoch, a.spec_epoch, a.streams, a.operators,
-                    a.demands) < std::tie(b.rate_epoch, b.spec_epoch,
-                                          b.streams, b.operators, b.demands);
-  }
-  friend bool operator==(const SolveKey& a, const SolveKey& b) {
-    return a.rate_epoch == b.rate_epoch && a.spec_epoch == b.spec_epoch &&
-           a.streams == b.streams && a.operators == b.operators &&
-           a.demands == b.demands;
+                    a.demands, a.host_subset) <
+           std::tie(b.rate_epoch, b.spec_epoch, b.streams, b.operators,
+                    b.demands, b.host_subset);
   }
 };
 

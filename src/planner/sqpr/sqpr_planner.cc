@@ -68,7 +68,8 @@ Result<PlanningStats> SqprPlanner::SubmitQuery(StreamId query) {
 }
 
 Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
-    const std::vector<StreamId>& queries) {
+    const std::vector<StreamId>& queries,
+    const std::vector<HostId>& host_subset) {
   SQPR_TRACE_SPAN_ARGS(span, "planner/solve", "fresh_queries",
                        "relevant_streams");
   Stopwatch watch;
@@ -118,6 +119,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   for (const DemandSpec& d : sets->demands) {
     key.demands.emplace_back(d.stream, d.must_serve ? 1 : 0);
   }
+  key.host_subset = host_subset;
   key.rate_epoch = catalog_->rate_epoch();
   key.spec_epoch = cluster_->spec_epoch();
 
@@ -132,7 +134,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
       // bit for bit — any divergence means a base-dependent quantity
       // leaked into the skeleton (or a patch missed a bound).
       SqprMip reference(deployment_, sets->streams, sets->operators,
-                        sets->demands, options_.model);
+                        sets->demands, options_.model, host_subset);
       const Status same = mip_owned->CheckModelEquals(reference);
       SQPR_CHECK(same.ok()) << "patched model diverged from fresh build: "
                             << same.ToString();
@@ -140,7 +142,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
   } else {
     mip_owned = std::make_unique<SqprMip>(deployment_, sets->streams,
                                           sets->operators, sets->demands,
-                                          options_.model);
+                                          options_.model, host_subset);
   }
   SqprMip& mip = *mip_owned;
   const std::vector<double> warm = mip.WarmStart();

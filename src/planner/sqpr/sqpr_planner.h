@@ -99,8 +99,15 @@ class SqprPlanner : public Planner {
   /// solution admitting a fresh query commits as the minimal delta;
   /// (6) when the solve did not prove optimality, the greedy fallback
   /// tries the queries still rejected.
+  ///
+  /// A non-empty `host_subset` restricts fresh placements, flows and
+  /// servings of the MILP to those hosts (SqprMip's §VII restriction;
+  /// HierarchicalPlanner passes each query's site subset). It must
+  /// contain every host carrying committed state of the relevant sets.
+  /// The greedy fallback ignores it.
   Result<std::vector<PlanningStats>> SubmitBatch(
-      const std::vector<StreamId>& queries);
+      const std::vector<StreamId>& queries,
+      const std::vector<HostId>& host_subset = {});
 
   /// Removes an admitted query and garbage-collects operators and flows
   /// that no longer support any served stream.

@@ -1,5 +1,6 @@
 #include "service/checkpoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -624,6 +625,22 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
   std::vector<StreamId> admitted;
   SQPR_RETURN_IF_ERROR(
       GetIds(root, "admitted", catalog_->num_streams(), &admitted));
+
+  // The mutators check each edit, not the whole: audit the replayed
+  // state, so a document describing an invalid deployment fails here
+  // instead of at the next commit's invariant check.
+  const Status valid = dep->Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument("checkpoint deployment is invalid: " +
+                                   valid.ToString());
+  }
+  std::vector<StreamId> sorted_admitted = admitted;
+  std::sort(sorted_admitted.begin(), sorted_admitted.end());
+  if (sorted_admitted != dep->ServedStreams()) {
+    return Status::InvalidArgument(
+        "checkpoint \"admitted\" differs from the deployment's served "
+        "streams");
+  }
   planner_.RestoreAdmitted(std::move(admitted));
 
   // 5. Scheduler backlog: group boundaries survive verbatim (round

@@ -304,6 +304,88 @@ TEST(DurabilityCheckpointTest, CorruptedValuesAreCleanErrors) {
   }
 }
 
+/// Restores `doc` into a fresh service built from the same seed. When
+/// the restore succeeds, the service must also keep running: it replays
+/// every arrival of the trace again after the restored clock, which
+/// commits new plans against the restored deployment.
+Status RestoreAndContinue(uint64_t seed, const std::string& doc) {
+  Scenario s = MakeScenario(seed);
+  PlanningService service(s.cluster.get(), s.catalog.get(),
+                          DeterministicOptions());
+  const Status restored = service.RestoreCheckpoint(doc);
+  if (!restored.ok()) return restored;
+  int64_t t = service.clock().now_ms();
+  for (const Event& e : s.trace) {
+    if (e.kind != EventKind::kQueryArrival) continue;
+    EXPECT_TRUE(service.Enqueue(Event::Arrival(++t, e.query)).ok());
+  }
+  EXPECT_TRUE(service.RunUntilIdle().ok());
+  EXPECT_TRUE(service.deployment().Validate().ok());
+  return restored;
+}
+
+// A checkpoint whose deployment breaks an invariant the mutators do not
+// check edit by edit is refused at restore, quoting the invariant —
+// not accepted and left to abort the first commit after it.
+TEST(DurabilityCheckpointTest, InvalidDeploymentIsRefusedAtRestore) {
+  const uint64_t seed = 3;
+  Scenario s = MakeScenario(seed);
+  PlanningService service(s.cluster.get(), s.catalog.get(),
+                          DeterministicOptions());
+  for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());
+  ASSERT_TRUE(service.RunUntilIdle().ok());
+  Result<std::string> doc = service.ExportCheckpoint();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_TRUE(RestoreAndContinue(seed, *doc).ok());
+
+  Result<JsonValue> root = ParseJson(*doc);
+  ASSERT_TRUE(root.ok());
+  const JsonValue* dep = root->Find("deployment");
+  ASSERT_NE(dep, nullptr);
+
+  // (a) No operators: the flows and servings they fed lose their source.
+  {
+    const JsonValue mangled = WithMember(
+        *root, "deployment",
+        WithMember(*dep, "operators", JsonValue::Array()));
+    const Status st = RestoreAndContinue(seed, WriteJson(mangled));
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.ToString().find("not grounded"), std::string::npos)
+        << st.ToString();
+  }
+
+  // (b) One serving arc moved to a host where its stream is not grounded.
+  const JsonValue* serving = dep->Find("serving");
+  ASSERT_NE(serving, nullptr);
+  ASSERT_FALSE(serving->items().empty());
+  const StreamId stream =
+      static_cast<StreamId>(serving->items()[0].items()[0].int_value());
+  HostId elsewhere = kInvalidHost;
+  for (HostId h = 0; h < s.cluster->num_hosts(); ++h) {
+    if (!service.deployment().Grounded(h, stream)) elsewhere = h;
+  }
+  ASSERT_NE(elsewhere, kInvalidHost);
+  JsonValue moved = JsonValue::Array();
+  for (size_t i = 0; i < serving->items().size(); ++i) {
+    if (i > 0) {
+      moved.Append(serving->items()[i]);
+      continue;
+    }
+    JsonValue arc = JsonValue::Array();
+    arc.Append(JsonValue::Int(stream));
+    arc.Append(JsonValue::Int(elsewhere));
+    moved.Append(arc);
+  }
+  const JsonValue mangled =
+      WithMember(*root, "deployment", WithMember(*dep, "serving", moved));
+  const Status st = RestoreAndContinue(seed, WriteJson(mangled));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.ToString().find("not grounded at host " +
+                               std::to_string(elsewhere)),
+            std::string::npos)
+      << st.ToString();
+}
+
 TEST(DurabilityCheckpointTest, RestoreRequiresAFreshService) {
   const uint64_t seed = 5;
   const std::string doc = ExportedCheckpoint(seed);

@@ -16,9 +16,10 @@ namespace sqpr {
 namespace {
 
 struct Fixture {
-  explicit Fixture(int hosts, int sites, uint64_t seed = 3)
+  explicit Fixture(int hosts, int sites, uint64_t seed = 3,
+                   HostSpec spec = HostSpec{0.8, 120.0, 120.0, ""})
       : catalog(CostModel{}),
-        cluster(hosts, HostSpec{0.8, 120.0, 120.0, ""}, 240.0) {
+        cluster(hosts, spec, 2.0 * spec.nic_out_mbps) {
     WorkloadConfig wc;
     wc.num_base_streams = 6 * hosts;
     wc.num_queries = 12 * hosts;
@@ -27,7 +28,7 @@ struct Fixture {
     workload = *GenerateWorkload(wc, hosts, &catalog);
     HierarchicalPlanner::Options options;
     options.num_sites = sites;
-    options.timeout_ms = 150;
+    options.planner.timeout_ms = 150;
     planner = std::make_unique<HierarchicalPlanner>(&cluster, &catalog,
                                                     options);
   }
@@ -92,34 +93,43 @@ TEST(HierarchicalTest, DedupReportsAlreadyServed) {
   }
 }
 
-TEST(HierarchicalTest, SingleSiteMatchesFlatSqprClosely) {
-  // With one site the subset covers the whole cluster, so admissions
-  // should be in the same ballpark as flat SQPR without its fallback.
-  Fixture f(4, 1, /*seed=*/11);
+// With one site the subset is the whole cluster, so hierarchical
+// planning is flat SQPR under the same planner options: node-bounded
+// solves make both deterministic, and every submission must admit the
+// same way, with the same solver effort, and leave the same deployment.
+// The tight hosts make the admission screen reject some arrivals.
+TEST(HierarchicalTest, SingleSiteEqualsFlatSqpr) {
+  SqprPlanner::Options planner_options;
+  planner_options.timeout_ms = 60000;
+  planner_options.max_nodes = 200;
+  planner_options.greedy_fallback = false;
 
-  Catalog catalog2(CostModel{});
-  Cluster cluster2(4, HostSpec{0.8, 120.0, 120.0, ""}, 240.0);
-  WorkloadConfig wc;
-  wc.num_base_streams = 24;
-  wc.num_queries = 48;
-  wc.arities = {2, 3};
-  wc.seed = 11;
-  Workload workload2 = *GenerateWorkload(wc, 4, &catalog2);
-  SqprPlanner::Options flat_options;
-  flat_options.timeout_ms = 150;
-  flat_options.greedy_fallback = false;
-  SqprPlanner flat(&cluster2, &catalog2, flat_options);
+  const HostSpec tight{0.3, 60.0, 60.0, ""};
+  Fixture f(4, 1, /*seed=*/11, tight);
+  HierarchicalPlanner::Options hier_options;
+  hier_options.num_sites = 1;
+  hier_options.planner = planner_options;
+  HierarchicalPlanner hier(&f.cluster, &f.catalog, hier_options);
 
-  int hier = 0, flat_admitted = 0;
+  Fixture g(4, 1, /*seed=*/11, tight);
+  SqprPlanner flat(&g.cluster, &g.catalog, planner_options);
+
+  ASSERT_EQ(f.workload.queries, g.workload.queries);
+  int admitted = 0, screened = 0;
   for (StreamId q : f.workload.queries) {
-    hier += f.planner->SubmitQuery(q)->admitted ? 1 : 0;
+    Result<PlanningStats> h = hier.SubmitQuery(q);
+    Result<PlanningStats> s = flat.SubmitQuery(q);
+    ASSERT_TRUE(h.ok() && s.ok());
+    EXPECT_EQ(h->admitted, s->admitted) << "query " << q;
+    EXPECT_EQ(h->solver_nodes, s->solver_nodes) << "query " << q;
+    ASSERT_EQ(hier.deployment().Fingerprint(), flat.deployment().Fingerprint())
+        << "query " << q;
+    admitted += s->admitted && !s->already_served;
+    screened += s->screened;
   }
-  for (StreamId q : workload2.queries) {
-    flat_admitted += flat.SubmitQuery(q)->admitted ? 1 : 0;
-  }
-  // Identical models modulo solver nondeterminism-free; allow slack for
-  // objective-equivalent plans that change later admissions.
-  EXPECT_NEAR(hier, flat_admitted, 0.25 * flat_admitted + 3.0);
+  EXPECT_EQ(hier.admitted_queries(), flat.admitted_queries());
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(screened, 0);
 }
 
 TEST(HierarchicalTest, OperatorsStayWithinAssignedSubset) {

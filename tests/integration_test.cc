@@ -74,10 +74,9 @@ TEST(IntegrationTest, SqprModelSurvivesMpsRoundTrip) {
 TEST(IntegrationTest, HostSubsetPinsAllForeignDecisions) {
   ModelFixture f;
   Deployment dep(&f.cluster, &f.catalog);
-  SqprModelOptions options;
-  options.host_subset = {0, 1};  // host 2 excluded (but sources stream c)
+  // Host 2 is excluded (but sources stream c).
   SqprMip mip(dep, f.closure.streams, f.closure.operators,
-              {{f.abc, false}}, options);
+              {{f.abc, false}}, SqprModelOptions{}, {0, 1});
 
   // Every z/d variable on host 2 must be pinned to zero.
   for (OperatorId o : f.closure.operators) {
@@ -107,10 +106,8 @@ TEST(IntegrationTest, SubsetWithSourceHostsAdmits) {
   // subset hosts.
   ModelFixture f;
   Deployment dep(&f.cluster, &f.catalog);
-  SqprModelOptions options;
-  options.host_subset = {0, 1, 2};
   SqprMip mip(dep, f.closure.streams, f.closure.operators,
-              {{f.abc, false}}, options);
+              {{f.abc, false}}, SqprModelOptions{}, {0, 1, 2});
   SqprMip::CycleCutHandler handler(&mip);
   milp::SolverOptions solver_options;
   solver_options.deadline = Deadline::AfterMillis(5000);
@@ -141,10 +138,8 @@ TEST(IntegrationTest, MemoryRowsInteractWithSubset) {
   const Closure closure = *catalog.JoinClosure(ab);
 
   Deployment dep(&cluster, &catalog);
-  SqprModelOptions options;
-  options.host_subset = {0, 1};
   SqprMip mip(dep, closure.streams, closure.operators, {{ab, false}},
-              options);
+              SqprModelOptions{}, {0, 1});
   SqprMip::CycleCutHandler handler(&mip);
   milp::SolverOptions solver_options;
   solver_options.deadline = Deadline::AfterMillis(3000);

@@ -335,7 +335,6 @@ TEST_P(EngineResolveVsColdLong, EveryResolveMatchesColdSolve) {
   constexpr int kSteps = 48;
   constexpr int kMaxRows = 5;
   std::vector<double> last;
-  std::vector<BasisState> basis;
   std::vector<int> fixed;  // structural columns fixed by this sequence
   int optimal_steps = 0;
   bool infeasible = false;
@@ -343,17 +342,28 @@ TEST_P(EngineResolveVsColdLong, EveryResolveMatchesColdSolve) {
     // After an infeasible solve, mostly relax (op 9) to get back.
     int op = step == 0 ? -1 : static_cast<int>(rng.NextBounded(9));
     if (infeasible && rng.NextBool(0.7)) op = 9;
-    // A column that rested on a bound at the last optimum.
-    std::vector<int> nonbasic;
-    for (size_t c = 0; c < basis.size(); ++c) {
-      if (basis[c] != BasisState::kBasic) {
-        nonbasic.push_back(static_cast<int>(c));
+    // Columns (structural, then row slacks as n + row) that rested on a
+    // bound at the last optimum.
+    std::vector<int> at_bound;
+    auto on_bound = [](double v, double lb, double ub) {
+      return std::abs(v - lb) <= 1e-9 || std::abs(v - ub) <= 1e-9;
+    };
+    for (int c = 0; c < n && !last.empty(); ++c) {
+      if (on_bound(last[c], m.variable_lb(c), m.variable_ub(c))) {
+        at_bound.push_back(c);
+      }
+    }
+    for (int r = 0; r < m.num_rows() && !last.empty(); ++r) {
+      double activity = 0.0;
+      for (const auto& [u, coef] : m.row_terms(r)) activity += coef * last[u];
+      if (on_bound(activity, m.row_lb(r), m.row_ub(r))) {
+        at_bound.push_back(n + r);
       }
     }
     switch (op) {
-      case 0: {  // fix a nonbasic column where it rests
-        if (nonbasic.empty() || last.empty()) break;
-        const int c = nonbasic[rng.NextBounded(nonbasic.size())];
+      case 0: {  // fix a column at the bound it rests on
+        if (at_bound.empty()) break;
+        const int c = at_bound[rng.NextBounded(at_bound.size())];
         if (c < n) {
           m.SetVariableBounds(c, last[c], last[c]);
           fixed.push_back(c);
@@ -462,7 +472,6 @@ TEST_P(EngineResolveVsColdLong, EveryResolveMatchesColdSolve) {
       EXPECT_TRUE(m.CheckFeasible(warm.values, 1e-6).ok())
           << "seed " << seed << " step " << step;
       last = warm.values;
-      basis = warm.basis_state;
       ++optimal_steps;
       infeasible = false;
     } else {

@@ -322,7 +322,10 @@ namespace sqpr {
 namespace lp {
 namespace {
 
-// ------------------------------------------------------ Warm-start bases
+// ------------------------------------------- Warm (hot) engine re-solves
+
+// A SimplexEngine keeps its basis between solves; a re-solve starts from
+// wherever the previous solve left it.
 
 TEST(WarmStartTest, ReusingOptimalBasisConvergesInstantly) {
   Model m(Sense::kMaximize);
@@ -331,14 +334,11 @@ TEST(WarmStartTest, ReusingOptimalBasisConvergesInstantly) {
   m.AddRow(-kInf, 4, {{x, 1}}, "r1");
   m.AddRow(-kInf, 12, {{y, 2}}, "r2");
   m.AddRow(-kInf, 18, {{x, 3}, {y, 2}}, "r3");
-  SimplexSolver cold;
-  auto first = cold.Solve(m);
+  SimplexEngine engine;
+  auto first = engine.Solve(m);
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
 
-  SimplexOptions warm_options;
-  warm_options.warm_basis = &first.basis_state;
-  SimplexSolver warm(warm_options);
-  auto second = warm.Solve(m);
+  auto second = engine.Solve(m);
   ASSERT_EQ(second.status, SolveStatus::kOptimal);
   EXPECT_NEAR(second.objective, first.objective, 1e-9);
   EXPECT_LE(second.iterations, 2);  // already optimal
@@ -351,32 +351,17 @@ TEST(WarmStartTest, BoundChangeResolvesInFewIterations) {
   const int x = m.AddVariable(0, 10, 2, "x");
   const int y = m.AddVariable(0, 10, 1, "y");
   m.AddRow(-kInf, 12, {{x, 1}, {y, 1}}, "cap");
-  SimplexSolver cold;
-  auto first = cold.Solve(m);
+  SimplexEngine engine;
+  auto first = engine.Solve(m);
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
   EXPECT_NEAR(first.objective, 22.0, 1e-7);  // x=10, y=2
 
   m.SetVariableBounds(x, 0, 5);  // branch: x <= 5
-  SimplexOptions warm_options;
-  warm_options.warm_basis = &first.basis_state;
-  SimplexSolver warm(warm_options);
-  auto second = warm.Solve(m);
+  auto second = engine.Solve(m);
   ASSERT_EQ(second.status, SolveStatus::kOptimal);
   EXPECT_NEAR(second.objective, 17.0, 1e-7);  // x=5, y=7
   EXPECT_TRUE(m.CheckFeasible(second.values, 1e-6).ok());
-}
-
-TEST(WarmStartTest, MismatchedWarmBasisIgnored) {
-  Model m(Sense::kMaximize);
-  m.AddVariable(0, 4, 1, "x");
-  std::vector<BasisState> bogus = {BasisState::kBasic, BasisState::kBasic,
-                                   BasisState::kBasic};
-  SimplexOptions options;
-  options.warm_basis = &bogus;
-  SimplexSolver solver(options);
-  auto r = solver.Solve(m);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 4.0, 1e-8);
+  EXPECT_LE(second.iterations, 2);
 }
 
 TEST(WarmStartTest, WarmBasisWithAddedRowsPadsSlacks) {
@@ -384,37 +369,33 @@ TEST(WarmStartTest, WarmBasisWithAddedRowsPadsSlacks) {
   const int x = m.AddVariable(0, 10, 1, "x");
   const int y = m.AddVariable(0, 10, 1, "y");
   m.AddRow(-kInf, 8, {{x, 1}, {y, 1}}, "cap");
-  SimplexSolver cold;
-  auto first = cold.Solve(m);
+  SimplexEngine engine;
+  auto first = engine.Solve(m);
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
 
-  // Add a cut after the fact (lazy-constraint pattern).
+  // Add a cut after the fact (lazy-constraint pattern): its slack joins
+  // the basis.
   m.AddRow(-kInf, 3, {{x, 1}}, "cut");
-  SimplexOptions warm_options;
-  warm_options.warm_basis = &first.basis_state;
-  SimplexSolver warm(warm_options);
-  auto second = warm.Solve(m);
+  auto second = engine.Solve(m);
   ASSERT_EQ(second.status, SolveStatus::kOptimal);
   EXPECT_NEAR(second.objective, 8.0, 1e-7);  // x=3, y=5
   EXPECT_TRUE(m.CheckFeasible(second.values, 1e-6).ok());
+  EXPECT_EQ(engine.counters().slack_starts, 1);
 }
 
 TEST(WarmStartTest, InfeasibleAfterBranchDetected) {
   Model m(Sense::kMaximize);
   const int x = m.AddVariable(0, 10, 1, "x");
   m.AddRow(4, kInf, {{x, 1}}, "ge4");
-  SimplexSolver cold;
-  auto first = cold.Solve(m);
+  SimplexEngine engine;
+  auto first = engine.Solve(m);
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
   m.SetVariableBounds(x, 0, 2);  // conflicts with x >= 4
-  SimplexOptions warm_options;
-  warm_options.warm_basis = &first.basis_state;
-  SimplexSolver warm(warm_options);
-  EXPECT_EQ(warm.Solve(m).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(engine.Solve(m).status, SolveStatus::kInfeasible);
 }
 
-// Randomised: warm-started re-solves after a bound change must agree
-// with cold solves on the same modified model.
+// Randomised: hot re-solves after a bound change must agree with cold
+// solves on the same modified model.
 class WarmColdAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WarmColdAgreementTest, SameOptimum) {
@@ -439,18 +420,15 @@ TEST_P(WarmColdAgreementTest, SameOptimum) {
     if (terms.empty()) continue;
     m.AddRow(-kInf, activity + rng.NextDouble(0.0, 2.0), std::move(terms));
   }
-  SimplexSolver cold;
-  auto base = cold.Solve(m);
+  SimplexEngine warm;
+  auto base = warm.Solve(m);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
 
   // Tighten a random variable's upper bound below its current value.
   const int victim = static_cast<int>(rng.NextBounded(n));
   m.SetVariableBounds(victim, 0.0, base.values[victim] / 2.0);
 
-  auto cold_again = cold.Solve(m);
-  SimplexOptions warm_options;
-  warm_options.warm_basis = &base.basis_state;
-  SimplexSolver warm(warm_options);
+  auto cold_again = SimplexSolver().Solve(m);
   auto warm_again = warm.Solve(m);
   ASSERT_EQ(cold_again.status, SolveStatus::kOptimal);
   ASSERT_EQ(warm_again.status, SolveStatus::kOptimal);

@@ -262,24 +262,28 @@ TEST(MilpSnapTest, NearIntegralWarmStartRoundingAcrossRowIgnored) {
 // column's box. In the three models below every row is 5e-6 away from
 // the integer point the LP rounds to.
 
-// The warm root basis makes `a` basic, so the row `100 a = 100.000005`
-// puts it at 1 + 5e-8. Its positive cost sends the search into the up
-// child first, which used to have crossed bounds.
+// Row `a >= z + 5e-8` (scaled by 100) with z worth more than a costs:
+// the root LP takes z = 1 and leaves `a` basic at 1 + 5e-8, above its
+// upper bound. Splitting `a` at floor/ceil of that value used to give
+// an up child with crossed bounds; the split must stay inside the box,
+// and the search must end at the only integer point, a = 1, z = 0.
 TEST(MilpSnapTest, RejectedPointAboveItsUpperBoundSplitsInsideTheBox) {
   Model m;
-  const int a = m.AddBinary(1.0, "a");
-  m.lp.AddRow(100.000005, 100.000005, {{a, 100.0}}, "row");
-  const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
-                                             lp::BasisState::kAtLower};
+  const int a = m.AddBinary(-1.0, "a");
+  const int z = m.AddBinary(2.0, "z");
+  m.lp.AddRow(5e-6, lp::kInf, {{a, 100.0}, {z, -100.0}}, "link");
+  const lp::SimplexResult root = lp::SimplexSolver().Solve(m.lp);
+  ASSERT_EQ(root.status, lp::SolveStatus::kOptimal);
+  ASSERT_GT(root.values[a], 1.0);  // the scenario this test is about
   SolverOptions opts;
   opts.presolve = false;  // keep the row in front of the LP
   opts.max_nodes = 1000;
-  opts.lp_options.warm_basis = &basis;
   const MipResult r = Solve(m, opts);
-  ASSERT_EQ(r.lp_counters.slack_starts, 0);  // the root took the basis
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
   EXPECT_GE(r.rejected_candidates, 1);
-  EXPECT_EQ(r.status, MipStatus::kInfeasible);
-  EXPECT_EQ(r.nodes, 3);  // the root and a = 0, a = 1
+  EXPECT_LT(r.nodes, 20);
+  EXPECT_NEAR(r.objective, -1.0, 1e-9);
+  EXPECT_NEAR(r.x[z], 0.0, 1e-9);
 }
 
 // Row `a >= z + 5e-8` (scaled by 100). Depending on the sign of a's
@@ -306,24 +310,22 @@ TEST(MilpSnapTest, RejectedPointsOffTheirBoxesKeepTheOptimum) {
   }
 }
 
-// A fixed column cannot be branched on at all. The warm root basis makes
-// the fixed `b` basic, so the row `100 b = 99.999995` puts it at
-// 1 - 5e-8. The node is dropped: the problem has no integer point.
+// A fixed column cannot be branched on at all. The root LP makes the
+// binary `b` basic, so the row `100 b = 99.999995` puts it at 1 - 5e-8;
+// the up child b = 1 re-solves from that basis, where `b` stays basic
+// within tolerance below its now-fixed bound. That node is dropped: the
+// problem has no integer point.
 TEST(MilpSnapTest, RejectedPointOnPinnedColumnIsDropped) {
   Model m;
-  const int b = m.AddVariable(1, 1, 1.0, /*is_integer=*/true, "b");
+  const int b = m.AddBinary(1.0, "b");
   m.lp.AddRow(99.999995, 99.999995, {{b, 100.0}}, "row");
-  const std::vector<lp::BasisState> basis = {lp::BasisState::kBasic,
-                                             lp::BasisState::kAtLower};
   SolverOptions opts;
   opts.presolve = false;
   opts.max_nodes = 1000;
-  opts.lp_options.warm_basis = &basis;
   const MipResult r = Solve(m, opts);
-  ASSERT_EQ(r.lp_counters.slack_starts, 0);  // the root took the basis
-  EXPECT_EQ(r.rejected_candidates, 1);
+  EXPECT_EQ(r.rejected_candidates, 2);  // the root and the pinned child
   EXPECT_EQ(r.status, MipStatus::kInfeasible);
-  EXPECT_EQ(r.nodes, 1);
+  EXPECT_EQ(r.nodes, 3);
 }
 
 // Without presolve, branch-and-bound loads an integer column's bounds as
@@ -396,18 +398,6 @@ TEST(MilpEngineTest, OnlyTheRootLpStartsFromTheSlackBasis) {
   EXPECT_LE(r.lp_counters.factorizations,
             1 + r.lp_counters.iterations /
                     SolverOptions{}.lp_options.refactor_interval);
-
-  // A root basis passed through lp_options (the relaxation's optimal
-  // one) means no solve starts from the slack basis.
-  const lp::SimplexResult root = lp::SimplexSolver().Solve(m.lp);
-  ASSERT_EQ(root.status, lp::SolveStatus::kOptimal);
-  SolverOptions warm;
-  warm.presolve = false;
-  warm.lp_options.warm_basis = &root.basis_state;
-  const MipResult again = Solve(m, warm);
-  ASSERT_EQ(again.status, MipStatus::kOptimal);
-  EXPECT_EQ(again.lp_counters.slack_starts, 0);
-  EXPECT_NEAR(again.objective, r.objective, 1e-7);
 }
 
 // ------------------------------------- Randomised exhaustive cross-check

@@ -713,9 +713,8 @@ TEST(PlanningServiceTest, EvictHostWhileRoundInFlightStaysConsistent) {
 }
 
 // Replaying one churn trace twice commits bit-for-bit identical
-// deployments and admission statistics. (The name is from when the
-// second replay used another worker count.)
-TEST(PlanningServiceTest, WorkerCountDoesNotChangeCommittedDeployments) {
+// deployments and admission statistics.
+TEST(PlanningServiceTest, RepeatedReplayCommitsIdenticalDeployments) {
   auto run = []() {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
     Catalog catalog(CostModel{});

@@ -8,8 +8,10 @@
 //    one always rebuilding — and must agree after every event on the
 //    admitted set, deployment feasibility and (when both prove
 //    optimality under tight gaps) the solve objective;
-//  * a warm-started simplex solve must reach the cold-start objective
-//    on the same model.
+//  * the §VII host subset is part of a solve's structural identity, so
+//    subsets never share a cached skeleton;
+//  * a hot engine re-solve must reach the cold-start objective on the
+//    same model.
 
 #include <gtest/gtest.h>
 
@@ -147,9 +149,40 @@ TEST_P(SolverEquivalenceTest, IncrementalMatchesFromScratchUnderChurn) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverEquivalenceTest,
                          ::testing::Range(0, 4));
 
-/// Warm-started simplex == cold-started simplex on the same model, over
-/// randomised LPs (objective equality; the vertex may differ under
-/// degeneracy, the value may not).
+// The host subset pins x/z/d columns in the skeleton, so the same
+// relevant sets planned under two subsets must each build their own
+// model. With verify_incremental on, a skeleton handed across subsets
+// would abort the solve (the patched model differs from a fresh build).
+TEST(SolveCacheSubsetTest, HostSubsetsNeverShareASkeleton) {
+  Catalog catalog(CostModel{});
+  Cluster cluster(3, HostSpec{1.0, 200.0, 200.0, ""}, 400.0);
+  const StreamId a = catalog.AddBaseStream(0, 10.0, "a");
+  const StreamId b = catalog.AddBaseStream(1, 10.0, "b");
+  const StreamId ab = *catalog.CanonicalJoinStream({a, b});
+  SqprPlanner::Options options;
+  options.timeout_ms = 60000;
+  options.max_nodes = 200;
+  options.verify_incremental = true;
+  SqprPlanner planner(&cluster, &catalog, options);
+
+  // Both subsets hold the two source hosts, so each solve admits; the
+  // removal restores the empty deployment, so every round has the same
+  // relevant sets and demands.
+  const std::vector<std::vector<HostId>> subsets = {
+      {0, 1}, {0, 1, 2}, {0, 1}, {0, 1, 2}};
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    Result<std::vector<PlanningStats>> stats =
+        planner.SubmitBatch({ab}, subsets[i]);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_TRUE(stats->front().admitted) << "round " << i;
+    // The first solve under each subset builds; its repeat is a hit.
+    EXPECT_EQ(stats->front().model_patched, i >= 2) << "round " << i;
+    ASSERT_TRUE(planner.RemoveQuery(ab).ok());
+  }
+}
+
+/// A hot engine re-solve of an unchanged model == its cold solve, over
+/// randomised LPs (the engine restarts from its retained optimal basis).
 class WarmSimplexTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WarmSimplexTest, WarmBasisReachesColdObjective) {
@@ -173,14 +206,11 @@ TEST_P(WarmSimplexTest, WarmBasisReachesColdObjective) {
     m.AddRow(-lp::kInf, 1.0 + 5.0 * rng.NextDouble(), std::move(terms));
   }
 
-  lp::SimplexSolver cold;
-  const lp::SimplexResult first = cold.Solve(m);
+  lp::SimplexEngine engine;
+  const lp::SimplexResult first = engine.Solve(m);
   ASSERT_EQ(first.status, lp::SolveStatus::kOptimal) << "seed " << seed;
 
-  lp::SimplexOptions warm_options;
-  warm_options.warm_basis = &first.basis_state;
-  lp::SimplexSolver warm(warm_options);
-  const lp::SimplexResult second = warm.Solve(m);
+  const lp::SimplexResult second = engine.Solve(m);
   ASSERT_EQ(second.status, lp::SolveStatus::kOptimal) << "seed " << seed;
   EXPECT_NEAR(second.objective, first.objective, 1e-7) << "seed " << seed;
   // Restarting at the optimal basis must not need meaningful work.

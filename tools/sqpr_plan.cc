@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   } else if (args.planner == "hierarchical") {
     HierarchicalPlanner::Options options;
     options.num_sites = args.sites;
-    options.timeout_ms = args.timeout_ms;
+    options.planner.timeout_ms = args.timeout_ms;
     planner =
         std::make_unique<HierarchicalPlanner>(&cluster, &catalog, options);
   } else {
