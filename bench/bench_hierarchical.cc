@@ -4,6 +4,10 @@
 // this bench regenerates that trade-off: hierarchical planning time
 // stays near-flat in H while admissions pay a bounded price for the
 // restricted placement freedom.
+//
+// Both planners stop each solve after kMaxNodes branch-and-bound nodes;
+// the wall-clock timeout sits far above any solve, so the admission
+// columns do not depend on host speed or load (the ms columns do).
 
 #include <vector>
 
@@ -13,6 +17,11 @@
 
 using namespace sqpr;
 using namespace sqpr::bench;
+
+namespace {
+constexpr int64_t kTimeoutMs = 600000;
+constexpr int64_t kMaxNodes = 400;
+}  // namespace
 
 int main() {
   PrintHeader("Hierarchical ablation (§VII)",
@@ -33,7 +42,8 @@ int main() {
     // Flat SQPR (fallback off for a like-for-like MILP comparison).
     Scenario sf = MakeScenario(config);
     SqprPlanner::Options flat_options;
-    flat_options.timeout_ms = 250;
+    flat_options.timeout_ms = kTimeoutMs;
+    flat_options.max_nodes = kMaxNodes;
     flat_options.greedy_fallback = false;
     SqprPlanner flat(sf.cluster.get(), sf.catalog.get(), flat_options);
     int admitted_flat = 0;
@@ -54,7 +64,8 @@ int main() {
     Scenario sh = MakeScenario(config);
     HierarchicalPlanner::Options hier_options;
     hier_options.num_sites = std::max(1, hosts / 4);
-    hier_options.planner.timeout_ms = 250;
+    hier_options.planner.timeout_ms = kTimeoutMs;
+    hier_options.planner.max_nodes = kMaxNodes;
     hier_options.planner.greedy_fallback = false;
     HierarchicalPlanner hier(sh.cluster.get(), sh.catalog.get(),
                              hier_options);

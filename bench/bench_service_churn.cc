@@ -182,12 +182,11 @@ void PrintRun(const char* label, const RunResult& r) {
               label, r.trace_events, r.total_ms, r.events_per_s,
               r.max_event_ms);
   const ServiceStats& s = r.stats;
-  std::printf("  arrivals %lld: admitted %lld (dedup %lld, cache %lld), "
+  std::printf("  arrivals %lld: admitted %lld (dedup %lld), "
               "rejected %lld\n",
               static_cast<long long>(s.arrivals),
               static_cast<long long>(s.admitted),
               static_cast<long long>(s.dedup_hits),
-              static_cast<long long>(s.cache_fast_path),
               static_cast<long long>(s.rejected));
   std::printf("  churn: %lld departures, %lld failures, %lld joins, "
               "%lld drift reports; %lld evictions, %lld/%lld re-admitted\n",

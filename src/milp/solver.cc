@@ -636,18 +636,7 @@ class PresolvedLazyAdapter : public LazyConstraintHandler {
 
 }  // namespace
 
-MipResult Solver::Solve(const Model& model, const SolverOptions& caller_options) {
-  // Degraded-mode wall budget: fold solve_deadline_ms into the deadline
-  // once, up front, so both the presolve and no-presolve paths — and
-  // every LP sub-solve, dive and cut round under them — inherit it.
-  SolverOptions options = caller_options;
-  if (options.solve_deadline_ms != 0) {
-    const Deadline budget = Deadline::AfterMillis(options.solve_deadline_ms);
-    if (!options.deadline.is_finite() ||
-        budget.RemainingMillis() < options.deadline.RemainingMillis()) {
-      options.deadline = budget;
-    }
-  }
+MipResult Solver::Solve(const Model& model, const SolverOptions& options) {
   SQPR_TRACE_SPAN_ARGS(span, "milp/solve", "variables", "rows");
   span.set_args(static_cast<uint64_t>(model.lp.num_variables()),
                 static_cast<uint64_t>(model.lp.num_rows()));

@@ -74,16 +74,6 @@ const char* MipStatusName(MipStatus status);
 
 struct SolverOptions {
   Deadline deadline;
-  /// Per-solve wall budget in milliseconds for degraded-mode solving
-  /// (docs/ARCHITECTURE.md "Durability & degraded modes"). 0 disables;
-  /// when set, the effective deadline is the *earlier* of `deadline` and
-  /// now + solve_deadline_ms. A negative value yields an
-  /// already-expired deadline — the solver returns its warm-start
-  /// incumbent (or nothing) before exploring a single node, which is
-  /// the deterministic lever the degraded-mode tests use: a wall-clock
-  /// budget can never breach reproducibly, an instantly-expired one
-  /// always does.
-  int64_t solve_deadline_ms = 0;
   int64_t max_nodes = 1000000;
   /// Run presolve (fixed-column elimination, singleton-row absorption,
   /// activity-based bound propagation) before branch-and-bound. Exact:

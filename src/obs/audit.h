@@ -36,7 +36,7 @@ namespace obs {
 
 /// One audited decision. `kind` is a stable dotted reason code; the
 /// full vocabulary is documented in docs/ARCHITECTURE.md §7:
-///   admit.solve admit.cache admit.dedup reject.capacity reject.error
+///   admit.solve admit.dedup reject.capacity reject.error
 ///   depart.served depart.unknown host.failure host.join
 ///   evict.host_failure evict.drift drift.report drift.measure
 ///   measure.tick rate.directive replan.enqueue replan.round

@@ -38,10 +38,6 @@ struct PlanningStats {
   /// True when the solver proved optimality of the reduced problem
   /// before its deadline.
   bool proved_optimal = false;
-  /// True when admission bypassed the solver entirely because the
-  /// requested stream was already materialised by committed operators
-  /// (plan-reuse cache fast path; see service/plan_cache.h).
-  bool via_cache = false;
   /// Incremental-solve telemetry (SQPR planner only). A submission that
   /// ran the MILP either patched a cached model skeleton (bounds-only
   /// rebind against the current deployment) or built one from scratch.

@@ -149,13 +149,15 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
   SqprMip::CycleCutHandler cycle_handler(&mip);
 
-  milp::SolverOptions solver_options;
-  solver_options.deadline = Deadline::AfterMillis(
-      options_.timeout_ms * static_cast<int64_t>(fresh.size()));
   // The degraded-mode budget is per *solve*, deliberately not scaled by
   // the batch size: it caps how long any one solve can stall the
-  // service event loop.
-  solver_options.solve_deadline_ms = options_.solve_deadline_ms;
+  // service event loop. A negative budget is already expired.
+  int64_t budget_ms = options_.timeout_ms * static_cast<int64_t>(fresh.size());
+  if (options_.solve_deadline_ms != 0) {
+    budget_ms = std::min(budget_ms, options_.solve_deadline_ms);
+  }
+  milp::SolverOptions solver_options;
+  solver_options.deadline = Deadline::AfterMillis(budget_ms);
   solver_options.max_nodes = options_.max_nodes;
   solver_options.gap_abs = options_.mip_gap_abs;
   solver_options.gap_rel = options_.mip_gap_rel;
@@ -269,50 +271,6 @@ Status SqprPlanner::RemoveQuery(StreamId query) {
   SQPR_RETURN_IF_ERROR(deployment_.ClearServing(query));
   GarbageCollect();
   return deployment_.Validate();
-}
-
-Result<PlanningStats> SqprPlanner::AdmitMaterialized(
-    StreamId query, const std::vector<HostId>& hosts) {
-  Stopwatch watch;
-  if (query < 0 || query >= catalog_->num_streams()) {
-    return Status::InvalidArgument("unknown stream");
-  }
-  for (HostId host : hosts) {
-    if (host < 0 || host >= cluster_->num_hosts()) {
-      return Status::InvalidArgument("unknown host");
-    }
-  }
-  PlanningStats stats;
-  if (deployment_.ServingHost(query) != kInvalidHost) {
-    stats.admitted = true;
-    stats.already_served = true;
-    stats.wall_ms = watch.ElapsedMillis();
-    return stats;
-  }
-  bool any_grounded = false;
-  for (HostId host : hosts) {
-    if (!deployment_.Grounded(host, query)) continue;
-    any_grounded = true;
-    if (!deployment_.CanServe(query, host)) continue;
-    SQPR_RETURN_IF_ERROR(deployment_.SetServing(query, host));
-    admitted_.push_back(query);
-    const Status valid = deployment_.Validate();
-    if (!valid.ok()) {
-      admitted_.pop_back();
-      SQPR_CHECK_OK(deployment_.ClearServing(query));
-      return valid;
-    }
-    stats.admitted = true;
-    stats.via_cache = true;
-    stats.wall_ms = watch.ElapsedMillis();
-    return stats;
-  }
-  if (any_grounded) {
-    return Status::ResourceExhausted(
-        "no serving NIC headroom on any materialising host");
-  }
-  return Status::FailedPrecondition(
-      "stream not materialised at any candidate host");
 }
 
 Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {

@@ -113,22 +113,6 @@ class SqprPlanner : public Planner {
   /// that no longer support any served stream.
   Status RemoveQuery(StreamId query);
 
-  /// Plan-reuse fast path (§II-C; the service's PlanCache reads the
-  /// candidate hosts off the deployment's availability): admits `query`
-  /// by adding only the client-serving arc at the first candidate host
-  /// where the stream is already grounded through committed
-  /// operators/flows and the serving NIC has headroom. No MILP solve;
-  /// each candidate costs one lookup of the deployment's maintained
-  /// availability. Fails FailedPrecondition when the stream is not
-  /// materialised at any candidate and ResourceExhausted when it is
-  /// materialised but no candidate has serving headroom; neither
-  /// failure mutates the deployment.
-  Result<PlanningStats> AdmitMaterialized(StreamId query,
-                                          const std::vector<HostId>& hosts);
-  Result<PlanningStats> AdmitMaterialized(StreamId query, HostId host) {
-    return AdmitMaterialized(query, std::vector<HostId>{host});
-  }
-
   /// Host-failure fallout (§IV-C): removes every admitted query whose
   /// committed plan touches `host`, purges residual operators/flows on
   /// the host (redundant supports the per-query GC keeps), then evicts

@@ -53,13 +53,10 @@ void ForEachProperSubset(const std::vector<StreamId>& leaves, Fn fn) {
 PlanCache::Lookup PlanCache::OnArrival(StreamId query) {
   Lookup result;
 
-  const HostId server = deployment_->ServingHost(query);
-  if (server != kInvalidHost) {
+  if (deployment_->ServingHost(query) != kInvalidHost) {
     result.exact = true;
     result.served = true;
-    result.exact_hit.stream = query;
-    result.exact_hit.hosts = {server};
-  } else if (FindMaterialized(query, &result.exact_hit)) {
+  } else if (FindMaterialized(query, nullptr)) {
     result.exact = true;
   }
 

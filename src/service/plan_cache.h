@@ -12,14 +12,14 @@ namespace sqpr {
 /// Arrival-time reuse lookup over the committed deployment (§II-C/§III).
 ///
 /// The SQPR model discovers reuse through the availability constraint
-/// (III.5a), but only for streams that enter the MILP. On query arrival
-/// the service asks this lookup, before any catalog work:
+/// (III.5a); this lookup only reports, on query arrival and before any
+/// catalog work, what the solve will find:
 ///   * exact hit  — the requested canonical stream is already served
-///     (dedup, Algorithm 1 line 3) or materialised but unserved, in
-///     which case admission degenerates to adding one client-serving
-///     arc (no solve);
+///     (the service's dedup, Algorithm 1 line 3) or materialised but
+///     unserved (the solve can serve it where it is grounded);
 ///   * partial hit — some proper subquery is materialised, i.e. the
 ///     MILP has a warm reuse opportunity (surfaced as candidates).
+/// It never admits anything itself.
 ///
 /// It keeps no index of its own: servedness and groundedness are the
 /// Deployment's committed state (ServingHost, Grounded), and a proper
@@ -41,11 +41,10 @@ class PlanCache {
 
   /// What the cache knows about an arriving query.
   struct Lookup {
-    /// The query stream itself is materialised (hosts in `exact`).
+    /// The query stream itself is materialised.
     bool exact = false;
     /// The query is already being served (subset of `exact` situations).
     bool served = false;
-    Hit exact_hit;
     /// Materialised proper subqueries (canonical substreams), largest
     /// leaf set first.
     std::vector<Hit> partial;

@@ -20,7 +20,7 @@ std::string EventOutcome::ToString(const Catalog& catalog) const {
       out += " (" + catalog.stream(event.query).name + ")";
     }
     out += already_served ? " dedup"
-           : admitted     ? (via_cache ? " admit[cache]" : " admit")
+           : admitted     ? " admit"
                           : " reject";
     if (reuse_candidates > 0) {
       out += " reuse-candidates=" + std::to_string(reuse_candidates);
@@ -353,8 +353,7 @@ void PlanningService::FinishInFlightRound() {
 }
 
 Result<PlanningStats> PlanningService::Admit(StreamId query,
-                                             int* reuse_candidates,
-                                             bool arrival) {
+                                             int* reuse_candidates) {
   if (query < 0 || query >= catalog_->num_streams()) {
     return Status::InvalidArgument("unknown stream " + std::to_string(query));
   }
@@ -362,32 +361,9 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
   SQPR_TRACE_SPAN("service/admit");
   Stopwatch watch;
 
-  if (arrival) {
-    PlanCache::Lookup lookup = cache_.OnArrival(query);
-    if (reuse_candidates != nullptr) {
-      *reuse_candidates = static_cast<int>(lookup.partial.size());
-    }
-    if (lookup.exact && !lookup.served) {
-      // Materialised but unserved: admission is one serving arc. The
-      // planner tries the grounded hosts in order, reading the
-      // deployment's maintained availability; capacity misses fall
-      // through to the solver, which may still admit by re-routing.
-      // This path only touches the loop-owned deployment.
-      Result<PlanningStats> fast =
-          planner_.AdmitMaterialized(query, lookup.exact_hit.hosts);
-      if (fast.ok()) {
-        SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
-                options_.watchdog.admit_budget_ms,
-                &stats_.admit_budget_breaches);
-        return fast;
-      }
-      if (fast.status().IsInvalidArgument()) {
-        SampleStage(&stats_.admit_ms, watch.ElapsedMillis(),
-                options_.watchdog.admit_budget_ms,
-                &stats_.admit_budget_breaches);
-        return fast.status();
-      }
-    }
+  if (reuse_candidates != nullptr) {
+    *reuse_candidates =
+        static_cast<int>(cache_.OnArrival(query).partial.size());
   }
 
   // Authoritative dedup (Algorithm 1 line 3), before any catalog work.
@@ -402,7 +378,7 @@ Result<PlanningStats> PlanningService::Admit(StreamId query,
     return dedup;
   }
 
-  // Cache miss: solve. WarmCatalog pre-interns the query's join closure
+  // Not served: solve. WarmCatalog pre-interns the query's join closure
   // — the only catalog *writes* a solve needs — so StreamId assignment
   // stays at a deterministic point (a no-op for round queries, interned
   // when their round was popped). The solve runs against the committed
@@ -509,15 +485,13 @@ void PlanningService::HandleArrival(const Event& event,
   } else {
     outcome->admitted = stats->admitted;
     outcome->already_served = stats->already_served;
-    outcome->via_cache = stats->via_cache;
     if (stats->already_served) {
       ++stats_.dedup_hits;
       ++stats_.admitted;
       kind = "admit.dedup";
     } else if (stats->admitted) {
       ++stats_.admitted;
-      if (stats->via_cache) ++stats_.cache_fast_path;
-      kind = stats->via_cache ? "admit.cache" : "admit.solve";
+      kind = "admit.solve";
     } else {
       ++stats_.rejected;
       RememberRejected(event.query);
@@ -811,7 +785,7 @@ void PlanningService::CommitPendingRound(EventOutcome* outcome) {
       continue;
     }
     // Each query sees the commits of the ones before it.
-    const Result<PlanningStats> stats = Admit(q, nullptr, /*arrival=*/false);
+    const Result<PlanningStats> stats = Admit(q, nullptr);
     const bool admitted = stats.ok() && stats->admitted;
     const bool solve_failed = !stats.ok();
     if (solve_failed) {

@@ -74,7 +74,6 @@ struct EventOutcome {
   /// Arrival disposition (meaningful for kQueryArrival only).
   bool admitted = false;
   bool already_served = false;
-  bool via_cache = false;
   /// Materialised proper-subquery candidates the cache surfaced for the
   /// arrival (reuse opportunities the MILP can exploit).
   int reuse_candidates = 0;
@@ -99,6 +98,10 @@ struct ServiceStats {
   int64_t admitted = 0;
   int64_t rejected = 0;
   int64_t dedup_hits = 0;
+  /// Always 0: arrivals are deduplicated or solved, so nothing admits
+  /// outside the MILP any more. Kept only because the benchmark replay
+  /// and the checkpoint schema still carry it; the next benchmark
+  /// change drops it.
   int64_t cache_fast_path = 0;
   int64_t departures = 0;
   int64_t host_failures = 0;
@@ -254,7 +257,8 @@ class ServiceMetricsPublisher {
 /// incrementally, event by event.
 ///
 /// Event semantics:
-///   kQueryArrival   — admit via cache fast path or reduced MILP solve;
+///   kQueryArrival   — dedup an already-served query, else admit by a
+///                     reduced MILP solve (Algorithm 1);
 ///   kQueryDeparture — remove + garbage-collect unshared support;
 ///   kHostFailure    — zero the host's budgets, evict its fallout and
 ///                     queue the evicted queries for re-admission;
@@ -280,8 +284,8 @@ class ServiceMetricsPublisher {
 /// host failure/join, measuring tick) that installs rates or host specs
 /// the round must not see. At its commit point the round's queries are
 /// solved in order against the committed state, each seeing the ones
-/// before it, through the same solve-and-commit path as an arrival
-/// (minus the plan-cache fast path). Queries that departed since the
+/// before it, through the same solve-and-commit path as an arrival.
+/// Queries that departed since the
 /// pop are skipped. Nothing is solved ahead of its commit point, so no
 /// solve is thrown away. Everything runs on the calling thread. See
 /// docs/ARCHITECTURE.md for the full model and determinism contract.
@@ -410,20 +414,19 @@ class PlanningService {
   void DrainReplanRounds(EventOutcome* outcome);
 
   /// Solves the pending round's queries in order against the committed
-  /// state, one Admit(q, nullptr, /*arrival=*/false) each, skipping the
-  /// ones that departed since the pop. No-op when no round is pending.
+  /// state, one Admit(q, nullptr) each, skipping the ones that departed
+  /// since the pop. No-op when no round is pending.
   /// Barrier events and FinishInFlightRound call it before their
   /// handler; DrainReplanRounds calls it at the end of every Step().
   void CommitPendingRound(EventOutcome* outcome);
 
   /// Admits one query; shared by arrivals and re-planning round queries.
-  /// Arrivals try the plan-cache fast path, then a solve (WarmCatalog +
-  /// SqprPlanner::SubmitQuery, which commits in place). When `reuse_candidates` is
-  /// non-null it receives the number of materialised proper-subquery
-  /// hits. `arrival` is false for round queries: they skip the fast
-  /// path, so a re-planned query is always placed by a solve.
-  Result<PlanningStats> Admit(StreamId query, int* reuse_candidates,
-                              bool arrival = true);
+  /// An already-served query is a dedup hit; any other is solved
+  /// (WarmCatalog + SqprPlanner::SubmitQuery, which commits in place).
+  /// Arrivals pass a non-null `reuse_candidates`: the plan-cache lookup
+  /// counts them and reports their materialised proper-subquery hits
+  /// there. Round queries pass null and skip the lookup.
+  Result<PlanningStats> Admit(StreamId query, int* reuse_candidates);
 
   /// Wraps SqprPlanner::WarmCatalog: records the first-call order of
   /// warmed queries (the catalog intern log a checkpoint replays to

@@ -85,7 +85,9 @@ TEST(IntegrationTest, HostSubsetPinsAllForeignDecisions) {
     EXPECT_DOUBLE_EQ(mip.mip().lp.variable_ub(z), 0.0) << "z op " << o;
   }
   const int d = mip.VarD(2, f.abc);
-  if (d >= 0) EXPECT_DOUBLE_EQ(mip.mip().lp.variable_ub(d), 0.0);
+  if (d >= 0) {
+    EXPECT_DOUBLE_EQ(mip.mip().lp.variable_ub(d), 0.0);
+  }
 
   // A query whose leaves span all three hosts is unadmittable when the
   // excluded host cannot even export its base stream: flows out of host

@@ -41,7 +41,6 @@ struct ReplayResult {
   int64_t admitted = 0;
   int64_t rejected = 0;
   int64_t dedup_hits = 0;
-  int64_t cache_fast_path = 0;
   int64_t evictions = 0;
   int64_t replan_rounds = 0;
   int64_t replanned_admitted = 0;
@@ -67,12 +66,12 @@ struct ReplayResult {
 
   auto Tie() const {
     return std::tie(fingerprint, arrivals, admitted, rejected, dedup_hits,
-                    cache_fast_path, evictions, replan_rounds,
-                    replanned_admitted, replanned_rejected, commit_conflicts,
-                    round_unwinds, monitor_reports, rate_directives,
-                    measurement_ticks, auto_replan_rounds, analytic_ticks,
-                    catalog_exhausted, solves, solver_nodes, lp_iterations,
-                    snapshot_bytes, barrier_waits, pending_replans, valid);
+                    evictions, replan_rounds, replanned_admitted,
+                    replanned_rejected, commit_conflicts, round_unwinds,
+                    monitor_reports, rate_directives, measurement_ticks,
+                    auto_replan_rounds, analytic_ticks, catalog_exhausted,
+                    solves, solver_nodes, lp_iterations, snapshot_bytes,
+                    barrier_waits, pending_replans, valid);
   }
   bool operator==(const ReplayResult& other) const {
     return Tie() == other.Tie();
@@ -82,7 +81,6 @@ struct ReplayResult {
 std::ostream& operator<<(std::ostream& os, const ReplayResult& r) {
   return os << "arrivals=" << r.arrivals << " admitted=" << r.admitted
             << " rejected=" << r.rejected << " dedup=" << r.dedup_hits
-            << " cache=" << r.cache_fast_path
             << " evictions=" << r.evictions << " rounds=" << r.replan_rounds
             << " replanned=" << r.replanned_admitted << "/"
             << (r.replanned_admitted + r.replanned_rejected)
@@ -195,7 +193,6 @@ ReplayResult Harvest(PlanningService& service) {
   result.admitted = stats.admitted;
   result.rejected = stats.rejected;
   result.dedup_hits = stats.dedup_hits;
-  result.cache_fast_path = stats.cache_fast_path;
   result.evictions = stats.evictions;
   result.replan_rounds = stats.replan_rounds;
   result.replanned_admitted = stats.replanned_admitted;
@@ -282,8 +279,8 @@ TEST_P(ServiceReplayPropertyTest, AnalyticClosedLoopWorkerCountInvariant) {
 // The round path (docs/ARCHITECTURE.md §4) on every trace, open and
 // closed loop: each round query is solved once, at its commit point, so
 // no commit conflicts, nothing unwinds, no snapshot is copied and
-// nothing waits on a round. Every solve is either a cache-miss arrival
-// or a live round query.
+// nothing waits on a round. Every solve is either an arrival that is
+// not a dedup hit or a live round query.
 TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
   const uint64_t seed = GetParam();
   for (const bool closed_loop : {false, true}) {
@@ -293,8 +290,8 @@ TEST_P(ServiceReplayPropertyTest, PipelineDepthWorkerMatrixInvariant) {
     EXPECT_EQ(r.round_unwinds, 0) << "seed " << seed;
     EXPECT_EQ(r.snapshot_bytes, 0) << "seed " << seed;
     EXPECT_EQ(r.barrier_waits, 0) << "seed " << seed;
-    const int64_t arrival_solves = r.arrivals - r.dedup_hits -
-                                   r.cache_fast_path - r.catalog_exhausted;
+    const int64_t arrival_solves =
+        r.arrivals - r.dedup_hits - r.catalog_exhausted;
     const int64_t round_queries = r.replanned_admitted + r.replanned_rejected;
     EXPECT_LE(r.solves, arrival_solves + round_queries)
         << "a query was solved more than once, seed " << seed << "\n"
@@ -374,9 +371,9 @@ TEST_P(ServiceReplayPropertyTest, AuditJournalCanonicalBytesMatrixInvariant) {
 // restored process starts its effort counters at zero.
 auto LogicalTie(const ReplayResult& r) {
   return std::tie(r.fingerprint, r.admitted, r.rejected, r.dedup_hits,
-                  r.cache_fast_path, r.evictions, r.replanned_admitted,
-                  r.replanned_rejected, r.monitor_reports, r.rate_directives,
-                  r.pending_replans, r.valid);
+                  r.evictions, r.replanned_admitted, r.replanned_rejected,
+                  r.monitor_reports, r.rate_directives, r.pending_replans,
+                  r.valid);
 }
 
 TEST_P(ServiceReplayPropertyTest, CheckpointRestoreCrashInvariant) {

@@ -48,6 +48,8 @@ def opener(path):
 # Audit kinds that move a query through its lifecycle. rate.directive
 # also carries a stream id, but that id names a *base* stream (the
 # trajectory's subject), not a query, so it is deliberately absent.
+# admit.cache is retired (arrivals are deduplicated or solved); journals
+# written before its removal still carry it, so it still parses.
 ADMIT_KINDS = {"admit.solve", "admit.cache"}
 REJECT_KINDS = {"reject.capacity", "reject.error"}
 DEPART_KINDS = {"depart.served", "depart.unknown"}
@@ -374,7 +376,7 @@ def main():
             "service.events": (life.journal_close or {}).get("detail"),
             "service.admitted": sum(
                 life.kind_counts.get(k, 0)
-                for k in ("admit.solve", "admit.cache", "admit.dedup")
+                for k in ADMIT_KINDS | {"admit.dedup"}
             ),
             "service.rejected": sum(
                 life.kind_counts.get(k, 0)

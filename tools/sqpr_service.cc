@@ -722,11 +722,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nadmission: %lld arrivals -> %lld admitted "
-              "(%lld dedup, %lld cache fast-path), %lld rejected\n",
+              "(%lld dedup), %lld rejected\n",
               static_cast<long long>(stats.arrivals),
               static_cast<long long>(stats.admitted),
               static_cast<long long>(stats.dedup_hits),
-              static_cast<long long>(stats.cache_fast_path),
               static_cast<long long>(stats.rejected));
   std::printf("churn: %lld departures, %lld failures, %lld joins, "
               "%lld monitor reports\n",
