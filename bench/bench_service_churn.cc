@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,6 @@
 #include "common/deadline.h"
 #include "common/stats.h"
 #include "obs/audit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/checkpoint.h"
 #include "service/planning_service.h"
@@ -118,24 +118,10 @@ RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
   // Periodic metrics exposition for the instrumented replay (CI uploads
   // the series next to the trace + audit artifacts): sample on 1000
   // virtual-ms boundaries, cumulative + per-interval delta per line.
-  obs::MetricsRegistry registry;
-  ServiceMetricsPublisher publisher(&registry);
-  const bool want_series = !metrics_series_path.empty();
-  constexpr int64_t kSeriesIntervalMs = 1000;
-  std::string series;
-  obs::MetricsSnapshot prev;
-  int64_t next_sample_ms = kSeriesIntervalMs;
-  const auto sample_series = [&](int64_t t_ms) {
-    publisher.Publish(service.stats());
-    obs::MetricsSnapshot cum = registry.TakeSnapshot();
-    const obs::MetricsSnapshot delta = cum.DeltaSince(prev);
-    series += "{\"t_ms\":" + std::to_string(t_ms) + ",\"cum\":" +
-              cum.ToJson() + ",\"delta\":" + delta.ToJson() + "}\n";
-    prev = std::move(cum);
-  };
-  if (want_series) {
-    series += "{\"schema\":\"sqpr-metrics-series-v1\",\"interval_ms\":" +
-              std::to_string(kSeriesIntervalMs) + "}\n";
+  std::optional<MetricsSeries> series;
+  if (!metrics_series_path.empty()) {
+    series.emplace(/*interval_ms=*/1000, /*openmetrics=*/false,
+                   service.clock().now_ms(), service.stats());
   }
 
   RunResult result;
@@ -145,11 +131,8 @@ RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
     Result<EventOutcome> outcome = service.Step();
     SQPR_CHECK(outcome.ok()) << outcome.status().ToString();
     result.max_event_ms = std::max(result.max_event_ms, outcome->wall_ms);
-    if (want_series) {
-      while (service.clock().now_ms() >= next_sample_ms) {
-        sample_series(next_sample_ms);
-        next_sample_ms += kSeriesIntervalMs;
-      }
+    if (series) {
+      series->SampleThrough(service.clock().now_ms(), service.stats());
     }
   }
   service.FinishInFlightRound();
@@ -164,13 +147,13 @@ RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
   result.audit_full = journal.ToJsonl(/*canonical=*/false);
   result.audit_records = journal.size();
   result.audit_canonical_records = journal.canonical_size();
-  if (want_series) {
+  if (series) {
     // Final sample after the pending round commits: the series always ends
     // with the run's complete totals.
-    sample_series(service.clock().now_ms());
+    series->Sample(service.clock().now_ms(), service.stats());
     std::FILE* f = std::fopen(metrics_series_path.c_str(), "wb");
     SQPR_CHECK(f != nullptr) << "cannot open " << metrics_series_path;
-    std::fwrite(series.data(), 1, series.size(), f);
+    std::fwrite(series->text().data(), 1, series->text().size(), f);
     std::fclose(f);
   }
   return result;

@@ -212,29 +212,21 @@ std::string MetricsSnapshot::ToOpenMetrics(
   return out;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  return &counters_[name];
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name) {
-  return &histograms_[name];
-}
-
-std::string MetricsRegistry::ToJson() const {
+std::string MetricsSnapshot::ToPrettyJson() const {
   std::string out = "{\n  \"schema\": \"sqpr-metrics-v1\",\n  \"counters\": {";
   char buf[192];
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, value] : counters) {
     std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %lld",
                   first ? "" : ",", name.c_str(),
-                  static_cast<long long>(counter.value()));
+                  static_cast<long long>(value));
     out += buf;
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : histograms) {
     std::snprintf(
         buf, sizeof(buf),
         "%s\n    \"%s\": {\"count\": %zu, \"sum\": %.6g, \"mean\": %.6g, "
@@ -252,20 +244,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
-}
-
-MetricsSnapshot MetricsRegistry::TakeSnapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [name, counter] : counters_) {
-    snap.counters[name] = counter.value();
-  }
-  snap.histograms = histograms_;
-  return snap;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
 }
 
 }  // namespace obs

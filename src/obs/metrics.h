@@ -1,8 +1,10 @@
 #ifndef SQPR_OBS_METRICS_H_
 #define SQPR_OBS_METRICS_H_
 
-// Metrics registry: named counters and log-bucketed histograms,
-// snapshot-able to JSON with a stable schema.
+// Metrics snapshots: named counter values and log-bucketed
+// histograms, rendered to JSON with a stable schema and to OpenMetrics.
+// The service builds its snapshots straight from ServiceStats
+// (ServiceMetrics in service/planning_service.h); there is no registry.
 //
 // The Histogram replaces the hand-rolled latency machinery the service
 // grew organically (RunningStats + a bounded sample window re-sorted
@@ -12,8 +14,8 @@
 // (~6% with the default 8 sub-buckets per octave; tests pin the bound
 // against the exact nearest-rank Percentile()).
 //
-// Single-threaded, like the service that updates them: counters and
-// histograms are plain values, and a histogram copy is a snapshot.
+// Single-threaded, like the service that updates them: histograms are
+// plain values, and a histogram copy is a snapshot.
 
 #include <cstdint>
 #include <map>
@@ -21,16 +23,6 @@
 
 namespace sqpr {
 namespace obs {
-
-/// Monotonic named counter (the registry owns the name).
-class Counter {
- public:
-  void Increment(int64_t delta = 1) { value_ += delta; }
-  int64_t value() const { return value_; }
-
- private:
-  int64_t value_ = 0;
-};
 
 /// Log-bucketed histogram of non-negative scalars (latencies in ms,
 /// sizes in bytes). Buckets are octaves (powers of two) split into
@@ -92,7 +84,9 @@ class Histogram {
   uint64_t buckets_[kNumBuckets] = {};
 };
 
-/// Point-in-time copy of a whole registry.
+/// Point-in-time set of named metrics. Names are dotted paths
+/// ("service.solve_ms"); keys are sorted (std::map), so renderings diff
+/// cleanly.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, Histogram> histograms;
@@ -101,10 +95,19 @@ struct MetricsSnapshot {
   /// from `earlier` delta against zero).
   MetricsSnapshot DeltaSince(const MetricsSnapshot& earlier) const;
 
+  /// Stable-schema, indented JSON document:
+  ///   {"schema": "sqpr-metrics-v1",
+  ///    "counters": {"<name>": N, ...},
+  ///    "histograms": {"<name>": {"count": N, "sum": F, "mean": F,
+  ///      "min": F, "max": F, "p50": F, "p90": F, "p95": F, "p99": F},
+  ///      ...}}
+  std::string ToPrettyJson() const;
+
   /// Compact single-line JSON object — {"counters":{...},
   /// "histograms":{"<name>":{count,sum,mean,min,max,p50,p90,p95,p99}}}
   /// — one building block of the sqpr-metrics-series-v1 JSONL time
-  /// series (tools/sqpr_service.cc composes the lines).
+  /// series (MetricsSeries in service/planning_service.h composes the
+  /// lines).
   std::string ToJson() const;
 
   /// OpenMetrics text rendering: counters as `<name>_total`, histograms
@@ -114,38 +117,6 @@ struct MetricsSnapshot {
   /// (backslash, double quote, newline). Ends with "# EOF".
   std::string ToOpenMetrics(
       const std::map<std::string, std::string>& labels) const;
-};
-
-/// Named metric registry. Registration (name lookup) returns a stable
-/// pointer; updates go through it. Use one registry per subsystem or the
-/// process-wide Global().
-class MetricsRegistry {
- public:
-  /// Finds or creates; the returned pointer lives as long as the
-  /// registry. Names are dotted paths ("service.solve_ms").
-  Counter* counter(const std::string& name);
-  Histogram* histogram(const std::string& name);
-
-  /// Stable-schema JSON snapshot:
-  ///   {"schema": "sqpr-metrics-v1",
-  ///    "counters": {"<name>": N, ...},
-  ///    "histograms": {"<name>": {"count": N, "sum": F, "mean": F,
-  ///      "min": F, "max": F, "p50": F, "p90": F, "p95": F, "p99": F},
-  ///      ...}}
-  /// Keys are sorted (std::map), so snapshots diff cleanly.
-  std::string ToJson() const;
-
-  /// Copies every registered metric — the periodic-exposition
-  /// primitive: take one per interval, DeltaSince the previous,
-  /// serialise both.
-  MetricsSnapshot TakeSnapshot() const;
-
-  static MetricsRegistry& Global();
-
- private:
-  // Map nodes never move, so the pointers handed out stay valid.
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace obs

@@ -77,40 +77,6 @@ Result<std::string> ReadFileToString(const std::string& path) {
 
 namespace {
 
-/// ServiceStats members a checkpoint carries: exactly the counters the
-/// replay property suite ties across replays. Solver telemetry (model
-/// cache, node and pivot counts, conflicts) and wall-clock observations
-/// (histograms, watchdog breaches, deadline counters) deliberately
-/// restart at zero.
-struct StatField {
-  const char* name;
-  int64_t ServiceStats::*member;
-};
-
-constexpr StatField kStatFields[] = {
-    {"events", &ServiceStats::events},
-    {"arrivals", &ServiceStats::arrivals},
-    {"admitted", &ServiceStats::admitted},
-    {"rejected", &ServiceStats::rejected},
-    {"dedup_hits", &ServiceStats::dedup_hits},
-    {"cache_fast_path", &ServiceStats::cache_fast_path},
-    {"departures", &ServiceStats::departures},
-    {"host_failures", &ServiceStats::host_failures},
-    {"host_joins", &ServiceStats::host_joins},
-    {"monitor_reports", &ServiceStats::monitor_reports},
-    {"ticks", &ServiceStats::ticks},
-    {"rate_directives", &ServiceStats::rate_directives},
-    {"measurement_ticks", &ServiceStats::measurement_ticks},
-    {"auto_replan_rounds", &ServiceStats::auto_replan_rounds},
-    {"analytic_ticks", &ServiceStats::analytic_ticks},
-    {"cache_delta_updates", &ServiceStats::cache_delta_updates},
-    {"evictions", &ServiceStats::evictions},
-    {"replan_rounds", &ServiceStats::replan_rounds},
-    {"replanned_admitted", &ServiceStats::replanned_admitted},
-    {"replanned_rejected", &ServiceStats::replanned_rejected},
-    {"catalog_exhausted", &ServiceStats::catalog_exhausted},
-};
-
 Status BadField(const std::string& field, const char* expected) {
   return Status::InvalidArgument("checkpoint field \"" + field +
                                  "\" is missing or not " + expected);
@@ -302,8 +268,8 @@ Result<std::string> PlanningService::ExportCheckpoint() {
   root.Set("audit_round_seq", JsonValue::Int(audit_round_seq_));
 
   JsonValue stats = JsonValue::Object();
-  for (const StatField& f : kStatFields) {
-    stats.Set(f.name, JsonValue::Int(stats_.*f.member));
+  for (const ServiceCounterField& f : kServiceCounterFields) {
+    if (f.checkpointed) stats.Set(f.name, JsonValue::Int(stats_.*f.member));
   }
   root.Set("stats", stats);
 
@@ -687,7 +653,8 @@ Status PlanningService::RestoreCheckpoint(const std::string& json) {
   Result<const JsonValue*> stats = GetObject(root, "stats");
   if (!stats.ok()) return stats.status();
   ServiceStats restored;
-  for (const StatField& f : kStatFields) {
+  for (const ServiceCounterField& f : kServiceCounterFields) {
+    if (!f.checkpointed) continue;
     SQPR_RETURN_IF_ERROR(GetInt(**stats, f.name, &(restored.*f.member)));
   }
   stats_ = restored;

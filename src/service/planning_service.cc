@@ -54,80 +54,46 @@ PlanningService::PlanningService(Cluster* cluster, Catalog* catalog,
   scheduler_.set_audit(options_.audit, &clock_);
 }
 
-void ServiceMetricsPublisher::Bump(const char* name, int64_t value,
-                                   int64_t* last) {
-  registry_->counter(name)->Increment(value - *last);
-  *last = value;
+obs::MetricsSnapshot ServiceMetrics(const ServiceStats& stats) {
+  obs::MetricsSnapshot snap;
+  for (const ServiceCounterField& f : kServiceCounterFields) {
+    snap.counters[std::string("service.") + f.name] = stats.*f.member;
+  }
+  for (const ServiceHistogramField& f : kServiceHistogramFields) {
+    snap.histograms[std::string("service.") + f.name] = stats.*f.member;
+  }
+  return snap;
 }
 
-void ServiceMetricsPublisher::Publish(const ServiceStats& stats) {
-  Bump("service.events", stats.events, &last_.events);
-  Bump("service.arrivals", stats.arrivals, &last_.arrivals);
-  Bump("service.admitted", stats.admitted, &last_.admitted);
-  Bump("service.rejected", stats.rejected, &last_.rejected);
-  Bump("service.dedup_hits", stats.dedup_hits, &last_.dedup_hits);
-  Bump("service.cache_fast_path", stats.cache_fast_path,
-       &last_.cache_fast_path);
-  Bump("service.departures", stats.departures, &last_.departures);
-  Bump("service.host_failures", stats.host_failures, &last_.host_failures);
-  Bump("service.host_joins", stats.host_joins, &last_.host_joins);
-  Bump("service.monitor_reports", stats.monitor_reports,
-       &last_.monitor_reports);
-  Bump("service.ticks", stats.ticks, &last_.ticks);
-  Bump("service.rate_directives", stats.rate_directives,
-       &last_.rate_directives);
-  Bump("service.measurement_ticks", stats.measurement_ticks,
-       &last_.measurement_ticks);
-  Bump("service.auto_replan_rounds", stats.auto_replan_rounds,
-       &last_.auto_replan_rounds);
-  Bump("service.analytic_ticks", stats.analytic_ticks, &last_.analytic_ticks);
-  Bump("service.cache_delta_updates", stats.cache_delta_updates,
-       &last_.cache_delta_updates);
-  Bump("service.evictions", stats.evictions, &last_.evictions);
-  Bump("service.replan_rounds", stats.replan_rounds, &last_.replan_rounds);
-  Bump("service.replanned_admitted", stats.replanned_admitted,
-       &last_.replanned_admitted);
-  Bump("service.replanned_rejected", stats.replanned_rejected,
-       &last_.replanned_rejected);
-  Bump("service.commit_conflicts", stats.commit_conflicts,
-       &last_.commit_conflicts);
-  Bump("service.solver_nodes", stats.solver_nodes, &last_.solver_nodes);
-  Bump("service.lp_iterations", stats.lp_iterations, &last_.lp_iterations);
-  Bump("service.lp_factorizations", stats.lp_factorizations,
-       &last_.lp_factorizations);
-  Bump("service.lp_dual_solves", stats.lp_dual_solves, &last_.lp_dual_solves);
-  Bump("service.lp_slack_start_iterations", stats.lp_slack_start_iterations,
-       &last_.lp_slack_start_iterations);
-  Bump("service.rejected_candidates", stats.rejected_candidates,
-       &last_.rejected_candidates);
-  Bump("service.screened_rejections", stats.screened_rejections,
-       &last_.screened_rejections);
-  Bump("service.rejected_solver_nodes", stats.rejected_solver_nodes,
-       &last_.rejected_solver_nodes);
-  Bump("service.rejected_lp_iterations", stats.rejected_lp_iterations,
-       &last_.rejected_lp_iterations);
-  Bump("service.model_patches", stats.model_patches, &last_.model_patches);
-  Bump("service.model_rebuilds", stats.model_rebuilds,
-       &last_.model_rebuilds);
-  Bump("service.catalog_exhausted", stats.catalog_exhausted,
-       &last_.catalog_exhausted);
-  Bump("service.solver_deadline_breaches", stats.solver_deadline_breaches,
-       &last_.solver_deadline_breaches);
-  Bump("service.heuristic_fallbacks", stats.heuristic_fallbacks,
-       &last_.heuristic_fallbacks);
-  Bump("service.loop_stalls", stats.loop_stalls, &last_.loop_stalls);
-  Bump("service.admit_budget_breaches", stats.admit_budget_breaches,
-       &last_.admit_budget_breaches);
-  Bump("service.solve_budget_breaches", stats.solve_budget_breaches,
-       &last_.solve_budget_breaches);
-  Bump("service.commit_budget_breaches", stats.commit_budget_breaches,
-       &last_.commit_budget_breaches);
-  Bump("service.measure_budget_breaches", stats.measure_budget_breaches,
-       &last_.measure_budget_breaches);
-  *registry_->histogram("service.admit_ms") = stats.admit_ms;
-  *registry_->histogram("service.solve_ms") = stats.solve_ms;
-  *registry_->histogram("service.commit_ms") = stats.commit_ms;
-  *registry_->histogram("service.measure_ms") = stats.measure_ms;
+MetricsSeries::MetricsSeries(int64_t interval_ms, bool openmetrics,
+                             int64_t start_ms, const ServiceStats& start)
+    : interval_ms_(interval_ms),
+      openmetrics_(openmetrics),
+      prev_(ServiceMetrics(start)) {
+  SQPR_CHECK(interval_ms > 0 && start_ms >= 0);
+  next_sample_ms_ = (start_ms / interval_ms + 1) * interval_ms;
+  if (!openmetrics_) {
+    text_ += "{\"schema\":\"sqpr-metrics-series-v1\",\"interval_ms\":" +
+             std::to_string(interval_ms_) + "}\n";
+  }
+}
+
+void MetricsSeries::SampleThrough(int64_t now_ms, const ServiceStats& stats) {
+  while (now_ms >= next_sample_ms_) {
+    Sample(next_sample_ms_, stats);
+    next_sample_ms_ += interval_ms_;
+  }
+}
+
+void MetricsSeries::Sample(int64_t t_ms, const ServiceStats& stats) {
+  obs::MetricsSnapshot cum = ServiceMetrics(stats);
+  if (openmetrics_) {
+    text_ += cum.ToOpenMetrics({{"t_ms", std::to_string(t_ms)}});
+  } else {
+    text_ += "{\"t_ms\":" + std::to_string(t_ms) + ",\"cum\":" + cum.ToJson() +
+             ",\"delta\":" + cum.DeltaSince(prev_).ToJson() + "}\n";
+  }
+  prev_ = std::move(cum);
 }
 
 obs::AuditRecord PlanningService::AuditBase(const char* kind) const {

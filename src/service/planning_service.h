@@ -228,24 +228,118 @@ struct ServiceStats {
   int64_t measure_budget_breaches = 0;
 };
 
-/// Publishes a ServiceStats snapshot into a MetricsRegistry under the
-/// "service." prefix — counters incremented by their delta since the
-/// previous Publish (registry counters are monotonic), histograms
-/// copied wholesale. Drives the periodic metrics exposition:
-/// tools/sqpr_service and bench_service_churn call Publish once per
-/// export interval, then MetricsRegistry::TakeSnapshot()/DeltaSince.
-class ServiceMetricsPublisher {
- public:
-  explicit ServiceMetricsPublisher(obs::MetricsRegistry* registry)
-      : registry_(registry) {}
+/// One published ServiceStats counter: `service.<name>` in every
+/// metrics snapshot. `checkpointed` marks the members a checkpoint
+/// carries: exactly the counters the replay property suite ties across
+/// replays. Solver telemetry (model cache, node and pivot counts,
+/// conflicts) and wall-clock observations (watchdog breaches, deadline
+/// counters) deliberately restart at zero on restore.
+struct ServiceCounterField {
+  const char* name;
+  int64_t ServiceStats::*member;
+  bool checkpointed;
+};
 
-  void Publish(const ServiceStats& stats);
+/// The published counters, in checkpoint order: the one field list
+/// behind the metrics snapshots and the checkpoint's "stats" object.
+/// round_unwinds, snapshot_bytes_copied, warm_starts and basis_discards
+/// are not published (always 0; only the benchmark replay reads them).
+inline constexpr ServiceCounterField kServiceCounterFields[] = {
+    {"events", &ServiceStats::events, true},
+    {"arrivals", &ServiceStats::arrivals, true},
+    {"admitted", &ServiceStats::admitted, true},
+    {"rejected", &ServiceStats::rejected, true},
+    {"dedup_hits", &ServiceStats::dedup_hits, true},
+    {"cache_fast_path", &ServiceStats::cache_fast_path, true},
+    {"departures", &ServiceStats::departures, true},
+    {"host_failures", &ServiceStats::host_failures, true},
+    {"host_joins", &ServiceStats::host_joins, true},
+    {"monitor_reports", &ServiceStats::monitor_reports, true},
+    {"ticks", &ServiceStats::ticks, true},
+    {"rate_directives", &ServiceStats::rate_directives, true},
+    {"measurement_ticks", &ServiceStats::measurement_ticks, true},
+    {"auto_replan_rounds", &ServiceStats::auto_replan_rounds, true},
+    {"analytic_ticks", &ServiceStats::analytic_ticks, true},
+    {"cache_delta_updates", &ServiceStats::cache_delta_updates, true},
+    {"evictions", &ServiceStats::evictions, true},
+    {"replan_rounds", &ServiceStats::replan_rounds, true},
+    {"replanned_admitted", &ServiceStats::replanned_admitted, true},
+    {"replanned_rejected", &ServiceStats::replanned_rejected, true},
+    {"commit_conflicts", &ServiceStats::commit_conflicts, false},
+    {"solver_nodes", &ServiceStats::solver_nodes, false},
+    {"lp_iterations", &ServiceStats::lp_iterations, false},
+    {"lp_factorizations", &ServiceStats::lp_factorizations, false},
+    {"lp_dual_solves", &ServiceStats::lp_dual_solves, false},
+    {"lp_slack_start_iterations", &ServiceStats::lp_slack_start_iterations,
+     false},
+    {"rejected_candidates", &ServiceStats::rejected_candidates, false},
+    {"screened_rejections", &ServiceStats::screened_rejections, false},
+    {"rejected_solver_nodes", &ServiceStats::rejected_solver_nodes, false},
+    {"rejected_lp_iterations", &ServiceStats::rejected_lp_iterations, false},
+    {"model_patches", &ServiceStats::model_patches, false},
+    {"model_rebuilds", &ServiceStats::model_rebuilds, false},
+    {"catalog_exhausted", &ServiceStats::catalog_exhausted, true},
+    {"solver_deadline_breaches", &ServiceStats::solver_deadline_breaches,
+     false},
+    {"heuristic_fallbacks", &ServiceStats::heuristic_fallbacks, false},
+    {"loop_stalls", &ServiceStats::loop_stalls, false},
+    {"admit_budget_breaches", &ServiceStats::admit_budget_breaches, false},
+    {"solve_budget_breaches", &ServiceStats::solve_budget_breaches, false},
+    {"commit_budget_breaches", &ServiceStats::commit_budget_breaches, false},
+    {"measure_budget_breaches", &ServiceStats::measure_budget_breaches, false},
+};
+
+/// One published ServiceStats histogram (`service.<name>`). Histograms
+/// are wall-clock observations and never checkpointed.
+struct ServiceHistogramField {
+  const char* name;
+  obs::Histogram ServiceStats::*member;
+};
+
+/// barrier_ms is not published (always empty).
+inline constexpr ServiceHistogramField kServiceHistogramFields[] = {
+    {"admit_ms", &ServiceStats::admit_ms},
+    {"solve_ms", &ServiceStats::solve_ms},
+    {"commit_ms", &ServiceStats::commit_ms},
+    {"measure_ms", &ServiceStats::measure_ms},
+};
+
+/// Every published counter and histogram of `stats` under its
+/// "service." name. The schema does not depend on which code paths ran.
+obs::MetricsSnapshot ServiceMetrics(const ServiceStats& stats);
+
+/// The sqpr-metrics-series-v1 time series: ServiceMetrics sampled on
+/// virtual-time interval boundaries, so the series is replay-
+/// deterministic in shape (wall latencies inside each sample still vary
+/// run to run). The JSON form is a header line
+/// {"schema":"sqpr-metrics-series-v1","interval_ms":N} and then one
+/// {"t_ms":T,"cum":{...},"delta":{...}} line per sample; the OpenMetrics
+/// form is one cumulative block per sample, labelled t_ms, with no
+/// header.
+class MetricsSeries {
+ public:
+  /// A series that starts from `start` at virtual time `start_ms`: zero
+  /// stats at 0 for a fresh run, the restored stats and clock for a
+  /// resumed one. The first sample is the first interval boundary after
+  /// `start_ms`, and its delta is taken against `start`.
+  MetricsSeries(int64_t interval_ms, bool openmetrics, int64_t start_ms,
+                const ServiceStats& start);
+
+  /// Samples every interval boundary up to and including `now_ms`;
+  /// called after each event with the virtual clock's time.
+  void SampleThrough(int64_t now_ms, const ServiceStats& stats);
+
+  /// One sample at `t_ms` (the end-of-run sample).
+  void Sample(int64_t t_ms, const ServiceStats& stats);
+
+  const std::string& text() const { return text_; }
 
  private:
-  void Bump(const char* name, int64_t value, int64_t* last);
-
-  obs::MetricsRegistry* registry_;
-  ServiceStats last_;
+  int64_t interval_ms_;
+  bool openmetrics_;
+  int64_t next_sample_ms_;
+  obs::MetricsSnapshot prev_;
+  std::string text_;
 };
 
 /// The long-running DISSP-side planning loop the paper assumes around

@@ -207,6 +207,27 @@ TEST(DurabilityCheckpointTest, ExportIsCanonicalJson) {
   EXPECT_EQ(schema->string_value(), kCheckpointSchema);
 }
 
+TEST(DurabilityCheckpointTest, StatsCarryTheReplayTiedCounters) {
+  // The checkpoint's "stats" object: exactly these counters, in this
+  // order (the order is part of the checkpoint bytes). Solver
+  // telemetry and wall-clock observations restart at zero instead.
+  Result<JsonValue> parsed = ParseJson(ExportedCheckpoint(3));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* stats = parsed->Find("stats");
+  ASSERT_NE(stats, nullptr);
+  std::vector<std::string> names;
+  for (const auto& m : stats->members()) names.push_back(m.first);
+  const std::vector<std::string> expected = {
+      "events", "arrivals", "admitted", "rejected", "dedup_hits",
+      "cache_fast_path", "departures", "host_failures", "host_joins",
+      "monitor_reports", "ticks", "rate_directives", "measurement_ticks",
+      "auto_replan_rounds", "analytic_ticks", "cache_delta_updates",
+      "evictions", "replan_rounds", "replanned_admitted",
+      "replanned_rejected", "catalog_exhausted"};
+  EXPECT_EQ(names, expected);
+  EXPECT_GT(stats->Find("events")->int_value(), 0);
+}
+
 TEST(DurabilityCheckpointTest, UnknownFieldsAreIgnored) {
   const uint64_t seed = 3;
   const std::string doc = ExportedCheckpoint(seed);

@@ -1,13 +1,19 @@
 // Tests for the observability layer (src/obs/): the log-bucketed
 // histogram behind every latency stat, the flight-recorder trace ring,
-// and their serialised forms. Four contracts are pinned here:
+// and their serialised forms. Six contracts are pinned here:
 //
 //  * Histogram quantiles stay within one sub-bucket (<= 12.5% relative)
 //    of the exact nearest-rank Percentile() they replaced, with exact
 //    extrema — so swapping the service's sample window for buckets
 //    cannot silently distort the bench numbers.
-//  * The metrics expositions (registry JSON, snapshot JSON, OpenMetrics,
-//    window deltas) are byte-stable for a fixed sample set.
+//  * The metrics expositions (sqpr-metrics-v1 JSON, compact snapshot
+//    JSON, OpenMetrics, window deltas) are byte-stable for a fixed
+//    sample set.
+//  * ServiceMetrics publishes exactly the 40 service.* counters and 4
+//    histograms, each read from its own ServiceStats member.
+//  * The metrics series samples on virtual-time boundaries, and a
+//    resumed series starts after the restored clock with its first
+//    delta taken against the restored counters.
 //  * The trace ring is a flight recorder: a full ring keeps the most
 //    recent `capacity` spans (the capacity of the latest Enable) and
 //    counts every overwritten one as a drop.
@@ -19,10 +25,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "model/catalog.h"
@@ -131,34 +139,12 @@ TEST(HistogramTest, CopyIsASnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry
-
-TEST(MetricsRegistryTest, StablePointersAndJsonSchema) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("service.events");
-  c->Increment(41);
-  reg.counter("service.events")->Increment();  // same counter
-  EXPECT_EQ(c->value(), 42);
-  obs::Histogram* h = reg.histogram("service.solve_ms");
-  h->Add(3.0);
-  h->Add(5.0);
-
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"schema\": \"sqpr-metrics-v1\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"service.events\": 42"), std::string::npos) << json;
-  for (const char* field :
-       {"\"count\"", "\"sum\"", "\"mean\"", "\"min\"", "\"max\"", "\"p50\"",
-        "\"p90\"", "\"p95\"", "\"p99\""}) {
-    EXPECT_NE(json.find(field), std::string::npos) << field << " missing";
-  }
-}
+// Metrics snapshots
 
 TEST(MetricsSnapshotTest, OpenMetricsEscapesLabelsAndSanitizesNames) {
-  obs::MetricsRegistry reg;
-  reg.counter("service.events")->Increment(7);
-  reg.histogram("service.admit_ms")->Add(2.0);
-  const obs::MetricsSnapshot snap = reg.TakeSnapshot();
+  obs::MetricsSnapshot snap;
+  snap.counters["service.events"] = 7;
+  snap.histograms["service.admit_ms"].Add(2.0);
 
   // Label values hit all three ABNF escapes (backslash, double quote,
   // newline); one label key needs name sanitisation.
@@ -196,19 +182,15 @@ TEST(MetricsSnapshotTest, OpenMetricsEscapesLabelsAndSanitizesNames) {
 }
 
 TEST(MetricsSnapshotTest, DeltaSinceClampsAndResolvesWindowQuantiles) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("service.events");
-  obs::Histogram* h = reg.histogram("service.solve_ms");
-
   // First window: 100 fast samples.
-  c->Increment(5);
-  for (int i = 0; i < 100; ++i) h->Add(1.0);
-  const obs::MetricsSnapshot s0 = reg.TakeSnapshot();
+  obs::MetricsSnapshot s0;
+  s0.counters["service.events"] = 5;
+  for (int i = 0; i < 100; ++i) s0.histograms["service.solve_ms"].Add(1.0);
 
   // Second window: 100 slow samples only.
-  c->Increment(3);
-  for (int i = 0; i < 100; ++i) h->Add(1000.0);
-  const obs::MetricsSnapshot s1 = reg.TakeSnapshot();
+  obs::MetricsSnapshot s1 = s0;
+  s1.counters["service.events"] += 3;
+  for (int i = 0; i < 100; ++i) s1.histograms["service.solve_ms"].Add(1000.0);
 
   const obs::MetricsSnapshot delta = s1.DeltaSince(s0);
   EXPECT_EQ(delta.counters.at("service.events"), 3);
@@ -242,22 +224,21 @@ TEST(MetricsGoldenTest, RenderingsAreByteStable) {
   // Exact bytes of every metrics exposition, so a change to how the
   // histogram stores its state cannot move a digit of the output. The
   // sample set: two counters, a multi-sample histogram, a one-sample
-  // one and a registered empty one.
-  obs::MetricsRegistry reg;
-  reg.counter("service.events")->Increment(42);
-  reg.counter("service.admitted")->Increment(7);
+  // one and an empty one.
+  obs::MetricsSnapshot s0;
+  s0.counters["service.events"] = 42;
+  s0.counters["service.admitted"] = 7;
   for (double v : {0.25, 1.5, 3.0, 3.0, 17.0, 120.0}) {
-    reg.histogram("service.solve_ms")->Add(v);
+    s0.histograms["service.solve_ms"].Add(v);
   }
-  reg.histogram("service.admit_ms")->Add(2.0);
-  reg.histogram("service.measure_ms");
-  const obs::MetricsSnapshot s0 = reg.TakeSnapshot();
-  reg.counter("service.events")->Increment(3);
-  reg.histogram("service.solve_ms")->Add(5.0);
-  reg.histogram("service.solve_ms")->Add(9.5);
-  const obs::MetricsSnapshot s1 = reg.TakeSnapshot();
+  s0.histograms["service.admit_ms"].Add(2.0);
+  s0.histograms["service.measure_ms"];
+  obs::MetricsSnapshot s1 = s0;
+  s1.counters["service.events"] += 3;
+  s1.histograms["service.solve_ms"].Add(5.0);
+  s1.histograms["service.solve_ms"].Add(9.5);
 
-  EXPECT_EQ(reg.ToJson(),
+  EXPECT_EQ(s1.ToPrettyJson(),
             R"({
   "schema": "sqpr-metrics-v1",
   "counters": {
@@ -317,6 +298,215 @@ service_solve_ms_count{run="a"} 8
             R"("max":0,"p50":0,"p90":0,"p95":0,"p99":0},)"
             R"("service.solve_ms":{"count":2,"sum":14.5,"mean":7.25,)"
             R"("min":0.25,"max":120,"p50":5.25,"p90":9.5,"p95":9.5,"p99":9.5}}})");
+}
+
+// ---------------------------------------------------------------------------
+// Service metrics: the published field table and the series sampler
+
+TEST(ServiceMetricsTest, PublishesEveryCounterUnderItsOwnName) {
+  // Each published member gets a distinct value, so a row that names
+  // one field but reads another shows up as a wrong value.
+  ServiceStats stats;
+  stats.events = 101;
+  stats.arrivals = 102;
+  stats.admitted = 103;
+  stats.rejected = 104;
+  stats.dedup_hits = 105;
+  stats.cache_fast_path = 106;
+  stats.departures = 107;
+  stats.host_failures = 108;
+  stats.host_joins = 109;
+  stats.monitor_reports = 110;
+  stats.ticks = 111;
+  stats.rate_directives = 112;
+  stats.measurement_ticks = 113;
+  stats.auto_replan_rounds = 114;
+  stats.analytic_ticks = 115;
+  stats.cache_delta_updates = 116;
+  stats.evictions = 117;
+  stats.replan_rounds = 118;
+  stats.replanned_admitted = 119;
+  stats.replanned_rejected = 120;
+  stats.commit_conflicts = 121;
+  stats.solver_nodes = 122;
+  stats.lp_iterations = 123;
+  stats.lp_factorizations = 124;
+  stats.lp_dual_solves = 125;
+  stats.lp_slack_start_iterations = 126;
+  stats.rejected_candidates = 127;
+  stats.screened_rejections = 128;
+  stats.rejected_solver_nodes = 129;
+  stats.rejected_lp_iterations = 130;
+  stats.model_patches = 131;
+  stats.model_rebuilds = 132;
+  stats.catalog_exhausted = 133;
+  stats.solver_deadline_breaches = 134;
+  stats.heuristic_fallbacks = 135;
+  stats.loop_stalls = 136;
+  stats.admit_budget_breaches = 137;
+  stats.solve_budget_breaches = 138;
+  stats.commit_budget_breaches = 139;
+  stats.measure_budget_breaches = 140;
+  // Not published: always 0 or always empty, read only by the
+  // benchmark replay.
+  stats.round_unwinds = 901;
+  stats.snapshot_bytes_copied = 902;
+  stats.warm_starts = 903;
+  stats.basis_discards = 904;
+  stats.barrier_ms.Add(905.0);
+  stats.admit_ms.Add(1.0);
+  stats.solve_ms.Add(2.0);
+  stats.solve_ms.Add(3.0);
+  stats.commit_ms.Add(4.0);
+
+  const obs::MetricsSnapshot snap = ServiceMetrics(stats);
+  const std::map<std::string, int64_t> expected = {
+      {"service.events", 101},
+      {"service.arrivals", 102},
+      {"service.admitted", 103},
+      {"service.rejected", 104},
+      {"service.dedup_hits", 105},
+      {"service.cache_fast_path", 106},
+      {"service.departures", 107},
+      {"service.host_failures", 108},
+      {"service.host_joins", 109},
+      {"service.monitor_reports", 110},
+      {"service.ticks", 111},
+      {"service.rate_directives", 112},
+      {"service.measurement_ticks", 113},
+      {"service.auto_replan_rounds", 114},
+      {"service.analytic_ticks", 115},
+      {"service.cache_delta_updates", 116},
+      {"service.evictions", 117},
+      {"service.replan_rounds", 118},
+      {"service.replanned_admitted", 119},
+      {"service.replanned_rejected", 120},
+      {"service.commit_conflicts", 121},
+      {"service.solver_nodes", 122},
+      {"service.lp_iterations", 123},
+      {"service.lp_factorizations", 124},
+      {"service.lp_dual_solves", 125},
+      {"service.lp_slack_start_iterations", 126},
+      {"service.rejected_candidates", 127},
+      {"service.screened_rejections", 128},
+      {"service.rejected_solver_nodes", 129},
+      {"service.rejected_lp_iterations", 130},
+      {"service.model_patches", 131},
+      {"service.model_rebuilds", 132},
+      {"service.catalog_exhausted", 133},
+      {"service.solver_deadline_breaches", 134},
+      {"service.heuristic_fallbacks", 135},
+      {"service.loop_stalls", 136},
+      {"service.admit_budget_breaches", 137},
+      {"service.solve_budget_breaches", 138},
+      {"service.commit_budget_breaches", 139},
+      {"service.measure_budget_breaches", 140},
+  };
+  EXPECT_EQ(snap.counters, expected);
+  ASSERT_EQ(snap.histograms.size(), 4u);
+  EXPECT_EQ(snap.histograms.at("service.admit_ms").count(), 1u);
+  EXPECT_EQ(snap.histograms.at("service.solve_ms").count(), 2u);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("service.solve_ms").sum(), 5.0);
+  EXPECT_EQ(snap.histograms.at("service.commit_ms").count(), 1u);
+  EXPECT_EQ(snap.histograms.at("service.measure_ms").count(), 0u);
+  EXPECT_EQ(snap.histograms.count("service.barrier_ms"), 0u);
+}
+
+/// The series' lines, parsed: the header first, then one per sample.
+std::vector<JsonValue> SeriesLines(const std::string& text) {
+  std::vector<JsonValue> lines;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    const size_t end = text.find('\n', begin);
+    EXPECT_NE(end, std::string::npos) << "unterminated line";
+    if (end == std::string::npos) break;
+    Result<JsonValue> line = ParseJson(text.substr(begin, end - begin));
+    EXPECT_TRUE(line.ok()) << line.status().ToString();
+    if (line.ok()) lines.push_back(*line);
+    begin = end + 1;
+  }
+  return lines;
+}
+
+/// One counter of a sample line's "cum" or "delta" part.
+int64_t SeriesCounter(const JsonValue& line, const char* part,
+                      const char* name = "service.events") {
+  return line.Find(part)->Find("counters")->Find(name)->int_value();
+}
+
+TEST(MetricsSeriesTest, FreshSeriesSamplesEveryBoundaryFromZero) {
+  ServiceStats stats;
+  MetricsSeries series(1000, /*openmetrics=*/false, 0, stats);
+  stats.events = 4;
+  series.SampleThrough(999, stats);  // no boundary reached yet
+  stats.events = 10;
+  series.SampleThrough(2500, stats);  // boundaries 1000 and 2000
+  stats.events = 12;
+  series.Sample(2700, stats);  // the end-of-run sample
+
+  const std::vector<JsonValue> lines = SeriesLines(series.text());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0].Find("schema")->string_value(),
+            "sqpr-metrics-series-v1");
+  EXPECT_EQ(lines[0].Find("interval_ms")->int_value(), 1000);
+  const int64_t want[][3] = {{1000, 10, 10}, {2000, 10, 0}, {2700, 12, 2}};
+  for (int i = 0; i < 3; ++i) {
+    const JsonValue& line = lines[i + 1];
+    EXPECT_EQ(line.Find("t_ms")->int_value(), want[i][0]);
+    EXPECT_EQ(SeriesCounter(line, "cum"), want[i][1]);
+    EXPECT_EQ(SeriesCounter(line, "delta"), want[i][2]);
+  }
+}
+
+TEST(MetricsSeriesTest, ResumedSeriesStartsAfterTheRestoredState) {
+  // A run restored at virtual time 6247 with 121 events already
+  // counted: no sample may predate the restore point, and the first
+  // delta covers only the events replayed since.
+  ServiceStats restored;
+  restored.events = 121;
+  restored.admitted = 30;
+  MetricsSeries series(1000, /*openmetrics=*/false, 6247, restored);
+  ServiceStats stats = restored;
+  stats.events = 125;
+  series.SampleThrough(6999, stats);
+  stats.events = 133;
+  stats.admitted = 31;
+  series.SampleThrough(8000, stats);
+
+  const std::vector<JsonValue> lines = SeriesLines(series.text());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1].Find("t_ms")->int_value(), 7000);
+  EXPECT_EQ(SeriesCounter(lines[1], "cum"), 133);
+  EXPECT_EQ(SeriesCounter(lines[1], "delta"), 12);
+  EXPECT_EQ(SeriesCounter(lines[1], "delta", "service.admitted"), 1);
+  EXPECT_EQ(lines[2].Find("t_ms")->int_value(), 8000);
+  EXPECT_EQ(SeriesCounter(lines[2], "delta"), 0);
+
+  // A restore exactly on a boundary starts at the next one.
+  MetricsSeries on_boundary(1000, /*openmetrics=*/false, 6000, restored);
+  on_boundary.SampleThrough(6000, restored);
+  on_boundary.SampleThrough(7000, stats);
+  const std::vector<JsonValue> boundary_lines =
+      SeriesLines(on_boundary.text());
+  ASSERT_EQ(boundary_lines.size(), 2u);
+  EXPECT_EQ(boundary_lines[1].Find("t_ms")->int_value(), 7000);
+}
+
+TEST(MetricsSeriesTest, OpenMetricsSeriesIsOneLabelledBlockPerSample) {
+  ServiceStats stats;
+  stats.events = 5;
+  MetricsSeries series(1000, /*openmetrics=*/true, 1500, stats);
+  series.SampleThrough(3000, stats);
+  const std::string& text = series.text();
+  EXPECT_EQ(text.find("sqpr-metrics-series-v1"), std::string::npos);
+  EXPECT_EQ(text.find("t_ms=\"1000\""), std::string::npos) << text;
+  EXPECT_NE(text.find("service_events_total{t_ms=\"2000\"} 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("service_events_total{t_ms=\"3000\"} 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -876,24 +876,20 @@ TEST(PlanningServiceTest, RoundPathSolvesEachRoundQueryOnce) {
     r.fingerprint = service.deployment().Fingerprint();
     r.canonical_audit = journal.ToJsonl(/*canonical=*/true);
     r.stats = service.stats();
-    obs::MetricsRegistry registry;
-    ServiceMetricsPublisher(&registry).Publish(r.stats);
-    r.published_nodes = registry.counter("service.solver_nodes")->value();
-    r.published_pivots = registry.counter("service.lp_iterations")->value();
-    r.published_factorizations =
-        registry.counter("service.lp_factorizations")->value();
-    r.published_dual_solves =
-        registry.counter("service.lp_dual_solves")->value();
+    const obs::MetricsSnapshot published = ServiceMetrics(r.stats);
+    const auto counter = [&](const char* name) {
+      return published.counters.at(name);
+    };
+    r.published_nodes = counter("service.solver_nodes");
+    r.published_pivots = counter("service.lp_iterations");
+    r.published_factorizations = counter("service.lp_factorizations");
+    r.published_dual_solves = counter("service.lp_dual_solves");
     r.published_slack_start_pivots =
-        registry.counter("service.lp_slack_start_iterations")->value();
-    r.published_rejected =
-        registry.counter("service.rejected_candidates")->value();
-    r.published_screened =
-        registry.counter("service.screened_rejections")->value();
-    r.published_rejected_nodes =
-        registry.counter("service.rejected_solver_nodes")->value();
-    r.published_rejected_pivots =
-        registry.counter("service.rejected_lp_iterations")->value();
+        counter("service.lp_slack_start_iterations");
+    r.published_rejected = counter("service.rejected_candidates");
+    r.published_screened = counter("service.screened_rejections");
+    r.published_rejected_nodes = counter("service.rejected_solver_nodes");
+    r.published_rejected_pivots = counter("service.rejected_lp_iterations");
     return r;
   };
 

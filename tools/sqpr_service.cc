@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,8 +192,8 @@ void Usage(std::FILE* out) {
       "                   with --metrics-interval — the\n"
       "                   sqpr-metrics-series-v1 JSONL time series\n"
       "  --metrics-interval MS\n"
-      "                   periodic exposition: publish a registry\n"
-      "                   snapshot every MS *virtual* milliseconds and\n"
+      "                   periodic exposition: snapshot the service\n"
+      "                   metrics every MS *virtual* milliseconds and\n"
       "                   append one series line per interval to\n"
       "                   --metrics-out (cumulative + per-interval delta;\n"
       "                   delta quantiles are resolved from the window's\n"
@@ -600,34 +601,15 @@ int main(int argc, char** argv) {
                 trace.size());
   }
 
-  // Periodic metrics exposition: a private registry fed from
-  // ServiceStats by the publisher, sampled on virtual-time interval
-  // boundaries so the series is replay-deterministic in shape (wall
-  // latencies inside each sample still vary run to run).
-  obs::MetricsRegistry metrics_registry;
-  ServiceMetricsPublisher metrics_publisher(&metrics_registry);
-  const bool metrics_series =
-      !args.metrics_out_path.empty() && args.metrics_interval_ms > 0;
-  std::string series_out;
-  obs::MetricsSnapshot prev_snapshot;
-  int64_t next_sample_ms = args.metrics_interval_ms;
-  if (metrics_series && args.metrics_format == "json") {
-    series_out += "{\"schema\":\"sqpr-metrics-series-v1\",\"interval_ms\":" +
-                  std::to_string(args.metrics_interval_ms) + "}\n";
+  // Periodic metrics exposition, sampled on virtual-time interval
+  // boundaries. A restored run's series starts after the restored clock,
+  // and its first delta is taken against the restored counters.
+  std::optional<MetricsSeries> series;
+  if (!args.metrics_out_path.empty() && args.metrics_interval_ms > 0) {
+    series.emplace(args.metrics_interval_ms,
+                   args.metrics_format == "openmetrics",
+                   service.clock().now_ms(), service.stats());
   }
-  const auto sample_metrics = [&](int64_t t_ms) {
-    metrics_publisher.Publish(service.stats());
-    obs::MetricsSnapshot cum = metrics_registry.TakeSnapshot();
-    if (args.metrics_format == "openmetrics") {
-      series_out += cum.ToOpenMetrics({{"t_ms", std::to_string(t_ms)}});
-    } else {
-      const obs::MetricsSnapshot delta = cum.DeltaSince(prev_snapshot);
-      series_out += "{\"t_ms\":" + std::to_string(t_ms) +
-                    ",\"cum\":" + cum.ToJson() +
-                    ",\"delta\":" + delta.ToJson() + "}\n";
-    }
-    prev_snapshot = std::move(cum);
-  };
 
   // Per-event-kind latency aggregation.
   constexpr int kNumKinds = 7;
@@ -641,11 +623,8 @@ int main(int argc, char** argv) {
                    outcome.status().ToString().c_str());
       return 1;
     }
-    if (metrics_series) {
-      while (service.clock().now_ms() >= next_sample_ms) {
-        sample_metrics(next_sample_ms);
-        next_sample_ms += args.metrics_interval_ms;
-      }
+    if (series) {
+      series->SampleThrough(service.clock().now_ms(), service.stats());
     }
     const int k = static_cast<int>(outcome->event.kind);
     kind_ms[k] += outcome->wall_ms;
@@ -676,10 +655,10 @@ int main(int argc, char** argv) {
                 args.checkpoint_out_path.c_str());
   }
   service.FinalizeAudit();
-  if (metrics_series) {
+  if (series) {
     // Final sample after the pending round commits, so the series always ends
     // with the run's complete totals.
-    sample_metrics(service.clock().now_ms());
+    series->Sample(service.clock().now_ms(), service.stats());
   }
 
   const ServiceStats& stats = service.stats();
@@ -835,8 +814,9 @@ int main(int argc, char** argv) {
     return true;
   };
   if (!args.metrics_out_path.empty()) {
-    if (metrics_series) {
-      if (!write_text_file(args.metrics_out_path, series_out, "metrics-out")) {
+    if (series) {
+      if (!write_text_file(args.metrics_out_path, series->text(),
+                           "metrics-out")) {
         return 1;
       }
       std::printf("metrics series (%s, every %lld virtual ms) written to "
@@ -844,15 +824,12 @@ int main(int argc, char** argv) {
                   static_cast<long long>(args.metrics_interval_ms),
                   args.metrics_out_path.c_str());
     } else {
-      // One exposition at exit. The publisher feeds the full
-      // ServiceStats — every counter and stage histogram — under stable
-      // service.* names, so the snapshot schema does not depend on
-      // which code paths ran.
-      metrics_publisher.Publish(stats);
-      const std::string text =
-          args.metrics_format == "openmetrics"
-              ? metrics_registry.TakeSnapshot().ToOpenMetrics({})
-              : metrics_registry.ToJson();
+      // One exposition at exit: every published counter and stage
+      // histogram under its stable service.* name.
+      const obs::MetricsSnapshot snap = ServiceMetrics(stats);
+      const std::string text = args.metrics_format == "openmetrics"
+                                   ? snap.ToOpenMetrics({})
+                                   : snap.ToPrettyJson();
       if (!write_text_file(args.metrics_out_path, text, "metrics-out")) {
         return 1;
       }
@@ -861,9 +838,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.stats_json_path.empty()) {
-    obs::MetricsRegistry stats_registry;
-    ServiceMetricsPublisher stats_publisher(&stats_registry);
-    stats_publisher.Publish(stats);
     char head[256];
     std::snprintf(head, sizeof(head),
                   "{\"schema\":\"sqpr-service-stats-v1\",\"final_t_ms\":%lld,"
@@ -872,8 +846,7 @@ int main(int argc, char** argv) {
                   static_cast<long long>(service.clock().now_ms()),
                   stats.total_wall_ms, stats.max_event_ms,
                   stats.worst_stall_ms);
-    const std::string text =
-        head + stats_registry.TakeSnapshot().ToJson() + "}\n";
+    const std::string text = head + ServiceMetrics(stats).ToJson() + "}\n";
     if (!write_text_file(args.stats_json_path, text, "stats-json")) return 1;
     std::printf("service stats written to %s\n", args.stats_json_path.c_str());
   }
