@@ -117,31 +117,43 @@ Status RunDriftCycle(SqprPlanner* planner, Catalog* catalog,
   planner->RefreshAccounting();
 
   // 3. Evict further queries while any budget is over-committed under
-  //    the new rates (§IV-B condition (b)). When no extractable plan
-  //    touches the offending host, the usage is redundant support —
-  //    purge it via EvictHost (which also evicts queries whose serving
-  //    loses groundedness in the purge).
+  //    the new rates (§IV-B condition (b)).
+  return EvictOverBudget(planner, readmit_sink);
+}
+
+Status EvictOverBudget(SqprPlanner* planner,
+                       const std::function<void(StreamId)>& sink) {
+  // Removing a query and its garbage leaves the other admitted queries'
+  // extracted plans as they were, so while the same host stays over
+  // budget the scan resumes at the last victim's position.
+  HostId scanned = kInvalidHost;
+  size_t next = 0;
   while (true) {
     const HostId h = FirstOverBudgetHost(planner->deployment(), 1e-6);
     if (h == kInvalidHost) break;
-    StreamId victim = kInvalidStream;
-    for (StreamId q : planner->admitted_queries()) {
-      if (PlanUsesHost(planner->deployment(), q, h)) {
-        victim = q;
-        break;
-      }
+    if (h != scanned) {
+      scanned = h;
+      next = 0;
     }
-    if (victim != kInvalidStream) {
+    const std::vector<StreamId>& admitted = planner->admitted_queries();
+    while (next < admitted.size() &&
+           !PlanUsesHost(planner->deployment(), admitted[next], h)) {
+      ++next;
+    }
+    if (next < admitted.size()) {
+      const StreamId victim = admitted[next];
       const Status st = planner->RemoveQuery(victim);
       if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) {
         return st;
       }
-      readmit_sink(victim);
+      sink(victim);
       continue;
     }
-    Result<std::vector<StreamId>> purged = planner->EvictHost(h);
+    // No extractable plan touches the host: the usage is redundant
+    // support.
+    Result<std::vector<StreamId>> purged = planner->PurgeHost(h);
     if (!purged.ok()) return purged.status();
-    for (StreamId q : *purged) readmit_sink(q);
+    for (StreamId q : *purged) sink(q);
     if (FirstOverBudgetHost(planner->deployment(), 1e-6) == h) {
       return Status::Internal("host " + std::to_string(h) +
                               " over budget with nothing left to evict");

@@ -99,11 +99,7 @@ HostId FirstOverBudgetHost(const Deployment& deployment, double tol);
 ///  2. install the measured base rates into the catalog (composite
 ///     rates and operator costs recompute exactly) and refresh the
 ///     deployment's resource ledgers;
-///  3. while the refreshed deployment still over-commits a resource
-///     (§IV-B condition (b)), evict admitted queries touching the
-///     offending host — falling back to an EvictHost purge when only
-///     redundant support, not an extractable plan, pins the host — and
-///     hand those to `readmit_sink` too.
+///  3. EvictOverBudget, handing its victims to `readmit_sink` too.
 ///
 /// Mid-cycle the ledgers may legitimately over-commit (rates grew under
 /// committed state), so ResourceExhausted from removal audits is
@@ -113,6 +109,14 @@ Status RunDriftCycle(SqprPlanner* planner, Catalog* catalog,
                      const std::map<StreamId, double>& measured_base_rates,
                      const DriftReport& report,
                      const std::function<void(StreamId)>& readmit_sink);
+
+/// §IV-B condition (b): while a budget is over-committed, evicts the
+/// first admitted query whose extracted plan touches the first
+/// over-budget host, or purges the host (SqprPlanner::PurgeHost) when
+/// only redundant support pins it. A failed host (zero budgets) takes
+/// the same loop. The sink gets each evicted query, in eviction order.
+Status EvictOverBudget(SqprPlanner* planner,
+                       const std::function<void(StreamId)>& sink);
 
 /// Executes the full §IV-B adaptive cycle against a live SQPR planner:
 /// RunDriftCycle (steps 1–3 above) followed by immediate re-admission of

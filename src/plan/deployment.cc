@@ -25,83 +25,119 @@ void Deployment::Clear() {
   RecordMutation(/*structural=*/true);
 }
 
-Status Deployment::AddFlow(HostId from, HostId to, StreamId s) {
-  if (from == to) return Status::InvalidArgument("self-flow");
-  if (HasFlow(from, to, s)) return Status::AlreadyExists("duplicate flow");
-  const double rate = catalog_->stream(s).rate_mbps;
-  flows_by_stream_[s].emplace_back(from, to);
-  nic_out_used_[from] += rate;
-  nic_in_used_[to] += rate;
-  link_used_[{from, to}] += rate;
-  if (Grounded(from, s) && !Grounded(to, s)) {
-    std::vector<HostStream> worklist;
-    Ground(to, s, &worklist);
-    CloseOver(&worklist);
+Status Deployment::Apply(const DeploymentDelta& delta) {
+  for (const auto& [from, to, s] : delta.flows_added) {
+    (void)s;
+    if (from == to) return Status::InvalidArgument("self-flow");
   }
-  RecordMutation(/*structural=*/true);
+  for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
+    const HostId current = ServingHost(change.stream);
+    if (current != change.after && current != change.before) {
+      return Status::FailedPrecondition(
+          "serving of stream " + std::to_string(change.stream) +
+          " does not match the delta");
+    }
+  }
+
+  // Removals first, so freed capacity and slots are available to the
+  // additions below; availability is retracted once for all of them.
+  std::vector<HostStream> heads;
+  for (const auto& [from, to, s] : delta.flows_removed) {
+    auto it = flows_by_stream_.find(s);
+    if (it == flows_by_stream_.end()) continue;  // already gone
+    auto& flows = it->second;
+    auto fit = std::find(flows.begin(), flows.end(), std::make_pair(from, to));
+    if (fit == flows.end()) continue;  // already gone
+    flows.erase(fit);
+    if (flows.empty()) flows_by_stream_.erase(it);
+    const double rate = catalog_->stream(s).rate_mbps;
+    nic_out_used_[from] -= rate;
+    nic_in_used_[to] -= rate;
+    link_used_[{from, to}] -= rate;
+    heads.emplace_back(to, s);
+    RecordMutation(/*structural=*/true);
+  }
+  for (const auto& [h, o] : delta.ops_removed) {
+    if (ops_by_host_[h].erase(o) == 0) continue;  // already gone
+    cpu_used_[h] -= catalog_->op(o).cpu_cost;
+    mem_used_[h] -= catalog_->op(o).mem_mb;
+    heads.emplace_back(h, catalog_->op(o).output);
+    RecordMutation(/*structural=*/true);
+  }
+  Retract(heads);
+
+  for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
+    const HostId current = ServingHost(change.stream);
+    if (current == change.after) continue;  // already made
+    const double rate = catalog_->stream(change.stream).rate_mbps;
+    if (current != kInvalidHost) {
+      nic_out_used_[current] -= rate;  // client delivery
+      serving_.erase(change.stream);
+      RecordMutation(/*structural=*/true);
+    }
+    if (change.after != kInvalidHost) {
+      serving_[change.stream] = change.after;
+      nic_out_used_[change.after] += rate;
+      RecordMutation(/*structural=*/true);
+    }
+  }
+
+  // Additions seed one monotone closure.
+  std::vector<HostStream> worklist;
+  for (const auto& [h, o] : delta.ops_added) {
+    if (!ops_by_host_[h].insert(o).second) continue;  // already placed
+    cpu_used_[h] += catalog_->op(o).cpu_cost;
+    mem_used_[h] += catalog_->op(o).mem_mb;
+    TryGroundOperator(h, o, &worklist);
+    RecordMutation(/*structural=*/true);
+  }
+  for (const auto& [from, to, s] : delta.flows_added) {
+    if (HasFlow(from, to, s)) continue;  // already there
+    flows_by_stream_[s].emplace_back(from, to);
+    const double rate = catalog_->stream(s).rate_mbps;
+    nic_out_used_[from] += rate;
+    nic_in_used_[to] += rate;
+    link_used_[{from, to}] += rate;
+    if (Grounded(from, s) && !Grounded(to, s)) Ground(to, s, &worklist);
+    RecordMutation(/*structural=*/true);
+  }
+  CloseOver(&worklist);
   return Status::OK();
 }
 
-Status Deployment::RemoveFlow(HostId from, HostId to, StreamId s) {
-  auto it = flows_by_stream_.find(s);
-  if (it == flows_by_stream_.end()) return Status::NotFound("no such flow");
-  auto& flows = it->second;
-  auto fit = std::find(flows.begin(), flows.end(), std::make_pair(from, to));
-  if (fit == flows.end()) return Status::NotFound("no such flow");
-  flows.erase(fit);
-  if (flows.empty()) flows_by_stream_.erase(it);
-  const double rate = catalog_->stream(s).rate_mbps;
-  nic_out_used_[from] -= rate;
-  nic_in_used_[to] -= rate;
-  link_used_[{from, to}] -= rate;
-  Retract(to, s);
-  RecordMutation(/*structural=*/true);
-  return Status::OK();
+Status Deployment::AddFlow(HostId from, HostId to, StreamId s) {
+  if (HasFlow(from, to, s)) return Status::AlreadyExists("duplicate flow");
+  DeploymentDelta delta;
+  delta.flows_added.emplace_back(from, to, s);
+  return Apply(delta);
 }
 
 Status Deployment::PlaceOperator(HostId h, OperatorId o) {
-  if (!ops_by_host_[h].insert(o).second) {
+  if (RunsOperator(h, o)) {
     return Status::AlreadyExists("operator already on host");
   }
-  cpu_used_[h] += catalog_->op(o).cpu_cost;
-  mem_used_[h] += catalog_->op(o).mem_mb;
-  std::vector<HostStream> worklist;
-  TryGroundOperator(h, o, &worklist);
-  CloseOver(&worklist);
-  RecordMutation(/*structural=*/true);
-  return Status::OK();
-}
-
-Status Deployment::RemoveOperator(HostId h, OperatorId o) {
-  if (ops_by_host_[h].erase(o) == 0) {
-    return Status::NotFound("operator not on host");
-  }
-  cpu_used_[h] -= catalog_->op(o).cpu_cost;
-  mem_used_[h] -= catalog_->op(o).mem_mb;
-  Retract(h, catalog_->op(o).output);
-  RecordMutation(/*structural=*/true);
-  return Status::OK();
+  DeploymentDelta delta;
+  delta.ops_added.emplace_back(h, o);
+  return Apply(delta);
 }
 
 Status Deployment::SetServing(StreamId s, HostId h) {
-  auto it = serving_.find(s);
-  if (it != serving_.end()) {
-    if (it->second == h) return Status::OK();
+  const HostId current = ServingHost(s);
+  if (current == h) return Status::OK();
+  if (current != kInvalidHost) {
     return Status::AlreadyExists("stream already served elsewhere");
   }
-  serving_[s] = h;
-  nic_out_used_[h] += catalog_->stream(s).rate_mbps;  // client delivery
-  RecordMutation(/*structural=*/true);
-  return Status::OK();
+  DeploymentDelta delta;
+  delta.serving_changes.push_back({s, kInvalidHost, h});
+  return Apply(delta);
 }
 
 Status Deployment::ClearServing(StreamId s) {
-  auto it = serving_.find(s);
-  if (it == serving_.end()) return Status::NotFound("stream not served");
-  nic_out_used_[it->second] -= catalog_->stream(s).rate_mbps;
-  serving_.erase(it);
-  RecordMutation(/*structural=*/true);
-  return Status::OK();
+  const HostId current = ServingHost(s);
+  if (current == kInvalidHost) return Status::NotFound("stream not served");
+  DeploymentDelta delta;
+  delta.serving_changes.push_back({s, current, kInvalidHost});
+  return Apply(delta);
 }
 
 size_t Deployment::ApproxSizeBytes() const {
@@ -302,11 +338,11 @@ bool Deployment::Supported(HostId h, StreamId s) const {
   return false;
 }
 
-void Deployment::Retract(HostId h, StreamId s) {
-  // 1. Over-delete: un-ground the head, then everything the deployment
+void Deployment::Retract(const std::vector<HostStream>& heads) {
+  // 1. Over-delete: un-ground the heads, then everything the deployment
   // derives from an un-grounded fact.
   std::vector<HostStream> suspects;
-  Unground(h, s, &suspects);
+  for (const auto& [h, s] : heads) Unground(h, s, &suspects);
   for (size_t i = 0; i < suspects.size(); ++i) {
     const auto [sh, ss] = suspects[i];
     for (OperatorId o : ops_by_host_[sh]) {
@@ -451,44 +487,6 @@ std::string Deployment::Fingerprint() const {
     }
   }
   return out;
-}
-
-Status ApplyDeploymentDelta(const DeploymentDelta& delta,
-                            Deployment* deployment) {
-  // Removals first, so freed capacity and slots are available to the
-  // additions below.
-  for (const auto& [from, to, s] : delta.flows_removed) {
-    if (!deployment->HasFlow(from, to, s)) continue;  // already gone
-    SQPR_RETURN_IF_ERROR(deployment->RemoveFlow(from, to, s));
-  }
-  for (const auto& [h, o] : delta.ops_removed) {
-    if (!deployment->RunsOperator(h, o)) continue;  // already gone
-    SQPR_RETURN_IF_ERROR(deployment->RemoveOperator(h, o));
-  }
-  for (const DeploymentDelta::ServingChange& change : delta.serving_changes) {
-    const HostId current = deployment->ServingHost(change.stream);
-    if (current == change.after) continue;  // already made
-    if (current != change.before) {
-      return Status::FailedPrecondition(
-          "serving of stream " + std::to_string(change.stream) +
-          " does not match the delta");
-    }
-    if (change.before != kInvalidHost) {
-      SQPR_RETURN_IF_ERROR(deployment->ClearServing(change.stream));
-    }
-    if (change.after != kInvalidHost) {
-      SQPR_RETURN_IF_ERROR(deployment->SetServing(change.stream, change.after));
-    }
-  }
-  for (const auto& [h, o] : delta.ops_added) {
-    if (deployment->RunsOperator(h, o)) continue;  // already placed
-    SQPR_RETURN_IF_ERROR(deployment->PlaceOperator(h, o));
-  }
-  for (const auto& [from, to, s] : delta.flows_added) {
-    if (deployment->HasFlow(from, to, s)) continue;  // already there
-    SQPR_RETURN_IF_ERROR(deployment->AddFlow(from, to, s));
-  }
-  return Status::OK();
 }
 
 }  // namespace sqpr

@@ -17,6 +17,30 @@
 
 namespace sqpr {
 
+/// A structural change to a deployment. Deployment::Apply, the one place
+/// that edits flows and placements, takes each admission, garbage
+/// collection and host purge as one.
+struct DeploymentDelta {
+  struct ServingChange {
+    StreamId stream = kInvalidStream;
+    /// kInvalidHost means the stream was unserved before (after).
+    HostId before = kInvalidHost;
+    HostId after = kInvalidHost;
+  };
+
+  std::vector<std::pair<HostId, OperatorId>> ops_added;
+  std::vector<std::pair<HostId, OperatorId>> ops_removed;
+  std::vector<std::tuple<HostId, HostId, StreamId>> flows_added;
+  std::vector<std::tuple<HostId, HostId, StreamId>> flows_removed;
+  /// At most one change per stream.
+  std::vector<ServingChange> serving_changes;
+
+  bool empty() const {
+    return ops_added.empty() && ops_removed.empty() && flows_added.empty() &&
+           flows_removed.empty() && serving_changes.empty();
+  }
+};
+
 /// The global allocation state of the DSPS — the committed values of the
 /// paper's decision variables:
 ///   serving map            d_hs = 1  (host h answers requests for s)
@@ -24,7 +48,7 @@ namespace sqpr {
 ///   operator placements    z_ho = 1  (h executes operator o)
 /// Availability (y_hs) is part of the committed state too: a stream is
 /// available at a host iff it is *grounded* there (see Grounded below),
-/// and the mutators keep that relation exact after every call.
+/// and Apply keeps that relation exact after every delta.
 ///
 /// Deployment is a value type; the SQPR planner edits its committed
 /// deployment in place, one minimal DeploymentDelta per admission, and
@@ -37,10 +61,21 @@ class Deployment {
   void Clear();
 
   // ---- Mutators (resource aggregates maintained incrementally). ----
+
+  /// Applies a delta in the order the floating-point ledgers accumulate
+  /// in: removals (flows, then operators) free capacity, then serving
+  /// changes, then additions (operators, then flows), each list in its
+  /// stored order. Additions already present and removals already gone
+  /// are skipped; each applied fact bumps the versions once (moving a
+  /// serving is a clear and a set). A self-flow (InvalidArgument) or a
+  /// serving change whose `before` does not match (FailedPrecondition)
+  /// rejects the whole delta before its first change. Causality and
+  /// budgets are left to Validate().
+  Status Apply(const DeploymentDelta& delta);
+
+  /// One-fact deltas; a fact already present is AlreadyExists.
   Status AddFlow(HostId from, HostId to, StreamId s);
-  Status RemoveFlow(HostId from, HostId to, StreamId s);
   Status PlaceOperator(HostId h, OperatorId o);
-  Status RemoveOperator(HostId h, OperatorId o);
   /// Marks host h as the (single) server of requested stream s; includes
   /// the client-delivery bandwidth of (III.6c).
   Status SetServing(StreamId s, HostId h);
@@ -85,15 +120,14 @@ class Deployment {
   /// are all grounded at h, or an incoming flow from a host where s is
   /// grounded. This is the least fixpoint of those rules, so a flow
   /// cycle that lost its root is *not* grounded, which is what the
-  /// paper's acyclicity constraints (III.7) mean. The mutators maintain
-  /// it by delete-and-rederive (Gupta, Mumick & Subrahmanian,
-  /// "Maintaining views incrementally", 1993): an addition closes
-  /// monotonically over what it newly grounds; a removal un-grounds
-  /// everything derived from the removed fact's head, re-grounds what
-  /// still has a grounded support, and closes over that. Over-deleting
-  /// is deliberate: counting supports would keep a flow cycle grounded
-  /// by its own arcs. Each call costs O(affected facts × local fan-out),
-  /// independent of the catalog size.
+  /// paper's acyclicity constraints (III.7) mean. Apply maintains it
+  /// once per delta by delete-and-rederive (Gupta, Mumick & Subrahmanian,
+  /// "Maintaining views incrementally", 1993): the removals un-ground
+  /// everything derived from their heads, what still has a grounded
+  /// support is re-grounded, and one monotone closure runs over that and
+  /// the additions. Over-deleting is deliberate: counting supports would
+  /// keep a flow cycle grounded by its own arcs. A delta costs
+  /// O(affected facts × local fan-out), independent of the catalog size.
   bool Grounded(HostId h, StreamId s) const;
   /// True when every input of operator o is grounded at host h.
   bool InputsGrounded(HostId h, OperatorId o) const;
@@ -135,8 +169,8 @@ class Deployment {
 
   // ---- Change tracking (audit records and checkpoints). ----
 
-  /// Monotone change counter: every successful mutator call (including
-  /// Clear and RecomputeAggregates) bumps it exactly once.
+  /// Monotone change counter: every applied fact, Clear and
+  /// RecomputeAggregates bumps it exactly once.
   uint64_t version() const { return version_; }
 
   /// Like version(), but counting only *structural* mutations — flows,
@@ -166,7 +200,7 @@ class Deployment {
   }
 
   /// Overwrites the change counters with checkpointed values, after a
-  /// restore rebuilt the structure through the ordinary mutators (which
+  /// restore rebuilt the structure through the one-fact mutators (which
   /// counted from zero), so audit records stay continuous across a
   /// crash.
   void RestoreVersions(uint64_t version, uint64_t structure_version) {
@@ -197,9 +231,9 @@ class Deployment {
   /// producer with grounded inputs, or an incoming flow from a host
   /// where s is grounded.
   bool Supported(HostId h, StreamId s) const;
-  /// Restores exact availability after the removal of a fact (operator
-  /// or flow) whose head is (h, s): over-delete, re-derive, close.
-  void Retract(HostId h, StreamId s);
+  /// Restores exact availability after the removal of facts (operators
+  /// or flows) with the given heads: over-delete, re-derive, close.
+  void Retract(const std::vector<HostStream>& heads);
 
   const Cluster* cluster_;
   const Catalog* catalog_;
@@ -217,44 +251,6 @@ class Deployment {
   uint64_t version_ = 0;
   uint64_t structure_version_ = 0;
 };
-
-/// A structural change to a deployment, as the mutator calls that make
-/// it. The planner applies each admission as one (SqprMip::Commit: the
-/// minimal diff between the committed state and the solution; the
-/// greedy fallback's diff of its trial copy). Removals, garbage
-/// collection and host purges call the mutators directly.
-struct DeploymentDelta {
-  struct ServingChange {
-    StreamId stream = kInvalidStream;
-    /// kInvalidHost means the stream was unserved before (after).
-    HostId before = kInvalidHost;
-    HostId after = kInvalidHost;
-  };
-
-  std::vector<std::pair<HostId, OperatorId>> ops_added;
-  std::vector<std::pair<HostId, OperatorId>> ops_removed;
-  std::vector<std::tuple<HostId, HostId, StreamId>> flows_added;
-  std::vector<std::tuple<HostId, HostId, StreamId>> flows_removed;
-  std::vector<ServingChange> serving_changes;
-
-  bool empty() const {
-    return ops_added.empty() && ops_removed.empty() && flows_added.empty() &&
-           flows_removed.empty() && serving_changes.empty();
-  }
-};
-
-/// Applies a delta: removals first (flows, then operators), so freed
-/// capacity is available to the additions, then serving changes, then
-/// additions (operators, then flows), each list in its stored order.
-/// Additions already present and removals already gone are skipped; a
-/// serving change whose `before` does not match, or an addition the
-/// mutators reject, returns FailedPrecondition. On any error the
-/// deployment is left partially modified.
-///
-/// Note: this checks *structural* applicability only; callers audit
-/// causality and resource budgets with Deployment::Validate().
-Status ApplyDeploymentDelta(const DeploymentDelta& delta,
-                            Deployment* deployment);
 
 }  // namespace sqpr
 

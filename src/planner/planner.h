@@ -50,8 +50,8 @@ struct PlanningStats {
   /// effort.
   bool screened = false;
   /// Degraded-mode solving (docs/ARCHITECTURE.md "Durability & degraded
-  /// modes"). deadline_hit: the MILP ran out of its per-solve wall
-  /// budget (SqprPlanner::Options::solve_deadline_ms) before proving
+  /// modes"). deadline_hit: the MILP ran out of its wall budget
+  /// (SqprPlanner::Options::timeout_ms per query) before proving
   /// optimality; the planner then committed the best incumbent, or fell
   /// back to the greedy heuristic. admitted_via_heuristic: admission
   /// came from the greedy fallback rather than a MILP solution — the

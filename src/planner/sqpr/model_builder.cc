@@ -781,11 +781,10 @@ DeploymentDelta SqprMip::RelevantDelta(const Deployment& current,
                                        RunsOp runs_after,
                                        FlowsOf flows_after,
                                        ServedAt served_after) const {
-  // Enumerated in ApplyDeploymentDelta's canonical order (hosts, then
-  // operators ascending; streams ascending, each stream's removals in
-  // `current`'s flow order and additions in the target's), so applying
-  // the result replays exactly the mutator sequence a whole-deployment
-  // diff of the same change would.
+  // Enumerated in canonical order (hosts, then operators ascending;
+  // streams ascending, each stream's removals in `current`'s flow order
+  // and additions in the target's), so Deployment::Apply accumulates the
+  // ledgers exactly as a whole-deployment diff of the same change would.
   DeploymentDelta delta;
   for (HostId h = 0; h < num_hosts_; ++h) {
     for (OperatorId o : ops_) {
@@ -854,12 +853,6 @@ DeploymentDelta SqprMip::DeltaTo(const Deployment& current,
       [&](HostId h, OperatorId o) { return next.RunsOperator(h, o); },
       [&](StreamId s) { return next.FlowsOf(s); },
       [&](StreamId s) { return next.ServingHost(s); });
-}
-
-Status SqprMip::Commit(const std::vector<double>& x,
-                       Deployment* target) const {
-  SQPR_TRACE_SPAN("planner/model_commit");
-  return ApplyDeploymentDelta(SolutionDelta(x, *target), target);
 }
 
 int SqprMip::CycleCutHandler::Separate(const std::vector<double>& point,

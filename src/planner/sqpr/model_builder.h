@@ -187,7 +187,7 @@ class SqprMip {
   /// cluster specs — callers key their cache on exactly that) by
   /// re-running the base-state pass: row right-hand sides, availability
   /// pins and nothing else. O(rows) instead of O(rows · terms) — no
-  /// term rebuilding. After Rebind, WarmStart()/Commit() operate against
+  /// term rebuilding. After Rebind, WarmStart() operates against
   /// the new deployment, which must outlive the model.
   void Rebind(const Deployment& base);
 
@@ -213,12 +213,6 @@ class SqprMip {
   /// sets only — for edits (the greedy fallback) that stay inside them.
   DeploymentDelta DeltaTo(const Deployment& current,
                           const Deployment& next) const;
-
-  /// Applies an integral solution to `target` (must equal the base
-  /// deployment the model was built from) as its SolutionDelta, through
-  /// ApplyDeploymentDelta: removals, then serving changes, then
-  /// additions.
-  Status Commit(const std::vector<double>& x, Deployment* target) const;
 
   /// Lazy handler enforcing per-stream flow acyclicity via cycle cuts.
   /// Only used in kLazyCycleCuts mode. Integral candidates get exact

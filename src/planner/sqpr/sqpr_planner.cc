@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
 #include "milp/solver.h"
 #include "obs/trace.h"
-#include "plan/query_plan.h"
 #include "planner/heuristic/heuristic_planner.h"
 
 namespace sqpr {
@@ -149,15 +147,9 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
   SqprMip::CycleCutHandler cycle_handler(&mip);
 
-  // The degraded-mode budget is per *solve*, deliberately not scaled by
-  // the batch size: it caps how long any one solve can stall the
-  // service event loop. A negative budget is already expired.
-  int64_t budget_ms = options_.timeout_ms * static_cast<int64_t>(fresh.size());
-  if (options_.solve_deadline_ms != 0) {
-    budget_ms = std::min(budget_ms, options_.solve_deadline_ms);
-  }
   milp::SolverOptions solver_options;
-  solver_options.deadline = Deadline::AfterMillis(budget_ms);
+  solver_options.deadline = Deadline::AfterMillis(
+      options_.timeout_ms * static_cast<int64_t>(fresh.size()));
   solver_options.max_nodes = options_.max_nodes;
   solver_options.gap_abs = options_.mip_gap_abs;
   solver_options.gap_rel = options_.mip_gap_rel;
@@ -211,7 +203,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
       if (stats[i].admitted) continue;
       if (trial == nullptr) {
         trial = std::make_unique<Deployment>(deployment_);
-        SQPR_CHECK_OK(ApplyDeploymentDelta(solution, trial.get()));
+        SQPR_CHECK_OK(trial->Apply(solution));
       }
       if (trial->ServingHost(queries[i]) != kInvalidHost) continue;
       if (GreedyAdmit(*cluster_, catalog_, queries[i],
@@ -256,7 +248,7 @@ Result<std::vector<PlanningStats>> SqprPlanner::SubmitBatch(
 
 void SqprPlanner::CommitDelta(const DeploymentDelta& delta) {
   SQPR_TRACE_SPAN("planner/commit");
-  SQPR_CHECK_OK(ApplyDeploymentDelta(delta, &deployment_));
+  SQPR_CHECK_OK(deployment_.Apply(delta));
   const Status valid = deployment_.Validate();
   SQPR_CHECK(valid.ok()) << "commit broke deployment invariants: "
                          << valid.ToString();
@@ -273,46 +265,32 @@ Status SqprPlanner::RemoveQuery(StreamId query) {
   return deployment_.Validate();
 }
 
-Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
+Result<std::vector<StreamId>> SqprPlanner::PurgeHost(HostId host) {
   if (host < 0 || host >= cluster_->num_hosts()) {
     return Status::InvalidArgument("unknown host");
   }
 
-  // Pass 1: queries whose extracted plan runs through the host. The
-  // removals may legitimately leave the ledgers over a (shrunken) budget
-  // mid-flight, so ResourceExhausted from the post-removal audit is not
-  // fatal — the removal itself has been applied.
-  std::vector<StreamId> affected;
-  for (StreamId q : admitted_) {
-    if (PlanUsesHost(deployment_, q, host)) affected.push_back(q);
-  }
-  for (StreamId q : affected) {
-    const Status st = RemoveQuery(q);
-    if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) return st;
-  }
-
-  // Pass 2: purge residual allocations — redundant supports of surviving
-  // queries that the conservative per-query GC keeps alive.
-  const std::vector<OperatorId> residual_ops(
-      deployment_.OperatorsOn(host).begin(),
-      deployment_.OperatorsOn(host).end());
-  for (OperatorId o : residual_ops) {
-    SQPR_RETURN_IF_ERROR(deployment_.RemoveOperator(host, o));
+  // Remove every operator and flow left on the host as one delta —
+  // redundant supports of surviving queries that the conservative GC
+  // keeps alive.
+  DeploymentDelta purge;
+  for (OperatorId o : deployment_.OperatorsOn(host)) {
+    purge.ops_removed.emplace_back(host, o);
   }
   for (StreamId s : deployment_.FlowStreams()) {
-    const auto flows = deployment_.FlowsOf(s);  // copy: mutation below
-    for (const auto& [from, to] : flows) {
+    for (const auto& [from, to] : deployment_.FlowsOf(s)) {
       if (from == host || to == host) {
-        SQPR_RETURN_IF_ERROR(deployment_.RemoveFlow(from, to, s));
+        purge.flows_removed.emplace_back(from, to, s);
       }
     }
   }
+  SQPR_RETURN_IF_ERROR(deployment_.Apply(purge));
 
-  // Pass 3: the purge may have been the sole support of a surviving
-  // query that extraction happened to route around — evict those too,
-  // then GC the now-unsupported residue. Which queries lost their
-  // serving is read from the purged deployment before the first
-  // removal changes it.
+  // The purge may have been the sole support of an admitted query —
+  // evict those, then GC the now-unsupported residue. Which queries
+  // lost their serving is read from the purged deployment before the
+  // first removal changes it. The ledgers may still over-commit a
+  // (shrunken) budget, so ResourceExhausted is not fatal.
   std::vector<StreamId> unsupported;
   for (StreamId q : admitted_) {
     const HostId server = deployment_.ServingHost(q);
@@ -323,12 +301,11 @@ Result<std::vector<StreamId>> SqprPlanner::EvictHost(HostId host) {
   for (StreamId q : unsupported) {
     const Status st = RemoveQuery(q);
     if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) return st;
-    affected.push_back(q);
   }
   GarbageCollect();
   const Status valid = deployment_.Validate();
   if (!valid.ok() && !valid.IsResourceExhausted()) return valid;
-  return affected;
+  return unsupported;
 }
 
 void SqprPlanner::GarbageCollect() {
@@ -372,31 +349,25 @@ void SqprPlanner::GarbageCollect() {
   // Sweep phase: an operator is live iff its output is needed at its
   // host and its inputs are grounded there, a flow iff its stream is
   // needed at the receiver and grounded at the sender — exactly the
-  // supports the mark kept. Every verdict is taken before the first
-  // removal changes groundedness.
-  std::vector<std::pair<HostId, OperatorId>> dead_ops;
+  // supports the mark kept. Every verdict is taken before the delta
+  // changes groundedness.
+  DeploymentDelta dead;
   for (HostId h = 0; h < cluster_->num_hosts(); ++h) {
     for (OperatorId o : deployment_.OperatorsOn(h)) {
       if (!is_needed(h, catalog.op(o).output) ||
           !deployment_.InputsGrounded(h, o)) {
-        dead_ops.emplace_back(h, o);
+        dead.ops_removed.emplace_back(h, o);
       }
     }
   }
-  std::vector<std::tuple<HostId, HostId, StreamId>> dead_flows;
   for (StreamId s : deployment_.FlowStreams()) {
     for (const auto& [from, to] : deployment_.FlowsOf(s)) {
       if (!is_needed(to, s) || !deployment_.Grounded(from, s)) {
-        dead_flows.emplace_back(from, to, s);
+        dead.flows_removed.emplace_back(from, to, s);
       }
     }
   }
-  for (const auto& [h, o] : dead_ops) {
-    SQPR_CHECK_OK(deployment_.RemoveOperator(h, o));
-  }
-  for (const auto& [from, to, s] : dead_flows) {
-    SQPR_CHECK_OK(deployment_.RemoveFlow(from, to, s));
-  }
+  SQPR_CHECK_OK(deployment_.Apply(dead));
 }
 
 Status SqprPlanner::WarmCatalog(StreamId query) {

@@ -29,23 +29,18 @@ namespace sqpr {
 ///  * adaptive re-planning by removing and re-adding queries (§IV-B).
 ///
 /// Every solve runs against the committed deployment and commits in
-/// place: SqprMip::Commit applies the solution as the minimal
-/// DeploymentDelta. A submission that admits none of its queries commits
-/// nothing.
+/// place: Deployment::Apply takes the solution as the minimal
+/// DeploymentDelta (SqprMip::SolutionDelta). A submission that admits
+/// none of its queries commits nothing.
 class SqprPlanner : public Planner {
  public:
   struct Options {
-    /// Per-query CPLEX-analogue timeout. Batches get n× this budget.
+    /// Per-query CPLEX-analogue timeout. Batches get n× this budget. On
+    /// expiry the solver hands back its best incumbent (or the greedy
+    /// fallback takes over) and PlanningStats::deadline_hit reports it;
+    /// 0 expires every solve at once — the deterministic
+    /// every-solve-breaches lever the degraded-mode tests use.
     int64_t timeout_ms = 1000;
-    /// Degraded-mode wall budget per MILP *solve* (docs/ARCHITECTURE.md
-    /// "Durability & degraded modes"): unlike timeout_ms it is NOT
-    /// batch-scaled — it caps how long any single solve may stall the
-    /// service, however many queries ride in it. 0 disables. On breach
-    /// the solver hands back its best incumbent (or the greedy fallback
-    /// takes over) and PlanningStats::deadline_hit reports it. Negative
-    /// values make the budget expire instantly — the deterministic
-    /// every-solve-breaches lever the durability tests use.
-    int64_t solve_deadline_ms = 0;
     int64_t max_nodes = 1000000;
     /// Optimality-gap tolerances handed to the MILP solver. Admission is
     /// worth λ1 (hundreds), so a small absolute gap can never flip an
@@ -113,12 +108,11 @@ class SqprPlanner : public Planner {
   /// that no longer support any served stream.
   Status RemoveQuery(StreamId query);
 
-  /// Host-failure fallout (§IV-C): removes every admitted query whose
-  /// committed plan touches `host`, purges residual operators/flows on
-  /// the host (redundant supports the per-query GC keeps), then evicts
-  /// any query whose serving lost groundedness in the purge. Returns the
-  /// removed queries, in eviction order, for the caller to re-admit.
-  Result<std::vector<StreamId>> EvictHost(HostId host);
+  /// Removes every operator and flow left on `host` as one delta
+  /// (redundant supports the per-query GC keeps), then evicts the
+  /// admitted queries whose serving lost groundedness in the purge and
+  /// returns them, in eviction order, for the caller to re-admit.
+  Result<std::vector<StreamId>> PurgeHost(HostId host);
 
   /// Rebuilds the deployment's resource ledgers from the catalog's
   /// current costs — required after Catalog::UpdateBaseRate (§IV-B).
@@ -142,7 +136,7 @@ class SqprPlanner : public Planner {
 
   /// Mutable access to the committed deployment, for restore-time
   /// reconstruction only: the restorer replays the checkpointed
-  /// structure through the ordinary mutators, calls
+  /// structure through the one-fact mutators, calls
   /// RefreshAccounting() to canonicalize the ledger floats, then
   /// reinstates the version counters.
   Deployment* mutable_deployment() { return &deployment_; }

@@ -543,21 +543,21 @@ Status PlanningService::HandleHostFailure(const Event& event,
   failed_hosts_[h] = cluster_->host(h);
   cluster_->SetHostSpec(h, dead);
 
-  Result<std::vector<StreamId>> evicted = planner_.EvictHost(h);
-  if (!evicted.ok()) return evicted.status();
-  for (StreamId q : *evicted) {
-    if (AuditOn()) {
-      obs::AuditRecord er = AuditBase("evict.host_failure");
-      er.query = q;
-      er.host = h;
-      AuditAppend(std::move(er));
-    }
-    scheduler_.Enqueue(q);
-    ++outcome->evicted;
-    ++stats_.evictions;
-  }
+  // A zero-budget host is over budget while anything runs on, flows
+  // through or is served from it, so the shortage loop evicts exactly
+  // the queries whose plans use it, in admission order. Leftovers that
+  // cost nothing never put it over budget: purge them too (a no-op when
+  // the loop already purged).
+  const int evicted_before = outcome->evicted;
+  auto evict = [&](StreamId q) {
+    QueueEvicted(q, "evict.host_failure", h, outcome);
+  };
+  SQPR_RETURN_IF_ERROR(EvictOverBudget(&planner_, evict));
+  Result<std::vector<StreamId>> purged = planner_.PurgeHost(h);
+  if (!purged.ok()) return purged.status();
+  for (StreamId q : *purged) evict(q);
   if (AuditOn()) {
-    hr.detail = static_cast<int64_t>(evicted->size());
+    hr.detail = outcome->evicted - evicted_before;
     AuditFingerprint(&hr, /*post=*/true);
     AuditAppend(std::move(hr));
   }
@@ -633,20 +633,23 @@ Status PlanningService::ApplyMonitorData(
   // The §IV-B remove+install+evict cycle itself is the shared
   // RunDriftCycle; this call site's re-admission sink is the bounded
   // scheduler (AdaptiveReplan's is immediate re-admission).
-  SQPR_RETURN_IF_ERROR(RunDriftCycle(
-      &planner_, catalog_, measured_rates, report,
-      [this, outcome](StreamId q) {
-        if (AuditOn()) {
-          obs::AuditRecord er = AuditBase("evict.drift");
-          er.query = q;
-          AuditAppend(std::move(er));
-        }
-        scheduler_.Enqueue(q);
-        ++outcome->evicted;
-        ++stats_.evictions;
-      }));
+  return RunDriftCycle(&planner_, catalog_, measured_rates, report,
+                       [this, outcome](StreamId q) {
+                         QueueEvicted(q, "evict.drift", kInvalidHost, outcome);
+                       });
+}
 
-  return Status::OK();
+void PlanningService::QueueEvicted(StreamId q, const char* kind, HostId host,
+                                   EventOutcome* outcome) {
+  if (AuditOn()) {
+    obs::AuditRecord er = AuditBase(kind);
+    er.query = q;
+    er.host = host;
+    AuditAppend(std::move(er));
+  }
+  scheduler_.Enqueue(q);
+  ++outcome->evicted;
+  ++stats_.evictions;
 }
 
 Status PlanningService::HandleSelfMeasurement(EventOutcome* outcome) {

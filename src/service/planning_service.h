@@ -177,12 +177,12 @@ struct ServiceStats {
   /// reject.exhausted.
   int64_t catalog_exhausted = 0;
   /// Degraded-mode solving (docs/ARCHITECTURE.md "Durability & degraded
-  /// modes"): MILP solves that breached the per-solve wall budget
-  /// (planner.solve_deadline_ms) and committed a best-incumbent or
+  /// modes"): MILP solves that breached their wall budget
+  /// (planner.timeout_ms per query) and committed a best-incumbent or
   /// fell through, and admissions that came from the greedy heuristic
   /// fallback instead of a MILP solution. Wall-clock-driven with a
   /// positive budget (hence excluded from replay-invariance ties, like
-  /// the watchdog counters); deterministic under the negative
+  /// the watchdog counters); deterministic under the zero,
   /// instantly-expired test budget.
   int64_t solver_deadline_breaches = 0;
   int64_t heuristic_fallbacks = 0;
@@ -479,6 +479,12 @@ class PlanningService {
   Status HandleHostFailure(const Event& event, EventOutcome* outcome);
   Status HandleHostJoin(const Event& event, EventOutcome* outcome);
   Status HandleMonitorReport(const Event& event, EventOutcome* outcome);
+
+  /// Eviction sink of drift cycles and host failures: journals `q` under
+  /// `kind` (scoped to `host`, kInvalidHost for none), queues it for
+  /// re-admission and counts it.
+  void QueueEvicted(StreamId q, const char* kind, HostId host,
+                    EventOutcome* outcome);
 
   /// Shared §IV-B sink of measured data — scripted monitor reports and
   /// closed-loop self-measurements alike: Analyze, then RunDriftCycle

@@ -582,10 +582,10 @@ TEST(DurabilityDegradedTest, ServiceRejectsArrivalsOnExhaustedCatalog) {
 TEST(DurabilityDegradedTest, ExpiredSolveDeadlineStillCommitsValidPlans) {
   Scenario s = MakeScenario(4, /*num_events=*/30);
   ServiceOptions options = DeterministicOptions();
-  // The deterministic lever: a negative budget is an already-expired
+  // The deterministic lever: a zero budget is an already-expired
   // deadline, so EVERY solve breaches immediately — the strongest
   // possible overrun, on every event of the trace.
-  options.planner.solve_deadline_ms = -1;
+  options.planner.timeout_ms = 0;
 
   PlanningService service(s.cluster.get(), s.catalog.get(), options);
   for (const Event& e : s.trace) ASSERT_TRUE(service.Enqueue(e).ok());

@@ -119,7 +119,7 @@ TEST(IntegrationTest, SubsetWithSourceHostsAdmits) {
   ASSERT_TRUE(result.has_solution());
   ASSERT_TRUE(mip.Serves(result.x, f.abc));
 
-  ASSERT_TRUE(mip.Commit(result.x, &dep).ok());
+  ASSERT_TRUE(dep.Apply(mip.SolutionDelta(result.x, dep)).ok());
   EXPECT_TRUE(dep.Validate().ok());
   Result<QueryPlan> plan = ExtractPlan(dep, f.abc);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -150,7 +150,7 @@ TEST(IntegrationTest, MemoryRowsInteractWithSubset) {
   const milp::MipResult result = solver.Solve(mip.mip(), solver_options);
   ASSERT_TRUE(result.has_solution());
   if (mip.Serves(result.x, ab)) {
-    ASSERT_TRUE(mip.Commit(result.x, &dep).ok());
+    ASSERT_TRUE(dep.Apply(mip.SolutionDelta(result.x, dep)).ok());
     EXPECT_TRUE(dep.Validate().ok());
     // Host 0 fits no 2.5 MB join window in 2 MB: the join must sit on
     // host 1.

@@ -45,7 +45,9 @@ TEST(MemoryDeploymentTest, PlaceAndRemoveTrackMemory) {
   EXPECT_DOUBLE_EQ(dep.MemUsed(0), 0.0);
   ASSERT_TRUE(dep.PlaceOperator(0, join).ok());
   EXPECT_DOUBLE_EQ(dep.MemUsed(0), catalog.op(join).mem_mb);
-  ASSERT_TRUE(dep.RemoveOperator(0, join).ok());
+  DeploymentDelta remove;
+  remove.ops_removed.emplace_back(0, join);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_DOUBLE_EQ(dep.MemUsed(0), 0.0);
 }
 

@@ -405,7 +405,7 @@ TEST_P(SqprOracleTest, PlannerModelMatchesBestEnumeratedPlan) {
 
   // The chosen plan commits to a deployment that passes the audit.
   Deployment committed(&cluster, &catalog);
-  ASSERT_TRUE(mip.Commit(r.x, &committed).ok());
+  ASSERT_TRUE(committed.Apply(mip.SolutionDelta(r.x, committed)).ok());
   EXPECT_TRUE(committed.Validate().ok()) << committed.Validate().ToString();
 }
 

@@ -40,7 +40,9 @@ TEST(DeploymentTest, FlowAccounting) {
   EXPECT_DOUBLE_EQ(dep.NicOutUsed(0), 10.0);
   EXPECT_DOUBLE_EQ(dep.NicInUsed(1), 10.0);
   EXPECT_DOUBLE_EQ(dep.LinkUsed(0, 1), 10.0);
-  ASSERT_TRUE(dep.RemoveFlow(0, 1, f.a).ok());
+  DeploymentDelta remove;
+  remove.flows_removed.emplace_back(0, 1, f.a);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_DOUBLE_EQ(dep.NicOutUsed(0), 0.0);
   EXPECT_EQ(dep.num_flows(), 0);
 }
@@ -59,7 +61,9 @@ TEST(DeploymentTest, OperatorAccounting) {
   ASSERT_TRUE(dep.PlaceOperator(0, f.join_ab).ok());
   EXPECT_DOUBLE_EQ(dep.CpuUsed(0), f.catalog.op(f.join_ab).cpu_cost);
   EXPECT_FALSE(dep.PlaceOperator(0, f.join_ab).ok());  // duplicate
-  ASSERT_TRUE(dep.RemoveOperator(0, f.join_ab).ok());
+  DeploymentDelta remove;
+  remove.ops_removed.emplace_back(0, f.join_ab);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_DOUBLE_EQ(dep.CpuUsed(0), 0.0);
 }
 
@@ -173,7 +177,12 @@ TEST(DeploymentTest, VersionCountsEverySuccessfulMutation) {
   // Failed mutators do not move the version.
   EXPECT_FALSE(dep.AddFlow(0, 1, f.a).ok());
   EXPECT_EQ(dep.version(), v0 + 1);
-  ASSERT_TRUE(dep.RemoveFlow(0, 1, f.a).ok());
+  DeploymentDelta remove;
+  remove.flows_removed.emplace_back(0, 1, f.a);
+  ASSERT_TRUE(dep.Apply(remove).ok());
+  EXPECT_EQ(dep.version(), v0 + 2);
+  // A removal already gone is skipped and does not move it either.
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_EQ(dep.version(), v0 + 2);
   // Ledger recomputes move the full version but not the structural
   // one — the PlanCache staleness key must ignore pure rate installs
@@ -286,12 +295,14 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   ASSERT_TRUE(base.AddFlow(1, 0, f.b).ok());
 
   Deployment next = base;
-  ASSERT_TRUE(next.RemoveFlow(1, 0, f.b).ok());
+  DeploymentDelta drop;
+  drop.flows_removed.emplace_back(1, 0, f.b);
+  ASSERT_TRUE(next.Apply(drop).ok());
   ASSERT_TRUE(next.AddFlow(0, 1, f.a).ok());
   ASSERT_TRUE(next.PlaceOperator(1, f.join_ab).ok());
   ASSERT_TRUE(next.SetServing(f.ab, 1).ok());
 
-  // The diff from base to next, in ApplyDeploymentDelta's order.
+  // The diff from base to next, in Apply's order.
   DeploymentDelta delta;
   delta.flows_removed.emplace_back(1, 0, f.b);
   delta.serving_changes.push_back({f.ab, kInvalidHost, 1});
@@ -301,7 +312,7 @@ TEST(DeploymentDeltaTest, DiffThenApplyReproducesTheTarget) {
   EXPECT_TRUE(DeploymentDelta().empty());
 
   Deployment replay = base;
-  ASSERT_TRUE(ApplyDeploymentDelta(delta, &replay).ok());
+  ASSERT_TRUE(replay.Apply(delta).ok());
   EXPECT_EQ(replay.Fingerprint(), next.Fingerprint());
   EXPECT_TRUE(replay.Validate().ok());
 }
@@ -318,7 +329,7 @@ TEST(DeploymentDeltaTest, ApplySkipsWorkAnotherCommitAlreadyDid) {
   // instead of failing.
   Deployment live = base;
   ASSERT_TRUE(live.PlaceOperator(0, f.join_ab).ok());
-  ASSERT_TRUE(ApplyDeploymentDelta(delta, &live).ok());
+  ASSERT_TRUE(live.Apply(delta).ok());
   EXPECT_EQ(live.Fingerprint(), next.Fingerprint());
 }
 
@@ -330,12 +341,18 @@ TEST(DeploymentDeltaTest, ApplyConflictsWhenServingDrifted) {
   delta.serving_changes.push_back({f.ab, kInvalidHost, 0});
 
   // The deployment serves ab elsewhere: the delta's `before` does not
-  // match and the apply must refuse.
+  // match and the apply must refuse before changing anything, even the
+  // removal listed ahead of the serving change.
+  delta.flows_removed.emplace_back(0, 1, f.ab);
   Deployment live = base;
   ASSERT_TRUE(live.AddFlow(0, 1, f.ab).ok());
   ASSERT_TRUE(live.SetServing(f.ab, 1).ok());
-  const Status st = ApplyDeploymentDelta(delta, &live);
+  const std::string fingerprint = live.Fingerprint();
+  const uint64_t version = live.version();
+  const Status st = live.Apply(delta);
   EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_EQ(live.Fingerprint(), fingerprint);
+  EXPECT_EQ(live.version(), version);
 }
 
 }  // namespace

@@ -300,7 +300,9 @@ TEST(PlanCacheTest, RemovalUngroundsAChainAcrossAFlow) {
 
   // Removing the producer at the root un-grounds ab at hosts 0 and 1
   // and, through the downstream join and flow, abc at hosts 1 and 2.
-  ASSERT_TRUE(dep.RemoveOperator(0, f.join_ab).ok());
+  DeploymentDelta remove;
+  remove.ops_removed.emplace_back(0, f.join_ab);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_TRUE(LookupsMatchReference(dep, cache));
   EXPECT_FALSE(cache.FindMaterialized(f.ab, nullptr));
   EXPECT_FALSE(cache.FindMaterialized(f.abc, nullptr));
@@ -322,8 +324,10 @@ TEST(PlanCacheTest, RemovalKeepsStreamsWithAnotherSupport) {
 
   // Host 0 loses its producer and its flow: ab un-grounds there only;
   // host 2 keeps it through the flow from host 1.
-  ASSERT_TRUE(dep.RemoveFlow(0, 2, f.ab).ok());
-  ASSERT_TRUE(dep.RemoveOperator(0, f.join_ab).ok());
+  DeploymentDelta remove;
+  remove.flows_removed.emplace_back(0, 2, f.ab);
+  remove.ops_removed.emplace_back(0, f.join_ab);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_TRUE(LookupsMatchReference(dep, cache));
   PlanCache::Hit hit;
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
@@ -345,7 +349,9 @@ TEST(PlanCacheTest, RemovalUngroundsAFlowCycleThatLostItsRoot) {
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
   ASSERT_EQ(hit.hosts, (std::vector<HostId>{0, 1, 2}));
 
-  ASSERT_TRUE(dep.RemoveFlow(0, 1, f.ab).ok());
+  DeploymentDelta remove;
+  remove.flows_removed.emplace_back(0, 1, f.ab);
+  ASSERT_TRUE(dep.Apply(remove).ok());
   EXPECT_TRUE(LookupsMatchReference(dep, cache));
   ASSERT_TRUE(cache.FindMaterialized(f.ab, &hit));
   EXPECT_EQ(hit.hosts, (std::vector<HostId>{0}));
@@ -604,7 +610,7 @@ TEST(PlanningServiceTest, PlanCacheCountersAndEvictHostInvalidation) {
   EXPECT_TRUE(dedup.already_served);
   EXPECT_EQ(fx.service->plan_cache().exact_hits(), 2);
 
-  // Failures purge both hosts (EvictHost under each handler): the
+  // Failures purge both hosts (PurgeHost under each handler): the
   // lookup must find nothing materialised any more, and a fresh arrival
   // of the former hit is a plain miss.
   fx.StepOne(Event::HostFailure(t++, 0));
@@ -674,7 +680,7 @@ TEST(PlanningServiceTest, CacheMissArrivalOverlapsInFlightRound) {
   EXPECT_EQ(fx.service->stats().commit_conflicts, 0);
 }
 
-// An EvictHost (host failure) arriving while a re-planning round is
+// A host failure (eviction and purge) arriving while a re-planning round is
 // pending. The service must commit the round before the host's budgets
 // are zeroed, skip the round queries that departed since the pop, and
 // keep the committed deployment valid throughout — with the same final
@@ -1086,13 +1092,13 @@ TEST(PlanningServiceTest, PlanCacheLookupMatchesGroundedScanOnRandomizedTraces) 
   // cycles — every catalog stream's lookup must equal the brute-force
   // reference built from the committed deployment. Queries of arity 2-4
   // over few base streams overlap often enough to arrive for streams
-  // materialised but unserved and to find partial hits. A solve budget of -1
+  // materialised but unserved and to find partial hits. A solve budget of 0
   // expires every solve at once, so each admission comes from the
   // greedy fallback's diff instead.
   const std::vector<std::pair<uint64_t, int64_t>> runs = {
-      {3, 0}, {11, 0}, {29, 0}, {3, -1}, {11, -1}, {29, -1}};
+      {3, 60000}, {11, 60000}, {29, 60000}, {3, 0}, {11, 0}, {29, 0}};
   int64_t materialized_hits = 0, partial_hits = 0;
-  for (const auto& [seed, solve_deadline_ms] : runs) {
+  for (const auto& [seed, timeout_ms] : runs) {
     Cluster cluster(3, HostSpec{0.8, 70.0, 70.0, ""}, 140.0);
     Catalog catalog(CostModel{});
     WorkloadConfig wc;
@@ -1112,9 +1118,8 @@ TEST(PlanningServiceTest, PlanCacheLookupMatchesGroundedScanOnRandomizedTraces) 
     ASSERT_TRUE(trace.ok());
 
     ServiceOptions options;
-    options.planner.timeout_ms = 60000;
+    options.planner.timeout_ms = timeout_ms;
     options.planner.max_nodes = 150;
-    options.planner.solve_deadline_ms = solve_deadline_ms;
     PlanningService service(&cluster, &catalog, options);
     for (const Event& e : *trace) ASSERT_TRUE(service.Enqueue(e).ok());
     int step = 0;
@@ -1131,7 +1136,7 @@ TEST(PlanningServiceTest, PlanCacheLookupMatchesGroundedScanOnRandomizedTraces) 
 
     EXPECT_GT(service.stats().departures + service.stats().evictions, 0)
         << "seed " << seed;
-    if (solve_deadline_ms < 0) {
+    if (timeout_ms == 0) {
       EXPECT_GT(service.stats().heuristic_fallbacks, 0) << "seed " << seed;
     }
     // Exact hits that were not dedups: materialised but unserved.

@@ -117,7 +117,7 @@ TEST(SqprMipTest, SolveAndCommitRoundTrip) {
   ASSERT_TRUE(mip.Serves(result.x, f.ab));
 
   Deployment target = dep;
-  ASSERT_TRUE(mip.Commit(result.x, &target).ok());
+  ASSERT_TRUE(target.Apply(mip.SolutionDelta(result.x, target)).ok());
   EXPECT_TRUE(target.Validate().ok());
   EXPECT_NE(target.ServingHost(f.ab), kInvalidHost);
   EXPECT_GT(target.num_placed_operators(), 0);
@@ -170,7 +170,7 @@ TEST(SqprMipTest, CpuResidualBlocksSecondOperator) {
   ASSERT_TRUE(result.has_solution());
   ASSERT_TRUE(mip.Serves(result.x, f.ab));
   Deployment target = dep;
-  ASSERT_TRUE(mip.Commit(result.x, &target).ok());
+  ASSERT_TRUE(target.Apply(mip.SolutionDelta(result.x, target)).ok());
   EXPECT_TRUE(target.Validate().ok());
   // The new join cannot share host 0 (CPU residual 0.5 gamma).
   for (OperatorId o : f.closure.operators) {
@@ -204,7 +204,7 @@ TEST(SqprMipTest, AvailabilityPinForFixedConsumer) {
   auto result = solver.Solve(mip.mip(), options);
   ASSERT_TRUE(result.has_solution());
   Deployment target = dep;
-  ASSERT_TRUE(mip.Commit(result.x, &target).ok());
+  ASSERT_TRUE(target.Apply(mip.SolutionDelta(result.x, target)).ok());
   // The fixed consumer must still be supported after the commit.
   EXPECT_TRUE(target.Validate().ok());
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Runs sqpr_service and sqpr_plan with malformed, non-finite and
 out-of-range flag values: each must exit 2 with the quoted
-"FLAG: VALUE" error before doing any work. Out-of-range counts are
+"FLAG: VALUE" error before doing any work, and sqpr_service must
+reject a removed flag as unknown. Out-of-range counts are
 rejected while parsing, so no case allocates a large cluster or catalog.
 A well-formed run of each tool must still exit 0. sqpr_solve must exit
 2 on a hostile MPS file (crossed or NaN bounds), with an error that
@@ -42,7 +43,6 @@ SERVICE_BAD = [
     ("--budget-ms", "solve=abc"), ("--budget-ms", "solve=nan"),
     ("--budget-ms", "solve=0"), ("--budget-ms", "solve"),
     ("--checkpoint-every", "-1"), ("--checkpoint-every", "5x"),
-    ("--solve-deadline-ms", "soon"), ("--solve-deadline-ms", "1.5"),
 ]
 
 PLAN_BAD = [
@@ -121,11 +121,17 @@ def main():
         check(service, flag, value, problems)
     for flag, value in COMMON_BAD + PLAN_BAD:
         check(plan, flag, value, problems)
+    # A removed flag is unknown.
+    proc = subprocess.run([service, "--solve-deadline-ms", "-1"],
+                          capture_output=True, text=True, timeout=10)
+    if proc.returncode != 2 or "unknown flag" not in proc.stderr:
+        problems.append(f"removed --solve-deadline-ms: exit "
+                        f"{proc.returncode}, stderr {proc.stderr.strip()!r}")
 
     good = [
         [service, "--hosts", "2", "--streams", "4", "--queries", "4",
          "--events", "5", "--cpu", "0.8", "--seed", "7",
-         "--solve-deadline-ms", "-1", "--arities", "2"],
+         "--timeout-ms", "0", "--arities", "2"],
         [plan, "--hosts", "2", "--streams", "4", "--queries", "3",
          "--mem", "-1", "--arities", "2,3"],
     ]
@@ -138,8 +144,8 @@ def main():
     for p in problems:
         print("FAIL:", p)
     cases = len(COMMON_BAD) * 2 + len(SERVICE_BAD) + len(PLAN_BAD)
-    print(f"{cases} bad values, {mps_cases} bad MPS files, {len(good) + 1} "
-          f"good runs, {len(problems)} problems")
+    print(f"{cases} bad values, 1 removed flag, {mps_cases} bad MPS files, "
+          f"{len(good) + 1} good runs, {len(problems)} problems")
     return 1 if problems else 0
 
 

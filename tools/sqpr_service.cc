@@ -78,7 +78,6 @@ struct Args {
   std::string checkpoint_out_path;  // crash-durable service checkpoint
   int64_t checkpoint_every = 0;     // events between checkpoints (0 = final only)
   std::string restore_path;         // resume from a checkpoint
-  int64_t solve_deadline_ms = 0;    // degraded-mode solve budget (0 = off)
   bool verbose = false;
 };
 
@@ -142,7 +141,13 @@ void Usage(std::FILE* out) {
       "drift scale in [0.5, 2.5] over 2 base streams per report.\n"
       "\n"
       "Service flags:\n"
-      "  --timeout-ms N   per-query MILP solver deadline (default 150)\n"
+      "  --timeout-ms N   per-query MILP solver deadline (default 150).\n"
+      "                   On expiry the solver returns its best incumbent\n"
+      "                   (or falls back to the greedy heuristic);\n"
+      "                   breaches are reason-coded in the audit journal\n"
+      "                   and counted in solver_deadline_breaches /\n"
+      "                   heuristic_fallbacks. 0 expires every solve at\n"
+      "                   once, a deterministic degraded-mode replay\n"
       "  --max-nodes N    branch-and-bound node budget per solve; combine\n"
       "                   with a large --timeout-ms for bit-for-bit\n"
       "                   reproducible replays independent of machine\n"
@@ -256,18 +261,6 @@ void Usage(std::FILE* out) {
       "                   a quoted error on stderr — never an abort.\n"
       "                   Unknown JSON fields are ignored (forward\n"
       "                   compatibility)\n"
-      "  --solve-deadline-ms N\n"
-      "                   degraded-mode solving: give each MILP solve a\n"
-      "                   wall-clock deadline of N ms on top of\n"
-      "                   --timeout-ms. On breach the solver returns its\n"
-      "                   best incumbent (or falls back to the greedy\n"
-      "                   heuristic) instead of overrunning the round;\n"
-      "                   breaches are reason-coded in the audit journal\n"
-      "                   and counted in solver_deadline_breaches /\n"
-      "                   heuristic_fallbacks (0 = off; negative forces\n"
-      "                   an instantly-expired deadline on every solve,\n"
-      "                   the deterministic lever the degraded-mode tests\n"
-      "                   use)\n"
       "\n"
       "The SQPR_FAULT=<point>:<n> environment variable (see\n"
       "src/common/fault.h) kills the process with exit code 43 at the\n"
@@ -423,11 +416,6 @@ int main(int argc, char** argv) {
       }
     } else if (flag == "--restore" && (v = next())) {
       args.restore_path = v;
-    } else if (flag == "--solve-deadline-ms" && (v = next())) {
-      if (!cli::IntFlag(flag.c_str(), v, -kMaxMs, kMaxMs,
-                        &args.solve_deadline_ms)) {
-        return 2;
-      }
     } else if (flag == "--verbose") {
       args.verbose = true;
     } else {
@@ -501,7 +489,6 @@ int main(int argc, char** argv) {
 
   ServiceOptions options;
   options.planner.timeout_ms = args.timeout_ms;
-  options.planner.solve_deadline_ms = args.solve_deadline_ms;
   if (args.max_nodes > 0) options.planner.max_nodes = args.max_nodes;
   options.replan.max_queries_per_round = args.replan_round;
   options.closed_loop = args.closed_loop;
@@ -726,8 +713,7 @@ int main(int argc, char** argv) {
                   MeasureModeName(args.measure_mode));
     }
   }
-  if (args.solve_deadline_ms != 0 || stats.solver_deadline_breaches > 0 ||
-      stats.catalog_exhausted > 0) {
+  if (stats.solver_deadline_breaches > 0 || stats.catalog_exhausted > 0) {
     std::printf("degraded modes: %lld solver deadline breaches, %lld "
                 "heuristic fallbacks, %lld catalog-exhausted rejections\n",
                 static_cast<long long>(stats.solver_deadline_breaches),
