@@ -211,17 +211,34 @@ bool AdmissionHopeless(const Deployment& base,
           continue;
         }
         if (r.nic_out[h] < q_rate - kTol) continue;
+        // Distinct base inputs of o that must flow into h: not injected
+        // there, and no operator can produce them.
+        auto must_arrive = [&](size_t i) {
+          if (i > 0 && op.inputs[i - 1] == op.inputs[i]) return false;
+          const StreamInfo& in = catalog.stream(op.inputs[i]);
+          return in.is_base && in.source_host != h &&
+                 catalog.ProducersOf(op.inputs[i]).empty();
+        };
         double inflow = 0.0;
+        bool sendable = true;
         for (size_t i = 0; i < op.inputs.size(); ++i) {
-          const StreamId s = op.inputs[i];
-          if (i > 0 && op.inputs[i - 1] == s) continue;  // counted once
-          const StreamInfo& in = catalog.stream(s);
-          if (in.is_base && in.source_host != h &&
-              catalog.ProducersOf(s).empty()) {
-            inflow += in.rate_mbps;
+          if (!must_arrive(i)) continue;
+          const StreamInfo& in = catalog.stream(op.inputs[i]);
+          inflow += in.rate_mbps;
+          // Its source host must send it, and every other such input it
+          // injects, on its own NIC-out budget.
+          const HostId src = in.source_host;
+          if (src < 0 || src >= cluster.num_hosts()) continue;
+          double sent = 0.0;
+          for (size_t j = 0; j < op.inputs.size(); ++j) {
+            if (must_arrive(j) &&
+                catalog.stream(op.inputs[j]).source_host == src) {
+              sent += catalog.stream(op.inputs[j]).rate_mbps;
+            }
           }
+          if (cluster.host(src).nic_out_mbps < sent - kTol) sendable = false;
         }
-        if (r.nic_in[h] < inflow - kTol) continue;
+        if (!sendable || r.nic_in[h] < inflow - kTol) continue;
         return false;  // o might run at h: q is not hopeless
       }
     }

@@ -82,7 +82,11 @@ ResidualCapacity ComputeResidualCapacity(
 ///             has r.mem[h] < mem_o − tol for mem_o > 0;
 ///  * nic out: r.nic_out[h] < rate(q) − tol;
 ///  * nic in:  r.nic_in[h] < Σ rate(s) − tol over o's base inputs s not
-///             injected at h.
+///             injected at h;
+///  * sender:  for some source host g of those inputs, g's NIC-out
+///             budget β_g < Σ rate(s) − tol over the ones injected at g.
+///             A failed host has every budget zeroed, so no query that
+///             must receive a base stream from it passes.
 ///
 /// Why this is implied by the model: serving q needs d_hq = 1, hence
 /// y_hq = 1 (III.4a). q has no base injection and, all producers being
@@ -97,7 +101,14 @@ ResidualCapacity ComputeResidualCapacity(
 ///    coefficient rate(q) in h*'s NIC-out row (III.6c);
 ///  * (III.5b) needs every input of o at h*; a base input not injected
 ///    at h* has no producer, so it needs an inflow, each distinct one
-///    with coefficient rate(s) in h*'s NIC-in row (III.6b).
+///    with coefficient rate(s) in h*'s NIC-in row (III.6b);
+///  * such an input s is available only where it is injected (its
+///    source g) or received, so by acyclicity its chain of inflows to
+///    h* starts with some x_gms = 1, with coefficient rate(s) in g's
+///    NIC-out row (III.6c). Distinct inputs injected at g need distinct
+///    flows, so their rates add; the row's right-hand side r.nic_out[g]
+///    is at most β_g (the committed load it adds back is part of
+///    NicOutUsed(g)), and its other terms are non-negative.
 /// Incumbents must meet every row within 1e-6 after rounding (the
 /// solver's acceptance tolerance and Deployment::Validate's), so a
 /// violation by more than tol excludes every incumbent; the greedy

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "milp/solver.h"
+#include "planner/sqpr/model_builder.h"
 #include "planner/sqpr/sqpr_planner.h"
 #include "workload/generator.h"
 
@@ -157,6 +162,72 @@ TEST(HierarchicalTest, OperatorsStayWithinAssignedSubset) {
   for (HostId h = 2; h < 6; ++h) {
     EXPECT_TRUE(planner.deployment().OperatorsOn(h).empty()) << h;
     EXPECT_DOUBLE_EQ(planner.deployment().CpuUsed(h), 0.0) << h;
+    EXPECT_DOUBLE_EQ(planner.deployment().NicOutUsed(h), 0.0) << h;
+  }
+}
+
+// A query reading a base stream whose source host has failed (zero
+// budgets) cannot be served: the stream enters the cluster only there.
+// Under a §VII host subset the exact admission screen rejects it before
+// any model is built, and the full model restricted to the same subset
+// agrees; once the host rejoins, the same query is admitted inside its
+// subset. The join is two-way: the screen reads a producer's base
+// inputs, not the inputs of the composite streams it consumes.
+TEST(HierarchicalTest, QueryReadingAFailedBorderSourceIsScreened) {
+  Catalog catalog(CostModel{});
+  Cluster cluster(6, HostSpec{1.0, 200.0, 200.0, ""}, 400.0);
+  const StreamId a = catalog.AddBaseStream(0, 10.0, "a");
+  const StreamId c = catalog.AddBaseStream(2, 10.0, "c");
+  const StreamId ac = *catalog.CanonicalJoinStream({a, c});
+  SqprPlanner::Options planner_options;
+  planner_options.timeout_ms = 60000;
+  planner_options.max_nodes = 2000;
+  HierarchicalPlanner::Options options;
+  options.num_sites = 3;  // sites {0,1} {2,3} {4,5}
+  options.planner = planner_options;
+  HierarchicalPlanner planner(&cluster, &catalog, options);
+  ASSERT_EQ(*planner.AssignSite(ac), 0);
+  // Site 0 plus c's source, the border host 2.
+  const std::vector<HostId> subset = {0, 1, 2};
+
+  const HostSpec healthy = cluster.host(2);
+  HostSpec dead;
+  dead.cpu = 0.0;
+  dead.mem_mb = 0.0;
+  cluster.SetHostSpec(2, dead);
+
+  const Closure closure = *catalog.JoinClosure(ac);
+  std::vector<StreamId> streams = closure.streams;
+  std::vector<OperatorId> operators = closure.operators;
+  std::sort(streams.begin(), streams.end());
+  std::sort(operators.begin(), operators.end());
+  const Deployment& committed = planner.deployment();
+  ASSERT_TRUE(AdmissionHopeless(committed, streams, operators, {ac}));
+  SqprMip mip(committed, streams, operators, {{ac, /*must_serve=*/false}},
+              planner_options.model, subset);
+  SqprMip::CycleCutHandler handler(&mip);
+  milp::SolverOptions solver_options;
+  solver_options.lazy = &handler;
+  const milp::MipResult r = milp::Solver().Solve(mip.mip(), solver_options);
+  ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
+  EXPECT_FALSE(mip.Serves(r.x, ac));
+
+  const std::string before = committed.Fingerprint();
+  Result<PlanningStats> rejected = planner.SubmitQuery(ac);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_TRUE(rejected->screened);
+  EXPECT_FALSE(rejected->admitted);
+  EXPECT_EQ(rejected->solver_nodes, 0);
+  EXPECT_EQ(planner.deployment().Fingerprint(), before);
+
+  cluster.SetHostSpec(2, healthy);
+  Result<PlanningStats> admitted = planner.SubmitQuery(ac);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  EXPECT_FALSE(admitted->screened);
+  EXPECT_TRUE(admitted->admitted);
+  EXPECT_TRUE(planner.deployment().Validate().ok());
+  for (HostId h = 3; h < 6; ++h) {
+    EXPECT_TRUE(planner.deployment().OperatorsOn(h).empty()) << h;
     EXPECT_DOUBLE_EQ(planner.deployment().NicOutUsed(h), 0.0) << h;
   }
 }

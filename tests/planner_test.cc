@@ -10,6 +10,7 @@
 
 #include "model/catalog.h"
 #include "model/cluster.h"
+#include "monitor/resource_monitor.h"
 #include "plan/query_plan.h"
 #include "planner/heuristic/heuristic_planner.h"
 #include "planner/heuristic/join_trees.h"
@@ -654,9 +655,14 @@ TEST(SqprInPlaceTest, RejectedSolveLeavesDeploymentUntouched) {
 // the screen rejects is re-solved as the full reduced MILP on the same
 // committed deployment, which must prove that it admits nothing; the
 // planner must report the screen's verdict and commit nothing. The relay,
-// no-relay and potentials formulations take turns.
+// no-relay and potentials formulations take turns. Mid-trace one host
+// fails (zero budgets, then EvictOverBudget and PurgeHost, as the
+// service handles it) and later rejoins: the evicted queries, and the
+// arrivals in between, that read a base stream injected at the failed
+// host are screened on the sender side and re-solved the same way.
 TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
   int screened = 0;
+  int source_down = 0;  // verdicts on a query reading from the failed host
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Scenario s(3, 8, /*cpu=*/0.2, /*nic=*/40.0, /*link=*/60.0);
     Rng rng(seed);
@@ -666,21 +672,15 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
     options.model.enable_relay = seed % 3 != 1;
     if (seed % 3 == 2) options.model.acyclicity = AcyclicityMode::kPotentials;
     SqprPlanner planner = s.MakeSqpr(options);
-    for (int step = 0; step < 40; ++step) {
-      const std::vector<StreamId>& admitted = planner.admitted_queries();
-      if (!admitted.empty() && rng.NextBounded(4) == 0) {
-        const StreamId victim = admitted[rng.NextBounded(admitted.size())];
-        ASSERT_TRUE(planner.RemoveQuery(victim).ok());
-        continue;
-      }
-      std::vector<StreamId> leaves = s.base;
-      for (size_t i = 0; i < 3; ++i) {  // a random 2- or 3-way join
-        std::swap(leaves[i], leaves[i + rng.NextBounded(leaves.size() - i)]);
-      }
-      leaves.resize(2 + rng.NextBounded(2));
-      const StreamId q = s.Join(leaves);
+    const HostId failed = static_cast<HostId>(seed % 3);
+    const HostSpec healthy = s.cluster.host(failed);
+    bool down = false;
+
+    // Screens q against the full model, then submits it.
+    auto submit = [&](StreamId q, int step) {
       ASSERT_TRUE(planner.WarmCatalog(q).ok());
       const Deployment& committed = planner.deployment();
+      const std::vector<StreamId>& admitted = planner.admitted_queries();
 
       // The relevant sets and demands of the planner's solve.
       const Closure closure = *s.catalog.JoinClosure(q);
@@ -699,6 +699,14 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
           !served && AdmissionHopeless(committed, streams, operators, {q});
       if (hopeless) {
         ++screened;
+        if (down) {
+          for (StreamId leaf : s.catalog.stream(q).leaves) {
+            if (s.catalog.stream(leaf).source_host == failed) {
+              ++source_down;
+              break;
+            }
+          }
+        }
         SqprMip mip(committed, streams, operators, demands, options.model);
         SqprMip::CycleCutHandler handler(&mip);
         const std::vector<double> warm = mip.WarmStart();
@@ -724,10 +732,54 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
         EXPECT_EQ(stats->solver_nodes, 0);
         EXPECT_EQ(planner.deployment().Fingerprint(), before);
       }
+    };
+
+    for (int step = 0; step < 40; ++step) {
+      if (step == 12) {  // the host fails
+        HostSpec dead;
+        dead.cpu = 0.0;
+        dead.mem_mb = 0.0;
+        s.cluster.SetHostSpec(failed, dead);
+        down = true;
+        std::vector<StreamId> evicted;
+        ASSERT_TRUE(EvictOverBudget(&planner, [&](StreamId q) {
+                      evicted.push_back(q);
+                    }).ok());
+        const Result<std::vector<StreamId>> purged = planner.PurgeHost(failed);
+        ASSERT_TRUE(purged.ok()) << purged.status().ToString();
+        ASSERT_TRUE(planner.deployment().Validate().ok())
+            << "seed " << seed << ": over budget after the purge";
+        evicted.insert(evicted.end(), purged->begin(), purged->end());
+        for (StreamId q : evicted) {
+          submit(q, step);
+          if (HasFatalFailure()) return;
+        }
+        continue;
+      }
+      if (step == 28) {  // it rejoins
+        s.cluster.SetHostSpec(failed, healthy);
+        down = false;
+      }
+      const std::vector<StreamId>& admitted = planner.admitted_queries();
+      if (!admitted.empty() && rng.NextBounded(4) == 0) {
+        const StreamId victim = admitted[rng.NextBounded(admitted.size())];
+        ASSERT_TRUE(planner.RemoveQuery(victim).ok());
+        continue;
+      }
+      std::vector<StreamId> leaves = s.base;
+      for (size_t i = 0; i < 3; ++i) {  // a random 2- or 3-way join
+        std::swap(leaves[i], leaves[i + rng.NextBounded(leaves.size() - i)]);
+      }
+      leaves.resize(2 + rng.NextBounded(2));
+      submit(s.Join(leaves), step);
+      if (HasFatalFailure()) return;
     }
   }
-  // Not vacuous: the traces saturate the cluster.
+  // Not vacuous: the traces saturate the cluster, and the failure
+  // screens queries on their down source (31 verdicts; without the
+  // sender condition 3 of them are screened).
   EXPECT_GE(screened, 10);
+  EXPECT_GE(source_down, 20);
 }
 
 }  // namespace

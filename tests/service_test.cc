@@ -566,6 +566,56 @@ TEST(PlanningServiceTest, HostFailureEvictsAndRejoinRestores) {
   EXPECT_TRUE(fx.service->deployment().Validate().ok());
 }
 
+// A base stream enters the cluster only at its source host, so while
+// that host is down no query reading the stream can be served. The
+// failure evicts every such query; the re-planning round's re-admissions
+// are rejected by the exact admission screen (no solver nodes, nothing
+// committed), and after the host rejoins the retried queries are
+// admitted through the MILP.
+TEST(PlanningServiceTest, ReadmissionsReadingAFailedSourceAreScreened) {
+  ServiceOptions options;
+  options.planner.timeout_ms = 60000;
+  options.planner.max_nodes = 200;
+  ServiceFixture fx(3, 1.0, 6, options);
+  const HostId failed = 1;  // the source of bases 1 and 4
+  const std::vector<StreamId> queries = {fx.Join({0, 1}), fx.Join({1, 2}),
+                                         fx.Join({3, 4}), fx.Join({4, 5})};
+  int64_t t = 1;
+  for (StreamId q : queries) {
+    ASSERT_TRUE(fx.StepOne(Event::Arrival(t++, q)).admitted);
+  }
+
+  const ServiceStats before = fx.service->stats();
+  const EventOutcome failure = fx.StepOne(Event::HostFailure(t++, failed));
+  EXPECT_EQ(failure.evicted, static_cast<int>(queries.size()));
+  EXPECT_TRUE(fx.service->admitted_queries().empty());
+  const std::string after_failure = fx.service->deployment().Fingerprint();
+  fx.service->FinishInFlightRound();
+  const ServiceStats screened = fx.service->stats();
+  EXPECT_EQ(screened.replanned_rejected - before.replanned_rejected,
+            static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(screened.screened_rejections - before.screened_rejections,
+            static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(screened.solver_nodes, before.solver_nodes);
+  EXPECT_EQ(screened.rejected_solver_nodes, before.rejected_solver_nodes);
+  EXPECT_EQ(fx.service->deployment().Fingerprint(), after_failure);
+  EXPECT_TRUE(fx.service->admitted_queries().empty());
+
+  fx.StepOne(Event::HostJoin(t++, failed));
+  fx.service->FinishInFlightRound();
+  const ServiceStats& rejoined = fx.service->stats();
+  EXPECT_EQ(rejoined.replanned_admitted - screened.replanned_admitted,
+            static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(rejoined.screened_rejections, screened.screened_rejections);
+  EXPECT_GT(rejoined.solver_nodes, screened.solver_nodes);
+  std::vector<StreamId> admitted = fx.service->admitted_queries();
+  std::sort(admitted.begin(), admitted.end());
+  std::vector<StreamId> expected = queries;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(admitted, expected);
+  EXPECT_TRUE(fx.service->deployment().Validate().ok());
+}
+
 // Plan-cache counter semantics at the service level — miss on first
 // sight, exact hit for a materialised subquery (admitted by a solve),
 // partial hit for a superquery reusing it, dedup exact hit for a
