@@ -68,13 +68,15 @@ int main() {
   if (!drifted.empty()) {
     std::printf("\nre-planning %zu drifted quer%s...\n", drifted.size(),
                 drifted.size() == 1 ? "y" : "ies");
-    auto stats = planner.ReplanQueries(drifted);
-    if (stats.ok()) {
-      for (size_t i = 0; i < drifted.size(); ++i) {
-        std::printf("  %-12s re-admitted=%s\n",
-                    catalog.stream(drifted[i]).name.c_str(),
-                    (*stats)[i].admitted ? "yes" : "no");
-      }
+    const Status removed = planner.RemoveQueries(drifted);
+    if (!removed.ok()) {
+      std::printf("removal failed: %s\n", removed.ToString().c_str());
+      return 1;
+    }
+    for (StreamId q : drifted) {
+      auto stats = planner.SubmitQuery(q);
+      std::printf("  %-12s re-admitted=%s\n", catalog.stream(q).name.c_str(),
+                  stats.ok() && stats->admitted ? "yes" : "no");
     }
   } else {
     std::printf("\nno drift beyond %.0f%% — no re-planning needed\n",
@@ -87,30 +89,41 @@ int main() {
 
   // ---- Act 2: base-rate drift (§IV-B via the ResourceMonitor). ----
   // A source doubles its rate in production. The monitor flags every
-  // query whose leaf set contains it; AdaptiveReplan installs the
-  // measured rate into the catalog (composite rates and operator costs
-  // recompute exactly), refreshes the ledgers and re-admits.
+  // query whose leaf set contains it; RunDriftCycle removes them,
+  // installs the measured rate into the catalog (composite rates and
+  // operator costs recompute exactly) and refreshes the ledgers, and
+  // the removed queries are re-admitted.
   std::printf("\n--- base stream %s doubles to 20 Mbps ---\n",
               catalog.stream(base[0]).name.c_str());
   const std::map<StreamId, double> measured = {{base[0], 20.0}};
   ResourceMonitor monitor(&catalog, DriftOptions{});
-  const DriftReport drift_report = monitor.Analyze(
-      measured, report->cpu_utilization, planner.admitted_queries());
+  const DriftReport drift_report =
+      monitor.Analyze(measured, report->cpu_utilization,
+                      planner.admitted_queries(), planner.deployment());
   std::printf("monitor flags %zu quer%s for re-planning\n",
               drift_report.queries_to_replan.size(),
               drift_report.queries_to_replan.size() == 1 ? "y" : "ies");
 
-  Result<std::vector<PlanningStats>> adaptive =
-      AdaptiveReplan(&planner, &catalog, measured, drift_report);
-  if (!adaptive.ok()) {
-    std::printf("adaptive replan failed: %s\n",
-                adaptive.status().ToString().c_str());
+  std::vector<StreamId> evicted;
+  const Status cycle =
+      RunDriftCycle(&planner, &catalog, measured, drift_report,
+                    [&evicted](StreamId q) { evicted.push_back(q); });
+  if (!cycle.ok()) {
+    std::printf("adaptive replan failed: %s\n", cycle.ToString().c_str());
     return 1;
   }
   int readmitted = 0;
-  for (const PlanningStats& s : *adaptive) readmitted += s.admitted;
+  for (StreamId q : evicted) {
+    Result<PlanningStats> stats = planner.SubmitQuery(q);
+    if (!stats.ok()) {
+      std::printf("re-admission failed: %s\n",
+                  stats.status().ToString().c_str());
+      return 1;
+    }
+    readmitted += stats->admitted;
+  }
   std::printf("re-admitted %d/%zu under the corrected estimates\n",
-              readmitted, adaptive->size());
+              readmitted, evicted.size());
   const Status audit = planner.deployment().Validate();
   std::printf("deployment audit after adaptation: %s\n",
               audit.ToString().c_str());

@@ -33,7 +33,7 @@ DriftReport ResourceMonitor::Analyze(
     const std::map<StreamId, double>& measured_base_rates,
     const std::vector<double>& cpu_utilization,
     const std::vector<StreamId>& admitted,
-    const Deployment* deployment) const {
+    const Deployment& deployment) const {
   DriftReport report;
 
   std::set<StreamId> drifted;
@@ -59,10 +59,8 @@ DriftReport ResourceMonitor::Analyze(
 
   // Affected queries, deduplicated across both §IV-B conditions: a query
   // implicated by a drifted leaf *and* an overloaded host must be
-  // re-planned once per round, not twice. Host shortage maps to queries
-  // only when the committed deployment is supplied; otherwise it is
-  // resolved lazily in AdaptiveReplan. Each query's plan is extracted at
-  // most once, regardless of how many hosts are overloaded.
+  // re-planned once per round, not twice. Each query's plan is extracted
+  // at most once, regardless of how many hosts are overloaded.
   const std::set<HostId> overloaded(report.overloaded_hosts.begin(),
                                     report.overloaded_hosts.end());
   std::set<StreamId> to_replan;
@@ -75,10 +73,7 @@ DriftReport ResourceMonitor::Analyze(
       to_replan.insert(q);
       continue;
     }
-    if (deployment != nullptr &&
-        PlanUsesAnyHost(*deployment, q, overloaded)) {
-      to_replan.insert(q);
-    }
+    if (PlanUsesAnyHost(deployment, q, overloaded)) to_replan.insert(q);
   }
   report.queries_to_replan.assign(to_replan.begin(), to_replan.end());
   return report;
@@ -89,20 +84,25 @@ Status RunDriftCycle(SqprPlanner* planner, Catalog* catalog,
                      const DriftReport& report,
                      const std::function<void(StreamId)>& readmit_sink) {
   // 1. Remove the flagged queries ("considering the system without
-  //    those queries", §IV-B).
-  // RemoveQuery audits the deployment after each removal; while the
-  // cycle is mid-flight the ledgers may legitimately be over budget
-  // (rates grew under committed state), so ResourceExhausted is not
-  // fatal here — the removal itself has been applied.
-  // Defensive dedup: Analyze already emits a unique list, but a caller-
-  // assembled report must not re-plan one query twice per round.
-  std::set<StreamId> seen;
+  //    those queries", §IV-B) in one batch. While the cycle is mid-flight
+  //    the ledgers may legitimately be over budget (rates grew under
+  //    committed state), so ResourceExhausted from the removal audit is
+  //    not fatal — the removal itself has been applied. Analyze already
+  //    emits a unique list, but a caller-assembled report must not
+  //    re-plan one query twice per round. An empty batch would still
+  //    collect garbage, so a report that flags nothing removes nothing.
+  const std::vector<StreamId>& admitted = planner->admitted_queries();
+  std::vector<StreamId> removed;
   for (StreamId q : report.queries_to_replan) {
-    if (!seen.insert(q).second) continue;
-    const Status st = planner->RemoveQuery(q);
-    if (st.IsNotFound()) continue;
+    if (std::find(admitted.begin(), admitted.end(), q) != admitted.end() &&
+        std::find(removed.begin(), removed.end(), q) == removed.end()) {
+      removed.push_back(q);
+    }
+  }
+  if (!removed.empty()) {
+    const Status st = planner->RemoveQueries(removed);
     if (!st.ok() && !st.IsResourceExhausted()) return st;
-    readmit_sink(q);
+    for (StreamId q : removed) readmit_sink(q);
   }
 
   // 2. Install measured rates; costs of still-committed operators may
@@ -142,10 +142,8 @@ Status EvictOverBudget(SqprPlanner* planner,
     }
     if (next < admitted.size()) {
       const StreamId victim = admitted[next];
-      const Status st = planner->RemoveQuery(victim);
-      if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) {
-        return st;
-      }
+      const Status st = planner->RemoveQueries({victim});
+      if (!st.ok() && !st.IsResourceExhausted()) return st;
       sink(victim);
       continue;
     }
@@ -160,27 +158,6 @@ Status EvictOverBudget(SqprPlanner* planner,
     }
   }
   return Status::OK();
-}
-
-Result<std::vector<PlanningStats>> AdaptiveReplan(
-    SqprPlanner* planner, Catalog* catalog,
-    const std::map<StreamId, double>& measured_base_rates,
-    const DriftReport& report) {
-  // Steps 1–3 via the shared cycle, collecting removals for immediate
-  // re-admission (step 4) under the corrected estimates.
-  std::vector<StreamId> removed;
-  SQPR_RETURN_IF_ERROR(
-      RunDriftCycle(planner, catalog, measured_base_rates, report,
-                    [&removed](StreamId q) { removed.push_back(q); }));
-
-  std::vector<PlanningStats> stats;
-  stats.reserve(removed.size());
-  for (StreamId q : removed) {
-    Result<PlanningStats> s = planner->SubmitQuery(q);
-    if (!s.ok()) return s.status();
-    stats.push_back(*s);
-  }
-  return stats;
 }
 
 }  // namespace sqpr

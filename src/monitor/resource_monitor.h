@@ -64,10 +64,8 @@ class ResourceMonitor {
   ///    SimReport::cpu_utilization);
   ///  * `admitted` — currently admitted queries, used to map drifted
   ///    streams to affected queries via their leaf sets;
-  ///  * `deployment` — optional committed state; when provided, queries
-  ///    whose plans touch an overloaded host are also added to the
-  ///    re-planning list (otherwise host shortages map to queries lazily
-  ///    in AdaptiveReplan, where the deployment is available).
+  ///  * `deployment` — the committed state; queries whose plans touch an
+  ///    overloaded host are also added to the re-planning list.
   /// The re-planning list is deduplicated across both conditions.
   /// Boundary semantics: empty inputs are all valid — no measured
   /// rates, no CPU observations, no admitted queries, or an empty
@@ -76,7 +74,7 @@ class ResourceMonitor {
   DriftReport Analyze(const std::map<StreamId, double>& measured_base_rates,
                       const std::vector<double>& cpu_utilization,
                       const std::vector<StreamId>& admitted,
-                      const Deployment* deployment = nullptr) const;
+                      const Deployment& deployment) const;
 
  private:
   const Catalog* catalog_;
@@ -89,13 +87,15 @@ class ResourceMonitor {
 /// drive shortage-triggered eviction.
 HostId FirstOverBudgetHost(const Deployment& deployment, double tol);
 
-/// The shared remove+install+evict core of the §IV-B adaptive cycle,
-/// parameterised on the re-admission sink — the ONE implementation both
-/// §IV-B call sites use (AdaptiveReplan re-admits immediately; the
-/// planning service feeds its bounded-round scheduler):
+/// The §IV-B adaptive cycle — remove, install, evict — parameterised on
+/// the re-admission sink; the ONE driver of that cycle (the planning
+/// service's sink feeds its bounded-round scheduler, a caller wanting
+/// immediate re-admission collects the queries and SubmitQuery's them):
 ///
-///  1. remove the report's re-planning list (deduplicated) from the
-///     deployment, handing each removed query to `readmit_sink`;
+///  1. remove the report's re-planning list (deduplicated, filtered to
+///     admitted queries) from the deployment as one
+///     SqprPlanner::RemoveQueries batch, then hand each removed query to
+///     `readmit_sink`, in list order;
 ///  2. install the measured base rates into the catalog (composite
 ///     rates and operator costs recompute exactly) and refresh the
 ///     deployment's resource ledgers;
@@ -117,17 +117,6 @@ Status RunDriftCycle(SqprPlanner* planner, Catalog* catalog,
 /// the same loop. The sink gets each evicted query, in eviction order.
 Status EvictOverBudget(SqprPlanner* planner,
                        const std::function<void(StreamId)>& sink);
-
-/// Executes the full §IV-B adaptive cycle against a live SQPR planner:
-/// RunDriftCycle (steps 1–3 above) followed by immediate re-admission of
-/// every removed query through the planner (some may now be rejected —
-/// the correct outcome when rates grew).
-///
-/// Returns the re-admission stats in removal order.
-Result<std::vector<PlanningStats>> AdaptiveReplan(
-    SqprPlanner* planner, Catalog* catalog,
-    const std::map<StreamId, double>& measured_base_rates,
-    const DriftReport& report);
 
 }  // namespace sqpr
 

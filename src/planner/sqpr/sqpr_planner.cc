@@ -254,13 +254,32 @@ void SqprPlanner::CommitDelta(const DeploymentDelta& delta) {
                          << valid.ToString();
 }
 
-Status SqprPlanner::RemoveQuery(StreamId query) {
-  auto it = std::find(admitted_.begin(), admitted_.end(), query);
-  if (it == admitted_.end()) {
-    return Status::NotFound("query not admitted");
+Status SqprPlanner::RemoveQueries(const std::vector<StreamId>& batch) {
+  // A sorted copy: `batch` may alias admitted_, which is edited below.
+  std::vector<StreamId> sorted = batch;
+  std::sort(sorted.begin(), sorted.end());
+  for (StreamId q : sorted) {
+    if (std::find(admitted_.begin(), admitted_.end(), q) == admitted_.end()) {
+      return Status::NotFound("query " + std::to_string(q) + " not admitted");
+    }
   }
-  admitted_.erase(it);
-  SQPR_RETURN_IF_ERROR(deployment_.ClearServing(query));
+  const auto twice = std::adjacent_find(sorted.begin(), sorted.end());
+  if (twice != sorted.end()) {
+    return Status::InvalidArgument("query " + std::to_string(*twice) +
+                                   " listed twice");
+  }
+  DeploymentDelta cleared;
+  for (StreamId q : batch) {
+    cleared.serving_changes.push_back(
+        {q, deployment_.ServingHost(q), kInvalidHost});
+  }
+  admitted_.erase(std::remove_if(admitted_.begin(), admitted_.end(),
+                                 [&sorted](StreamId q) {
+                                   return std::binary_search(
+                                       sorted.begin(), sorted.end(), q);
+                                 }),
+                  admitted_.end());
+  SQPR_CHECK_OK(deployment_.Apply(cleared));
   GarbageCollect();
   return deployment_.Validate();
 }
@@ -286,11 +305,10 @@ Result<std::vector<StreamId>> SqprPlanner::PurgeHost(HostId host) {
   }
   SQPR_RETURN_IF_ERROR(deployment_.Apply(purge));
 
-  // The purge may have been the sole support of an admitted query —
-  // evict those, then GC the now-unsupported residue. Which queries
-  // lost their serving is read from the purged deployment before the
-  // first removal changes it. The ledgers may still over-commit a
-  // (shrunken) budget, so ResourceExhausted is not fatal.
+  // The purge may have been the sole support of admitted queries —
+  // which ones is read from the purged deployment. They are removed in
+  // one batch with the now-unsupported residue. The ledgers may still
+  // over-commit a (shrunken) budget, so ResourceExhausted is not fatal.
   std::vector<StreamId> unsupported;
   for (StreamId q : admitted_) {
     const HostId server = deployment_.ServingHost(q);
@@ -298,13 +316,8 @@ Result<std::vector<StreamId>> SqprPlanner::PurgeHost(HostId host) {
       unsupported.push_back(q);
     }
   }
-  for (StreamId q : unsupported) {
-    const Status st = RemoveQuery(q);
-    if (!st.ok() && !st.IsResourceExhausted() && !st.IsNotFound()) return st;
-  }
-  GarbageCollect();
-  const Status valid = deployment_.Validate();
-  if (!valid.ok() && !valid.IsResourceExhausted()) return valid;
+  const Status removed = RemoveQueries(unsupported);
+  if (!removed.ok() && !removed.IsResourceExhausted()) return removed;
   return unsupported;
 }
 
@@ -381,24 +394,6 @@ Status SqprPlanner::WarmCatalog(StreamId query) {
   // enumeration) can reference. Afterwards, solves for this query only
   // ever *find* catalog entries.
   return catalog_->JoinClosure(query).status();
-}
-
-Result<std::vector<PlanningStats>> SqprPlanner::ReplanQueries(
-    const std::vector<StreamId>& queries) {
-  // §IV-B: remove the drifted queries, then re-admit them one by one
-  // against the slimmed-down deployment.
-  for (StreamId q : queries) {
-    const Status removed = RemoveQuery(q);
-    if (!removed.ok() && !removed.IsNotFound()) return removed;
-  }
-  std::vector<PlanningStats> all;
-  all.reserve(queries.size());
-  for (StreamId q : queries) {
-    Result<PlanningStats> stats = SubmitQuery(q);
-    if (!stats.ok()) return stats.status();
-    all.push_back(*stats);
-  }
-  return all;
 }
 
 }  // namespace sqpr

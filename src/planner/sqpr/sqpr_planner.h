@@ -26,7 +26,10 @@ namespace sqpr {
 ///  * a fixed per-query solver timeout after which the best incumbent is
 ///    used, or the query rejected if none admits it (§IV-C);
 ///  * batched submission with an n-fold timeout (Fig. 4(b));
-///  * adaptive re-planning by removing and re-adding queries (§IV-B).
+///  * adaptive re-planning by removing and re-adding queries (§IV-B):
+///    RemoveQueries takes the affected queries out in one batch and
+///    SubmitQuery re-admits them; RunDriftCycle (src/monitor/) is the
+///    one driver of that cycle.
 ///
 /// Every solve runs against the committed deployment and commits in
 /// place: Deployment::Apply takes the solution as the minimal
@@ -104,25 +107,24 @@ class SqprPlanner : public Planner {
       const std::vector<StreamId>& queries,
       const std::vector<HostId>& host_subset = {});
 
-  /// Removes an admitted query and garbage-collects operators and flows
-  /// that no longer support any served stream.
-  Status RemoveQuery(StreamId query);
+  /// Removes admitted queries — the one removal path. Their servings
+  /// are cleared as one delta, then one garbage collection drops the
+  /// operators and flows that no longer support any served stream, and
+  /// the result is audited (Validate). A batch naming a query that is not
+  /// admitted (NotFound) or naming one twice (InvalidArgument) changes
+  /// nothing; an empty batch only collects garbage and audits.
+  Status RemoveQueries(const std::vector<StreamId>& batch);
 
   /// Removes every operator and flow left on `host` as one delta
-  /// (redundant supports the per-query GC keeps), then evicts the
-  /// admitted queries whose serving lost groundedness in the purge and
-  /// returns them, in eviction order, for the caller to re-admit.
+  /// (redundant supports the GC keeps), then removes the admitted
+  /// queries whose serving lost groundedness in the purge as one
+  /// RemoveQueries batch and returns them, in admission order, for the
+  /// caller to re-admit. ResourceExhausted from the audit is tolerated.
   Result<std::vector<StreamId>> PurgeHost(HostId host);
 
   /// Rebuilds the deployment's resource ledgers from the catalog's
   /// current costs — required after Catalog::UpdateBaseRate (§IV-B).
   void RefreshAccounting() { deployment_.RecomputeAggregates(); }
-
-  /// §IV-B adaptive re-planning: conceptually removes the queries and
-  /// re-admits them one by one (e.g. after resource-estimate drift).
-  /// Returns one stats entry per query in order.
-  Result<std::vector<PlanningStats>> ReplanQueries(
-      const std::vector<StreamId>& queries);
 
   /// Pre-interns the join closure of `query` (every subset stream and
   /// binary split operator) so that a subsequent solve for it — MILP

@@ -500,7 +500,7 @@ void PlanningService::HandleDeparture(const Event& event,
   if (it != rejected_recently_.end()) rejected_recently_.erase(it);
 
   const HostId served_at = deployment().ServingHost(event.query);
-  const Status st = planner_.RemoveQuery(event.query);
+  const Status st = planner_.RemoveQueries({event.query});
   // NotFound: never admitted (or already departed). Other hard errors
   // are logged; both leave the deployment untouched.
   const bool removed = st.ok() || st.IsResourceExhausted();
@@ -623,16 +623,15 @@ Status PlanningService::ApplyMonitorData(
     const std::vector<double>& cpu_utilization, EventOutcome* outcome) {
   const DriftReport report =
       monitor_.Analyze(measured_rates, cpu_utilization,
-                       planner_.admitted_queries(), &deployment());
+                       planner_.admitted_queries(), deployment());
 
   // Note: the cycle's install step runs even when the report flags
-  // nothing — sub-threshold measurements are still installed (matching
-  // AdaptiveReplan), so estimates converge instead of sitting
-  // permanently just under the drift threshold.
+  // nothing — sub-threshold measurements are still installed, so
+  // estimates converge instead of sitting permanently just under the
+  // drift threshold.
   //
-  // The §IV-B remove+install+evict cycle itself is the shared
-  // RunDriftCycle; this call site's re-admission sink is the bounded
-  // scheduler (AdaptiveReplan's is immediate re-admission).
+  // The §IV-B remove+install+evict cycle itself is RunDriftCycle; this
+  // call site's re-admission sink is the bounded scheduler.
   return RunDriftCycle(&planner_, catalog_, measured_rates, report,
                        [this, outcome](StreamId q) {
                          QueueEvicted(q, "evict.drift", kInvalidHost, outcome);

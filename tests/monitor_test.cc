@@ -11,6 +11,7 @@
 #include "model/catalog.h"
 #include "model/cluster.h"
 #include "plan/deployment.h"
+#include "tests/drift_readmit.h"
 #include "workload/generator.h"
 
 namespace sqpr {
@@ -85,11 +86,13 @@ TEST(ResourceMonitorTest, FlagsDriftAndMapsToQueries) {
   const StreamId c = catalog.AddBaseStream(0, 10.0, "c");
   const StreamId ab = *catalog.CanonicalJoinStream({a, b});
   const StreamId bc = *catalog.CanonicalJoinStream({b, c});
+  Cluster cluster(1, HostSpec{1.0, 100.0, 100.0, ""}, 1000.0);
+  const Deployment empty(&cluster, &catalog);
 
   ResourceMonitor monitor(&catalog, DriftOptions{});
   // a measured 25% high (over the 20% threshold); c on estimate.
   const DriftReport report = monitor.Analyze(
-      {{a, 12.5}, {c, 10.0}}, /*cpu_utilization=*/{0.5}, {ab, bc});
+      {{a, 12.5}, {c, 10.0}}, /*cpu_utilization=*/{0.5}, {ab, bc}, empty);
   ASSERT_EQ(report.drifted_base_streams.size(), 1u);
   EXPECT_EQ(report.drifted_base_streams[0], a);
   ASSERT_EQ(report.queries_to_replan.size(), 1u);
@@ -115,7 +118,7 @@ TEST(ResourceMonitorTest, DeduplicatesQueriesImplicatedByBothConditions) {
   // overloaded at 150% CPU.
   const DriftReport report =
       monitor.Analyze({{a, 15.0}}, /*cpu_utilization=*/{1.5},
-                      planner.admitted_queries(), &planner.deployment());
+                      planner.admitted_queries(), planner.deployment());
   ASSERT_EQ(report.drifted_base_streams.size(), 1u);
   ASSERT_EQ(report.overloaded_hosts.size(), 1u);
   ASSERT_EQ(report.queries_to_replan.size(), 1u);  // once, not twice
@@ -136,16 +139,9 @@ TEST(ResourceMonitorTest, MapsOverloadedHostsToQueriesWithDeployment) {
   ResourceMonitor monitor(&catalog, DriftOptions{});
   const DriftReport report =
       monitor.Analyze({}, /*cpu_utilization=*/{1.5},
-                      planner.admitted_queries(), &planner.deployment());
+                      planner.admitted_queries(), planner.deployment());
   ASSERT_EQ(report.queries_to_replan.size(), 1u);
   EXPECT_EQ(report.queries_to_replan[0], ab);
-
-  // Without the deployment the host shortage cannot be mapped here (it
-  // resolves lazily in AdaptiveReplan) — the list stays empty.
-  const DriftReport lazy =
-      monitor.Analyze({}, {1.5}, planner.admitted_queries());
-  EXPECT_TRUE(lazy.queries_to_replan.empty());
-  EXPECT_FALSE(lazy.empty());  // the overloaded host is still reported
 }
 
 // Boundary semantics (pinned by doc comments in resource_monitor.h):
@@ -156,6 +152,8 @@ TEST(ResourceMonitorTest, RateDeviationExactlyAtThresholdIsNotDrift) {
   const StreamId a = catalog.AddBaseStream(0, 10.0, "a");
   const StreamId b = catalog.AddBaseStream(0, 10.0, "b");
   const StreamId ab = *catalog.CanonicalJoinStream({a, b});
+  Cluster cluster(1, HostSpec{1.0, 100.0, 100.0, ""}, 1000.0);
+  const Deployment empty(&cluster, &catalog);
 
   DriftOptions options;
   options.rate_threshold = 0.2;
@@ -163,37 +161,39 @@ TEST(ResourceMonitorTest, RateDeviationExactlyAtThresholdIsNotDrift) {
 
   // |12 - 10| / 10 == 0.2 exactly (2.0/10.0 is the correctly rounded
   // double 0.2, identical to the threshold literal): on-estimate.
-  const DriftReport at = monitor.Analyze({{a, 12.0}}, {}, {ab});
+  const DriftReport at = monitor.Analyze({{a, 12.0}}, {}, {ab}, empty);
   EXPECT_TRUE(at.drifted_base_streams.empty());
   EXPECT_TRUE(at.queries_to_replan.empty());
   EXPECT_TRUE(at.empty());
 
   // The same holds below the estimate: |8 - 10| / 10 == 0.2.
-  EXPECT_TRUE(monitor.Analyze({{a, 8.0}}, {}, {ab}).empty());
+  EXPECT_TRUE(monitor.Analyze({{a, 8.0}}, {}, {ab}, empty).empty());
 
   // One step past the threshold in either direction drifts.
-  const DriftReport above = monitor.Analyze({{a, 12.1}}, {}, {ab});
+  const DriftReport above = monitor.Analyze({{a, 12.1}}, {}, {ab}, empty);
   ASSERT_EQ(above.drifted_base_streams.size(), 1u);
   EXPECT_EQ(above.drifted_base_streams[0], a);
   ASSERT_EQ(above.queries_to_replan.size(), 1u);
   EXPECT_EQ(above.queries_to_replan[0], ab);
-  EXPECT_FALSE(monitor.Analyze({{a, 7.9}}, {}, {ab}).empty());
+  EXPECT_FALSE(monitor.Analyze({{a, 7.9}}, {}, {ab}, empty).empty());
 }
 
 TEST(ResourceMonitorTest, CpuExactlyAtShortageThresholdIsNotOverloaded) {
   Catalog catalog(CostModel{});
+  Cluster cluster(2, HostSpec{1.0, 100.0, 100.0, ""}, 1000.0);
+  const Deployment empty(&cluster, &catalog);
   DriftOptions options;
   options.shortage_utilization = 1.0;
   ResourceMonitor monitor(&catalog, options);
 
   // Running exactly at capacity is not a shortage (strict comparison);
   // one ulp over is.
-  const DriftReport at = monitor.Analyze({}, {1.0, 0.999999}, {});
+  const DriftReport at = monitor.Analyze({}, {1.0, 0.999999}, {}, empty);
   EXPECT_TRUE(at.overloaded_hosts.empty());
   EXPECT_TRUE(at.empty());
 
   const DriftReport over =
-      monitor.Analyze({}, {1.0, std::nextafter(1.0, 2.0)}, {});
+      monitor.Analyze({}, {1.0, std::nextafter(1.0, 2.0)}, {}, empty);
   ASSERT_EQ(over.overloaded_hosts.size(), 1u);
   EXPECT_EQ(over.overloaded_hosts[0], 1);
 }
@@ -207,15 +207,15 @@ TEST(ResourceMonitorTest, EmptyDeploymentAndEmptyInputsAreBenign) {
 
   // Nothing measured, nothing admitted, nothing deployed: an empty
   // report, not a crash or a spurious re-plan.
-  const DriftReport nothing = monitor.Analyze({}, {}, {}, &empty);
+  const DriftReport nothing = monitor.Analyze({}, {}, {}, empty);
   EXPECT_TRUE(nothing.empty());
   EXPECT_TRUE(nothing.queries_to_replan.empty());
 
   // A drifted stream with no admitted queries still reports the stream
   // (so its rate gets installed) but implicates no queries — even with
   // the empty deployment supplied for host mapping.
-  const DriftReport drifted = monitor.Analyze({{a, 30.0}}, {1.5, 0.2}, {},
-                                              &empty);
+  const DriftReport drifted =
+      monitor.Analyze({{a, 30.0}}, {1.5, 0.2}, {}, empty);
   ASSERT_EQ(drifted.drifted_base_streams.size(), 1u);
   ASSERT_EQ(drifted.overloaded_hosts.size(), 1u);
   EXPECT_TRUE(drifted.queries_to_replan.empty());
@@ -226,9 +226,11 @@ TEST(ResourceMonitorTest, EmptyDeploymentAndEmptyInputsAreBenign) {
 
 TEST(ResourceMonitorTest, FlagsOverloadedHosts) {
   Catalog catalog(CostModel{});
+  Cluster cluster(3, HostSpec{1.0, 100.0, 100.0, ""}, 1000.0);
+  const Deployment empty(&cluster, &catalog);
   ResourceMonitor monitor(&catalog, DriftOptions{});
-  const DriftReport report =
-      monitor.Analyze({}, /*cpu_utilization=*/{0.7, 1.2, 0.9}, {});
+  const DriftReport report = monitor.Analyze(
+      {}, /*cpu_utilization=*/{0.7, 1.2, 0.9}, {}, empty);
   ASSERT_EQ(report.overloaded_hosts.size(), 1u);
   EXPECT_EQ(report.overloaded_hosts[0], 1);
 }
@@ -259,12 +261,13 @@ TEST(AdaptiveReplanTest, RateGrowthEvictsUntilFeasible) {
 
   ResourceMonitor monitor(&catalog, DriftOptions{});
   const std::map<StreamId, double> measured = {{base[1], 30.0}};
-  const DriftReport report = monitor.Analyze(
-      measured, std::vector<double>(2, 0.5), planner.admitted_queries());
+  const DriftReport report =
+      monitor.Analyze(measured, std::vector<double>(2, 0.5),
+                      planner.admitted_queries(), planner.deployment());
   EXPECT_FALSE(report.queries_to_replan.empty());
 
   Result<std::vector<PlanningStats>> stats =
-      AdaptiveReplan(&planner, &catalog, measured, report);
+      DriftAndReadmit(&planner, &catalog, measured, report);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_DOUBLE_EQ(catalog.stream(base[1]).rate_mbps, 30.0);
   EXPECT_TRUE(planner.deployment().Validate().ok());
@@ -297,10 +300,10 @@ TEST(AdaptiveReplanTest, RateDropFreesCapacityForMoreQueries) {
   std::map<StreamId, double> measured;
   for (StreamId s : base) measured[s] = 5.0;
   ResourceMonitor monitor(&catalog, DriftOptions{});
-  const DriftReport report = monitor.Analyze(
-      measured, std::vector<double>(2, 0.5), planner.admitted_queries());
-  ASSERT_TRUE(
-      AdaptiveReplan(&planner, &catalog, measured, report).ok());
+  const DriftReport report =
+      monitor.Analyze(measured, std::vector<double>(2, 0.5),
+                      planner.admitted_queries(), planner.deployment());
+  ASSERT_TRUE(DriftAndReadmit(&planner, &catalog, measured, report).ok());
 
   int newly_admitted = 0;
   for (StreamId q : rejected) {

@@ -13,6 +13,7 @@
 #include "monitor/resource_monitor.h"
 #include "plan/query_plan.h"
 #include "planner/sqpr/sqpr_planner.h"
+#include "tests/drift_readmit.h"
 #include "workload/generator.h"
 
 namespace sqpr {
@@ -51,13 +52,14 @@ TEST_P(PlannerFuzzTest, InvariantsHoldUnderRandomLifecycles) {
       if (!admitted.empty()) {
         const StreamId victim =
             admitted[rng.NextUint64() % admitted.size()];
-        ASSERT_TRUE(planner.RemoveQuery(victim).ok());
+        ASSERT_TRUE(planner.RemoveQueries({victim}).ok());
       }
     } else if (!planner.admitted_queries().empty()) {
       // Replan a random admitted query (§IV-B path).
       const auto& admitted = planner.admitted_queries();
       const StreamId q = admitted[rng.NextUint64() % admitted.size()];
-      Result<std::vector<PlanningStats>> stats = planner.ReplanQueries({q});
+      ASSERT_TRUE(planner.RemoveQueries({q}).ok());
+      Result<PlanningStats> stats = planner.SubmitQuery(q);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     }
 
@@ -118,10 +120,11 @@ TEST_P(AdaptiveFuzzTest, AdaptiveCycleKeepsInvariants) {
     const StreamId drifting = base[rng.NextUint64() % base.size()];
     measured[drifting] = 5.0 + 20.0 * rng.NextDouble();
 
-    const DriftReport report = monitor.Analyze(
-        measured, std::vector<double>(3, 0.5), planner.admitted_queries());
+    const DriftReport report =
+        monitor.Analyze(measured, std::vector<double>(3, 0.5),
+                        planner.admitted_queries(), planner.deployment());
     Result<std::vector<PlanningStats>> stats =
-        AdaptiveReplan(&planner, &catalog, measured, report);
+        DriftAndReadmit(&planner, &catalog, measured, report);
     ASSERT_TRUE(stats.ok())
         << "seed " << seed << " round " << round << ": "
         << stats.status().ToString();
@@ -176,15 +179,16 @@ TEST_P(ModelPatchFuzzTest, PatchedModelsMatchFreshBuilds) {
     } else if (dice < 0.6 && !planner.admitted_queries().empty()) {
       const auto& admitted = planner.admitted_queries();
       const StreamId victim = admitted[rng.NextUint64() % admitted.size()];
-      ASSERT_TRUE(planner.RemoveQuery(victim).ok());
+      ASSERT_TRUE(planner.RemoveQueries({victim}).ok());
     } else if (dice < 0.9 && !planner.admitted_queries().empty()) {
       // Replans repeat a solve structure almost verbatim — the densest
       // source of cache hits, hence of verified patches.
       const auto& admitted = planner.admitted_queries();
       const StreamId q = admitted[rng.NextUint64() % admitted.size()];
-      Result<std::vector<PlanningStats>> stats = planner.ReplanQueries({q});
+      ASSERT_TRUE(planner.RemoveQueries({q}).ok());
+      Result<PlanningStats> stats = planner.SubmitQuery(q);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      if (stats->front().model_patched) ++patched;
+      if (stats->model_patched) ++patched;
     } else if (!planner.admitted_queries().empty()) {
       // Drift: bumps the catalog's rate epoch, so every cached model
       // must become unreachable (a hit *after* this would verify
@@ -197,9 +201,9 @@ TEST_P(ModelPatchFuzzTest, PatchedModelsMatchFreshBuilds) {
       measured[drifting] = 5.0 + 20.0 * rng.NextDouble();
       const DriftReport report =
           monitor.Analyze(measured, std::vector<double>(4, 0.5),
-                          planner.admitted_queries());
+                          planner.admitted_queries(), planner.deployment());
       Result<std::vector<PlanningStats>> stats =
-          AdaptiveReplan(&planner, &catalog, measured, report);
+          DriftAndReadmit(&planner, &catalog, measured, report);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     }
     const Status audit = planner.deployment().Validate();
@@ -212,6 +216,83 @@ TEST_P(ModelPatchFuzzTest, PatchedModelsMatchFreshBuilds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelPatchFuzzTest, ::testing::Range(0, 6));
+
+/// One batch vs one query at a time: on randomized lifecycles, removing
+/// a random admitted subset with one RemoveQueries call and with a loop
+/// of single-query calls on a copy of the same state must commit the
+/// same structure, bump the versions equally and, once both ledgers are
+/// rebuilt, agree bit for bit. GC commutes with batching because its mark
+/// keeps every grounded support of a needed pair.
+class BatchRemovalTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BatchRemovalTest, OneBatchMatchesOneAtATime) {
+  const uint64_t seed = 0xba7c + static_cast<uint64_t>(GetParam());
+  Rng rng(seed);
+
+  Catalog catalog(CostModel{});
+  Cluster cluster(4, HostSpec{0.6, 90.0, 90.0, ""}, 180.0);
+  WorkloadConfig wc;
+  wc.num_base_streams = 24;
+  wc.num_queries = 60;
+  wc.arities = {2, 3};
+  wc.seed = seed;
+  Workload workload = *GenerateWorkload(wc, 4, &catalog);
+
+  SqprPlanner::Options options;
+  options.timeout_ms = 80;
+  SqprPlanner batched(&cluster, &catalog, options);
+
+  size_t next_query = 0;
+  int removed = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 12 && next_query < workload.queries.size(); ++i) {
+      ASSERT_TRUE(batched.SubmitQuery(workload.queries[next_query++]).ok());
+    }
+    std::vector<StreamId> batch;
+    for (StreamId q : batched.admitted_queries()) {
+      if (rng.NextBounded(2) == 0) batch.push_back(q);
+    }
+    for (size_t i = batch.size(); i > 1; --i) {
+      std::swap(batch[i - 1], batch[rng.NextBounded(i)]);
+    }
+    removed += static_cast<int>(batch.size());
+
+    SqprPlanner looped(&cluster, &catalog, options);
+    *looped.mutable_deployment() = batched.deployment();
+    looped.RestoreAdmitted(batched.admitted_queries());
+
+    const Status batch_status = batched.RemoveQueries(batch);
+    Status loop_status;
+    for (StreamId q : batch) loop_status = looped.RemoveQueries({q});
+    ASSERT_TRUE(batch_status.ok()) << batch_status.ToString();
+    ASSERT_TRUE(loop_status.ok()) << loop_status.ToString();
+
+    const Deployment& a = batched.deployment();
+    const Deployment& b = looped.deployment();
+    ASSERT_EQ(a.Fingerprint(), b.Fingerprint())
+        << "seed " << seed << " round " << round;
+    EXPECT_EQ(a.version(), b.version()) << "round " << round;
+    EXPECT_EQ(a.structure_version(), b.structure_version())
+        << "round " << round;
+    EXPECT_EQ(batched.admitted_queries(), looped.admitted_queries());
+
+    batched.RefreshAccounting();
+    looped.RefreshAccounting();
+    for (HostId h = 0; h < cluster.num_hosts(); ++h) {
+      EXPECT_EQ(a.CpuUsed(h), b.CpuUsed(h)) << "host " << h;
+      EXPECT_EQ(a.MemUsed(h), b.MemUsed(h)) << "host " << h;
+      EXPECT_EQ(a.NicOutUsed(h), b.NicOutUsed(h)) << "host " << h;
+      EXPECT_EQ(a.NicInUsed(h), b.NicInUsed(h)) << "host " << h;
+      for (HostId m = 0; m < cluster.num_hosts(); ++m) {
+        EXPECT_EQ(a.LinkUsed(h, m), b.LinkUsed(h, m)) << h << ">" << m;
+      }
+    }
+  }
+  // Not vacuous: the rounds remove multi-query batches.
+  EXPECT_GE(removed, 10) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchRemovalTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace sqpr

@@ -243,7 +243,7 @@ TEST(SqprPlannerTest, RemoveQueryReleasesResources) {
   const StreamId q = s.Join({s.base[0], s.base[1]});
   ASSERT_TRUE(planner.SubmitQuery(q)->admitted);
   EXPECT_GT(planner.deployment().num_placed_operators(), 0);
-  ASSERT_TRUE(planner.RemoveQuery(q).ok());
+  ASSERT_TRUE(planner.RemoveQueries({q}).ok());
   EXPECT_EQ(planner.deployment().num_placed_operators(), 0);
   EXPECT_EQ(planner.deployment().num_flows(), 0);
   EXPECT_EQ(planner.deployment().ServingHost(q), kInvalidHost);
@@ -256,7 +256,7 @@ TEST(SqprPlannerTest, RemoveKeepsSharedSupport) {
   const StreamId q2 = s.Join({s.base[0], s.base[1], s.base[3]});
   ASSERT_TRUE(planner.SubmitQuery(q1)->admitted);
   ASSERT_TRUE(planner.SubmitQuery(q2)->admitted);
-  ASSERT_TRUE(planner.RemoveQuery(q1).ok());
+  ASSERT_TRUE(planner.RemoveQueries({q1}).ok());
   // q2 must still be served and valid.
   EXPECT_NE(planner.deployment().ServingHost(q2), kInvalidHost);
   EXPECT_TRUE(planner.deployment().Validate().ok());
@@ -271,11 +271,48 @@ TEST(SqprPlannerTest, ReplanQueriesKeepsThemAdmitted) {
   const StreamId q2 = s.Join({s.base[2], s.base[3]});
   ASSERT_TRUE(planner.SubmitQuery(q1)->admitted);
   ASSERT_TRUE(planner.SubmitQuery(q2)->admitted);
-  auto stats = planner.ReplanQueries({q1, q2});
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE((*stats)[0].admitted);
-  EXPECT_TRUE((*stats)[1].admitted);
+  // §IV-B: remove both in one batch, then re-admit them.
+  ASSERT_TRUE(planner.RemoveQueries({q1, q2}).ok());
+  EXPECT_EQ(planner.deployment().num_placed_operators(), 0);
+  EXPECT_TRUE(planner.SubmitQuery(q1)->admitted);
+  EXPECT_TRUE(planner.SubmitQuery(q2)->admitted);
   EXPECT_TRUE(planner.deployment().Validate().ok());
+}
+
+TEST(SqprPlannerTest, RemoveQueriesRejectsBadBatchesUnchanged) {
+  Scenario s(3, 6);
+  SqprPlanner planner = s.MakeSqpr();
+  const StreamId q1 = s.Join({s.base[0], s.base[1]});
+  const StreamId q2 = s.Join({s.base[2], s.base[3]});
+  const StreamId never = s.Join({s.base[4], s.base[5]});
+  ASSERT_TRUE(planner.SubmitQuery(q1)->admitted);
+  ASSERT_TRUE(planner.SubmitQuery(q2)->admitted);
+  const std::string fingerprint = planner.deployment().Fingerprint();
+  const uint64_t version = planner.deployment().version();
+
+  // The whole batch is checked before anything changes: an unknown
+  // query after a valid one, or a valid query named twice.
+  EXPECT_TRUE(planner.RemoveQueries({q1, never}).IsNotFound());
+  EXPECT_TRUE(planner.RemoveQueries({q2, q1, q2}).IsInvalidArgument());
+  EXPECT_EQ(planner.deployment().Fingerprint(), fingerprint);
+  EXPECT_EQ(planner.deployment().version(), version);
+  EXPECT_EQ(planner.admitted_queries(), (std::vector<StreamId>{q1, q2}));
+
+  // The empty batch only collects garbage and audits: the servings stay,
+  // and a second one finds nothing left to collect.
+  EXPECT_TRUE(planner.RemoveQueries({}).ok());
+  const uint64_t collected = planner.deployment().version();
+  EXPECT_TRUE(planner.RemoveQueries({}).ok());
+  EXPECT_EQ(planner.deployment().version(), collected);
+  EXPECT_EQ(planner.admitted_queries(), (std::vector<StreamId>{q1, q2}));
+  EXPECT_NE(planner.deployment().ServingHost(q1), kInvalidHost);
+  EXPECT_NE(planner.deployment().ServingHost(q2), kInvalidHost);
+
+  // A batch may alias the admitted list itself.
+  EXPECT_TRUE(planner.RemoveQueries(planner.admitted_queries()).ok());
+  EXPECT_TRUE(planner.admitted_queries().empty());
+  EXPECT_EQ(planner.deployment().num_placed_operators(), 0);
+  EXPECT_EQ(planner.deployment().num_flows(), 0);
 }
 
 TEST(SqprPlannerTest, FullReplanMatchesOrBeatsReduced) {
@@ -650,6 +687,49 @@ TEST(SqprInPlaceTest, RejectedSolveLeavesDeploymentUntouched) {
   EXPECT_EQ(planner.admitted_queries()[0], q01);
 }
 
+// A purge that takes the only support of several admitted plans evicts
+// them all, in admission order, in one removal: no audit runs while an
+// ungrounded serving is still committed. Only host 2 can run the joins
+// of the queries reading hosts 0 and 1 (hosts 0 and 1 have no CPU, host
+// 3 no incoming bandwidth); the query over host 3's streams survives.
+TEST(SqprPlannerTest, PurgeHostEvictsEveryUngroundedQuery) {
+  Scenario s(4, 8);
+  for (HostId h : {0, 1}) {
+    HostSpec spec = s.cluster.host(h);
+    spec.cpu = 0.0;
+    s.cluster.SetHostSpec(h, spec);
+  }
+  HostSpec no_inflow = s.cluster.host(3);
+  no_inflow.nic_in_mbps = 0.0;
+  s.cluster.SetHostSpec(3, no_inflow);
+  // Stream ids ascend in creation order; admission runs in another.
+  const StreamId q01 = s.Join({s.base[0], s.base[1]});
+  const StreamId q05 = s.Join({s.base[0], s.base[5]});
+  const StreamId q45 = s.Join({s.base[4], s.base[5]});
+  const StreamId q37 = s.Join({s.base[3], s.base[7]});
+  SqprPlanner planner = s.MakeSqpr();
+  for (StreamId q : {q45, q37, q05, q01}) {
+    ASSERT_TRUE(planner.SubmitQuery(q)->admitted) << q;
+  }
+
+  s.cluster.SetHostSpec(2, HostSpec{0.0, 0.0, 0.0, "failed", 0.0});
+  const Result<std::vector<StreamId>> purged = planner.PurgeHost(2);
+  ASSERT_TRUE(purged.ok()) << purged.status().ToString();
+  EXPECT_EQ(*purged, (std::vector<StreamId>{q45, q05, q01}));
+  EXPECT_EQ(planner.admitted_queries(), std::vector<StreamId>{q37});
+  for (StreamId q : *purged) {
+    EXPECT_EQ(planner.deployment().ServingHost(q), kInvalidHost) << q;
+  }
+  const Status valid = planner.deployment().Validate();
+  EXPECT_TRUE(valid.ok() || valid.IsResourceExhausted()) << valid.ToString();
+  EXPECT_TRUE(planner.deployment().OperatorsOn(2).empty());
+  for (StreamId st : planner.deployment().FlowStreams()) {
+    for (const auto& [from, to] : planner.deployment().FlowsOf(st)) {
+      EXPECT_TRUE(from != 2 && to != 2) << from << ">" << to << ":" << st;
+    }
+  }
+}
+
 // The exact admission screen against the model it stands in for. On
 // randomized arrival/departure traces over tight clusters, every arrival
 // the screen rejects is re-solved as the full reduced MILP on the same
@@ -763,7 +843,7 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
       const std::vector<StreamId>& admitted = planner.admitted_queries();
       if (!admitted.empty() && rng.NextBounded(4) == 0) {
         const StreamId victim = admitted[rng.NextBounded(admitted.size())];
-        ASSERT_TRUE(planner.RemoveQuery(victim).ok());
+        ASSERT_TRUE(planner.RemoveQueries({victim}).ok());
         continue;
       }
       std::vector<StreamId> leaves = s.base;

@@ -25,6 +25,7 @@
 #include "milp/solver.h"
 #include "monitor/resource_monitor.h"
 #include "planner/sqpr/sqpr_planner.h"
+#include "tests/drift_readmit.h"
 #include "workload/generator.h"
 
 namespace sqpr {
@@ -90,23 +91,25 @@ TEST_P(SolverEquivalenceTest, IncrementalMatchesFromScratchUnderChurn) {
     } else if (dice < 0.65 && !incremental.admitted_queries().empty()) {
       const auto& admitted = incremental.admitted_queries();
       const StreamId victim = admitted[rng.NextUint64() % admitted.size()];
-      ASSERT_TRUE(incremental.RemoveQuery(victim).ok());
-      ASSERT_TRUE(scratch.RemoveQuery(victim).ok());
+      ASSERT_TRUE(incremental.RemoveQueries({victim}).ok());
+      ASSERT_TRUE(scratch.RemoveQueries({victim}).ok());
     } else if (dice < 0.9 && !incremental.admitted_queries().empty()) {
       // §IV-B replan of one query: the highest cache-hit-rate path —
       // the relevant sets (and so the solve structure) usually match
       // the query's previous admission solve.
       const auto& admitted = incremental.admitted_queries();
       const StreamId q = admitted[rng.NextUint64() % admitted.size()];
-      Result<std::vector<PlanningStats>> a = incremental.ReplanQueries({q});
-      Result<std::vector<PlanningStats>> b = scratch.ReplanQueries({q});
+      ASSERT_TRUE(incremental.RemoveQueries({q}).ok());
+      ASSERT_TRUE(scratch.RemoveQueries({q}).ok());
+      Result<PlanningStats> a = incremental.SubmitQuery(q);
+      Result<PlanningStats> b = scratch.SubmitQuery(q);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
-      ASSERT_EQ(a->front().admitted, b->front().admitted)
+      ASSERT_EQ(a->admitted, b->admitted)
           << "seed " << seed << " step " << step << " replan " << q;
-      if (a->front().model_patched) ++patched_solves;
-      if (a->front().proved_optimal && b->front().proved_optimal) {
-        EXPECT_NEAR(a->front().objective, b->front().objective, 1e-6)
+      if (a->model_patched) ++patched_solves;
+      if (a->proved_optimal && b->proved_optimal) {
+        EXPECT_NEAR(a->objective, b->objective, 1e-6)
             << "seed " << seed << " step " << step << " replan " << q;
       }
     } else if (!incremental.admitted_queries().empty()) {
@@ -118,13 +121,13 @@ TEST_P(SolverEquivalenceTest, IncrementalMatchesFromScratchUnderChurn) {
           workload.base_streams[rng.NextUint64() %
                                 workload.base_streams.size()];
       measured[drifting] = 5.0 + 20.0 * rng.NextDouble();
-      const DriftReport report =
-          monitor.Analyze(measured, std::vector<double>(3, 0.5),
-                          incremental.admitted_queries());
+      const DriftReport report = monitor.Analyze(
+          measured, std::vector<double>(3, 0.5),
+          incremental.admitted_queries(), incremental.deployment());
       Result<std::vector<PlanningStats>> a =
-          AdaptiveReplan(&incremental, &catalog, measured, report);
+          DriftAndReadmit(&incremental, &catalog, measured, report);
       Result<std::vector<PlanningStats>> b =
-          AdaptiveReplan(&scratch, &catalog, measured, report);
+          DriftAndReadmit(&scratch, &catalog, measured, report);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
     }
@@ -177,7 +180,7 @@ TEST(SolveCacheSubsetTest, HostSubsetsNeverShareASkeleton) {
     ASSERT_TRUE(stats->front().admitted) << "round " << i;
     // The first solve under each subset builds; its repeat is a hit.
     EXPECT_EQ(stats->front().model_patched, i >= 2) << "round " << i;
-    ASSERT_TRUE(planner.RemoveQuery(ab).ok());
+    ASSERT_TRUE(planner.RemoveQueries({ab}).ok());
   }
 }
 

@@ -305,11 +305,11 @@ TEST(MeasurementEngineTest, AnalyticMatchesEngineDriftDecisionsAtZeroNoise) {
     const DriftReport de =
         monitor.Analyze(me->measured_base_rates, me->cpu_utilization,
                         s.planner->admitted_queries(),
-                        &s.planner->deployment());
+                        s.planner->deployment());
     const DriftReport da =
         monitor.Analyze(ma->measured_base_rates, ma->cpu_utilization,
                         s.planner->admitted_queries(),
-                        &s.planner->deployment());
+                        s.planner->deployment());
     EXPECT_EQ(de.drifted_base_streams, da.drifted_base_streams) << "t=" << t;
     EXPECT_EQ(de.overloaded_hosts, da.overloaded_hosts) << "t=" << t;
     EXPECT_EQ(de.queries_to_replan, da.queries_to_replan) << "t=" << t;
