@@ -48,6 +48,7 @@
 
 #include "bench/bench_util.h"
 #include "common/deadline.h"
+#include "common/file.h"
 #include "common/stats.h"
 #include "obs/audit.h"
 #include "obs/trace.h"
@@ -151,10 +152,7 @@ RunResult Replay(const TraceConfig& trace_config, bool closed_loop = false,
     // Final sample after the pending round commits: the series always ends
     // with the run's complete totals.
     series->Sample(service.clock().now_ms(), service.stats());
-    std::FILE* f = std::fopen(metrics_series_path.c_str(), "wb");
-    SQPR_CHECK(f != nullptr) << "cannot open " << metrics_series_path;
-    std::fwrite(series->text().data(), 1, series->text().size(), f);
-    std::fclose(f);
+    SQPR_CHECK_OK(WriteFile(metrics_series_path, series->text()));
   }
   return result;
 }
@@ -499,17 +497,13 @@ int main(int argc, char** argv) {
                              MeasureMode::kEngine, metrics_series_out);
   if (!trace_out.empty()) {
     obs::TraceRecorder::Get().Disable();
-    const Status written =
-        obs::TraceRecorder::Get().WriteChromeTrace(trace_out);
-    SQPR_CHECK(written.ok()) << written.ToString();
+    SQPR_CHECK_OK(
+        WriteFile(trace_out, obs::TraceRecorder::Get().ChromeTraceJson()));
     std::printf("\nwrote flight-recorder trace (drift-heavy): %s\n",
                 trace_out.c_str());
   }
   if (!audit_out.empty()) {
-    std::FILE* f = std::fopen(audit_out.c_str(), "wb");
-    SQPR_CHECK(f != nullptr) << "cannot open " << audit_out;
-    std::fwrite(d.audit_full.data(), 1, d.audit_full.size(), f);
-    std::fclose(f);
+    SQPR_CHECK_OK(WriteFile(audit_out, d.audit_full));
     std::printf("\nwrote audit journal (drift-heavy): %s "
                 "(%zu records, %zu canonical)\n",
                 audit_out.c_str(), d.audit_records,

@@ -17,6 +17,9 @@ constexpr double kNoiseTol = 1e-11;
 /// An exit whose primal residual max|A x| exceeds this (relative to the
 /// largest value) refactorizes and re-checks before it is trusted.
 constexpr double kResidualTol = 1e-9;
+/// Absolute primal feasibility and reduced-cost tolerances.
+constexpr double kFeasibilityTol = 1e-7;
+constexpr double kOptimalityTol = 1e-7;
 
 }  // namespace
 
@@ -603,7 +606,7 @@ bool SimplexEngine::Impl::MakeDualFeasible() {
   cb_.resize(m);
   for (int i = 0; i < m; ++i) cb_[i] = cost_[basis_[i]];
   PriceAll(cost_.data());
-  const double tol = options_.optimality_tol;
+  const double tol = kOptimalityTol;
   candidates_.clear();  // columns to flip
   for (int c : priceable_) {
     const BasisState st = state_[c];
@@ -648,7 +651,7 @@ bool SimplexEngine::Impl::ProvenInfeasibleRow() const {
     lo += g > 0 ? g * lb_[c] : g * ub_[c];
     hi += g > 0 ? g * ub_[c] : g * lb_[c];
   }
-  const double tol = options_.feasibility_tol * scale;
+  const double tol = kFeasibilityTol * scale;
   return lo > tol || hi < -tol;
 }
 
@@ -665,8 +668,8 @@ double SimplexEngine::Impl::DualSlack(int c) const {
 
 bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
   const int m = m_;
-  const double feas_tol = options_.feasibility_tol;
-  const double opt_tol = options_.optimality_tol;
+  const double feas_tol = kFeasibilityTol;
+  const double opt_tol = kOptimalityTol;
   int degenerate_run = 0;
   alpha_.resize(n_ + m);
   while (true) {
@@ -772,8 +775,8 @@ bool SimplexEngine::Impl::DualLoop(SolveStatus* status) {
 SimplexEngine::Impl::Step SimplexEngine::Impl::PrimalIterate(bool phase1,
                                                              bool bland) {
   const int m = m_;
-  const double feas_tol = options_.feasibility_tol;
-  const double opt_tol = options_.optimality_tol;
+  const double feas_tol = kFeasibilityTol;
+  const double opt_tol = kOptimalityTol;
 
   // Basic cost vector: the composite phase-1 gradient (+1 above ub, -1
   // below lb) or the phase-2 objective restricted to the basis.
@@ -927,7 +930,7 @@ SimplexEngine::Impl::Step SimplexEngine::Impl::PrimalIterate(bool phase1,
 }
 
 SolveStatus SimplexEngine::Impl::PrimalLoop() {
-  const double feas_tol = options_.feasibility_tol;
+  const double feas_tol = kFeasibilityTol;
   int resets = 0;
   SolveStatus status;
   while (true) {
@@ -971,9 +974,7 @@ SolveStatus SimplexEngine::Impl::PrimalLoop() {
 SolveStatus SimplexEngine::Impl::Run() {
   iterations_ = 0;
   degenerate_run_ = 0;
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 200LL * (m_ + n_) + 2000;
+  max_iterations_ = 200LL * (m_ + n_) + 2000;
   // The start basis picks the method: dual simplex when bound flips make
   // it dual feasible, the composite primal otherwise.
   if (MakeDualFeasible()) {

@@ -20,14 +20,8 @@ enum class SolveStatus {
 };
 
 struct SimplexOptions {
-  /// Hard cap on simplex iterations per solve. Zero means "choose
-  /// automatically from the problem size".
-  int64_t max_iterations = 0;
   /// Wall-clock bound; checked every few iterations.
   Deadline deadline;
-  /// Absolute primal feasibility / reduced-cost tolerance.
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
   /// Rebuild the basis inverse from scratch every this many pivots.
   int refactor_interval = 100;
 };

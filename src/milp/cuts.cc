@@ -8,16 +8,20 @@
 namespace sqpr {
 namespace milp {
 
-CutGenerator::CutGenerator(std::vector<bool> integer, CutOptions options)
-    : integer_(std::move(integer)), options_(options) {}
+/// Cap on cuts added per round.
+constexpr int kMaxCutsPerRound = 25;
+/// Minimum violation for a cut to be worth adding.
+constexpr double kMinViolation = 1e-4;
+
+CutGenerator::CutGenerator(std::vector<bool> integer)
+    : integer_(std::move(integer)) {}
 
 int CutGenerator::Separate(const std::vector<double>& x, lp::Model* work) {
-  if (!options_.enable) return 0;
   const int m = work->num_rows();
   if (static_cast<int>(cover_used_.size()) < m) cover_used_.resize(m, false);
   int added = 0;
 
-  for (int r = 0; r < m && added < options_.max_cuts_per_round; ++r) {
+  for (int r = 0; r < m && added < kMaxCutsPerRound; ++r) {
     if (cover_used_[r]) continue;
     // Normalise to  sum a_j x_j <= b  over binary columns with a_j > 0.
     // Rows with a finite lower bound are also usable after negation; we
@@ -90,7 +94,7 @@ int CutGenerator::Separate(const std::vector<double>& x, lp::Model* work) {
       const double rhs = static_cast<double>(cover.size()) - 1.0;
       double lhs = 0.0;
       for (int v : members) lhs += x[v];
-      if (lhs <= rhs + options_.min_violation) continue;
+      if (lhs <= rhs + kMinViolation) continue;
 
       std::vector<std::pair<int, double>> terms;
       terms.reserve(members.size());

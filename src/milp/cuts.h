@@ -11,13 +11,6 @@ namespace milp {
 /// Root-node cutting-plane configuration (cut-and-branch).
 struct CutOptions {
   bool enable = true;
-  /// Separation rounds at the root: separate, re-solve, repeat while
-  /// violated cuts are found.
-  int max_rounds = 4;
-  /// Cap on cuts added per round.
-  int max_cuts_per_round = 25;
-  /// Minimum violation for a cut to be worth adding.
-  double min_violation = 1e-4;
 };
 
 /// Generates globally valid knapsack cover cuts at the root relaxation.
@@ -32,7 +25,7 @@ class CutGenerator {
  public:
   /// `integer` marks the integral columns of the model being solved (the
   /// reduced model when presolve ran). The mask is copied.
-  CutGenerator(std::vector<bool> integer, CutOptions options);
+  explicit CutGenerator(std::vector<bool> integer);
 
   /// Appends violated cuts to `work` given the optimal relaxation point
   /// `x` of `work`. Returns the number of rows added.
@@ -40,7 +33,6 @@ class CutGenerator {
 
  private:
   std::vector<bool> integer_;
-  CutOptions options_;
   /// Rows already used to spawn a cover cut (avoid duplicates across
   /// rounds; keyed by row index).
   std::vector<bool> cover_used_;

@@ -10,6 +10,10 @@ namespace milp {
 namespace {
 
 constexpr double kIntTol = 1e-6;
+/// Bound and row tolerance of the reductions.
+constexpr double kFeasibilityTol = 1e-9;
+/// Passes of bound propagation before presolve stops.
+constexpr int kMaxRounds = 20;
 
 }  // namespace
 
@@ -40,9 +44,9 @@ PresolveStats Presolver::Apply(const Model& model) {
     rub[r] = model.lp.row_ub(r);
   }
 
-  const double tol = options_.feasibility_tol;
+  const double tol = kFeasibilityTol;
   bool changed = true;
-  while (changed && stats.rounds < options_.max_rounds) {
+  while (changed && stats.rounds < kMaxRounds) {
     changed = false;
     ++stats.rounds;
 

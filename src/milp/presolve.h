@@ -46,14 +46,6 @@ void RoundIntegerBounds(double* lb, double* ub);
 /// propagation is reported so the caller can skip the solve entirely.
 class Presolver {
  public:
-  struct Options {
-    double feasibility_tol = 1e-9;
-    int max_rounds = 20;
-  };
-
-  Presolver() = default;
-  explicit Presolver(Options options) : options_(options) {}
-
   /// Reduces `model`. The reduced model is available via reduced();
   /// returns the stats. When stats.proven_infeasible is set the reduced
   /// model is meaningless and must not be solved.
@@ -91,7 +83,6 @@ class Presolver {
   int column_map(int v) const { return col_map_[v]; }
 
  private:
-  Options options_{};
   Model reduced_;
   std::vector<int> col_map_;         // orig -> reduced, -1 if pinned
   std::vector<double> fixed_value_;  // orig-indexed; valid where pinned

@@ -18,6 +18,11 @@ namespace {
 /// plan never fails the audit by a rounding residue.
 constexpr double kAcceptTol = 1e-6;
 
+/// A column this close to an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Root cut rounds: separate, re-solve, repeat while cuts are found.
+constexpr int kCutRounds = 4;
+
 /// One branch decision: tighten `var` to [lb, ub].
 struct BoundChange {
   int var;
@@ -157,7 +162,7 @@ int BranchAndBound::PickBranchVariable(const std::vector<double>& x) const {
     if (!base_.integer[v]) continue;
     const double frac = x[v] - std::floor(x[v]);
     const double dist = std::min(frac, 1.0 - frac);
-    if (dist <= options_.integrality_tol) continue;
+    if (dist <= kIntegralityTol) continue;
     const int priority = v < static_cast<int>(base_.branch_priority.size())
                              ? base_.branch_priority[v]
                              : 0;
@@ -184,7 +189,7 @@ bool BranchAndBound::IsIntegral(const std::vector<double>& x) const {
   for (int v = 0; v < base_.lp.num_variables(); ++v) {
     if (!base_.integer[v]) continue;
     const double frac = x[v] - std::floor(x[v]);
-    if (std::min(frac, 1.0 - frac) > options_.integrality_tol) return false;
+    if (std::min(frac, 1.0 - frac) > kIntegralityTol) return false;
   }
   return true;
 }
@@ -200,11 +205,12 @@ bool BranchAndBound::SnapFeasible(std::vector<double>* x) const {
 
 int BranchAndBound::PickSnapVariable(const std::vector<double>& x,
                                      double* split) const {
-  // The LP may leave a basic column up to feasibility_tol outside its
-  // box (1 + 5e-8 for a binary), so floor/ceil of the value can cross
-  // the bounds. Splitting at the rounded value clamped into
-  // [ceil(lb), floor(ub) - 1] gives two non-empty children, each smaller
-  // than the node, that together keep every integer point of the box.
+  // The LP may leave a basic column up to its feasibility tolerance
+  // (1e-7) outside its box (1 + 5e-8 for a binary), so floor/ceil of the
+  // value can cross the bounds. Splitting at the rounded value clamped
+  // into [ceil(lb), floor(ub) - 1] gives two non-empty children, each
+  // smaller than the node, that together keep every integer point of
+  // the box.
   int best = -1;
   double best_dist = -1.0;
   for (int v = 0; v < base_.lp.num_variables(); ++v) {
@@ -261,7 +267,7 @@ void BranchAndBound::DivingHeuristic(const std::vector<double>& start) {
       if (work_.variable_lb(v) == work_.variable_ub(v)) continue;
       const double frac = x[v] - std::floor(x[v]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= options_.integrality_tol) continue;
+      if (dist <= kIntegralityTol) continue;
       const int priority = v < static_cast<int>(base_.branch_priority.size())
                                ? base_.branch_priority[v]
                                : 0;
@@ -366,8 +372,8 @@ int BranchAndBound::ProcessNode(int node_index) {
     // relaxation keeps moving.
     SQPR_TRACE_SPAN_ARGS(cut_span, "milp/root_cuts", "rounds", "cuts_added");
     uint64_t cut_rounds = 0, cuts_added = 0;
-    CutGenerator cg(base_.integer, options_.cuts);
-    for (int round = 0; round < options_.cuts.max_rounds; ++round) {
+    CutGenerator cg(base_.integer);
+    for (int round = 0; round < kCutRounds; ++round) {
       if (options_.deadline.Expired()) break;
       const int separated = cg.Separate(rel.values, &work_);
       if (separated == 0) break;

@@ -85,7 +85,6 @@ struct SolverOptions {
   /// Root-node cutting planes (knapsack covers),
   /// applied cut-and-branch style: rows stay valid for the whole tree.
   CutOptions cuts;
-  double integrality_tol = 1e-6;
   /// Prune when node bound <= incumbent + max(gap_abs, gap_rel*|inc|)
   /// (maximisation). CPLEX-style relative gap default.
   double gap_abs = 1e-9;

@@ -113,20 +113,5 @@ std::string AuditJournal::ToJsonl(bool canonical) const {
   return out;
 }
 
-Status AuditJournal::WriteFile(const std::string& path,
-                               bool canonical) const {
-  const std::string jsonl = ToJsonl(canonical);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot write audit journal to " + path);
-  }
-  const size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  std::fclose(f);
-  if (written != jsonl.size()) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace obs
 }  // namespace sqpr

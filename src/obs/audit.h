@@ -29,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace sqpr {
 namespace obs {
 
@@ -90,8 +88,6 @@ class AuditJournal {
   /// record per line. `canonical` drops speculative records and the
   /// "wall" object — the rendering the determinism contract covers.
   std::string ToJsonl(bool canonical) const;
-
-  Status WriteFile(const std::string& path, bool canonical) const;
 
   /// FNV-1a 64-bit — the deployment fingerprint hash the records carry.
   static uint64_t Fnv1a(const std::string& s);

@@ -179,19 +179,5 @@ std::string TraceRecorder::ChromeTraceJson() {
   return out;
 }
 
-Status TraceRecorder::WriteChromeTrace(const std::string& path) {
-  const std::string json = ChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot write trace to " + path);
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace obs
 }  // namespace sqpr

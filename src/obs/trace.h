@@ -41,8 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace sqpr {
 namespace obs {
 
@@ -136,9 +134,6 @@ class TraceRecorder {
   /// (fractional); args carry vclock_ms and the span's registered arg
   /// keys.
   std::string ChromeTraceJson();
-
-  /// ChromeTraceJson() to a file.
-  Status WriteChromeTrace(const std::string& path);
 
   const SpanMeta& span_meta(uint32_t id) const;  // test/render access
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/logging.h"
@@ -186,59 +187,68 @@ bool AdmissionHopeless(const Deployment& base,
                        const std::vector<OperatorId>& operators,
                        const std::vector<StreamId>& queries) {
   const Catalog& catalog = base.catalog();
+  const Cluster& cluster = base.cluster();
+  auto relevant = [&](OperatorId o) {
+    return std::binary_search(operators.begin(), operators.end(), o);
+  };
   // Only composite queries whose every producer the model re-decides:
   // anything else may be available without a relevant placement.
   for (StreamId q : queries) {
-    if (catalog.stream(q).is_base) return false;
-    for (OperatorId o : catalog.ProducersOf(q)) {
-      if (!std::binary_search(operators.begin(), operators.end(), o)) {
-        return false;
-      }
+    const std::vector<OperatorId>& producers = catalog.ProducersOf(q);
+    if (catalog.stream(q).is_base ||
+        !std::all_of(producers.begin(), producers.end(), relevant)) {
+      return false;
     }
   }
   // The margin the model's incumbents and Deployment::Validate allow.
   constexpr double kTol = 1e-6;
-  const ResidualCapacity r = ComputeResidualCapacity(base, streams, operators);
-  const Cluster& cluster = base.cluster();
+  auto dead_leaf = [&](StreamId s) {
+    const StreamInfo& leaf = catalog.stream(s);
+    const HostId g = leaf.source_host;
+    if (g < 0 || g >= cluster.num_hosts() ||
+        cluster.host(g).nic_out_mbps >= leaf.rate_mbps - kTol) {
+      return false;
+    }
+    auto has_s = [s](const std::vector<StreamId>& sorted) {
+      return std::binary_search(sorted.begin(), sorted.end(), s);
+    };
+    for (OperatorId o : operators) {
+      const OperatorInfo& op = catalog.op(o);
+      if (has_s(op.inputs) && cluster.host(g).cpu >= op.cpu_cost - kTol) {
+        return false;
+      }
+    }
+    for (StreamId t : streams) {
+      const std::vector<OperatorId>& producers = catalog.ProducersOf(t);
+      if (has_s(catalog.stream(t).leaves) &&
+          !std::all_of(producers.begin(), producers.end(), relevant)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::optional<ResidualCapacity> r;  // computed for the first open query
   for (StreamId q : queries) {
+    const std::vector<StreamId>& leaves = catalog.stream(q).leaves;
+    if (std::any_of(leaves.begin(), leaves.end(), dead_leaf)) continue;
+    if (!r) r = ComputeResidualCapacity(base, streams, operators);
     const double q_rate = catalog.stream(q).rate_mbps;
     for (OperatorId o : catalog.ProducersOf(q)) {
       const OperatorInfo& op = catalog.op(o);
       for (HostId h = 0; h < cluster.num_hosts(); ++h) {
-        if (r.cpu[h] < op.cpu_cost - kTol) continue;
+        if (r->cpu[h] < op.cpu_cost - kTol) continue;
         if (op.mem_mb > 0.0 && std::isfinite(cluster.host(h).mem_mb) &&
-            r.mem[h] < op.mem_mb - kTol) {
+            r->mem[h] < op.mem_mb - kTol) {
           continue;
         }
-        if (r.nic_out[h] < q_rate - kTol) continue;
-        // Distinct base inputs of o that must flow into h: not injected
-        // there, and no operator can produce them.
-        auto must_arrive = [&](size_t i) {
-          if (i > 0 && op.inputs[i - 1] == op.inputs[i]) return false;
-          const StreamInfo& in = catalog.stream(op.inputs[i]);
-          return in.is_base && in.source_host != h &&
-                 catalog.ProducersOf(op.inputs[i]).empty();
-        };
+        if (r->nic_out[h] < q_rate - kTol) continue;
+        // Base inputs of o must flow into h unless injected there.
         double inflow = 0.0;
-        bool sendable = true;
-        for (size_t i = 0; i < op.inputs.size(); ++i) {
-          if (!must_arrive(i)) continue;
-          const StreamInfo& in = catalog.stream(op.inputs[i]);
-          inflow += in.rate_mbps;
-          // Its source host must send it, and every other such input it
-          // injects, on its own NIC-out budget.
-          const HostId src = in.source_host;
-          if (src < 0 || src >= cluster.num_hosts()) continue;
-          double sent = 0.0;
-          for (size_t j = 0; j < op.inputs.size(); ++j) {
-            if (must_arrive(j) &&
-                catalog.stream(op.inputs[j]).source_host == src) {
-              sent += catalog.stream(op.inputs[j]).rate_mbps;
-            }
-          }
-          if (cluster.host(src).nic_out_mbps < sent - kTol) sendable = false;
+        for (StreamId in : op.inputs) {
+          const StreamInfo& info = catalog.stream(in);
+          if (info.is_base && info.source_host != h) inflow += info.rate_mbps;
         }
-        if (!sendable || r.nic_in[h] < inflow - kTol) continue;
+        if (r->nic_in[h] < inflow - kTol) continue;
         return false;  // o might run at h: q is not hopeless
       }
     }

@@ -73,52 +73,46 @@ ResidualCapacity ComputeResidualCapacity(
 /// Exact admission screen: true when no fresh query in `queries` can be
 /// served by any plan the reduced model for (`streams`, `operators`)
 /// would accept, so building and solving it can only reject them all.
-/// Costs O(queries × producers × hosts) after one residual pass.
-///
-/// A composite query q whose producers are all relevant is *hopeless*
-/// when, for every producer o of q and every host h, one of these holds
-/// (r = ComputeResidualCapacity, tol = 1e-6):
-///  * cpu:     r.cpu[h] < γ_o − tol, or the finite memory budget of h
-///             has r.mem[h] < mem_o − tol for mem_o > 0;
-///  * nic out: r.nic_out[h] < rate(q) − tol;
-///  * nic in:  r.nic_in[h] < Σ rate(s) − tol over o's base inputs s not
-///             injected at h;
-///  * sender:  for some source host g of those inputs, g's NIC-out
-///             budget β_g < Σ rate(s) − tol over the ones injected at g.
-///             A failed host has every budget zeroed, so no query that
-///             must receive a base stream from it passes.
-///
-/// Why this is implied by the model: serving q needs d_hq = 1, hence
-/// y_hq = 1 (III.4a). q has no base injection and, all producers being
-/// relevant, no fixed producer, so (III.5a) supports y_hq only by a
-/// local z_ho or an inflow, and an inflow needs q at the sender (III.5c;
-/// with the no-relay ablation, generation there). Flows are acyclic
-/// (cycle cuts on every incumbent, or the (III.7) potentials), so the
-/// chain of inflows ends at a host h* with z_h*o = 1. There:
-///  * the CPU row (III.6d) has γ_o·z_h*o ≤ r.cpu[h*], the memory row
-///    mem_o·z_h*o ≤ r.mem[h*] (all other terms are non-negative);
-///  * q leaves h* as the delivery d_h*q or a flow x_h*mq, each with
-///    coefficient rate(q) in h*'s NIC-out row (III.6c);
-///  * (III.5b) needs every input of o at h*; a base input not injected
-///    at h* has no producer, so it needs an inflow, each distinct one
-///    with coefficient rate(s) in h*'s NIC-in row (III.6b);
-///  * such an input s is available only where it is injected (its
-///    source g) or received, so by acyclicity its chain of inflows to
-///    h* starts with some x_gms = 1, with coefficient rate(s) in g's
-///    NIC-out row (III.6c). Distinct inputs injected at g need distinct
-///    flows, so their rates add; the row's right-hand side r.nic_out[g]
-///    is at most β_g (the committed load it adds back is part of
-///    NicOutUsed(g)), and its other terms are non-negative.
-/// Incumbents must meet every row within 1e-6 after rounding (the
-/// solver's acceptance tolerance and Deployment::Validate's), so a
-/// violation by more than tol excludes every incumbent; the greedy
-/// fallback (CanPlaceOperator/CanServe at 1e-9, then Validate) cannot
-/// place q either. The no-relay ablation, the potentials formulation
-/// and a §VII host subset only remove points from the model, and
-/// reduce_problem = false only widens the relevant sets the residuals
-/// are computed from, so the screen stays sound under each of them.
 /// Base-stream queries and queries with a producer outside `operators`
-/// are never screened (the function returns false).
+/// are never screened. Any other query q is *hopeless* (tol = 1e-6) if:
+///  * dead leaf: some leaf s of q, injected at host g, has NIC-out budget
+///    β_g < rate(s) − tol and CPU budget ζ_g < γ_o − tol for every o in
+///    `operators` that reads s, and every composite in `streams` built
+///    on s has all its producers in `operators` (checked: a join over a
+///    filtered input is a producer no join closure holds). A failed host
+///    has every budget zeroed. A batch this settles skips the residuals;
+///  * or no host: for every producer o of q and host h, with
+///    r = ComputeResidualCapacity, r.cpu[h] < γ_o − tol, or h's finite
+///    memory budget has r.mem[h] < mem_o − tol for mem_o > 0, or
+///    r.nic_out[h] < rate(q) − tol, or r.nic_in[h] < Σ rate(s) − tol over
+///    o's base inputs s not injected at h.
+///
+/// Why the model implies this. Serving q needs y_hq = 1 (III.4a). Take a
+/// composite t with y_ht = 1 and only relevant producers: it has no
+/// injection and no fixed producer, and an availability pin still needs
+/// a (III.5a) support, so t comes from a local z_ho or an inflow, which
+/// needs t at the sender (III.5c). Flows are acyclic (cycle cuts on every
+/// incumbent, or the (III.7) potentials), so some host h* has z_h*o = 1
+/// for a producer o of t, and o's inputs at h* (III.5b).
+///  * No host (t = q): γ_o ≤ r.cpu[h*], mem_o ≤ r.mem[h*] (III.6d); q
+///    leaves h* by d_h*q or x_h*mq, rate(q) in its NIC-out row (III.6c);
+///    each base input of o not injected at h* needs its own inflow,
+///    rate(s) in its NIC-in row (III.6b).
+///  * Dead leaf (t = q): an input of o contains s; if composite, it is in
+///    `streams` with only relevant producers, so repeat. Join inputs have
+///    fewer leaves and unary inputs were interned first, so this ends at
+///    some o' reading s at a host h'. If h' = g, γ_o' ≤ r.cpu[g]; else s
+///    reaches h' by inflows starting with some x_gms = 1, so rate(s) ≤
+///    r.nic_out[g]. r.cpu[g] ≤ ζ_g and r.nic_out[g] ≤ β_g: residuals add
+///    back only load that CpuUsed(g) and NicOutUsed(g) already hold.
+/// Other row terms are non-negative and incumbents meet rows within 1e-6
+/// (the solver's acceptance and Deployment::Validate's tolerance), so a
+/// violation by more than tol excludes every incumbent. The greedy
+/// fallback (CanPlaceOperator/CanServe at 1e-9, then Validate) needs the
+/// same placements and flows; a committed stream it could reuse was
+/// derived the same way, so g is already over budget and Validate fails.
+/// The no-relay ablation, potentials and a §VII host subset only remove
+/// points; reduce_problem = false only widens the relevant sets.
 bool AdmissionHopeless(const Deployment& base,
                        const std::vector<StreamId>& streams,
                        const std::vector<OperatorId>& operators,

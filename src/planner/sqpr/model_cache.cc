@@ -16,7 +16,7 @@ void SqprSolveCache::Return(const SolveKey& key,
   Entry& entry = entries_[key];
   entry.model = std::move(model);
   entry.last_used = ++tick_;
-  while (entries_.size() > capacity_) {
+  while (entries_.size() > kCapacity) {
     auto victim = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;

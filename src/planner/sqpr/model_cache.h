@@ -51,7 +51,7 @@ struct SolveKey {
 /// before any other use, which is what re-targets the pointer.
 class SqprSolveCache {
  public:
-  explicit SqprSolveCache(size_t capacity = 16) : capacity_(capacity) {}
+  SqprSolveCache() = default;
 
   SqprSolveCache(const SqprSolveCache&) = delete;
   SqprSolveCache& operator=(const SqprSolveCache&) = delete;
@@ -71,7 +71,8 @@ class SqprSolveCache {
     uint64_t last_used = 0;
   };
 
-  const size_t capacity_;
+  /// Models kept before the least recently used one is evicted.
+  static constexpr size_t kCapacity = 16;
   uint64_t tick_ = 0;
   std::map<SolveKey, Entry> entries_;
 };

@@ -49,8 +49,7 @@ TEST(CoverCutTest, SeparatesViolatedCover) {
   const lp::SimplexResult rel = SolveLp(work);
   ASSERT_EQ(rel.status, lp::SolveStatus::kOptimal);
 
-  CutOptions opts;
-  CutGenerator cg(m.integer, opts);
+  CutGenerator cg(m.integer);
   const int before = work.num_rows();
   EXPECT_GT(cg.Separate(rel.values, &work), 0);
   ASSERT_GT(work.num_rows(), before);
@@ -73,8 +72,7 @@ TEST(CoverCutTest, HandlesGeqRowsByNegation) {
   const lp::SimplexResult rel = SolveLp(work);
   ASSERT_EQ(rel.status, lp::SolveStatus::kOptimal);
 
-  CutOptions opts;
-  CutGenerator cg(m.integer, opts);
+  CutGenerator cg(m.integer);
   EXPECT_GT(cg.Separate(rel.values, &work), 0);
   for (const auto& x : EnumerateBinaryFeasible(m.lp)) {
     EXPECT_TRUE(work.CheckFeasible(x, 1e-7).ok());
@@ -90,8 +88,7 @@ TEST(CoverCutTest, SkipsRowsWithContinuousColumns) {
   lp::Model work = m.lp;
   const lp::SimplexResult rel = SolveLp(work);
   ASSERT_EQ(rel.status, lp::SolveStatus::kOptimal);
-  CutOptions opts;
-  CutGenerator cg(m.integer, opts);
+  CutGenerator cg(m.integer);
   // Cover separation must refuse rows containing continuous columns —
   // the cover argument only holds over pure binaries.
   EXPECT_EQ(cg.Separate(rel.values, &work), 0);

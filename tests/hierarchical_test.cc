@@ -171,8 +171,7 @@ TEST(HierarchicalTest, OperatorsStayWithinAssignedSubset) {
 // Under a §VII host subset the exact admission screen rejects it before
 // any model is built, and the full model restricted to the same subset
 // agrees; once the host rejoins, the same query is admitted inside its
-// subset. The join is two-way: the screen reads a producer's base
-// inputs, not the inputs of the composite streams it consumes.
+// subset.
 TEST(HierarchicalTest, QueryReadingAFailedBorderSourceIsScreened) {
   Catalog catalog(CostModel{});
   Cluster cluster(6, HostSpec{1.0, 200.0, 200.0, ""}, 400.0);

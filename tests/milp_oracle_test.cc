@@ -424,10 +424,13 @@ INSTANTIATE_TEST_SUITE_P(
 // an operator exactly, where a screen with its tolerance the wrong way
 // round would reject a placeable query. Every third seed has one failed
 // host (all budgets 0), so the screen also rules on joins that read a
-// base stream its source host cannot send.
+// base stream its source host cannot send; at 2 hosts such a seed also
+// offers a three-way join over a base stream of the failed host, which
+// two of its three producers read only through a composite input.
 TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
   int screened = 0;
   int source_down = 0;  // verdicts on a query reading from the failed host
+  int three_way_down = 0;  // of those, on three-way joins
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     const int hosts = 2 + static_cast<int>(seed % 2);
@@ -475,61 +478,86 @@ TEST(AdmissionScreenOracleTest, HopelessQueriesHaveNoServingPlan) {
                              : random_join();
       ASSERT_TRUE(planner.SubmitQuery(q).ok());
     }
-    const StreamId fresh = random_join();
-    if (planner.deployment().ServingHost(fresh) != kInvalidHost) continue;
 
-    // The relevant sets and demands the planner's solve would use.
-    const Closure closure = *catalog.JoinClosure(fresh);
-    std::vector<StreamId> streams = closure.streams;
-    std::vector<OperatorId> operators = closure.operators;
-    std::sort(streams.begin(), streams.end());
-    std::sort(operators.begin(), operators.end());
-    std::vector<DemandSpec> demands = {{fresh, /*must_serve=*/false}};
-    for (StreamId q : planner.admitted_queries()) {
-      if (std::binary_search(streams.begin(), streams.end(), q)) {
-        demands.push_back({q, /*must_serve=*/true});
-      }
-    }
-    const Deployment& committed = planner.deployment();
-    SqprMip mip(committed, streams, operators, demands, SqprModelOptions{});
-    // The committed state is a plan of the model: its residuals add the
-    // relevant committed load back.
-    ASSERT_TRUE(mip.mip().lp.CheckFeasible(mip.WarmStart(), 1e-6).ok())
-        << "seed " << seed;
-
-    const bool hopeless =
-        AdmissionHopeless(committed, streams, operators, {fresh});
-    if (hopeless) {
-      ++screened;
-      for (StreamId leaf : catalog.stream(fresh).leaves) {
-        if (catalog.stream(leaf).source_host == failed) {
-          ++source_down;
-          break;
+    // Screens `fresh`, checks a hopeless verdict by enumeration, then
+    // submits it.
+    auto check = [&](StreamId fresh) {
+      if (planner.deployment().ServingHost(fresh) != kInvalidHost) return;
+      // The relevant sets and demands the planner's solve would use.
+      const Closure closure = *catalog.JoinClosure(fresh);
+      std::vector<StreamId> streams = closure.streams;
+      std::vector<OperatorId> operators = closure.operators;
+      std::sort(streams.begin(), streams.end());
+      std::sort(operators.begin(), operators.end());
+      std::vector<DemandSpec> demands = {{fresh, /*must_serve=*/false}};
+      for (StreamId q : planner.admitted_queries()) {
+        if (std::binary_search(streams.begin(), streams.end(), q)) {
+          demands.push_back({q, /*must_serve=*/true});
         }
       }
-      milp::Model forced = mip.mip();
-      std::vector<std::pair<int, double>> serve;
-      for (HostId h = 0; h < hosts; ++h) {
-        serve.emplace_back(mip.VarD(h, fresh), 1.0);
+      const Deployment& committed = planner.deployment();
+      SqprMip mip(committed, streams, operators, demands,
+                  SqprModelOptions{});
+      // The committed state is a plan of the model: its residuals add
+      // the relevant committed load back.
+      ASSERT_TRUE(mip.mip().lp.CheckFeasible(mip.WarmStart(), 1e-6).ok())
+          << "seed " << seed;
+
+      const bool hopeless =
+          AdmissionHopeless(committed, streams, operators, {fresh});
+      if (hopeless) {
+        ++screened;
+        const std::vector<StreamId>& leaves = catalog.stream(fresh).leaves;
+        for (StreamId leaf : leaves) {
+          if (catalog.stream(leaf).source_host == failed) {
+            ++source_down;
+            if (leaves.size() == 3) ++three_way_down;
+            break;
+          }
+        }
+        milp::Model forced = mip.mip();
+        std::vector<std::pair<int, double>> serve;
+        for (HostId h = 0; h < hosts; ++h) {
+          serve.emplace_back(mip.VarD(h, fresh), 1.0);
+        }
+        forced.lp.AddRow(1.0, lp::kInf, serve);
+        EnumerationOracle oracle(forced, AcyclicFlows(mip, hosts));
+        double best = 0.0;
+        EXPECT_FALSE(oracle.Solve(&best))
+            << "seed " << seed << ": screened query has a serving plan";
       }
-      forced.lp.AddRow(1.0, lp::kInf, serve);
-      EnumerationOracle oracle(forced, AcyclicFlows(mip, hosts));
-      double best = 0.0;
-      EXPECT_FALSE(oracle.Solve(&best))
-          << "seed " << seed << ": screened query has a serving plan";
-    }
-    const Result<PlanningStats> stats = planner.SubmitQuery(fresh);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->screened, hopeless) << "seed " << seed;
-    if (hopeless) {
-      EXPECT_FALSE(stats->admitted) << "seed " << seed;
+      const Result<PlanningStats> stats = planner.SubmitQuery(fresh);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->screened, hopeless) << "seed " << seed;
+      if (hopeless) {
+        EXPECT_FALSE(stats->admitted) << "seed " << seed;
+      }
+    };
+    check(random_join());
+    if (HasFatalFailure()) return;
+    // A three-way join over a base stream of the failed host: every
+    // producer reads that stream or a composite built on it.
+    if (failed != kInvalidHost && hosts == 2) {
+      std::vector<StreamId> leaves = base;
+      std::stable_partition(leaves.begin(), leaves.end(), [&](StreamId b) {
+        return catalog.stream(b).source_host == failed;
+      });
+      if (catalog.stream(leaves.front()).source_host == failed) {
+        std::swap(leaves[1], leaves[1 + rng.NextBounded(3)]);
+        leaves.resize(3);
+        check(*catalog.CanonicalJoinStream(leaves));
+        if (HasFatalFailure()) return;
+      }
     }
   }
   // Not vacuous: the sweep reaches the screen's verdict often, and on
-  // failed sources more often than the receiver-side conditions alone
-  // (47 source-down verdicts; 32 without the sender condition).
+  // failed sources more often than the per-producer conditions alone:
+  // 79 source-down verdicts, 32 of them on three-way joins; 48 and 16
+  // without the dead-leaf test, 65 and 18 with the producer-level
+  // sender condition it replaced.
   EXPECT_GE(screened, 20);
-  EXPECT_GE(source_down, 40);
+  EXPECT_GE(source_down, 70);
+  EXPECT_GE(three_way_down, 28);
 }
 
 }  // namespace

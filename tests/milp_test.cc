@@ -255,8 +255,8 @@ TEST(MilpSnapTest, NearIntegralWarmStartRoundingAcrossRowIgnored) {
   EXPECT_FALSE(r.has_solution());
 }
 
-// The simplex accepts a basic column up to feasibility_tol outside its
-// box, so a point SnapFeasible rejects can hold a binary at 1 + 5e-8.
+// The simplex accepts a basic column up to its feasibility tolerance
+// outside its box, so a point SnapFeasible rejects can hold a binary at 1 + 5e-8.
 // Splitting at floor/ceil of that value gives a down child equal to the
 // node and an up child with lb 2 > ub 1. The split must stay inside the
 // column's box. In the three models below every row is 5e-6 away from

@@ -739,10 +739,13 @@ TEST(SqprPlannerTest, PurgeHostEvictsEveryUngroundedQuery) {
 // fails (zero budgets, then EvictOverBudget and PurgeHost, as the
 // service handles it) and later rejoins: the evicted queries, and the
 // arrivals in between, that read a base stream injected at the failed
-// host are screened on the sender side and re-solved the same way.
+// host are screened by its dead leaf and re-solved the same way. At the
+// failure, three-way joins over each of its base streams arrive too: two
+// of their three producers read that stream only through a composite.
 TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
   int screened = 0;
   int source_down = 0;  // verdicts on a query reading from the failed host
+  int three_way_down = 0;  // of those, on three-way joins
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Scenario s(3, 8, /*cpu=*/0.2, /*nic=*/40.0, /*link=*/60.0);
     Rng rng(seed);
@@ -779,12 +782,12 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
           !served && AdmissionHopeless(committed, streams, operators, {q});
       if (hopeless) {
         ++screened;
-        if (down) {
-          for (StreamId leaf : s.catalog.stream(q).leaves) {
-            if (s.catalog.stream(leaf).source_host == failed) {
-              ++source_down;
-              break;
-            }
+        const std::vector<StreamId>& leaves = s.catalog.stream(q).leaves;
+        for (StreamId leaf : leaves) {
+          if (down && s.catalog.stream(leaf).source_host == failed) {
+            ++source_down;
+            if (leaves.size() == 3) ++three_way_down;
+            break;
           }
         }
         SqprMip mip(committed, streams, operators, demands, options.model);
@@ -834,6 +837,14 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
           submit(q, step);
           if (HasFatalFailure()) return;
         }
+        // Base stream i is injected at host i % 3: each failed leaf
+        // joined with one leaf of each healthy host.
+        for (size_t dead = failed; dead < s.base.size(); dead += 3) {
+          submit(s.Join({s.base[dead], s.base[(failed + 1) % 3],
+                         s.base[(failed + 2) % 3 + 3]}),
+                 step);
+          if (HasFatalFailure()) return;
+        }
         continue;
       }
       if (step == 28) {  // it rejoins
@@ -856,10 +867,63 @@ TEST(SqprScreenTest, ScreenedArrivalsAreRejectedByTheFullModel) {
     }
   }
   // Not vacuous: the traces saturate the cluster, and the failure
-  // screens queries on their down source (31 verdicts; without the
-  // sender condition 3 of them are screened).
+  // screens queries on their down source: 88 verdicts, 57 of them on
+  // three-way joins; 3 and 0 without the dead-leaf test, 31 and 0 with
+  // the producer-level sender condition it replaced.
   EXPECT_GE(screened, 10);
-  EXPECT_GE(source_down, 20);
+  EXPECT_GE(source_down, 75);
+  EXPECT_GE(three_way_down, 45);
+}
+
+// The dead-leaf test's side condition. Leaf a's source host can neither
+// send a nor run any join that reads it, but it runs a cheap filter of a
+// whose output it can send, and a join over that filtered input (a
+// producer of join{a,b} that no join closure holds) is committed on the
+// other host. That committed join supplies join{a,b} to the model, so the
+// three-way query over a is servable and must not be screened.
+TEST(SqprScreenTest, DeadLeafNeedsEveryProducerBuiltOnItRelevant) {
+  Scenario s(2, 4);  // base 0 and 2 at host 0, 1 and 3 at host 1
+  const StreamId a = s.base[0];
+  const StreamId b = s.base[1];
+  const StreamId q = s.Join({a, b, s.base[3]});
+  const Closure closure = *s.catalog.JoinClosure(q);
+  const OperatorId filter = *s.catalog.UnaryOperator(OpKind::kFilter, a,
+                                                     /*tag=*/1, 0.1);
+  const StreamId filtered = s.catalog.op(filter).output;
+  const OperatorId join_fb = *s.catalog.JoinOperator(filtered, b);
+  ASSERT_EQ(s.catalog.op(join_fb).output, s.Join({a, b}));
+  HostSpec source = s.cluster.host(0);
+  source.cpu = s.catalog.op(filter).cpu_cost;
+  source.nic_out_mbps = s.catalog.stream(filtered).rate_mbps;
+  s.cluster.SetHostSpec(0, source);
+
+  Deployment committed(&s.cluster, &s.catalog);
+  ASSERT_TRUE(committed.PlaceOperator(0, filter).ok());
+  ASSERT_TRUE(committed.AddFlow(0, 1, filtered).ok());
+  ASSERT_TRUE(committed.PlaceOperator(1, join_fb).ok());
+  ASSERT_TRUE(committed.Validate().ok()) << committed.Validate().ToString();
+
+  std::vector<StreamId> streams = closure.streams;
+  std::vector<OperatorId> operators = closure.operators;
+  std::sort(streams.begin(), streams.end());
+  std::sort(operators.begin(), operators.end());
+  EXPECT_LT(source.nic_out_mbps, s.catalog.stream(a).rate_mbps - 1e-6);
+  for (OperatorId o : operators) {
+    const std::vector<StreamId>& in = s.catalog.op(o).inputs;
+    if (std::binary_search(in.begin(), in.end(), a)) {
+      EXPECT_LT(source.cpu, s.catalog.op(o).cpu_cost - 1e-6);
+    }
+  }
+  EXPECT_FALSE(AdmissionHopeless(committed, streams, operators, {q}));
+
+  SqprMip mip(committed, streams, operators, {{q, /*must_serve=*/false}},
+              SqprModelOptions{});
+  SqprMip::CycleCutHandler handler(&mip);
+  milp::SolverOptions options;
+  options.lazy = &handler;
+  const milp::MipResult r = milp::Solver().Solve(mip.mip(), options);
+  ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
+  EXPECT_TRUE(mip.Serves(r.x, q));
 }
 
 }  // namespace

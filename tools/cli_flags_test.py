@@ -7,6 +7,9 @@ rejected while parsing, so no case allocates a large cluster or catalog.
 A well-formed run of each tool must still exit 0. sqpr_solve must exit
 2 on a hostile MPS file (crossed or NaN bounds), with an error that
 names the MPS line and quotes it, and solve the well-formed file.
+Each sqpr_service output flag pointed at /dev/full must exit 1 with an
+error that names the flag and quotes the path: a lost write is a
+failed run.
 
 Usage: tools/cli_flags_test.py SQPR_SERVICE SQPR_PLAN SQPR_SOLVE
 """
@@ -44,6 +47,11 @@ SERVICE_BAD = [
     ("--budget-ms", "solve=0"), ("--budget-ms", "solve"),
     ("--checkpoint-every", "-1"), ("--checkpoint-every", "5x"),
 ]
+
+# Output flags of sqpr_service; each write must fail loudly on a full
+# device.
+SERVICE_OUTPUTS = ["--stats-json", "--metrics-out", "--audit-out",
+                   "--trace-out"]
 
 PLAN_BAD = [
     ("--mem", "nan"), ("--mem", "lots"), ("--sites", "0"),
@@ -128,6 +136,14 @@ def main():
         problems.append(f"removed --solve-deadline-ms: exit "
                         f"{proc.returncode}, stderr {proc.stderr.strip()!r}")
 
+    for flag in SERVICE_OUTPUTS:
+        proc = subprocess.run([service, "--events", "1", flag, "/dev/full"],
+                              capture_output=True, text=True, timeout=60)
+        if (proc.returncode != 1 or f"{flag}:" not in proc.stderr
+                or '"/dev/full"' not in proc.stderr):
+            problems.append(f"{flag} /dev/full: exit {proc.returncode}, "
+                            f"stderr {proc.stderr.strip()[:200]!r}")
+
     good = [
         [service, "--hosts", "2", "--streams", "4", "--queries", "4",
          "--events", "5", "--cpu", "0.8", "--seed", "7",
@@ -145,7 +161,8 @@ def main():
         print("FAIL:", p)
     cases = len(COMMON_BAD) * 2 + len(SERVICE_BAD) + len(PLAN_BAD)
     print(f"{cases} bad values, 1 removed flag, {mps_cases} bad MPS files, "
-          f"{len(good) + 1} good runs, {len(problems)} problems")
+          f"{len(SERVICE_OUTPUTS)} full-device writes, {len(good) + 1} good "
+          f"runs, {len(problems)} problems")
     return 1 if problems else 0
 
 

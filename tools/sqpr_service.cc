@@ -21,6 +21,7 @@
 
 #include "cli_flags.h"
 #include "common/fault.h"
+#include "common/file.h"
 #include "common/stats.h"
 #include "model/catalog.h"
 #include "service/checkpoint.h"
@@ -777,32 +778,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: no plan-cache hits in this trace\n");
   }
 
-  if (!args.trace_out_path.empty()) {
-    const Status written =
-        obs::TraceRecorder::Get().WriteChromeTrace(args.trace_out_path);
+  // Writes one output file; false (with the flag and the quoted error
+  // on stderr) when any byte of it is lost.
+  const auto write_output = [](const char* flag, const std::string& path,
+                               const std::string& text) {
+    const Status written = WriteFile(path, text);
     if (!written.ok()) {
-      std::fprintf(stderr, "trace-out: %s\n", written.ToString().c_str());
+      std::fprintf(stderr, "%s: %s\n", flag, written.ToString().c_str());
+    }
+    return written.ok();
+  };
+  if (!args.trace_out_path.empty()) {
+    if (!write_output("--trace-out", args.trace_out_path,
+                      obs::TraceRecorder::Get().ChromeTraceJson())) {
       return 1;
     }
     std::printf("\nflight-recorder trace written to %s\n",
                 args.trace_out_path.c_str());
   }
-  const auto write_text_file = [](const std::string& path,
-                                  const std::string& text,
-                                  const char* what) -> bool {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "%s: cannot open %s\n", what, path.c_str());
-      return false;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return true;
-  };
   if (!args.metrics_out_path.empty()) {
     if (series) {
-      if (!write_text_file(args.metrics_out_path, series->text(),
-                           "metrics-out")) {
+      if (!write_output("--metrics-out", args.metrics_out_path,
+                        series->text())) {
         return 1;
       }
       std::printf("metrics series (%s, every %lld virtual ms) written to "
@@ -816,7 +813,7 @@ int main(int argc, char** argv) {
       const std::string text = args.metrics_format == "openmetrics"
                                    ? snap.ToOpenMetrics({})
                                    : snap.ToPrettyJson();
-      if (!write_text_file(args.metrics_out_path, text, "metrics-out")) {
+      if (!write_output("--metrics-out", args.metrics_out_path, text)) {
         return 1;
       }
       std::printf("metrics snapshot (%s) written to %s\n",
@@ -833,14 +830,12 @@ int main(int argc, char** argv) {
                   stats.total_wall_ms, stats.max_event_ms,
                   stats.worst_stall_ms);
     const std::string text = head + ServiceMetrics(stats).ToJson() + "}\n";
-    if (!write_text_file(args.stats_json_path, text, "stats-json")) return 1;
+    if (!write_output("--stats-json", args.stats_json_path, text)) return 1;
     std::printf("service stats written to %s\n", args.stats_json_path.c_str());
   }
   if (!args.audit_out_path.empty()) {
-    const Status written =
-        audit_journal.WriteFile(args.audit_out_path, args.audit_canonical);
-    if (!written.ok()) {
-      std::fprintf(stderr, "audit-out: %s\n", written.ToString().c_str());
+    if (!write_output("--audit-out", args.audit_out_path,
+                      audit_journal.ToJsonl(args.audit_canonical))) {
       return 1;
     }
     std::printf("audit journal written to %s (%zu records, %zu canonical%s)"
